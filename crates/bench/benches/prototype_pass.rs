@@ -1,17 +1,25 @@
-//! The reduce epilogue's final prototype pass, before/after ISSUE 5.
+//! The final prototype pass: one medoid per cluster of a clustered day.
 //!
-//! PR 4 stamped `finish_reduce`'s `compute_prototypes` as
-//! `prototype_time` and found it dominating large-cluster days: a serial
-//! loop over clusters, each a capped all-pairs medoid scan. ISSUE 5
-//! routes it through the rayon pool with early-abandoned partial sums —
-//! answer-identical (asserted below), so the gain is pure.
-//!
-//! * `serial_allpairs` — the PR 4 behavior, kept as the ungated baseline.
+//! * `serial_allpairs` — the exhaustive oracle (serial over clusters,
+//!   every row summed to the end), shared with `kizzle-cluster`'s
+//!   `seal_properties` tests; the ungated baseline.
 //! * `parallel_early_abandon` — `Clustering::compute_prototypes` as
-//!   shipped (gated in `thresholds.json`).
+//!   shipped: rayon over clusters, early-abandoned rows (gated in
+//!   `thresholds.json`). Answer-identical to the oracle, asserted below.
+//!
+//! Both arms take the bounded distance as a callback, so both run the
+//! bit-parallel kernel behind `normalized_edit_distance_bounded`. The
+//! seal itself does not come through here: its three medoid passes share a
+//! per-day pair memo inside `reduce_token`, measured by `perf_ledger`'s
+//! `cluster.reduce_s` / `cluster.prototype_s` and the
+//! `medoid_distance_calls` / `medoid_memo_hits` counters.
 //!
 //! `KIZZLE_BENCH_SAMPLES` scales the day (default 1000).
 
+#[path = "../../cluster/tests/common/mod.rs"]
+mod common;
+
+use common::serial_allpairs;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use kizzle_bench::synthetic_day_class_strings;
 use kizzle_cluster::distance::normalized_edit_distance_bounded;
@@ -26,47 +34,6 @@ fn day_size() -> usize {
         .ok()
         .and_then(|v| v.parse().ok())
         .unwrap_or(1000)
-}
-
-/// The pre-ISSUE-5 pass: serial over clusters, exhaustive capped all-pairs
-/// medoid per cluster (no early abandon).
-fn serial_allpairs(
-    members_per_cluster: &[Vec<usize>],
-    samples: &[Vec<u8>],
-    distance: impl Fn(&Vec<u8>, &Vec<u8>) -> f64,
-) -> Vec<Option<usize>> {
-    members_per_cluster
-        .iter()
-        .map(|members| {
-            if members.is_empty() {
-                return None;
-            }
-            if members.len() == 1 {
-                return Some(members[0]);
-            }
-            let cap = 64;
-            let pool: Vec<usize> = if members.len() > cap {
-                let step = members.len() / cap;
-                members.iter().step_by(step.max(1)).copied().collect()
-            } else {
-                members.clone()
-            };
-            let mut best = pool[0];
-            let mut best_sum = f64::INFINITY;
-            for &cand in &pool {
-                let sum: f64 = pool
-                    .iter()
-                    .filter(|&&other| other != cand)
-                    .map(|&other| distance(&samples[cand], &samples[other]))
-                    .sum();
-                if sum < best_sum {
-                    best_sum = sum;
-                    best = cand;
-                }
-            }
-            Some(best)
-        })
-        .collect()
 }
 
 fn bench_prototype_pass(c: &mut Criterion) {
@@ -88,7 +55,7 @@ fn bench_prototype_pass(c: &mut Criterion) {
 
     // Answer-identity: the shipped pass picks the same medoids the
     // exhaustive serial scan does.
-    let want = serial_allpairs(&members, &samples, distance);
+    let want = serial_allpairs(&members, &samples, 64, distance);
     let mut check = kizzle_cluster::Clustering::from_members(
         members.clone(),
         clustering.noise.clone(),
@@ -108,7 +75,7 @@ fn bench_prototype_pass(c: &mut Criterion) {
         BenchmarkId::new("serial_allpairs", n),
         &members,
         |b, members| {
-            b.iter(|| black_box(serial_allpairs(members, &samples, distance)));
+            b.iter(|| black_box(serial_allpairs(members, &samples, 64, distance)));
         },
     );
 

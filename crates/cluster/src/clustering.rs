@@ -44,7 +44,12 @@ impl Cluster {
     /// For clusters larger than `sample_cap` members, the medoid is computed
     /// over an evenly-spaced subsample to bound the quadratic cost; this is
     /// the same engineering concession a production deployment makes, and
-    /// the medoid of a tight cluster is insensitive to it.
+    /// the medoid of a tight cluster is insensitive to it. The subsample
+    /// takes every `⌊len / sample_cap⌋`-th member, so it holds **fewer than
+    /// `2 · sample_cap`** members, not at most `sample_cap`: a cluster of
+    /// `2 · sample_cap − 1` members has stride 1 and is scanned whole (127
+    /// members at cap 64 → a pool of 127). The selection is pinned — the
+    /// medoids feed the signature digests the paper-claims tests hold fixed.
     ///
     /// Candidates are **early-abandoned**, which requires `distance` to be
     /// **non-negative** (every in-repo distance is in `[0, 1]`): a
@@ -65,34 +70,41 @@ impl Cluster {
     where
         D: Fn(&T, &T) -> f64,
     {
-        self.prototype = medoid_of(&self.members, samples, &distance, sample_cap);
+        self.prototype = medoid_of(&self.members, sample_cap, |a, b| {
+            distance(&samples[a], &samples[b])
+        });
         self.prototype
     }
 }
 
-/// The medoid scan behind [`Cluster::compute_prototype`], over borrowed
-/// member lists so the parallel pass below needs no scratch clusters.
-fn medoid_of<T, D>(
-    members: &[usize],
-    samples: &[T],
-    distance: &D,
-    sample_cap: usize,
-) -> Option<usize>
-where
-    D: Fn(&T, &T) -> f64,
-{
-    if members.is_empty() {
-        return None;
-    }
-    if members.len() == 1 {
-        return Some(members[0]);
-    }
-    let pool: Vec<usize> = if members.len() > sample_cap && sample_cap > 0 {
+/// The sample cap of the final per-cluster prototype pass.
+pub(crate) const PROTOTYPE_SAMPLE_CAP: usize = 64;
+
+/// The members a medoid scan ranges over; see
+/// [`Cluster::compute_prototype`] for the (pinned) subsampling rule.
+fn medoid_pool(members: &[usize], sample_cap: usize) -> Vec<usize> {
+    if members.len() > sample_cap && sample_cap > 0 {
         let step = members.len() / sample_cap;
         members.iter().step_by(step.max(1)).copied().collect()
     } else {
         members.to_vec()
-    };
+    }
+}
+
+/// The medoid scan behind [`Cluster::compute_prototype`], over borrowed
+/// member lists. `distance(cand, other)` takes sample indices and is called
+/// row by row — every `other` of one `cand` before the next `cand` — so a
+/// stateful metric can keep per-candidate state (a preprocessed pattern)
+/// for the length of a row.
+pub(crate) fn medoid_of(
+    members: &[usize],
+    sample_cap: usize,
+    mut distance: impl FnMut(usize, usize) -> f64,
+) -> Option<usize> {
+    if members.len() <= 1 {
+        return members.first().copied();
+    }
+    let pool = medoid_pool(members, sample_cap);
     let mut best = pool[0];
     let mut best_sum = f64::INFINITY;
     for &cand in &pool {
@@ -101,7 +113,7 @@ where
             if other == cand {
                 continue;
             }
-            sum += distance(&samples[cand], &samples[other]);
+            sum += distance(cand, other);
             if sum >= best_sum {
                 // A partial sum at or above the incumbent can only grow;
                 // the full sum would lose the strict `<` below too.
@@ -178,7 +190,11 @@ impl Clustering {
         let prototypes: Vec<Option<usize>> = self
             .clusters
             .par_iter()
-            .map(|cluster| medoid_of(&cluster.members, samples, &distance, 64))
+            .map(|cluster| {
+                medoid_of(&cluster.members, PROTOTYPE_SAMPLE_CAP, |a, b| {
+                    distance(&samples[a], &samples[b])
+                })
+            })
             .collect();
         for (cluster, prototype) in self.clusters.iter_mut().zip(prototypes) {
             cluster.prototype = prototype;
@@ -275,6 +291,28 @@ mod tests {
         let proto = c.compute_prototype(&samples, abs_dist, 16).unwrap();
         // True medoid is ~500; subsampled medoid must be in the middle half.
         assert!((250..750).contains(&proto));
+    }
+
+    #[test]
+    fn medoid_pool_is_bounded_by_twice_the_cap_not_the_cap() {
+        // stride = len / cap, so 127 members at cap 64 have stride 1 and
+        // are scanned whole; the pool never reaches 2 · cap. The selection
+        // is pinned (the medoids feed the signature digests), so this test
+        // documents the bound rather than tightening it.
+        let members: Vec<usize> = (0..127).collect();
+        assert_eq!(medoid_pool(&members, 64), members);
+        assert_eq!(medoid_pool(&members[..64], 64).len(), 64);
+        assert_eq!(
+            medoid_pool(&(0..128).collect::<Vec<_>>(), 64),
+            (0..128).step_by(2).collect::<Vec<_>>()
+        );
+        for cap in [1usize, 16, 32, 64] {
+            for len in 0..=(5 * cap + 3) {
+                let pool = medoid_pool(&(0..len).collect::<Vec<_>>(), cap);
+                assert!(pool.len() < 2 * cap, "len={len} cap={cap}");
+                assert!(pool.len() >= len.min(cap), "len={len} cap={cap}");
+            }
+        }
     }
 
     #[test]

@@ -179,29 +179,51 @@ where
     }
 }
 
-/// Run DBSCAN over precomputed neighborhoods.
+/// Run DBSCAN over precomputed neighborhoods of a weighted point set.
 ///
-/// `neighborhoods[i]` must list the eps-neighbors of sample `i` (excluding
-/// `i` itself) in ascending order; symmetry is the caller's responsibility
-/// (an eps-ball query is symmetric by construction). The control flow is
-/// identical to [`dbscan`], so for the same neighborhood relation the
-/// labels come out identical — this is what makes the indexed engine a
-/// drop-in replacement.
+/// Point `i` stands for `weights[i] ≥ 1` co-located samples (identical
+/// content, mutual distance 0), and `neighborhoods[i]` must list the
+/// eps-neighbors of point `i` (excluding `i` itself) in ascending order;
+/// symmetry is the caller's responsibility (an eps-ball query is symmetric
+/// by construction). A point is core when the samples within eps of any one
+/// of its own — `weights[i]` plus its neighbors' weights — reach
+/// `min_points`. A sample set without duplicates passes all-ones weights,
+/// and then the control flow is identical to [`dbscan`], so for the same
+/// neighborhood relation the labels come out identical — this is what makes
+/// the indexed engine a drop-in replacement.
+///
+/// With the points ordered by the first position of their content, the
+/// labels equal those of DBSCAN over the expanded samples in position
+/// order: co-located samples have the same neighbors (and each other), so
+/// they share core status and label, clusters are discovered at their
+/// first core sample either way, and a border sample joins the earliest
+/// cluster with a core point in reach either way. The cost follows the
+/// distinct points and their balls, not the expanded sample count.
+///
+/// # Panics
+///
+/// Panics if `weights` and `neighborhoods` have different lengths.
 #[must_use]
 pub fn dbscan_with_neighborhoods(
     neighborhoods: &[Vec<usize>],
+    weights: &[usize],
     params: &DbscanParams,
 ) -> DbscanResult {
     let n = neighborhoods.len();
+    assert_eq!(weights.len(), n, "one weight per point");
     let mut labels = vec![Label::Unvisited; n];
     let mut cluster_count = 0usize;
+    let is_core = |p: usize| {
+        let density: usize =
+            weights[p] + neighborhoods[p].iter().map(|&q| weights[q]).sum::<usize>();
+        density >= params.min_points
+    };
 
     for start in 0..n {
         if labels[start] != Label::Unvisited {
             continue;
         }
-        let neighbors = &neighborhoods[start];
-        if neighbors.len() + 1 < params.min_points {
+        if !is_core(start) {
             labels[start] = Label::Noise;
             continue;
         }
@@ -209,7 +231,8 @@ pub fn dbscan_with_neighborhoods(
         cluster_count += 1;
         labels[start] = Label::Cluster(cluster_id);
 
-        let mut queue: std::collections::VecDeque<usize> = neighbors.iter().copied().collect();
+        let mut queue: std::collections::VecDeque<usize> =
+            neighborhoods[start].iter().copied().collect();
         while let Some(p) = queue.pop_front() {
             match labels[p] {
                 Label::Cluster(_) => continue,
@@ -219,9 +242,8 @@ pub fn dbscan_with_neighborhoods(
                 }
                 Label::Unvisited => {
                     labels[p] = Label::Cluster(cluster_id);
-                    let p_neighbors = &neighborhoods[p];
-                    if p_neighbors.len() + 1 >= params.min_points {
-                        for &q in p_neighbors {
+                    if is_core(p) {
+                        for &q in &neighborhoods[p] {
                             if labels[q] == Label::Unvisited || labels[q] == Label::Noise {
                                 queue.push_back(q);
                             }
@@ -258,7 +280,11 @@ pub fn dbscan_indexed<S: AsRef<[u8]> + Sync>(
     let mut index = NeighborIndex::build(samples, params.eps);
     let neighborhoods = index.dense_neighborhoods(samples.len());
     let stats = index.take_stats();
-    (dbscan_with_neighborhoods(&neighborhoods, params), stats)
+    let weights = vec![1; samples.len()];
+    (
+        dbscan_with_neighborhoods(&neighborhoods, &weights, params),
+        stats,
+    )
 }
 
 #[cfg(test)]
@@ -419,7 +445,11 @@ mod tests {
                     .collect()
             })
             .collect();
-        assert_eq!(dbscan_with_neighborhoods(&neighborhoods, &params), naive);
+        let weights = vec![1; pts.len()];
+        assert_eq!(
+            dbscan_with_neighborhoods(&neighborhoods, &weights, &params),
+            naive
+        );
     }
 
     #[test]

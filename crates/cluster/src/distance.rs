@@ -4,9 +4,13 @@
 //! their token-class strings, normalized by the longer length, and clusters
 //! with a threshold of 0.10 (paper §III-A). Computing millions of pairwise
 //! distances dominates the pipeline, so in addition to the plain
-//! Levenshtein distance this module provides a banded variant that gives up
+//! Levenshtein distance this module provides bounded variants that give up
 //! early once the distance provably exceeds a bound — with a 10% threshold
-//! the band is narrow and the common case is fast.
+//! the band is narrow and the common case is fast. Every product path
+//! (neighbor index, medoid passes, [`normalized_edit_distance_bounded`])
+//! runs the bit-parallel [`BitParallelPattern`] kernel; the scalar banded
+//! DP [`edit_distance_bounded`] is kept as the oracle the property tests
+//! compare it against.
 
 /// Plain Levenshtein edit distance (insertions, deletions, substitutions all
 /// cost 1) between two byte strings.
@@ -44,7 +48,9 @@ pub fn edit_distance(a: &[u8], b: &[u8]) -> usize {
 /// is guaranteed to exceed `max`, otherwise the exact distance.
 ///
 /// Uses Ukkonen's band: only diagonals within `max` of the main diagonal are
-/// explored, so the cost is `O(max * min(|a|, |b|))`.
+/// explored, so the cost is `O(max * min(|a|, |b|))`. This scalar DP is the
+/// reference implementation: no product path calls it, the property tests
+/// hold [`BitParallelPattern`] to its verdicts.
 ///
 /// # Examples
 ///
@@ -117,9 +123,12 @@ pub fn edit_distance_bounded(a: &[u8], b: &[u8], max: usize) -> Option<usize> {
 /// `O(⌈m / 64⌉ · n)` — for the ≤ 900-token strings Kizzle clusters, about
 /// an order of magnitude fewer operations than the banded DP.
 ///
-/// Building the pattern costs `O(m + alphabet)`; amortize it by reusing one
+/// Building the pattern costs `O(m)` and one allocation sized by the
+/// symbols the pattern actually contains; amortize it by reusing one
 /// `BitParallelPattern` across many comparisons (the neighbor index
-/// compares each query against every surviving candidate).
+/// compares each query against every surviving candidate, a medoid scan
+/// compares each candidate against the rest of its pool), and pass one
+/// [`BitParallelScratch`] along so no comparison allocates.
 ///
 /// # Examples
 ///
@@ -135,9 +144,32 @@ pub struct BitParallelPattern {
     len: usize,
     /// Number of 64-bit blocks covering the pattern.
     blocks: usize,
-    /// Per-symbol match masks: `peq[sym * blocks + w]` has bit `i` set when
-    /// `pattern[w * 64 + i] == sym`.
+    /// Symbol → row of `peq`. Row 0 is the all-zero mask shared by every
+    /// symbol the pattern does not contain.
+    row_of: [u16; 256],
+    /// Per-symbol match masks: `peq[row_of[sym] * blocks + w]` has bit `i`
+    /// set when `pattern[w * 64 + i] == sym`.
     peq: Vec<u64>,
+}
+
+/// Column state of the bit-parallel kernel (the vertical delta vectors of
+/// every block), reusable across comparisons so the hot loops of
+/// [`BitParallelPattern::distance_bounded_in`] callers never allocate.
+#[derive(Debug, Clone, Default)]
+pub struct BitParallelScratch {
+    /// `(pv, mv)` per block.
+    columns: Vec<(u64, u64)>,
+}
+
+/// The edit budget of a pair under a normalized `threshold`:
+/// `floor(threshold · max_len)`, or `None` when the length difference alone
+/// (a lower bound on the edit distance) already exceeds the threshold.
+fn edit_budget(a_len: usize, b_len: usize, threshold: f64) -> Option<usize> {
+    let max_len = a_len.max(b_len);
+    if a_len.abs_diff(b_len) as f64 / max_len as f64 > threshold {
+        return None;
+    }
+    Some((threshold * max_len as f64).floor() as usize)
 }
 
 impl BitParallelPattern {
@@ -145,13 +177,22 @@ impl BitParallelPattern {
     #[must_use]
     pub fn new(pattern: &[u8]) -> Self {
         let blocks = pattern.len().div_ceil(64).max(1);
-        let mut peq = vec![0u64; 256 * blocks];
+        let mut row_of = [0u16; 256];
+        let mut rows = 1u16;
+        for &sym in pattern {
+            if row_of[sym as usize] == 0 {
+                row_of[sym as usize] = rows;
+                rows += 1;
+            }
+        }
+        let mut peq = vec![0u64; usize::from(rows) * blocks];
         for (i, &sym) in pattern.iter().enumerate() {
-            peq[sym as usize * blocks + i / 64] |= 1u64 << (i % 64);
+            peq[usize::from(row_of[sym as usize]) * blocks + i / 64] |= 1u64 << (i % 64);
         }
         BitParallelPattern {
             len: pattern.len(),
             blocks,
+            row_of,
             peq,
         }
     }
@@ -183,6 +224,19 @@ impl BitParallelPattern {
     /// per column instead of all of them.
     #[must_use]
     pub fn distance_bounded(&self, text: &[u8], max: usize) -> Option<usize> {
+        self.distance_bounded_in(text, max, &mut BitParallelScratch::default())
+    }
+
+    /// [`BitParallelPattern::distance_bounded`] over caller-provided column
+    /// state: a loop comparing many texts passes the same `scratch` every
+    /// time and performs no allocation per comparison.
+    #[must_use]
+    pub fn distance_bounded_in(
+        &self,
+        text: &[u8],
+        max: usize,
+        scratch: &mut BitParallelScratch,
+    ) -> Option<usize> {
         let (m, n) = (self.len, text.len());
         if m.abs_diff(n) > max {
             return None;
@@ -197,8 +251,9 @@ impl BitParallelPattern {
         let last_block = blocks - 1;
         // Bit of row `m` (the score row) within the last block.
         let score_bit = 1u64 << ((m - 1) % 64);
-        let mut pv = vec![u64::MAX; blocks];
-        let mut mv = vec![0u64; blocks];
+        let columns = &mut scratch.columns;
+        columns.clear();
+        columns.resize(blocks, (u64::MAX, 0u64));
         // Lowest block the band has reached so far. `score` tracks the
         // computed D[r][j] at the band anchor row r = min(m, 64·(band + 1)),
         // advanced via the horizontal delta leaving that block.
@@ -219,14 +274,15 @@ impl BitParallelPattern {
                 score += (64 * (new_band + 1)).min(m) - (64 * (band + 1)).min(m);
                 band = new_band;
             }
-            let peq_row = &self.peq[sym as usize * blocks..(sym as usize + 1) * blocks];
+            let row = usize::from(self.row_of[sym as usize]);
+            let peq_row = &self.peq[row * blocks..(row + 1) * blocks];
             // Horizontal delta entering the bottom of the processed window:
             // row 0 of the DP matrix increases by one per text symbol, and
             // for a window starting above row 0 the true delta is ≤ +1.
             let mut hin: i32 = 1;
             for w in first..=band {
                 let eq0 = peq_row[w];
-                let (pvw, mvw) = (pv[w], mv[w]);
+                let (pvw, mvw) = columns[w];
                 let xv = eq0 | mvw;
                 // A negative carry-in acts like a match in the lowest row.
                 let eq = eq0 | u64::from(hin < 0);
@@ -253,8 +309,7 @@ impl BitParallelPattern {
                 } else if hin > 0 {
                     ph |= 1;
                 }
-                pv[w] = mh | !(xv | ph);
-                mv[w] = ph & xv;
+                columns[w] = (mh | !(xv | ph), ph & xv);
                 hin = hout;
             }
             score = score.wrapping_add_signed(hin as isize);
@@ -271,6 +326,26 @@ impl BitParallelPattern {
             }
         }
         (score <= max).then_some(score)
+    }
+
+    /// [`normalized_edit_distance_bounded`] with this pattern as one side of
+    /// the pair — bit-equal to it whichever side is preprocessed, because
+    /// the kernel is exact within the budget and the budget depends only on
+    /// the two lengths.
+    #[must_use]
+    pub fn normalized_distance_bounded_in(
+        &self,
+        text: &[u8],
+        threshold: f64,
+        scratch: &mut BitParallelScratch,
+    ) -> Option<f64> {
+        let max_len = self.len.max(text.len());
+        if max_len == 0 {
+            return Some(0.0);
+        }
+        let budget = edit_budget(self.len, text.len(), threshold)?;
+        self.distance_bounded_in(text, budget, scratch)
+            .map(|d| d as f64 / max_len as f64)
     }
 }
 
@@ -314,21 +389,19 @@ pub fn normalized_edit_distance(a: &[u8], b: &[u8]) -> f64 {
 /// Normalized edit distance with an early exit: returns `None` when the
 /// normalized distance is guaranteed to exceed `threshold`.
 ///
-/// This is the workhorse of DBSCAN neighborhood queries: with the paper's
-/// `threshold = 0.10`, the underlying band is only 10% of the longer length.
+/// With the paper's `threshold = 0.10` the underlying band is only 10% of
+/// the longer length. Runs the bit-parallel kernel with the shorter string
+/// as the pattern; the result is exact within the budget, so `d(a, b)` and
+/// `d(b, a)` are bit-equal — what lets the seal's medoid passes memoize
+/// one value per unordered pair.
 #[must_use]
 pub fn normalized_edit_distance_bounded(a: &[u8], b: &[u8], threshold: f64) -> Option<f64> {
     let max_len = a.len().max(b.len());
     if max_len == 0 {
         return Some(0.0);
     }
-    // Length difference alone is a lower bound on the edit distance.
-    let len_diff = a.len().abs_diff(b.len());
-    if len_diff as f64 / max_len as f64 > threshold {
-        return None;
-    }
-    let max_edits = (threshold * max_len as f64).floor() as usize;
-    edit_distance_bounded(a, b, max_edits).map(|d| d as f64 / max_len as f64)
+    let budget = edit_budget(a.len(), b.len(), threshold)?;
+    edit_distance_bitparallel_bounded(a, b, budget).map(|d| d as f64 / max_len as f64)
 }
 
 #[cfg(test)]

@@ -24,10 +24,15 @@
 //! re-adoption lookups are routed through a small
 //! [`NeighborIndex`] (the paper names exactly
 //! this reconciliation as its bottleneck), with the reconciliation and
-//! adoption phases timed separately in [`DistributedStats`].
+//! adoption phases timed separately in [`DistributedStats`]. The day
+//! reaches the reduce as a multiset — distinct class-strings plus a
+//! position → content map — and its three medoid passes share one memo of
+//! pair distances keyed by content, so the seal's pairwise work follows the
+//! day's distinct content, not its positions.
 
-use crate::clustering::{Cluster, Clustering};
+use crate::clustering::{medoid_of, Clustering, PROTOTYPE_SAMPLE_CAP};
 use crate::dbscan::{dbscan, DbscanParams};
+use crate::distance::{BitParallelPattern, BitParallelScratch};
 use crate::index::{IndexStats, NeighborIndex};
 use crate::store::SampleId;
 use kizzle_telemetry::trace::SpanGuard;
@@ -35,6 +40,7 @@ use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use rayon::prelude::*;
+use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -93,10 +99,10 @@ pub struct DistributedStats {
     /// noise points near a merged prototype.
     pub adopt_time: Duration,
     /// Wall-clock time of the *final* per-cluster prototype computation
-    /// (`compute_prototypes` in the reduce epilogue). It is all-pairs per
-    /// (capped) cluster and dominates days with large clusters, but ran
-    /// after `reduce_time` was stamped — untimed until ISSUE 4 made it
-    /// visible.
+    /// (the reduce epilogue's medoid pass, stamped after `reduce_time`).
+    /// It is an early-abandoned all-pairs scan per (capped) cluster; on the
+    /// token-string paths most of its pairs are answered by the memo the
+    /// two reduce-side medoid passes filled.
     pub prototype_time: Duration,
     /// Number of clusters found in each partition, before reconciliation.
     pub per_partition_clusters: Vec<usize>,
@@ -110,6 +116,15 @@ pub struct DistributedStats {
     /// Work counters of the reduce step's throwaway prototype indexes
     /// (token-string paths only).
     pub reduce_index: IndexStats,
+    /// Distance-kernel calls made by the three medoid passes (partition
+    /// clusters, merged clusters, final prototypes; token-string paths
+    /// only): one per unordered pair of distinct class strings a scan
+    /// reached before abandoning its row.
+    pub medoid_distance_calls: usize,
+    /// Medoid-pass pair lookups answered without a kernel call: both
+    /// positions hold the same class string, or the pair was computed
+    /// earlier in the seal (either order, any pass).
+    pub medoid_memo_hits: usize,
 }
 
 impl DistributedStats {
@@ -182,10 +197,7 @@ pub(crate) fn partition_by_key(keys: &[u64], partitions: usize, seed: u64) -> Ve
 }
 
 /// Translate a partition-local DBSCAN result back to global sample indices.
-pub(crate) fn partition_outcome(
-    result: &crate::dbscan::DbscanResult,
-    part: &[usize],
-) -> PartitionOutcome {
+fn partition_outcome(result: &crate::dbscan::DbscanResult, part: &[usize]) -> PartitionOutcome {
     let clusters: Vec<Vec<usize>> = (0..result.cluster_count())
         .map(|c| result.members(c).into_iter().map(|i| part[i]).collect())
         .collect();
@@ -237,6 +249,10 @@ fn flatten_outcomes(partition_results: Vec<PartitionOutcome>) -> (Vec<Vec<usize>
     (all_clusters, all_noise)
 }
 
+/// Reduce-side sample cap of the partition-cluster and merged-cluster
+/// medoid passes.
+const REDUCE_SAMPLE_CAP: usize = 32;
+
 /// Medoid prototype per cluster member list, in parallel: the medoid scan
 /// is quadratic in (capped) cluster size and independent across clusters.
 fn parallel_medoids<T, D>(samples: &[T], clusters: &[Vec<usize>], distance: &D) -> Vec<usize>
@@ -247,11 +263,124 @@ where
     clusters
         .par_iter()
         .map(|members| {
-            let mut c = Cluster::new(members.clone());
-            c.compute_prototype(samples, distance, 32)
-                .expect("non-empty cluster has a prototype")
+            medoid_of(members, REDUCE_SAMPLE_CAP, |a, b| {
+                distance(&samples[a], &samples[b])
+            })
+            .expect("non-empty cluster has a prototype")
         })
         .collect()
+}
+
+/// One seal's medoid passes over a day of token strings.
+///
+/// The day is held as its distinct class strings plus the position →
+/// content-id map, and every distance the three passes (partition clusters
+/// → merged clusters → final prototypes) compute is memoized per unordered
+/// pair of content ids: the passes rescan largely the same members, and a
+/// duplicate-heavy day has thousands of positions over a handful of
+/// strings. Values are bit-equal to
+/// [`normalized_edit_distance_bounded`](crate::distance::normalized_edit_distance_bounded)
+/// `.unwrap_or(1.0)` in either argument order, and the scan order and
+/// early abandon of [`medoid_of`] are untouched, so the medoids are exactly
+/// those of the unmemoized scan.
+///
+/// Lock-free and deterministic under rayon: a pass reads the map frozen at
+/// its start, each cluster's task records its new pairs locally, and the
+/// locals are merged in cluster order once the pass has joined.
+struct TokenMedoids<'a, T> {
+    /// Distinct class strings of the day.
+    data: &'a [T],
+    /// Position → index into `data`.
+    content: &'a [u32],
+    eps: f64,
+    /// Pairs and work counters of the passes finished so far.
+    memo: PairMemo,
+}
+
+/// Memoized medoid distances with the counters of the work behind them.
+#[derive(Default)]
+struct PairMemo {
+    /// `(lower id, higher id)` → distance.
+    pairs: HashMap<(u32, u32), f64>,
+    distance_calls: usize,
+    memo_hits: usize,
+}
+
+/// One cluster's scan within a pass.
+struct MedoidTask<'a, T> {
+    day: &'a TokenMedoids<'a, T>,
+    /// The pairs this scan computed, and its own counters.
+    fresh: PairMemo,
+    /// Content id and preprocessed pattern of the current row, built on the
+    /// row's first kernel call and reused until the content changes.
+    pattern: Option<(u32, BitParallelPattern)>,
+    scratch: BitParallelScratch,
+}
+
+impl<T: AsRef<[u8]>> MedoidTask<'_, T> {
+    /// Distance between the samples at two day positions.
+    fn distance(&mut self, cand: usize, other: usize) -> f64 {
+        let day = self.day;
+        let (a, b) = (day.content[cand], day.content[other]);
+        if a == b {
+            self.fresh.memo_hits += 1;
+            return 0.0;
+        }
+        let key = (a.min(b), a.max(b));
+        let known = day.memo.pairs.get(&key);
+        if let Some(&d) = known.or_else(|| self.fresh.pairs.get(&key)) {
+            self.fresh.memo_hits += 1;
+            return d;
+        }
+        if self.pattern.as_ref().map(|(id, _)| *id) != Some(a) {
+            self.pattern = None;
+        }
+        let (_, pattern) = self
+            .pattern
+            .get_or_insert_with(|| (a, BitParallelPattern::new(day.data[a as usize].as_ref())));
+        let text = day.data[b as usize].as_ref();
+        let d = pattern
+            .normalized_distance_bounded_in(text, day.eps, &mut self.scratch)
+            .unwrap_or(1.0);
+        self.fresh.distance_calls += 1;
+        self.fresh.pairs.insert(key, d);
+        d
+    }
+}
+
+impl<'a, T: AsRef<[u8]> + Sync> TokenMedoids<'a, T> {
+    /// The class string at a day position.
+    fn sample(&self, position: usize) -> &'a [u8] {
+        self.data[self.content[position] as usize].as_ref()
+    }
+
+    /// One pass: the medoid of every (non-empty) cluster, in parallel.
+    fn pass<C: AsRef<[usize]> + Sync>(&mut self, clusters: &[C], sample_cap: usize) -> Vec<usize> {
+        let day = &*self;
+        let scans: Vec<(usize, PairMemo)> = clusters
+            .par_iter()
+            .map(|members| {
+                let mut task = MedoidTask {
+                    day,
+                    fresh: PairMemo::default(),
+                    pattern: None,
+                    scratch: BitParallelScratch::default(),
+                };
+                let medoid = medoid_of(members.as_ref(), sample_cap, |a, b| task.distance(a, b))
+                    .expect("non-empty cluster has a prototype");
+                (medoid, task.fresh)
+            })
+            .collect();
+        scans
+            .into_iter()
+            .map(|(medoid, fresh)| {
+                self.memo.pairs.extend(fresh.pairs);
+                self.memo.distance_calls += fresh.distance_calls;
+                self.memo.memo_hits += fresh.memo_hits;
+                medoid
+            })
+            .collect()
+    }
 }
 
 /// Assemble merged clusters from union-find roots, in the deterministic
@@ -275,20 +404,18 @@ fn assemble_merged(all_clusters: &[Vec<usize>], uf: &mut UnionFind) -> Vec<Vec<u
 }
 
 /// Shared reduce epilogue: deterministic ordering, stats bookkeeping, and
-/// final prototypes. Both reduce variants must finish identically — the
-/// warm/cold and indexed-vs-generic equivalence properties depend on it.
-fn finish_reduce<T, D>(
-    samples: &[T],
-    distance: &D,
+/// final prototypes (`prototypes` fills them in — the generic callback scan
+/// or the memoized token pass). Both reduce variants must finish
+/// identically — the warm/cold and indexed-vs-generic equivalence
+/// properties depend on it.
+fn finish_reduce(
+    sample_count: usize,
     mut merged_clusters: Vec<Vec<usize>>,
     mut remaining_noise: Vec<usize>,
     reduce_span: SpanGuard,
     stats: &mut DistributedStats,
-) -> Clustering
-where
-    T: Sync,
-    D: Fn(&T, &T) -> f64 + Sync,
-{
+    prototypes: impl FnOnce(&mut Clustering),
+) -> Clustering {
     for m in &mut merged_clusters {
         m.sort_unstable();
     }
@@ -297,12 +424,11 @@ where
     stats.merged_clusters = merged_clusters.len();
     stats.noise = remaining_noise.len();
 
-    let mut clustering = Clustering::from_members(merged_clusters, remaining_noise, samples.len());
-    // Timed separately from the reduce phases: this final all-pairs pass
-    // dominates days with large clusters (ROADMAP), and an untimed hotspot
-    // cannot be optimized against a baseline.
+    let mut clustering = Clustering::from_members(merged_clusters, remaining_noise, sample_count);
+    // Timed separately from the reduce phases, so the final medoid pass
+    // shows as its own layer in the ledger.
     let proto_span = kizzle_telemetry::span!("cluster.prototypes");
-    clustering.compute_prototypes(samples, distance);
+    prototypes(&mut clustering);
     stats.prototype_time = proto_span.finish();
     clustering
 }
@@ -358,12 +484,12 @@ where
     stats.adopt_time = adopt_span.finish();
 
     finish_reduce(
-        samples,
-        distance,
+        samples.len(),
         merged_clusters,
         remaining_noise,
         reduce_span,
         stats,
+        |clustering| clustering.compute_prototypes(samples, distance),
     )
 }
 
@@ -372,9 +498,15 @@ where
 /// distance, but prototype merge edges and noise-adoption lookups go
 /// through a small [`NeighborIndex`] instead of all-pairs scans — at
 /// production partition counts the all-pairs reconciliation is the
-/// bottleneck the paper calls out in §IV.
+/// bottleneck the paper calls out in §IV — and the three medoid passes
+/// share one per-seal pair memo ([`TokenMedoids`]).
+///
+/// The day arrives as its distinct class strings (`data`) plus the
+/// position → content-id map (`content`); member lists, noise and the
+/// returned clustering are position-level.
 pub(crate) fn reduce_token<T>(
-    samples: &[T],
+    data: &[T],
+    content: &[u32],
     params: &DbscanParams,
     partition_results: Vec<PartitionOutcome>,
     stats: &mut DistributedStats,
@@ -383,15 +515,17 @@ where
     T: AsRef<[u8]> + Sync,
 {
     let eps = params.eps;
-    let distance = move |a: &T, b: &T| {
-        crate::distance::normalized_edit_distance_bounded(a.as_ref(), b.as_ref(), eps)
-            .unwrap_or(1.0)
+    let mut medoids = TokenMedoids {
+        data,
+        content,
+        eps,
+        memo: PairMemo::default(),
     };
     let reduce_span = kizzle_telemetry::span!("cluster.reduce");
     let reconcile_span = kizzle_telemetry::span!("cluster.reconcile");
     let (all_clusters, all_noise) = flatten_outcomes(partition_results);
 
-    let prototypes = parallel_medoids(samples, &all_clusters, &distance);
+    let prototypes = medoids.pass(&all_clusters, REDUCE_SAMPLE_CAP);
     // Prototype pairs within eps become merge edges. The throwaway index
     // answers the eps-ball of every prototype through the filter chain;
     // symmetry makes each edge appear from both endpoints, which union-find
@@ -399,7 +533,7 @@ where
     let mut proto_index = NeighborIndex::build(
         &prototypes
             .iter()
-            .map(|&p| samples[p].as_ref())
+            .map(|&p| medoids.sample(p))
             .collect::<Vec<_>>(),
         eps,
     );
@@ -417,7 +551,7 @@ where
     // noise sample queries the merged-prototype index and joins the first
     // matching cluster (smallest id), exactly as the all-pairs scan did.
     let adopt_span = kizzle_telemetry::span!("cluster.adopt");
-    let merged_prototypes = parallel_medoids(samples, &merged_clusters, &distance);
+    let merged_prototypes = medoids.pass(&merged_clusters, REDUCE_SAMPLE_CAP);
     // Structural insert only: adoption uses external queries, so eagerly
     // memoized prototype-vs-prototype eps-balls would be thrown away.
     let mut adopt_index = NeighborIndex::new(eps);
@@ -428,7 +562,7 @@ where
             .map(|(c, &p)| {
                 (
                     SampleId::new(u32::try_from(c).expect("cluster count fits u32")),
-                    Arc::from(samples[p].as_ref()),
+                    Arc::from(medoids.sample(p)),
                 )
             })
             .collect(),
@@ -437,7 +571,7 @@ where
     for idx in all_noise {
         // `query` returns ascending ids, so the first hit is the first
         // cluster in merged order.
-        match adopt_index.query(samples[idx].as_ref()).first() {
+        match adopt_index.query(medoids.sample(idx)).first() {
             Some(&cluster) => merged_clusters[cluster.raw() as usize].push(idx),
             None => remaining_noise.push(idx),
         }
@@ -445,14 +579,33 @@ where
     stats.reduce_index.merge(&adopt_index.take_stats());
     stats.adopt_time = adopt_span.finish();
 
-    finish_reduce(
-        samples,
-        &distance,
+    let clustering = finish_reduce(
+        content.len(),
         merged_clusters,
         remaining_noise,
         reduce_span,
         stats,
-    )
+        |clustering| {
+            let members: Vec<&[usize]> = clustering
+                .clusters
+                .iter()
+                .map(|cluster| cluster.members.as_slice())
+                .collect();
+            let prototypes = medoids.pass(&members, PROTOTYPE_SAMPLE_CAP);
+            for (cluster, prototype) in clustering.clusters.iter_mut().zip(prototypes) {
+                cluster.prototype = Some(prototype);
+            }
+        },
+    );
+    stats.medoid_distance_calls = medoids.memo.distance_calls;
+    stats.medoid_memo_hits = medoids.memo.memo_hits;
+    if kizzle_telemetry::enabled() {
+        kizzle_telemetry::counter("kizzle_cluster_medoid_distance_calls_total")
+            .add(stats.medoid_distance_calls as u64);
+        kizzle_telemetry::counter("kizzle_cluster_medoid_memo_hits_total")
+            .add(stats.medoid_memo_hits as u64);
+    }
+    clustering
 }
 
 /// The distributed clustering driver.

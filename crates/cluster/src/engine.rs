@@ -19,13 +19,16 @@
 //! neighborhoods down to the day (and further down to each partition)
 //! instead of re-querying, and the result is **byte-identical** to a cold
 //! one-shot run over the same samples — the property tests in
-//! `tests/incremental_properties.rs` hold it to that.
+//! `tests/incremental_properties.rs` hold it to that. A view that repeats
+//! an id is clustered as a multiset (distinct ids with multiplicities,
+//! expanded to positions only when member lists are emitted), which labels
+//! every position exactly as position-level DBSCAN would —
+//! `tests/seal_properties.rs` — at the cost of the distinct content.
 
 use crate::clustering::Clustering;
-use crate::dbscan::{dbscan_with_neighborhoods, DbscanParams};
+use crate::dbscan::{dbscan_with_neighborhoods, DbscanParams, DbscanResult, Label};
 use crate::distributed::{
-    partition_by_key, partition_outcome, reduce_token, DistributedConfig, DistributedStats,
-    PartitionOutcome,
+    partition_by_key, reduce_token, DistributedConfig, DistributedStats, PartitionOutcome,
 };
 use crate::index::NeighborIndex;
 use crate::store::{CorpusStore, SampleId};
@@ -393,76 +396,61 @@ impl CorpusEngine {
     /// short phase of [`CorpusEngine::cluster_day`]. The returned
     /// [`PreparedDay`] owns everything the expensive partition →
     /// per-partition DBSCAN → reduce dataflow needs ([`Arc`] clones of the
-    /// day's class-strings, day-restricted dense neighborhoods, partition
-    /// keys, drained index stats), so [`PreparedDay::finish`] runs without
-    /// touching the engine at all: the next day can insert, retire, or
-    /// re-cache concurrently and the finished clustering is still
-    /// byte-identical to a serial [`CorpusEngine::cluster_day`] call made
-    /// at capture time.
+    /// day's distinct class-strings, their day-restricted neighborhoods
+    /// and multiplicities, partition keys, drained index stats), so
+    /// [`PreparedDay::finish`] runs without touching the engine at all: the
+    /// next day can insert, retire, or re-cache concurrently and the
+    /// finished clustering is still byte-identical to a serial
+    /// [`CorpusEngine::cluster_day`] call made at capture time.
     ///
     /// # Panics
     ///
     /// Panics if any id is not live.
     pub fn prepare_day(&mut self, day_ids: &[SampleId]) -> PreparedDay {
-        let n = day_ids.len();
         let mut stats = DistributedStats::default();
-        let params = self.config.dbscan;
         let t_map = Instant::now();
-        if n == 0 {
-            return PreparedDay {
-                params,
-                partitions: self.config.partitions,
-                seed: self.config.seed,
-                dense: Vec::new(),
-                keys: Vec::new(),
-                day_data: Vec::new(),
-                stats,
-                t_map,
-            };
-        }
 
-        // Dense positions of every id in the view (dedup can map several
-        // positions to one id).
-        let mut positions: HashMap<u32, Vec<usize>> = HashMap::new();
-        for (p, id) in day_ids.iter().enumerate() {
-            positions.entry(id.raw()).or_default().push(p);
-        }
-        let unique: Vec<SampleId> = {
-            let mut u: Vec<u32> = positions.keys().copied().collect();
-            u.sort_unstable();
-            u.into_iter().map(SampleId::new).collect()
-        };
+        // The view as a multiset: its distinct ids in first-position order
+        // (dedup can map several positions to one id), each position's
+        // index into them, and how many positions each one holds.
+        let mut unique_of: HashMap<u32, u32> = HashMap::new();
+        let mut unique: Vec<SampleId> = Vec::new();
+        let mut weights: Vec<usize> = Vec::new();
+        let content: Vec<u32> = day_ids
+            .iter()
+            .map(|id| {
+                let u = *unique_of.entry(id.raw()).or_insert_with(|| {
+                    unique.push(*id);
+                    weights.push(0);
+                    u32::try_from(unique.len() - 1).expect("distinct day ids fit u32")
+                });
+                weights[u as usize] += 1;
+                u
+            })
+            .collect();
         self.index.ensure_cached(&unique);
 
-        // Day-restricted dense neighborhoods: the full-corpus eps-ball
-        // filtered to the view, expanded to positions, plus co-located
-        // duplicates (distance 0 to themselves).
+        // Day-restricted neighborhoods over the distinct ids: the
+        // full-corpus eps-ball filtered to the view. Co-located duplicates
+        // are not listed — the multiplicities carry them.
         let index = &self.index;
-        let dense: Vec<Vec<usize>> = day_ids
+        let balls: Vec<Vec<usize>> = unique
             .par_iter()
-            .enumerate()
-            .map(|(p, id)| {
-                let mut neighbors: Vec<usize> = Vec::new();
-                for &q in &positions[&id.raw()] {
-                    if q != p {
-                        neighbors.push(q);
-                    }
-                }
-                for &slot in index.cached_slots(id.raw()) {
-                    if let Some(qs) = positions.get(&slot) {
-                        neighbors.extend(qs.iter().copied());
-                    }
-                }
-                neighbors.sort_unstable();
-                neighbors
+            .map(|id| {
+                let mut ball: Vec<usize> = index
+                    .cached_slots(id.raw())
+                    .iter()
+                    .filter_map(|slot| unique_of.get(slot).map(|&u| u as usize))
+                    .collect();
+                ball.sort_unstable();
+                ball
             })
             .collect();
 
-        // Keys were hashed once at store-insert; the daily pass is O(n)
-        // lookups, not O(total bytes) re-hashing. The data Arcs pin the
-        // day's class-strings even if retirement drops them from the store
-        // before `finish` runs.
-        let (keys, day_data) = self.store.day_view(day_ids);
+        // Keys were hashed once at store-insert; the daily pass is lookups,
+        // not re-hashing. The data Arcs pin the day's class-strings even if
+        // retirement drops them from the store before `finish` runs.
+        let (keys, data) = self.store.day_view(&unique);
 
         // Drain the index counters now, while the day still owns them —
         // queries the *next* day issues while `finish` is in flight must
@@ -470,12 +458,14 @@ impl CorpusEngine {
         stats.index.merge(&self.index.take_stats());
 
         PreparedDay {
-            params,
+            params: self.config.dbscan,
             partitions: self.config.partitions,
             seed: self.config.seed,
-            dense,
+            content,
+            weights,
+            balls,
             keys,
-            day_data,
+            data,
             stats,
             t_map,
         }
@@ -486,15 +476,25 @@ impl CorpusEngine {
 ///
 /// Owns everything the partition/DBSCAN/reduce dataflow needs; `finish`
 /// borrows nothing from the engine, so it can run on another thread while
-/// the engine ingests the next day.
+/// the engine ingests the next day. The day is held as a multiset — its
+/// distinct class-strings (in first-position order) with multiplicities —
+/// so the map phase costs what the distinct content and its eps-balls cost,
+/// however many positions repeat it.
 #[derive(Debug)]
 pub struct PreparedDay {
     params: DbscanParams,
     partitions: usize,
     seed: u64,
-    dense: Vec<Vec<usize>>,
+    /// Position → index of its class-string among the distinct ones.
+    content: Vec<u32>,
+    /// Positions holding each distinct class-string.
+    weights: Vec<usize>,
+    /// Day-restricted eps-ball of each distinct class-string, ascending.
+    balls: Vec<Vec<usize>>,
+    /// Partition key of each distinct class-string.
     keys: Vec<u64>,
-    day_data: Vec<Arc<[u8]>>,
+    /// The distinct class-strings.
+    data: Vec<Arc<[u8]>>,
     stats: DistributedStats,
     t_map: Instant,
 }
@@ -503,7 +503,7 @@ impl PreparedDay {
     /// Dense positions in the captured view.
     #[must_use]
     pub fn sample_count(&self) -> usize {
-        self.day_data.len()
+        self.content.len()
     }
 
     /// Run the captured view through partition → per-partition DBSCAN →
@@ -511,8 +511,7 @@ impl PreparedDay {
     /// [`CorpusEngine::cluster_day`] over the same view.
     #[must_use]
     pub fn finish(mut self) -> (Clustering, DistributedStats) {
-        let n = self.day_data.len();
-        if n == 0 {
+        if self.content.is_empty() {
             return (Clustering::default(), self.stats);
         }
         let params = self.params;
@@ -520,38 +519,58 @@ impl PreparedDay {
 
         // Partition by content key — the same class-string lands in the
         // same partition every day (content-stable, not an `n`-dependent
-        // shuffle) — and cluster each partition on its induced subgraph,
-        // the same label computation a fresh per-partition index performs.
+        // shuffle), all of its positions with it — and cluster each
+        // partition on its induced subgraph, the same label computation a
+        // fresh per-partition index performs.
         let partition_span = kizzle_telemetry::span!("cluster.partition");
         let partitions = partition_by_key(&self.keys, self.partitions, self.seed);
+        // Partition and partition-local index of every distinct string.
+        let mut placed = vec![(0usize, 0usize); self.keys.len()];
+        for (part, members) in partitions.iter().enumerate() {
+            for (local, &u) in members.iter().enumerate() {
+                placed[u] = (part, local);
+            }
+        }
         self.stats.partition_time = partition_span.finish();
 
-        let dense = &self.dense;
-        let outcomes: Vec<PartitionOutcome> = partitions
+        let (balls, weights) = (&self.balls, &self.weights);
+        let results: Vec<DbscanResult> = partitions
             .par_iter()
-            .map(|part| {
-                let mut local_of = vec![usize::MAX; n];
-                for (local, &global) in part.iter().enumerate() {
-                    local_of[global] = local;
-                }
-                let local_neighborhoods: Vec<Vec<usize>> = part
+            .enumerate()
+            .map(|(part, members)| {
+                // `members` and every ball ascend, and `local` ascends with
+                // them, so the filtered lists come out ascending.
+                let local_balls: Vec<Vec<usize>> = members
                     .iter()
-                    .map(|&global| {
-                        let mut local: Vec<usize> = dense[global]
+                    .map(|&u| {
+                        balls[u]
                             .iter()
-                            .filter_map(|&q| {
-                                let l = local_of[q];
-                                (l != usize::MAX).then_some(l)
+                            .filter_map(|&v| {
+                                let (p, local) = placed[v];
+                                (p == part).then_some(local)
                             })
-                            .collect();
-                        local.sort_unstable();
-                        local
+                            .collect()
                     })
                     .collect();
-                let result = dbscan_with_neighborhoods(&local_neighborhoods, &params);
-                partition_outcome(&result, part)
+                let local_weights: Vec<usize> = members.iter().map(|&u| weights[u]).collect();
+                dbscan_with_neighborhoods(&local_balls, &local_weights, &params)
             })
             .collect();
+
+        // Expand to positions only now: every position takes the label of
+        // its class-string, and walking positions in order leaves each
+        // member list ascending.
+        let mut outcomes: Vec<PartitionOutcome> = results
+            .iter()
+            .map(|result| (vec![Vec::new(); result.cluster_count()], Vec::new()))
+            .collect();
+        for (position, &u) in self.content.iter().enumerate() {
+            let (part, local) = placed[u as usize];
+            match results[part].labels()[local] {
+                Label::Cluster(c) => outcomes[part].0[c].push(position),
+                _ => outcomes[part].1.push(position),
+            }
+        }
         self.stats.map_time = self.t_map.elapsed() - self.stats.partition_time;
         // The map measurement starts on the preparing thread (`t_map`) and
         // closes here, possibly on the seal thread — an RAII guard cannot
@@ -562,8 +581,14 @@ impl PreparedDay {
             self.stats.per_partition_clusters.push(outcome.0.len());
         }
 
-        // Index-routed reduce over the dense day view.
-        let clustering = reduce_token(&self.day_data, &params, outcomes, &mut self.stats);
+        // Index-routed reduce over the day view.
+        let clustering = reduce_token(
+            &self.data,
+            &self.content,
+            &params,
+            outcomes,
+            &mut self.stats,
+        );
         let day_elapsed = day_span.finish();
         if kizzle_telemetry::enabled() {
             kizzle_telemetry::histogram("kizzle_cluster_day_ns").observe_duration(day_elapsed);

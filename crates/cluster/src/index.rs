@@ -39,7 +39,7 @@
 //! property tests in `tests/indexed_properties.rs` and
 //! `tests/incremental_properties.rs` hold it to that.
 
-use crate::distance::BitParallelPattern;
+use crate::distance::{BitParallelPattern, BitParallelScratch};
 use crate::store::SampleId;
 use kizzle_snapshot::{Decoder, Encoder, SnapshotError};
 use rayon::prelude::*;
@@ -277,8 +277,9 @@ impl NeighborIndex {
         };
         let query_len = query.len();
         // Built lazily: queries whose whole length window is pruned (most
-        // benign one-offs) never pay the O(256·blocks) pattern setup.
+        // benign one-offs) never pay the pattern setup.
         let mut pattern: Option<BitParallelPattern> = None;
+        let mut scratch = BitParallelScratch::default();
         let mut neighbors = Vec::new();
 
         // Conservative start of the length window (one short of the integer
@@ -317,7 +318,7 @@ impl NeighborIndex {
             }
             stats.distance_calls += 1;
             let pattern = pattern.get_or_insert_with(|| BitParallelPattern::new(query));
-            if let Some(d) = pattern.distance_bounded(&cand.data, budget) {
+            if let Some(d) = pattern.distance_bounded_in(&cand.data, budget, &mut scratch) {
                 // Final normalized comparison, identical to the naive path.
                 if d as f64 / max_len as f64 <= self.eps {
                     neighbors.push(slot);

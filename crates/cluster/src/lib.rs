@@ -8,9 +8,10 @@
 //!
 //! This crate provides each of those pieces:
 //!
-//! * [`distance`] — Levenshtein edit distance: a banded early-exit
-//!   variant, a Myers-style bit-parallel bounded kernel
-//!   ([`BitParallelPattern`]), and the normalized form used by the paper.
+//! * [`distance`] — Levenshtein edit distance: the Myers-style
+//!   bit-parallel bounded kernel ([`BitParallelPattern`]) every product
+//!   path runs, the normalized form used by the paper on top of it, and a
+//!   scalar banded variant kept as the test oracle.
 //! * [`index`] — the incremental [`NeighborIndex`]: length-window +
 //!   histogram-lower-bound candidate pruning with parallel neighborhood
 //!   queries, in-place insert/remove, and maintained (not recomputed)
@@ -65,7 +66,7 @@ pub use dbscan::{
 };
 pub use distance::{
     edit_distance, edit_distance_bitparallel_bounded, edit_distance_bounded,
-    normalized_edit_distance, BitParallelPattern,
+    normalized_edit_distance, BitParallelPattern, BitParallelScratch,
 };
 pub use distributed::{partition_key, DistributedClusterer, DistributedConfig, DistributedStats};
 pub use engine::{

@@ -1,0 +1,277 @@
+//! Property-based tests for the content-keyed seal path.
+//!
+//! The seal's pairwise work is keyed by distinct content: one bit-parallel
+//! kernel behind every bounded distance, a per-seal pair memo under the
+//! three medoid passes, and a multiplicity-aware DBSCAN over distinct
+//! class-strings. Each is *only* cheaper — these properties hold them to
+//! the scalar, exhaustive and position-level oracles they replaced.
+
+mod common;
+
+use common::serial_allpairs;
+use kizzle_cluster::distance::{edit_distance_bounded, normalized_edit_distance_bounded};
+use kizzle_cluster::{
+    dbscan, dbscan_with_neighborhoods, partition_key, Clustering, DbscanParams,
+    DistributedClusterer, DistributedConfig,
+};
+use proptest::prelude::*;
+
+/// `normalized_edit_distance_bounded` as it was before it ran the
+/// bit-parallel kernel: the same length filter and `floor(eps · max_len)`
+/// budget over the scalar banded DP.
+fn scalar_oracle(a: &[u8], b: &[u8], eps: f64) -> Option<f64> {
+    let max_len = a.len().max(b.len());
+    if max_len == 0 {
+        return Some(0.0);
+    }
+    if a.len().abs_diff(b.len()) as f64 / max_len as f64 > eps {
+        return None;
+    }
+    let max_edits = (eps * max_len as f64).floor() as usize;
+    edit_distance_bounded(a, b, max_edits).map(|d| d as f64 / max_len as f64)
+}
+
+/// Both argument orders against the oracle, compared as bit patterns: the
+/// pair memo stores one value per unordered pair, so "close" is not enough.
+fn assert_matches_oracle(a: &[u8], b: &[u8], eps: f64) {
+    let want = scalar_oracle(a, b, eps).map(f64::to_bits);
+    let ab = normalized_edit_distance_bounded(a, b, eps).map(f64::to_bits);
+    let ba = normalized_edit_distance_bounded(b, a, eps).map(f64::to_bits);
+    assert_eq!(ab, want, "a={a:?} b={b:?} eps={eps}");
+    assert_eq!(ba, want, "swapped: a={a:?} b={b:?} eps={eps}");
+}
+
+/// Apply `edits` pseudo-random single-symbol edits (substitute, insert,
+/// delete) to `base`, driven by `salt`.
+fn mutate(base: &[u8], edits: usize, salt: u64) -> Vec<u8> {
+    let mut out = base.to_vec();
+    let mut state = salt | 1;
+    for _ in 0..edits {
+        state = state
+            .wrapping_mul(6_364_136_223_846_793_005)
+            .wrapping_add(1_442_695_040_888_963_407);
+        let pick = (state >> 33) as usize;
+        let sym = (pick % 6) as u8;
+        match (pick / 7) % 3 {
+            0 if !out.is_empty() => {
+                let at = pick % out.len();
+                out[at] = sym;
+            }
+            1 if !out.is_empty() => {
+                out.remove(pick % out.len());
+            }
+            _ => out.insert(pick % (out.len() + 1), sym),
+        }
+    }
+    out
+}
+
+/// A day of `families` base strings, each present as a few near variants,
+/// each variant repeated `1..=max_copies` times, interleaved so duplicates
+/// are not adjacent. Variants of one base tie on many pair distances.
+fn duplicate_heavy_day(
+    families: usize,
+    variants: usize,
+    max_copies: usize,
+    salt: u64,
+) -> Vec<Vec<u8>> {
+    let mut distinct: Vec<(Vec<u8>, usize)> = Vec::new();
+    for f in 0..families {
+        let len = 60 + 37 * f;
+        let base: Vec<u8> = (0..len).map(|i| ((i * (f + 2) + f) % 6) as u8).collect();
+        for v in 0..variants {
+            let variant = mutate(&base, v % 4, salt ^ ((f * 131 + v) as u64));
+            let copies = 1 + (salt as usize + f * 7 + v * 3) % max_copies;
+            distinct.push((variant, copies));
+        }
+    }
+    let mut day = Vec::new();
+    let mut round = 0;
+    while distinct.iter().any(|(_, copies)| *copies > round) {
+        for (variant, copies) in &distinct {
+            if *copies > round {
+                day.push(variant.clone());
+            }
+        }
+        round += 1;
+    }
+    day
+}
+
+#[test]
+fn bounded_distance_matches_scalar_oracle_at_block_and_budget_boundaries() {
+    // Lengths on both sides of the kernel's 64-symbol blocks and at the
+    // 900-token cap; `k` substitutions by a symbol the base lacks put the
+    // distance at exactly `k`, one below, at and one above the budget.
+    for len in [63usize, 64, 65, 128, 900] {
+        let base: Vec<u8> = (0..len).map(|i| (i % 5) as u8).collect();
+        for eps in [0.05, 0.10, 0.25] {
+            let budget = (eps * len as f64).floor() as usize;
+            for k in [budget.saturating_sub(1), budget, budget + 1] {
+                let mut other = base.clone();
+                for slot in other.iter_mut().step_by(len / (k + 1)).take(k) {
+                    *slot = 9;
+                }
+                let want = (k <= budget).then(|| k as f64 / len as f64);
+                assert_eq!(
+                    normalized_edit_distance_bounded(&base, &other, eps),
+                    want,
+                    "len={len} eps={eps} k={k}"
+                );
+                assert_matches_oracle(&base, &other, eps);
+            }
+            // Length-only differences straddling the length filter.
+            for shorter in [len - budget.min(len), len - (budget + 1).min(len)] {
+                assert_matches_oracle(&base, &base[..shorter], eps);
+            }
+        }
+        assert_matches_oracle(&base, &[], 0.10);
+    }
+    assert_matches_oracle(&[], &[], 0.10);
+    assert_matches_oracle(&[], &[], 0.0);
+}
+
+proptest! {
+    /// Arbitrary pairs and thresholds: the Myers-backed bounded distance is
+    /// the scalar-band oracle bit for bit, in both argument orders.
+    #[test]
+    fn bounded_distance_matches_scalar_oracle(
+        a in prop::collection::vec(0u8..6, 0..200),
+        b in prop::collection::vec(0u8..6, 0..200),
+        eps_permille in 0u32..600,
+    ) {
+        assert_matches_oracle(&a, &b, f64::from(eps_permille) / 1000.0);
+    }
+
+    /// Near pairs — the ones the clustering actually accepts — around the
+    /// edit budget, at lengths that cross block boundaries.
+    #[test]
+    fn bounded_distance_matches_scalar_oracle_on_near_pairs(
+        base in prop::collection::vec(0u8..6, 0..260),
+        edits in 0usize..40,
+        salt in any::<u64>(),
+        eps_permille in 0u32..300,
+    ) {
+        let other = mutate(&base, edits, salt);
+        assert_matches_oracle(&base, &other, f64::from(eps_permille) / 1000.0);
+    }
+
+    /// The shipped early-abandoned parallel prototype pass picks the
+    /// exhaustive scan's medoids on duplicate-heavy member lists, where
+    /// many candidates tie.
+    #[test]
+    fn compute_prototypes_match_exhaustive_oracle(
+        families in 1usize..4,
+        variants in 1usize..6,
+        max_copies in 1usize..40,
+        salt in any::<u64>(),
+    ) {
+        let day = duplicate_heavy_day(families, variants, max_copies, salt);
+        let distance = |a: &Vec<u8>, b: &Vec<u8>| {
+            normalized_edit_distance_bounded(a, b, 0.10).unwrap_or(1.0)
+        };
+        // One cluster per family by construction order, plus one of
+        // everything.
+        let mut members: Vec<Vec<usize>> = vec![Vec::new(); families];
+        for (i, s) in day.iter().enumerate() {
+            members[(s.len().saturating_sub(56)) / 37 % families].push(i);
+        }
+        members.push((0..day.len()).collect());
+        let want = serial_allpairs(&members, &day, 64, distance);
+        let mut clustering = Clustering::from_members(members, Vec::new(), day.len());
+        clustering.compute_prototypes(&day, distance);
+        let got: Vec<Option<usize>> = clustering.clusters.iter().map(|c| c.prototype).collect();
+        prop_assert_eq!(got, want);
+    }
+
+    /// The memoized seal (content-keyed medoid passes, multiset DBSCAN) is
+    /// the unmemoized position-level dataflow: same clustering as the
+    /// generic callback path over the same partition keys — which runs the
+    /// reduce-side medoid passes without a memo — and final prototypes
+    /// equal to the exhaustive all-pairs oracle.
+    #[test]
+    fn memoized_seal_matches_unmemoized_dataflow_and_exhaustive_medoids(
+        families in 1usize..4,
+        variants in 1usize..6,
+        max_copies in 1usize..40,
+        partitions in 1usize..5,
+        min_points in 1usize..6,
+        salt in any::<u64>(),
+    ) {
+        let mut day = duplicate_heavy_day(families, variants, max_copies, salt);
+        // A far outlier and an empty string ride along as noise candidates.
+        day.push(vec![7; 45]);
+        day.push(Vec::new());
+        let cfg = DistributedConfig::new(partitions, DbscanParams::new(0.10, min_points), salt);
+        let clusterer = DistributedClusterer::new(cfg);
+        let distance = |a: &Vec<u8>, b: &Vec<u8>| {
+            normalized_edit_distance_bounded(a, b, 0.10).unwrap_or(1.0)
+        };
+
+        let (sealed, stats) = clusterer.cluster_token_strings(&day);
+        let keys: Vec<u64> = day.iter().map(|s| partition_key(s)).collect();
+        let (generic, _) = clusterer.cluster_with_keys(&day, &keys, distance);
+        prop_assert_eq!(&sealed, &generic);
+
+        let members: Vec<Vec<usize>> = sealed.clusters.iter().map(|c| c.members.clone()).collect();
+        let want = serial_allpairs(&members, &day, 64, distance);
+        let got: Vec<Option<usize>> = sealed.clusters.iter().map(|c| c.prototype).collect();
+        prop_assert_eq!(got, want);
+
+        // The memo bounds the kernel work by the distinct content: one
+        // call per unordered pair of distinct strings at most, whatever
+        // the multiplicities — and the counts repeat exactly.
+        let mut distinct: Vec<&Vec<u8>> = day.iter().collect();
+        distinct.sort_unstable();
+        distinct.dedup();
+        let pairs = distinct.len() * (distinct.len() - 1) / 2;
+        prop_assert!(
+            stats.medoid_distance_calls <= pairs,
+            "{} calls for {} distinct pairs", stats.medoid_distance_calls, pairs
+        );
+        let (_, again) = clusterer.cluster_token_strings(&day);
+        prop_assert_eq!(stats.medoid_distance_calls, again.medoid_distance_calls);
+        prop_assert_eq!(stats.medoid_memo_hits, again.medoid_memo_hits);
+    }
+
+    /// DBSCAN over distinct points with multiplicities labels every
+    /// position like position-level DBSCAN over the expanded day — random
+    /// multiplicities, chains and border points included.
+    #[test]
+    fn weighted_dbscan_matches_position_level(
+        // Points on a line; eps = 2 makes chains, gaps and border points.
+        day in prop::collection::vec(0i32..40, 0..60),
+        min_points in 1usize..7,
+    ) {
+        let params = DbscanParams::new(2.0, min_points);
+        let position_level = dbscan(&day, &params, |a, b| f64::from((a - b).abs()));
+
+        // Distinct values in first-position order, with multiplicities.
+        let mut unique: Vec<i32> = Vec::new();
+        let mut weights: Vec<usize> = Vec::new();
+        let content: Vec<usize> = day
+            .iter()
+            .map(|v| {
+                let u = unique.iter().position(|x| x == v).unwrap_or_else(|| {
+                    unique.push(*v);
+                    weights.push(0);
+                    unique.len() - 1
+                });
+                weights[u] += 1;
+                u
+            })
+            .collect();
+        let balls: Vec<Vec<usize>> = (0..unique.len())
+            .map(|u| {
+                (0..unique.len())
+                    .filter(|&v| v != u && (unique[u] - unique[v]).abs() <= 2)
+                    .collect()
+            })
+            .collect();
+        let weighted = dbscan_with_neighborhoods(&balls, &weights, &params);
+
+        let expanded: Vec<_> = content.iter().map(|&u| weighted.labels()[u]).collect();
+        prop_assert_eq!(expanded, position_level.labels().to_vec());
+        prop_assert_eq!(weighted.cluster_count(), position_level.cluster_count());
+    }
+}
