@@ -10,6 +10,11 @@
 //! * `scan_punct` — minified-style punctuation-heavy streams where almost
 //!   every token is a one-byte operator: the automaton's first-byte
 //!   skip-loop rejects these before the root goto-table probe (PR 7).
+//! * `scan_document_miss` / `scan_document_hit` — the same pages as raw
+//!   documents through [`Matcher::scan_verdict`]: lex into per-thread
+//!   scratch, match the borrowed view. This is the path `kizzle-serve`
+//!   runs per request; the difference to the pre-tokenized arms is the
+//!   lexer.
 //! * `parallel_scan_<W>x<K>` — one iteration scans `W × K` streams
 //!   through `W` independently cloned handles on the rayon pool: the
 //!   multi-worker serving loop in miniature. Scans/sec is printed to
@@ -90,10 +95,8 @@ fn bench_matcher(c: &mut Criterion) {
             .collect()
     };
     let miss_streams = tokenize_capped(&benign, cap);
-    let hit_streams = tokenize_capped(
-        &packed_samples(kizzle_corpus::KitFamily::Nuclear, 5, n.min(64)),
-        cap,
-    );
+    let packed = packed_samples(kizzle_corpus::KitFamily::Nuclear, 5, n.min(64));
+    let hit_streams = tokenize_capped(&packed, cap);
     // Minified-style pages: long runs of one-byte identifiers and
     // operators, the worst case for a per-token automaton probe and the
     // best case for the first-byte skip-loop.
@@ -143,6 +146,22 @@ fn bench_matcher(c: &mut Criterion) {
         b.iter(|| {
             i = (i + 1) % punct_streams.len();
             black_box(matcher.scan_stream(&punct_streams[i]))
+        })
+    });
+
+    group.bench_function("scan_document_miss", |b| {
+        let mut i = 0usize;
+        b.iter(|| {
+            i = (i + 1) % benign.len();
+            black_box(matcher.scan_verdict(&benign[i]))
+        })
+    });
+
+    group.bench_function("scan_document_hit", |b| {
+        let mut i = 0usize;
+        b.iter(|| {
+            i = (i + 1) % packed.len();
+            black_box(matcher.scan_verdict(&packed[i]))
         })
     });
 

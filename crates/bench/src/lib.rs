@@ -37,10 +37,7 @@ pub fn packed_samples(family: KitFamily, day: u32, count: usize) -> Vec<String> 
 pub fn tokenized(documents: &[String], cap: usize) -> Vec<TokenStream> {
     documents
         .iter()
-        .map(|doc| {
-            let stream = kizzle_js::tokenize_document(doc);
-            stream.slice(0, cap.min(stream.len()))
-        })
+        .map(|doc| kizzle_js::tokenize_document_capped(doc, cap))
         .collect()
 }
 

@@ -419,11 +419,8 @@ impl KizzleCompiler {
                 }
                 let siggen_started = tel.then(Instant::now);
 
-                let member_streams: Vec<TokenStream> = cluster
-                    .members
-                    .iter()
-                    .map(|&i| streams[i].clone())
-                    .collect();
+                let member_streams: Vec<&TokenStream> =
+                    cluster.members.iter().map(|&i| &streams[i]).collect();
                 let counter = self.signature_counters.entry(family).or_insert(0);
                 let name = format!("{}.sig{}", family.short_code(), *counter + 1);
                 match generate_signature(&name, &member_streams, &self.config.signature) {
@@ -482,7 +479,10 @@ impl KizzleCompiler {
     /// Scan a raw document against the deployed signatures.
     #[must_use]
     pub fn scan(&self, document: &str) -> Option<KitFamily> {
-        self.scan_stream(&self.tokenize_capped(document))
+        self.signatures
+            .scan_document_index(document, self.config.token_cap)
+            .and_then(|index| self.signatures.get(index))
+            .and_then(|hit| family_from_label(&hit.label))
     }
 }
 

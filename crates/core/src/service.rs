@@ -980,6 +980,8 @@ impl DaySession<'_> {
     /// Like [`DaySession::ingest`] with already tokenized streams (the
     /// evaluation harness tokenizes once and shares the streams between
     /// Kizzle and its metrics). `samples` and `streams` must be parallel.
+    /// The streams are shared, not copied: a [`TokenStream`] clone is two
+    /// reference-count bumps.
     ///
     /// An empty batch is a no-op: it does **not** open the day, so a
     /// frontend that flushes on a timer and sends empty ticks never
@@ -1355,10 +1357,19 @@ impl<S: SignatureSource> Matcher<S> {
     /// with the same prefix cap the compiler used.
     #[must_use]
     pub fn scan(&self, document: &str) -> Option<KitFamily> {
-        self.scan_stream(&kizzle_js::tokenize_document_capped(
-            document,
-            self.source.token_cap(),
-        ))
+        self.scan_verdict(document).family
+    }
+
+    /// The verdict for a scan of `set` (published at `epoch`) that hit the
+    /// signature at `index`.
+    fn verdict(epoch: u64, set: &SignatureSet, index: Option<usize>) -> ScanVerdict {
+        ScanVerdict {
+            epoch,
+            index: index.map(|i| u32::try_from(i).expect("set indices fit u32")),
+            family: index
+                .and_then(|i| set.get(i))
+                .and_then(|hit| family_from_label(&hit.label)),
+        }
     }
 
     /// Scan an already tokenized sample, reporting the matching signature
@@ -1367,26 +1378,21 @@ impl<S: SignatureSource> Matcher<S> {
     #[must_use]
     pub fn scan_stream_verdict(&self, stream: &TokenStream) -> ScanVerdict {
         let (epoch, set) = self.current_pair();
-        let index = set.scan_stream_index(stream);
-        let family = index
-            .and_then(|i| set.get(i))
-            .and_then(|hit| family_from_label(&hit.label));
-        ScanVerdict {
-            epoch,
-            index: index.map(|i| u32::try_from(i).expect("set indices fit u32")),
-            family,
-        }
+        Self::verdict(epoch, &set, set.scan_stream_index(stream))
     }
 
     /// Scan a raw document, reporting signature index and epoch alongside
-    /// the family. Tokenizes with the source's cap, like
-    /// [`Matcher::scan`].
+    /// the family. The document is lexed up to the source's token cap into
+    /// the calling thread's scratch and matched in place
+    /// ([`SignatureSet::scan_document_index`]): the same verdict as
+    /// [`Matcher::scan_stream_verdict`] over
+    /// [`kizzle_js::tokenize_document_capped`], without building the
+    /// stream — a warmed-up thread allocates nothing per scan.
     #[must_use]
     pub fn scan_verdict(&self, document: &str) -> ScanVerdict {
-        self.scan_stream_verdict(&kizzle_js::tokenize_document_capped(
-            document,
-            self.source.token_cap(),
-        ))
+        let (epoch, set) = self.current_pair();
+        let index = set.scan_document_index(document, self.source.token_cap());
+        Self::verdict(epoch, &set, index)
     }
 
     /// A consistent snapshot of the published set — stays valid (and

@@ -184,6 +184,10 @@ struct FollowState {
     sig_fingerprint: Option<String>,
     /// Fingerprint of the scan-pipeline section currently swapped in.
     scan_fingerprint: Option<String>,
+    /// The chain as of the last swap — its base's trailer CRC and how many
+    /// layers it had — so the next swap can count the publications it
+    /// covers (see [`ChainFollower::poll`]).
+    chain_position: (Option<u32>, usize),
     /// Bounded log of degradations observed while following.
     notes: Vec<String>,
 }
@@ -278,7 +282,10 @@ impl ChainFollower {
     }
 
     /// Check the chain directory once and swap in a new set if one was
-    /// published. Returns `Ok(true)` when a new epoch was swapped in,
+    /// published. Returns `Ok(true)` when a new epoch was swapped in
+    /// (the epoch advances by the number of publications the swap covers,
+    /// so a follower that polls less often than the compiler saves still
+    /// counts every one),
     /// `Ok(false)` when the published signatures are unchanged (three
     /// fast paths, cheapest first: manifest stat, recorded section
     /// fingerprints, locally computed fingerprints of the opened chain).
@@ -358,15 +365,31 @@ impl ChainFollower {
         // already attached one).
         set.seal();
         let signatures = set.len();
+        // One epoch per publication, not per poll. The compiler may save
+        // twice between two polls; each of those saves appended a delta
+        // carrying the signature sections it changed, so the deltas added
+        // under an unchanged base since the last swap say how many
+        // publications this swap covers. Two followers of one chain then
+        // agree on the epoch however often each polls — which is what lets
+        // a verdict's epoch be compared across processes. (A compaction in
+        // between rewrites the base and loses the count; the swap is one
+        // epoch, as is a follower's first load.)
+        let (seen_base, seen_layers) = state.chain_position;
+        let publications = if loaded && seen_base.is_some() && seen_base == snapshot.base_crc() {
+            snapshot.layers_declaring(seen_layers, &[SIGNATURES_SECTION, SCAN_SECTION])
+        } else {
+            0
+        };
         {
             let mut slot = self.slot.write().expect("chain follower slot lock");
-            slot.0 += 1;
+            slot.0 += publications.max(1) as u64;
             slot.1 = Arc::new(set);
             self.epoch_hint.store(slot.0, Ordering::Release);
         }
         state.sig_fingerprint = sig_fingerprint;
         state.scan_fingerprint = scan_fingerprint;
         state.manifest_stamp = stamp;
+        state.chain_position = (snapshot.base_crc(), snapshot.layer_count());
         for note in snapshot.notes() {
             state.push_note(note.clone());
         }
@@ -583,6 +606,55 @@ mod tests {
         service.save(&dir).expect("no-change save");
         assert!(!follower.poll().expect("chain readable"));
         assert_eq!(tailing.epoch(), 2);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn epochs_count_publications_not_polls() {
+        // Two followers of one chain: one polls after every save, the
+        // other only after several. They must agree on the epoch — a
+        // verdict's epoch is compared across processes.
+        let dir = chain_dir("coalesced");
+        let mut service = test_service();
+        let eager = ChainFollower::new(&dir);
+        let lazy = ChainFollower::new(&dir);
+        let mut date = SimDate::new(2014, 8, 5);
+        let mut publish = |service: &mut KizzleService, seed: u64| {
+            let before = service.signatures().len();
+            service
+                .process_day(date, &test_day(date, seed))
+                .expect("day processes");
+            date = date.next();
+            service.save(&dir).expect("state saved");
+            assert!(
+                service.signatures().len() > before,
+                "seed {seed} adds signatures"
+            );
+        };
+
+        publish(&mut service, 3);
+        assert!(eager.poll().expect("chain readable"));
+        assert!(lazy.poll().expect("chain readable"));
+        assert_eq!((eager.current().0, lazy.current().0), (1, 1));
+
+        // Two publications and a no-change save between the lazy
+        // follower's polls.
+        publish(&mut service, 4);
+        assert!(eager.poll().expect("chain readable"));
+        publish(&mut service, 5);
+        assert!(eager.poll().expect("chain readable"));
+        service.save(&dir).expect("no-change save");
+        assert!(!eager.poll().expect("chain readable"));
+        assert_eq!(eager.current().0, 3);
+        assert!(lazy.poll().expect("chain readable"));
+        assert_eq!(lazy.current().0, 3, "one swap, two publications");
+        assert_eq!(&*lazy.current().1, &*eager.current().1);
+
+        // And they stay in step afterwards.
+        publish(&mut service, 6);
+        assert!(eager.poll().expect("chain readable"));
+        assert!(lazy.poll().expect("chain readable"));
+        assert_eq!((eager.current().0, lazy.current().0), (4, 4));
         std::fs::remove_dir_all(&dir).ok();
     }
 

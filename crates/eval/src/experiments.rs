@@ -51,9 +51,10 @@ pub fn exp_signatures() -> String {
         let samples: Vec<_> = (0..6u64)
             .map(|i| {
                 let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(1000 + i);
-                let stream = kizzle_js::tokenize_document(&model.generate_sample(date, &mut rng));
-                let cap = config.token_cap.min(stream.len());
-                stream.slice(0, cap)
+                kizzle_js::tokenize_document_capped(
+                    &model.generate_sample(date, &mut rng),
+                    config.token_cap,
+                )
             })
             .collect();
         match kizzle_signature::generate_signature(

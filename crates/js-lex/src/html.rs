@@ -1,27 +1,107 @@
-//! Extraction of inline JavaScript from HTML documents.
+//! Inline JavaScript in HTML documents: where the script bodies are, and
+//! tokenizing them in place.
 //!
 //! A Kizzle *sample* is "a complete HTML document, including all inline
 //! script elements" (paper §III). The telemetry source captured full pages,
-//! so the first processing step is pulling every inline `<script>` body (and
-//! inline event handlers) out of the markup before tokenization.
+//! so the first processing step is finding every inline `<script>` body
+//! (inline event handlers are not extracted) in the markup.
 //!
-//! The extractor is deliberately tag-level and lenient rather than a full
-//! HTML5 parser: grayware markup is frequently malformed, and all we need is
-//! the script payloads.
+//! The walk is deliberately tag-level and lenient rather than a full HTML5
+//! parser: grayware markup is frequently malformed, and all we need is the
+//! script payloads. "Where are the script bodies" has one definition,
+//! `ScriptRanges`: a case-insensitive byte search that yields ranges of
+//! the document and copies nothing. [`extract_scripts`] and the tokenizing
+//! entry points are both built on it.
 
+use crate::lexer::{addressable, find_any, lex, span_buffer};
 use crate::stream::TokenStream;
-use crate::tokenize;
+use crate::token::{Span, Tokens};
+use std::ops::Range;
 
 /// One inline script block found in a document.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct InlineScript {
+pub struct InlineScript<'a> {
     /// Byte offset of the script body within the original document.
     pub offset: usize,
     /// The raw script body (between `<script ...>` and `</script>`).
-    pub body: String,
+    pub body: &'a str,
     /// Value of the `src` attribute if present (external scripts have no
     /// body to analyze, but the URL itself is useful for ground-truthing).
-    pub src: Option<String>,
+    pub src: Option<&'a str>,
+}
+
+/// Byte ranges of one `<script>` element.
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct ScriptRange {
+    /// `<script ...>`, through the closing `>`.
+    open_tag: Range<usize>,
+    /// Between the opening tag and `</script` (or the end of the document
+    /// when the element is never closed); empty for `<script ... />`.
+    body: Range<usize>,
+}
+
+/// Position of the first case-insensitive occurrence of `tag` (lowercase
+/// ASCII, starting with `<`) at or after `from`.
+fn find_tag(bytes: &[u8], from: usize, tag: &[u8]) -> Option<usize> {
+    let mut pos = from;
+    loop {
+        let at = find_any(bytes, pos, [b'<']);
+        let candidate = bytes.get(at..at + tag.len())?;
+        if candidate.eq_ignore_ascii_case(tag) {
+            return Some(at);
+        }
+        pos = at + 1;
+    }
+}
+
+/// The `<script>` elements of a document, in order, found lazily: nothing
+/// past the element last returned has been looked at.
+#[derive(Debug, Clone)]
+struct ScriptRanges<'a> {
+    bytes: &'a [u8],
+    pos: usize,
+}
+
+impl<'a> ScriptRanges<'a> {
+    fn new(document: &'a str) -> Self {
+        ScriptRanges {
+            bytes: document.as_bytes(),
+            pos: 0,
+        }
+    }
+}
+
+impl Iterator for ScriptRanges<'_> {
+    type Item = ScriptRange;
+
+    fn next(&mut self) -> Option<ScriptRange> {
+        let bytes = self.bytes;
+        let end = bytes.len();
+        let open_tag = find_tag(bytes, self.pos, b"<script").and_then(|tag_start| {
+            let tag_end = find_any(bytes, tag_start, [b'>']);
+            (tag_end < end).then_some((tag_start, tag_end))
+        });
+        // No further tag, or an opening tag that never closes: the walk ends.
+        let Some((tag_start, tag_end)) = open_tag else {
+            self.pos = end;
+            return None;
+        };
+        let body_start = tag_end + 1;
+        let (body_end, next_pos) = if bytes[tag_end - 1] == b'/' {
+            // Self-closing script tag.
+            (body_start, body_start)
+        } else {
+            match find_tag(bytes, body_start, b"</script") {
+                Some(close) => (close, (find_any(bytes, close, [b'>']) + 1).min(end)),
+                None => (end, end),
+            }
+        };
+        self.pos = next_pos;
+        Some(ScriptRange {
+            open_tag: tag_start..body_start,
+            body: body_start..body_end,
+        })
+    }
 }
 
 /// Extract all `<script>` elements from an HTML document.
@@ -38,70 +118,31 @@ pub struct InlineScript {
 /// assert_eq!(scripts[0].body, "var a=1;");
 /// ```
 #[must_use]
-pub fn extract_scripts(html: &str) -> Vec<InlineScript> {
-    let mut scripts = Vec::new();
-    let lower = html.to_ascii_lowercase();
-    let bytes = lower.as_bytes();
-    let mut pos = 0;
-
-    while let Some(rel) = lower[pos..].find("<script") {
-        let tag_start = pos + rel;
-        // Find the end of the opening tag.
-        let Some(tag_end_rel) = lower[tag_start..].find('>') else {
-            break;
-        };
-        let tag_end = tag_start + tag_end_rel;
-        let open_tag = &html[tag_start..=tag_end];
-        let src = extract_attr(open_tag, "src");
-
-        // Self-closing script tag.
-        if open_tag.trim_end_matches('>').ends_with('/') {
-            scripts.push(InlineScript {
-                offset: tag_end + 1,
-                body: String::new(),
-                src,
-            });
-            pos = tag_end + 1;
-            continue;
-        }
-
-        let body_start = tag_end + 1;
-        let (body_end, next_pos) = match lower[body_start..].find("</script") {
-            Some(rel_close) => {
-                let close = body_start + rel_close;
-                let after = lower[close..]
-                    .find('>')
-                    .map_or(lower.len(), |i| close + i + 1);
-                (close, after)
-            }
-            None => (lower.len(), lower.len()),
-        };
-        debug_assert!(body_end <= bytes.len());
-
-        scripts.push(InlineScript {
-            offset: body_start,
-            body: html[body_start..body_end].to_string(),
-            src,
-        });
-        pos = next_pos;
-    }
-    scripts
+pub fn extract_scripts(html: &str) -> Vec<InlineScript<'_>> {
+    ScriptRanges::new(html)
+        .map(|script| InlineScript {
+            offset: script.body.start,
+            body: &html[script.body],
+            src: extract_attr(&html[script.open_tag], "src"),
+        })
+        .collect()
 }
 
 /// Pull a (single- or double-quoted, or unquoted) attribute value out of an
 /// opening tag. Case-insensitive on the attribute name.
-fn extract_attr(tag: &str, name: &str) -> Option<String> {
-    let lower = tag.to_ascii_lowercase();
+fn extract_attr<'a>(tag: &'a str, name: &str) -> Option<&'a str> {
+    let bytes = tag.as_bytes();
+    let name = name.as_bytes();
     let mut search = 0;
-    while let Some(rel) = lower[search..].find(name) {
-        let at = search + rel;
+    loop {
+        let at = (search..(bytes.len() + 1).checked_sub(name.len())?)
+            .find(|&at| bytes[at..at + name.len()].eq_ignore_ascii_case(name))?;
         // Must be preceded by whitespace to be an attribute name.
-        let prev_ok = at == 0 || lower.as_bytes()[at - 1].is_ascii_whitespace();
+        let prev_ok = at == 0 || bytes[at - 1].is_ascii_whitespace();
         let after = at + name.len();
-        let rest = lower[after..].trim_start();
+        let rest = tag[after..].trim_start();
         if prev_ok && rest.starts_with('=') {
-            let value_part = &tag[tag.len() - rest.len()..][1..];
-            let value_part = value_part.trim_start();
+            let value_part = rest[1..].trim_start();
             let value = if let Some(stripped) = value_part.strip_prefix('"') {
                 stripped.split('"').next().unwrap_or("")
             } else if let Some(stripped) = value_part.strip_prefix('\'') {
@@ -112,11 +153,51 @@ fn extract_attr(tag: &str, name: &str) -> Option<String> {
                     .next()
                     .unwrap_or("")
             };
-            return Some(value.to_string());
+            return Some(value);
         }
         search = after;
     }
-    None
+}
+
+/// Tokenize a document into `spans` and lend the tokens back as a view
+/// over `document` itself — the allocation-free form of
+/// [`tokenize_document_capped`], for callers that keep a span buffer
+/// across documents (the scan path). `spans` is cleared first.
+///
+/// Also returns where the lexer stopped: the byte offset one past the
+/// `cap`-th token, or the end of the last script body lexed. The cap stops
+/// the work, not just the output — no byte of a script body past that
+/// offset has been lexed, and no `<script>` element after the one holding
+/// the `cap`-th token has been looked for.
+pub fn lex_document<'a>(
+    document: &'a str,
+    cap: usize,
+    spans: &'a mut Vec<Span>,
+) -> (Tokens<'a>, usize) {
+    let document = addressable(document);
+    spans.clear();
+    let mut scripts = ScriptRanges::new(document);
+    let mut next = scripts.next();
+    let mut end = 0;
+    if next.is_none() {
+        // Not HTML at all (no `<script` tag): bare JavaScript — the
+        // grayware feed contains both.
+        end = lex(document, 0..document.len(), cap, spans);
+    }
+    while let Some(script) = next {
+        // Each body is a script of its own: lexing restarts in expression
+        // position.
+        if !document[script.body.clone()].trim().is_empty() {
+            end = lex(document, script.body, cap, spans);
+        }
+        // The cap stops the tag walk too.
+        next = if spans.len() < cap {
+            scripts.next()
+        } else {
+            None
+        };
+    }
+    (Tokens::new(document, spans, 0), end)
 }
 
 /// Tokenize every inline script in an HTML document and concatenate the
@@ -136,31 +217,18 @@ fn extract_attr(tag: &str, name: &str) -> Option<String> {
 /// ```
 #[must_use]
 pub fn tokenize_document(document: &str) -> TokenStream {
-    let scripts = extract_scripts(document);
-    if scripts.is_empty() {
-        return tokenize(document);
-    }
-    let mut out = TokenStream::default();
-    for script in &scripts {
-        if !script.body.trim().is_empty() {
-            out.extend(tokenize(&script.body));
-        }
-    }
-    out
+    tokenize_document_capped(document, usize::MAX)
 }
 
 /// [`tokenize_document`] truncated to a `cap`-token prefix — the one
 /// definition of the cap semantics shared by the compiler's ingest
 /// tokenization and the matcher's scan path, which must agree on it for
-/// compiled signatures to fire on scanned documents.
+/// compiled signatures to fire on scanned documents. Lexing stops at the
+/// `cap`-th token (see [`lex_document`]).
 #[must_use]
 pub fn tokenize_document_capped(document: &str, cap: usize) -> TokenStream {
-    let stream = tokenize_document(document);
-    if stream.len() > cap {
-        stream.slice(0, cap)
-    } else {
-        stream
-    }
+    let mut spans = span_buffer(document);
+    lex_document(document, cap, &mut spans).0.into()
 }
 
 #[cfg(test)]
@@ -192,15 +260,15 @@ mod tests {
         let s = extract_scripts(html);
         assert_eq!(s.len(), 1);
         assert_eq!(s[0].body, "");
-        assert_eq!(s[0].src.as_deref(), Some("http://evil.example/kit.js"));
+        assert_eq!(s[0].src, Some("http://evil.example/kit.js"));
     }
 
     #[test]
     fn src_single_quoted_and_unquoted() {
         let s = extract_scripts("<script src='a.js'></script>");
-        assert_eq!(s[0].src.as_deref(), Some("a.js"));
+        assert_eq!(s[0].src, Some("a.js"));
         let s = extract_scripts("<script src=b.js></script>");
-        assert_eq!(s[0].src.as_deref(), Some("b.js"));
+        assert_eq!(s[0].src, Some("b.js"));
     }
 
     #[test]
@@ -259,5 +327,30 @@ mod tests {
         let html = "<!-- <script>x()</script> -->";
         let s = extract_scripts(html);
         assert_eq!(s.len(), 1);
+    }
+
+    #[test]
+    fn document_token_offsets_are_document_absolute() {
+        let doc = "<script>a</script><p><script>b</script>";
+        let stream = tokenize_document(doc);
+        let offsets: Vec<usize> = stream.tokens().iter().map(|t| t.offset as usize).collect();
+        assert_eq!(
+            offsets,
+            vec![doc.find('a').unwrap(), doc.find("b<").unwrap()]
+        );
+    }
+
+    #[test]
+    fn the_tag_walk_stops_with_the_cap() {
+        // The second element is never closed; reaching it would put the
+        // lexer's end at the end of the document.
+        let doc = "<script>a b</script><script>c d e f";
+        let mut spans = Vec::new();
+        let (tokens, end) = lex_document(doc, 2, &mut spans);
+        assert_eq!(tokens.len(), 2);
+        assert_eq!(end, doc.find(" b").unwrap() + 2);
+        let (tokens, end) = lex_document(doc, 3, &mut spans);
+        assert_eq!(tokens.len(), 3);
+        assert_eq!(end, doc.rfind('c').unwrap() + 1);
     }
 }

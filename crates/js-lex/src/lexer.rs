@@ -4,10 +4,19 @@
 //! truncated and adversarial JavaScript, and the Kizzle pipeline must keep
 //! going. Characters that cannot start any token are skipped and reported
 //! through [`Lexer::errors`], never by aborting the scan.
+//!
+//! There is one lexer core, `Cursor::next_span`: a 256-entry byte-class
+//! table picks the token kind from the first byte, multi-character
+//! punctuation is chosen by that first byte, and string, regex and comment
+//! bodies are skipped eight bytes at a time. It produces [`Span`]s — a
+//! class and a byte range — and never copies or allocates per token.
+//! `lex` drives it into a span buffer (every `tokenize*` entry point and
+//! the scan path); [`Lexer`] drives it one token at a time and is the only
+//! user that pays for diagnostics.
 
-use crate::stream::TokenStream;
-use crate::token::{is_keyword, Token, TokenClass};
+use crate::token::{is_keyword_bytes, Span, Token, TokenClass};
 use std::fmt;
+use std::ops::Range;
 
 /// An error encountered while scanning; scanning continues past it.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -26,16 +35,439 @@ impl fmt::Display for LexError {
 
 impl std::error::Error for LexError {}
 
-/// Multi-character punctuation, longest first so the scanner can do a
-/// longest-match scan.
-const MULTI_PUNCT: &[&str] = &[
-    ">>>=", "===", "!==", ">>>", "**=", "...", "<<=", ">>=", "&&=", "||=", "??=", "=>", "==", "!=",
-    "<=", ">=", "&&", "||", "??", "++", "--", "+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=", "<<",
-    ">>", "**",
-];
+/// What the core tells its caller about input it had to step over. The
+/// tokenizing entry points pass `()` and the whole reporting path compiles
+/// away; [`Lexer`] collects messages.
+pub(crate) trait Diagnostics {
+    fn unexpected_byte(&mut self, offset: usize, byte: u8);
+    fn unterminated(&mut self, offset: usize, what: &'static str);
+}
 
-/// Single-character punctuation.
-const SINGLE_PUNCT: &str = "{}()[];,<>+-*/%&|^!~?:=.@#";
+impl Diagnostics for () {
+    #[inline]
+    fn unexpected_byte(&mut self, _: usize, _: u8) {}
+    #[inline]
+    fn unterminated(&mut self, _: usize, _: &'static str) {}
+}
+
+/// Bound on the error log so adversarial input cannot balloon memory.
+const MAX_ERRORS: usize = 1024;
+
+impl Diagnostics for Vec<LexError> {
+    fn unexpected_byte(&mut self, offset: usize, byte: u8) {
+        if self.len() < MAX_ERRORS {
+            self.push(LexError {
+                offset,
+                message: format!("skipping unexpected byte 0x{byte:02x}"),
+            });
+        }
+    }
+
+    fn unterminated(&mut self, offset: usize, what: &'static str) {
+        if self.len() < MAX_ERRORS {
+            self.push(LexError {
+                offset,
+                message: format!("unterminated {what}"),
+            });
+        }
+    }
+}
+
+// Byte classes: what a byte means as the first byte of a token.
+/// Cannot start a token (control bytes, `\`, DEL, ...): skipped.
+const OTHER: u8 = 0;
+/// ASCII whitespace (`\x0c` is, `\x0b` is not — `u8::is_ascii_whitespace`).
+const SPACE: u8 = 1;
+/// `_`, `$`, ASCII letters and every byte of a non-ASCII character.
+const WORD: u8 = 2;
+/// ASCII digits. `WORD` and `DIGIT` differ in the low bit only, so "may
+/// continue an identifier" is one shift ([`is_word_byte`]).
+const DIGIT: u8 = 3;
+/// `"`, `'` and `` ` ``.
+const QUOTE: u8 = 4;
+/// `.`: a number when a digit follows, punctuation otherwise.
+const DOT: u8 = 5;
+/// `/`: a comment, a regex literal or punctuation, by context.
+const SLASH: u8 = 6;
+/// Every other punctuation byte.
+const PUNCT: u8 = 7;
+
+const BYTE_CLASS: [u8; 256] = {
+    let mut table = [OTHER; 256];
+    let mut b = 0usize;
+    while b < 256 {
+        let byte = b as u8;
+        table[b] = if byte.is_ascii_whitespace() {
+            SPACE
+        } else if byte.is_ascii_digit() {
+            DIGIT
+        } else if byte == b'_' || byte == b'$' || byte.is_ascii_alphabetic() || byte >= 0x80 {
+            WORD
+        } else {
+            match byte {
+                b'"' | b'\'' | b'`' => QUOTE,
+                b'.' => DOT,
+                b'/' => SLASH,
+                b'{' | b'}' | b'(' | b')' | b'[' | b']' | b';' | b',' | b'<' | b'>' | b'+'
+                | b'-' | b'*' | b'%' | b'&' | b'|' | b'^' | b'!' | b'~' | b'?' | b':' | b'='
+                | b'@' | b'#' => PUNCT,
+                _ => OTHER,
+            }
+        };
+        b += 1;
+    }
+    table
+};
+
+#[inline]
+fn is_word_byte(b: u8) -> bool {
+    BYTE_CLASS[b as usize] >> 1 == WORD >> 1
+}
+
+/// Index of the first byte at or after `from` equal to one of `needles`,
+/// or `bytes.len()`. Eight bytes per step: XOR against a broadcast needle
+/// turns a match into a zero byte, and the classic
+/// `(v - 0x01…) & !v & 0x80…` test finds zero bytes — exact for the lowest
+/// one, which on a little-endian load is the first.
+#[inline]
+pub(crate) fn find_any<const N: usize>(bytes: &[u8], from: usize, needles: [u8; N]) -> usize {
+    const LOW: u64 = 0x0101_0101_0101_0101;
+    const HIGH: u64 = 0x8080_8080_8080_8080;
+    let mut pos = from.min(bytes.len());
+    let (chunks, tail) = bytes[pos..].as_chunks::<8>();
+    for &chunk in chunks {
+        let word = u64::from_le_bytes(chunk);
+        let mut hits = 0u64;
+        for needle in needles {
+            let x = word ^ (LOW * u64::from(needle));
+            hits |= x.wrapping_sub(LOW) & !x & HIGH;
+        }
+        if hits != 0 {
+            return pos + (hits.trailing_zeros() / 8) as usize;
+        }
+        pos += 8;
+    }
+    for &b in tail {
+        if needles.contains(&b) {
+            return pos;
+        }
+        pos += 1;
+    }
+    pos
+}
+
+/// Length of the punctuation token starting at `bytes[pos]` — a `PUNCT`,
+/// `DOT` or `SLASH` byte — by longest match over the operator set
+/// (`>>>=`, `===`, `!==`, `>>>`, `**=`, `...`, `<<=`, `>>=`, `&&=`, `||=`,
+/// `??=`, `=>`, `==`, `!=`, `<=`, `>=`, `&&`, `||`, `??`, `++`, `--`, `+=`,
+/// `-=`, `*=`, `/=`, `%=`, `&=`, `|=`, `^=`, `<<`, `>>`, `**`); brackets
+/// and separators never look past themselves.
+#[inline]
+fn punct_len(bytes: &[u8], pos: usize) -> usize {
+    let at = |ahead: usize| bytes.get(pos + ahead).copied();
+    let first = bytes[pos];
+    match first {
+        // `x`, `x=`, `xx`, `xx=`, and for `>` also `>>>`, `>>>=`.
+        b'>' | b'<' | b'*' | b'&' | b'|' | b'?' => match at(1) {
+            Some(b) if b == first => match at(2) {
+                Some(b'=') => 3,
+                Some(b'>') if first == b'>' => 3 + usize::from(at(3) == Some(b'=')),
+                _ => 2,
+            },
+            Some(b'=') if first != b'?' => 2,
+            _ => 1,
+        },
+        b'=' => match at(1) {
+            Some(b'=') => 2 + usize::from(at(2) == Some(b'=')),
+            Some(b'>') => 2,
+            _ => 1,
+        },
+        b'!' => match at(1) {
+            Some(b'=') => 2 + usize::from(at(2) == Some(b'=')),
+            _ => 1,
+        },
+        b'+' | b'-' => match at(1) {
+            Some(b) if b == first || b == b'=' => 2,
+            _ => 1,
+        },
+        b'/' | b'%' | b'^' => 1 + usize::from(at(1) == Some(b'=')),
+        b'.' if at(1) == Some(b'.') && at(2) == Some(b'.') => 3,
+        _ => 1,
+    }
+}
+
+/// The lexer core: a position in a byte buffer plus the one bit of
+/// context JavaScript needs (may a `/` here start a regex literal?).
+#[derive(Debug, Clone)]
+pub(crate) struct Cursor<'a> {
+    /// The lexed text, cut at the end of the range being lexed; positions
+    /// index the whole text so spans are relative to it.
+    bytes: &'a [u8],
+    pos: usize,
+    /// A `/` starts a regex literal only where an expression is expected:
+    /// at the start, after a keyword, and after punctuation other than a
+    /// closing bracket.
+    regex_ok: bool,
+}
+
+impl<'a> Cursor<'a> {
+    /// A cursor over `text[range]`. `range.end` must fit a span offset
+    /// (see [`addressable`]).
+    pub(crate) fn new(text: &'a str, range: Range<usize>) -> Self {
+        assert!(
+            u32::try_from(range.end).is_ok(),
+            "callers lex addressable text, so offsets fit a span"
+        );
+        Cursor {
+            bytes: &text.as_bytes()[..range.end],
+            pos: range.start,
+            regex_ok: true,
+        }
+    }
+
+    /// Where the cursor stands: one past the last byte consumed.
+    pub(crate) fn position(&self) -> usize {
+        self.pos
+    }
+
+    #[inline]
+    fn peek_at(&self, ahead: usize) -> Option<u8> {
+        self.bytes.get(self.pos + ahead).copied()
+    }
+
+    fn span(&self, start: usize, class: TokenClass) -> Span {
+        // `Cursor::new` bounds every position by a `u32`.
+        Span {
+            start: start as u32,
+            len: (self.pos - start) as u32,
+            class,
+        }
+    }
+
+    /// The next token, or `None` at the end of the range.
+    pub(crate) fn next_span<D: Diagnostics>(&mut self, diag: &mut D) -> Option<Span> {
+        let bytes = self.bytes;
+        loop {
+            let start = self.pos;
+            let &first = bytes.get(start)?;
+            let span = match BYTE_CLASS[first as usize] {
+                SPACE => {
+                    self.pos += 1;
+                    self.eat_while(|&b| BYTE_CLASS[b as usize] == SPACE);
+                    continue;
+                }
+                WORD => {
+                    self.pos += 1;
+                    self.eat_while(|&b| is_word_byte(b));
+                    let class = if is_keyword_bytes(&bytes[start..self.pos]) {
+                        TokenClass::Keyword
+                    } else {
+                        TokenClass::Identifier
+                    };
+                    self.span(start, class)
+                }
+                DIGIT => self.scan_number(start),
+                DOT if self.peek_at(1).is_some_and(|b| b.is_ascii_digit()) => {
+                    self.scan_number(start)
+                }
+                QUOTE => self.scan_string(start, first, diag),
+                SLASH => match self.peek_at(1) {
+                    Some(b'/') => {
+                        // Line comment, through its newline.
+                        self.pos = (find_any(bytes, start + 2, [b'\n']) + 1).min(bytes.len());
+                        continue;
+                    }
+                    Some(b'*') => {
+                        self.skip_block_comment(start, diag);
+                        continue;
+                    }
+                    _ if self.regex_ok => self.scan_regex(start),
+                    _ => self.scan_punct(start),
+                },
+                DOT | PUNCT => self.scan_punct(start),
+                _ => {
+                    diag.unexpected_byte(start, first);
+                    self.pos += 1;
+                    continue;
+                }
+            };
+            self.regex_ok = match span.class {
+                TokenClass::Punctuation => {
+                    !(span.len == 1 && matches!(bytes[start], b')' | b']' | b'}'))
+                }
+                TokenClass::Keyword => true,
+                _ => false,
+            };
+            return Some(span);
+        }
+    }
+
+    fn skip_block_comment<D: Diagnostics>(&mut self, start: usize, diag: &mut D) {
+        let bytes = self.bytes;
+        let mut pos = start + 2;
+        loop {
+            pos = find_any(bytes, pos, [b'*']);
+            if pos >= bytes.len() {
+                diag.unterminated(start, "block comment");
+                self.pos = bytes.len();
+                return;
+            }
+            pos += 1;
+            if bytes.get(pos) == Some(&b'/') {
+                self.pos = pos + 1;
+                return;
+            }
+        }
+    }
+
+    fn scan_string<D: Diagnostics>(&mut self, start: usize, quote: u8, diag: &mut D) -> Span {
+        let bytes = self.bytes;
+        let mut pos = start + 1;
+        let mut terminated = false;
+        loop {
+            pos = find_any(bytes, pos, [quote, b'\\', b'\n']);
+            match bytes.get(pos) {
+                // An escape hides the next byte, whatever it is. When that
+                // byte starts a multi-byte character, its continuation
+                // bytes are none of the needles and are stepped over like
+                // any other content.
+                Some(b'\\') => pos = (pos + 2).min(bytes.len()),
+                Some(&b) if b == quote => {
+                    pos += 1;
+                    terminated = true;
+                    break;
+                }
+                // Template literals may span lines; ordinary strings that
+                // hit a newline are treated as (sloppily) terminated, which
+                // matches how packers emit long single-line strings anyway.
+                Some(_) if quote == b'`' => pos += 1,
+                _ => break,
+            }
+        }
+        self.pos = pos;
+        if !terminated {
+            diag.unterminated(start, "string literal");
+        }
+        self.span(start, TokenClass::String)
+    }
+
+    #[inline]
+    fn eat_while(&mut self, pred: impl Fn(&u8) -> bool) {
+        while self.bytes.get(self.pos).is_some_and(&pred) {
+            self.pos += 1;
+        }
+    }
+
+    fn scan_number(&mut self, start: usize) -> Span {
+        if self.bytes[start] == b'0' && matches!(self.peek_at(1), Some(b'x' | b'X')) {
+            self.pos += 2;
+            self.eat_while(u8::is_ascii_hexdigit);
+        } else {
+            self.eat_while(u8::is_ascii_digit);
+            if self.peek_at(0) == Some(b'.') {
+                self.pos += 1;
+                self.eat_while(u8::is_ascii_digit);
+            }
+            if matches!(self.peek_at(0), Some(b'e' | b'E')) {
+                let mark = self.pos;
+                self.pos += 1;
+                if matches!(self.peek_at(0), Some(b'+' | b'-')) {
+                    self.pos += 1;
+                }
+                if self.peek_at(0).is_some_and(|b| b.is_ascii_digit()) {
+                    self.eat_while(u8::is_ascii_digit);
+                } else {
+                    // Not an exponent after all (`1e` followed by identifier).
+                    self.pos = mark;
+                }
+            }
+        }
+        self.span(start, TokenClass::Number)
+    }
+
+    fn scan_regex(&mut self, start: usize) -> Span {
+        let bytes = self.bytes;
+        let mut pos = start + 1;
+        let mut in_class = false;
+        let mut terminated = false;
+        loop {
+            pos = find_any(bytes, pos, [b'/', b'\\', b'[', b']', b'\n']);
+            match bytes.get(pos) {
+                Some(b'\\') => pos = (pos + 2).min(bytes.len()),
+                Some(b'[') => {
+                    in_class = true;
+                    pos += 1;
+                }
+                Some(b']') => {
+                    in_class = false;
+                    pos += 1;
+                }
+                Some(b'/') if in_class => pos += 1,
+                Some(b'/') => {
+                    pos += 1;
+                    terminated = true;
+                    break;
+                }
+                _ => break,
+            }
+        }
+        if !terminated {
+            // Not a real regex (e.g. stray '/'); fall back to punctuation.
+            self.pos = start + 1;
+            return self.span(start, TokenClass::Punctuation);
+        }
+        // Flags.
+        while bytes.get(pos).is_some_and(u8::is_ascii_alphabetic) {
+            pos += 1;
+        }
+        self.pos = pos;
+        self.span(start, TokenClass::Regex)
+    }
+
+    fn scan_punct(&mut self, start: usize) -> Span {
+        self.pos = start + punct_len(self.bytes, start);
+        self.span(start, TokenClass::Punctuation)
+    }
+}
+
+/// The longest prefix of `text` that is at most `max` bytes and ends on a
+/// character boundary: what an offset type holding at most `max` can
+/// address.
+fn prefix_within(text: &str, max: usize) -> &str {
+    &text[..text.floor_char_boundary(max)]
+}
+
+/// The prefix of `text` whose byte offsets fit a [`Span`]. Offsets are
+/// `u32`: a text longer than `u32::MAX` bytes is lexed up to the last
+/// character boundary at or below that bound — never a panic, never a
+/// wrapped offset.
+pub(crate) fn addressable(text: &str) -> &str {
+    prefix_within(text, u32::MAX as usize)
+}
+
+/// An empty span buffer sized for lexing `text` — from the text, never from
+/// a token cap (callers pass `usize::MAX` for "no cap").
+pub(crate) fn span_buffer(text: &str) -> Vec<Span> {
+    Vec::with_capacity((text.len() / 8).min(1024))
+}
+
+/// The one lexing loop: append the tokens of `text[range]` to `out` until
+/// the range is exhausted or `out` holds `cap` spans, and return where
+/// lexing stopped — the end of the `cap`-th token, or `range.end`. Work is
+/// proportional to the bytes up to that position, not to the range.
+///
+/// `text` must be [`addressable`]. Lexing starts in expression position
+/// (a leading `/` may open a regex), as for a fresh script.
+pub(crate) fn lex(text: &str, range: Range<usize>, cap: usize, out: &mut Vec<Span>) -> usize {
+    let mut cursor = Cursor::new(text, range);
+    while out.len() < cap {
+        match cursor.next_span(&mut ()) {
+            Some(span) => out.push(span),
+            None => break,
+        }
+    }
+    cursor.position()
+}
 
 /// A streaming JavaScript scanner producing [`Token`]s.
 ///
@@ -50,289 +482,39 @@ const SINGLE_PUNCT: &str = "{}()[];,<>+-*/%&|^!~?:=.@#";
 #[derive(Debug, Clone)]
 pub struct Lexer<'a> {
     source: &'a str,
-    bytes: &'a [u8],
-    pos: usize,
+    cursor: Cursor<'a>,
     errors: Vec<LexError>,
-    /// Class of the previous significant token, used to disambiguate regex
-    /// literals from division.
-    prev: Option<TokenClass>,
-    prev_text_allows_regex: bool,
 }
 
 impl<'a> Lexer<'a> {
     /// Create a scanner over `source`.
     #[must_use]
     pub fn new(source: &'a str) -> Self {
+        let source = addressable(source);
         Lexer {
             source,
-            bytes: source.as_bytes(),
-            pos: 0,
+            cursor: Cursor::new(source, 0..source.len()),
             errors: Vec::new(),
-            prev: None,
-            prev_text_allows_regex: true,
         }
     }
 
     /// Errors accumulated so far (skipped characters, unterminated
-    /// literals). The scan itself never fails.
+    /// literals; at most 1,024 are kept). The scan itself never fails.
     #[must_use]
     pub fn errors(&self) -> &[LexError] {
         &self.errors
     }
 
-    /// Consume the scanner and produce a [`TokenStream`] of all remaining
-    /// tokens.
-    #[must_use]
-    pub fn into_stream(mut self) -> TokenStream {
-        let mut tokens = Vec::new();
-        while let Some(tok) = self.next_token() {
-            tokens.push(tok);
-        }
-        TokenStream::from_tokens(tokens)
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn peek_at(&self, ahead: usize) -> Option<u8> {
-        self.bytes.get(self.pos + ahead).copied()
-    }
-
-    fn error(&mut self, offset: usize, message: impl Into<String>) {
-        // Bound the error log so adversarial input cannot balloon memory.
-        if self.errors.len() < 1024 {
-            self.errors.push(LexError {
-                offset,
-                message: message.into(),
-            });
-        }
-    }
-
-    fn skip_trivia(&mut self) {
-        loop {
-            match self.peek() {
-                Some(b) if b.is_ascii_whitespace() => self.pos += 1,
-                Some(b'/') if self.peek_at(1) == Some(b'/') => {
-                    while let Some(b) = self.peek() {
-                        self.pos += 1;
-                        if b == b'\n' {
-                            break;
-                        }
-                    }
-                }
-                Some(b'/') if self.peek_at(1) == Some(b'*') => {
-                    let start = self.pos;
-                    self.pos += 2;
-                    let mut closed = false;
-                    while self.pos < self.bytes.len() {
-                        if self.bytes[self.pos] == b'*' && self.peek_at(1) == Some(b'/') {
-                            self.pos += 2;
-                            closed = true;
-                            break;
-                        }
-                        self.pos += 1;
-                    }
-                    if !closed {
-                        self.error(start, "unterminated block comment");
-                    }
-                }
-                _ => break,
-            }
-        }
-    }
-
-    fn next_token(&mut self) -> Option<Token> {
-        loop {
-            self.skip_trivia();
-            let start = self.pos;
-            let b = self.peek()?;
-
-            let token = if b == b'"' || b == b'\'' || b == b'`' {
-                Some(self.scan_string(b))
-            } else if b.is_ascii_digit()
-                || (b == b'.' && self.peek_at(1).is_some_and(|c| c.is_ascii_digit()))
-            {
-                Some(self.scan_number())
-            } else if b == b'_' || b == b'$' || b.is_ascii_alphabetic() || b >= 0x80 {
-                Some(self.scan_word())
-            } else if b == b'/' && self.regex_allowed() {
-                Some(self.scan_regex())
-            } else if let Some(tok) = self.scan_punct() {
-                Some(tok)
-            } else {
-                self.error(start, format!("skipping unexpected byte 0x{b:02x}"));
-                self.pos += 1;
-                None
-            };
-
-            if let Some(tok) = token {
-                self.prev = Some(tok.class);
-                self.prev_text_allows_regex = match tok.class {
-                    TokenClass::Punctuation => !matches!(tok.text.as_str(), ")" | "]" | "}"),
-                    TokenClass::Keyword => true,
-                    _ => false,
-                };
-                return Some(tok);
-            }
-            // Otherwise we skipped a bad byte; try again.
-        }
-    }
-
-    /// A `/` starts a regex literal only where an expression is expected.
-    fn regex_allowed(&self) -> bool {
-        match self.prev {
-            None => true,
-            Some(TokenClass::Punctuation) | Some(TokenClass::Keyword) => {
-                self.prev_text_allows_regex
-            }
-            _ => false,
-        }
-    }
-
-    fn scan_string(&mut self, quote: u8) -> Token {
-        let start = self.pos;
-        self.pos += 1;
-        let mut terminated = false;
-        while let Some(b) = self.peek() {
-            if b == b'\\' {
-                self.pos += 2.min(self.bytes.len() - self.pos);
-                continue;
-            }
-            if b == quote {
-                self.pos += 1;
-                terminated = true;
-                break;
-            }
-            // Template literals may span lines; ordinary strings that hit a
-            // newline are treated as (sloppily) terminated, which matches how
-            // packers emit long single-line strings anyway.
-            if b == b'\n' && quote != b'`' {
-                break;
-            }
-            self.pos += 1;
-        }
-        if !terminated {
-            self.error(start, "unterminated string literal");
-        }
-        Token::new(TokenClass::String, &self.source[start..self.pos], start)
-    }
-
-    fn scan_number(&mut self) -> Token {
-        let start = self.pos;
-        if self.peek() == Some(b'0') && matches!(self.peek_at(1), Some(b'x') | Some(b'X')) {
-            self.pos += 2;
-            while self.peek().is_some_and(|b| b.is_ascii_hexdigit()) {
-                self.pos += 1;
-            }
-        } else {
-            while self.peek().is_some_and(|b| b.is_ascii_digit()) {
-                self.pos += 1;
-            }
-            if self.peek() == Some(b'.') {
-                self.pos += 1;
-                while self.peek().is_some_and(|b| b.is_ascii_digit()) {
-                    self.pos += 1;
-                }
-            }
-            if matches!(self.peek(), Some(b'e') | Some(b'E')) {
-                let mark = self.pos;
-                self.pos += 1;
-                if matches!(self.peek(), Some(b'+') | Some(b'-')) {
-                    self.pos += 1;
-                }
-                if self.peek().is_some_and(|b| b.is_ascii_digit()) {
-                    while self.peek().is_some_and(|b| b.is_ascii_digit()) {
-                        self.pos += 1;
-                    }
-                } else {
-                    // Not an exponent after all (`1e` followed by identifier).
-                    self.pos = mark;
-                }
-            }
-        }
-        Token::new(TokenClass::Number, &self.source[start..self.pos], start)
-    }
-
-    fn scan_word(&mut self) -> Token {
-        let start = self.pos;
-        while let Some(b) = self.peek() {
-            if b == b'_' || b == b'$' || b.is_ascii_alphanumeric() || b >= 0x80 {
-                self.pos += 1;
-            } else {
-                break;
-            }
-        }
-        let text = &self.source[start..self.pos];
-        let class = if is_keyword(text) {
-            TokenClass::Keyword
-        } else {
-            TokenClass::Identifier
-        };
-        Token::new(class, text, start)
-    }
-
-    fn scan_regex(&mut self) -> Token {
-        let start = self.pos;
-        self.pos += 1; // opening '/'
-        let mut in_class = false;
-        let mut terminated = false;
-        while let Some(b) = self.peek() {
-            match b {
-                b'\\' => {
-                    self.pos += 2.min(self.bytes.len() - self.pos);
-                    continue;
-                }
-                b'[' => in_class = true,
-                b']' => in_class = false,
-                b'/' if !in_class => {
-                    self.pos += 1;
-                    terminated = true;
-                    break;
-                }
-                b'\n' => break,
-                _ => {}
-            }
-            self.pos += 1;
-        }
-        if !terminated {
-            // Not a real regex (e.g. stray '/'); fall back to punctuation.
-            self.pos = start + 1;
-            return Token::new(TokenClass::Punctuation, "/", start);
-        }
-        // Flags.
-        while self.peek().is_some_and(|b| b.is_ascii_alphabetic()) {
-            self.pos += 1;
-        }
-        Token::new(TokenClass::Regex, &self.source[start..self.pos], start)
-    }
-
-    fn scan_punct(&mut self) -> Option<Token> {
-        let start = self.pos;
-        let rest = &self.source[self.pos..];
-        for cand in MULTI_PUNCT {
-            if rest.starts_with(cand) {
-                self.pos += cand.len();
-                return Some(Token::new(TokenClass::Punctuation, *cand, start));
-            }
-        }
-        let b = self.peek()?;
-        if SINGLE_PUNCT.as_bytes().contains(&b) {
-            self.pos += 1;
-            return Some(Token::new(
-                TokenClass::Punctuation,
-                &self.source[start..self.pos],
-                start,
-            ));
-        }
-        None
+    fn next_token(&mut self) -> Option<Token<'a>> {
+        let span = self.cursor.next_span(&mut self.errors)?;
+        Some(span.token(self.source, 0))
     }
 }
 
 impl<'a> Iterator for Lexer<'a> {
-    type Item = Token;
+    type Item = Token<'a>;
 
-    fn next(&mut self) -> Option<Token> {
+    fn next(&mut self) -> Option<Token<'a>> {
         self.next_token()
     }
 }
@@ -346,7 +528,7 @@ mod tests {
     }
 
     fn texts(src: &str) -> Vec<String> {
-        Lexer::new(src).map(|t| t.text).collect()
+        Lexer::new(src).map(|t| t.text.to_string()).collect()
     }
 
     #[test]
@@ -531,5 +713,65 @@ mod tests {
         assert!(classes.contains(&TokenClass::Keyword));
         assert!(classes.contains(&TokenClass::String));
         assert!(classes.contains(&TokenClass::Number));
+    }
+
+    #[test]
+    fn find_any_agrees_with_a_byte_loop_at_every_alignment() {
+        let hay = b"0123456789abcdefghij\"klmnop\\qrstuvwxyz\nABCDEFGHIJKLMNOPQRSTUVWXYZ";
+        for from in 0..=hay.len() + 2 {
+            for needles in [[b'"', b'\\', b'\n'], [b'Z', b'Z', b'Z'], [0xff, 0x80, 0x00]] {
+                let want = (from.min(hay.len())..hay.len())
+                    .find(|&i| needles.contains(&hay[i]))
+                    .unwrap_or(hay.len());
+                assert_eq!(find_any(hay, from, needles), want, "from {from}");
+            }
+        }
+        // High-bit and 0x00/0x01 neighbours must not fake or hide a hit.
+        let tricky = [0x80u8, 0x00, 0x01, 0xff, 0x22, 0x81, 0x01, 0x00, 0x23, 0x22];
+        assert_eq!(find_any(&tricky, 0, [0x22]), 4);
+        assert_eq!(find_any(&tricky, 5, [0x22]), 9);
+        assert_eq!(find_any(&tricky, 0, [0x23]), 8);
+    }
+
+    #[test]
+    fn the_offset_clamp_stops_at_the_last_character_boundary_within_the_bound() {
+        // The `u32` clamp, exercised with a small bound instead of 4 GiB.
+        assert_eq!(prefix_within("abcdef", 6), "abcdef");
+        assert_eq!(prefix_within("abcdef", 100), "abcdef");
+        assert_eq!(prefix_within("abcdef", 4), "abcd");
+        assert_eq!(prefix_within("abcdef", 0), "");
+        // `é` is two bytes at 2..4 and `€` three at 4..7: a bound inside
+        // a character backs off to the character's first byte.
+        let text = "abé€z";
+        assert_eq!(prefix_within(text, 3), "ab");
+        assert_eq!(prefix_within(text, 4), "abé");
+        assert_eq!(prefix_within(text, 5), "abé");
+        assert_eq!(prefix_within(text, 6), "abé");
+        assert_eq!(prefix_within(text, 7), "abé€");
+        assert_eq!(prefix_within(text, 8), text);
+        assert_eq!(addressable(text), text);
+        // Lexing the clamped text keeps every offset inside the bound.
+        for max in 0..=text.len() {
+            let clamped = prefix_within(text, max);
+            let mut spans = Vec::new();
+            assert_eq!(
+                lex(clamped, 0..clamped.len(), usize::MAX, &mut spans),
+                clamped.len()
+            );
+            assert!(spans.iter().all(|s| (s.start + s.len) as usize <= max));
+        }
+    }
+
+    #[test]
+    fn the_cap_stops_the_lexer_at_the_last_token() {
+        let text = "a b c d e";
+        let mut spans = Vec::new();
+        assert_eq!(lex(text, 0..text.len(), 2, &mut spans), 3);
+        assert_eq!(spans.len(), 2);
+        spans.clear();
+        assert_eq!(lex(text, 0..text.len(), 0, &mut spans), 0);
+        assert!(spans.is_empty());
+        assert_eq!(lex(text, 0..text.len(), usize::MAX, &mut spans), text.len());
+        assert_eq!(spans.len(), 5);
     }
 }

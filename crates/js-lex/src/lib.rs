@@ -6,20 +6,38 @@
 //! (randomized identifiers, rotated string delimiters, renamed helpers)
 //! while preserving the structural shape of the program, which is what the
 //! clustering and signature-generation stages operate on (paper §III-A,
-//! Fig. 8).
+//! Fig. 8). The deployed signatures are matched against token streams too
+//! (§III-C), so this crate sits on both hot paths: every compiled sample
+//! and every scanned page goes through it.
 //!
-//! This crate provides:
+//! ## The span model
 //!
-//! * [`Lexer`] — a scanner for the JavaScript subset exploit-kit landing
-//!   pages use (strings, numbers, identifiers/keywords, punctuation,
-//!   comments, regex literals), producing concrete [`Token`]s.
-//! * [`TokenClass`] — the abstract token alphabet used by the clustering
-//!   stage.
-//! * [`TokenStream`] — a tokenized sample: parallel vectors of abstract
-//!   classes (for edit-distance clustering) and concrete lexemes (for
-//!   signature generation).
-//! * [`html`] — extraction of inline `<script>` bodies from complete HTML
-//!   documents, because a Kizzle *sample* is a full HTML page.
+//! A token is a [`Span`] — `(class, u32 start, u32 len)`, 12 bytes — over
+//! **one text buffer**; the lexer copies nothing and allocates nothing per
+//! token. Text is only ever *viewed*:
+//!
+//! * [`Tokens`] is the borrowed view — the text plus a span slice. It is
+//!   `Copy`, indexable ([`Tokens::at`], [`Tokens::window`]) and iterable,
+//!   yielding [`Token`]s (`class`, `text: &str`, `offset`) by value. Every
+//!   consumer of tokens takes this one type.
+//! * [`TokenStream`] is the owned form the compiler keeps per sample: one
+//!   reference-counted buffer holding the bytes its tokens cover, plus the
+//!   spans. `stream.tokens()` lends the view.
+//! * [`lex_document`] is the scan path's entry point: it lexes into a
+//!   caller-kept span buffer and returns a view straight over the request
+//!   bytes, so a steady-state scan allocates nothing.
+//!
+//! There is one lexer core ([`lexer`]): a 256-entry byte-class table for
+//! dispatch, multi-character punctuation chosen by first byte, keywords by
+//! length, and string/regex/comment bodies skipped eight bytes at a time.
+//! Script bodies of an HTML document are found **in place** by a
+//! case-insensitive byte search ([`html`]) — a Kizzle *sample* is a full
+//! HTML page — and a token cap stops both the lexer and that tag walk, so
+//! work follows the bytes up to the last token kept.
+//!
+//! [`TokenClass`] is the abstract alphabet; [`Lexer`] is the same core as
+//! an iterator, for callers that want the diagnostics
+//! ([`Lexer::errors`]) the tokenizing entry points never build.
 //!
 //! ## Example
 //!
@@ -32,6 +50,7 @@
 //! assert_eq!(classes[1], TokenClass::Identifier);   // Euur1V
 //! assert_eq!(classes[2], TokenClass::Punctuation);  // =
 //! assert!(classes.contains(&TokenClass::String));   // "l9D"
+//! assert_eq!(stream.tokens().at(5).unquoted(), "l9D");
 //! ```
 
 #![forbid(unsafe_code)]
@@ -42,10 +61,10 @@ pub mod lexer;
 pub mod stream;
 pub mod token;
 
-pub use html::{extract_scripts, tokenize_document, tokenize_document_capped};
+pub use html::{extract_scripts, lex_document, tokenize_document, tokenize_document_capped};
 pub use lexer::{LexError, Lexer};
 pub use stream::TokenStream;
-pub use token::{Token, TokenClass};
+pub use token::{Span, Token, TokenClass, Tokens};
 
 /// Tokenize a JavaScript source string into a [`TokenStream`].
 ///
@@ -60,7 +79,10 @@ pub use token::{Token, TokenClass};
 /// assert_eq!(stream.len(), 7);
 /// ```
 pub fn tokenize(source: &str) -> TokenStream {
-    Lexer::new(source).into_stream()
+    let source = lexer::addressable(source);
+    let mut spans = lexer::span_buffer(source);
+    lexer::lex(source, 0..source.len(), usize::MAX, &mut spans);
+    Tokens::new(source, &spans, 0).into()
 }
 
 #[cfg(test)]

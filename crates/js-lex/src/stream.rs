@@ -1,13 +1,19 @@
 //! Tokenized samples: the unit the clustering and signature stages consume.
 
-use crate::token::{Token, TokenClass};
+use crate::token::{Iter, Span, Token, TokenClass, Tokens};
 use std::fmt;
+use std::sync::Arc;
 
-/// A tokenized JavaScript sample.
+/// A tokenized JavaScript sample that owns its text.
 ///
-/// Keeps the concrete [`Token`]s alongside a pre-computed vector of abstract
-/// [`TokenClass`]es so the clustering stage (which compares millions of token
-/// pairs) never has to re-derive the abstraction.
+/// One text buffer — the bytes of the source from the first token to the
+/// last, so neither leading markup nor anything past a token cap is kept —
+/// plus a 12-byte [`Span`] per token. Both are reference-counted: cloning a
+/// stream, or [`slicing`](TokenStream::slice) it, copies no text. Everything
+/// that reads tokens goes through the borrowed [`Tokens`] view
+/// ([`TokenStream::tokens`]).
+///
+/// Two streams are equal when their `(class, text)` sequences are.
 ///
 /// # Examples
 ///
@@ -16,60 +22,79 @@ use std::fmt;
 /// assert_eq!(stream.len(), 4);
 /// assert_eq!(stream.class_codes().len(), 4);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
+#[derive(Clone, Default)]
 pub struct TokenStream {
-    tokens: Vec<Token>,
-    classes: Vec<TokenClass>,
+    text: Arc<str>,
+    /// Relative to `text`.
+    spans: Arc<[Span]>,
+    /// Offset of `text[0]` in the source that was lexed.
+    base: u32,
+}
+
+impl From<Tokens<'_>> for TokenStream {
+    /// Copy the bytes a view's tokens cover into an owned stream.
+    fn from(tokens: Tokens<'_>) -> Self {
+        let (Some(first), Some(last)) = (tokens.spans.first(), tokens.spans.last()) else {
+            return TokenStream::default();
+        };
+        let shift = first.start;
+        TokenStream {
+            text: tokens.text[shift as usize..(last.start + last.len) as usize].into(),
+            spans: tokens
+                .spans
+                .iter()
+                .map(|span| Span {
+                    start: span.start - shift,
+                    ..*span
+                })
+                .collect(),
+            base: tokens.base + shift,
+        }
+    }
 }
 
 impl TokenStream {
-    /// Build a stream from already-scanned tokens.
-    #[must_use]
-    pub fn from_tokens(tokens: Vec<Token>) -> Self {
-        let classes = tokens.iter().map(|t| t.class).collect();
-        TokenStream { tokens, classes }
-    }
-
     /// Number of tokens in the sample.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.tokens.len()
+        self.spans.len()
     }
 
     /// True if the sample contained no tokens.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.tokens.is_empty()
+        self.spans.is_empty()
     }
 
-    /// The concrete tokens.
+    /// The concrete tokens, as a borrowed view.
     #[must_use]
-    pub fn tokens(&self) -> &[Token] {
-        &self.tokens
+    pub fn tokens(&self) -> Tokens<'_> {
+        Tokens::new(&self.text, &self.spans, self.base)
     }
 
     /// The abstract token classes, parallel to [`TokenStream::tokens`].
     #[must_use]
-    pub fn classes(&self) -> &[TokenClass] {
-        &self.classes
+    pub fn classes(&self) -> Vec<TokenClass> {
+        self.tokens().classes().collect()
     }
 
     /// The abstract token classes as a compact byte string, suitable for
     /// fast edit-distance computation.
     #[must_use]
     pub fn class_codes(&self) -> Vec<u8> {
-        self.classes.iter().map(|c| c.code()).collect()
+        self.tokens().class_codes()
     }
 
     /// Iterate over the concrete tokens.
-    pub fn iter(&self) -> std::slice::Iter<'_, Token> {
-        self.tokens.iter()
+    #[must_use]
+    pub fn iter(&self) -> Iter<'_> {
+        self.tokens().iter()
     }
 
     /// Concrete texts of all tokens, in order.
     #[must_use]
     pub fn texts(&self) -> Vec<&str> {
-        self.tokens.iter().map(|t| t.text.as_str()).collect()
+        self.iter().map(|t| t.text).collect()
     }
 
     /// Reconstruct an approximation of the source by joining token texts
@@ -77,24 +102,29 @@ impl TokenStream {
     /// payloads, where original whitespace is irrelevant.
     #[must_use]
     pub fn joined(&self) -> String {
-        let mut out = String::with_capacity(self.tokens.iter().map(|t| t.text.len() + 1).sum());
-        for (i, t) in self.tokens.iter().enumerate() {
+        let mut out = String::with_capacity(self.iter().map(|t| t.text.len() + 1).sum());
+        for (i, t) in self.iter().enumerate() {
             if i > 0 {
                 out.push(' ');
             }
-            out.push_str(&t.text);
+            out.push_str(t.text);
         }
         out
     }
 
-    /// A sub-stream covering tokens `[start, start + len)`.
+    /// A sub-stream covering tokens `[start, start + len)`, sharing this
+    /// stream's text.
     ///
     /// # Panics
     ///
     /// Panics if the range is out of bounds.
     #[must_use]
     pub fn slice(&self, start: usize, len: usize) -> TokenStream {
-        TokenStream::from_tokens(self.tokens[start..start + len].to_vec())
+        TokenStream {
+            text: Arc::clone(&self.text),
+            spans: self.spans[start..start + len].into(),
+            base: self.base,
+        }
     }
 
     /// Render the stream as the two-column table used in the paper's Fig. 8.
@@ -102,7 +132,7 @@ impl TokenStream {
     pub fn to_table(&self) -> String {
         let mut out = String::new();
         out.push_str("Token            Class\n");
-        for t in &self.tokens {
+        for t in self {
             let text = if t.text.len() > 16 {
                 format!(
                     "{}…",
@@ -114,7 +144,7 @@ impl TokenStream {
                         .map_or(0, |(i, c)| i + c.len_utf8())]
                 )
             } else {
-                t.text.clone()
+                t.text.to_string()
             };
             out.push_str(&format!("{text:<16} {}\n", t.class));
         }
@@ -122,36 +152,36 @@ impl TokenStream {
     }
 }
 
-impl FromIterator<Token> for TokenStream {
-    fn from_iter<I: IntoIterator<Item = Token>>(iter: I) -> Self {
-        TokenStream::from_tokens(iter.into_iter().collect())
+impl PartialEq for TokenStream {
+    fn eq(&self, other: &Self) -> bool {
+        self.len() == other.len()
+            && self
+                .iter()
+                .zip(other)
+                .all(|(a, b)| (a.class, a.text) == (b.class, b.text))
     }
 }
 
-impl Extend<Token> for TokenStream {
-    fn extend<I: IntoIterator<Item = Token>>(&mut self, iter: I) {
-        for tok in iter {
-            self.classes.push(tok.class);
-            self.tokens.push(tok);
-        }
-    }
-}
+impl Eq for TokenStream {}
 
-impl IntoIterator for TokenStream {
-    type Item = Token;
-    type IntoIter = std::vec::IntoIter<Token>;
-
-    fn into_iter(self) -> Self::IntoIter {
-        self.tokens.into_iter()
+impl AsRef<TokenStream> for TokenStream {
+    fn as_ref(&self) -> &TokenStream {
+        self
     }
 }
 
 impl<'a> IntoIterator for &'a TokenStream {
-    type Item = &'a Token;
-    type IntoIter = std::slice::Iter<'a, Token>;
+    type Item = Token<'a>;
+    type IntoIter = Iter<'a>;
 
     fn into_iter(self) -> Self::IntoIter {
-        self.tokens.iter()
+        self.iter()
+    }
+}
+
+impl fmt::Debug for TokenStream {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.tokens().fmt(f)
     }
 }
 
@@ -164,14 +194,14 @@ impl fmt::Display for TokenStream {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tokenize;
+    use crate::{tokenize, tokenize_document};
 
     #[test]
     fn parallel_vectors_stay_in_sync() {
         let s = tokenize("var a = f(1, 'x');");
         assert_eq!(s.tokens().len(), s.classes().len());
         for (t, c) in s.tokens().iter().zip(s.classes()) {
-            assert_eq!(t.class, *c);
+            assert_eq!(t.class, c);
         }
     }
 
@@ -206,15 +236,6 @@ mod tests {
     }
 
     #[test]
-    fn collect_and_extend() {
-        let s = tokenize("a b");
-        let mut collected: TokenStream = s.clone().into_iter().collect();
-        collected.extend(tokenize("c"));
-        assert_eq!(collected.texts(), vec!["a", "b", "c"]);
-        assert_eq!(collected.classes().len(), 3);
-    }
-
-    #[test]
     fn table_rendering_contains_classes() {
         let s = tokenize(r#"var Euur1V = this["l9D"]"#);
         let table = s.to_table();
@@ -244,5 +265,35 @@ mod tests {
         assert!(s.is_empty());
         assert_eq!(s.len(), 0);
         assert!(s.joined().is_empty());
+    }
+
+    #[test]
+    fn equality_is_the_class_and_text_sequence() {
+        // Same tokens cut from different sources at different offsets.
+        let a = tokenize("x = 'y'");
+        let b = tokenize_document("<p><script>  x  =  'y'  </script>");
+        assert_eq!(a, b);
+        assert_ne!(a.tokens().at(0).offset, b.tokens().at(0).offset);
+        assert_ne!(a, tokenize("x = 'z'"));
+        assert_ne!(a, tokenize("x = 'y';"));
+        assert_eq!(TokenStream::default(), tokenize(""));
+    }
+
+    #[test]
+    fn the_stream_keeps_only_the_bytes_its_tokens_cover() {
+        let doc = format!("<html>{}<script>a b</script>", " ".repeat(1000));
+        let s = tokenize_document(&doc);
+        assert_eq!(&*s.text, "a b");
+        assert_eq!(
+            s.tokens().at(1).offset as usize,
+            doc.find(" b").unwrap() + 1
+        );
+        // A clone shares everything; a slice shares the text and keeps
+        // offsets.
+        let copy = s.clone();
+        assert!(Arc::ptr_eq(&s.text, &copy.text) && Arc::ptr_eq(&s.spans, &copy.spans));
+        let tail = s.slice(1, 1);
+        assert!(Arc::ptr_eq(&s.text, &tail.text));
+        assert_eq!(tail.tokens().at(0), s.tokens().at(1));
     }
 }

@@ -10,18 +10,30 @@ proptest! {
     fn lexer_total_and_offsets_consistent(src in "\\PC*") {
         let tokens: Vec<_> = Lexer::new(&src).collect();
         for t in &tokens {
-            prop_assert!(t.offset <= src.len());
-            prop_assert!(src[t.offset..].starts_with(&t.text),
+            let offset = t.offset as usize;
+            prop_assert!(offset <= src.len());
+            prop_assert!(src[offset..].starts_with(t.text),
                 "token {:?} not found at offset {}", t.text, t.offset);
         }
     }
 
-    /// Token offsets are strictly increasing, so tokens never overlap.
+    /// Token offsets are strictly increasing, so tokens never overlap —
+    /// within one script, and across the scripts of a document (offsets are
+    /// document-absolute, not relative to the enclosing script body).
     #[test]
     fn token_offsets_strictly_increase(src in "\\PC{0,400}") {
         let tokens: Vec<_> = Lexer::new(&src).collect();
         for pair in tokens.windows(2) {
-            prop_assert!(pair[0].offset + pair[0].text.len() <= pair[1].offset);
+            prop_assert!(pair[0].offset as usize + pair[0].text.len() <= pair[1].offset as usize);
+        }
+        let doc = format!("<html><script>{src}</script><p>x</p><SCRIPT type=a>{src}</SCRIPT>");
+        let stream = tokenize_document(&doc);
+        let tokens: Vec<_> = stream.tokens().iter().collect();
+        for t in &tokens {
+            prop_assert!(doc[t.offset as usize..].starts_with(t.text));
+        }
+        for pair in tokens.windows(2) {
+            prop_assert!(pair[0].offset as usize + pair[0].text.len() <= pair[1].offset as usize);
         }
     }
 

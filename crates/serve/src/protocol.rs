@@ -182,12 +182,12 @@ pub fn write_request(writer: &mut impl Write, opcode: u8, body: &[u8]) -> io::Re
 
 /// Encode a scan verdict as an ok-response payload.
 #[must_use]
-pub fn encode_scan_reply(verdict: &ScanVerdict) -> Vec<u8> {
-    let mut payload = Vec::with_capacity(1 + 1 + 8 + 4);
-    payload.push(ST_OK);
-    payload.push(verdict.family.map_or(NO_FAMILY, family_code));
-    payload.extend_from_slice(&verdict.epoch.to_le_bytes());
-    payload.extend_from_slice(&verdict.index.unwrap_or(NO_INDEX).to_le_bytes());
+pub fn encode_scan_reply(verdict: &ScanVerdict) -> [u8; 14] {
+    let mut payload = [0u8; 14];
+    payload[0] = ST_OK;
+    payload[1] = verdict.family.map_or(NO_FAMILY, family_code);
+    payload[2..10].copy_from_slice(&verdict.epoch.to_le_bytes());
+    payload[10..14].copy_from_slice(&verdict.index.unwrap_or(NO_INDEX).to_le_bytes());
     payload
 }
 

@@ -335,6 +335,11 @@ fn serve_connection(
     let mut reader = BufReader::with_capacity(IO_BUF, stream.try_clone()?);
     let mut writer = BufWriter::with_capacity(IO_BUF, stream);
     let mut payload = Vec::new();
+    // Resolved once per connection: a registry lookup takes a lock every
+    // worker shares, and the handles are `&'static`.
+    let scans = counter("kizzle_serve_scans_total");
+    let scan_bytes = counter("kizzle_serve_scan_bytes_total");
+    let detections = counter("kizzle_serve_detections_total");
 
     loop {
         // Flush accumulated replies before a read that may block: the
@@ -361,9 +366,10 @@ fn serve_connection(
             OP_SCAN => {
                 let document = String::from_utf8_lossy(body);
                 let verdict = matcher.scan_verdict(&document);
-                counter("kizzle_serve_scans_total").incr();
+                scans.incr();
+                scan_bytes.add(body.len() as u64);
                 if verdict.index.is_some() {
-                    counter("kizzle_serve_detections_total").incr();
+                    detections.incr();
                 }
                 write_frame(&mut writer, &encode_scan_reply(&verdict))?;
             }

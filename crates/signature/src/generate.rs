@@ -139,7 +139,7 @@ pub fn generalize(samples: &[&TokenStream], window: &CommonWindow) -> Vec<Elemen
         let values: Vec<&str> = samples
             .iter()
             .zip(&window.starts)
-            .map(|(sample, &start)| sample.tokens()[start + offset].unquoted())
+            .map(|(sample, &start)| sample.tokens().at(start + offset).unquoted())
             .collect();
         let all_equal = values.windows(2).all(|pair| pair[0] == pair[1]);
         if all_equal {
@@ -162,19 +162,24 @@ pub fn generalize(samples: &[&TokenStream], window: &CommonWindow) -> Vec<Elemen
 ///
 /// Large clusters are subsampled evenly (up to `config.max_samples`) before
 /// the search, which bounds the cost without biasing the window choice for
-/// tight clusters.
+/// tight clusters. Samples are only read, so a cluster's members can be
+/// passed by reference (`&[&TokenStream]`) as well as by value.
 ///
 /// # Errors
 ///
 /// Returns [`GenerateError::EmptyCluster`] when there are no usable samples
 /// and [`GenerateError::NoCommonSubsequence`] when the samples share no
 /// sufficiently long unique window.
-pub fn generate_signature(
+pub fn generate_signature<S: AsRef<TokenStream>>(
     name: &str,
-    samples: &[TokenStream],
+    samples: &[S],
     config: &SignatureConfig,
 ) -> Result<Signature, GenerateError> {
-    let usable: Vec<&TokenStream> = samples.iter().filter(|s| !s.is_empty()).collect();
+    let usable: Vec<&TokenStream> = samples
+        .iter()
+        .map(AsRef::as_ref)
+        .filter(|s| !s.is_empty())
+        .collect();
     if usable.is_empty() {
         return Err(GenerateError::EmptyCluster);
     }
@@ -324,7 +329,8 @@ mod tests {
 
     #[test]
     fn empty_cluster_is_an_error() {
-        let err = generate_signature("x", &[], &SignatureConfig::default()).unwrap_err();
+        let none: &[TokenStream] = &[];
+        let err = generate_signature("x", none, &SignatureConfig::default()).unwrap_err();
         assert_eq!(err, GenerateError::EmptyCluster);
         let err =
             generate_signature("x", &[tokenize("")], &SignatureConfig::default()).unwrap_err();

@@ -47,9 +47,10 @@ use crate::automaton::AnchorAutomaton;
 use crate::pattern::{CharClass, Element, Signature};
 use crate::prefilter::{windows_pass_batch, SigFilter, StreamProfile};
 use crate::verify::{nearest_in_stream, stream_deficit, NearestMatch, StreamSummary};
-use kizzle_js::{tokenize_document, TokenStream};
+use kizzle_js::{lex_document, Span, TokenStream, Tokens};
 use kizzle_snapshot::{Decoder, Encoder, SnapshotError};
 use serde::Serialize;
+use std::cell::RefCell;
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::fmt;
@@ -242,19 +243,18 @@ fn dedup_key(label: &str, elements: &[Element]) -> u64 {
     hasher.finish()
 }
 
-/// Does `signature` match `stream` with its element at `offset` placed on
+/// Does `signature` match `tokens` with its element at `offset` placed on
 /// the token at `position`? The aligned-window oracle the staged pipeline
 /// is `debug_assert!`-checked against candidate by candidate.
 fn window_matches(
     signature: &Signature,
-    stream: &TokenStream,
+    tokens: Tokens<'_>,
     position: usize,
     offset: usize,
 ) -> bool {
     let Some(start) = position.checked_sub(offset) else {
         return false;
     };
-    let tokens = stream.tokens();
     let n = signature.elements.len();
     if start + n > tokens.len() {
         return false;
@@ -262,8 +262,54 @@ fn window_matches(
     signature
         .elements
         .iter()
-        .zip(&tokens[start..start + n])
+        .zip(tokens.window(start, n))
         .all(|(element, token)| element.matches_token(token))
+}
+
+/// What one scan needs beyond its input, kept per thread so a
+/// steady-state scan allocates nothing. Per thread rather than per set or
+/// per handle so that threads sharing one never wait on each other.
+#[derive(Default)]
+struct ScanScratch {
+    /// The span buffer a raw document is lexed into.
+    spans: Vec<Span>,
+    matching: MatchScratch,
+}
+
+/// The working buffers of [`ScanPipeline::scan`]; their contents between
+/// scans mean nothing.
+#[derive(Default)]
+struct MatchScratch {
+    /// Stage 2's token profiles, filled lazily from the first anchor hit.
+    profile: StreamProfile,
+    /// Candidates surviving the cheap gates, gathered per automaton hit
+    /// and evaluated lane-parallel.
+    eligible: Vec<(usize, usize)>,
+}
+
+/// Buffers that grew past this many tokens are released after the scan
+/// instead of kept: the serving path is capped far below it (`token_cap`,
+/// 900 by default), so only an uncapped scan of a huge document gets here,
+/// and it must not pin megabytes per thread forever.
+const SCRATCH_RETAIN_TOKENS: usize = 1 << 14;
+
+thread_local! {
+    static SCRATCH: RefCell<ScanScratch> = RefCell::default();
+}
+
+/// Run `scan` with the calling thread's scratch.
+fn with_scratch<R>(scan: impl FnOnce(&mut ScanScratch) -> R) -> R {
+    SCRATCH.with(|scratch| {
+        let scratch = &mut *scratch.borrow_mut();
+        let result = scan(scratch);
+        if scratch.spans.capacity() > SCRATCH_RETAIN_TOKENS {
+            scratch.spans = Vec::new();
+        }
+        if scratch.matching.profile.capacity() > SCRATCH_RETAIN_TOKENS {
+            scratch.matching.profile = StreamProfile::new();
+        }
+        result
+    })
 }
 
 /// Wire version of the serialized pipeline. Bump when the pipeline layout
@@ -352,13 +398,18 @@ impl ScanPipeline {
     /// The staged scan: returns the index of the first matching signature
     /// in insertion order — exactly [`SignatureSet::scan_stream_linear`]'s
     /// answer, reached through the three stages.
-    fn scan(&self, signatures: &[LabeledSignature], stream: &TokenStream) -> Option<usize> {
+    fn scan(
+        &self,
+        signatures: &[LabeledSignature],
+        tokens: Tokens<'_>,
+        scratch: &mut MatchScratch,
+    ) -> Option<usize> {
         let tel = kizzle_telemetry::enabled();
         let mut counts = scan_metrics::ScanCounts::default();
         if tel {
             counts.scans = 1;
         }
-        let best = self.scan_staged(signatures, stream, tel, &mut counts);
+        let best = self.scan_staged(signatures, tokens, scratch, tel, &mut counts);
         if tel {
             counts.commit();
         }
@@ -368,20 +419,18 @@ impl ScanPipeline {
     fn scan_staged(
         &self,
         signatures: &[LabeledSignature],
-        stream: &TokenStream,
+        tokens: Tokens<'_>,
+        scratch: &mut MatchScratch,
         tel: bool,
         counts: &mut scan_metrics::ScanCounts,
     ) -> Option<usize> {
-        let tokens = stream.tokens();
+        let MatchScratch { profile, eligible } = scratch;
         let mut best: Option<usize> = None;
-        // Stage 2's profiles are created on the first automaton hit, so
+        // Stage 2's profiles are filled from the first automaton hit on, so
         // anchor-free documents never pay for them.
-        let mut profile: Option<StreamProfile> = None;
-        // Candidates surviving the cheap gates, gathered per automaton hit
-        // and evaluated lane-parallel (buffer reused across tokens).
-        let mut eligible: Vec<(usize, usize)> = Vec::new();
-        'tokens: for (position, token) in tokens.iter().enumerate() {
-            let Some(pattern) = self.automaton.match_token(token.unquoted().as_bytes()) else {
+        profile.reset();
+        'tokens: for (position, unquoted) in tokens.unquoted_bytes().enumerate() {
+            let Some(pattern) = self.automaton.match_token(unquoted) else {
                 continue;
             };
             if tel {
@@ -406,12 +455,11 @@ impl ScanPipeline {
                 if start + n > tokens.len() {
                     continue;
                 }
-                let profile = profile.get_or_insert_with(StreamProfile::new);
-                profile.ensure(stream, start + n);
+                profile.ensure(tokens, start + n);
                 if n >= HIST_GATE_MIN_SIG_LEN && filter.hist_rejects(profile, start) {
                     debug_assert!(!window_matches(
                         &signatures[index].signature,
-                        stream,
+                        tokens,
                         position,
                         offset as usize
                     ));
@@ -425,9 +473,6 @@ impl ScanPipeline {
                 }
                 eligible.push((index, start));
             }
-            let Some(profile) = profile.as_ref() else {
-                continue;
-            };
             // Batched window check: up to 8 candidate windows per group
             // evaluated lane-parallel over the shared profile, then the
             // survivors confirmed in ascending signature index order —
@@ -450,7 +495,7 @@ impl ScanPipeline {
                     if !passed {
                         debug_assert!(!window_matches(
                             &signatures[index].signature,
-                            stream,
+                            tokens,
                             position,
                             position - start
                         ));
@@ -461,7 +506,7 @@ impl ScanPipeline {
                     }
                     // Stage 3: classes are already exact; confirm literal
                     // text (the profile only compared a 32-bit hash).
-                    if !confirm_literals(&signatures[index].signature, stream, start) {
+                    if !confirm_literals(&signatures[index].signature, tokens, start) {
                         if tel {
                             counts.verify_rejected += 1;
                         }
@@ -472,7 +517,7 @@ impl ScanPipeline {
                     }
                     debug_assert!(window_matches(
                         &signatures[index].signature,
-                        stream,
+                        tokens,
                         position,
                         position - start
                     ));
@@ -496,7 +541,7 @@ impl ScanPipeline {
             if tel {
                 counts.unanchored_checked += 1;
             }
-            if signatures[index].signature.matches_stream(stream) {
+            if signatures[index].signature.find_in_tokens(tokens).is_some() {
                 best = Some(index);
             }
         }
@@ -603,12 +648,11 @@ impl ScanPipeline {
 /// Confirm every `Literal` element's text over the window at `start` —
 /// the only part of a prefilter pass that is hash-strength rather than
 /// exact.
-fn confirm_literals(signature: &Signature, stream: &TokenStream, start: usize) -> bool {
-    let tokens = stream.tokens();
+fn confirm_literals(signature: &Signature, tokens: Tokens<'_>, start: usize) -> bool {
     signature
         .elements
         .iter()
-        .zip(&tokens[start..start + signature.elements.len()])
+        .zip(tokens.window(start, signature.elements.len()))
         .all(|(element, token)| match element {
             Element::Literal(text) => text == token.unquoted(),
             Element::Class { .. } => true,
@@ -720,7 +764,26 @@ impl SignatureSet {
     /// the same published set), and [`SignatureSet::get`] resolves it back.
     #[must_use]
     pub fn scan_stream_index(&self, stream: &TokenStream) -> Option<usize> {
-        self.seal().scan(&self.signatures, stream)
+        with_scratch(|scratch| {
+            self.seal()
+                .scan(&self.signatures, stream.tokens(), &mut scratch.matching)
+        })
+    }
+
+    /// Scan a raw HTML/JavaScript document truncated to its first `cap`
+    /// tokens (see [`kizzle_js::tokenize_document_capped`]), returning the
+    /// matching signature's index — [`SignatureSet::scan_stream_index`]
+    /// without the stream: the document is lexed into this thread's scratch
+    /// and matched in place, the same scan over a borrowed view. This is
+    /// the path a serving worker runs; once a thread's scratch has grown to
+    /// its documents it allocates nothing.
+    #[must_use]
+    pub fn scan_document_index(&self, document: &str, cap: usize) -> Option<usize> {
+        with_scratch(|scratch| {
+            let (tokens, _) = lex_document(document, cap, &mut scratch.spans);
+            self.seal()
+                .scan(&self.signatures, tokens, &mut scratch.matching)
+        })
     }
 
     /// Reference linear scan: first signature (in insertion order) matching
@@ -751,7 +814,7 @@ impl SignatureSet {
             return None;
         }
         let pipeline = self.seal();
-        let summary = StreamSummary::of(stream);
+        let summary = StreamSummary::of(stream.tokens());
         let mut best: Option<NearestMatch> = None;
         for (index, labeled) in self.signatures.iter().enumerate() {
             // A later signature only wins with strictly fewer edits.
@@ -776,10 +839,11 @@ impl SignatureSet {
         best
     }
 
-    /// Scan a raw HTML/JavaScript document.
+    /// Scan a raw HTML/JavaScript document, uncapped.
     #[must_use]
     pub fn scan_document(&self, document: &str) -> Option<&LabeledSignature> {
-        self.scan_stream(&tokenize_document(document))
+        let index = self.scan_document_index(document, usize::MAX)?;
+        Some(&self.signatures[index])
     }
 
     /// All labels with at least one signature, deduplicated, in insertion

@@ -1,7 +1,7 @@
 //! Signature representation: elements, character classes, rendering and
 //! per-stream matching.
 
-use kizzle_js::{Token, TokenStream};
+use kizzle_js::{Token, TokenStream, Tokens};
 use serde::Serialize;
 use std::fmt;
 
@@ -147,7 +147,7 @@ impl Element {
     /// String quotes are stripped before comparison, mirroring the AV
     /// normalization step the paper mentions.
     #[must_use]
-    pub fn matches_token(&self, token: &Token) -> bool {
+    pub fn matches_token(&self, token: Token<'_>) -> bool {
         let text = token.unquoted();
         match self {
             Element::Literal(expected) => expected == text,
@@ -216,20 +216,22 @@ impl Signature {
     /// The first token offset at which the signature matches, if any.
     #[must_use]
     pub fn find_in(&self, stream: &TokenStream) -> Option<usize> {
-        let tokens = stream.tokens();
+        self.find_in_tokens(stream.tokens())
+    }
+
+    /// [`Signature::find_in`] over a borrowed token view.
+    #[must_use]
+    pub fn find_in_tokens(&self, tokens: Tokens<'_>) -> Option<usize> {
         let n = self.elements.len();
         if tokens.len() < n {
             return None;
         }
-        'outer: for start in 0..=tokens.len() - n {
-            for (element, token) in self.elements.iter().zip(&tokens[start..start + n]) {
-                if !element.matches_token(token) {
-                    continue 'outer;
-                }
-            }
-            return Some(start);
-        }
-        None
+        (0..=tokens.len() - n).find(|&start| {
+            self.elements
+                .iter()
+                .zip(tokens.window(start, n))
+                .all(|(element, token)| element.matches_token(token))
+        })
     }
 
     /// Does the signature match a raw HTML/JavaScript document?
@@ -321,7 +323,7 @@ mod tests {
     fn element_matching_strips_quotes_and_checks_lengths() {
         let lit = Element::Literal("ev#333399al".to_string());
         let tok = kizzle_js::Token::new(kizzle_js::TokenClass::String, "\"ev#333399al\"", 0);
-        assert!(lit.matches_token(&tok));
+        assert!(lit.matches_token(tok));
 
         let class = Element::Class {
             class: CharClass::AlphaNum,
@@ -331,9 +333,9 @@ mod tests {
         let short = kizzle_js::Token::new(kizzle_js::TokenClass::Identifier, "ab", 0);
         let ok = kizzle_js::Token::new(kizzle_js::TokenClass::Identifier, "abc1", 0);
         let bad_chars = kizzle_js::Token::new(kizzle_js::TokenClass::Identifier, "a#b", 0);
-        assert!(!class.matches_token(&short));
-        assert!(class.matches_token(&ok));
-        assert!(!class.matches_token(&bad_chars));
+        assert!(!class.matches_token(short));
+        assert!(class.matches_token(ok));
+        assert!(!class.matches_token(bad_chars));
     }
 
     fn example_signature() -> Signature {

@@ -29,7 +29,7 @@
 //! automaton pays nothing here, keeping the miss path at stage-1 cost.
 
 use crate::pattern::{CharClass, Element, Signature};
-use kizzle_js::TokenStream;
+use kizzle_js::Tokens;
 use kizzle_snapshot::{Decoder, Encoder, SnapshotError};
 
 /// Per-token summary the branch-free checks compare against.
@@ -127,14 +127,21 @@ pub fn profile_text(text: &str) -> TokenProfile {
 /// [`StreamProfile::ensure`] extends coverage monotonically as the scan
 /// advances, so a document whose first anchor hit is at token `k` only
 /// ever profiles `k + window` tokens — and a document with no anchor hits
-/// never allocates one of these at all (the matcher creates the profile on
-/// first use).
-#[derive(Debug, Default)]
+/// never touches one of these at all. A profile is reusable:
+/// [`StreamProfile::reset`] empties it and keeps its buffers, which is how
+/// the matcher's per-thread scratch scans without allocating.
+#[derive(Debug)]
 pub struct StreamProfile {
     profiles: Vec<TokenProfile>,
     /// `prefix[i][c]` = number of tokens in `[0, i)` whose mask has bit
     /// `c`; row `i` exists once token `i - 1` is profiled.
     prefix: Vec<[u32; 8]>,
+}
+
+impl Default for StreamProfile {
+    fn default() -> Self {
+        StreamProfile::new()
+    }
 }
 
 impl StreamProfile {
@@ -148,19 +155,31 @@ impl StreamProfile {
         }
     }
 
+    /// Forget the profiled stream, keeping the buffers for the next one.
+    pub fn reset(&mut self) {
+        self.profiles.clear();
+        self.prefix.truncate(1);
+    }
+
     /// Number of tokens profiled so far.
     #[must_use]
     pub fn covered(&self) -> usize {
         self.profiles.len()
     }
 
+    /// Tokens the buffers can profile without growing.
+    #[must_use]
+    pub fn capacity(&self) -> usize {
+        self.profiles.capacity()
+    }
+
     /// Extend coverage so tokens `[0, upto)` are profiled. `upto` beyond
-    /// the stream length is clamped.
-    pub fn ensure(&mut self, stream: &TokenStream, upto: usize) {
-        let tokens = stream.tokens();
+    /// the stream length is clamped. Every call between two
+    /// [`StreamProfile::reset`]s must pass the same tokens.
+    pub fn ensure(&mut self, tokens: Tokens<'_>, upto: usize) {
         let upto = upto.min(tokens.len());
         while self.profiles.len() < upto {
-            let profile = profile_text(tokens[self.profiles.len()].unquoted());
+            let profile = profile_text(tokens.at(self.profiles.len()).unquoted());
             let mut row = *self.prefix.last().expect("row 0 exists");
             for (c, slot) in row.iter_mut().enumerate() {
                 *slot += u32::from(profile.mask >> c & 1);
@@ -479,11 +498,11 @@ mod tests {
         let stream = tokenize("abc 123 XYZ abc9");
         let mut profile = StreamProfile::new();
         assert_eq!(profile.covered(), 0);
-        profile.ensure(&stream, 2);
+        profile.ensure(stream.tokens(), 2);
         assert_eq!(profile.covered(), 2);
-        profile.ensure(&stream, 1); // monotone: never shrinks
+        profile.ensure(stream.tokens(), 1); // monotone: never shrinks
         assert_eq!(profile.covered(), 2);
-        profile.ensure(&stream, 100); // clamped to the stream
+        profile.ensure(stream.tokens(), 100); // clamped to the stream
         assert_eq!(profile.covered(), stream.len());
         // [abc, 123, XYZ, abc9]: Lower accepts only "abc".
         assert_eq!(
@@ -518,7 +537,7 @@ mod tests {
         ]));
         let stream = tokenize("123 abc");
         let mut profile = StreamProfile::new();
-        profile.ensure(&stream, stream.len());
+        profile.ensure(stream.tokens(), stream.len());
         assert!(demanding.hist_rejects(&profile, 0));
 
         let satisfied = SigFilter::of(&sig(vec![
@@ -544,7 +563,7 @@ mod tests {
             r#"pieces = buffer.split(delim); el.text += String.fromCharCode(pieces[i]); x9 = "ab3";"#,
         );
         let mut profile = StreamProfile::new();
-        profile.ensure(&stream, stream.len());
+        profile.ensure(stream.tokens(), stream.len());
         let filters = vec![
             SigFilter::of(&sig(vec![Element::Literal("fromCharCode".into())])),
             SigFilter::of(&sig(vec![
@@ -596,7 +615,7 @@ mod tests {
     fn batch_handles_partial_and_empty_lane_counts() {
         let stream = tokenize("abc 123");
         let mut profile = StreamProfile::new();
-        profile.ensure(&stream, stream.len());
+        profile.ensure(stream.tokens(), stream.len());
         assert_eq!(windows_pass_batch(&profile, &[]), 0);
         let lower = SigFilter::of(&sig(vec![Element::Class {
             class: CharClass::Lower,

@@ -33,7 +33,7 @@
 
 use crate::pattern::{Element, Signature};
 use crate::prefilter::{fnv1a32, profile_text, SigFilter};
-use kizzle_js::{Token, TokenStream};
+use kizzle_js::Tokens;
 use std::collections::HashSet;
 
 /// The best approximate hit of a whole-set scan.
@@ -56,10 +56,10 @@ pub(crate) struct StreamSummary {
 impl StreamSummary {
     /// One `O(tokens)` pass, shared by every signature in the scan.
     #[must_use]
-    pub(crate) fn of(stream: &TokenStream) -> Self {
+    pub(crate) fn of(tokens: Tokens<'_>) -> Self {
         let mut class_counts = [0u32; 8];
         let mut literal_hashes = HashSet::new();
-        for token in stream.tokens() {
+        for token in tokens {
             let profile = profile_text(token.unquoted());
             for (c, slot) in class_counts.iter_mut().enumerate() {
                 *slot += u32::from(profile.mask >> c & 1);
@@ -105,7 +105,7 @@ pub(crate) fn stream_deficit(
 /// Ukkonen's last-active-row band keeps each column `O(min(cutoff,
 /// elements))`; see the [module docs](self) for the cost model.
 #[must_use]
-pub fn nearest_in_stream(elements: &[Element], tokens: &[Token], cutoff: usize) -> Option<usize> {
+pub fn nearest_in_stream(elements: &[Element], tokens: Tokens<'_>, cutoff: usize) -> Option<usize> {
     let m = elements.len();
     // The sentinel is one past the cutoff: anything at the sentinel can
     // never recover, so it needs no exact value.
@@ -155,7 +155,7 @@ pub fn nearest_in_stream(elements: &[Element], tokens: &[Token], cutoff: usize) 
 /// compiled for tests — the oracle [`nearest_in_stream`] is held to.
 #[cfg(test)]
 #[must_use]
-pub(crate) fn nearest_naive(elements: &[Element], tokens: &[Token]) -> usize {
+pub(crate) fn nearest_naive(elements: &[Element], tokens: Tokens<'_>) -> usize {
     let m = elements.len();
     let mut prev: Vec<usize> = (0..=m).collect();
     let mut best = m;
@@ -281,14 +281,14 @@ mod tests {
         let filter = SigFilter::of(&sig);
         // Stream with neither the literal nor any digits: deficit 3.
         let stream = tokenize("alpha beta gamma");
-        let summary = StreamSummary::of(&stream);
+        let summary = StreamSummary::of(stream.tokens());
         let deficit = stream_deficit(&sig, &filter, &summary);
         assert_eq!(deficit, 3);
         let actual = nearest_naive(&sig.elements, stream.tokens());
         assert!(deficit <= actual, "bound {deficit} > actual {actual}");
         // Stream satisfying everything: deficit 0.
         let stream = tokenize("fromCharCode 12 34");
-        let summary = StreamSummary::of(&stream);
+        let summary = StreamSummary::of(stream.tokens());
         assert_eq!(stream_deficit(&sig, &filter, &summary), 0);
     }
 }

@@ -1,6 +1,6 @@
 //! Property-based tests for signature generation and matching.
 
-use kizzle_js::{tokenize, Token, TokenStream};
+use kizzle_js::{tokenize, TokenStream, Tokens};
 use kizzle_signature::generate::{find_common_window, generate_signature};
 use kizzle_signature::verify::nearest_in_stream;
 use kizzle_signature::{
@@ -123,7 +123,7 @@ fn document_strategy() -> impl Strategy<Value = String> {
 /// Full, unbanded semi-global DP — the independent oracle the banded
 /// kernel is held to (mirrors `verify::nearest_naive`, reimplemented here
 /// because that one is crate-private).
-fn naive_nearest(elements: &[Element], tokens: &[Token]) -> usize {
+fn naive_nearest(elements: &[Element], tokens: Tokens<'_>) -> usize {
     let m = elements.len();
     let mut prev: Vec<usize> = (0..=m).collect();
     let mut best = m;

@@ -505,6 +505,27 @@ impl ChainedSnapshot {
     pub fn layer_count(&self) -> usize {
         self.layers.len()
     }
+
+    /// Trailer CRC of the base layer — the chain's identity: deltas only
+    /// ever extend the chain under it, and a compaction (which rewrites
+    /// the base) changes it.
+    #[must_use]
+    pub fn base_crc(&self) -> Option<u32> {
+        self.layers.first().and_then(Snapshot::trailer_crc)
+    }
+
+    /// How many of the layers from index `from` on declare at least one
+    /// of `sections`. A delta carries exactly the sections its save
+    /// changed, so over the deltas appended since a reader last looked
+    /// this is the number of saves that changed one of them.
+    #[must_use]
+    pub fn layers_declaring(&self, from: usize, sections: &[&str]) -> usize {
+        self.layers
+            .iter()
+            .skip(from)
+            .filter(|layer| sections.iter().any(|name| layer.has_section(name)))
+            .count()
+    }
 }
 
 impl SectionSource for ChainedSnapshot {

@@ -93,7 +93,7 @@ pub fn script_text(document: &str) -> String {
     }
     scripts
         .iter()
-        .map(|s| s.body.as_str())
+        .map(|s| s.body)
         .collect::<Vec<_>>()
         .join("\n")
 }

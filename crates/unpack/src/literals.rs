@@ -25,7 +25,7 @@ pub fn string_literals(js: &str) -> Vec<StringLiteral> {
             out.push(StringLiteral {
                 value: tok.unquoted().to_string(),
                 token_index: i,
-                previous: i.checked_sub(1).map(|p| tokens[p].text.clone()),
+                previous: i.checked_sub(1).map(|p| tokens.at(p).text.to_string()),
             });
         }
     }

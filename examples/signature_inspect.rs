@@ -87,8 +87,10 @@ fn main() {
         let samples: Vec<_> = (0..8u64)
             .map(|i| {
                 let mut rng = ChaCha8Rng::seed_from_u64(500 + i);
-                let stream = kizzle_js::tokenize_document(&model.generate_sample(date, &mut rng));
-                stream.slice(0, config.token_cap.min(stream.len()))
+                kizzle_js::tokenize_document_capped(
+                    &model.generate_sample(date, &mut rng),
+                    config.token_cap,
+                )
             })
             .collect();
 

@@ -47,10 +47,7 @@ fn packed_samples_cluster_by_family_at_the_paper_threshold() {
 
     let token_strings: Vec<Vec<u8>> = docs
         .iter()
-        .map(|(_, html)| {
-            let stream = kizzle_js::tokenize_document(html);
-            stream.slice(0, stream.len().min(600)).class_codes()
-        })
+        .map(|(_, html)| kizzle_js::tokenize_document_capped(html, 600).class_codes())
         .collect();
 
     let clusterer =
