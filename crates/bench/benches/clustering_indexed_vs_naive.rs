@@ -3,7 +3,7 @@
 //! The acceptance bar for the indexed engine (ISSUE 1): on a 1,000-sample
 //! synthetic day at `eps = 0.10`, `dbscan_indexed` must beat the naive
 //! all-pairs `dbscan` by ≥ 5× wall-clock. The measured numbers are
-//! recorded in `BENCH_clustering.json` and discussed in `PERF.md`.
+//! discussed in `PERF.md`.
 //!
 //! Set `KIZZLE_BENCH_SAMPLES` to scale the day up or down (default 1000;
 //! CI smoke uses a smaller day).

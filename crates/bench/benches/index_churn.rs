@@ -5,7 +5,7 @@
 //! its replacement, and leave every neighborhood memoized — must beat
 //! rebuilding the index and re-querying every neighborhood from scratch,
 //! at ≥ 1,000 samples/day with ≤ 20% churn. The measured numbers are
-//! recorded in `BENCH_clustering.json` and discussed in PERF.md.
+//! discussed in PERF.md.
 //!
 //! Set `KIZZLE_BENCH_SAMPLES` to scale the day up or down (default 1000;
 //! CI smoke uses a smaller day). `KIZZLE_BENCH_CHURN` sets the churned

@@ -5,7 +5,7 @@
 //! EXPERIMENTS.md.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use kizzle::{KizzleCompiler, KizzleConfig, ReferenceCorpus};
+use kizzle::{KizzleConfig, KizzleService, ReferenceCorpus};
 use kizzle_bench::{class_strings, packed_samples, tokenized};
 use kizzle_cluster::distance::normalized_edit_distance;
 use kizzle_cluster::{dbscan, DbscanParams, DistributedClusterer, DistributedConfig};
@@ -68,11 +68,12 @@ fn fig06_12_13_14_monthly_day(c: &mut Criterion) {
         b.iter(|| {
             let config = KizzleConfig::fast();
             let reference = ReferenceCorpus::seeded_from_models(date, &config);
-            let mut compiler = KizzleCompiler::new(config, reference);
-            compiler.process_day(date, &day);
+            let mut service = KizzleService::new(config, reference).expect("fast config is valid");
+            service.process_day(date, &day).expect("day processes");
+            let matcher = service.matcher();
             let hits = day
                 .iter()
-                .filter(|s| compiler.scan(&s.html).is_some())
+                .filter(|s| matcher.scan(&s.html).is_some())
                 .count();
             black_box(hits)
         })

@@ -11,7 +11,8 @@
 //!   seal-in-flight/idle throughput ratio is measured separately and
 //!   printed to stderr for PERF.md.
 //! * `two_day_overlap/serial` vs `two_day_overlap/pipelined` — two days
-//!   sealed back to back: single-shot `process_day` twice, versus day A
+//!   sealed back to back: `process_day` (one `ingest` + inline `seal`)
+//!   twice, versus day A
 //!   sealing in the background while day B ingests. On a multi-core box
 //!   the pipelined arm's wall-clock drops below serial; on a single core
 //!   the work serializes and the win is the hidden `begin_day(d+1)`
@@ -35,7 +36,7 @@ fn fresh_service() -> KizzleService {
     KizzleService::new(config, reference).expect("fast config is valid")
 }
 
-fn day(seed: u64) -> Vec<Sample> {
+fn day(seed: u64) -> Arc<[Sample]> {
     GraywareStream::new(StreamConfig {
         samples_per_day: 64,
         malicious_fraction: 0.5,
@@ -43,14 +44,20 @@ fn day(seed: u64) -> Vec<Sample> {
         ..StreamConfig::default()
     })
     .generate_day(SimDate::new(2014, 8, 5))
+    .into()
 }
 
 fn tokenize(service: &KizzleService, samples: &[Sample]) -> Vec<TokenStream> {
-    let compiler = service.compiler();
+    let token_cap = service.config().token_cap;
     samples
         .iter()
-        .map(|s| compiler.tokenize_capped(&s.html))
+        .map(|s| kizzle_js::tokenize_document_capped(&s.html, token_cap))
         .collect()
+}
+
+/// The whole pre-tokenized day as one batch sharing the bench's buffers.
+fn whole_day(samples: &Arc<[Sample]>, streams: &[TokenStream]) -> Batch {
+    Batch::tokenized(Arc::clone(samples), streams.to_vec())
 }
 
 /// Pipelined ingest of `chunks` into a session on `date`, abandoned after
@@ -60,7 +67,7 @@ fn pipelined_ingest(service: &mut KizzleService, date: SimDate, chunks: &[Arc<[S
     let mut session = service.begin_day(date).expect("same-day reopen is allowed");
     let producer = session.pipeline(4);
     for chunk in chunks {
-        assert!(producer.send_shared(Arc::clone(chunk)));
+        assert!(producer.send(Arc::clone(chunk)));
     }
     drop(producer);
     while session.ingested() < total {
@@ -95,7 +102,7 @@ fn bench_pipeline(c: &mut Criterion) {
         group.bench_function("during_seal_64", |b| {
             b.iter(|| {
                 let mut a = service.begin_day(date).expect("day opens");
-                a.ingest_tokenized(&day_a, &streams_a);
+                a.ingest(whole_day(&day_a, &streams_a));
                 let handle = a.seal_background();
                 pipelined_ingest(&mut service, date, &chunks);
                 black_box(handle.wait().clusters)
@@ -122,7 +129,7 @@ fn bench_pipeline(c: &mut Criterion) {
         let mut with_seal = Duration::ZERO;
         for _ in 0..rounds {
             let mut a = service.begin_day(date).expect("day opens");
-            a.ingest_tokenized(&day_a, &streams_a);
+            a.ingest(whole_day(&day_a, &streams_a));
             let handle = a.seal_background();
             let t = Instant::now();
             pipelined_ingest(&mut service, date, &chunks);
@@ -152,10 +159,10 @@ fn bench_pipeline(c: &mut Criterion) {
         group.bench_function("serial", |b| {
             b.iter(|| {
                 let r1 = service
-                    .process_day_tokenized(date, &day_a, &streams_a)
+                    .process_day(date, whole_day(&day_a, &streams_a))
                     .expect("day seals");
                 let r2 = service
-                    .process_day_tokenized(date, &day_b, &streams_b)
+                    .process_day(date, whole_day(&day_b, &streams_b))
                     .expect("day seals");
                 black_box(r1.clusters + r2.clusters)
             })
@@ -169,11 +176,11 @@ fn bench_pipeline(c: &mut Criterion) {
         group.bench_function("pipelined", |b| {
             b.iter(|| {
                 let mut a = service.begin_day(date).expect("day opens");
-                a.ingest_tokenized(&day_a, &streams_a);
+                a.ingest(whole_day(&day_a, &streams_a));
                 let handle = a.seal_background();
                 // Day B ingests while day A clusters on the seal thread.
                 let mut b_session = service.begin_day(date).expect("day opens");
-                b_session.ingest_tokenized(&day_b, &streams_b);
+                b_session.ingest(whole_day(&day_b, &streams_b));
                 let r2 = b_session.seal();
                 black_box(handle.wait().clusters + r2.clusters)
             })
@@ -189,18 +196,14 @@ fn bench_pipeline(c: &mut Criterion) {
         let rounds = 10;
         let t = Instant::now();
         for _ in 0..rounds {
-            black_box(
-                serial_svc
-                    .process_day_tokenized(date, &day_a, &streams_a)
-                    .expect("day seals")
-                    .clusters,
-            );
-            black_box(
-                serial_svc
-                    .process_day_tokenized(date, &day_b, &streams_b)
-                    .expect("day seals")
-                    .clusters,
-            );
+            for (day, streams) in [(&day_a, &streams_a), (&day_b, &streams_b)] {
+                black_box(
+                    serial_svc
+                        .process_day(date, whole_day(day, streams))
+                        .expect("day seals")
+                        .clusters,
+                );
+            }
         }
         let serial = t.elapsed() / rounds;
         let mut piped_svc = fresh_service();
@@ -209,10 +212,10 @@ fn bench_pipeline(c: &mut Criterion) {
         let t = Instant::now();
         for _ in 0..rounds {
             let mut a = piped_svc.begin_day(date).expect("day opens");
-            a.ingest_tokenized(&day_a, &streams_a);
+            a.ingest(whole_day(&day_a, &streams_a));
             let handle = a.seal_background();
             let mut b = piped_svc.begin_day(date).expect("day opens");
-            b.ingest_tokenized(&day_b, &streams_b);
+            b.ingest(whole_day(&day_b, &streams_b));
             black_box(handle.wait().clusters + b.seal().clusters);
         }
         let piped = t.elapsed() / rounds;

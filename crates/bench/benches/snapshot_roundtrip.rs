@@ -3,29 +3,31 @@
 //! back, and how does a resumed day compare against the cold rebuild it
 //! replaces?
 //!
-//! Measurements, recorded in `BENCH_clustering.json` and discussed in
-//! PERF.md §PR 3 / §PR 4:
+//! Measurements, discussed in PERF.md §PR 3 / §PR 4 — every arm goes
+//! through the one writer/reader pair, [`CorpusEngine::snapshot_delta`] /
+//! [`CorpusEngine::resume_chain`]:
 //!
-//! * `save` — [`CorpusEngine::snapshot`]: encode store + index (with every
-//!   memoized neighborhood, gap-encoded) and write it atomically (temp,
-//!   fsync, rename).
-//! * `load` — [`CorpusEngine::resume`]: read, checksum-verify and decode
-//!   the same file back into a warm engine.
+//! * `save` — a full snapshot, i.e. a chain of length one
+//!   (`snapshot_delta(dir, 0)`): encode store + index (with every memoized
+//!   neighborhood, gap-encoded), write the base atomically (temp, fsync,
+//!   rename), then the manifest the same way.
+//! * `load` — `resume_chain` of that directory: read the manifest, read,
+//!   checksum-verify and decode the base back into a warm engine.
 //! * `save_delta` / `load_chain` — the ISSUE 4 incremental path: a warm
 //!   day-2 engine persists only its churned sections as a delta against
-//!   the day-1 base ([`CorpusEngine::snapshot_delta`]), and
-//!   [`CorpusEngine::resume_chain`] overlays base + delta back into the
-//!   identical warm engine.
+//!   the day-1 base, and `resume_chain` overlays base + delta back into
+//!   the identical warm engine.
 //! * `encode_sections` — the in-memory codec alone (no filesystem), the
 //!   arm that scales with `KIZZLE_RAYON_THREADS`: section encoders run
 //!   through the rayon pool, so this measures the parallel-codec win on
 //!   multi-core machines (and the absence of a loss on one core).
-//! * `resume_vs_cold` — the cron-restart comparison: time back to a fully
-//!   warm engine (every sample indexed, every neighborhood memoized).
-//!   `resume` loads the snapshot; `cold_rebuild` re-adds every raw
-//!   class-string, paying one eps-ball query per sample. Everything after
-//!   that point (the day's clustering) is identical for both, so the gap
-//!   here is exactly what persistence saves a restarted process.
+//! * `cold_rebuild` (base size only) — the other side of the cron-restart
+//!   comparison: time back to a fully warm engine (every sample indexed,
+//!   every neighborhood memoized) by re-adding every raw class-string,
+//!   paying one eps-ball query per sample, where `load` resumes the
+//!   snapshot. Everything after that point (the day's clustering) is
+//!   identical for both, so the gap between the two arms is exactly what
+//!   persistence saves a restarted process.
 //!
 //! Bytes-on-disk per corpus size is printed alongside the timings (it is a
 //! property of the input, not a distribution worth sampling).
@@ -69,11 +71,11 @@ fn warm_engine(n: usize) -> CorpusEngine {
     engine
 }
 
-fn snap_path(n: usize) -> PathBuf {
-    std::env::temp_dir().join(format!(
-        "kizzle-bench-snapshot-{}-{n}.snap",
-        std::process::id()
-    ))
+/// A scratch chain directory (a chain directory hosts one chain).
+fn scratch_dir(kind: &str, n: usize) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("kizzle-bench-{kind}-{}-{n}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    dir
 }
 
 fn bench_snapshot_roundtrip(c: &mut Criterion) {
@@ -87,14 +89,22 @@ fn bench_snapshot_roundtrip(c: &mut Criterion) {
     let base = sizes[0];
     for n in sizes {
         let engine = warm_engine(n);
-        let path = snap_path(n);
+        let full_dir = scratch_dir("snapshot", n);
 
         group.bench_with_input(BenchmarkId::new("save", n), &engine, |b, engine| {
-            b.iter(|| engine.snapshot(black_box(&path)).expect("snapshot write"))
+            b.iter(|| {
+                let save = engine
+                    .snapshot_delta(black_box(&full_dir), 0)
+                    .expect("snapshot write");
+                assert!(save.wrote_base, "full snapshot expected: {save:?}");
+                black_box(save.bytes)
+            })
         });
 
-        engine.snapshot(&path).expect("snapshot write");
-        let bytes = std::fs::metadata(&path).expect("snapshot exists").len();
+        let bytes = engine
+            .snapshot_delta(&full_dir, 0)
+            .expect("snapshot write")
+            .bytes;
         eprintln!(
             "snapshot_roundtrip/bytes_on_disk/{n}: {bytes} bytes \
              ({:.1} per sample, {} cached neighborhoods)",
@@ -102,13 +112,15 @@ fn bench_snapshot_roundtrip(c: &mut Criterion) {
             engine.index().cached_count()
         );
 
-        group.bench_with_input(BenchmarkId::new("load", n), &path, |b, path| {
+        group.bench_with_input(BenchmarkId::new("load", n), &full_dir, |b, dir| {
             b.iter(|| {
-                let (engine, report) = CorpusEngine::resume(engine_config(), black_box(path));
+                let (engine, report) = CorpusEngine::resume_chain(engine_config(), black_box(dir));
                 assert!(report.index_restored, "bench must load warm: {report:?}");
+                assert_eq!(engine.index().cached_count(), n);
                 black_box(engine.len())
             })
         });
+        std::fs::remove_dir_all(&full_dir).ok();
 
         group.bench_with_input(
             BenchmarkId::new("encode_sections", n),
@@ -125,9 +137,7 @@ fn bench_snapshot_roundtrip(c: &mut Criterion) {
             day2.remove(id);
         }
         day2.add_batch(2, &strings[n..]);
-        let chain_dir =
-            std::env::temp_dir().join(format!("kizzle-bench-chain-{}-{n}", std::process::id()));
-        std::fs::remove_dir_all(&chain_dir).ok();
+        let chain_dir = scratch_dir("chain", n);
         engine.snapshot_delta(&chain_dir, 8).expect("base written");
         let manifest_path = chain_dir.join("MANIFEST");
         let base_manifest = std::fs::read(&manifest_path).expect("manifest exists");
@@ -168,15 +178,6 @@ fn bench_snapshot_roundtrip(c: &mut Criterion) {
         // pays one eps-ball query per sample (the cost this subsystem
         // exists to avoid) and is too slow to sample at 5k.
         if n == base {
-            group.bench_with_input(BenchmarkId::new("resume_warm", n), &path, |b, path| {
-                b.iter(|| {
-                    let (engine, report) = CorpusEngine::resume(engine_config(), black_box(path));
-                    assert!(report.index_restored, "must resume warm: {report:?}");
-                    assert_eq!(engine.index().cached_count(), n);
-                    black_box(engine.len())
-                })
-            });
-
             let strings = distinct_day_class_strings(n, 900);
             group.bench_with_input(
                 BenchmarkId::new("cold_rebuild", n),
@@ -191,8 +192,6 @@ fn bench_snapshot_roundtrip(c: &mut Criterion) {
                 },
             );
         }
-
-        std::fs::remove_file(&path).ok();
     }
 
     group.finish();

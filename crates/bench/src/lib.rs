@@ -55,7 +55,7 @@ pub fn class_strings(documents: &[String], cap: usize) -> Vec<Vec<u8>> {
 /// one-off pages (noise), matching what the daily pipeline clusters.
 ///
 /// Deterministic for a given `total`; documents are capped at `cap` tokens
-/// like `KizzleCompiler::tokenize_capped` does.
+/// like the service's ingest does (`KizzleConfig::token_cap`).
 #[must_use]
 pub fn synthetic_day_class_strings(total: usize, cap: usize) -> Vec<Vec<u8>> {
     use kizzle_corpus::benign::{generate_benign, BenignKind};

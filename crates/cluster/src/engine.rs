@@ -33,8 +33,7 @@ use crate::distributed::{
 use crate::index::NeighborIndex;
 use crate::store::{CorpusStore, SampleId};
 use kizzle_snapshot::{
-    ChainSave, ChainWriter, ChainedSnapshot, Decoder, Encoder, SectionSource, Snapshot,
-    SnapshotBuilder, SnapshotError,
+    ChainSave, ChainWriter, ChainedSnapshot, Decoder, Encoder, SectionSource, SnapshotError,
 };
 use rayon::prelude::*;
 use std::collections::HashMap;
@@ -47,7 +46,7 @@ pub use kizzle_snapshot::sections::{INDEX_SECTION, STORE_SECTION};
 /// (`engine.snap` + `engine.delta-N.snap`).
 pub const ENGINE_CHAIN_PREFIX: &str = "engine";
 
-/// What a [`CorpusEngine::resume`] actually managed to restore.
+/// What a [`CorpusEngine::resume_chain`] actually managed to restore.
 ///
 /// Resume never fails: the worst outcome is a cold, empty engine — exactly
 /// the state a fresh cron-job process would have had before persistence
@@ -209,26 +208,14 @@ impl CorpusEngine {
         ]
     }
 
-    /// Serialize the warm stack (store + index) as snapshot sections.
-    pub fn write_sections(&self, builder: &mut SnapshotBuilder) {
-        for (name, payload) in self.encode_sections() {
-            builder.section(&name, payload);
-        }
-    }
-
-    /// Write a standalone engine snapshot, atomically (temp then rename).
-    pub fn snapshot(&self, path: &Path) -> std::io::Result<()> {
-        let mut builder = SnapshotBuilder::new();
-        self.write_sections(&mut builder);
-        builder.write_atomic(path)
-    }
-
     /// Persist the engine as the next link of a base→delta snapshot chain
     /// in `dir` (base `engine.snap`, deltas `engine.delta-N.snap`, chain
     /// and section fingerprints recorded in the `MANIFEST` sidecar):
     /// only the sections whose content fingerprint changed since the base
     /// manifest's record are written. Once the chain carries `max_deltas`
-    /// deltas, the next save compacts back to a fresh full base.
+    /// deltas, the next save compacts back to a fresh full base
+    /// (`max_deltas == 0`: every save is a full snapshot — a chain of
+    /// length one).
     ///
     /// [`CorpusEngine::resume_chain`] follows the recorded chain back.
     pub fn snapshot_delta(&self, dir: &Path, max_deltas: usize) -> std::io::Result<ChainSave> {
@@ -247,25 +234,11 @@ impl CorpusEngine {
         )
     }
 
-    /// Resume an engine from a snapshot file. Never fails: any damage
-    /// degrades down the fallback ladder described on [`ResumeReport`].
-    #[must_use]
-    pub fn resume(config: DistributedConfig, path: &Path) -> (Self, ResumeReport) {
-        match Snapshot::read(path) {
-            Ok(snapshot) => CorpusEngine::resume_from_sections(config, &snapshot),
-            Err(err) => {
-                let mut report = ResumeReport::default();
-                report.note(format!("snapshot unreadable, cold start: {err}"));
-                (CorpusEngine::new(config), report)
-            }
-        }
-    }
-
     /// Resume an engine from a [`CorpusEngine::snapshot_delta`] chain in
-    /// `dir`. The ladder gains one rung above [`CorpusEngine::resume`]'s:
-    /// a broken delta truncates the chain (resume the base — an older but
-    /// self-consistent state), then section damage degrades per section,
-    /// then cold. Never fails.
+    /// `dir`. Never fails: any damage degrades down the fallback ladder
+    /// described on [`ResumeReport`], with one rung above it — a broken
+    /// delta truncates the chain (resume the base — an older but
+    /// self-consistent state) before section damage degrades per section.
     #[must_use]
     pub fn resume_chain(config: DistributedConfig, dir: &Path) -> (Self, ResumeReport) {
         match ChainedSnapshot::open(dir, ENGINE_CHAIN_PREFIX) {
@@ -284,10 +257,10 @@ impl CorpusEngine {
         }
     }
 
-    /// Resume from already-parsed snapshot sections — a single [`Snapshot`]
-    /// or a chained overlay (the compiler embeds the engine sections in its
-    /// own state chain). See [`CorpusEngine::resume`] for the fallback
-    /// behavior.
+    /// Resume from already-parsed snapshot sections — a chained overlay
+    /// (the compiler embeds the engine sections in its own state chain) or
+    /// a single parsed container. See [`CorpusEngine::resume_chain`] for
+    /// the fallback behavior.
     #[must_use]
     pub fn resume_from_sections(
         config: DistributedConfig,
@@ -297,10 +270,7 @@ impl CorpusEngine {
 
         let store = match snapshot.section(STORE_SECTION).and_then(|payload| {
             let mut dec = Decoder::new(payload);
-            let store = CorpusStore::decode_from_versioned(
-                &mut dec,
-                snapshot.section_version(STORE_SECTION),
-            )?;
+            let store = CorpusStore::decode_from(&mut dec)?;
             dec.finish()?;
             Ok(store)
         }) {
@@ -318,11 +288,7 @@ impl CorpusEngine {
             .section(INDEX_SECTION)
             .and_then(|payload| {
                 let mut dec = Decoder::new(payload);
-                let index = NeighborIndex::decode_from_versioned(
-                    &mut dec,
-                    snapshot.section_version(INDEX_SECTION),
-                    |id| store.data(id),
-                )?;
+                let index = NeighborIndex::decode_from(&mut dec, |id| store.data(id))?;
                 dec.finish()?;
                 Ok(index)
             })
@@ -602,6 +568,7 @@ mod tests {
     use super::*;
     use crate::dbscan::DbscanParams;
     use crate::distributed::DistributedClusterer;
+    use kizzle_snapshot::Snapshot;
 
     fn family_day(per_family: usize, variant_offset: usize) -> Vec<Vec<u8>> {
         let mut samples = Vec::new();
@@ -722,10 +689,12 @@ mod tests {
         assert_eq!(warm, cold);
     }
 
-    fn temp_path(name: &str) -> std::path::PathBuf {
-        let dir = std::env::temp_dir().join(format!("kizzle-engine-test-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).expect("temp dir");
-        dir.join(name)
+    /// A fresh chain directory per test (a chain directory hosts one chain).
+    fn temp_dir(name: &str) -> std::path::PathBuf {
+        let dir =
+            std::env::temp_dir().join(format!("kizzle-engine-test-{}-{name}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        dir
     }
 
     #[test]
@@ -738,9 +707,9 @@ mod tests {
         let ids1 = engine.add_batch(1, &day1);
         let (_, _) = engine.cluster_day(&ids1);
 
-        let path = temp_path("engine.snap");
-        engine.snapshot(&path).expect("snapshot written");
-        let (mut resumed, report) = CorpusEngine::resume(cfg(), &path);
+        let dir = temp_dir("warm");
+        engine.snapshot_delta(&dir, 0).expect("snapshot written");
+        let (mut resumed, report) = CorpusEngine::resume_chain(cfg(), &dir);
         assert!(report.is_warm(), "report: {report:?}");
         assert_eq!(report.live_samples, engine.len());
         assert!(report.cached_neighborhoods > 0);
@@ -756,7 +725,7 @@ mod tests {
         let (resumed_clustering, resumed_stats) = resumed.cluster_day(&ids2_resumed);
         assert_eq!(live_clustering, resumed_clustering);
         assert!(resumed_stats.index.cache_hits > 0);
-        std::fs::remove_file(&path).ok();
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -765,10 +734,10 @@ mod tests {
         let mut engine = CorpusEngine::new(cfg());
         let ids = engine.add_batch(1, &day);
         let (_, _) = engine.cluster_day(&ids);
-        let path = temp_path("engine-rerun.snap");
-        engine.snapshot(&path).expect("snapshot written");
+        let dir = temp_dir("rerun");
+        engine.snapshot_delta(&dir, 0).expect("snapshot written");
 
-        let (mut resumed, report) = CorpusEngine::resume(cfg(), &path);
+        let (mut resumed, report) = CorpusEngine::resume_chain(cfg(), &dir);
         assert!(report.is_warm());
         // The same content re-added deduplicates onto live entries; the
         // resumed caches answer the whole day — same as a long-lived
@@ -777,14 +746,13 @@ mod tests {
         let (_, stats) = resumed.cluster_day(&ids2);
         assert_eq!(stats.index.queries, 0, "stats: {:?}", stats.index);
         assert!(stats.index.cache_hits > 0);
-        std::fs::remove_file(&path).ok();
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn missing_snapshot_degrades_to_cold_empty_engine() {
-        let path = temp_path("never-written.snap");
-        std::fs::remove_file(&path).ok();
-        let (engine, report) = CorpusEngine::resume(cfg(), &path);
+        let dir = temp_dir("never-written");
+        let (engine, report) = CorpusEngine::resume_chain(cfg(), &dir);
         assert!(engine.is_empty());
         assert!(!report.store_restored);
         assert_eq!(report.notes.len(), 1);
@@ -838,9 +806,9 @@ mod tests {
         let (rebuilt, report) = CorpusEngine::resume_from_sections(cfg(), &snapshot);
         assert!(!report.index_restored);
 
-        let path = temp_path("rebuilt.snap");
-        rebuilt.snapshot(&path).expect("snapshot written");
-        let (mut resumed, report) = CorpusEngine::resume(cfg(), &path);
+        let dir = temp_dir("rebuilt");
+        rebuilt.snapshot_delta(&dir, 0).expect("snapshot written");
+        let (mut resumed, report) = CorpusEngine::resume_chain(cfg(), &dir);
         assert!(
             report.is_warm(),
             "cache-less index is still restorable: {report:?}"
@@ -854,7 +822,7 @@ mod tests {
             stats.index.queries > 0,
             "nothing was cached, so queries were paid"
         );
-        std::fs::remove_file(&path).ok();
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

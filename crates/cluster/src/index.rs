@@ -600,34 +600,6 @@ impl NeighborIndex {
         }
     }
 
-    /// The version-1 encoding: live slots and memoized neighborhoods as
-    /// plain absolute varint id runs instead of gap lists (the pre-chain
-    /// format this build still reads). Test-only writer for the v1→v2
-    /// upgrade regression; production saves always gap-encode.
-    #[doc(hidden)]
-    pub fn encode_into_v1(&self, enc: &mut Encoder) {
-        enc.f64(self.eps);
-        enc.varint_usize(self.width);
-        for slot in self.slot_of {
-            enc.u16(slot);
-        }
-        enc.varint_usize(self.live);
-        for (slot, entry) in self.entries.iter().enumerate() {
-            let Some(entry) = entry else { continue };
-            enc.varint(slot as u64);
-            match &entry.cache {
-                None => enc.bool(false),
-                Some(cache) => {
-                    enc.bool(true);
-                    enc.varint_usize(cache.len());
-                    for &id in cache {
-                        enc.varint(u64::from(id));
-                    }
-                }
-            }
-        }
-    }
-
     /// Rebuild an index from [`NeighborIndex::encode_into`] output,
     /// fetching each entry's bytes through `lookup` (the corpus store).
     /// Histograms and the length window are recomputed under the restored
@@ -640,20 +612,6 @@ impl NeighborIndex {
     /// [`SnapshotError::Corrupt`]; the caller falls back to rebuilding
     /// from the store.
     pub fn decode_from<F>(dec: &mut Decoder<'_>, lookup: F) -> Result<Self, SnapshotError>
-    where
-        F: Fn(SampleId) -> Option<Arc<[u8]>>,
-    {
-        Self::decode_from_versioned(dec, kizzle_snapshot::FORMAT_VERSION, lookup)
-    }
-
-    /// Like [`NeighborIndex::decode_from`], but decoding the slot run and
-    /// cache lists under an explicit container format version: version 1
-    /// carries both as plain absolute varint ids, version 2 as gap lists.
-    pub fn decode_from_versioned<F>(
-        dec: &mut Decoder<'_>,
-        version: u32,
-        lookup: F,
-    ) -> Result<Self, SnapshotError>
     where
         F: Fn(SampleId) -> Option<Arc<[u8]>>,
     {
@@ -687,11 +645,9 @@ impl NeighborIndex {
         index.slot_of = slot_of;
         index.width = width;
 
-        // Pass 1 — structural decode: in v2, slots come as ascending
-        // varint gaps (duplicates are unrepresentable) and caches as gap
-        // lists (strict ascension is structural there too); in v1 both are
-        // plain absolute id runs, so ascension is *validated* instead.
-        let gap_encoded = version >= 2;
+        // Pass 1 — structural decode: slots come as ascending varint gaps
+        // (duplicates are unrepresentable) and caches as gap lists (strict
+        // ascension is structural there too).
         type DecodedEntry = (u32, Arc<[u8]>, Option<Vec<u32>>);
         let live_count = dec.varint_usize()?;
         let mut decoded: Vec<DecodedEntry> = Vec::with_capacity(live_count.min(1 << 20));
@@ -700,33 +656,15 @@ impl NeighborIndex {
             let raw = dec.varint()?;
             let slot = match prev_slot {
                 None => Some(raw),
-                Some(_) if !gap_encoded => Some(raw),
                 Some(p) => raw.checked_add(1).and_then(|g| u64::from(p).checked_add(g)),
             }
             .and_then(|v| u32::try_from(v).ok())
             .ok_or_else(|| corrupt("slot exceeds u32"))?;
-            if !gap_encoded && prev_slot.is_some_and(|p| slot <= p) {
-                return Err(corrupt("v1 slots not strictly ascending"));
-            }
             prev_slot = Some(slot);
             let data =
                 lookup(SampleId::new(slot)).ok_or_else(|| corrupt("entry without sample bytes"))?;
             let cache = if dec.bool()? {
-                if gap_encoded {
-                    Some(dec.gap_list()?)
-                } else {
-                    let count = dec.varint_usize()?;
-                    let mut ids = Vec::with_capacity(count.min(1 << 20));
-                    for _ in 0..count {
-                        let id = u32::try_from(dec.varint()?)
-                            .map_err(|_| corrupt("v1 cache id exceeds u32"))?;
-                        if ids.last().is_some_and(|&p| id <= p) {
-                            return Err(corrupt("v1 cache ids not strictly ascending"));
-                        }
-                        ids.push(id);
-                    }
-                    Some(ids)
-                }
+                Some(dec.gap_list()?)
             } else {
                 None
             };

@@ -266,46 +266,12 @@ impl CorpusStore {
         }
     }
 
-    /// The version-1 live-slot encoding: ascending slots written as plain
-    /// absolute varints instead of gaps (the pre-chain format this build
-    /// still reads). Exists so the v1→v2 upgrade path stays
-    /// regression-testable against byte-faithful legacy snapshots;
-    /// production saves always gap-encode.
-    #[doc(hidden)]
-    pub fn encode_into_v1(&self, enc: &mut Encoder) {
-        enc.varint_usize(self.live);
-        for (slot, entry) in self.slots.iter().enumerate() {
-            if let Some(e) = entry {
-                enc.varint(slot as u64);
-                enc.varint(e.stamp);
-                enc.bytes(&e.data);
-            }
-        }
-        enc.varint_usize(self.free.len());
-        for &slot in &self.free {
-            enc.varint(u64::from(slot));
-        }
-    }
-
     /// Rebuild a store from [`CorpusStore::encode_into`] output. The
     /// content-hash table is derived from the data; structural
     /// inconsistencies (overlapping live/free slots, out-of-range slots,
     /// duplicated content) are rejected as [`SnapshotError::Corrupt`].
     pub fn decode_from(dec: &mut Decoder<'_>) -> Result<Self, SnapshotError> {
-        Self::decode_from_versioned(dec, kizzle_snapshot::FORMAT_VERSION)
-    }
-
-    /// Like [`CorpusStore::decode_from`], but decoding the live-slot run
-    /// under an explicit container format version: version 1 carries
-    /// ascending slots as plain absolute varints, version 2 as gaps.
-    /// Loaders get the version from
-    /// [`SectionSource::section_version`](kizzle_snapshot::SectionSource::section_version).
-    pub fn decode_from_versioned(
-        dec: &mut Decoder<'_>,
-        version: u32,
-    ) -> Result<Self, SnapshotError> {
         let corrupt = |what: &str| SnapshotError::Corrupt(format!("corpus store: {what}"));
-        let gap_encoded = version >= 2;
         let live_count = dec.varint_usize()?;
         let mut live_entries: Vec<(u32, u64, Vec<u8>)> =
             Vec::with_capacity(live_count.min(1 << 20));
@@ -314,16 +280,10 @@ impl CorpusStore {
             let raw = dec.varint()?;
             let slot = match prev_slot {
                 None => Some(raw),
-                Some(_) if !gap_encoded => Some(raw),
                 Some(p) => raw.checked_add(1).and_then(|g| u64::from(p).checked_add(g)),
             }
             .and_then(|v| u32::try_from(v).ok())
             .ok_or_else(|| corrupt("live slot exceeds u32"))?;
-            if !gap_encoded && prev_slot.is_some_and(|p| slot <= p) {
-                // v1 wrote absolute ids ascending; anything else is not a
-                // v1 store section.
-                return Err(corrupt("v1 live slots not strictly ascending"));
-            }
             prev_slot = Some(slot);
             let stamp = dec.varint()?;
             let data = dec.bytes()?.to_vec();

@@ -25,6 +25,16 @@ use std::sync::Arc;
 
 const EPS: f64 = 0.10;
 
+/// The engine's sections as one in-memory container — what a chain of
+/// length one holds on disk.
+fn engine_container(engine: &CorpusEngine) -> Vec<u8> {
+    let mut builder = SnapshotBuilder::new();
+    for (name, payload) in engine.encode_sections() {
+        builder.section(&name, payload);
+    }
+    builder.to_bytes()
+}
+
 fn token_string() -> impl Strategy<Value = Vec<u8>> {
     prop::collection::vec(0u8..6, 0..80)
 }
@@ -160,9 +170,7 @@ proptest! {
         let ids1 = engine.add_batch(1, &day1);
         let (_, _) = engine.cluster_day(&ids1);
 
-        let mut builder = SnapshotBuilder::new();
-        engine.write_sections(&mut builder);
-        let snapshot = Snapshot::from_bytes(&builder.to_bytes()).unwrap();
+        let snapshot = Snapshot::from_bytes(&engine_container(&engine)).unwrap();
         let (mut resumed, report) = CorpusEngine::resume_from_sections(cfg, &snapshot);
         prop_assert!(report.is_warm(), "report: {:?}", report);
 
@@ -189,9 +197,7 @@ proptest! {
         let ids = engine.add_batch(1, &pool);
         let (_, _) = engine.cluster_day(&ids);
 
-        let mut builder = SnapshotBuilder::new();
-        engine.write_sections(&mut builder);
-        let mut bytes = builder.to_bytes();
+        let mut bytes = engine_container(&engine);
         let at = (damage_at as usize) % bytes.len();
         if truncate {
             bytes.truncate(at);
@@ -259,10 +265,12 @@ proptest! {
             engine.snapshot_delta(&dir, 8).unwrap();
         }
 
-        // Full snapshot of the same final engine, resumed the PR 3 way.
-        let full_path = dir.join("full.snap");
-        engine.snapshot(&full_path).unwrap();
-        let (mut via_full, full_report) = CorpusEngine::resume(cfg, &full_path);
+        // Full snapshot of the same final engine: a chain of length one
+        // in a directory of its own.
+        let full_dir = dir.join("full");
+        let full = engine.snapshot_delta(&full_dir, 0).unwrap();
+        prop_assert!(full.wrote_base);
+        let (mut via_full, full_report) = CorpusEngine::resume_chain(cfg, &full_dir);
         prop_assert!(full_report.is_warm(), "full: {:?}", full_report);
 
         let (mut via_chain, chain_report) = CorpusEngine::resume_chain(cfg, &dir);

@@ -7,8 +7,7 @@
 //! of `KizzleConfig::validated`, and a config-fingerprint mismatch was one
 //! `SnapshotError` variant among many. [`KizzleError`] is the one type a
 //! caller matches on instead — every public fallible operation on
-//! [`KizzleService`](crate::KizzleService) and
-//! [`KizzleCompiler`](crate::KizzleCompiler) returns it.
+//! [`KizzleService`](crate::KizzleService) returns it.
 
 use kizzle_snapshot::SnapshotError;
 use std::fmt;

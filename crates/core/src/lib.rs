@@ -5,8 +5,9 @@
 //! anti-virus-style structural signatures for exploit kits, with no analyst
 //! in the loop once it has been seeded with known kits.
 //!
-//! One processing round ([`KizzleCompiler::process_day`]) follows the
-//! paper's Fig. 7 pipeline:
+//! One processing round ([`KizzleService::process_day`], or a
+//! [`DaySession`] fed in mini-batches) follows the paper's Fig. 7
+//! pipeline:
 //!
 //! 1. **Tokenize** every sample into an abstract token stream
 //!    (`kizzle-js`), capped at a configurable prefix length.
@@ -26,17 +27,19 @@
 //! ## The service façade
 //!
 //! The deployment is two-sided — a slow compiler re-clustering daily, a
-//! fast matcher scanning live traffic — and the public API mirrors that:
-//! [`KizzleService`] owns the warm compiler, [`KizzleService::begin_day`]
-//! opens a streaming [`DaySession`] that ingests mini-batches as they
-//! arrive, and [`KizzleService::matcher`] hands out cloneable
-//! `Send + Sync` [`Matcher`] read handles that keep scanning — lock-free
-//! in the steady state — while a day seals, picking up each newly
-//! published signature set atomically. Configuration goes through
+//! fast matcher scanning live traffic — and the public API mirrors that.
+//! [`KizzleService`] is the one compile-side driver: it owns the warm
+//! compiler state, [`KizzleService::begin_day`] opens a streaming
+//! [`DaySession`] that ingests the day as [`Batch`]es — one way in,
+//! whether a batch is borrowed, owned, `Arc`-shared or already tokenized —
+//! and seals it inline or in the background, and
+//! [`KizzleService::save`] / [`KizzleService::open`] persist and resume
+//! the state as a snapshot chain. [`KizzleService::matcher`] hands out
+//! cloneable `Send + Sync` [`Matcher`] read handles that keep scanning —
+//! lock-free in the steady state — while a day seals, picking up each
+//! newly published signature set atomically. Configuration goes through
 //! [`KizzleConfig::builder`], and every fallible operation returns the
-//! unified [`KizzleError`]. The one-object [`KizzleCompiler`] survives
-//! underneath (and [`KizzleCompiler::process_day`] is now a thin wrapper
-//! over the same session phases) for harnesses that want the monolith.
+//! unified [`KizzleError`].
 //!
 //! ## Quickstart
 //!
@@ -83,10 +86,10 @@ pub mod source;
 
 pub use config::{KizzleConfig, KizzleConfigBuilder};
 pub use error::KizzleError;
-pub use pipeline::{ClusterVerdict, DayReport, KizzleCompiler, PipelineStats};
+pub use pipeline::{ClusterVerdict, DayReport, PipelineStats};
 pub use reference::ReferenceCorpus;
 pub use service::{
-    DaySession, IngestProducer, KizzleService, Matcher, ScanVerdict, SealHandle,
+    Batch, DaySession, IngestProducer, KizzleService, Matcher, ScanVerdict, SealHandle,
     DEFAULT_PIPELINE_BOUND,
 };
 pub use snapshot::{config_fingerprint, read_signatures, ResumeReport, DEFAULT_MAX_DELTAS};
@@ -99,10 +102,10 @@ pub mod prelude {
     //! `use kizzle::prelude::*;`.
     pub use crate::config::{KizzleConfig, KizzleConfigBuilder};
     pub use crate::error::KizzleError;
-    pub use crate::pipeline::{ClusterVerdict, DayReport, KizzleCompiler, PipelineStats};
+    pub use crate::pipeline::{ClusterVerdict, DayReport, PipelineStats};
     pub use crate::reference::ReferenceCorpus;
     pub use crate::service::{
-        DaySession, IngestProducer, KizzleService, Matcher, ScanVerdict, SealHandle,
+        Batch, DaySession, IngestProducer, KizzleService, Matcher, ScanVerdict, SealHandle,
     };
     pub use crate::snapshot::ResumeReport;
     pub use crate::source::{ChainFollower, EpochSource, SignatureSource};

@@ -28,10 +28,11 @@ pub struct ClusterVerdict {
 /// Counters from the session ingest frontend, surfaced per day in the
 /// [`DayReport`] so pipeline overlap and backpressure are measurable.
 ///
-/// The single-shot paths ([`KizzleCompiler::process_day`] and friends)
-/// report all zeros; a [`DaySession`](crate::DaySession) counts every
-/// mini-batch, and the bounded-channel frontend additionally records how
-/// often producers stalled on a full channel and how deep the queue got.
+/// A [`DaySession`](crate::DaySession) counts every non-empty mini-batch
+/// (the single-shot [`KizzleService::process_day`](crate::KizzleService::process_day)
+/// is a one-batch session: `submitted_batches == applied_batches == 1`),
+/// and the bounded-channel frontend additionally records how often
+/// producers stalled on a full channel and how deep the queue got.
 /// Like `clustering_stats`, these are observability fields: they are not
 /// part of the [`fmt::Display`] rendering, and equivalence tests normalize
 /// them away.
@@ -105,7 +106,8 @@ pub struct DayReport {
     pub new_signatures: Vec<String>,
     /// Timing of the distributed clustering phases.
     pub clustering_stats: DistributedStats,
-    /// Ingest-frontend counters (all zero on the single-shot paths).
+    /// Ingest-frontend counters (a single-shot `process_day` reports its
+    /// one batch).
     pub pipeline: PipelineStats,
 }
 
@@ -131,18 +133,21 @@ impl fmt::Display for DayReport {
     }
 }
 
-/// The Kizzle signature compiler.
+/// The compiler state behind a [`KizzleService`](crate::KizzleService).
 ///
 /// Holds the labeled reference corpus it was seeded with, the cumulative
 /// set of signatures it has emitted so far, and the warm incremental
-/// corpus engine threaded through consecutive
-/// [`KizzleCompiler::process_day`] calls: each day's class-strings are
-/// tokenized once into the engine's store (content dedup turns the overlap
-/// with recent days into index cache hits), samples older than the
-/// configured retention window are retired, and the day is clustered as a
-/// view over the live corpus — byte-identical to a cold per-day run.
-#[derive(Debug, Clone)]
-pub struct KizzleCompiler {
+/// corpus engine threaded through consecutive days: each day's
+/// class-strings are tokenized once into the engine's store (content dedup
+/// turns the overlap with recent days into index cache hits), samples
+/// older than the configured retention window are retired, and the day is
+/// clustered as a view over the live corpus — byte-identical to a cold
+/// per-day run. The service drives the phases below
+/// ([`open_day`](Self::open_day) → [`ingest_streams`](Self::ingest_streams)
+/// per batch → [`seal_view`](Self::seal_view) →
+/// [`label_and_sign`](Self::label_and_sign)); nothing else does.
+#[derive(Debug)]
+pub(crate) struct KizzleCompiler {
     pub(crate) config: KizzleConfig,
     pub(crate) reference: ReferenceCorpus,
     /// The cumulative signature set, shared by `Arc` with every epoch the
@@ -153,9 +158,8 @@ pub struct KizzleCompiler {
     pub(crate) signatures: Arc<SignatureSet>,
     pub(crate) signature_counters: HashMap<KitFamily, usize>,
     pub(crate) engine: CorpusEngine,
-    /// The most recent day threaded through [`KizzleCompiler::process_day`]
-    /// — the day counter persisted by
-    /// [`KizzleCompiler::save_state`](crate::snapshot).
+    /// The most recent day opened — the day counter persisted by
+    /// [`KizzleCompiler::save_state`].
     pub(crate) last_day: Option<SimDate>,
     /// Each retained day's sample-id view (stamp, ids as deposited —
     /// duplicates included), pruned with the retention window. This is
@@ -167,8 +171,7 @@ pub struct KizzleCompiler {
 
 impl KizzleCompiler {
     /// Create a compiler from a configuration and a seeded reference corpus.
-    #[must_use]
-    pub fn new(config: KizzleConfig, reference: ReferenceCorpus) -> Self {
+    pub(crate) fn new(config: KizzleConfig, reference: ReferenceCorpus) -> Self {
         let config = config.validated();
         KizzleCompiler {
             engine: CorpusEngine::new(config.clustering),
@@ -181,55 +184,10 @@ impl KizzleCompiler {
         }
     }
 
-    /// The pipeline configuration.
-    #[must_use]
-    pub fn config(&self) -> &KizzleConfig {
-        &self.config
-    }
-
-    /// The warm corpus engine (live store size, index state) — exposed for
-    /// observability and tests.
-    #[must_use]
-    pub fn engine(&self) -> &CorpusEngine {
-        &self.engine
-    }
-
-    /// The reference corpus (grows as labeled clusters are absorbed).
-    #[must_use]
-    pub fn reference(&self) -> &ReferenceCorpus {
-        &self.reference
-    }
-
-    /// The signatures deployed so far.
-    #[must_use]
-    pub fn signatures(&self) -> &SignatureSet {
-        &self.signatures
-    }
-
-    /// The signature set as the shared handle the service publishes —
-    /// cloning it is a reference-count bump, not a copy of the set.
-    #[must_use]
-    pub fn signatures_shared(&self) -> Arc<SignatureSet> {
-        Arc::clone(&self.signatures)
-    }
-
-    /// The most recent day processed, if any — survives snapshot save/load.
-    #[must_use]
-    pub fn last_processed_day(&self) -> Option<SimDate> {
-        self.last_day
-    }
-
-    /// Cluster the *entire retention window* — every retained day's batch
-    /// concatenated in day order, duplicates included, so repeated content
-    /// carries the same weight it had per day — through the same
-    /// partition/reduce dataflow as [`KizzleCompiler::process_day`]. The
-    /// multi-day eval mode from the ROADMAP: comparing its cluster count
-    /// with the per-day counts shows how much the day boundary fragments
-    /// slow-moving families.
-    ///
-    /// Read-mostly: memoized neighborhoods computed here stay cached (they
-    /// are exact for any view), so labels of later days are unaffected.
-    pub fn cluster_window(&mut self) -> (Clustering, DistributedStats) {
+    /// The body of [`KizzleService::cluster_window`](crate::KizzleService::cluster_window):
+    /// the retained day views concatenated in day order, duplicates
+    /// included, clustered as one view.
+    pub(crate) fn cluster_window(&mut self) -> (Clustering, DistributedStats) {
         let ids: Vec<SampleId> = self
             .day_views
             .iter()
@@ -238,56 +196,10 @@ impl KizzleCompiler {
         self.engine.cluster_day(&ids)
     }
 
-    /// Tokenize a document and truncate it to the configured prefix length.
-    #[must_use]
-    pub fn tokenize_capped(&self, document: &str) -> TokenStream {
-        kizzle_js::tokenize_document_capped(document, self.config.token_cap)
-    }
-
-    /// Process one day of samples: cluster, label, and generate signatures.
-    /// The generated signatures are added to the active set immediately
-    /// (Kizzle's same-day response).
-    ///
-    /// A thin wrapper over the crate-internal session phases (open →
-    /// ingest → seal) that [`DaySession`](crate::DaySession) drives
-    /// incrementally — here one ingest covers the whole day. The
-    /// mini-batched session produces a byte-identical report
-    /// (property-tested in `tests/service_properties.rs`).
-    pub fn process_day(&mut self, date: SimDate, samples: &[Sample]) -> DayReport {
-        let streams: Vec<TokenStream> = {
-            let _ingest_span = kizzle_telemetry::span!("day.ingest");
-            samples
-                .iter()
-                .map(|s| self.tokenize_capped(&s.html))
-                .collect()
-        };
-        self.process_day_tokenized(date, samples, &streams)
-    }
-
-    /// Like [`KizzleCompiler::process_day`] but reusing already tokenized
-    /// streams (the evaluation harness tokenizes once and shares the streams
-    /// between Kizzle and its metrics).
-    pub fn process_day_tokenized(
-        &mut self,
-        date: SimDate,
-        samples: &[Sample],
-        streams: &[TokenStream],
-    ) -> DayReport {
-        assert_eq!(
-            samples.len(),
-            streams.len(),
-            "samples and streams must be parallel"
-        );
-        let stamp = self.open_day(date);
-        let day_ids = self.ingest_streams(stamp, streams);
-        self.seal_day(date, stamp, &samples, streams, day_ids)
-    }
-
     /// Session phase 1 — open a day: advance the day counter, retire
     /// samples (and day views) that aged out of the retention window, and
-    /// return the day's stamp. Front half of the old monolithic
-    /// `process_day`, split out so ingest can start before the day's data
-    /// has fully arrived.
+    /// return the day's stamp. Its own phase so ingest can start before
+    /// the day's data has fully arrived.
     pub(crate) fn open_day(&mut self, date: SimDate) -> u64 {
         let stamp = u64::try_from(date.absolute_day()).unwrap_or(0);
         self.last_day = Some(date);
@@ -323,66 +235,40 @@ impl KizzleCompiler {
         ids
     }
 
-    /// Session phase 3 — seal the day: record the day view, cluster the
-    /// accumulated ids, label prototypes against the reference corpus, and
-    /// generate signatures. `samples`/`streams`/`day_ids` are the
-    /// position-parallel concatenation of every ingested batch.
+    /// Session phase 3 — record (or replace) the day's retained view and
+    /// capture the clustering inputs while the compiler is borrowed.
+    /// `day_ids` is the concatenation of every ingested batch's ids. The
+    /// returned [`PreparedDay`](kizzle_cluster::PreparedDay) owns
+    /// everything the clustering needs, so the borrow can end before the
+    /// expensive, engine-free
+    /// [`finish`](kizzle_cluster::PreparedDay::finish) starts.
     ///
     /// Re-sealing a day *replaces* its view: a crashed cron job that
     /// re-runs the same date (allowed by the service's monotone check)
     /// must not leave the day counted twice in `cluster_window` or in
     /// persisted snapshots.
-    ///
-    /// Internally two sub-phases so the service can overlap them with the
-    /// next day: [`KizzleCompiler::seal_view`] captures the clustering
-    /// inputs under the borrow, the engine-free
-    /// [`PreparedDay::finish`](kizzle_cluster::PreparedDay::finish) runs
-    /// the expensive clustering anywhere, and
-    /// [`KizzleCompiler::label_and_sign`] folds the result back in.
-    pub(crate) fn seal_day(
-        &mut self,
-        date: SimDate,
-        stamp: u64,
-        samples: &dyn SampleSource,
-        streams: &[TokenStream],
-        day_ids: Vec<SampleId>,
-    ) -> DayReport {
-        let seal_span = kizzle_telemetry::span!("day.seal");
-        let prepared = self.seal_view(stamp, &day_ids);
-        let (clustering, stats) = prepared.finish();
-        let report = self.label_and_sign(date, samples, streams, clustering, stats);
-        let seal_elapsed = seal_span.finish();
-        if kizzle_telemetry::enabled() {
-            kizzle_telemetry::histogram("kizzle_day_seal_ns").observe_duration(seal_elapsed);
-        }
-        report
-    }
-
-    /// Seal sub-phase A — record (or replace) the day's retained view and
-    /// capture the clustering inputs while the compiler is borrowed. The
-    /// returned [`PreparedDay`](kizzle_cluster::PreparedDay) owns
-    /// everything the clustering needs, so the borrow can end before the
-    /// expensive work starts.
     pub(crate) fn seal_view(
         &mut self,
         stamp: u64,
-        day_ids: &[SampleId],
+        day_ids: Vec<SampleId>,
     ) -> kizzle_cluster::PreparedDay {
         self.day_views
             .retain(|(view_stamp, _)| *view_stamp != stamp);
-        self.day_views.push((stamp, day_ids.to_vec()));
-        self.engine.prepare_day(day_ids)
+        let prepared = self.engine.prepare_day(&day_ids);
+        self.day_views.push((stamp, day_ids));
+        prepared
     }
 
-    /// Seal sub-phase B — label cluster prototypes against the reference
+    /// Session phase 4 — label cluster prototypes against the reference
     /// corpus, absorb labeled prototypes, and generate signatures. Touches
     /// reference/signatures/counters but **never** the engine, which is
     /// what lets the next day's ingest mutate the warm store while this
-    /// runs.
+    /// runs. `samples`/`streams` are the position-parallel concatenation
+    /// of every ingested batch.
     pub(crate) fn label_and_sign(
         &mut self,
         date: SimDate,
-        samples: &dyn SampleSource,
+        samples: &SampleRope,
         streams: &[TokenStream],
         clustering: Clustering,
         stats: DistributedStats,
@@ -458,7 +344,7 @@ impl KizzleCompiler {
 
         DayReport {
             date,
-            samples: samples.count(),
+            samples: samples.len(),
             clusters: clustering.cluster_count(),
             noise: clustering.noise.len(),
             verdicts,
@@ -466,23 +352,6 @@ impl KizzleCompiler {
             clustering_stats: stats,
             pipeline: PipelineStats::default(),
         }
-    }
-
-    /// Scan an already tokenized sample against the deployed signatures.
-    #[must_use]
-    pub fn scan_stream(&self, stream: &TokenStream) -> Option<KitFamily> {
-        self.signatures
-            .scan_stream(stream)
-            .and_then(|hit| family_from_label(&hit.label))
-    }
-
-    /// Scan a raw document against the deployed signatures.
-    #[must_use]
-    pub fn scan(&self, document: &str) -> Option<KitFamily> {
-        self.signatures
-            .scan_document_index(document, self.config.token_cap)
-            .and_then(|index| self.signatures.get(index))
-            .and_then(|hit| family_from_label(&hit.label))
     }
 }
 
@@ -492,39 +361,51 @@ pub fn family_from_label(label: &str) -> Option<KitFamily> {
     KitFamily::ALL.into_iter().find(|f| f.name() == label)
 }
 
-/// Read-only, position-addressed view of a day's buffered samples for the
-/// seal phases. The single-shot paths borrow a contiguous `&[Sample]`; the
-/// session buffers `Arc`-shared chunks (so `ingest_owned`/`ingest_shared`
-/// never copy the day a second time) and exposes them through the same
-/// trait.
-pub(crate) trait SampleSource {
-    /// Number of buffered samples (day positions).
-    fn count(&self) -> usize;
-    /// The raw document at day position `index`.
-    fn html(&self, index: usize) -> &str;
+/// The day's samples as `Arc`-shared chunks in application order — a
+/// [`Batch`](crate::Batch) hands its allocation straight in, so a day the
+/// caller moved or shared into the session is buffered once, not twice.
+#[derive(Debug, Default)]
+pub(crate) struct SampleRope {
+    chunks: Vec<Arc<[Sample]>>,
+    /// `starts[c]` is the day position of `chunks[c][0]`.
+    starts: Vec<usize>,
+    len: usize,
 }
 
-impl SampleSource for &[Sample] {
-    fn count(&self) -> usize {
-        self.len()
+impl SampleRope {
+    pub(crate) fn push(&mut self, chunk: Arc<[Sample]>) {
+        if chunk.is_empty() {
+            return;
+        }
+        self.starts.push(self.len);
+        self.len += chunk.len();
+        self.chunks.push(chunk);
     }
 
-    fn html(&self, index: usize) -> &str {
-        &self[index].html
+    /// Number of buffered samples (day positions).
+    pub(crate) fn len(&self) -> usize {
+        self.len
+    }
+
+    /// The raw document at day position `index`.
+    pub(crate) fn html(&self, index: usize) -> &str {
+        let chunk = self.starts.partition_point(|&start| start <= index) - 1;
+        &self.chunks[chunk][index - self.starts[chunk]].html
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::KizzleService;
     use kizzle_corpus::{GraywareStream, GroundTruth, KitModel, StreamConfig};
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
 
-    fn compiler() -> KizzleCompiler {
+    fn service() -> KizzleService {
         let reference =
             ReferenceCorpus::seeded_from_models(SimDate::new(2014, 8, 1), &KizzleConfig::fast());
-        KizzleCompiler::new(KizzleConfig::fast(), reference)
+        KizzleService::new(KizzleConfig::fast(), reference).expect("fast config is valid")
     }
 
     /// A small, malicious-heavy day so clusters form reliably in tests.
@@ -544,30 +425,30 @@ mod tests {
 
     #[test]
     fn process_day_finds_clusters_and_generates_signatures() {
-        let mut compiler = compiler();
+        let mut service = service();
         let date = SimDate::new(2014, 8, 5);
         let day = test_day(date, 3);
-        let report = compiler.process_day(date, &day);
+        let report = service.process_day(date, &day).expect("day processes");
 
         assert_eq!(report.samples, day.len());
         assert!(report.clusters > 0);
         assert!(report.malicious_clusters() >= 2, "report: {report}");
         assert!(!report.new_signatures.is_empty());
-        assert_eq!(compiler.signatures().len(), report.new_signatures.len());
+        assert_eq!(service.signatures().len(), report.new_signatures.len());
     }
 
     #[test]
     fn generated_signatures_detect_same_day_samples() {
-        let mut compiler = compiler();
+        let mut service = service();
         let date = SimDate::new(2014, 8, 5);
         let day = test_day(date, 4);
-        compiler.process_day(date, &day);
+        service.process_day(date, &day).expect("day processes");
 
         let mut detected_malicious = 0usize;
         let mut total_malicious = 0usize;
         let mut false_positives = 0usize;
         for sample in &day {
-            let hit = compiler.scan(&sample.html);
+            let hit = service.matcher().scan(&sample.html);
             match sample.truth {
                 GroundTruth::Malicious(_) => {
                     total_malicious += 1;
@@ -595,13 +476,13 @@ mod tests {
 
     #[test]
     fn detected_family_matches_ground_truth() {
-        let mut compiler = compiler();
+        let mut service = service();
         let date = SimDate::new(2014, 8, 8);
         let day = test_day(date, 5);
-        compiler.process_day(date, &day);
+        service.process_day(date, &day).expect("day processes");
         for sample in &day {
             if let (GroundTruth::Malicious(truth), Some(found)) =
-                (sample.truth, compiler.scan(&sample.html))
+                (sample.truth, service.matcher().scan(&sample.html))
             {
                 assert_eq!(found, truth, "family confusion on {}", sample.id);
             }
@@ -610,22 +491,27 @@ mod tests {
 
     #[test]
     fn signatures_accumulate_across_days() {
-        let mut compiler = compiler();
+        let mut service = service();
         let d1 = SimDate::new(2014, 8, 5);
         let d2 = SimDate::new(2014, 8, 20);
-        compiler.process_day(d1, &test_day(d1, 6));
-        let count_after_day1 = compiler.signatures().len();
-        compiler.process_day(d2, &test_day(d2, 7));
-        assert!(compiler.signatures().len() >= count_after_day1);
+        service
+            .process_day(d1, test_day(d1, 6))
+            .expect("day processes");
+        let count_after_day1 = service.signatures().len();
+        service
+            .process_day(d2, test_day(d2, 7))
+            .expect("day processes");
+        assert!(service.signatures().len() >= count_after_day1);
         // Nuclear rotated its delimiter between the two dates, so a second
         // Nuclear signature must exist if Nuclear clustered on both days.
-        let nuclear_sigs = compiler.signatures().for_label(KitFamily::Nuclear.name());
+        let signatures = service.signatures();
+        let nuclear_sigs = signatures.for_label(KitFamily::Nuclear.name());
         assert!(!nuclear_sigs.is_empty());
     }
 
     #[test]
     fn benign_only_day_produces_no_signatures() {
-        let mut compiler = compiler();
+        let mut service = service();
         let date = SimDate::new(2014, 8, 10);
         let config = StreamConfig {
             samples_per_day: 40,
@@ -634,16 +520,20 @@ mod tests {
             seed: 8,
         };
         let day = GraywareStream::new(config).generate_day(date);
-        let report = compiler.process_day(date, &day);
+        let report = service.process_day(date, &day).expect("day processes");
         assert_eq!(report.malicious_clusters(), 0, "report: {report:?}");
-        assert!(compiler.signatures().is_empty());
-        assert!(day.iter().all(|s| compiler.scan(&s.html).is_none()));
+        assert!(service.signatures().is_empty());
+        assert!(day
+            .iter()
+            .all(|s| service.matcher().scan(&s.html).is_none()));
     }
 
     #[test]
     fn empty_day_is_handled() {
-        let mut compiler = compiler();
-        let report = compiler.process_day(SimDate::new(2014, 8, 1), &[]);
+        let mut service = service();
+        let report = service
+            .process_day(SimDate::new(2014, 8, 1), &[][..])
+            .expect("day processes");
         assert_eq!(report.samples, 0);
         assert_eq!(report.clusters, 0);
         assert!(report.new_signatures.is_empty());
@@ -651,12 +541,12 @@ mod tests {
 
     #[test]
     fn token_cap_is_applied() {
-        let compiler = compiler();
+        let service = service();
         let mut rng = ChaCha8Rng::seed_from_u64(1);
         let html =
             KitModel::new(KitFamily::Rig).generate_sample(SimDate::new(2014, 8, 3), &mut rng);
-        let stream = compiler.tokenize_capped(&html);
-        assert!(stream.len() <= compiler.config().token_cap);
+        let stream = kizzle_js::tokenize_document_capped(&html, service.config().token_cap);
+        assert!(stream.len() <= service.config().token_cap);
     }
 
     #[test]
@@ -669,36 +559,38 @@ mod tests {
 
     #[test]
     fn engine_retains_samples_within_the_retention_window() {
-        let mut compiler = compiler();
-        assert!(compiler.engine().is_empty());
+        let mut service = service();
+        assert!(service.engine().is_empty());
         let d1 = SimDate::new(2014, 8, 5);
         let day1 = test_day(d1, 3);
-        compiler.process_day(d1, &day1);
-        let live_after_day1 = compiler.engine().len();
+        service.process_day(d1, &day1).expect("day processes");
+        let live_after_day1 = service.engine().len();
         assert!(live_after_day1 > 0);
         // The next day (inside the fast() retention window of 2) keeps
         // yesterday's samples warm...
         let d2 = SimDate::new(2014, 8, 6);
-        compiler.process_day(d2, &test_day(d2, 4));
-        assert!(compiler.engine().len() >= live_after_day1);
+        service
+            .process_day(d2, test_day(d2, 4))
+            .expect("day processes");
+        assert!(service.engine().len() >= live_after_day1);
         // ...and a far-future day retires everything older.
         let d3 = SimDate::new(2014, 9, 20);
         let day3 = test_day(d3, 5);
-        compiler.process_day(d3, &day3);
-        assert!(compiler.engine().len() <= day3.len());
+        service.process_day(d3, &day3).expect("day processes");
+        assert!(service.engine().len() <= day3.len());
     }
 
     #[test]
     fn reprocessing_identical_content_hits_the_warm_cache() {
-        let mut compiler = compiler();
+        let mut service = service();
         let d1 = SimDate::new(2014, 8, 5);
         let day = test_day(d1, 3);
-        let first = compiler.process_day(d1, &day);
+        let first = service.process_day(d1, &day).expect("day processes");
         // The same content the next day: every class-string deduplicates
         // onto the live entries, so the index answers purely from its
         // maintained caches.
         let d2 = SimDate::new(2014, 8, 6);
-        let second = compiler.process_day(d2, &day);
+        let second = service.process_day(d2, &day).expect("day processes");
         assert_eq!(second.clusters, first.clusters);
         assert_eq!(second.noise, first.noise);
         assert_eq!(
@@ -719,9 +611,11 @@ mod tests {
 
     #[test]
     fn day_report_display_is_informative() {
-        let mut compiler = compiler();
+        let mut service = service();
         let date = SimDate::new(2014, 8, 5);
-        let report = compiler.process_day(date, &test_day(date, 9));
+        let report = service
+            .process_day(date, test_day(date, 9))
+            .expect("day processes");
         let text = report.to_string();
         assert!(text.contains("8/5/14"));
         assert!(text.contains("clusters"));

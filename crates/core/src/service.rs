@@ -2,22 +2,23 @@
 //! side, lock-free cloneable read handles on the serving side.
 //!
 //! The paper's pipeline is explicitly two-sided — a slow compiler that
-//! re-clusters daily and a fast matcher that scans live traffic — but the
-//! pre-façade API was a single `KizzleCompiler` monolith: `process_day`
-//! demanded the whole day up front, and `scan` was unusable while a day
-//! compiled because both borrowed the same object. [`KizzleService`]
-//! splits the two sides:
+//! re-clusters daily and a fast matcher that scans live traffic — and
+//! [`KizzleService`] is the one driver of both:
 //!
-//! * **Ingest** is a session: [`KizzleService::begin_day`] opens a
-//!   [`DaySession`] that accepts mini-batches as they arrive
-//!   ([`DaySession::ingest`] tokenizes, deduplicates and store-inserts
-//!   eagerly, amortizing the day's front half across the arrival window)
-//!   and [`DaySession::seal`] runs cluster → winnow-label → signature
-//!   generation. Sealing is byte-identical to the old single-shot
-//!   `process_day` over the same sample sequence — held to that by the
-//!   property tests in `tests/service_properties.rs` — and
-//!   [`KizzleCompiler::process_day`] survives as a thin wrapper over the
-//!   same phases.
+//! * **Ingest is a session with one way in.** [`KizzleService::begin_day`]
+//!   opens a [`DaySession`]; every mini-batch enters it as a [`Batch`] —
+//!   built from a borrowed slice (copied), an owned `Vec` (moved), an
+//!   `Arc<[Sample]>` (shared, so the day is never buffered twice), or
+//!   [`Batch::tokenized`] when the caller already holds the token
+//!   streams. [`DaySession::ingest`] tokenizes, deduplicates and
+//!   store-inserts eagerly, amortizing the day's front half across the
+//!   arrival window, and [`DaySession::seal`] runs cluster →
+//!   winnow-label → signature generation → publish.
+//!   [`KizzleService::process_day`] is exactly that for a day that is
+//!   already complete: `begin_day`, one `ingest`, `seal`. However the day
+//!   is cut into batches, and whichever route each batch takes, the seal
+//!   is byte-identical to the one-batch day — held to that by the
+//!   property tests in `tests/service_properties.rs`.
 //! * **Serving** is a handle: [`KizzleService::matcher`] hands out cheap,
 //!   cloneable, `Send + Sync` [`Matcher`]s over an epoch-swapped
 //!   `Arc<SignatureSet>`. Scans keep running against the previous day's
@@ -30,18 +31,14 @@
 //!   pointer swap).
 //! * **The ingest side pipelines.** [`DaySession::pipeline`] puts a
 //!   bounded channel and one worker thread in front of the session:
-//!   cloneable [`IngestProducer`]s submit mini-batches
-//!   ([`IngestProducer::send`], `send_owned`, `send_shared` — the
-//!   `Arc<[Sample]>` variant avoids buffering the day twice — or
-//!   `send_tokenized`) and the worker tokenizes/dedups/store-inserts
-//!   off the producers' threads, a full channel blocking them
-//!   (backpressure, counted in [`DayReport`]`.pipeline`). And the seal
-//!   overlaps: [`DaySession::seal_background`] runs the previous day's
-//!   clustering on a background thread while
-//!   [`KizzleService::begin_day`] for the *next* day returns
-//!   immediately — [`SealHandle::wait`] joins the report. Both paths
-//!   stay byte-identical to the synchronous single-shot run (threaded
-//!   property tests in `tests/service_properties.rs`).
+//!   cloneable [`IngestProducer`]s submit the same [`Batch`]es
+//!   ([`IngestProducer::send`]) and the worker tokenizes/dedups/
+//!   store-inserts off the producers' threads, a full channel blocking
+//!   them (backpressure, counted in [`DayReport`]`.pipeline`). And the
+//!   seal overlaps: [`DaySession::seal_background`] runs the same seal
+//!   body on a background thread while [`KizzleService::begin_day`] for
+//!   the *next* day returns immediately — [`SealHandle::wait`] joins the
+//!   report.
 //!
 //! ```
 //! use kizzle::prelude::*;
@@ -97,10 +94,10 @@
 //! drop(producer);
 //!
 //! // Seal day N off-thread; day N+1 opens immediately and ingests
-//! // while N's clustering runs.
+//! // while N's clustering runs — sharing the caller's allocation.
 //! let sealing = session.seal_background();
 //! let mut next = service.begin_day(date.next())?;
-//! next.ingest_shared(Arc::clone(&day));
+//! next.ingest(Arc::clone(&day));
 //! let report_n = sealing.wait();
 //! let report_n1 = next.seal();
 //! assert_eq!(report_n.samples, day.len());
@@ -110,11 +107,11 @@
 
 use crate::config::KizzleConfig;
 use crate::error::KizzleError;
-use crate::pipeline::{family_from_label, DayReport, KizzleCompiler, PipelineStats, SampleSource};
+use crate::pipeline::{family_from_label, DayReport, KizzleCompiler, PipelineStats, SampleRope};
 use crate::reference::ReferenceCorpus;
 use crate::snapshot::ResumeReport;
 use crate::source::{EpochSource, SignatureSource};
-use kizzle_cluster::{Clustering, CorpusEngine, DistributedStats, SampleId};
+use kizzle_cluster::{Clustering, CorpusEngine, DistributedStats, PreparedDay, SampleId};
 use kizzle_corpus::{KitFamily, Sample, SimDate};
 use kizzle_js::TokenStream;
 use kizzle_signature::SignatureSet;
@@ -146,19 +143,8 @@ struct ServiceCore {
     auto_bound: AtomicU64,
 }
 
-impl ServiceCore {
-    /// Feed a sealed day's backpressure evidence into the adaptive bound.
-    /// `None` (no producer ever stalled) keeps the current bound: it was
-    /// not the bottleneck, so there is nothing to learn.
-    fn store_auto_bound(&self, pipeline: &PipelineStats) {
-        if let Some(bound) = pipeline.suggested_bound() {
-            self.auto_bound.store(bound, Ordering::Relaxed);
-        }
-    }
-}
-
 /// The two-sided Kizzle service: session-based streaming ingest over the
-/// warm [`KizzleCompiler`], and [`Matcher`] read handles over the
+/// warm compiler state, and [`Matcher`] read handles over the
 /// epoch-swapped published signature set. See the [module docs](self) for
 /// the full picture and a usage example.
 ///
@@ -224,17 +210,15 @@ impl KizzleService {
         )))
     }
 
-    /// Wrap an existing compiler (e.g. one restored by
-    /// [`KizzleCompiler::load_state`]), publishing its current signature
-    /// set as epoch 0.
-    #[must_use]
-    pub fn from_compiler(compiler: KizzleCompiler) -> Self {
-        let set = compiler.signatures_shared();
+    /// Wrap compiler state (fresh, or restored from a snapshot chain),
+    /// publishing its current signature set as epoch 0.
+    fn from_compiler(compiler: KizzleCompiler) -> Self {
+        let set = Arc::clone(&compiler.signatures);
         // Seal at publish time: scans on fresh Matcher handles must never
         // pay the pipeline build (a resumed set usually arrives pre-sealed
         // from the snapshot's scan-pipeline section).
         set.seal();
-        let config = *compiler.config();
+        let config = compiler.config;
         let shared = Arc::new(EpochSource::new(set, config.token_cap));
         KizzleService {
             core: Arc::new(ServiceCore {
@@ -283,7 +267,9 @@ impl KizzleService {
     /// [`KizzleService::open`] this propagates every load failure —
     /// [`KizzleError::ConfigFingerprint`] when the snapshot was written
     /// under a different configuration, [`KizzleError::Snapshot`] for
-    /// damage.
+    /// damage or a container of another format version. The fallback
+    /// ladder for recoverable damage is described in
+    /// [`kizzle::snapshot`](crate::snapshot).
     pub fn load(
         state_dir: &Path,
         config: KizzleConfig,
@@ -293,20 +279,31 @@ impl KizzleService {
     }
 
     /// Persist the complete service state into `state_dir` as the next
-    /// link of the snapshot chain (see [`KizzleCompiler::save_state`]).
-    /// Waits out an in-flight background seal first, so what is persisted
-    /// is always a sealed day boundary.
+    /// link of the snapshot chain, with the default compaction cadence
+    /// ([`DEFAULT_MAX_DELTAS`](crate::DEFAULT_MAX_DELTAS)); see
+    /// [`KizzleService::save_compacting`]. Waits out an in-flight
+    /// background seal first, so what is persisted is always a sealed day
+    /// boundary.
     pub fn save(&self, state_dir: &Path) -> Result<(), KizzleError> {
-        self.drain_pending();
-        self.lock_compiler().save_state(state_dir)
+        self.save_compacting(state_dir, crate::snapshot::DEFAULT_MAX_DELTAS)
     }
 
-    /// Like [`KizzleService::save`] with an explicit chain-compaction
-    /// cadence (`max_deltas == 0` writes a full snapshot every time).
+    /// Persist the complete service state into `state_dir` as the next
+    /// link of a base→delta snapshot chain: a full base file
+    /// ([`STATE_FILE`](crate::snapshot::STATE_FILE)) on the first save,
+    /// afterwards a delta holding only the sections whose content
+    /// fingerprint changed since the previous save (on heavily overlapping
+    /// days the reference and signature sections are usually
+    /// byte-identical). Once the chain carries `max_deltas` deltas the
+    /// next save **compacts**: the full base is rewritten and the stale
+    /// deltas removed; `max_deltas == 0` writes a full snapshot every
+    /// time. Every file and the
+    /// [`MANIFEST_FILE`](crate::snapshot::MANIFEST_FILE) sidecar are
+    /// written atomically, so a crash mid-save leaves the previous state
+    /// loadable.
     pub fn save_compacting(&self, state_dir: &Path, max_deltas: usize) -> Result<(), KizzleError> {
         self.drain_pending();
-        self.lock_compiler()
-            .save_state_compacting(state_dir, max_deltas)
+        self.lock_compiler().save_state(state_dir, max_deltas)
     }
 
     /// Open a streaming ingest session for `date`. Mini-batches go in via
@@ -335,7 +332,7 @@ impl KizzleService {
             token_cap: self.config.token_cap,
             core: Arc::clone(&self.core),
             inner: Mutex::new(SessionInner::default()),
-            abort: AtomicBool::new(false),
+            closed: AtomicBool::new(false),
             submitted: AtomicU64::new(0),
             applied: AtomicU64::new(0),
             stalls: AtomicU64::new(0),
@@ -344,15 +341,13 @@ impl KizzleService {
         });
         Ok(DaySession {
             service: self,
-            date,
             state,
             frontend: None,
-            finished: false,
         })
     }
 
     fn check_monotone(&self, date: SimDate) -> Result<(), KizzleError> {
-        if let Some(last) = self.lock_compiler().last_processed_day() {
+        if let Some(last) = self.last_processed_day() {
             if date < last {
                 return Err(KizzleError::Ingest(format!(
                     "day {date} precedes the last opened day {last}"
@@ -375,52 +370,17 @@ impl KizzleService {
         Ok(())
     }
 
-    /// Single-shot convenience: process the whole day through the same
-    /// phases the session drives (no buffering — the samples are borrowed
-    /// straight through the compiler) and publish the grown set.
-    /// Byte-identical to mini-batched ingest of the same sequence.
+    /// Single-shot convenience for a day that is already complete: one
+    /// session, one batch, sealed inline. Byte-identical to mini-batched
+    /// ingest of the same sequence.
     pub fn process_day(
         &mut self,
         date: SimDate,
-        samples: &[Sample],
+        batch: impl Into<Batch>,
     ) -> Result<DayReport, KizzleError> {
-        self.drain_pending();
-        self.check_monotone(date)?;
-        let report = self.lock_compiler().process_day(date, samples);
-        self.publish_current();
-        Ok(report)
-    }
-
-    /// Publish the compiler's current set: seal its scan pipeline (so no
-    /// scan ever pays the build) and swap the shared handle in.
-    fn publish_current(&self) {
-        let _publish_span = kizzle_telemetry::span!("day.publish");
-        let set = self.lock_compiler().signatures_shared();
-        set.seal();
-        self.core.shared.publish(set);
-    }
-
-    /// Like [`KizzleService::process_day`] with already tokenized streams
-    /// (the evaluation harness tokenizes once and shares the streams
-    /// between Kizzle and its metrics). `samples` and `streams` must be
-    /// parallel.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the slices have different lengths.
-    pub fn process_day_tokenized(
-        &mut self,
-        date: SimDate,
-        samples: &[Sample],
-        streams: &[TokenStream],
-    ) -> Result<DayReport, KizzleError> {
-        self.drain_pending();
-        self.check_monotone(date)?;
-        let report = self
-            .lock_compiler()
-            .process_day_tokenized(date, samples, streams);
-        self.publish_current();
-        Ok(report)
+        let mut session = self.begin_day(date)?;
+        session.ingest(batch);
+        Ok(session.seal())
     }
 
     /// A cheap, cloneable, `Send + Sync` read handle over the published
@@ -482,52 +442,25 @@ impl KizzleService {
     /// monotone check compares against. Survives snapshot save/load.
     #[must_use]
     pub fn last_processed_day(&self) -> Option<SimDate> {
-        self.lock_compiler().last_processed_day()
+        self.lock_compiler().last_day
     }
 
-    /// Cluster the entire retention window as one batch (the multi-day
-    /// eval mode) — see [`KizzleCompiler::cluster_window`].
+    /// Cluster the *entire retention window* as one batch — every retained
+    /// day's samples concatenated in day order, duplicates included, so
+    /// repeated content carries the same weight it had per day — through
+    /// the same partition/reduce dataflow as a day's seal. The multi-day
+    /// eval mode: comparing its cluster count with the per-day counts
+    /// shows how much the day boundary fragments slow-moving families.
+    ///
+    /// Read-mostly: memoized neighborhoods computed here stay cached (they
+    /// are exact for any view), so labels of later days are unaffected.
     pub fn cluster_window(&mut self) -> (Clustering, DistributedStats) {
         self.drain_pending();
         self.lock_compiler().cluster_window()
     }
-
-    /// Borrow the underlying compiler (escape hatch for evaluation
-    /// harnesses that need pipeline internals the façade does not carry).
-    /// Guarded like [`KizzleService::signatures`].
-    #[must_use]
-    pub fn compiler(&self) -> CompilerRef<'_> {
-        self.drain_pending();
-        CompilerRef(self.lock_compiler())
-    }
-
-    /// Unwrap the service back into its compiler.
-    #[must_use]
-    pub fn into_compiler(self) -> KizzleCompiler {
-        self.drain_pending();
-        match Arc::try_unwrap(self.core) {
-            Ok(core) => core.compiler.into_inner().expect("compiler lock"),
-            // A detached worker from an abandoned session still holds the
-            // core; clone the warm state out instead of waiting for it.
-            Err(core) => core.compiler.lock().expect("compiler lock").clone(),
-        }
-    }
 }
 
-/// Read guard over the service's [`KizzleCompiler`], returned by
-/// [`KizzleService::compiler`]. Holds the compiler lock until dropped.
-#[derive(Debug)]
-pub struct CompilerRef<'a>(MutexGuard<'a, KizzleCompiler>);
-
-impl Deref for CompilerRef<'_> {
-    type Target = KizzleCompiler;
-
-    fn deref(&self) -> &KizzleCompiler {
-        &self.0
-    }
-}
-
-/// Read guard over the compiler's [`SignatureSet`], returned by
+/// Read guard over the service's [`SignatureSet`], returned by
 /// [`KizzleService::signatures`]. Holds the compiler lock until dropped.
 #[derive(Debug)]
 pub struct SignaturesRef<'a>(MutexGuard<'a, KizzleCompiler>);
@@ -536,11 +469,11 @@ impl Deref for SignaturesRef<'_> {
     type Target = SignatureSet;
 
     fn deref(&self) -> &SignatureSet {
-        self.0.signatures()
+        &self.0.signatures
     }
 }
 
-/// Read guard over the compiler's [`ReferenceCorpus`], returned by
+/// Read guard over the service's [`ReferenceCorpus`], returned by
 /// [`KizzleService::reference`]. Holds the compiler lock until dropped.
 #[derive(Debug)]
 pub struct ReferenceRef<'a>(MutexGuard<'a, KizzleCompiler>);
@@ -549,11 +482,11 @@ impl Deref for ReferenceRef<'_> {
     type Target = ReferenceCorpus;
 
     fn deref(&self) -> &ReferenceCorpus {
-        self.0.reference()
+        &self.0.reference
     }
 }
 
-/// Read guard over the compiler's [`CorpusEngine`], returned by
+/// Read guard over the service's [`CorpusEngine`], returned by
 /// [`KizzleService::engine`]. Holds the compiler lock until dropped.
 #[derive(Debug)]
 pub struct EngineRef<'a>(MutexGuard<'a, KizzleCompiler>);
@@ -562,7 +495,83 @@ impl Deref for EngineRef<'_> {
     type Target = CorpusEngine;
 
     fn deref(&self) -> &CorpusEngine {
-        self.0.engine()
+        &self.0.engine
+    }
+}
+
+/// One mini-batch of a day's samples — the single currency of ingest:
+/// [`DaySession::ingest`], [`IngestProducer::send`] and
+/// [`KizzleService::process_day`] all take `impl Into<Batch>`.
+///
+/// The samples are held as an `Arc<[Sample]>`, and the `From` impls say
+/// what that costs the caller: `&[Sample]` (and `&Vec<Sample>`) **copies**
+/// the batch into shared storage, `Vec<Sample>` **moves** it, and
+/// `Arc<[Sample]>` **shares** the caller's allocation — the session
+/// buffers the batch until seal (cluster member indices are
+/// day-positional, and labeling/signature generation need the originals),
+/// so a large day held elsewhere is best handed in shared.
+/// [`Batch::tokenized`] additionally carries token streams the caller
+/// already computed; any other batch is tokenized by the session.
+///
+/// An **empty** batch is an accepted no-op: it does not open the day, so
+/// a frontend that flushes on a timer and sends empty ticks never commits
+/// a day (or runs its retention sweep) ahead of real traffic.
+#[derive(Debug)]
+pub struct Batch {
+    samples: Arc<[Sample]>,
+    /// Caller-provided token streams, position-parallel with `samples`.
+    streams: Option<Vec<TokenStream>>,
+}
+
+impl Batch {
+    /// A batch with already tokenized streams, position-parallel with
+    /// `samples` (the evaluation harness tokenizes once and shares the
+    /// streams between Kizzle and its metrics — a [`TokenStream`] clone is
+    /// two reference-count bumps). `samples` converts like the `From`
+    /// impls: a slice copies, a `Vec` moves, an `Arc<[Sample]>` shares.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the lengths differ.
+    #[must_use]
+    pub fn tokenized(samples: impl Into<Arc<[Sample]>>, streams: Vec<TokenStream>) -> Self {
+        let samples = samples.into();
+        assert_eq!(
+            samples.len(),
+            streams.len(),
+            "samples and streams must be parallel"
+        );
+        Batch {
+            samples,
+            streams: Some(streams),
+        }
+    }
+}
+
+impl From<Arc<[Sample]>> for Batch {
+    fn from(samples: Arc<[Sample]>) -> Self {
+        Batch {
+            samples,
+            streams: None,
+        }
+    }
+}
+
+impl From<Vec<Sample>> for Batch {
+    fn from(samples: Vec<Sample>) -> Self {
+        Batch::from(Arc::<[Sample]>::from(samples))
+    }
+}
+
+impl From<&[Sample]> for Batch {
+    fn from(samples: &[Sample]) -> Self {
+        Batch::from(Arc::<[Sample]>::from(samples))
+    }
+}
+
+impl From<&Vec<Sample>> for Batch {
+    fn from(samples: &Vec<Sample>) -> Self {
+        Batch::from(samples.as_slice())
     }
 }
 
@@ -589,9 +598,11 @@ struct SessionState {
     token_cap: usize,
     core: Arc<ServiceCore>,
     inner: Mutex<SessionInner>,
-    /// Raised when the session is dropped unsealed: producers stop
-    /// submitting, the worker discards instead of applying.
-    abort: AtomicBool,
+    /// Raised once the session accepts no more work. A seal raises it at
+    /// the cutoff, *after* its worker has applied everything queued before
+    /// it; dropping the session unsealed raises it with the worker still
+    /// running, which then discards what is queued instead of applying it.
+    closed: AtomicBool,
     submitted: AtomicU64,
     applied: AtomicU64,
     stalls: AtomicU64,
@@ -610,49 +621,9 @@ impl SessionState {
     }
 }
 
-/// The day's samples as `Arc`-shared chunks in application order —
-/// [`DaySession::ingest_owned`]/[`DaySession::ingest_shared`] hand their
-/// allocation straight in, so large days are buffered once, not twice.
-#[derive(Debug, Default)]
-struct SampleRope {
-    chunks: Vec<Arc<[Sample]>>,
-    /// `starts[c]` is the day position of `chunks[c][0]`.
-    starts: Vec<usize>,
-    len: usize,
-}
-
-impl SampleRope {
-    fn push(&mut self, chunk: Arc<[Sample]>) {
-        if chunk.is_empty() {
-            return;
-        }
-        self.starts.push(self.len);
-        self.len += chunk.len();
-        self.chunks.push(chunk);
-    }
-
-    fn len(&self) -> usize {
-        self.len
-    }
-}
-
-impl SampleSource for SampleRope {
-    fn count(&self) -> usize {
-        self.len
-    }
-
-    fn html(&self, index: usize) -> &str {
-        let chunk = self.starts.partition_point(|&start| start <= index) - 1;
-        &self.chunks[chunk][index - self.starts[chunk]].html
-    }
-}
-
 /// One unit of work on the ingest channel.
 enum Job {
-    /// Tokenize on the worker, then apply.
-    Raw(Arc<[Sample]>),
-    /// Apply with caller-provided token streams.
-    Tokenized(Arc<[Sample]>, Vec<TokenStream>),
+    Batch(Batch),
     /// Seal cutoff: the worker stops reading the channel and exits.
     Finish,
 }
@@ -662,28 +633,29 @@ enum Job {
 #[derive(Debug)]
 struct Frontend {
     tx: SyncSender<Job>,
-    worker: Option<JoinHandle<()>>,
+    worker: JoinHandle<()>,
 }
 
-/// Tokenize/dedup/store-insert one mini-batch atomically: the whole batch
-/// lands under one compiler lock, so no observer (and no abort) ever sees
-/// a half-inserted batch.
-fn apply_batch(state: &SessionState, samples: Arc<[Sample]>, streams: Vec<TokenStream>) {
-    debug_assert_eq!(samples.len(), streams.len());
-    if samples.is_empty() {
-        return;
-    }
+/// Tokenize (unless the caller already did), dedup and store-insert one
+/// non-empty mini-batch atomically: the whole batch lands under one
+/// compiler lock, so no observer (and no abort) ever sees a half-inserted
+/// batch. Tokenizing happens before the lock is taken.
+fn apply_batch(state: &SessionState, batch: Batch) {
+    let Batch { samples, streams } = batch;
+    let streams = streams.unwrap_or_else(|| {
+        let _ingest_span = kizzle_telemetry::span!("day.ingest");
+        samples
+            .iter()
+            .map(|s| kizzle_js::tokenize_document_capped(&s.html, state.token_cap))
+            .collect()
+    });
     let mut compiler = state.core.compiler.lock().expect("compiler lock");
     let mut inner = state.inner.lock().expect("session buffers lock");
+    // The first batch applied opens the day: advance the cursor, run the
+    // retention sweep.
     let stamp = match inner.stamp {
         Some(stamp) => stamp,
-        None => {
-            // First non-empty batch opens the day: advance the cursor, run
-            // the retention sweep — same point as the synchronous path.
-            let stamp = compiler.open_day(state.date);
-            inner.stamp = Some(stamp);
-            stamp
-        }
+        None => *inner.stamp.insert(compiler.open_day(state.date)),
     };
     let ids = compiler.ingest_streams(stamp, &streams);
     inner.day_ids.extend(ids);
@@ -692,71 +664,53 @@ fn apply_batch(state: &SessionState, samples: Arc<[Sample]>, streams: Vec<TokenS
     state.applied.fetch_add(1, Ordering::Relaxed);
 }
 
-/// Submit a job with backpressure: try the channel first, count a stall
-/// and block when it is full. `false` means the job was not accepted
-/// (worker gone, or the session aborted).
-fn submit_job(state: &SessionState, tx: &SyncSender<Job>, job: Job) -> bool {
-    if state.abort.load(Ordering::Acquire) {
+/// The one way a batch enters a session, for direct ingest and producers
+/// alike. Returns whether the session still accepts work: `false` once it
+/// has sealed or been dropped (or its worker is gone). An empty batch is
+/// never counted, queued or applied. With no frontend (`tx` is `None`) the
+/// batch is applied inline; with one it rides the channel — try first,
+/// count a stall and block when the channel is full — which keeps one
+/// FIFO order across direct and producer submissions.
+fn submit(state: &SessionState, tx: Option<&SyncSender<Job>>, batch: Batch) -> bool {
+    if state.closed.load(Ordering::Acquire) {
         return false;
     }
+    if batch.samples.is_empty() {
+        return true;
+    }
+    state.submitted.fetch_add(1, Ordering::Relaxed);
+    let Some(tx) = tx else {
+        apply_batch(state, batch);
+        return true;
+    };
     let depth = state.queued.fetch_add(1, Ordering::Relaxed) + 1;
     state.max_queued.fetch_max(depth, Ordering::Relaxed);
-    state.submitted.fetch_add(1, Ordering::Relaxed);
-    let job = match tx.try_send(job) {
-        Ok(()) => return true,
+    let accepted = match tx.try_send(Job::Batch(batch)) {
+        Ok(()) => true,
         Err(TrySendError::Full(job)) => {
             state.stalls.fetch_add(1, Ordering::Relaxed);
-            job
+            tx.send(job).is_ok()
         }
-        Err(TrySendError::Disconnected(job)) => {
-            drop(job);
-            state.queued.fetch_sub(1, Ordering::Relaxed);
-            state.submitted.fetch_sub(1, Ordering::Relaxed);
-            return false;
-        }
+        Err(TrySendError::Disconnected(_)) => false,
     };
-    match tx.send(job) {
-        Ok(()) => true,
-        Err(_) => {
-            state.queued.fetch_sub(1, Ordering::Relaxed);
-            state.submitted.fetch_sub(1, Ordering::Relaxed);
-            false
-        }
+    if !accepted {
+        state.queued.fetch_sub(1, Ordering::Relaxed);
+        state.submitted.fetch_sub(1, Ordering::Relaxed);
     }
+    accepted
 }
 
-/// The channel worker: drain jobs in FIFO order, tokenizing and applying
-/// off the producers' threads, until the seal's `Finish` sentinel or
-/// channel disconnect (every sender gone). An aborted session's jobs are
-/// received and discarded, so a producer blocked on a full channel always
-/// unblocks.
+/// The channel worker: drain batches in FIFO order, tokenizing and
+/// applying off the producers' threads, until the seal's `Finish` sentinel
+/// or channel disconnect (every sender gone). An abandoned session's
+/// batches are received and discarded, so a producer blocked on a full
+/// channel always unblocks.
 fn ingest_worker(state: &SessionState, rx: &Receiver<Job>) {
-    while let Ok(job) = rx.recv() {
-        let (samples, streams) = match job {
-            Job::Finish => break,
-            Job::Raw(samples) => {
-                state.queued.fetch_sub(1, Ordering::Relaxed);
-                if state.abort.load(Ordering::Acquire) {
-                    continue;
-                }
-                let streams = {
-                    let _ingest_span = kizzle_telemetry::span!("day.ingest");
-                    samples
-                        .iter()
-                        .map(|s| kizzle_js::tokenize_document_capped(&s.html, state.token_cap))
-                        .collect()
-                };
-                (samples, streams)
-            }
-            Job::Tokenized(samples, streams) => {
-                state.queued.fetch_sub(1, Ordering::Relaxed);
-                if state.abort.load(Ordering::Acquire) {
-                    continue;
-                }
-                (samples, streams)
-            }
-        };
-        apply_batch(state, samples, streams);
+    while let Ok(Job::Batch(batch)) = rx.recv() {
+        state.queued.fetch_sub(1, Ordering::Relaxed);
+        if !state.closed.load(Ordering::Acquire) {
+            apply_batch(state, batch);
+        }
     }
 }
 
@@ -777,48 +731,12 @@ pub struct IngestProducer {
 }
 
 impl IngestProducer {
-    /// Submit a mini-batch by copy (the batch is cloned into shared
-    /// storage). Empty batches are accepted no-ops.
-    pub fn send(&self, samples: &[Sample]) -> bool {
-        if samples.is_empty() {
-            return !self.state.abort.load(Ordering::Acquire);
-        }
-        self.send_shared(samples.into())
-    }
-
-    /// Submit an owned mini-batch — moved, not copied.
-    pub fn send_owned(&self, samples: Vec<Sample>) -> bool {
-        if samples.is_empty() {
-            return !self.state.abort.load(Ordering::Acquire);
-        }
-        self.send_shared(samples.into())
-    }
-
-    /// Submit an `Arc`-shared mini-batch — the session buffers the same
-    /// allocation the caller keeps, so the day is never held twice.
-    pub fn send_shared(&self, samples: Arc<[Sample]>) -> bool {
-        if samples.is_empty() {
-            return !self.state.abort.load(Ordering::Acquire);
-        }
-        submit_job(&self.state, &self.tx, Job::Raw(samples))
-    }
-
-    /// Submit an `Arc`-shared mini-batch with already tokenized streams
-    /// (position-parallel with `samples`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the lengths differ.
-    pub fn send_tokenized(&self, samples: Arc<[Sample]>, streams: Vec<TokenStream>) -> bool {
-        assert_eq!(
-            samples.len(),
-            streams.len(),
-            "samples and streams must be parallel"
-        );
-        if samples.is_empty() {
-            return !self.state.abort.load(Ordering::Acquire);
-        }
-        submit_job(&self.state, &self.tx, Job::Tokenized(samples, streams))
+    /// Submit a mini-batch (see [`Batch`] for what each source type
+    /// costs). Returns whether the session still accepts work — for an
+    /// empty batch too, so a timer-driven feeder sending empty ticks
+    /// learns that the session is gone.
+    pub fn send(&self, batch: impl Into<Batch>) -> bool {
+        submit(&self.state, Some(&self.tx), batch.into())
     }
 }
 
@@ -852,27 +770,18 @@ impl IngestProducer {
 /// boundaries are byte-identical to the synchronous path (property-tested
 /// in `tests/service_properties.rs`); the [`DayReport::pipeline`] counters
 /// record how hard the frontend worked.
-///
-/// The direct ingest calls buffer sample and stream copies until seal
-/// (cluster member indices are day-positional, and labeling/signature
-/// generation need the originals); [`DaySession::ingest_owned`] /
-/// [`DaySession::ingest_shared`] move or share the allocation instead, so
-/// a large day is held once, not twice.
 #[derive(Debug)]
 pub struct DaySession<'a> {
     service: &'a mut KizzleService,
-    date: SimDate,
     state: Arc<SessionState>,
     frontend: Option<Frontend>,
-    /// Set by the seal paths so `Drop` knows not to abort.
-    finished: bool,
 }
 
 impl DaySession<'_> {
     /// The day this session ingests.
     #[must_use]
     pub fn date(&self) -> SimDate {
-        self.date
+        self.state.date
     }
 
     /// Number of samples applied to the warm store so far. With a
@@ -899,19 +808,15 @@ impl DaySession<'_> {
     /// [`DaySession::seal_background`] has flushed the channel, further
     /// sends return `false`.
     pub fn pipeline(&mut self, channel_bound: usize) -> IngestProducer {
-        if self.frontend.is_none() {
+        let frontend = self.frontend.get_or_insert_with(|| {
             let (tx, rx) = std::sync::mpsc::sync_channel(channel_bound.max(1));
             let state = Arc::clone(&self.state);
             let worker = std::thread::Builder::new()
                 .name("kizzle-ingest".into())
                 .spawn(move || ingest_worker(&state, &rx))
                 .expect("spawn ingest worker");
-            self.frontend = Some(Frontend {
-                tx,
-                worker: Some(worker),
-            });
-        }
-        let frontend = self.frontend.as_ref().expect("frontend just created");
+            Frontend { tx, worker }
+        });
         IngestProducer {
             tx: frontend.tx.clone(),
             state: Arc::clone(&self.state),
@@ -927,160 +832,98 @@ impl DaySession<'_> {
     /// bound ratchets to the workload instead of oscillating. Callers that
     /// know their burst shape keep [`DaySession::pipeline`].
     pub fn pipeline_auto(&mut self) -> IngestProducer {
-        let bound = usize::try_from(self.state.core.auto_bound.load(Ordering::Relaxed))
-            .unwrap_or(DEFAULT_PIPELINE_BOUND);
+        let bound = self.service.auto_pipeline_bound();
         self.pipeline(bound)
     }
 
-    /// Ingest a mini-batch: tokenize each sample (capped at the configured
-    /// prefix), deposit the class-strings into the warm engine (duplicate
-    /// content — intra-day or carried over from recent days — dedups onto
-    /// the live entry), and index fresh content immediately. When the
-    /// pipelined frontend is active the batch rides the channel instead
-    /// (tokenized by the worker), keeping one FIFO order across direct and
-    /// producer submissions.
-    pub fn ingest(&mut self, samples: &[Sample]) {
-        if samples.is_empty() {
-            return;
-        }
-        self.ingest_shared(samples.into());
+    /// Ingest a mini-batch (see [`Batch`] for the accepted sources):
+    /// tokenize each sample (capped at the configured prefix) unless the
+    /// batch brought its streams, deposit the class-strings into the warm
+    /// engine (duplicate content — intra-day or carried over from recent
+    /// days — dedups onto the live entry), and index fresh content
+    /// immediately. When the pipelined frontend is active the batch rides
+    /// the channel instead (tokenized by the worker), keeping one FIFO
+    /// order across direct and producer submissions.
+    pub fn ingest(&mut self, batch: impl Into<Batch>) {
+        let tx = self.frontend.as_ref().map(|frontend| &frontend.tx);
+        submit(&self.state, tx, batch.into());
     }
 
-    /// Like [`DaySession::ingest`], taking ownership of the batch — the
-    /// day is buffered once instead of copied into the session.
-    pub fn ingest_owned(&mut self, samples: Vec<Sample>) {
-        if samples.is_empty() {
-            return;
-        }
-        self.ingest_shared(samples.into());
-    }
-
-    /// Like [`DaySession::ingest`] over an `Arc`-shared batch — the
-    /// session buffers the caller's allocation, so a large day held
-    /// elsewhere is never duplicated.
-    pub fn ingest_shared(&mut self, samples: Arc<[Sample]>) {
-        if samples.is_empty() {
-            return;
-        }
-        if let Some(frontend) = &self.frontend {
-            submit_job(&self.state, &frontend.tx, Job::Raw(samples));
-            return;
-        }
-        let streams: Vec<TokenStream> = {
-            let _ingest_span = kizzle_telemetry::span!("day.ingest");
-            samples
-                .iter()
-                .map(|s| kizzle_js::tokenize_document_capped(&s.html, self.state.token_cap))
-                .collect()
-        };
-        self.state.submitted.fetch_add(1, Ordering::Relaxed);
-        apply_batch(&self.state, samples, streams);
-    }
-
-    /// Like [`DaySession::ingest`] with already tokenized streams (the
-    /// evaluation harness tokenizes once and shares the streams between
-    /// Kizzle and its metrics). `samples` and `streams` must be parallel.
-    /// The streams are shared, not copied: a [`TokenStream`] clone is two
-    /// reference-count bumps.
-    ///
-    /// An empty batch is a no-op: it does **not** open the day, so a
-    /// frontend that flushes on a timer and sends empty ticks never
-    /// commits a day (or runs its retention sweep) ahead of real traffic.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the slices have different lengths.
-    pub fn ingest_tokenized(&mut self, samples: &[Sample], streams: &[TokenStream]) {
-        assert_eq!(
-            samples.len(),
-            streams.len(),
-            "samples and streams must be parallel"
-        );
-        if samples.is_empty() {
-            return;
-        }
-        if let Some(frontend) = &self.frontend {
-            submit_job(
-                &self.state,
-                &frontend.tx,
-                Job::Tokenized(samples.into(), streams.to_vec()),
-            );
-            return;
-        }
-        self.state.submitted.fetch_add(1, Ordering::Relaxed);
-        apply_batch(&self.state, samples.into(), streams.to_vec());
-    }
-
-    /// Flush the frontend and stop its worker: send the `Finish` sentinel
-    /// (blocking until the channel has room, so every batch queued before
-    /// the cutoff is applied first) and join. Producer sends after the
-    /// cutoff return `false`.
-    fn close_frontend(&mut self) {
-        if let Some(mut frontend) = self.frontend.take() {
+    /// The part of a seal that needs the session, on the calling thread:
+    /// flush the frontend and stop its worker (the `Finish` sentinel
+    /// blocks until the channel has room, so every batch queued before the
+    /// cutoff is applied first; sends after it return `false`), wait out
+    /// the previous day's background seal so seals serialize, take the
+    /// day's buffers, open the day if no batch did, and record the day
+    /// view / capture the clustering inputs. What comes back owns
+    /// everything [`run_seal`] needs, so the session's borrow of the
+    /// service ends here.
+    fn close(&mut self) -> PendingSeal {
+        if let Some(frontend) = self.frontend.take() {
             let _ = frontend.tx.send(Job::Finish);
             drop(frontend.tx);
-            if let Some(worker) = frontend.worker.take() {
-                if let Err(payload) = worker.join() {
-                    std::panic::resume_unwind(payload);
-                }
+            if let Err(payload) = frontend.worker.join() {
+                std::panic::resume_unwind(payload);
             }
         }
-    }
-
-    /// Take the day's buffers out of the shared state for sealing.
-    fn take_buffers(&self) -> SessionInner {
-        let mut inner = self.state.inner.lock().expect("session buffers lock");
-        mem::take(&mut *inner)
+        self.state.closed.store(true, Ordering::Release);
+        self.service.drain_pending();
+        let buffers = mem::take(&mut *self.state.inner.lock().expect("session buffers lock"));
+        let prepared = {
+            let mut compiler = self.service.lock_compiler();
+            let stamp = buffers
+                .stamp
+                .unwrap_or_else(|| compiler.open_day(self.state.date));
+            compiler.seal_view(stamp, buffers.day_ids)
+        };
+        // The frontend is closed, so the stats are final: feed the
+        // adaptive bound now — `begin_day(d+1)` may call `pipeline_auto`
+        // before a background seal even starts. `None` (no producer ever
+        // stalled) keeps the current bound: it was not the bottleneck, so
+        // there is nothing to learn.
+        let pipeline = self.state.pipeline_stats();
+        if let Some(bound) = pipeline.suggested_bound() {
+            self.service.core.auto_bound.store(bound, Ordering::Relaxed);
+        }
+        PendingSeal {
+            core: Arc::clone(&self.service.core),
+            date: self.state.date,
+            prepared,
+            samples: buffers.samples,
+            streams: buffers.streams,
+            pipeline,
+        }
     }
 
     /// Seal the day: cluster the accumulated samples, label cluster
     /// prototypes against the reference corpus, generate signatures for
     /// malicious clusters, and **publish** the grown signature set to
-    /// every [`Matcher`] handle atomically. Byte-identical to single-shot
-    /// [`KizzleCompiler::process_day`] over the same sample sequence.
+    /// every [`Matcher`] handle atomically — inline, on the calling
+    /// thread. The result depends only on the day's sample sequence, not
+    /// on how it was cut into batches.
     ///
     /// Sealing is an explicit commit even when nothing was ingested: a
     /// quiet cron day still advances the day cursor and runs the retention
-    /// sweep, exactly like `process_day(date, &[])`. Only *implicit*
-    /// empty ticks ([`DaySession::ingest`] of an empty batch) are no-ops —
-    /// don't call `seal` on a session you meant to abandon.
+    /// sweep. Only *implicit* empty ticks ([`DaySession::ingest`] of an
+    /// empty batch) are no-ops — don't call `seal` on a session you meant
+    /// to abandon.
     ///
     /// Flushes the pipelined frontend first (everything queued before the
     /// cutoff is applied; later sends return `false`) and waits out a
     /// previous day's background seal, so seals always serialize.
     #[must_use = "the day report is the output of the whole session"]
     pub fn seal(mut self) -> DayReport {
-        self.close_frontend();
-        self.service.drain_pending();
-        let buffers = self.take_buffers();
-        let mut report = {
-            let mut compiler = self.service.lock_compiler();
-            let stamp = buffers
-                .stamp
-                .unwrap_or_else(|| compiler.open_day(self.date));
-            compiler.seal_day(
-                self.date,
-                stamp,
-                &buffers.samples,
-                &buffers.streams,
-                buffers.day_ids,
-            )
-        };
-        report.pipeline = self.state.pipeline_stats();
-        report.pipeline.record_to_registry();
-        self.state.core.store_auto_bound(&report.pipeline);
-        self.service.publish_current();
-        self.finished = true;
-        report
+        run_seal(self.close())
     }
 
     /// Seal the day on a background thread and return a [`SealHandle`]
     /// for the report. The cheap borrow phase (frontend flush, day-view
     /// record, clustering-input capture) runs here; the expensive phase
     /// (partition → DBSCAN → reduce, then label/sign and the atomic
-    /// publish) runs on the spawned thread. The service is free the moment
-    /// this returns: `begin_day(d+1)` and its ingest overlap the seal,
-    /// which is the pipeline's headline win.
+    /// publish) is the same body [`DaySession::seal`] runs, on the spawned
+    /// thread. The service is free the moment this returns:
+    /// `begin_day(d+1)` and its ingest overlap the seal, which is the
+    /// pipeline's headline win.
     ///
     /// The published result is byte-identical to [`DaySession::seal`].
     /// Compiler-state accessors ([`KizzleService::signatures`], `save`,
@@ -1089,86 +932,82 @@ impl DaySession<'_> {
     /// background publish swaps the new one in atomically.
     #[must_use = "the handle is the only way to get the day report"]
     pub fn seal_background(mut self) -> SealHandle {
-        self.close_frontend();
-        self.service.drain_pending();
-        let buffers = self.take_buffers();
-        let date = self.date;
-        let prepared = {
-            let mut compiler = self.service.lock_compiler();
-            let stamp = buffers
-                .stamp
-                .unwrap_or_else(|| compiler.open_day(self.date));
-            compiler.seal_view(stamp, &buffers.day_ids)
-        };
+        let pending = self.close();
         let slot = SealSlot::new();
-        let core = Arc::clone(&self.service.core);
-        // The frontend is closed, so the stats are final: feed the
-        // adaptive bound now — `begin_day(d+1)` may call `pipeline_auto`
-        // before the background thread even starts.
-        let pipeline = self.state.pipeline_stats();
-        core.store_auto_bound(&pipeline);
-        let guard_slot = Arc::clone(&slot);
-        let samples = buffers.samples;
-        let streams = buffers.streams;
+        let guard = SealGuard {
+            slot: Arc::clone(&slot),
+            completed: false,
+        };
         let worker = std::thread::Builder::new()
             .name("kizzle-seal".into())
-            .spawn(move || {
-                let guard = SealGuard {
-                    slot: guard_slot,
-                    completed: false,
-                };
-                let seal_span = kizzle_telemetry::span!("day.seal");
-                // The expensive phase: engine-free, runs unlocked, so the
-                // next day's ingest proceeds concurrently.
-                let (clustering, stats) = prepared.finish();
-                let (mut report, set) = {
-                    let mut compiler = core.compiler.lock().expect("compiler lock");
-                    let report =
-                        compiler.label_and_sign(date, &samples, &streams, clustering, stats);
-                    (report, compiler.signatures_shared())
-                };
-                report.pipeline = pipeline;
-                report.pipeline.record_to_registry();
-                let seal_elapsed = seal_span.finish();
-                if kizzle_telemetry::enabled() {
-                    kizzle_telemetry::histogram("kizzle_day_seal_ns")
-                        .observe_duration(seal_elapsed);
-                }
-                // Seal (pipeline build) outside the lock, then the same
-                // atomic epoch swap as the synchronous path.
-                let publish_span = kizzle_telemetry::span!("day.publish");
-                set.seal();
-                core.shared.publish(set);
-                publish_span.finish();
-                guard.complete(report);
-            })
+            .spawn(move || guard.complete(run_seal(pending)))
             .expect("spawn seal thread");
         *self.service.pending.lock().expect("pending seal lock") = Some(worker);
-        self.finished = true;
         SealHandle { slot }
     }
 }
 
 impl Drop for DaySession<'_> {
     fn drop(&mut self) {
-        if self.finished {
-            return;
-        }
-        // Abandoned session: discard queued work instead of applying it.
-        // The worker keeps receiving (so a producer blocked on the full
+        // A sealed session closed at its cutoff and has no frontend left.
+        // An abandoned one discards queued work instead of applying it:
+        // the worker keeps receiving (so a producer blocked on the full
         // channel always unblocks) but applies nothing further; batches
         // already applied stay, exactly the documented abandon semantics.
-        self.state.abort.store(true, Ordering::Release);
-        if let Some(mut frontend) = self.frontend.take() {
+        self.state.closed.store(true, Ordering::Release);
+        if let Some(frontend) = self.frontend.take() {
             // Best-effort wake for an idle worker; a full channel is fine —
             // dropping our sender (plus the producers', eventually)
             // disconnects the channel and the worker exits on its own.
             let _ = frontend.tx.try_send(Job::Finish);
-            // Deliberately not joined: the worker may be waiting on
+            // The worker is deliberately not joined: it may be waiting on
             // producers that outlive the session.
-            drop(frontend.worker.take());
         }
     }
+}
+
+/// A closed day on its way to being sealed: everything [`run_seal`] needs,
+/// owned, so it can run on the caller's thread or the `kizzle-seal` one.
+struct PendingSeal {
+    core: Arc<ServiceCore>,
+    date: SimDate,
+    prepared: PreparedDay,
+    samples: SampleRope,
+    streams: Vec<TokenStream>,
+    pipeline: PipelineStats,
+}
+
+/// The one seal body, behind [`DaySession::seal`] (inline) and
+/// [`DaySession::seal_background`] (on the seal thread): cluster, label
+/// and sign, publish. `day.publish` is the last span it records.
+fn run_seal(pending: PendingSeal) -> DayReport {
+    let seal_span = kizzle_telemetry::span!("day.seal");
+    // The expensive phase: engine-free, runs unlocked, so the next day's
+    // ingest proceeds concurrently.
+    let (clustering, stats) = pending.prepared.finish();
+    let (mut report, set) = {
+        let mut compiler = pending.core.compiler.lock().expect("compiler lock");
+        let report = compiler.label_and_sign(
+            pending.date,
+            &pending.samples,
+            &pending.streams,
+            clustering,
+            stats,
+        );
+        (report, Arc::clone(&compiler.signatures))
+    };
+    report.pipeline = pending.pipeline;
+    report.pipeline.record_to_registry();
+    let seal_elapsed = seal_span.finish();
+    if kizzle_telemetry::enabled() {
+        kizzle_telemetry::histogram("kizzle_day_seal_ns").observe_duration(seal_elapsed);
+    }
+    // Seal the scan pipeline outside the lock (so no scan ever pays the
+    // build), then the atomic epoch swap.
+    let _publish_span = kizzle_telemetry::span!("day.publish");
+    set.seal();
+    pending.core.shared.publish(set);
+    report
 }
 
 /// Where a background seal deposits its [`DayReport`] — shared by the
@@ -1347,10 +1186,7 @@ impl<S: SignatureSource> Matcher<S> {
     /// Scan an already tokenized sample against the published signatures.
     #[must_use]
     pub fn scan_stream(&self, stream: &TokenStream) -> Option<KitFamily> {
-        self.current_pair()
-            .1
-            .scan_stream(stream)
-            .and_then(|hit| family_from_label(&hit.label))
+        self.scan_stream_verdict(stream).family
     }
 
     /// Scan a raw document against the published signatures, tokenizing
@@ -1513,7 +1349,7 @@ mod tests {
             let stalled = producer.clone();
             let sender = std::thread::spawn(move || {
                 for chunk in chunks {
-                    assert!(stalled.send_owned(chunk));
+                    assert!(stalled.send(chunk));
                 }
             });
             while session.state.stalls.load(Ordering::Relaxed) == 0 {
@@ -1595,9 +1431,11 @@ mod tests {
         assert!(producer.send(&day[..8]));
         let report = session.seal();
         assert_eq!(report.samples, 8);
-        // The seal is the cutoff: the channel is gone, sends are refused.
+        // The seal is the cutoff: the channel is gone, sends are refused —
+        // empty ticks included, so a timer-driven feeder learns it too.
         assert!(!producer.send(&day[8..]));
-        assert!(!producer.send_owned(day[8..].to_vec()));
+        assert!(!producer.send(day[8..].to_vec()));
+        assert!(!producer.send(&[][..]));
     }
 
     #[test]
@@ -1641,7 +1479,7 @@ mod tests {
         assert!(service.signatures().is_empty());
         let _ = live_before;
         // The day is still sealable from scratch.
-        let report = service.process_day(date, &day).expect("day processes");
+        let report = service.process_day(date, day).expect("day processes");
         assert!(report.clusters > 0);
     }
 
@@ -1695,7 +1533,7 @@ mod tests {
         let mut service = test_service();
         let d2 = SimDate::new(2014, 8, 6);
         service
-            .process_day(d2, &test_day(d2, 3))
+            .process_day(d2, test_day(d2, 3))
             .expect("day processes");
         let err = service.begin_day(SimDate::new(2014, 8, 5)).unwrap_err();
         assert!(matches!(err, KizzleError::Ingest(_)), "err: {err}");
@@ -1707,7 +1545,7 @@ mod tests {
     fn far_future_day_is_refused_not_absorbed() {
         let mut service = test_service();
         let d1 = SimDate::new(2014, 8, 6);
-        service.process_day(d1, &test_day(d1, 3)).expect("day 1");
+        service.process_day(d1, test_day(d1, 3)).expect("day 1");
         let live_before = service.engine().len();
         assert!(live_before > 0);
 
@@ -1718,7 +1556,7 @@ mod tests {
         let err = service.begin_day(bogus).unwrap_err();
         assert!(matches!(err, KizzleError::Ingest(_)), "err: {err}");
         assert!(err.to_string().contains("max_day_advance"), "err: {err}");
-        let err = service.process_day(bogus, &test_day(bogus, 4)).unwrap_err();
+        let err = service.process_day(bogus, test_day(bogus, 4)).unwrap_err();
         assert!(matches!(err, KizzleError::Ingest(_)), "err: {err}");
         assert_eq!(service.engine().len(), live_before);
         assert_eq!(service.last_processed_day(), Some(d1));
@@ -1726,7 +1564,7 @@ mod tests {
         // A jump inside the default 90-day horizon still works (gap days
         // are normal: weekends, holidays, pipeline outages).
         let d2 = SimDate::new(2014, 9, 20);
-        assert!(service.process_day(d2, &test_day(d2, 5)).is_ok());
+        assert!(service.process_day(d2, test_day(d2, 5)).is_ok());
     }
 
     #[test]
@@ -1738,7 +1576,7 @@ mod tests {
         let reference = ReferenceCorpus::seeded_from_models(SimDate::new(2014, 8, 1), &config);
         let mut service = KizzleService::new(config, reference).expect("service");
         let d1 = SimDate::new(2014, 8, 6);
-        service.process_day(d1, &test_day(d1, 3)).expect("day 1");
+        service.process_day(d1, test_day(d1, 3)).expect("day 1");
         // 6 days ahead exceeds the tightened horizon; 5 is the boundary.
         assert!(service.begin_day(SimDate::new(2014, 8, 12)).is_err());
         assert!(service.begin_day(SimDate::new(2014, 8, 11)).is_ok());
@@ -1757,7 +1595,7 @@ mod tests {
         let mut service = test_service();
         let date = SimDate::new(2014, 8, 5);
         service
-            .process_day(date, &test_day(date, 3))
+            .process_day(date, test_day(date, 3))
             .expect("day processes");
         let matcher = service.matcher();
         // The published epoch and the compiler hold the *same* allocation
@@ -1772,7 +1610,7 @@ mod tests {
         // keeps its set while the compiler's grows independently.
         let d2 = SimDate::new(2014, 8, 6);
         let before = published.len();
-        service.process_day(d2, &test_day(d2, 9)).expect("day 2");
+        service.process_day(d2, test_day(d2, 9)).expect("day 2");
         assert_eq!(published.len(), before, "published snapshot is immutable");
     }
 
@@ -1781,7 +1619,7 @@ mod tests {
         let mut service = test_service();
         let d1 = SimDate::new(2014, 8, 6);
         service
-            .process_day(d1, &test_day(d1, 3))
+            .process_day(d1, test_day(d1, 3))
             .expect("day processes");
         let live_before = service.engine().len();
 
@@ -1792,8 +1630,8 @@ mod tests {
         let far = SimDate::new(2014, 9, 20);
         {
             let mut session = service.begin_day(far).expect("monotone date opens");
-            session.ingest(&[]);
-            session.ingest_tokenized(&[], &[]);
+            session.ingest(&[][..]);
+            session.ingest(Batch::tokenized(&[][..], Vec::new()));
             assert_eq!(session.ingested(), 0);
         }
         assert_eq!(service.last_processed_day(), Some(d1));
@@ -1801,7 +1639,7 @@ mod tests {
 
         // The next legitimate day is therefore still accepted.
         let d2 = SimDate::new(2014, 8, 7);
-        let report = service.process_day(d2, &test_day(d2, 4)).expect("day 2");
+        let report = service.process_day(d2, test_day(d2, 4)).expect("day 2");
         assert!(report.clusters > 0);
     }
 
@@ -1839,6 +1677,13 @@ mod tests {
         let (second, _) = service.cluster_window();
         assert_eq!(first.sample_count, second.sample_count);
         assert_eq!(first.cluster_count(), second.cluster_count());
+    }
+
+    #[test]
+    #[should_panic(expected = "samples and streams must be parallel")]
+    fn tokenized_batch_with_mismatched_lengths_panics() {
+        let date = SimDate::new(2014, 8, 5);
+        let _ = Batch::tokenized(test_day(date, 3), Vec::new());
     }
 
     #[test]

@@ -1,20 +1,23 @@
-//! Compiler state persistence: the cron-job deployment's survival layer.
+//! Service state persistence: the cron-job deployment's survival layer.
 //!
 //! The production daily loop is a cron job, not a long-lived process
-//! (ROADMAP), so everything [`KizzleCompiler`] accumulates across days —
-//! the warm corpus engine, the cumulative [`SignatureSet`], the evolving
-//! reference corpus, the per-family signature counters — died with each
-//! run until this module existed. [`KizzleCompiler::save_state`] writes
-//! all of it as the next link of a [`kizzle_snapshot`] **base→delta
-//! chain** (a full base container, then per-day deltas holding only the
-//! sections whose content fingerprint changed, compacted back to a fresh
-//! base every [`DEFAULT_MAX_DELTAS`] saves; the `MANIFEST` sidecar
-//! records the chain). [`KizzleCompiler::load_state`] overlays the chain
-//! latest-wins and brings a fresh process back to exactly the state the
-//! previous run saved: restart-each-day runs are byte-identical to a
-//! long-lived warm process (held to that by
+//! (ROADMAP), so everything a [`KizzleService`](crate::KizzleService)
+//! accumulates across days — the warm corpus engine, the cumulative
+//! [`SignatureSet`], the evolving reference corpus, the per-family
+//! signature counters — died with each run until this module existed.
+//! [`KizzleService::save`](crate::KizzleService::save) writes all of it as
+//! the next link of a [`kizzle_snapshot`] **base→delta chain** (a full
+//! base container, then per-day deltas holding only the sections whose
+//! content fingerprint changed, compacted back to a fresh base every
+//! [`DEFAULT_MAX_DELTAS`] saves; the `MANIFEST` sidecar records the
+//! chain). [`KizzleService::load`](crate::KizzleService::load) overlays
+//! the chain latest-wins and brings a fresh process back to exactly the
+//! state the previous run saved: restart-each-day runs are byte-identical
+//! to a long-lived warm process (held to that by
 //! `save_load_resumes_exactly_like_a_long_lived_process` below and
-//! `restart_each_day_matches_the_long_lived_run` in `kizzle-eval`).
+//! `restart_each_day_matches_the_long_lived_run` in `kizzle-eval`). The
+//! chain is the only on-disk shape: a full snapshot is a chain of length
+//! one.
 //!
 //! ## Sections
 //!
@@ -40,15 +43,18 @@
 //!
 //! Loading **refuses** a snapshot whose config fingerprint disagrees with
 //! the loading configuration — clustering parameters shape every piece of
-//! persisted state, so mixing them would silently corrupt results. The
-//! damage ladder, top rung first: a broken **delta** truncates the chain
-//! to its intact prefix (the run resumes the base — an older but
-//! self-consistent state); within the resulting snapshot, damage degrades
+//! persisted state, so mixing them would silently corrupt results — and a
+//! base container stamped with any format version but
+//! [`FORMAT_VERSION`] (`SnapshotError::VersionSkew`, before a section is
+//! parsed). The damage ladder, top rung first: a broken **delta**
+//! truncates the chain to its intact prefix (the run resumes the base —
+//! an older but self-consistent state); within the resulting snapshot, damage degrades
 //! per section: a lost index rebuilds from the store, a lost store
 //! empties the engine (cold rebuild), while damage to
 //! `meta`/`signatures`/`reference` fails the load as a whole — those
-//! cannot be reconstructed, and a caller falls back to a fresh compiler
-//! exactly as if no snapshot existed.
+//! cannot be reconstructed, and
+//! [`KizzleService::open`](crate::KizzleService::open) falls back to a
+//! fresh service exactly as if no snapshot existed.
 
 use crate::config::KizzleConfig;
 use crate::error::KizzleError;
@@ -59,8 +65,7 @@ pub use kizzle_cluster::ResumeReport;
 use kizzle_corpus::{KitFamily, SimDate};
 use kizzle_signature::SignatureSet;
 use kizzle_snapshot::{
-    ChainWriter, ChainedSnapshot, Decoder, Encoder, SectionSource, Snapshot, SnapshotError,
-    FORMAT_VERSION,
+    ChainWriter, ChainedSnapshot, Decoder, Encoder, SectionSource, SnapshotError, FORMAT_VERSION,
 };
 use rayon::prelude::*;
 use std::collections::HashMap;
@@ -74,8 +79,9 @@ pub const STATE_FILE: &str = "kizzle-state.snap";
 /// Name of the human-readable manifest sidecar.
 pub const MANIFEST_FILE: &str = "MANIFEST";
 
-/// Deltas a state chain accumulates before [`KizzleCompiler::save_state`]
-/// compacts back to a full base — a weekly cadence at one save per day.
+/// Deltas a state chain accumulates before
+/// [`KizzleService::save`](crate::KizzleService::save) compacts back to a
+/// full base — a weekly cadence at one save per day.
 pub const DEFAULT_MAX_DELTAS: usize = 6;
 
 pub use kizzle_snapshot::sections::{
@@ -125,21 +131,6 @@ pub fn config_fingerprint(config: &KizzleConfig) -> u64 {
         hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
     }
     hash
-}
-
-/// Serialize a signature set in insertion order (which the scan's
-/// first-match semantics depend on). The wire format lives with the set
-/// itself ([`SignatureSet::encode_into`]); this wrapper survives as the
-/// snapshot layer's name for it.
-pub(crate) fn encode_signature_set(set: &SignatureSet, enc: &mut Encoder) {
-    set.encode_into(enc);
-}
-
-/// Rebuild a signature set from [`encode_signature_set`] output; the
-/// dedup and label tables are re-derived by re-adding in order. Delegates
-/// to [`SignatureSet::decode_from`].
-pub(crate) fn decode_signature_set(dec: &mut Decoder<'_>) -> Result<SignatureSet, SnapshotError> {
-    SignatureSet::decode_from(dec)
 }
 
 struct Meta {
@@ -218,8 +209,10 @@ impl KizzleCompiler {
             (
                 SIGNATURES_SECTION,
                 Box::new(|| {
+                    // Insertion order, which the scan's first-match
+                    // semantics depend on.
                     let mut enc = Encoder::new();
-                    encode_signature_set(&self.signatures, &mut enc);
+                    self.signatures.encode_into(&mut enc);
                     enc.into_bytes()
                 }),
             ),
@@ -275,25 +268,10 @@ impl KizzleCompiler {
         sections
     }
 
-    /// Persist the complete compiler state into `state_dir` with the
-    /// default compaction cadence ([`DEFAULT_MAX_DELTAS`]). See
-    /// [`KizzleCompiler::save_state_compacting`].
-    pub fn save_state(&self, state_dir: &Path) -> Result<(), KizzleError> {
-        self.save_state_compacting(state_dir, DEFAULT_MAX_DELTAS)
-    }
-
-    /// Persist the complete compiler state into `state_dir` as the next
-    /// link of a base→delta snapshot chain: a full base file
-    /// ([`STATE_FILE`]) on the first save, afterwards a delta holding only
-    /// the sections whose content fingerprint changed since the previous
-    /// save (on heavily overlapping days the reference and signature
-    /// sections are usually byte-identical). Once the chain carries
-    /// `max_deltas` deltas the next save **compacts**: the full base is
-    /// rewritten and the stale deltas removed; `max_deltas == 0` writes a
-    /// full snapshot every time (the PR 3 behavior). Every file and the
-    /// [`MANIFEST_FILE`] sidecar are written atomically, so a crash
-    /// mid-save leaves the previous state loadable.
-    pub fn save_state_compacting(
+    /// The body of [`KizzleService::save_compacting`](crate::KizzleService::save_compacting):
+    /// the next link of the state chain, plus the manifest's descriptive
+    /// keys.
+    pub(crate) fn save_state(
         &self,
         state_dir: &Path,
         max_deltas: usize,
@@ -351,17 +329,10 @@ impl KizzleCompiler {
         Ok(())
     }
 
-    /// Load compiler state saved by [`KizzleCompiler::save_state`],
-    /// following the base→delta chain recorded in the manifest.
-    ///
-    /// Refuses snapshots whose config fingerprint differs from `config`
-    /// ([`KizzleError::ConfigFingerprint`]). The fallback ladder, top rung
-    /// first: a broken delta truncates the chain (the run resumes the
-    /// base — an older but self-consistent state); engine damage degrades
-    /// per section (see [`ResumeReport`]); damage to the meta, signature
-    /// or reference sections fails the load — the caller starts a fresh
-    /// compiler, exactly as if no snapshot existed.
-    pub fn load_state(
+    /// The body of [`KizzleService::load`](crate::KizzleService::load):
+    /// follow the base→delta chain recorded in the manifest down the trust
+    /// ladder in the [module docs](self).
+    pub(crate) fn load_state(
         state_dir: &Path,
         config: KizzleConfig,
     ) -> Result<(Self, ResumeReport), KizzleError> {
@@ -454,14 +425,10 @@ impl KizzleCompiler {
         ))
     }
 
-    /// Load saved state, or fall back to a fresh compiler when no usable
-    /// snapshot exists. The cron-job entry point: `reference` seeds the
-    /// fresh compiler on the very first run (and after unrecoverable
-    /// damage) — it is a closure because seeding winnow-fingerprints every
-    /// kit model, a cost the warm path must not pay; the returned report
-    /// says what happened.
-    #[must_use]
-    pub fn load_or_new(
+    /// The body of [`KizzleService::open`](crate::KizzleService::open):
+    /// load saved state, or fall back to a fresh compiler (with the reason
+    /// in the report) when no usable snapshot exists.
+    pub(crate) fn load_or_new(
         state_dir: &Path,
         config: KizzleConfig,
         reference: impl FnOnce() -> ReferenceCorpus,
@@ -477,31 +444,30 @@ impl KizzleCompiler {
     }
 }
 
-/// Read just the signature set out of a compiler state snapshot — what
+/// Read just the signature set out of a saved state chain — what
 /// `examples/signature_inspect` uses to inspect deployed signatures
 /// without recompiling them.
 ///
-/// Chain-aware: pointed at a state *directory* or at a chain's base file
+/// Pointed at a state *directory* or at a chain's base file inside one
 /// (`kizzle-state.snap` next to its `MANIFEST`), the recorded deltas are
-/// overlaid so the *newest* signature section answers; a bare snapshot
-/// file without a chain reads as itself.
+/// overlaid so the *newest* signature section answers.
 pub fn read_signatures(state_path: &Path) -> Result<SignatureSet, KizzleError> {
-    let state_file = if state_path.is_dir() {
-        state_path.join(STATE_FILE)
+    let (dir, prefix) = if state_path.is_dir() {
+        (state_path, STATE_CHAIN_PREFIX)
     } else {
-        state_path.to_path_buf()
+        let prefix = state_path
+            .file_name()
+            .and_then(|n| n.to_str())
+            .and_then(|n| n.strip_suffix(".snap"))
+            .ok_or_else(|| {
+                std::io::Error::other(format!(
+                    "{} is neither a state directory nor a chain's .snap base file",
+                    state_path.display()
+                ))
+            })?;
+        (state_path.parent().unwrap_or(Path::new("")), prefix)
     };
-    let state_file = state_file.as_path();
-    let chained = state_file
-        .file_name()
-        .and_then(|n| n.to_str())
-        .and_then(|n| n.strip_suffix(".snap"))
-        .zip(state_file.parent())
-        .and_then(|(prefix, dir)| ChainedSnapshot::open(dir, prefix).ok());
-    let chained = match chained {
-        Some(chain) => chain,
-        None => ChainedSnapshot::single(Snapshot::read(state_file)?),
-    };
+    let chained = ChainedSnapshot::open(dir, prefix)?;
     // The one shared section reader (`kizzle::source`) interprets the
     // layout — it also attaches the snapshot's sealed scan pipeline, so
     // the returned set is ready to scan without paying the build.
@@ -512,9 +478,12 @@ pub fn read_signatures(state_path: &Path) -> Result<SignatureSet, KizzleError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::source::{ChainFollower, SignatureSource};
+    use crate::KizzleService;
     use kizzle_corpus::{GraywareStream, Sample, StreamConfig};
     use kizzle_signature::{CharClass, Element, ScanPipeline, Signature};
-    use kizzle_snapshot::Manifest;
+    use kizzle_snapshot::{crc32, Manifest, Snapshot};
+    use std::sync::Arc;
 
     fn test_day(date: SimDate, seed: u64) -> Vec<Sample> {
         let config = StreamConfig {
@@ -530,10 +499,10 @@ mod tests {
         GraywareStream::new(config).generate_day(date)
     }
 
-    fn fresh_compiler() -> KizzleCompiler {
+    fn fresh_service() -> KizzleService {
         let reference =
             ReferenceCorpus::seeded_from_models(SimDate::new(2014, 8, 1), &KizzleConfig::fast());
-        KizzleCompiler::new(KizzleConfig::fast(), reference)
+        KizzleService::new(KizzleConfig::fast(), reference).expect("fast config is valid")
     }
 
     fn state_dir(name: &str) -> std::path::PathBuf {
@@ -551,21 +520,21 @@ mod tests {
         let day1 = test_day(d1, 3);
         let day2 = test_day(d2, 4);
 
-        // Long-lived: both days through one compiler.
-        let mut long_lived = fresh_compiler();
-        long_lived.process_day(d1, &day1);
-        let want = long_lived.process_day(d2, &day2);
+        // Long-lived: both days through one service.
+        let mut long_lived = fresh_service();
+        long_lived.process_day(d1, &day1).expect("day 1");
+        let want = long_lived.process_day(d2, &day2).expect("day 2");
 
         // Cron-style: day 1, save, drop, load, day 2.
-        let mut first_run = fresh_compiler();
-        first_run.process_day(d1, &day1);
-        first_run.save_state(&dir).expect("state saved");
+        let mut first_run = fresh_service();
+        first_run.process_day(d1, &day1).expect("day 1");
+        first_run.save(&dir).expect("state saved");
         drop(first_run);
         let (mut second_run, report) =
-            KizzleCompiler::load_state(&dir, KizzleConfig::fast()).expect("state loads");
+            KizzleService::load(&dir, KizzleConfig::fast()).expect("state loads");
         assert!(report.is_warm(), "report: {report:?}");
         assert_eq!(second_run.last_processed_day(), Some(d1));
-        let got = second_run.process_day(d2, &day2);
+        let got = second_run.process_day(d2, &day2).expect("day 2");
 
         // Byte-identical modulo wall clock.
         let mut want = want;
@@ -573,7 +542,7 @@ mod tests {
         want.clustering_stats = Default::default();
         got.clustering_stats = Default::default();
         assert_eq!(want, got);
-        assert_eq!(long_lived.signatures(), second_run.signatures());
+        assert_eq!(&*long_lived.signatures(), &*second_run.signatures());
         assert_eq!(long_lived.engine().len(), second_run.engine().len());
         // The multi-day window mode resumes identically too: the retained
         // day views survived the snapshot.
@@ -587,17 +556,17 @@ mod tests {
     #[test]
     fn mismatched_config_fingerprint_is_refused() {
         let dir = state_dir("mismatch");
-        let compiler = fresh_compiler();
-        compiler.save_state(&dir).expect("state saved");
+        let service = fresh_service();
+        service.save(&dir).expect("state saved");
         let mut other = KizzleConfig::fast();
         other.retention_days += 1;
         assert!(matches!(
-            KizzleCompiler::load_state(&dir, other),
+            KizzleService::load(&dir, other),
             Err(KizzleError::ConfigFingerprint { .. })
         ));
-        // load_or_new degrades to a fresh compiler instead.
+        // open degrades to a fresh service instead.
         let reference = ReferenceCorpus::seeded_from_models(SimDate::new(2014, 8, 1), &other);
-        let (fresh, report) = KizzleCompiler::load_or_new(&dir, other, || reference);
+        let (fresh, report) = KizzleService::open(&dir, other, || reference).expect("opens");
         assert!(fresh.engine().is_empty());
         assert!(!report.notes.is_empty());
         std::fs::remove_dir_all(&dir).ok();
@@ -606,25 +575,26 @@ mod tests {
     #[test]
     fn missing_and_damaged_snapshots_degrade_without_panicking() {
         let dir = state_dir("damage");
-        // Missing directory: fresh compiler.
+        // Missing directory: fresh service.
         let reference =
             ReferenceCorpus::seeded_from_models(SimDate::new(2014, 8, 1), &KizzleConfig::fast());
-        let (fresh, report) =
-            KizzleCompiler::load_or_new(&dir, KizzleConfig::fast(), || reference.clone());
+        let open = |reference: &ReferenceCorpus| {
+            KizzleService::open(&dir, KizzleConfig::fast(), || reference.clone()).expect("opens")
+        };
+        let (fresh, report) = open(&reference);
         assert!(fresh.signatures().is_empty());
         assert!(!report.notes.is_empty());
 
-        // Truncated file: load_state errors, load_or_new degrades.
-        let mut compiler = fresh_compiler();
+        // Truncated file: load errors, open degrades.
+        let mut service = fresh_service();
         let d1 = SimDate::new(2014, 8, 5);
-        compiler.process_day(d1, &test_day(d1, 3));
-        compiler.save_state(&dir).expect("state saved");
+        service.process_day(d1, test_day(d1, 3)).expect("day 1");
+        service.save(&dir).expect("state saved");
         let path = dir.join(STATE_FILE);
         let full = std::fs::read(&path).expect("snapshot bytes");
         std::fs::write(&path, &full[..full.len() / 3]).expect("truncate");
-        assert!(KizzleCompiler::load_state(&dir, KizzleConfig::fast()).is_err());
-        let (_, report) =
-            KizzleCompiler::load_or_new(&dir, KizzleConfig::fast(), || reference.clone());
+        assert!(KizzleService::load(&dir, KizzleConfig::fast()).is_err());
+        let (_, report) = open(&reference);
         assert!(!report.notes.is_empty());
 
         // Version skew: the version field is bytes 8..12.
@@ -632,7 +602,7 @@ mod tests {
         skewed[8] = 0x7F;
         std::fs::write(&path, &skewed).expect("rewrite");
         assert!(matches!(
-            KizzleCompiler::load_state(&dir, KizzleConfig::fast()),
+            KizzleService::load(&dir, KizzleConfig::fast()),
             Err(KizzleError::Snapshot(SnapshotError::VersionSkew { .. }))
         ));
 
@@ -643,22 +613,22 @@ mod tests {
         let mid = flipped.len() / 2;
         flipped[mid] ^= 0x10;
         std::fs::write(&path, &flipped).expect("rewrite");
-        let (_, _) = KizzleCompiler::load_or_new(&dir, KizzleConfig::fast(), || reference);
+        let (_, _) = open(&reference);
         std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn manifest_describes_the_saved_state() {
         let dir = state_dir("manifest");
-        let mut compiler = fresh_compiler();
+        let mut service = fresh_service();
         let d1 = SimDate::new(2014, 8, 5);
-        compiler.process_day(d1, &test_day(d1, 3));
-        compiler.save_state(&dir).expect("state saved");
+        service.process_day(d1, test_day(d1, 3)).expect("day 1");
+        service.save(&dir).expect("state saved");
         let manifest = Manifest::read(&dir.join(MANIFEST_FILE)).expect("manifest");
         assert_eq!(manifest.get("snapshot_file"), Some(STATE_FILE));
         assert_eq!(
             manifest.get("config_fingerprint"),
-            Some(format!("{:#018x}", config_fingerprint(compiler.config())).as_str())
+            Some(format!("{:#018x}", config_fingerprint(service.config())).as_str())
         );
         assert_eq!(manifest.get("last_day"), Some("8/5/14"));
         // Day 1 wrote the full base; `written_*` describe that save.
@@ -672,8 +642,8 @@ mod tests {
         // A second day's save extends the chain with a delta, and the
         // manifest must describe *that* file — not misquote the base.
         let d2 = SimDate::new(2014, 8, 6);
-        compiler.process_day(d2, &test_day(d2, 4));
-        compiler.save_state(&dir).expect("state saved");
+        service.process_day(d2, test_day(d2, 4)).expect("day 2");
+        service.save(&dir).expect("state saved");
         let manifest = Manifest::read(&dir.join(MANIFEST_FILE)).expect("manifest");
         let written = manifest.get("written_file").expect("written_file");
         assert_ne!(written, STATE_FILE, "day 2 must be a delta");
@@ -689,79 +659,96 @@ mod tests {
         );
         // read_signatures follows the chain from the base file.
         let set = read_signatures(&dir.join(STATE_FILE)).expect("signatures");
-        assert_eq!(&set, compiler.signatures());
+        assert_eq!(&set, &*service.signatures());
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    #[test]
-    fn v1_snapshot_resumes_warm_and_upgrades_to_v2_on_save() {
-        use kizzle_cluster::{INDEX_SECTION, STORE_SECTION};
-        use kizzle_snapshot::{write_atomic, SnapshotBuilder, MIN_FORMAT_VERSION};
+    /// Stamp `version` into a container's header (bytes 8..12) and
+    /// recompute the trailer CRC, so the version field is the only thing a
+    /// reader can object to.
+    fn restamp(path: &Path, version: u32) -> Vec<u8> {
+        let mut bytes = std::fs::read(path).expect("container bytes");
+        bytes[8..12].copy_from_slice(&version.to_le_bytes());
+        let body = bytes.len() - 4;
+        let crc = crc32(&bytes[..body]);
+        bytes[body..].copy_from_slice(&crc.to_le_bytes());
+        std::fs::write(path, &bytes).expect("rewrite");
+        bytes
+    }
 
-        let dir = state_dir("v1-upgrade");
+    #[test]
+    fn other_format_versions_are_refused_at_every_layer() {
         let d1 = SimDate::new(2014, 8, 5);
         let d2 = SimDate::new(2014, 8, 6);
-        let day1 = test_day(d1, 3);
-        let day2 = test_day(d2, 4);
+        let reference =
+            ReferenceCorpus::seeded_from_models(SimDate::new(2014, 8, 1), &KizzleConfig::fast());
+        for version in [1u32, 3] {
+            let dir = state_dir(&format!("version-gate-{version}"));
+            let mut service = fresh_service();
+            service.process_day(d1, test_day(d1, 3)).expect("day 1");
+            service.save(&dir).expect("state saved");
+            // A follower that loaded the intact chain serves epoch 1.
+            let serving = Arc::new(ChainFollower::new(&dir));
+            assert!(serving.poll().expect("intact chain"));
+            let served = serving.current();
+            assert_eq!(served.0, 1);
+            assert!(serving.notes().is_empty());
 
-        // The reference run: both days through one long-lived compiler.
-        let mut long_lived = fresh_compiler();
-        long_lived.process_day(d1, &day1);
-        let want = long_lived.process_day(d2, &day2);
+            // The next save compacts to a fresh base (and rewrites the
+            // manifest, so the follower re-opens) — stamped `version`.
+            service.process_day(d2, test_day(d2, 4)).expect("day 2");
+            service.save_compacting(&dir, 0).expect("state saved");
+            assert!(service.signatures().len() > served.1.len());
+            let bytes = restamp(&dir.join(STATE_FILE), version);
 
-        // Re-create day 1's state and write it as a **v1** base: the
-        // container and section layout are identical; only the
-        // store/index sections differ, carrying sorted id runs as plain
-        // absolute varints (the pre-gap-encoding codec).
-        let mut day1_compiler = fresh_compiler();
-        day1_compiler.process_day(d1, &day1);
-        let mut sections = day1_compiler.encode_state_sections();
-        for (name, payload) in &mut sections {
-            let mut enc = Encoder::new();
-            match name.as_str() {
-                STORE_SECTION => day1_compiler.engine().store().encode_into_v1(&mut enc),
-                INDEX_SECTION => day1_compiler.engine().index().encode_into_v1(&mut enc),
-                _ => continue,
+            // (i) The container refuses the header before any section.
+            assert!(matches!(
+                Snapshot::from_bytes(&bytes),
+                Err(SnapshotError::VersionSkew { found, expected: FORMAT_VERSION })
+                    if found == version
+            ));
+
+            // (ii) `load` is a typed error, `open` a fresh service that
+            // says why.
+            assert!(matches!(
+                KizzleService::load(&dir, KizzleConfig::fast()),
+                Err(KizzleError::Snapshot(SnapshotError::VersionSkew { found, .. }))
+                    if found == version
+            ));
+            let (fresh, report) =
+                KizzleService::open(&dir, KizzleConfig::fast(), || reference.clone())
+                    .expect("opens");
+            assert!(fresh.signatures().is_empty() && fresh.engine().is_empty());
+            let skew = format!("format version {version}");
+            assert!(
+                report.notes.iter().any(|n| n.contains(&skew)),
+                "notes: {:?}",
+                report.notes
+            );
+
+            // (iii) Followers never swap to a set they could not decode: a
+            // fresh one stays on the empty set at epoch 0, the serving one
+            // re-opens (the manifest moved) and stays on the epoch it had
+            // — each with the condition in its notes.
+            let fresh_follower = Arc::new(ChainFollower::new(&dir));
+            for follower in [&fresh_follower, &serving] {
+                let handle = follower.follow(std::time::Duration::from_millis(1));
+                while follower.notes().is_empty() {
+                    std::thread::yield_now();
+                }
+                handle.shutdown();
+                assert!(
+                    follower.notes().iter().any(|n| n.contains(&skew)),
+                    "notes: {:?}",
+                    follower.notes()
+                );
             }
-            *payload = enc.into_bytes();
+            assert_eq!(fresh_follower.current().0, 0);
+            assert!(fresh_follower.current().1.is_empty());
+            assert_eq!(serving.current().0, served.0);
+            assert!(Arc::ptr_eq(&serving.current().1, &served.1));
+            std::fs::remove_dir_all(&dir).ok();
         }
-        let mut builder = SnapshotBuilder::new();
-        for (name, payload) in sections {
-            builder.section(&name, payload);
-        }
-        std::fs::create_dir_all(&dir).expect("state dir");
-        let bytes = builder.to_bytes_with_version(MIN_FORMAT_VERSION);
-        write_atomic(&dir.join(STATE_FILE), &bytes).expect("v1 base written");
-        let on_disk = Snapshot::read(&dir.join(STATE_FILE)).expect("v1 base parses");
-        assert_eq!(on_disk.version(), MIN_FORMAT_VERSION);
-
-        // The v1 snapshot resumes warm — no cold rebuild. (It was written
-        // as a bare base; the absent manifest only adds a note.)
-        let (mut resumed, report) =
-            KizzleCompiler::load_state(&dir, KizzleConfig::fast()).expect("v1 state loads");
-        assert!(report.is_warm(), "report: {report:?}");
-        assert_eq!(resumed.engine().len(), day1_compiler.engine().len());
-        assert_eq!(resumed.signatures(), day1_compiler.signatures());
-
-        // Day 2 through the resumed compiler: byte-identical to the
-        // long-lived run, exactly like a v2 resume.
-        let mut got = resumed.process_day(d2, &day2);
-        let mut want = want;
-        want.clustering_stats = Default::default();
-        got.clustering_stats = Default::default();
-        assert_eq!(want, got);
-        assert_eq!(long_lived.signatures(), resumed.signatures());
-
-        // Saving rewrites the state at the current format version, and
-        // the upgraded chain loads warm again.
-        resumed.save_state(&dir).expect("state saved");
-        let upgraded_base = Snapshot::read(&dir.join(STATE_FILE)).expect("v2 base parses");
-        assert_eq!(upgraded_base.version(), FORMAT_VERSION);
-        let (upgraded, report) =
-            KizzleCompiler::load_state(&dir, KizzleConfig::fast()).expect("v2 state reloads");
-        assert!(report.is_warm(), "report: {report:?}");
-        assert_eq!(upgraded.signatures(), resumed.signatures());
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -802,18 +789,22 @@ mod tests {
     #[test]
     fn resumed_state_carries_a_sealed_scan_pipeline() {
         let dir = state_dir("pipeline");
-        let mut compiler = fresh_compiler();
+        let mut service = fresh_service();
         let d1 = SimDate::new(2014, 8, 5);
-        compiler.process_day(d1, &test_day(d1, 3));
-        compiler.save_state(&dir).expect("state saved");
+        service.process_day(d1, test_day(d1, 3)).expect("day 1");
+        service.save(&dir).expect("state saved");
         let (resumed, report) =
-            KizzleCompiler::load_state(&dir, KizzleConfig::fast()).expect("state loads");
+            KizzleService::load(&dir, KizzleConfig::fast()).expect("state loads");
         assert!(report.is_warm(), "report: {report:?}");
+        // A service seals whatever it publishes, so read the chain itself
+        // too: the set must arrive sealed, with no reseal note.
+        assert!(report.notes.is_empty(), "notes: {:?}", report.notes);
         assert!(
-            resumed.signatures().is_sealed(),
+            read_signatures(&dir).expect("chain reads").is_sealed()
+                && resumed.signatures().is_sealed(),
             "snapshot must ship a ready-to-scan pipeline"
         );
-        assert_eq!(resumed.signatures(), compiler.signatures());
+        assert_eq!(&*resumed.signatures(), &*service.signatures());
 
         // Damage only the scan-pipeline section's payload: the load still
         // succeeds (it is derived state) and the set reseals lazily.
@@ -821,12 +812,12 @@ mod tests {
         // truncating the chain's base mid-file — covered by the damage
         // test above — so here exercise the decode-reject path directly.
         let mut enc = Encoder::new();
-        compiler.signatures().seal().encode_into(&mut enc);
+        service.signatures().seal().encode_into(&mut enc);
         let mut bytes = enc.into_bytes();
         bytes[0] ^= 0x40; // version skew
         let mut dec = Decoder::new(&bytes);
         assert!(matches!(
-            ScanPipeline::decode_from(&mut dec, compiler.signatures().len()),
+            ScanPipeline::decode_from(&mut dec, service.signatures().len()),
             Err(SnapshotError::VersionSkew { .. })
         ));
         std::fs::remove_dir_all(&dir).ok();
@@ -855,10 +846,10 @@ mod tests {
             Signature::new("RIG.sig1", vec![Element::Literal("split".to_string())], 4),
         );
         let mut enc = Encoder::new();
-        encode_signature_set(&set, &mut enc);
+        set.encode_into(&mut enc);
         let bytes = enc.into_bytes();
         let mut dec = Decoder::new(&bytes);
-        let restored = decode_signature_set(&mut dec).unwrap();
+        let restored = SignatureSet::decode_from(&mut dec).unwrap();
         dec.finish().unwrap();
         assert_eq!(restored, set);
         assert_eq!(restored.labels(), set.labels());

@@ -13,7 +13,7 @@
 //!   is still a reference-count bump and a pointer swap under a write
 //!   lock held for nanoseconds.
 //! * [`ChainFollower`] — tails a snapshot-chain directory written by
-//!   [`KizzleCompiler::save_state`](crate::KizzleCompiler::save_state)
+//!   [`KizzleService::save`](crate::KizzleService::save)
 //!   on another thread, another process, or another machine's shared
 //!   filesystem. Each [`ChainFollower::poll`] stats the `MANIFEST`,
 //!   diffs the recorded signature-section fingerprints, and only when
@@ -29,9 +29,7 @@
 
 use crate::config::KizzleConfig;
 use crate::error::KizzleError;
-use crate::snapshot::{
-    decode_signature_set, MANIFEST_FILE, SCAN_SECTION, SIGNATURES_SECTION, STATE_CHAIN_PREFIX,
-};
+use crate::snapshot::{MANIFEST_FILE, SCAN_SECTION, SIGNATURES_SECTION, STATE_CHAIN_PREFIX};
 use kizzle_signature::{ScanPipeline, SignatureSet};
 use kizzle_snapshot::chain::SECTION_KEY_PREFIX;
 use kizzle_snapshot::{crc32, ChainedSnapshot, Decoder, Manifest, SectionSource, SnapshotError};
@@ -136,7 +134,7 @@ impl SignatureSource for EpochSource {
 /// signature set (required) plus its sealed scan pipeline (an
 /// accelerator — any failure to restore it only adds a note and the set
 /// reseals lazily). This is the **single** reader of those sections:
-/// [`KizzleCompiler::load_state`](crate::KizzleCompiler::load_state),
+/// [`KizzleService::load`](crate::KizzleService::load),
 /// [`read_signatures`](crate::read_signatures) and the [`ChainFollower`]
 /// all route through it, so the chain layout has exactly one
 /// interpretation.
@@ -144,7 +142,7 @@ pub(crate) fn decode_signature_sections(
     source: &impl SectionSource,
 ) -> Result<(SignatureSet, Vec<String>), SnapshotError> {
     let mut dec = Decoder::new(source.section(SIGNATURES_SECTION)?);
-    let mut signatures = decode_signature_set(&mut dec)?;
+    let mut signatures = SignatureSet::decode_from(&mut dec)?;
     dec.finish()?;
 
     let mut notes = Vec::new();
@@ -209,7 +207,7 @@ impl FollowState {
 /// A [`SignatureSource`] that tails a snapshot-chain directory.
 ///
 /// The follower is the serving side of a split deployment: a compiler
-/// process seals days and [`save_state`](crate::KizzleCompiler::save_state)s
+/// process seals days and [`save`](crate::KizzleService::save)s
 /// into a directory; any number of scan workers hold
 /// [`Matcher::over`](crate::Matcher::over) handles on one shared
 /// `Arc<ChainFollower>` and keep scanning the last published set while
@@ -622,7 +620,7 @@ mod tests {
         let mut publish = |service: &mut KizzleService, seed: u64| {
             let before = service.signatures().len();
             service
-                .process_day(date, &test_day(date, seed))
+                .process_day(date, test_day(date, seed))
                 .expect("day processes");
             date = date.next();
             service.save(&dir).expect("state saved");
@@ -667,7 +665,7 @@ mod tests {
         let date = SimDate::new(2014, 8, 5);
         let mut service = test_service();
         service
-            .process_day(date, &test_day(date, 7))
+            .process_day(date, test_day(date, 7))
             .expect("day processes");
         service.save(&dir).expect("state saved");
 
@@ -690,14 +688,14 @@ mod tests {
         let mut service = test_service();
         let d1 = SimDate::new(2014, 8, 5);
         service
-            .process_day(d1, &test_day(d1, 3))
+            .process_day(d1, test_day(d1, 3))
             .expect("day processes");
         service.save(&dir).expect("base saved");
         let base_set = service.signatures().clone();
 
         let d2 = SimDate::new(2014, 8, 6);
         service
-            .process_day(d2, &test_day(d2, 4))
+            .process_day(d2, test_day(d2, 4))
             .expect("day processes");
         service.save(&dir).expect("delta saved");
 

@@ -1,11 +1,13 @@
 //! The two contracts of the service façade (ISSUE 5 acceptance):
 //!
 //! 1. **Streaming == single-shot.** A [`DaySession`] fed the day in
-//!    arbitrary mini-batches seals to a [`DayReport`] byte-identical
-//!    (modulo wall-clock/work-counter stats) to the monolithic
-//!    [`KizzleCompiler::process_day`] over the same sample sequence, with
-//!    identical resulting signatures, reference corpus evolution and warm
-//!    engine state — across multiple consecutive days.
+//!    arbitrary mini-batches — each entering by an arbitrary [`Batch`]
+//!    route: borrowed, owned, `Arc`-shared or already tokenized — seals
+//!    to a [`DayReport`] byte-identical (modulo wall-clock/work-counter
+//!    stats) to the one-batch [`KizzleService::process_day`] over the
+//!    same sample sequence, with identical resulting signatures,
+//!    reference corpus evolution and warm engine state — across multiple
+//!    consecutive days.
 //! 2. **Publication is atomic.** [`Matcher`] clones scanning from other
 //!    threads while a seal is in flight observe either the previous
 //!    published set or the new one — a complete, self-consistent set
@@ -38,6 +40,24 @@ fn day_samples(date: SimDate, samples_per_day: usize, seed: u64) -> Vec<Sample> 
     GraywareStream::new(config).generate_day(date)
 }
 
+/// `chunk` as a [`Batch`], by the route `route` selects: copied from the
+/// borrowed slice, moved as a `Vec`, shared as an `Arc<[Sample]>`, or
+/// tokenized by the caller.
+fn routed(route: u8, chunk: &[Sample], token_cap: usize) -> Batch {
+    match route % 4 {
+        0 => chunk.into(),
+        1 => chunk.to_vec().into(),
+        2 => Arc::<[Sample]>::from(chunk).into(),
+        _ => Batch::tokenized(
+            chunk,
+            chunk
+                .iter()
+                .map(|s| kizzle_js::tokenize_document_capped(&s.html, token_cap))
+                .collect(),
+        ),
+    }
+}
+
 /// Everything in a report that must be byte-identical between the two
 /// ingest shapes — only the wall-clock/work-counter stats are stripped.
 fn normalized(mut report: DayReport) -> DayReport {
@@ -49,17 +69,20 @@ fn normalized(mut report: DayReport) -> DayReport {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Mini-batched sessions over several consecutive days — with the
-    /// batch split re-drawn per day — match the single-shot compiler
-    /// byte-for-byte: reports, signatures, and warm engine state.
+    /// Mini-batched sessions over several consecutive days — every batch
+    /// entering by its own drawn route, all routes mixed within one day —
+    /// match the one-batch day byte-for-byte: reports, signatures, and
+    /// warm engine state.
     #[test]
     fn mini_batch_ingest_equals_single_shot(
         day_sizes in prop::collection::vec(8usize..56, 1..4),
         batch_size in 1usize..24,
+        routes in prop::collection::vec(0u8..4, 1..8),
         seed in 0u64..1000,
     ) {
         let mut single = fast_service();
         let mut batched = fast_service();
+        let token_cap = batched.config().token_cap;
         let mut date = SimDate::new(2014, 8, 5);
         for (d, &size) in day_sizes.iter().enumerate() {
             let day = day_samples(date, size, seed.wrapping_add(d as u64));
@@ -67,8 +90,8 @@ proptest! {
             let want = single.process_day(date, &day).expect("single-shot day");
 
             let mut session = batched.begin_day(date).expect("day opens");
-            for chunk in day.chunks(batch_size) {
-                session.ingest(chunk);
+            for (i, chunk) in day.chunks(batch_size).enumerate() {
+                session.ingest(routed(routes[i % routes.len()], chunk, token_cap));
             }
             prop_assert_eq!(session.ingested(), day.len());
             let got = session.seal();
@@ -82,8 +105,8 @@ proptest! {
             );
             date = date.next();
         }
-        // The façade's single-shot convenience is the same code path as the
-        // compiler's process_day: windows cluster identically afterwards.
+        // The retained day views agree too: windows cluster identically
+        // afterwards.
         let (window_single, _) = single.cluster_window();
         let (window_batched, _) = batched.cluster_window();
         prop_assert_eq!(window_single, window_batched);
@@ -91,7 +114,8 @@ proptest! {
 
     /// The pipelined frontend with **multiple producer threads** plus an
     /// **overlapped background seal** is still byte-identical to the
-    /// single-shot compiler. Producers hand off mini-batches through the
+    /// one-batch day, whichever route each batch takes through the
+    /// channel. Producers hand off mini-batches through the
     /// bounded channel in a rendezvous order (the day's sample sequence is
     /// defined by channel FIFO order, so the test serializes *sends* while
     /// still exercising cross-thread submission and backpressure), and
@@ -100,12 +124,14 @@ proptest! {
     fn pipelined_multi_producer_with_overlapped_seal_equals_single_shot(
         day_sizes in prop::collection::vec(8usize..48, 2..4),
         batch_size in 1usize..16,
+        routes in prop::collection::vec(0u8..4, 1..8),
         producers in 2usize..4,
         channel_bound in 1usize..4,
         seed in 0u64..1000,
     ) {
         let mut single = fast_service();
         let mut piped = fast_service();
+        let token_cap = piped.config().token_cap;
         let mut date = SimDate::new(2014, 8, 5);
         let mut pending: Option<SealHandle> = None;
         let mut want_reports = Vec::new();
@@ -121,14 +147,13 @@ proptest! {
             // background seal is (potentially) still in flight.
             let mut session = piped.begin_day(date).expect("day opens");
             let producer = session.pipeline(channel_bound);
-            let chunks: Vec<Arc<[Sample]>> =
-                day.chunks(batch_size).map(Arc::from).collect();
+            let chunks: Vec<&[Sample]> = day.chunks(batch_size).collect();
             let turn = Arc::new(std::sync::atomic::AtomicUsize::new(0));
             std::thread::scope(|scope| {
                 for worker in 0..producers {
                     let producer = producer.clone();
                     let turn = Arc::clone(&turn);
-                    let chunks = &chunks;
+                    let (chunks, routes) = (&chunks, &routes);
                     scope.spawn(move || {
                         for (i, chunk) in chunks.iter().enumerate() {
                             if i % producers != worker {
@@ -137,7 +162,8 @@ proptest! {
                             while turn.load(Ordering::Acquire) != i {
                                 std::thread::yield_now();
                             }
-                            assert!(producer.send_shared(Arc::clone(chunk)));
+                            let route = routes[i % routes.len()];
+                            assert!(producer.send(routed(route, chunk, token_cap)));
                             turn.store(i + 1, Ordering::Release);
                         }
                     });
@@ -262,12 +288,12 @@ fn consecutive_seals_publish_monotonically() {
     let d1 = SimDate::new(2014, 8, 5);
     let d2 = SimDate::new(2014, 8, 20);
     service
-        .process_day(d1, &day_samples(d1, 48, 6))
+        .process_day(d1, day_samples(d1, 48, 6))
         .expect("day 1");
     let after_day1 = matcher.signatures().len();
     assert_eq!(matcher.epoch(), 1);
     service
-        .process_day(d2, &day_samples(d2, 48, 7))
+        .process_day(d2, day_samples(d2, 48, 7))
         .expect("day 2");
     assert_eq!(matcher.epoch(), 2);
     assert!(matcher.signatures().len() >= after_day1);

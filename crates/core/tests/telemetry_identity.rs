@@ -10,15 +10,20 @@
 //!
 //! This file is its own test binary on purpose: the telemetry gate is a
 //! process-global, and integration tests compile separately, so flipping
-//! it here cannot race with the rest of the suite. The single proptest
-//! below is the only test in the binary (proptest cases run
-//! sequentially), which keeps the on/off toggling data-race-free.
+//! it here cannot race with the rest of the suite. The two tests below
+//! both flip it, so each holds [`GATE`] for its whole body (proptest
+//! cases run sequentially), which keeps the on/off toggling
+//! data-race-free.
 
 use kizzle::prelude::*;
 use kizzle_corpus::{GraywareStream, KitFamily, Sample, SimDate, StreamConfig};
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
+
+/// Serializes the tests of this binary around the process-global
+/// telemetry gate and span collector.
+static GATE: Mutex<()> = Mutex::new(());
 
 fn fast_service() -> KizzleService {
     let config = KizzleConfig::fast();
@@ -83,7 +88,7 @@ fn pipelined_run(
                         while turn.load(Ordering::Acquire) != i {
                             std::thread::yield_now();
                         }
-                        assert!(producer.send_shared(Arc::clone(chunk)));
+                        assert!(producer.send(Arc::clone(chunk)));
                         turn.store(i + 1, Ordering::Release);
                     }
                 });
@@ -116,6 +121,7 @@ proptest! {
         channel_bound in 1usize..4,
         seed in 0u64..1000,
     ) {
+        let _gate = GATE.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
         // Arm 1: gate off (the default production posture).
         kizzle_telemetry::set_enabled(false);
         let mut plain = fast_service();
@@ -154,4 +160,55 @@ proptest! {
         prop_assert!(records.iter().any(|r| r.name() == "day.cluster"));
         prop_assert!(records.iter().any(|r| r.name() == "day.publish"));
     }
+}
+
+/// The inline seal and the background seal are one body: over the same
+/// day they record the same multiset of span names, and `day.publish` is
+/// the last span either records — what the ledger's clock alignment
+/// (`perf_ledger/days.rs`) leans on.
+#[test]
+fn inline_and_background_seals_record_the_same_spans_ending_in_publish() {
+    let _gate = GATE.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
+    let date = SimDate::new(2014, 8, 5);
+    let day = day_samples(date, 40, 9);
+    let seal_spans = |background: bool| {
+        let mut service = fast_service();
+        let mut session = service.begin_day(date).expect("day opens");
+        session.ingest(&day);
+        kizzle_telemetry::set_enabled(true);
+        let _ = kizzle_telemetry::drain();
+        let report = if background {
+            session.seal_background().wait()
+        } else {
+            session.seal()
+        };
+        let records = kizzle_telemetry::drain();
+        kizzle_telemetry::set_enabled(false);
+        assert!(!report.new_signatures.is_empty(), "report: {report}");
+
+        let spans: Vec<(&str, u64)> = records
+            .iter()
+            .filter_map(|r| match r {
+                kizzle_telemetry::Record::Span {
+                    name,
+                    start_us,
+                    dur_us,
+                    ..
+                } => Some((*name, start_us + dur_us)),
+                kizzle_telemetry::Record::Event { .. } => None,
+            })
+            .collect();
+        let &(last, publish_end) = spans.last().expect("the seal recorded spans");
+        assert_eq!(last, "day.publish", "background={background}: {spans:?}");
+        assert!(
+            spans.iter().all(|&(_, end)| end <= publish_end),
+            "background={background}: a span ends after day.publish: {spans:?}"
+        );
+        let mut names: Vec<&str> = spans.into_iter().map(|(name, _)| name).collect();
+        names.sort_unstable();
+        names
+    };
+    let inline = seal_spans(false);
+    assert!(inline.contains(&"day.seal") && inline.contains(&"day.cluster"));
+    assert_eq!(inline, seal_spans(true));
 }

@@ -261,27 +261,29 @@ impl MonthlyEvaluation {
         date: SimDate,
         per_family: &mut [(KitFamily, FamilyCounts)],
     ) -> DailyMetrics {
-        let samples = stream.generate_day(date);
+        // Held as one shared allocation: the single-shot mode hands the
+        // session this `Arc`, so the day's documents are never buffered
+        // twice.
+        let samples: Arc<[Sample]> = stream.generate_day(date).into();
         let streams: Vec<_> = {
             // The eval pre-tokenizes the day (both detectors scan the same
-            // token streams), so the service-side ingest sites only ever
-            // see tokenized batches — this block is the day's real ingest
+            // token streams), so the service-side ingest only ever sees
+            // tokenized batches — this block is the day's real ingest
             // phase, so the span lives here.
             let _ingest_span = kizzle_telemetry::span!("day.ingest");
-            // One guard for the whole day's tokenization: the per-call
-            // accessor would lock (and wait out any background seal) once
-            // per sample.
-            let compiler = service.compiler();
+            let token_cap = service.config().token_cap;
             samples
                 .iter()
-                .map(|s| compiler.tokenize_capped(&s.html))
+                .map(|s| kizzle_js::tokenize_document_capped(&s.html, token_cap))
                 .collect()
         };
         let report = match (self.config.ingest_batch, self.config.pipeline_producers) {
-            // Single-shot: borrow the slices straight through (no session
-            // buffering) — the pre-façade semantics.
+            // Single-shot: the whole day as one batch.
             (0, _) => service
-                .process_day_tokenized(date, &samples, &streams)
+                .process_day(
+                    date,
+                    Batch::tokenized(Arc::clone(&samples), streams.clone()),
+                )
                 .expect("evaluation days are monotone"),
             (chunk, 0) => {
                 let mut session = service
@@ -289,7 +291,7 @@ impl MonthlyEvaluation {
                     .expect("evaluation days are monotone");
                 for (sample_chunk, stream_chunk) in samples.chunks(chunk).zip(streams.chunks(chunk))
                 {
-                    session.ingest_tokenized(sample_chunk, stream_chunk);
+                    session.ingest(Batch::tokenized(sample_chunk, stream_chunk.to_vec()));
                 }
                 session.seal()
             }
@@ -304,11 +306,8 @@ impl MonthlyEvaluation {
                     .begin_day(date)
                     .expect("evaluation days are monotone");
                 let producer = session.pipeline(self.config.pipeline_bound);
-                let chunks: Vec<(Arc<[Sample]>, &[kizzle_js::TokenStream])> = samples
-                    .chunks(chunk)
-                    .zip(streams.chunks(chunk))
-                    .map(|(s, t)| (Arc::from(s), t))
-                    .collect();
+                let chunks: Vec<(&[Sample], &[kizzle_js::TokenStream])> =
+                    samples.chunks(chunk).zip(streams.chunks(chunk)).collect();
                 let turn = AtomicUsize::new(0);
                 std::thread::scope(|scope| {
                     for worker in 0..producers {
@@ -323,10 +322,8 @@ impl MonthlyEvaluation {
                                 while turn.load(Ordering::Acquire) != i {
                                     std::thread::yield_now();
                                 }
-                                assert!(producer.send_tokenized(
-                                    Arc::clone(sample_chunk),
-                                    stream_chunk.to_vec()
-                                ));
+                                assert!(producer
+                                    .send(Batch::tokenized(*sample_chunk, stream_chunk.to_vec())));
                                 turn.store(i + 1, Ordering::Release);
                             }
                         });

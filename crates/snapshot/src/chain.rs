@@ -477,16 +477,6 @@ impl ChainedSnapshot {
         })
     }
 
-    /// Wrap a single parsed snapshot as a one-layer chain.
-    #[must_use]
-    pub fn single(snapshot: Snapshot) -> Self {
-        ChainedSnapshot {
-            layers: vec![snapshot],
-            files: Vec::new(),
-            notes: Vec::new(),
-        }
-    }
-
     /// Files loaded, base first — shorter than the manifest's chain when
     /// a broken delta truncated it.
     #[must_use]
@@ -541,18 +531,6 @@ impl SectionSource for ChainedSnapshot {
         Err(SnapshotError::SectionMissing {
             section: name.to_string(),
         })
-    }
-
-    /// The format version of the layer that wins the section — per
-    /// section, because an upgraded deployment chains v2 deltas onto a v1
-    /// base until compaction rewrites the base.
-    fn section_version(&self, name: &str) -> u32 {
-        for layer in self.layers.iter().rev() {
-            if layer.has_section(name) {
-                return layer.version();
-            }
-        }
-        crate::FORMAT_VERSION
     }
 }
 

@@ -19,8 +19,8 @@
 //!
 //! 1. **Detect, never trust.** A truncated file fails the structural walk
 //!    or the trailer check; a flipped bit fails a section CRC; a snapshot
-//!    from a future format fails the version gate. All of these surface as
-//!    [`SnapshotError`] values, not panics.
+//!    of any other format version fails the version gate. All of these
+//!    surface as [`SnapshotError`] values, not panics.
 //! 2. **Degrade per section.** Section CRCs are independent, so a reader
 //!    can recover every intact section of a damaged file —
 //!    [`Snapshot::section`] reports corruption section-by-section, which
@@ -40,20 +40,12 @@ pub const MAGIC: [u8; 8] = *b"KIZSNAP1";
 /// Current container format version. Bump on any layout change.
 ///
 /// Version 2 (ISSUE 4): section payloads written by the domain crates
-/// switched sorted id runs to varint gap encoding, and snapshot state may
-/// span a base→delta chain. Version-1 files still *parse* — the container
-/// layout never changed, only the payload encodings — and
-/// [`Snapshot::version`] tells the domain decoders which encoding the
-/// payloads carry (see [`SectionSource::section_version`](crate::SectionSource::section_version)).
-/// Anything outside [`MIN_FORMAT_VERSION`]`..=`[`FORMAT_VERSION`] is
-/// refused with [`SnapshotError::VersionSkew`].
+/// carry sorted id runs as varint gaps, and snapshot state may span a
+/// base→delta chain. The container layout of version 1 was the same but
+/// its payload encodings were not, so the header version is the only
+/// thing that tells them apart: a file stamped with any other version is
+/// refused with [`SnapshotError::VersionSkew`] before a section is parsed.
 pub const FORMAT_VERSION: u32 = 2;
-
-/// Oldest container format version this build still reads. Version 1 is
-/// the pre-chain format: identical container layout, but `corpus-store`
-/// and `neighbor-index` payloads carry sorted id runs as plain varints
-/// rather than gap lists.
-pub const MIN_FORMAT_VERSION: u32 = 1;
 
 /// Accumulates named sections and serializes them into one container.
 #[derive(Debug, Default)]
@@ -86,20 +78,9 @@ impl SnapshotBuilder {
     /// Serialize the container to bytes.
     #[must_use]
     pub fn to_bytes(&self) -> Vec<u8> {
-        self.to_bytes_with_version(FORMAT_VERSION)
-    }
-
-    /// Serialize with an explicit format version stamped in the header.
-    ///
-    /// Exists so the v1→v2 upgrade tests can author byte-faithful
-    /// version-1 files; production writers always go through
-    /// [`SnapshotBuilder::to_bytes`].
-    #[doc(hidden)]
-    #[must_use]
-    pub fn to_bytes_with_version(&self, version: u32) -> Vec<u8> {
         let mut out = Vec::new();
         out.extend_from_slice(&MAGIC);
-        out.extend_from_slice(&version.to_le_bytes());
+        out.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
         out.extend_from_slice(
             &u32::try_from(self.sections.len())
                 .expect("u32 sections")
@@ -165,9 +146,6 @@ pub struct Snapshot {
     /// carry one — the chain layer binds each delta to this value of its
     /// predecessor.
     trailer_crc: Option<u32>,
-    /// Format version stamped in the header (within the supported range,
-    /// or parsing would have refused the file).
-    version: u32,
 }
 
 impl Snapshot {
@@ -199,7 +177,7 @@ impl Snapshot {
             return Err(SnapshotError::BadMagic);
         }
         let version = u32::from_le_bytes(bytes[8..12].try_into().expect("4 bytes"));
-        if !(MIN_FORMAT_VERSION..=FORMAT_VERSION).contains(&version) {
+        if version != FORMAT_VERSION {
             return Err(SnapshotError::VersionSkew {
                 found: version,
                 expected: FORMAT_VERSION,
@@ -235,18 +213,7 @@ impl Snapshot {
             complete,
             file_crc_ok,
             trailer_crc,
-            version,
         })
-    }
-
-    /// Format version this file was written under. Payload encodings vary
-    /// by version — domain decoders branch on this (via
-    /// [`SectionSource::section_version`](crate::SectionSource::section_version)),
-    /// which is what lets a pre-chain v1 snapshot resume instead of
-    /// forcing a cold rebuild.
-    #[must_use]
-    pub fn version(&self) -> u32 {
-        self.version
     }
 
     /// True when every declared section parsed and the file trailer

@@ -67,7 +67,7 @@ pub mod sections;
 
 pub use chain::{ChainSave, ChainWriter, ChainedSnapshot};
 pub use codec::{Decoder, Encoder};
-pub use container::{write_atomic, Snapshot, SnapshotBuilder, FORMAT_VERSION, MIN_FORMAT_VERSION};
+pub use container::{write_atomic, Snapshot, SnapshotBuilder, FORMAT_VERSION};
 pub use manifest::Manifest;
 
 use std::fmt;
@@ -80,24 +80,11 @@ pub trait SectionSource {
     /// The payload of a named section, checksum-verified — the same
     /// contract as [`Snapshot::section`].
     fn section(&self, name: &str) -> Result<&[u8], SnapshotError>;
-
-    /// The container format version the named section's payload was
-    /// encoded under. In a chained overlay this is per-section: a v1 base
-    /// extended by v2 deltas answers 1 for sections still served by the
-    /// base and 2 for sections a delta superseded. Decoders branch on it
-    /// to read legacy payload encodings.
-    fn section_version(&self, _name: &str) -> u32 {
-        FORMAT_VERSION
-    }
 }
 
 impl SectionSource for Snapshot {
     fn section(&self, name: &str) -> Result<&[u8], SnapshotError> {
         Snapshot::section(self, name)
-    }
-
-    fn section_version(&self, _name: &str) -> u32 {
-        self.version()
     }
 }
 

@@ -6,11 +6,15 @@
 //! daily behind a streaming ingest session, and a fast matcher side built
 //! from cheap, cloneable read handles:
 //!
-//! * [`KizzleService`] — owns the warm compiler state across days.
+//! * [`KizzleService`] — the one compile-side driver: owns the warm
+//!   compiler state across days, saves and resumes it as a snapshot
+//!   chain ([`KizzleService::save`] / [`KizzleService::open`]).
 //! * [`DaySession`] — streaming ingest: [`KizzleService::begin_day`],
-//!   mini-batched [`DaySession::ingest`], then [`DaySession::seal`] to
-//!   cluster → label → sign → publish. Byte-identical to single-shot
-//!   [`KizzleCompiler::process_day`] (property-tested).
+//!   mini-batched [`DaySession::ingest`] of [`Batch`]es (borrowed, owned,
+//!   `Arc`-shared or already tokenized — one way in), then
+//!   [`DaySession::seal`] to cluster → label → sign → publish.
+//!   Byte-identical to the one-batch [`KizzleService::process_day`]
+//!   however the day is cut (property-tested).
 //! * [`Matcher`] — `Send + Sync` scan handle over the epoch-swapped
 //!   published signature set; scans stay lock-free while a seal is in
 //!   flight and pick up each publication atomically.
@@ -50,7 +54,7 @@
 #![warn(missing_docs)]
 
 pub use kizzle::{
-    config_fingerprint, read_signatures, ClusterVerdict, DayReport, DaySession, KizzleCompiler,
+    config_fingerprint, read_signatures, Batch, ClusterVerdict, DayReport, DaySession,
     KizzleConfig, KizzleConfigBuilder, KizzleError, KizzleService, Matcher, ReferenceCorpus,
     ResumeReport, SignatureSet,
 };

@@ -1,7 +1,7 @@
 //! Cross-crate integration tests: corpus → tokenizer → clustering →
 //! unpacking → labeling → signature generation → scanning.
 
-use kizzle::{KizzleCompiler, KizzleConfig, ReferenceCorpus};
+use kizzle::{KizzleConfig, KizzleService, ReferenceCorpus};
 use kizzle_avsim::{AvConfig, AvEngine};
 use kizzle_cluster::{DbscanParams, DistributedClusterer, DistributedConfig};
 use kizzle_corpus::{GraywareStream, GroundTruth, KitFamily, KitModel, SimDate, StreamConfig};
@@ -96,10 +96,10 @@ fn full_pipeline_detects_kits_and_spares_benign_pages() {
     let date = SimDate::new(2014, 8, 6);
     let config = KizzleConfig::fast();
     let reference = ReferenceCorpus::seeded_from_models(date, &config);
-    let mut compiler = KizzleCompiler::new(config, reference);
+    let mut service = KizzleService::new(config, reference).expect("fast config is valid");
     let day = small_stream(3, 0.45).generate_day(date);
 
-    let report = compiler.process_day(date, &day);
+    let report = service.process_day(date, &day).expect("day processes");
     assert!(report.malicious_clusters() >= 2, "{report}");
 
     let mut detected = 0usize;
@@ -107,7 +107,7 @@ fn full_pipeline_detects_kits_and_spares_benign_pages() {
     let mut fp = 0usize;
     let mut benign = 0usize;
     for sample in &day {
-        let hit = compiler.scan(&sample.html);
+        let hit = service.matcher().scan(&sample.html);
         match sample.truth {
             GroundTruth::Malicious(_) => {
                 malicious += 1;
@@ -141,7 +141,7 @@ fn kizzle_closes_the_angler_window_the_av_leaves_open() {
     let date = SimDate::new(2014, 8, 14);
     let config = KizzleConfig::fast();
     let reference = ReferenceCorpus::seeded_from_models(SimDate::new(2014, 8, 1), &config);
-    let mut compiler = KizzleCompiler::new(config, reference);
+    let mut service = KizzleService::new(config, reference).expect("fast config is valid");
     let av = AvEngine::new(AvConfig::default());
 
     let stream = GraywareStream::new(StreamConfig {
@@ -151,7 +151,7 @@ fn kizzle_closes_the_angler_window_the_av_leaves_open() {
         seed: 21,
     });
     let day = stream.generate_day(date);
-    compiler.process_day(date, &day);
+    service.process_day(date, &day).expect("day processes");
 
     let angler_samples: Vec<_> = day
         .iter()
@@ -160,7 +160,7 @@ fn kizzle_closes_the_angler_window_the_av_leaves_open() {
     assert!(!angler_samples.is_empty());
     let kizzle_detected = angler_samples
         .iter()
-        .filter(|s| compiler.scan(&s.html).is_some())
+        .filter(|s| service.matcher().scan(&s.html).is_some())
         .count();
     let av_detected = angler_samples
         .iter()
@@ -183,7 +183,7 @@ fn resigning_after_a_packer_rotation_restores_detection() {
     // restores majority detection immediately.
     let config = KizzleConfig::fast();
     let reference = ReferenceCorpus::seeded_from_models(SimDate::new(2014, 8, 1), &config);
-    let mut compiler = KizzleCompiler::new(config, reference);
+    let mut service = KizzleService::new(config, reference).expect("fast config is valid");
 
     let nuclear_day = |date: SimDate, seed: u64| {
         GraywareStream::new(StreamConfig {
@@ -195,11 +195,11 @@ fn resigning_after_a_packer_rotation_restores_detection() {
         .generate_day(date)
     };
 
-    let detection = |compiler: &KizzleCompiler, day: &[kizzle_corpus::Sample]| {
+    let detection = |service: &KizzleService, day: &[kizzle_corpus::Sample]| {
         let malicious = day.iter().filter(|s| s.truth.is_malicious()).count();
         let hits = day
             .iter()
-            .filter(|s| s.truth.is_malicious() && compiler.scan(&s.html).is_some())
+            .filter(|s| s.truth.is_malicious() && service.matcher().scan(&s.html).is_some())
             .count();
         (hits, malicious)
     };
@@ -207,10 +207,10 @@ fn resigning_after_a_packer_rotation_restores_detection() {
     // Day before the August 22 delimiter rotation.
     let d20 = SimDate::new(2014, 8, 20);
     let day20 = nuclear_day(d20, 31);
-    compiler.process_day(d20, &day20);
-    let sigs_after_d20 = compiler.signatures().len();
+    service.process_day(d20, &day20).expect("day processes");
+    let sigs_after_d20 = service.signatures().len();
     assert!(sigs_after_d20 > 0);
-    let (hits, malicious) = detection(&compiler, &day20);
+    let (hits, malicious) = detection(&service, &day20);
     assert!(
         hits * 2 > malicious,
         "{hits}/{malicious} on the signing day"
@@ -219,8 +219,8 @@ fn resigning_after_a_packer_rotation_restores_detection() {
     // Day after the rotation: re-process, detection recovers the same day.
     let d23 = SimDate::new(2014, 8, 23);
     let day23 = nuclear_day(d23, 33);
-    compiler.process_day(d23, &day23);
-    assert!(compiler.signatures().len() >= sigs_after_d20);
-    let (hits, malicious) = detection(&compiler, &day23);
+    service.process_day(d23, &day23).expect("day processes");
+    assert!(service.signatures().len() >= sigs_after_d20);
+    let (hits, malicious) = detection(&service, &day23);
     assert!(hits * 2 > malicious, "{hits}/{malicious} after re-signing");
 }

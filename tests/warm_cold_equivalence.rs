@@ -1,6 +1,6 @@
 //! Warm/cold equivalence of the incremental corpus engine at pipeline
-//! level: a 10-day simulated run through a compiler whose engine retains a
-//! multi-day window must produce day reports identical to a compiler that
+//! level: a 10-day simulated run through a service whose engine retains a
+//! multi-day window must produce day reports identical to a service that
 //! clusters every day fully cold (retention window 1 — the engine is
 //! emptied before each day), modulo wall-clock timings.
 //!
@@ -9,7 +9,7 @@
 //! warm path's memoized neighborhoods are genuinely exercised, not just
 //! trivially bypassed.
 
-use kizzle::{DayReport, KizzleCompiler, KizzleConfig, ReferenceCorpus};
+use kizzle::{DayReport, KizzleConfig, KizzleService, ReferenceCorpus};
 use kizzle_cluster::DistributedStats;
 use kizzle_corpus::{GraywareStream, KitFamily, Sample, SimDate, StreamConfig};
 
@@ -32,11 +32,11 @@ fn sample_pool() -> Vec<Sample> {
     pool
 }
 
-fn compiler(retention_days: usize) -> KizzleCompiler {
+fn service(retention_days: usize) -> KizzleService {
     let mut config = KizzleConfig::fast();
     config.retention_days = retention_days;
     let reference = ReferenceCorpus::seeded_from_models(SimDate::new(2014, 8, 1), &config);
-    KizzleCompiler::new(config, reference)
+    KizzleService::new(config, reference).expect("valid config")
 }
 
 /// A day report with the wall-clock noise removed: everything that must be
@@ -54,14 +54,14 @@ fn ten_day_warm_run_matches_cold_day_by_day() {
     let slide = 8usize;
     assert!(pool.len() >= day_len + 9 * slide, "pool too small");
 
-    let mut warm = compiler(3);
-    let mut cold = compiler(1);
+    let mut warm = service(3);
+    let mut cold = service(1);
 
     let mut date = SimDate::new(2014, 8, 10);
     for day in 0..10 {
         let window = &pool[day * slide..day * slide + day_len];
-        let warm_report = warm.process_day(date, window);
-        let cold_report = cold.process_day(date, window);
+        let warm_report = warm.process_day(date, window).expect("warm day");
+        let cold_report = cold.process_day(date, window).expect("cold day");
         assert_eq!(
             normalized(&warm_report),
             normalized(&cold_report),
@@ -70,7 +70,7 @@ fn ten_day_warm_run_matches_cold_day_by_day() {
         date = date.next();
     }
 
-    // Both compilers went through identical labeling decisions, so the
+    // Both services went through identical labeling decisions, so the
     // cumulative signature sets agree too.
     assert_eq!(warm.signatures().len(), cold.signatures().len());
     assert!(!warm.signatures().is_empty(), "run produced no signatures");
@@ -87,14 +87,18 @@ fn ten_day_warm_run_matches_cold_day_by_day() {
 #[test]
 fn warm_overlap_days_answer_from_the_cache() {
     let pool = sample_pool();
-    let mut warm = compiler(3);
+    let mut warm = service(3);
     let day1 = &pool[0..40];
-    let r1 = warm.process_day(SimDate::new(2014, 8, 10), day1);
+    let r1 = warm
+        .process_day(SimDate::new(2014, 8, 10), day1)
+        .expect("day 1");
     assert!(r1.clustering_stats.index.queries > 0);
     // Day 2 carries over 80% of day 1: only the fresh fraction (plus any
     // content the tokenizer maps to new class-strings) pays query cost.
     let day2 = &pool[8..48];
-    let r2 = warm.process_day(SimDate::new(2014, 8, 11), day2);
+    let r2 = warm
+        .process_day(SimDate::new(2014, 8, 11), day2)
+        .expect("day 2");
     assert!(
         r2.clustering_stats.index.cache_hits > 0,
         "no warm reuse on an 80%-overlap day: {:?}",
