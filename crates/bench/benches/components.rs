@@ -74,6 +74,27 @@ fn bench_scanning(c: &mut Criterion) {
     g.finish();
 }
 
+/// Signature generation over one Rig cluster of 32 members (the
+/// subsampling cap) of 762 tokens: all one class string, as a stock kit
+/// day delivers them, and all distinct — every page behind its own
+/// 8-token prefix — as a near-duplicate kit day does.
+fn bench_signature_generation(c: &mut Criterion) {
+    let mut g = group(c, "signature_generate");
+    let docs = packed_samples(KitFamily::Rig, 12, 32);
+    let prefixed: Vec<String> = (0u64..)
+        .zip(&docs)
+        .map(|(i, doc)| kizzle_corpus::variation_prefix(i) + doc)
+        .collect();
+    let config = SignatureConfig::default();
+    for (arm, docs) in [("dup_32x762", &docs), ("distinct_32x762", &prefixed)] {
+        let members = tokenized(docs, 900);
+        g.bench_function(arm, |b| {
+            b.iter(|| black_box(generate_signature("bench.sig", &members, &config)).is_ok())
+        });
+    }
+    g.finish();
+}
+
 fn bench_unpackers(c: &mut Criterion) {
     let mut g = group(c, "unpackers");
     for family in KitFamily::ALL {
@@ -92,6 +113,7 @@ criterion_group!(
     bench_edit_distance,
     bench_winnowing,
     bench_scanning,
+    bench_signature_generation,
     bench_unpackers
 );
 criterion_main!(components);

@@ -34,7 +34,10 @@
 //!   cloneable [`IngestProducer`]s submit the same [`Batch`]es
 //!   ([`IngestProducer::send`]) and the worker tokenizes/dedups/
 //!   store-inserts off the producers' threads, a full channel blocking
-//!   them (backpressure, counted in [`DayReport`]`.pipeline`). And the
+//!   them (backpressure, counted in [`DayReport`]`.pipeline`). The worker
+//!   takes everything already queued as one group and tokenizes its
+//!   documents across the cores (`KIZZLE_RAYON_THREADS` sets the width),
+//!   then applies the batches one by one in FIFO order. And the
 //!   seal overlaps: [`DaySession::seal_background`] runs the same seal
 //!   body on a background thread while [`KizzleService::begin_day`] for
 //!   the *next* day returns immediately — [`SealHandle::wait`] joins the
@@ -115,6 +118,7 @@ use kizzle_cluster::{Clustering, CorpusEngine, DistributedStats, PreparedDay, Sa
 use kizzle_corpus::{KitFamily, Sample, SimDate};
 use kizzle_js::TokenStream;
 use kizzle_signature::SignatureSet;
+use rayon::prelude::*;
 use std::mem;
 use std::ops::Deref;
 use std::path::Path;
@@ -636,19 +640,61 @@ struct Frontend {
     worker: JoinHandle<()>,
 }
 
-/// Tokenize (unless the caller already did), dedup and store-insert one
-/// non-empty mini-batch atomically: the whole batch lands under one
-/// compiler lock, so no observer (and no abort) ever sees a half-inserted
-/// batch. Tokenizing happens before the lock is taken.
-fn apply_batch(state: &SessionState, batch: Batch) {
-    let Batch { samples, streams } = batch;
-    let streams = streams.unwrap_or_else(|| {
-        let _ingest_span = kizzle_telemetry::span!("day.ingest");
-        samples
-            .iter()
-            .map(|s| kizzle_js::tokenize_document_capped(&s.html, state.token_cap))
-            .collect()
-    });
+/// Most samples the channel worker drains into one group. A group's
+/// documents are tokenized together across the cores; the bound keeps the
+/// stretch between store inserts — and the token streams held meanwhile —
+/// to a fraction of a day.
+const INGEST_GROUP_SAMPLES: usize = 1024;
+
+/// Fewer documents than this are tokenized on the calling thread: the
+/// vendored rayon spawns scoped threads per call, which costs about what
+/// tokenizing a dozen pages does.
+const PAR_TOKENIZE_MIN: usize = 64;
+
+/// A non-empty mini-batch with its token streams, position-parallel.
+struct TokenizedBatch {
+    samples: Arc<[Sample]>,
+    streams: Vec<TokenStream>,
+}
+
+/// Tokenize every document of `group` whose batch did not bring its
+/// streams — one parallel map over all of them, in order, so a deep queue
+/// uses every core however small its batches are. Order and content are
+/// those of batch-by-batch tokenization; only the threads differ.
+fn tokenize_group(token_cap: usize, group: Vec<Batch>) -> Vec<TokenizedBatch> {
+    let documents: Vec<&Sample> = group
+        .iter()
+        .filter(|batch| batch.streams.is_none())
+        .flat_map(|batch| batch.samples.iter())
+        .collect();
+    let tokenize = |sample: &&Sample| kizzle_js::tokenize_document_capped(&sample.html, token_cap);
+    let mut fresh = {
+        let _ingest_span = (!documents.is_empty()).then(|| kizzle_telemetry::span!("day.ingest"));
+        if documents.len() < PAR_TOKENIZE_MIN {
+            documents.iter().map(tokenize).collect::<Vec<TokenStream>>()
+        } else {
+            documents.par_iter().map(tokenize).collect()
+        }
+    }
+    .into_iter();
+    if kizzle_telemetry::enabled() {
+        let samples: usize = group.iter().map(|batch| batch.samples.len()).sum();
+        kizzle_telemetry::gauge("kizzle_ingest_group_samples").set_max(samples as u64);
+    }
+    group
+        .into_iter()
+        .map(|Batch { samples, streams }| {
+            let streams = streams.unwrap_or_else(|| fresh.by_ref().take(samples.len()).collect());
+            TokenizedBatch { samples, streams }
+        })
+        .collect()
+}
+
+/// Dedup and store-insert one tokenized mini-batch atomically: the whole
+/// batch lands under one compiler lock, so no observer (and no abort) ever
+/// sees a half-inserted batch.
+fn apply_batch(state: &SessionState, batch: TokenizedBatch) {
+    let TokenizedBatch { samples, streams } = batch;
     let mut compiler = state.core.compiler.lock().expect("compiler lock");
     let mut inner = state.inner.lock().expect("session buffers lock");
     // The first batch applied opens the day: advance the cursor, run the
@@ -662,6 +708,23 @@ fn apply_batch(state: &SessionState, batch: Batch) {
     inner.streams.extend(streams);
     inner.samples.push(samples);
     state.applied.fetch_add(1, Ordering::Relaxed);
+}
+
+/// Tokenize a group of non-empty batches (before any lock is taken), then
+/// apply them one by one in order. An abandoned session's group is
+/// discarded untokenized; a session dropped meanwhile stops the group at
+/// the next batch boundary, so what is applied is whole batches.
+fn apply_group(state: &SessionState, group: Vec<Batch>) {
+    let abandoned = || state.closed.load(Ordering::Acquire);
+    if abandoned() {
+        return;
+    }
+    for batch in tokenize_group(state.token_cap, group) {
+        if abandoned() {
+            return;
+        }
+        apply_batch(state, batch);
+    }
 }
 
 /// The one way a batch enters a session, for direct ingest and producers
@@ -680,7 +743,7 @@ fn submit(state: &SessionState, tx: Option<&SyncSender<Job>>, batch: Batch) -> b
     }
     state.submitted.fetch_add(1, Ordering::Relaxed);
     let Some(tx) = tx else {
-        apply_batch(state, batch);
+        apply_group(state, vec![batch]);
         return true;
     };
     let depth = state.queued.fetch_add(1, Ordering::Relaxed) + 1;
@@ -700,16 +763,35 @@ fn submit(state: &SessionState, tx: Option<&SyncSender<Job>>, batch: Batch) -> b
     accepted
 }
 
-/// The channel worker: drain batches in FIFO order, tokenizing and
-/// applying off the producers' threads, until the seal's `Finish` sentinel
-/// or channel disconnect (every sender gone). An abandoned session's
-/// batches are received and discarded, so a producer blocked on a full
-/// channel always unblocks.
+/// The channel worker: wait for a batch, take along whatever else is
+/// already queued (up to [`INGEST_GROUP_SAMPLES`]), tokenize the group
+/// across the cores and apply it batch by batch in FIFO order, off the
+/// producers' threads — until the seal's `Finish` sentinel (everything
+/// queued before it is applied, nothing after) or channel disconnect
+/// (every sender gone). An abandoned session's batches are received and
+/// discarded, so a producer blocked on a full channel always unblocks.
 fn ingest_worker(state: &SessionState, rx: &Receiver<Job>) {
-    while let Ok(Job::Batch(batch)) = rx.recv() {
-        state.queued.fetch_sub(1, Ordering::Relaxed);
-        if !state.closed.load(Ordering::Acquire) {
-            apply_batch(state, batch);
+    while let Ok(Job::Batch(first)) = rx.recv() {
+        let mut samples = first.samples.len();
+        let mut group = vec![first];
+        let mut finished = false;
+        while samples < INGEST_GROUP_SAMPLES && !finished {
+            match rx.try_recv() {
+                Ok(Job::Batch(batch)) => {
+                    samples += batch.samples.len();
+                    group.push(batch);
+                }
+                Ok(Job::Finish) => finished = true,
+                // Empty or disconnected: the next `recv` tells which.
+                Err(_) => break,
+            }
+        }
+        state
+            .queued
+            .fetch_sub(group.len() as u64, Ordering::Relaxed);
+        apply_group(state, group);
+        if finished {
+            return;
         }
     }
 }
@@ -1299,6 +1381,33 @@ mod tests {
     }
 
     #[test]
+    fn group_tokenization_fills_in_raw_batches_only_and_in_order() {
+        let date = SimDate::new(2014, 8, 5);
+        let day = test_day(date, 7);
+        let tokenize = |samples: &[Sample]| -> Vec<TokenStream> {
+            samples
+                .iter()
+                .map(|s| kizzle_js::tokenize_document_capped(&s.html, 500))
+                .collect()
+        };
+        // Below and above the pooled threshold: raw, caller-tokenized, raw.
+        // The caller's streams are deliberately not its samples', so
+        // passing them through untouched is visible.
+        for raw in [5, PAR_TOKENIZE_MIN] {
+            let first: Vec<Sample> = day.iter().cycle().take(raw).cloned().collect();
+            let marker = tokenize(&day[..3]);
+            let group = vec![
+                Batch::from(&first),
+                Batch::tokenized(&day[3..6], marker.clone()),
+                Batch::from(&day[6..9]),
+            ];
+            let tokenized = tokenize_group(500, group);
+            let streams: Vec<&Vec<TokenStream>> = tokenized.iter().map(|b| &b.streams).collect();
+            assert_eq!(streams, [&tokenize(&first), &marker, &tokenize(&day[6..9])]);
+        }
+    }
+
+    #[test]
     fn pipelined_session_matches_single_shot() {
         let date = SimDate::new(2014, 8, 5);
         let day = test_day(date, 11);
@@ -1338,18 +1447,21 @@ mod tests {
 
         let day = test_day(d1, 3);
         let mut session = service.begin_day(d1).expect("day opens");
-        // Bound 1, and the compiler lock held so the worker cannot drain:
-        // the first batch blocks in apply, the second fills the channel,
-        // the third *must* stall — deterministically, not by racing.
+        // Bound 1, and the compiler lock held so the worker cannot apply:
+        // its first group blocks in apply, the next batch fills the
+        // channel, the one after *must* stall — deterministically, not by
+        // racing: the sender keeps going until it has.
         let producer = session.pipeline(1);
         {
             let guard = session.state.core.compiler.lock().expect("compiler lock");
             let chunks: Vec<Vec<Sample>> = day.chunks(12).map(<[Sample]>::to_vec).collect();
-            assert!(chunks.len() >= 3, "need enough batches to force a stall");
-            let stalled = producer.clone();
+            let (stalled, state) = (producer.clone(), Arc::clone(&session.state));
             let sender = std::thread::spawn(move || {
-                for chunk in chunks {
+                for chunk in chunks.iter().cycle() {
                     assert!(stalled.send(chunk));
+                    if state.stalls.load(Ordering::Relaxed) > 0 {
+                        break;
+                    }
                 }
             });
             while session.state.stalls.load(Ordering::Relaxed) == 0 {

@@ -8,6 +8,11 @@
 //!    same sample sequence, with identical resulting signatures,
 //!    reference corpus evolution and warm engine state — across multiple
 //!    consecutive days.
+//!    The channel worker tokenizes whatever is queued as one group across
+//!    the cores; deep queues of mixed raw and caller-tokenized batches, a
+//!    seal cutting a drain short and a session dropped mid-group are held
+//!    to the same contract (CI runs this file a second time under
+//!    `KIZZLE_RAYON_THREADS=1`, pinning pooled ≡ sequential tokenization).
 //! 2. **Publication is atomic.** [`Matcher`] clones scanning from other
 //!    threads while a seal is in flight observe either the previous
 //!    published set or the new one — a complete, self-consistent set
@@ -15,7 +20,7 @@
 //!    set once the publish lands.
 
 use kizzle::prelude::*;
-use kizzle_corpus::{GraywareStream, KitFamily, Sample, SimDate, StreamConfig};
+use kizzle_corpus::{variation_prefix, GraywareStream, KitFamily, Sample, SimDate, StreamConfig};
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -38,6 +43,16 @@ fn day_samples(date: SimDate, samples_per_day: usize, seed: u64) -> Vec<Sample> 
         seed,
     };
     GraywareStream::new(config).generate_day(date)
+}
+
+/// `samples`, sample `i` behind variation prefix `first + i`: every class
+/// string differs, so nothing dedups and the warm store's size counts the
+/// samples applied.
+fn distinct_content(mut samples: Vec<Sample>, first: u64) -> Vec<Sample> {
+    for (code, sample) in (first..).zip(&mut samples) {
+        sample.html.insert_str(0, &variation_prefix(code));
+    }
+    samples
 }
 
 /// `chunk` as a [`Batch`], by the route `route` selects: copied from the
@@ -191,6 +206,160 @@ proptest! {
         let (window_piped, _) = piped.cluster_window();
         prop_assert_eq!(window_single, window_piped);
     }
+
+    /// Groups really form, and still equal single-shot: the day's head
+    /// goes in as one raw batch large enough for the pooled tokenizer, and
+    /// while the worker is busy with it the tail queues up behind — small
+    /// batches, raw and caller-tokenized interleaved by drawn route —
+    /// followed at once by the seal's cutoff. The worker drains the tail as
+    /// groups of mixed batches (tokenizing only what arrived raw) and
+    /// meets the cutoff mid-drain.
+    #[test]
+    fn grouped_ingest_behind_a_deep_queue_equals_single_shot(
+        head in 64usize..96,
+        tail in 16usize..48,
+        batch_size in 1usize..6,
+        routes in prop::collection::vec(0u8..4, 1..8),
+        seed in 0u64..1000,
+    ) {
+        let mut single = fast_service();
+        let mut piped = fast_service();
+        let token_cap = piped.config().token_cap;
+        let mut date = SimDate::new(2014, 8, 5);
+        for d in 0..2u64 {
+            let day = day_samples(date, head + tail, seed.wrapping_add(d));
+            let want = single.process_day(date, &day).expect("single-shot day");
+
+            let mut session = piped.begin_day(date).expect("day opens");
+            let producer = session.pipeline(64);
+            prop_assert!(producer.send(&day[..head]));
+            for (i, chunk) in day[head..].chunks(batch_size).enumerate() {
+                prop_assert!(producer.send(routed(routes[i % routes.len()], chunk, token_cap)));
+            }
+            let got = session.seal();
+
+            prop_assert_eq!(got.pipeline.applied_batches, got.pipeline.submitted_batches);
+            prop_assert_eq!(normalized(want), normalized(got), "day {}", d);
+            prop_assert_eq!(&*single.signatures(), &*piped.signatures());
+            prop_assert_eq!(single.engine().len(), piped.engine().len());
+            date = date.next();
+        }
+    }
+}
+
+/// The deep queue the property above relies on is real: while the worker
+/// tokenizes a 300-page head, 60 two-page batches pile up behind it.
+#[test]
+fn small_batches_queue_up_behind_a_busy_worker() {
+    let date = SimDate::new(2014, 8, 5);
+    let day = day_samples(date, 420, 17);
+    let mut service = fast_service();
+    let mut session = service.begin_day(date).expect("day opens");
+    let producer = session.pipeline(64);
+    assert!(producer.send(&day[..300]));
+    for chunk in day[300..].chunks(2) {
+        assert!(producer.send(chunk));
+    }
+    let report = session.seal();
+    assert_eq!(report.samples, day.len());
+    assert!(
+        report.pipeline.max_queue_depth >= 4,
+        "the tail never queued: depth {}",
+        report.pipeline.max_queue_depth
+    );
+}
+
+/// A seal's cutoff met in the middle of a drain applies everything queued
+/// before it and nothing after: with a second producer still sending
+/// while the seal runs, the sealed day is the pre-seal batches plus a
+/// FIFO prefix of the late ones, and nothing reaches the store afterwards.
+#[test]
+fn cutoff_met_mid_drain_applies_what_was_queued_before_it_and_nothing_after() {
+    const LATE_BATCH: usize = 3;
+    let date = SimDate::new(2014, 8, 5);
+    let day = distinct_content(day_samples(date, 160, 23), 0);
+    let late = distinct_content(day_samples(date, 90, 24), day.len() as u64);
+    let mut service = fast_service();
+    let mut session = service.begin_day(date).expect("day opens");
+    let producer = session.pipeline(256);
+    // The head keeps the worker busy; the tail queues behind it.
+    assert!(producer.send(&day[..100]));
+    let early_batches = 1 + day[100..].chunks(4).len() as u64;
+    for chunk in day[100..].chunks(4) {
+        assert!(producer.send(chunk));
+    }
+    let sealing = Arc::new(AtomicBool::new(false));
+    let (report, late_accepted) = std::thread::scope(|scope| {
+        let late_producer = {
+            let (producer, sealing, late) = (producer.clone(), Arc::clone(&sealing), &late);
+            scope.spawn(move || {
+                while !sealing.load(Ordering::Acquire) {
+                    std::thread::yield_now();
+                }
+                late.chunks(LATE_BATCH)
+                    .take_while(|chunk| producer.send(*chunk))
+                    .count() as u64
+            })
+        };
+        sealing.store(true, Ordering::Release);
+        let report = session.seal();
+        (
+            report,
+            late_producer.join().expect("late producer finishes"),
+        )
+    });
+    let late_applied = report.pipeline.applied_batches - early_batches;
+    assert!(
+        late_applied <= late_accepted,
+        "{late_applied} of {late_accepted}"
+    );
+    assert_eq!(
+        report.samples,
+        day.len() + LATE_BATCH * late_applied as usize
+    );
+    // Every class string is distinct, so the store counts applied samples:
+    // nothing landed after the cutoff, and the session refuses more.
+    assert_eq!(service.engine().len(), report.samples);
+    assert!(!producer.send(&late[..LATE_BATCH]));
+    assert_eq!(service.engine().len(), report.samples);
+}
+
+/// A session dropped while a group is in flight stops at a batch
+/// boundary — only whole batches are in the store — and a producer
+/// blocked on the full channel unblocks.
+#[test]
+fn session_dropped_mid_group_leaves_whole_batches_and_unblocks_producers() {
+    const BATCH: usize = 7;
+    let date = SimDate::new(2014, 8, 5);
+    let day = distinct_content(day_samples(date, BATCH * 60, 29), 0);
+    let mut service = fast_service();
+    let accepted = {
+        let mut session = service.begin_day(date).expect("day opens");
+        let producer = session.pipeline(8);
+        let flooder = {
+            let day = day.clone();
+            std::thread::spawn(move || {
+                day.chunks(BATCH)
+                    .filter(|chunk| producer.send(*chunk))
+                    .count()
+            })
+        };
+        // Abandon the day once a group has started landing.
+        while session.ingested() == 0 {
+            std::thread::yield_now();
+        }
+        drop(session);
+        flooder.join().expect("producer thread finishes")
+    };
+    // Every class string is distinct, so the store counts applied samples.
+    let applied = service.engine().len();
+    assert!(applied > 0);
+    assert_eq!(applied % BATCH, 0, "a batch was torn: {applied} samples");
+    assert!(applied <= accepted * BATCH);
+    // Nothing was published, and the day is still sealable from scratch.
+    assert!(service.signatures().is_empty());
+    let report = service.process_day(date, day).expect("day re-runs");
+    assert_eq!(report.samples, BATCH * 60);
 }
 
 /// Scanner threads hammer matcher clones while the main thread seals a

@@ -53,7 +53,7 @@ pub use date::SimDate;
 pub use evolution::{ChangeKind, EvolutionEvent, KitState};
 pub use family::{Component, Cve, KitFamily};
 pub use kits::KitModel;
-pub use sample::{GroundTruth, Sample, SampleId};
+pub use sample::{variation_prefix, GroundTruth, Sample, SampleId};
 pub use stream::{GraywareStream, StreamConfig};
 
 #[cfg(test)]

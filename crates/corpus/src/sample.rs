@@ -86,6 +86,21 @@ impl Sample {
     }
 }
 
+/// An inline script of eight tokens spelling `code` in base 5 over five
+/// token classes (keyword, identifier, punctuation, string, number), to
+/// put in front of a page. Codes below 5⁸ give pairwise different token
+/// sequences, so prefixed pages never share a class string — nothing
+/// deduplicates — while each stays within eight edits of its base, far
+/// inside the clustering threshold at realistic lengths.
+#[must_use]
+pub fn variation_prefix(code: u64) -> String {
+    const TOKENS: [&str; 5] = ["var", "a", ";", "\"s\"", "1"];
+    let digits: Vec<&str> = (0..8)
+        .map(|place| TOKENS[(code / 5u64.pow(place) % 5) as usize])
+        .collect();
+    format!("<script>{}</script>", digits.join(" "))
+}
+
 impl fmt::Display for Sample {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
@@ -125,6 +140,17 @@ mod tests {
         assert!(text.contains("8/3/14"));
         assert!(text.contains("RIG"));
         assert!(text.contains("13 bytes"));
+    }
+
+    #[test]
+    fn variation_prefixes_differ_and_wrap_eight_tokens() {
+        let prefixes: std::collections::HashSet<String> =
+            (0..5u64.pow(4)).map(variation_prefix).collect();
+        assert_eq!(prefixes.len(), 5usize.pow(4));
+        assert_eq!(
+            variation_prefix(7),
+            "<script>; a var var var var var var</script>"
+        );
     }
 
     #[test]

@@ -52,6 +52,11 @@ pub struct CommonWindow {
 /// each sample, using binary search over the window length as the paper
 /// describes.
 ///
+/// The search runs over the samples' *distinct* class strings — a cluster
+/// of 32 near-duplicates usually carries one or two — and compares windows
+/// by exact integer names (Karp–Miller–Rosenberg) instead of hashing token
+/// slices, so its cost follows distinct content.
+///
 /// Returns `None` when no window of length at least 1 qualifies.
 #[must_use]
 pub fn find_common_window(
@@ -68,15 +73,35 @@ pub fn find_common_window(
         return None;
     }
 
+    // Group the members by class string in order of first appearance, so
+    // `distinct[0]` is sample 0's string: the source of candidate windows.
+    let mut distinct: Vec<&[u8]> = Vec::new();
+    let mut seen: HashMap<&[u8], usize> = HashMap::new();
+    let member_of: Vec<usize> = class_strings
+        .iter()
+        .map(|classes| {
+            *seen.entry(classes).or_insert_with(|| {
+                distinct.push(classes);
+                distinct.len() - 1
+            })
+        })
+        .collect();
+    if kizzle_telemetry::enabled() {
+        kizzle_telemetry::counter("kizzle_siggen_member_streams_total").add(samples.len() as u64);
+        kizzle_telemetry::counter("kizzle_siggen_distinct_streams_total")
+            .add(distinct.len() as u64);
+    }
+    let names = WindowNames::build(&distinct, cap);
+
     // Binary search the largest feasible length in [1, cap].
     let mut lo = 1usize;
     let mut hi = cap;
-    let mut best: Option<CommonWindow> = None;
+    let mut best: Option<(usize, Vec<u32>)> = None;
     while lo <= hi {
         let mid = lo + (hi - lo) / 2;
-        match window_of_length(&class_strings, mid) {
-            Some(window) => {
-                best = Some(window);
+        match names.window_of_length(mid) {
+            Some(starts) => {
+                best = Some((mid, starts));
                 lo = mid + 1;
             }
             None => {
@@ -87,46 +112,183 @@ pub fn find_common_window(
             }
         }
     }
-    best
+    best.map(|(len, starts)| CommonWindow {
+        len,
+        starts: member_of.iter().map(|&d| starts[d] as usize).collect(),
+    })
 }
 
-/// Is there a window of exactly `len` classes common to all samples and
-/// unique in each? Returns the window's start offsets if so.
-fn window_of_length(class_strings: &[Vec<u8>], len: usize) -> Option<CommonWindow> {
-    // Index the windows of every sample: window -> occurrence starts.
-    let mut per_sample: Vec<HashMap<&[u8], Vec<usize>>> = Vec::with_capacity(class_strings.len());
-    for classes in class_strings {
-        if classes.len() < len {
-            return None;
+/// Name of a window that does not occur in sample 0's class string.
+const NO_NAME: u32 = u32::MAX;
+/// Start of a window that has not occurred in a string.
+const ABSENT: u32 = u32::MAX;
+/// Start of a window that has occurred more than once in a string.
+const REPEATED: u32 = u32::MAX - 1;
+
+/// Exact names for pairs of names: the sorted distinct pairs found in
+/// sample 0's class string, a pair's name being its rank. Every other
+/// pair is [`NO_NAME`] — only sample 0's windows are candidates, so a
+/// window holding something sample 0 lacks can never equal one.
+struct PairNames {
+    /// Sorted distinct `first << 32 | second` keys.
+    keys: Vec<u64>,
+    /// `by_first[x]..by_first[x + 1]` is the range of `keys` whose first
+    /// half is `x` — usually one key wide, so a lookup is one comparison.
+    by_first: Vec<u32>,
+}
+
+impl PairNames {
+    /// Name the distinct `pairs`; their first halves are below
+    /// `first_names`.
+    fn build(pairs: impl Iterator<Item = (u32, u32)>, first_names: usize) -> Self {
+        let mut keys: Vec<u64> = pairs.map(|(x, y)| pair_key(x, y)).collect();
+        keys.sort_unstable();
+        keys.dedup();
+        let mut by_first = vec![0u32; first_names + 1];
+        for &key in &keys {
+            by_first[(key >> 32) as usize + 1] += 1;
         }
-        let mut map: HashMap<&[u8], Vec<usize>> = HashMap::new();
-        for start in 0..=classes.len() - len {
-            map.entry(&classes[start..start + len])
-                .or_default()
-                .push(start);
+        for x in 0..first_names {
+            by_first[x + 1] += by_first[x];
         }
-        per_sample.push(map);
+        PairNames { keys, by_first }
     }
 
-    // Candidate windows come from the first sample; accept the first (in
-    // source order) that is unique everywhere.
-    let first = &class_strings[0];
-    let mut seen: std::collections::HashSet<&[u8]> = std::collections::HashSet::new();
-    for start in 0..=first.len() - len {
-        let window = &first[start..start + len];
-        if !seen.insert(window) {
-            continue;
+    fn name(&self, x: u32, y: u32) -> u32 {
+        if x == NO_NAME || y == NO_NAME {
+            return NO_NAME;
         }
-        let unique_everywhere = per_sample.iter().all(|map| {
-            map.get(window)
-                .is_some_and(|positions| positions.len() == 1)
-        });
-        if unique_everywhere {
-            let starts = per_sample.iter().map(|map| map[window][0]).collect();
-            return Some(CommonWindow { len, starts });
+        let lo = self.by_first[x as usize] as usize;
+        let hi = self.by_first[x as usize + 1] as usize;
+        let key = pair_key(x, y);
+        if hi - lo == 1 {
+            return if self.keys[lo] == key {
+                lo as u32
+            } else {
+                NO_NAME
+            };
+        }
+        match self.keys[lo..hi].binary_search(&key) {
+            Ok(at) => (lo + at) as u32,
+            Err(_) => NO_NAME,
         }
     }
-    None
+}
+
+fn pair_key(x: u32, y: u32) -> u64 {
+    u64::from(x) << 32 | u64::from(y)
+}
+
+/// Exact integer names for the power-of-two-length windows of the
+/// distinct class strings, built once per search by Karp–Miller–Rosenberg
+/// doubling — `id_2p[i] = name(id_p[i], id_p[i + p])` — and reused by
+/// every probe: a window of any length `L` is named by the pair
+/// `(id_p[i], id_p[i + L - p])`, `p` the largest power of two ≤ `L`. Two
+/// windows of one length are equal exactly when their names are, so
+/// nothing hashes a token slice and there are no collisions to reason
+/// about.
+struct WindowNames {
+    /// `offsets[s]..offsets[s + 1]` is distinct string `s` in the flat
+    /// level arrays.
+    offsets: Vec<usize>,
+    /// `levels[k][offsets[s] + i]` names the `1 << k` classes at `i` of
+    /// string `s` ([`NO_NAME`] where fewer remain).
+    levels: Vec<Vec<u32>>,
+    /// Every name in `levels[k]` is below `name_counts[k]`.
+    name_counts: Vec<usize>,
+}
+
+impl WindowNames {
+    /// Name the windows of `distinct` up to the largest power of two
+    /// ≤ `cap`. Every string has at least `cap ≥ 1` classes.
+    fn build(distinct: &[&[u8]], cap: usize) -> Self {
+        let mut offsets = Vec::with_capacity(distinct.len() + 1);
+        let mut total = 0usize;
+        for classes in distinct {
+            offsets.push(total);
+            total += classes.len();
+        }
+        offsets.push(total);
+        // Names and window starts are stored as u32s below the sentinels.
+        assert!(
+            u32::try_from(total).is_ok_and(|total| total < REPEATED),
+            "a cluster's class strings hold far fewer than 2^32 tokens"
+        );
+        // Length 1: a class code names itself.
+        let codes = distinct.iter().flat_map(|classes| classes.iter());
+        let mut names = WindowNames {
+            offsets,
+            levels: vec![codes.map(|&code| u32::from(code)).collect()],
+            name_counts: vec![usize::from(u8::MAX) + 1],
+        };
+        let mut p = 1;
+        while 2 * p <= cap {
+            let (level, name_count) = names.paired(names.levels.len() - 1, p);
+            names.levels.push(level);
+            names.name_counts.push(name_count);
+            p *= 2;
+        }
+        names
+    }
+
+    /// Name every window of `(1 << k) + gap` classes (`gap <= 1 << k`) as
+    /// the pair of its level-`k` windows `gap` apart; also returns how
+    /// many names that took.
+    fn paired(&self, k: usize, gap: usize) -> (Vec<u32>, usize) {
+        let ids = &self.levels[k];
+        let len = (1 << k) + gap;
+        // The level-`k` names at both ends of every window of string `s`.
+        let ends = |s: usize| {
+            let string = &ids[self.offsets[s]..self.offsets[s + 1]];
+            let windows = (string.len() + 1).saturating_sub(len);
+            string[..windows]
+                .iter()
+                .zip(&string[gap.min(string.len())..])
+        };
+        let pairs = PairNames::build(ends(0).map(|(&x, &y)| (x, y)), self.name_counts[k]);
+        let mut named = vec![NO_NAME; ids.len()];
+        for s in 0..self.offsets.len() - 1 {
+            for (name, (&x, &y)) in named[self.offsets[s]..].iter_mut().zip(ends(s)) {
+                *name = pairs.name(x, y);
+            }
+        }
+        (named, pairs.keys.len())
+    }
+
+    /// Is there a window of exactly `len` classes common to all strings
+    /// and unique in each? Returns its start in every distinct string:
+    /// the first such window in sample 0's source order.
+    fn window_of_length(&self, len: usize) -> Option<Vec<u32>> {
+        let k = len.ilog2() as usize;
+        let (named, name_count) = self.paired(k, len - (1 << k));
+        let strings = self.offsets.len() - 1;
+        // `slots[s * name_count + name]`: where `name` starts in string
+        // `s`, while it has occurred there exactly once.
+        let mut slots = vec![ABSENT; strings * name_count];
+        for s in 0..strings {
+            let (lo, hi) = (self.offsets[s], self.offsets[s + 1]);
+            let row = &mut slots[s * name_count..(s + 1) * name_count];
+            for (start, &name) in named[lo..hi].iter().enumerate() {
+                if name != NO_NAME {
+                    let slot = &mut row[name as usize];
+                    *slot = if *slot == ABSENT {
+                        start as u32
+                    } else {
+                        REPEATED
+                    };
+                }
+            }
+        }
+        let unique_in = |s: usize, name: u32| slots[s * name_count + name as usize] < REPEATED;
+        let winner = named[..self.offsets[1]]
+            .iter()
+            .find(|&&name| name != NO_NAME && (0..strings).all(|s| unique_in(s, name)))?;
+        Some(
+            (0..strings)
+                .map(|s| slots[s * name_count + *winner as usize])
+                .collect(),
+        )
+    }
 }
 
 /// Generalize the common window into signature elements: literals where the
@@ -136,18 +298,22 @@ fn window_of_length(class_strings: &[Vec<u8>], len: usize) -> Option<CommonWindo
 pub fn generalize(samples: &[&TokenStream], window: &CommonWindow) -> Vec<Element> {
     let mut elements = Vec::with_capacity(window.len);
     for offset in 0..window.len {
-        let values: Vec<&str> = samples
-            .iter()
-            .zip(&window.starts)
-            .map(|(sample, &start)| sample.tokens().at(start + offset).unquoted())
-            .collect();
-        let all_equal = values.windows(2).all(|pair| pair[0] == pair[1]);
-        if all_equal {
-            elements.push(Element::Literal(values[0].to_string()));
+        let values = || {
+            samples
+                .iter()
+                .zip(&window.starts)
+                .map(move |(sample, &start)| sample.tokens().at(start + offset).unquoted())
+        };
+        let Some(first) = values().next() else {
+            break;
+        };
+        if values().all(|value| value == first) {
+            elements.push(Element::Literal(first.to_string()));
         } else {
-            let class = CharClass::infer(values.iter().copied()).unwrap_or(CharClass::Any);
-            let min_len = values.iter().map(|v| v.chars().count()).min().unwrap_or(0);
-            let max_len = values.iter().map(|v| v.chars().count()).max().unwrap_or(0);
+            let class = CharClass::infer(values()).unwrap_or(CharClass::Any);
+            let (min_len, max_len) = values()
+                .map(|value| value.chars().count())
+                .fold((usize::MAX, 0), |(min, max), n| (min.min(n), max.max(n)));
             elements.push(Element::Class {
                 class,
                 min_len,

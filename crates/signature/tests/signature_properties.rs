@@ -1,6 +1,7 @@
 //! Property-based tests for signature generation and matching.
 
-use kizzle_js::{tokenize, TokenStream, Tokens};
+use kizzle_corpus::{variation_prefix, KitFamily, KitModel, SimDate};
+use kizzle_js::{tokenize, tokenize_document_capped, TokenStream, Tokens};
 use kizzle_signature::generate::{find_common_window, generate_signature};
 use kizzle_signature::verify::nearest_in_stream;
 use kizzle_signature::{
@@ -8,6 +9,72 @@ use kizzle_signature::{
 };
 use kizzle_snapshot::{Decoder, Encoder};
 use proptest::prelude::*;
+use rand::SeedableRng;
+use rand_chacha::ChaCha8Rng;
+
+/// The seed generator (per-window `Vec<usize>` maps at every probe
+/// length): the oracle for the content-keyed common-window search.
+mod common {
+    pub mod reference;
+}
+use common::reference;
+
+/// One source token per class code: each lexes to a token of a different
+/// class, so a code sequence spells a class string.
+const CLASS_TOKENS: [&str; 5] = ["var", "a", ";", "\"s\"", "1"];
+
+/// A stream whose class string is `codes` spelled over the first
+/// `alphabet` entries of [`CLASS_TOKENS`].
+fn stream_of_codes(codes: &[u8], alphabet: u8) -> TokenStream {
+    let words: Vec<&str> = codes
+        .iter()
+        .map(|&code| CLASS_TOKENS[usize::from(code % alphabet)])
+        .collect();
+    tokenize(&words.join(" "))
+}
+
+/// Packed landing pages of one kit for one date, capped like the paper
+/// configuration's ingest; `prefixed` gives page `i` its own 8-token
+/// variation prefix, so no two class strings are equal.
+fn packed_streams(family: KitFamily, count: u64, prefixed: bool) -> Vec<TokenStream> {
+    let model = KitModel::new(family);
+    let date = SimDate::new(2014, 8, 12);
+    (0..count)
+        .map(|i| {
+            let mut rng = ChaCha8Rng::seed_from_u64(4_000 + i);
+            let mut doc = model.generate_sample(date, &mut rng);
+            if prefixed {
+                doc.insert_str(0, &variation_prefix(i));
+            }
+            tokenize_document_capped(&doc, 900)
+        })
+        .collect()
+}
+
+/// On real kit clusters — one distinct class string per kit, or every
+/// member distinct — the product builds exactly the oracle's signature,
+/// with and without subsampling.
+#[test]
+fn generated_signature_equals_the_oracle_on_kit_clusters() {
+    let config = SignatureConfig::default();
+    for family in KitFamily::ALL {
+        for prefixed in [false, true] {
+            for count in [5, 40] {
+                let streams = packed_streams(family, count, prefixed);
+                let distinct: std::collections::HashSet<Vec<u8>> =
+                    streams.iter().map(TokenStream::class_codes).collect();
+                if prefixed {
+                    assert_eq!(distinct.len(), streams.len(), "{family:?}: prefixes differ");
+                }
+                assert_eq!(
+                    generate_signature("kit.sig", &streams, &config),
+                    reference::generate_signature("kit.sig", &streams, &config),
+                    "{family:?}, {count} members, prefixed: {prefixed}"
+                );
+            }
+        }
+    }
+}
 
 /// Generate a cluster of "packed variants": a fixed structural skeleton with
 /// randomized identifiers and string payloads, the same shape the corpus
@@ -188,6 +255,39 @@ proptest! {
                 );
             }
         }
+    }
+
+    /// The content-keyed search returns exactly the oracle's window — same
+    /// length, same start in every member — on small-alphabet class
+    /// strings full of repeats: duplicate members, members of different
+    /// lengths (a short one bounds every probe), an occasional empty
+    /// member, and single-class strings with no unique window at all.
+    #[test]
+    fn common_window_equals_oracle(
+        alphabet in 1u8..5,
+        core in prop::collection::vec(0u8..5, 0..40),
+        edges in prop::collection::vec(prop::collection::vec(0u8..5, 0..10), 2..8),
+        picks in prop::collection::vec(0usize..64, 1..9),
+        max_tokens_pick in 0usize..3,
+    ) {
+        // The pool: `core` between two of the random edges, so members
+        // share a long window when the edges let them.
+        let pool: Vec<TokenStream> = edges
+            .windows(2)
+            .map(|pair| {
+                let codes = [pair[0].as_slice(), &core, &pair[1]].concat();
+                stream_of_codes(&codes, alphabet)
+            })
+            .collect();
+        let members: Vec<&TokenStream> = picks.iter().map(|&p| &pool[p % pool.len()]).collect();
+        let config = SignatureConfig {
+            max_tokens: [1, 7, 200][max_tokens_pick],
+            ..SignatureConfig::default()
+        };
+        prop_assert_eq!(
+            find_common_window(&members, &config),
+            reference::find_common_window(&members, &config)
+        );
     }
 
     /// Character-class inference always returns a class that accepts every
