@@ -38,8 +38,23 @@ fn main() {
         stats.pruned_by_histogram,
         100.0 * stats.pruned_by_histogram as f64 / stats.window_candidates.max(1) as f64
     );
+    let survivors = stats.window_candidates - stats.pruned_by_histogram;
     println!(
-        "edit-distance calls:    {} ({:.2}% of all pairs)",
+        "pivot calls:            {} (one per group of survivors sharing a pivot)",
+        stats.pivot_calls
+    );
+    println!(
+        "accepted by pivot:      {} ({:.2}% of survivors)",
+        stats.accepted_by_pivot,
+        100.0 * stats.accepted_by_pivot as f64 / survivors.max(1) as f64
+    );
+    println!(
+        "rejected by pivot:      {} ({:.2}% of survivors)",
+        stats.rejected_by_pivot,
+        100.0 * stats.rejected_by_pivot as f64 / survivors.max(1) as f64
+    );
+    println!(
+        "edit-distance calls:    {} ({:.2}% of all pairs; pivot calls included)",
         stats.distance_calls,
         100.0 * stats.distance_calls as f64 / all_ordered_pairs.max(1) as f64
     );

@@ -421,7 +421,24 @@ impl CorpusEngine {
         // Drain the index counters now, while the day still owns them —
         // queries the *next* day issues while `finish` is in flight must
         // not be attributed to this day.
-        stats.index.merge(&self.index.take_stats());
+        stats.index = self.index.take_stats();
+        if kizzle_telemetry::enabled() {
+            use kizzle_telemetry::counter;
+            let funnel = &stats.index;
+            counter("kizzle_cluster_index_queries_total").add(funnel.queries as u64);
+            counter("kizzle_cluster_index_window_candidates_total")
+                .add(funnel.window_candidates as u64);
+            counter("kizzle_cluster_index_pruned_by_histogram_total")
+                .add(funnel.pruned_by_histogram as u64);
+            counter("kizzle_cluster_index_distance_calls_total").add(funnel.distance_calls as u64);
+            counter("kizzle_cluster_index_pivot_calls_total").add(funnel.pivot_calls as u64);
+            counter("kizzle_cluster_index_accepted_by_pivot_total")
+                .add(funnel.accepted_by_pivot as u64);
+            counter("kizzle_cluster_index_rejected_by_pivot_total")
+                .add(funnel.rejected_by_pivot as u64);
+            kizzle_telemetry::gauge("kizzle_cluster_index_pivots")
+                .set(self.index.pivot_count() as u64);
+        }
 
         PreparedDay {
             params: self.config.dbscan,

@@ -17,9 +17,38 @@
 //!    changes the histogram L1 distance by at most 2, so
 //!    `⌈L1 / 2⌉ > max_edits` rejects a pair in `O(alphabet)` (the token
 //!    alphabet has ~a dozen classes) instead of `O(len²)`.
-//! 3. **Bit-parallel bounded edit distance** — survivors meet Myers'
-//!    algorithm ([`BitParallelPattern`]), with the pattern preprocessing
-//!    amortized across the whole candidate range of one query.
+//! 3. **Pivot bounds** — the first *two-sided* filter. Absolute edit
+//!    distance is a metric, and every entry stores `(pivot, dp)`: the slot
+//!    of a nearby entry and its exact edit distance to it. Survivors are
+//!    grouped by pivot and the query pays one kernel call per group for
+//!    `D = d(query, pivot)`; the triangle inequality then brackets every
+//!    member, `|D − dp| ≤ d(query, member) ≤ D + dp`. A lower end above
+//!    the pair's budget rejects it, an upper end within the budget accepts
+//!    it, and neither decision calls the kernel. A kit family is one dense
+//!    ball, so most pairs *are* neighbors — only an upper bound can settle
+//!    those (LAESA-style pivot filtering, Micó–Oncina–Vidal 1994).
+//! 4. **Bit-parallel bounded edit distance** — the ambiguous band meets
+//!    Myers' algorithm ([`BitParallelPattern`]), with the pattern
+//!    preprocessing amortized across the whole candidate range of one
+//!    query.
+//!
+//! Pivot acceptance is exact, not approximate: the kernel would return
+//! some `d ≤ D + dp`, and both halves of the accept predicate (`d ≤
+//! budget`, `d / max_len ≤ eps` in `f64`) are monotone in `d`, so passing
+//! them with the upper bound implies passing them with `d`. A group of one
+//! skips the pivot call — it would cost the call it hopes to save. The
+//! pivot of a group may itself lie outside the query's length window; the
+//! inequality does not care.
+//!
+//! An entry gets its pivot when its own eps-ball is first computed: the
+//! nearest pivot inside the ball (ties → lowest slot), or itself when the
+//! ball holds none. Balls are computed in waves of 64 entries, so a large
+//! batch sees the pivots of its own earlier waves; the entries of the wave
+//! in flight have no pivot yet and are compared directly.
+//! Removing a pivot re-homes its members onto the most recently attached
+//! one. The pivot table is derived state: it is not persisted, and
+//! [`NeighborIndex::decode_from`] rebuilds it from the restored
+//! neighborhoods.
 //!
 //! Unlike the original batch-only index, this one is **incremental**:
 //! [`NeighborIndex::insert`] and [`NeighborIndex::remove`] update the
@@ -59,8 +88,18 @@ pub struct IndexStats {
     pub window_candidates: usize,
     /// Pairs rejected by the histogram L1 lower bound.
     pub pruned_by_histogram: usize,
-    /// Pairs that reached the bit-parallel edit distance.
+    /// Every bit-parallel kernel call the index made, the
+    /// [`pivot_calls`](Self::pivot_calls) included.
     pub distance_calls: usize,
+    /// Kernel calls made against a pivot or to maintain the pivot table:
+    /// query → pivot, re-homing on [`NeighborIndex::remove`], attaching at
+    /// [`NeighborIndex::decode_from`]. The calls that compared a candidate
+    /// pair are `distance_calls − pivot_calls`.
+    pub pivot_calls: usize,
+    /// Pairs accepted by the pivot upper bound, no kernel call.
+    pub accepted_by_pivot: usize,
+    /// Pairs rejected by the pivot lower bound, no kernel call.
+    pub rejected_by_pivot: usize,
     /// Pairs accepted as neighbors.
     pub neighbors_found: usize,
 }
@@ -73,12 +112,20 @@ impl IndexStats {
         self.window_candidates += other.window_candidates;
         self.pruned_by_histogram += other.pruned_by_histogram;
         self.distance_calls += other.distance_calls;
+        self.pivot_calls += other.pivot_calls;
+        self.accepted_by_pivot += other.accepted_by_pivot;
+        self.rejected_by_pivot += other.rejected_by_pivot;
         self.neighbors_found += other.neighbors_found;
     }
 }
 
 /// Histogram slot meaning "symbol not yet observed".
 const UNASSIGNED: u16 = u16::MAX;
+
+/// Entries whose eps-balls are computed side by side before any of them
+/// gets a pivot. Fixed rather than growing: with doubling waves the last
+/// one is half the batch and compares all of it pair by pair.
+const WAVE: usize = 64;
 
 #[derive(Debug, Clone)]
 struct IndexEntry {
@@ -89,6 +136,12 @@ struct IndexEntry {
     /// Memoized eps-ball (ascending slot numbers), exact w.r.t. the current
     /// live set whenever present — insert/remove maintain it in place.
     cache: Option<Vec<u32>>,
+    /// `(pivot slot, exact edit distance to that pivot)`; a pivot names
+    /// itself at distance 0. `None` until the entry's own eps-ball has been
+    /// computed — the wave in flight, unmemoized entries.
+    pivot: Option<(u32, u32)>,
+    /// For a pivot: the entries attached to it, in attachment order.
+    members: Vec<u32>,
 }
 
 /// An incremental neighbor index over token strings at a fixed `eps`.
@@ -145,6 +198,87 @@ fn histogram_l1(a: &[u32], b: &[u32]) -> u64 {
         sum += u64::from(x);
     }
     sum
+}
+
+/// The exact accept predicate for one pair — bit for bit
+/// [`normalized_edit_distance_bounded`](crate::distance::normalized_edit_distance_bounded)
+/// `≤ eps` — yielding the edit distance of an accepted pair.
+fn within_eps(
+    eps: f64,
+    pattern: &BitParallelPattern,
+    text: &[u8],
+    scratch: &mut BitParallelScratch,
+) -> Option<u32> {
+    let max_len = pattern.len().max(text.len());
+    if max_len == 0 {
+        return Some(0);
+    }
+    if !length_compatible(eps, pattern.len(), text.len()) {
+        return None;
+    }
+    let d = pattern.distance_bounded_in(text, max_edits(eps, max_len), scratch)?;
+    (d as f64 / max_len as f64 <= eps).then(|| u32::try_from(d).expect("distance fits u32"))
+}
+
+/// One computed eps-ball.
+struct Ball {
+    /// Neighbor slots, ascending.
+    neighbors: Vec<u32>,
+    /// `(slot, edit distance)` of every neighbor whose exact distance a
+    /// kernel call established — what pivot adoption chooses from.
+    exact: Vec<(u32, u32)>,
+    stats: IndexStats,
+}
+
+/// A candidate with a pivot that survived the length window and the
+/// histogram bound, waiting for its group's pivot call.
+struct Survivor {
+    pivot: u32,
+    /// Exact edit distance candidate → pivot.
+    dp: usize,
+    slot: u32,
+    /// `max_edits` of the (query, candidate) pair.
+    budget: usize,
+    max_len: usize,
+}
+
+/// Working state of one eps-ball computation: the query's kernel pattern,
+/// built lazily (queries whose whole length window is pruned — most benign
+/// one-offs — never pay the setup), its column scratch, and the ball so far.
+struct BallQuery<'q> {
+    eps: f64,
+    query: &'q [u8],
+    pattern: Option<BitParallelPattern>,
+    scratch: BitParallelScratch,
+    ball: Ball,
+}
+
+impl BallQuery<'_> {
+    fn pattern(&mut self) -> (&BitParallelPattern, &mut BitParallelScratch) {
+        let query = self.query;
+        let pattern = self
+            .pattern
+            .get_or_insert_with(|| BitParallelPattern::new(query));
+        (pattern, &mut self.scratch)
+    }
+
+    fn accept(&mut self, slot: u32, exact: Option<u32>) {
+        self.ball.neighbors.push(slot);
+        self.ball.stats.neighbors_found += 1;
+        if let Some(d) = exact {
+            self.ball.exact.push((slot, d));
+        }
+    }
+
+    /// Settle one candidate pair with its own kernel call.
+    fn compare(&mut self, slot: u32, cand: &[u8]) {
+        self.ball.stats.distance_calls += 1;
+        let eps = self.eps;
+        let (pattern, scratch) = self.pattern();
+        if let Some(d) = within_eps(eps, pattern, cand, scratch) {
+            self.accept(slot, Some(d));
+        }
+    }
 }
 
 impl NeighborIndex {
@@ -227,6 +361,12 @@ impl NeighborIndex {
             .expect("slot refers to a live entry")
     }
 
+    fn entry_mut(&mut self, slot: u32) -> &mut IndexEntry {
+        self.entries[slot as usize]
+            .as_mut()
+            .expect("slot refers to a live entry")
+    }
+
     /// Register `data`'s symbols in the alphabet and return its histogram.
     fn make_histogram(&mut self, data: &[u8]) -> Vec<u32> {
         for &sym in data {
@@ -264,23 +404,34 @@ impl NeighborIndex {
     /// sample is within normalized edit distance `eps`, ascending.
     /// `exclude` removes the query's own slot; `unknown` is the L1
     /// contribution of query symbols outside the observed alphabet.
+    ///
+    /// Candidates pass the length window and the histogram bound one by
+    /// one; the survivors that have a pivot are then settled group by
+    /// group from one kernel call against the group's pivot, and only the
+    /// band the triangle inequality leaves open is compared pair by pair.
     fn eps_ball(
         &self,
         query: &[u8],
         query_hist: &[u32],
         unknown: u64,
         exclude: Option<u32>,
-    ) -> (Vec<u32>, IndexStats) {
-        let mut stats = IndexStats {
-            queries: 1,
-            ..IndexStats::default()
+    ) -> Ball {
+        let mut q = BallQuery {
+            eps: self.eps,
+            query,
+            pattern: None,
+            scratch: BitParallelScratch::default(),
+            ball: Ball {
+                neighbors: Vec::new(),
+                exact: Vec::new(),
+                stats: IndexStats {
+                    queries: 1,
+                    ..IndexStats::default()
+                },
+            },
         };
         let query_len = query.len();
-        // Built lazily: queries whose whole length window is pruned (most
-        // benign one-offs) never pay the pattern setup.
-        let mut pattern: Option<BitParallelPattern> = None;
-        let mut scratch = BitParallelScratch::default();
-        let mut neighbors = Vec::new();
+        let mut survivors: Vec<Survivor> = Vec::new();
 
         // Conservative start of the length window (one short of the integer
         // bound; the exact float predicate re-checks each candidate).
@@ -298,13 +449,12 @@ impl NeighborIndex {
             if exclude == Some(slot) {
                 continue;
             }
-            stats.window_candidates += 1;
+            q.ball.stats.window_candidates += 1;
 
             let max_len = query_len.max(cand_len);
             if max_len == 0 {
                 // Two empty strings: distance 0.
-                neighbors.push(slot);
-                stats.neighbors_found += 1;
+                q.accept(slot, Some(0));
                 continue;
             }
             let budget = max_edits(self.eps, max_len);
@@ -313,31 +463,67 @@ impl NeighborIndex {
             let l1 = histogram_l1(query_hist, &cand.hist) + unknown;
             let l1_lower = usize::try_from(l1.div_ceil(2)).unwrap_or(usize::MAX);
             if l1_lower > budget {
-                stats.pruned_by_histogram += 1;
+                q.ball.stats.pruned_by_histogram += 1;
                 continue;
             }
-            stats.distance_calls += 1;
-            let pattern = pattern.get_or_insert_with(|| BitParallelPattern::new(query));
-            if let Some(d) = pattern.distance_bounded_in(&cand.data, budget, &mut scratch) {
-                // Final normalized comparison, identical to the naive path.
-                if d as f64 / max_len as f64 <= self.eps {
-                    neighbors.push(slot);
-                    stats.neighbors_found += 1;
+            match cand.pivot {
+                Some((pivot, dp)) => survivors.push(Survivor {
+                    pivot,
+                    dp: dp as usize,
+                    slot,
+                    budget,
+                    max_len,
+                }),
+                None => q.compare(slot, &cand.data),
+            }
+        }
+
+        survivors.sort_unstable_by_key(|s| s.pivot);
+        for group in survivors.chunk_by(|a, b| a.pivot == b.pivot) {
+            if let [only] = group {
+                // The pivot call would cost the call it hopes to save.
+                q.compare(only.slot, &self.entry(only.slot).data);
+                continue;
+            }
+            // d(query, member) ≥ d(query, pivot) − dp for every member, so
+            // a pivot further than the largest budget plus the largest dp
+            // puts the whole group out of reach.
+            let reach = group.iter().map(|s| s.budget).max().unwrap_or(0)
+                + group.iter().map(|s| s.dp).max().unwrap_or(0);
+            q.ball.stats.distance_calls += 1;
+            q.ball.stats.pivot_calls += 1;
+            let (pattern, scratch) = q.pattern();
+            let to_pivot =
+                pattern.distance_bounded_in(&self.entry(group[0].pivot).data, reach, scratch);
+            let Some(to_pivot) = to_pivot else {
+                q.ball.stats.rejected_by_pivot += group.len();
+                continue;
+            };
+            for s in group {
+                let upper = to_pivot + s.dp;
+                if to_pivot.abs_diff(s.dp) > s.budget {
+                    q.ball.stats.rejected_by_pivot += 1;
+                } else if upper <= s.budget && upper as f64 / s.max_len as f64 <= self.eps {
+                    // The kernel would find some d ≤ upper, and both
+                    // comparisons are monotone in d. The bound is the
+                    // distance itself when the candidate *is* the pivot.
+                    q.ball.stats.accepted_by_pivot += 1;
+                    let exact =
+                        (s.dp == 0).then(|| u32::try_from(to_pivot).expect("distance fits u32"));
+                    q.accept(s.slot, exact);
+                } else {
+                    q.compare(s.slot, &self.entry(s.slot).data);
                 }
             }
         }
-        neighbors.sort_unstable();
-        (neighbors, stats)
+        q.ball.neighbors.sort_unstable();
+        q.ball
     }
 
     /// Compute the eps-ball of live slot `slot` (no cache involvement).
-    fn eps_ball_of_slot(&self, slot: u32) -> (Vec<u32>, IndexStats) {
+    fn eps_ball_of_slot(&self, slot: u32) -> Ball {
         let entry = self.entry(slot);
-        // The Arc keeps `data` alive independently of the entry table, so
-        // the borrow checker lets us pass it back into `self`.
-        let data = Arc::clone(&entry.data);
-        let hist = entry.hist.clone();
-        self.eps_ball(&data, &hist, 0, Some(slot))
+        self.eps_ball(&entry.data, &entry.hist, 0, Some(slot))
     }
 
     /// The eps-ball of an external sample over the indexed entries,
@@ -347,9 +533,9 @@ impl NeighborIndex {
     #[must_use]
     pub fn query(&mut self, sample: &[u8]) -> Vec<SampleId> {
         let (hist, unknown) = self.external_histogram(sample);
-        let (slots, stats) = self.eps_ball(sample, &hist, unknown, None);
-        self.session.merge(&stats);
-        slots.into_iter().map(SampleId::new).collect()
+        let ball = self.eps_ball(sample, &hist, unknown, None);
+        self.session.merge(&ball.stats);
+        ball.neighbors.into_iter().map(SampleId::new).collect()
     }
 
     /// Insert one sample under `id`.
@@ -367,49 +553,99 @@ impl NeighborIndex {
     /// Insert a batch of samples, computing the new entries' neighborhoods
     /// in parallel and splicing them into the surviving caches.
     ///
+    /// The batch goes in as waves of 64 entries, each inserted and
+    /// queried before the next, so a large batch is bounded by the pivots
+    /// of its own earlier waves just as a stream of small ones is.
+    ///
     /// # Panics
     ///
     /// Panics if any id is already indexed or appears twice in the batch.
     pub fn insert_batch(&mut self, items: Vec<(SampleId, Arc<[u8]>)>) {
-        if items.is_empty() {
-            return;
+        let mut items = items.into_iter();
+        loop {
+            let wave: Vec<(SampleId, Arc<[u8]>)> = items.by_ref().take(WAVE).collect();
+            if wave.is_empty() {
+                break;
+            }
+            let slots = self.insert_structural(wave);
+            self.memoize_wave(&slots);
         }
-        // Phase 1: structural inserts (length set, histograms, slots).
-        let new_slots = self.insert_structural(items);
+    }
 
-        // Phase 2: the new entries' eps-balls, in parallel over the full
-        // (old + new) live set.
+    /// Compute the eps-balls of one wave of live slots in parallel over the
+    /// full live set, memoize them, splice each slot into the memoized
+    /// lists of its neighbors (the eps relation is symmetric; a list that
+    /// already names the slot — a wave-mate's, or any list when the slot
+    /// was live all along — is left alone), and give every slot that has no
+    /// pivot one.
+    fn memoize_wave(&mut self, wave: &[u32]) {
         let shared: &NeighborIndex = self;
-        let computed: Vec<(Vec<u32>, IndexStats)> = new_slots
+        let computed: Vec<Ball> = wave
             .par_iter()
             .map(|&slot| shared.eps_ball_of_slot(slot))
             .collect();
-
-        // Phase 3: memoize the new eps-balls and splice each new slot into
-        // its *pre-existing* neighbors' caches (new–new pairs are already
-        // covered by the parallel computation; the eps relation is
-        // symmetric).
-        let new_set: BTreeSet<u32> = new_slots.iter().copied().collect();
-        for (&slot, (neighbors, stats)) in new_slots.iter().zip(computed) {
-            self.session.merge(&stats);
-            for &other in &neighbors {
-                if new_set.contains(&other) {
-                    continue;
-                }
-                if let Some(cache) = &mut self.entries[other as usize]
-                    .as_mut()
-                    .expect("neighbor is live")
-                    .cache
-                {
+        for (&slot, ball) in wave.iter().zip(computed) {
+            self.session.merge(&ball.stats);
+            for &other in &ball.neighbors {
+                if let Some(cache) = &mut self.entry_mut(other).cache {
                     if let Err(pos) = cache.binary_search(&slot) {
                         cache.insert(pos, slot);
                     }
                 }
             }
-            self.entries[slot as usize]
-                .as_mut()
-                .expect("just inserted")
-                .cache = Some(neighbors);
+            if self.entry(slot).pivot.is_none() {
+                // Nearest pivot inside the ball, ties → lowest slot. Wave-mates
+                // that became pivots a moment ago count: they had no pivot
+                // when the ball was computed, so it compared them directly.
+                let nearest = ball
+                    .exact
+                    .iter()
+                    .filter(|&&(other, _)| self.is_pivot(other))
+                    .map(|&(other, d)| (d, other))
+                    .min();
+                match nearest {
+                    Some((d, pivot)) => self.attach(slot, pivot, d),
+                    None => self.entry_mut(slot).pivot = Some((slot, 0)),
+                }
+            }
+            self.entry_mut(slot).cache = Some(ball.neighbors);
+        }
+    }
+
+    fn is_pivot(&self, slot: u32) -> bool {
+        self.entry(slot)
+            .pivot
+            .is_some_and(|(pivot, _)| pivot == slot)
+    }
+
+    /// Make `slot` a member of `pivot`, `dp` edits away.
+    fn attach(&mut self, slot: u32, pivot: u32, dp: u32) {
+        self.entry_mut(slot).pivot = Some((pivot, dp));
+        self.entry_mut(pivot).members.push(slot);
+    }
+
+    /// Re-home the members of a removed pivot (`orphans`, in attachment
+    /// order): the most recently attached one becomes a pivot and the
+    /// others attach to it, one bounded kernel call each; those outside
+    /// its eps-ball go round again.
+    fn rehome(&mut self, mut orphans: Vec<u32>) {
+        let mut scratch = BitParallelScratch::default();
+        while let Some(pivot) = orphans.pop() {
+            self.entry_mut(pivot).pivot = Some((pivot, 0));
+            if orphans.is_empty() {
+                break;
+            }
+            let pattern = BitParallelPattern::new(&self.entry(pivot).data);
+            self.session.distance_calls += orphans.len();
+            self.session.pivot_calls += orphans.len();
+            let mut outside = Vec::new();
+            for slot in orphans {
+                match within_eps(self.eps, &pattern, &self.entry(slot).data, &mut scratch) {
+                    Some(dp) => self.attach(slot, pivot, dp),
+                    None => outside.push(slot),
+                }
+            }
+            orphans = outside;
         }
     }
 
@@ -432,6 +668,8 @@ impl NeighborIndex {
                 data,
                 hist,
                 cache: None,
+                pivot: None,
+                members: Vec::new(),
             });
             self.live += 1;
             new_slots.push(slot);
@@ -454,7 +692,8 @@ impl NeighborIndex {
     }
 
     /// Remove `id` from the index, pruning it from its neighbors' memoized
-    /// lists. Returns false if `id` was not indexed.
+    /// lists. A removed pivot hands its members on (see the module docs).
+    /// Returns false if `id` was not indexed.
     pub fn remove(&mut self, id: SampleId) -> bool {
         let slot = id.raw();
         if !self.contains(id) {
@@ -462,34 +701,36 @@ impl NeighborIndex {
         }
         // The eps relation is symmetric: the caches that mention `slot` are
         // exactly the caches of its own eps-ball.
-        let neighbors = match self.entries[slot as usize]
-            .as_mut()
-            .expect("checked live")
-            .cache
-            .take()
-        {
+        let neighbors = match self.entry_mut(slot).cache.take() {
             Some(cached) => cached,
             None => {
-                let (computed, stats) = self.eps_ball_of_slot(slot);
-                self.session.merge(&stats);
-                computed
+                let ball = self.eps_ball_of_slot(slot);
+                self.session.merge(&ball.stats);
+                ball.neighbors
             }
         };
         for other in neighbors {
-            if let Some(cache) = &mut self.entries[other as usize]
-                .as_mut()
-                .expect("neighbor is live")
-                .cache
-            {
+            if let Some(cache) = &mut self.entry_mut(other).cache {
                 if let Ok(pos) = cache.binary_search(&slot) {
                     cache.remove(pos);
                 }
             }
         }
-        let len = self.entry(slot).data.len();
-        self.by_len.remove(&(len, slot));
-        self.entries[slot as usize] = None;
+        let entry = self.entries[slot as usize].take().expect("checked live");
+        self.by_len.remove(&(entry.data.len(), slot));
         self.live -= 1;
+        match entry.pivot {
+            Some((pivot, _)) if pivot != slot => {
+                let members = &mut self.entry_mut(pivot).members;
+                let pos = members
+                    .iter()
+                    .position(|&m| m == slot)
+                    .expect("a pivot lists its members");
+                members.remove(pos);
+            }
+            Some(_) => self.rehome(entry.members),
+            None => {}
+        }
         true
     }
 
@@ -529,17 +770,8 @@ impl NeighborIndex {
         }
         missing.sort_unstable();
         missing.dedup();
-        let shared: &NeighborIndex = self;
-        let computed: Vec<(Vec<u32>, IndexStats)> = missing
-            .par_iter()
-            .map(|&slot| shared.eps_ball_of_slot(slot))
-            .collect();
-        for (&slot, (neighbors, stats)) in missing.iter().zip(computed) {
-            self.session.merge(&stats);
-            self.entries[slot as usize]
-                .as_mut()
-                .expect("checked live")
-                .cache = Some(neighbors);
+        for wave in missing.chunks(WAVE) {
+            self.memoize_wave(wave);
         }
     }
 
@@ -561,12 +793,36 @@ impl NeighborIndex {
             .count()
     }
 
+    /// The pivot `id` is attached to and its exact edit distance to it (a
+    /// pivot names itself at 0); `None` for an unindexed id or an entry
+    /// whose eps-ball has not been computed yet.
+    #[must_use]
+    pub fn pivot_of(&self, id: SampleId) -> Option<(SampleId, usize)> {
+        let (pivot, dp) = self.entries.get(id.raw() as usize)?.as_ref()?.pivot?;
+        Some((SampleId::new(pivot), dp as usize))
+    }
+
+    /// Number of entries currently serving as pivots.
+    #[must_use]
+    pub fn pivot_count(&self) -> usize {
+        self.entries
+            .iter()
+            .enumerate()
+            .filter(|(slot, e)| {
+                e.as_ref()
+                    .and_then(|e| e.pivot)
+                    .is_some_and(|(pivot, _)| pivot as usize == *slot)
+            })
+            .count()
+    }
+
     /// Serialize the index state *except sample bytes*: `eps`, the
     /// alphabet-slot assignment, and per live entry its slot and memoized
     /// neighborhood (when present). Sample bytes are owned by the
     /// [`CorpusStore`](crate::store::CorpusStore) snapshot section and are
     /// re-linked at decode time, so an engine snapshot stores each sample
-    /// once.
+    /// once. The pivot table is derived from the neighborhoods and is not
+    /// written.
     ///
     /// Live slots are emitted ascending as varint gaps, and each memoized
     /// neighborhood — a strictly ascending, mostly dense id list — as a
@@ -605,10 +861,15 @@ impl NeighborIndex {
     /// Histograms and the length window are recomputed under the restored
     /// alphabet assignment; memoized neighborhoods are restored verbatim,
     /// so a resumed index answers exactly like the one that was saved —
-    /// zero recomputed queries.
+    /// zero recomputed queries. The pivot table is rebuilt from them: in
+    /// ascending slot order an entry attaches to the lowest neighbor that
+    /// is already a pivot (one bounded kernel call for the distance, tallied
+    /// in the session counters but not as a query) or becomes one; entries
+    /// without a memoized neighborhood get theirs when it is computed.
     ///
     /// Structural impossibilities (unknown slots, symbols outside the
-    /// restored alphabet, caches naming dead entries) are rejected as
+    /// restored alphabet, caches naming dead entries or entries that are
+    /// not neighbors) are rejected as
     /// [`SnapshotError::Corrupt`]; the caller falls back to rebuilding
     /// from the store.
     pub fn decode_from<F>(dec: &mut Decoder<'_>, lookup: F) -> Result<Self, SnapshotError>
@@ -705,6 +966,8 @@ impl NeighborIndex {
                 data: Arc::clone(data),
                 hist,
                 cache: None,
+                pivot: None,
+                members: Vec::new(),
             });
             index.live += 1;
         }
@@ -718,10 +981,44 @@ impl NeighborIndex {
             {
                 return Err(corrupt("cached neighborhood names a dead entry"));
             }
-            index.entries[slot as usize]
-                .as_mut()
-                .expect("inserted above")
-                .cache = Some(cache);
+            index.entry_mut(slot).cache = Some(cache);
+        }
+
+        // Pass 4 — rebuild the pivot table from the neighborhoods. Who
+        // attaches to whom is decided in slot order; the distances are
+        // independent and computed in parallel.
+        let mut attachments: Vec<(u32, u32)> = Vec::new();
+        for slot in 0..u32::try_from(index.entries.len()).expect("slots fit u32") {
+            let Some(cache) = index.entries[slot as usize]
+                .as_ref()
+                .and_then(|e| e.cache.as_ref())
+            else {
+                continue;
+            };
+            // Only lower slots have been decided.
+            let lower = &cache[..cache.partition_point(|&n| n < slot)];
+            match lower.iter().find(|&&n| index.is_pivot(n)) {
+                Some(&pivot) => attachments.push((slot, pivot)),
+                None => index.entry_mut(slot).pivot = Some((slot, 0)),
+            }
+        }
+        let shared = &index;
+        let distances: Vec<Option<u32>> = attachments
+            .par_iter()
+            .map(|&(slot, pivot)| {
+                within_eps(
+                    eps,
+                    &BitParallelPattern::new(&shared.entry(pivot).data),
+                    &shared.entry(slot).data,
+                    &mut BitParallelScratch::default(),
+                )
+            })
+            .collect();
+        index.session.distance_calls += attachments.len();
+        index.session.pivot_calls += attachments.len();
+        for ((slot, pivot), dp) in attachments.into_iter().zip(distances) {
+            let dp = dp.ok_or_else(|| corrupt("cached neighborhood names a non-neighbor"))?;
+            index.attach(slot, pivot, dp);
         }
         Ok(index)
     }
@@ -918,8 +1215,11 @@ mod tests {
             stats.window_candidates < all_ordered_pairs,
             "length window pruned nothing: {stats:?}"
         );
+        // Every pair that survives both filters is settled by at most one
+        // kernel call of its own; the rest of the calls went to pivots.
         assert!(
-            stats.distance_calls <= stats.window_candidates,
+            stats.distance_calls - stats.pivot_calls
+                <= stats.window_candidates - stats.pruned_by_histogram,
             "stats inconsistent: {stats:?}"
         );
     }
