@@ -2,7 +2,9 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use kizzle_bench::{packed_samples, tokenized};
-use kizzle_cluster::distance::{edit_distance, normalized_edit_distance_bounded};
+use kizzle_cluster::distance::{
+    edit_distance, normalized_edit_distance_bounded, BitParallelPattern, BitParallelScratch,
+};
 use kizzle_corpus::KitFamily;
 use kizzle_signature::{generate_signature, SignatureConfig};
 use kizzle_winnow::{Fingerprint, WinnowConfig};
@@ -32,6 +34,58 @@ fn bench_edit_distance(c: &mut Criterion) {
     g.bench_function("bounded_at_paper_threshold", |bench| {
         bench.iter(|| black_box(normalized_edit_distance_bounded(&a, &b_codes, 0.10)))
     });
+
+    // The kernel as the index and the medoid passes call it — pattern
+    // built once, scratch reused — over the pair shapes a day is made of.
+    // `page` is one Rig page's class string, repeated to the length asked.
+    let page = |len: usize| -> Vec<u8> { a.iter().copied().cycle().take(len).collect() };
+    fn substituted(base: &[u8], at: impl Iterator<Item = usize>) -> Vec<u8> {
+        let mut edited = base.to_vec();
+        for i in at {
+            edited[i] = edited[i].wrapping_add(1);
+        }
+        edited
+    }
+    let long = page(848);
+    // A 7-token insertion into a short stock page.
+    let short = page(114);
+    let inserted = [&short[..60], &[1, 2, 3, 4, 5, 6, 7], &short[60..]].concat();
+    let pairs = [
+        // A diverse day's pair: same page, different 8-token prefix.
+        ("prefix_diff_848", &long, substituted(&long, 0..8), true),
+        ("insertion_121", &inserted, short.clone(), true),
+        // Eight edits ~94 symbols apart: a ninth of the page to strip at
+        // each end, so this arm holds the trim attempt to the cost of the
+        // bare block kernel.
+        (
+            "scattered_848",
+            &long,
+            substituted(&long, (1..=8).map(|k| k * 848 / 9)),
+            true,
+        ),
+        // 106 edits against a budget of 84: the pair the kernel abandons.
+        (
+            "beyond_eps_848",
+            &long,
+            substituted(&long, (0..848).step_by(8)),
+            false,
+        ),
+    ];
+    for (arm, pattern, text, within_eps) in &pairs {
+        let pattern = BitParallelPattern::new(pattern);
+        let mut scratch = BitParallelScratch::default();
+        let d = pattern.normalized_distance_bounded_in(text, 0.10, &mut scratch);
+        assert_eq!(d.is_some(), *within_eps, "{arm}: {d:?}");
+        g.bench_function(*arm, |bench| {
+            bench.iter(|| {
+                black_box(pattern.normalized_distance_bounded_in(
+                    black_box(text),
+                    0.10,
+                    &mut scratch,
+                ))
+            })
+        });
+    }
     g.finish();
 }
 

@@ -28,6 +28,7 @@
 //!   snapshot. Everything after that point (the day's clustering) is
 //!   identical for both, so the gap between the two arms is exactly what
 //!   persistence saves a restarted process.
+//! * `crc32/1MiB` — the checksum under all of the above, alone.
 //!
 //! Bytes-on-disk per corpus size is printed alongside the timings (it is a
 //! property of the input, not a distribution worth sampling).
@@ -197,5 +198,21 @@ fn bench_snapshot_roundtrip(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(snapshot_roundtrip, bench_snapshot_roundtrip);
+/// The checksum every saved and every loaded byte goes through, alone.
+fn bench_crc32(c: &mut Criterion) {
+    let mut group = c.benchmark_group("crc32");
+    group
+        .sample_size(20)
+        .measurement_time(Duration::from_secs(2))
+        .warm_up_time(Duration::from_secs(1));
+    let bytes: Vec<u8> = (0u32..1 << 20)
+        .map(|i| (i.wrapping_mul(2_654_435_761) >> 24) as u8)
+        .collect();
+    group.bench_function("1MiB", |b| {
+        b.iter(|| black_box(kizzle_snapshot::crc32(black_box(&bytes))))
+    });
+    group.finish();
+}
+
+criterion_group!(snapshot_roundtrip, bench_snapshot_roundtrip, bench_crc32);
 criterion_main!(snapshot_roundtrip);

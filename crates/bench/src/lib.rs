@@ -96,23 +96,55 @@ pub fn synthetic_day_class_strings(total: usize, cap: usize) -> Vec<Vec<u8>> {
 /// edits from its base (far inside the clustering `eps` at realistic
 /// lengths), so family clusters survive intact.
 ///
+/// Two variants of one page then differ in their first six symbols and
+/// nowhere else — the friendliest shape there is to a distance kernel that
+/// strips shared affixes; [`scattered_day_class_strings`] is the same day
+/// without that gift.
+///
 /// # Panics
 ///
 /// Panics if `total` exceeds the 6-digit base-6 prefix space (46,656).
 #[must_use]
 pub fn distinct_day_class_strings(total: usize, cap: usize) -> Vec<Vec<u8>> {
-    assert!(total <= 6usize.pow(6), "prefix space exhausted");
+    tagged_day_class_strings(total, cap, |_, _| 0)
+}
+
+/// [`distinct_day_class_strings`] with the same six tag symbols written
+/// one every seventh of the page instead of in front of it (tag `k` of
+/// `1..=6` before page position `k · len / 7`), so two variants of a page
+/// share no affix longer than a seventh of it.
+///
+/// # Panics
+///
+/// Panics if `total` exceeds the 6-digit base-6 tag space (46,656).
+#[must_use]
+pub fn scattered_day_class_strings(total: usize, cap: usize) -> Vec<Vec<u8>> {
+    tagged_day_class_strings(total, cap, |k, len| k * len / 7)
+}
+
+/// `tag_at(k, len)`: the position in a page of `len` symbols that tag `k`
+/// of `1..=6` goes in front of; must not decrease with `k`.
+fn tagged_day_class_strings(
+    total: usize,
+    cap: usize,
+    tag_at: impl Fn(usize, usize) -> usize,
+) -> Vec<Vec<u8>> {
+    assert!(total <= 6usize.pow(6), "tag space exhausted");
     synthetic_day_class_strings(total, cap)
         .into_iter()
         .enumerate()
-        .map(|(i, base)| {
-            let mut tagged = Vec::with_capacity(base.len() + 6);
+        .map(|(i, page)| {
+            let mut tagged = Vec::with_capacity(page.len() + 6);
             let mut rest = i;
-            for _ in 0..6 {
+            let mut copied = 0;
+            for k in 1..=6 {
+                let upto = tag_at(k, page.len());
+                tagged.extend_from_slice(&page[copied..upto]);
+                copied = upto;
                 tagged.push((rest % 6) as u8);
                 rest /= 6;
             }
-            tagged.extend_from_slice(&base);
+            tagged.extend_from_slice(&page[copied..]);
             tagged
         })
         .collect()
@@ -131,10 +163,29 @@ mod tests {
 
     #[test]
     fn distinct_day_strings_are_all_distinct() {
-        let day = distinct_day_class_strings(50, 300);
-        assert_eq!(day.len(), 50);
-        let unique: std::collections::HashSet<&[u8]> = day.iter().map(|s| &s[..]).collect();
-        assert_eq!(unique.len(), 50);
+        for day in [
+            distinct_day_class_strings(50, 300),
+            scattered_day_class_strings(50, 300),
+        ] {
+            assert_eq!(day.len(), 50);
+            let unique: std::collections::HashSet<&[u8]> = day.iter().map(|s| &s[..]).collect();
+            assert_eq!(unique.len(), 50);
+        }
+    }
+
+    #[test]
+    fn scattered_strings_are_the_prefixed_ones_with_the_tags_moved() {
+        let prefixed = distinct_day_class_strings(50, 300);
+        let scattered = scattered_day_class_strings(50, 300);
+        for (p, s) in prefixed.iter().zip(&scattered) {
+            let page = &p[6..];
+            let mut untagged = s.clone();
+            for k in (1..=6).rev() {
+                let tag = untagged.remove(k * page.len() / 7 + k - 1);
+                assert_eq!(tag, p[k - 1]);
+            }
+            assert_eq!(untagged, page);
+        }
     }
 
     #[test]

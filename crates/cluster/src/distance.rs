@@ -11,6 +11,13 @@
 //! runs the bit-parallel [`BitParallelPattern`] kernel; the scalar banded
 //! DP [`edit_distance_bounded`] is kept as the oracle the property tests
 //! compare it against.
+//!
+//! What a comparison costs follows what differs, not how long the strings
+//! are: the kernel strips the prefix and suffix a pair shares before it
+//! computes anything, and a kit's variants differ by small local edits
+//! (paper Fig. 5) — on the ledger's diverse days 85–95 % of the pairs that
+//! reach the kernel keep a core of at most 64 symbols of their ~850, the
+//! median pair 4–5 (PERF.md, "Distance kernel — current state").
 
 /// Plain Levenshtein edit distance (insertions, deletions, substitutions all
 /// cost 1) between two byte strings.
@@ -118,17 +125,24 @@ pub fn edit_distance_bounded(a: &[u8], b: &[u8], max: usize) -> Option<usize> {
 ///
 /// Myers' algorithm (J. ACM 1999, multi-word extension per Hyyrö 2003)
 /// represents one column of the dynamic-programming matrix as vertical
-/// delta bit vectors and advances a whole 64-row block per instruction, so
-/// computing the distance against a text of length `n` costs
-/// `O(⌈m / 64⌉ · n)` — for the ≤ 900-token strings Kizzle clusters, about
-/// an order of magnitude fewer operations than the banded DP.
+/// delta bit vectors and advances a whole 64-row block per instruction.
+/// A comparison first strips the prefix and suffix the two strings share
+/// (eight symbols a step; `ed(x·a·y, x·b·y) = ed(a, b)`) and runs the
+/// kernel over the *core* that is left, so against a text of length `n` it
+/// costs one pass over the shared affix plus `O(⌈band / 64⌉ · core)` —
+/// one word per core column when the shorter core fits in 64 symbols, the
+/// ~3 blocks of the Ukkonen band otherwise. Kit variants differ by small
+/// local edits (paper Fig. 5), so the core is typically a handful of
+/// symbols of a ≤ 900-token string; two strings with no shared affix pay
+/// the full `O(⌈band / 64⌉ · n)`.
 ///
-/// Building the pattern costs `O(m)` and one allocation sized by the
-/// symbols the pattern actually contains; amortize it by reusing one
-/// `BitParallelPattern` across many comparisons (the neighbor index
-/// compares each query against every surviving candidate, a medoid scan
-/// compares each candidate against the rest of its pool), and pass one
-/// [`BitParallelScratch`] along so no comparison allocates.
+/// Building the pattern costs `O(m)` and two allocations (a copy of the
+/// symbols, and match masks sized by the symbols the pattern actually
+/// contains); amortize it by reusing one `BitParallelPattern` across many
+/// comparisons (the neighbor index compares each query against every
+/// surviving candidate, a medoid scan compares each candidate against the
+/// rest of its pool), and pass one [`BitParallelScratch`] along so no
+/// comparison allocates.
 ///
 /// # Examples
 ///
@@ -140,8 +154,8 @@ pub fn edit_distance_bounded(a: &[u8], b: &[u8], max: usize) -> Option<usize> {
 /// ```
 #[derive(Debug, Clone)]
 pub struct BitParallelPattern {
-    /// Pattern length in symbols.
-    len: usize,
+    /// The pattern itself, for the affix scan and the single-word kernel.
+    symbols: Box<[u8]>,
     /// Number of 64-bit blocks covering the pattern.
     blocks: usize,
     /// Symbol → row of `peq`. Row 0 is the all-zero mask shared by every
@@ -172,6 +186,93 @@ fn edit_budget(a_len: usize, b_len: usize, threshold: f64) -> Option<usize> {
     Some((threshold * max_len as f64).floor() as usize)
 }
 
+/// Length of the longest common prefix of `a` and `b`, compared eight
+/// symbols a step.
+fn common_prefix(a: &[u8], b: &[u8]) -> usize {
+    let words = a
+        .chunks_exact(8)
+        .zip(b.chunks_exact(8))
+        .take_while(|(x, y)| x == y)
+        .count();
+    // Fewer than eight symbols are left to agree: the differing word, or
+    // the tail of the shorter string.
+    let at = words * 8;
+    at + a[at..]
+        .iter()
+        .zip(&b[at..])
+        .take_while(|(x, y)| x == y)
+        .count()
+}
+
+/// Length of the longest common suffix of `a` and `b`, compared eight
+/// symbols a step.
+fn common_suffix(a: &[u8], b: &[u8]) -> usize {
+    let words = a
+        .rchunks_exact(8)
+        .zip(b.rchunks_exact(8))
+        .take_while(|(x, y)| x == y)
+        .count();
+    let at = words * 8;
+    at + a[..a.len() - at]
+        .iter()
+        .rev()
+        .zip(b[..b.len() - at].iter().rev())
+        .take_while(|(x, y)| x == y)
+        .count()
+}
+
+/// Advance one 64-row block of the column state by one text symbol
+/// (Hyyrö 2003, fig. 8): `eq0` is the block's match mask for the symbol,
+/// `hin` the horizontal delta entering its lowest row, and the returned
+/// delta is the one leaving the row of `out_bit`.
+#[inline(always)]
+fn advance_block(eq0: u64, column: &mut (u64, u64), hin: i32, out_bit: u64) -> i32 {
+    let (pvw, mvw) = *column;
+    let xv = eq0 | mvw;
+    // A negative carry-in acts like a match in the lowest row.
+    let eq = eq0 | u64::from(hin < 0);
+    let xh = (((eq & pvw).wrapping_add(pvw)) ^ pvw) | eq;
+    let mut ph = mvw | !(xh | pvw);
+    let mut mh = pvw & xh;
+    let hout: i32 = if ph & out_bit != 0 {
+        1
+    } else {
+        -i32::from(mh & out_bit != 0)
+    };
+    ph <<= 1;
+    mh <<= 1;
+    if hin < 0 {
+        mh |= 1;
+    } else if hin > 0 {
+        ph |= 1;
+    }
+    *column = (mh | !(xv | ph), ph & xv);
+    hout
+}
+
+/// Bounded edit distance of two cores, the shorter of at most 64 symbols:
+/// Myers' kernel over a single word, its match masks built on the stack.
+fn single_word_distance(short: &[u8], long: &[u8], max: usize) -> Option<usize> {
+    debug_assert!((1..=64).contains(&short.len()) && short.len() <= long.len());
+    let mut peq = [0u64; 256];
+    for (i, &sym) in short.iter().enumerate() {
+        peq[sym as usize] |= 1u64 << i;
+    }
+    let score_bit = 1u64 << (short.len() - 1);
+    let mut column = (u64::MAX, 0u64);
+    let mut score = short.len();
+    for (j, &sym) in long.iter().enumerate() {
+        // Row 0 of the DP matrix increases by one per text symbol.
+        let hout = advance_block(peq[sym as usize], &mut column, 1, score_bit);
+        score = score.wrapping_add_signed(hout as isize);
+        // Each remaining symbol lowers the final distance by at most one.
+        if score > max + (long.len() - j - 1) {
+            return None;
+        }
+    }
+    (score <= max).then_some(score)
+}
+
 impl BitParallelPattern {
     /// Preprocess `pattern` into per-symbol match masks.
     #[must_use]
@@ -190,7 +291,7 @@ impl BitParallelPattern {
             peq[usize::from(row_of[sym as usize]) * blocks + i / 64] |= 1u64 << (i % 64);
         }
         BitParallelPattern {
-            len: pattern.len(),
+            symbols: pattern.into(),
             blocks,
             row_of,
             peq,
@@ -200,28 +301,34 @@ impl BitParallelPattern {
     /// Pattern length in symbols.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.len
+        self.symbols.len()
     }
 
     /// True if the pattern is empty.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.symbols.is_empty()
     }
 
     /// Edit distance to `text` with an upper bound, like
     /// [`edit_distance_bounded`] but bit-parallel: `None` as soon as the
     /// distance provably exceeds `max`, otherwise the exact distance.
     ///
-    /// Only the 64-row blocks covering the Ukkonen band (`|i − j| ≤ max`)
-    /// are advanced per column (Hyyrö's banded block algorithm, as in
-    /// edlib): a path achieving distance ≤ `max` never leaves the band, so
-    /// cells outside it may be overestimated freely — untouched blocks keep
-    /// their initial all-`+1` column state, and the boundary horizontal
-    /// delta entering the lowest processed block is taken as `+1` (both are
-    /// exact or overestimates, and the DP is monotone in its inputs). At
-    /// the 900-token cap with `eps = 0.10` this touches ~3 of 15 blocks
-    /// per column instead of all of them.
+    /// The prefix and suffix the two strings share are stripped first —
+    /// they change no distance — and only the cores in between reach a
+    /// kernel: none when one core is empty (the distance is the other
+    /// core's length), Myers' single-word kernel when the shorter core
+    /// has at most 64 symbols, and otherwise the banded block kernel.
+    ///
+    /// The block kernel advances only the 64-row blocks covering the
+    /// Ukkonen band (`|i − j| ≤ max`) per column (Hyyrö's banded block
+    /// algorithm, as in edlib): a path achieving distance ≤ `max` never
+    /// leaves the band, so cells outside it may be overestimated freely —
+    /// untouched blocks keep their initial all-`+1` column state, and the
+    /// boundary horizontal delta entering the lowest processed block is
+    /// taken as `+1` (both are exact or overestimates, and the DP is
+    /// monotone in its inputs). At the 900-token cap with `eps = 0.10`
+    /// this touches ~3 of 15 blocks per column instead of all of them.
     #[must_use]
     pub fn distance_bounded(&self, text: &[u8], max: usize) -> Option<usize> {
         self.distance_bounded_in(text, max, &mut BitParallelScratch::default())
@@ -237,30 +344,69 @@ impl BitParallelPattern {
         max: usize,
         scratch: &mut BitParallelScratch,
     ) -> Option<usize> {
-        let (m, n) = (self.len, text.len());
-        if m.abs_diff(n) > max {
+        let pattern = &*self.symbols;
+        if pattern.len().abs_diff(text.len()) > max {
             return None;
         }
-        if m == 0 || n == 0 {
-            // Distance is the other length; the length filter above already
-            // established it is within the bound.
-            return Some(m.max(n));
+        let prefix = common_prefix(pattern, text);
+        let suffix = common_suffix(&pattern[prefix..], &text[prefix..]);
+        let core_p = &pattern[prefix..pattern.len() - suffix];
+        let core_t = &text[prefix..text.len() - suffix];
+        let (short, long) = if core_p.len() <= core_t.len() {
+            (core_p, core_t)
+        } else {
+            (core_t, core_p)
+        };
+        if short.is_empty() {
+            // Pure insertion: the distance is the length difference, which
+            // the filter above already established is within the bound.
+            return Some(long.len());
         }
+        // No distance exceeds the longer core, so a larger budget only
+        // widens the band.
+        let max = max.min(long.len());
+        if short.len() <= 64 {
+            single_word_distance(short, long, max)
+        } else {
+            self.block_distance(text, prefix, suffix, max, scratch)
+        }
+    }
 
+    /// The banded block kernel over the cores left by stripping `prefix`
+    /// and `suffix` shared symbols: the pattern's full-length match masks
+    /// are used as they are, the DP simply starts at text column `prefix`
+    /// — where, the prefixes being equal, row `i` holds exactly
+    /// `|i − prefix|` — and ends at row `m − suffix` of column
+    /// `n − suffix`.
+    fn block_distance(
+        &self,
+        text: &[u8],
+        prefix: usize,
+        suffix: usize,
+        max: usize,
+        scratch: &mut BitParallelScratch,
+    ) -> Option<usize> {
+        // Rows and columns past these are the shared suffix; the masks
+        // describe them, but no row depends on a higher one.
+        let (m, n) = (self.symbols.len() - suffix, text.len() - suffix);
         let blocks = self.blocks;
-        let last_block = blocks - 1;
+        let last_block = (m - 1) / 64;
         // Bit of row `m` (the score row) within the last block.
         let score_bit = 1u64 << ((m - 1) % 64);
         let columns = &mut scratch.columns;
         columns.clear();
-        columns.resize(blocks, (u64::MAX, 0u64));
+        // Column `prefix`: vertical delta −1 down to row `prefix`, +1 below.
+        columns.resize(prefix / 64, (0u64, u64::MAX));
+        let below = u64::MAX << (prefix % 64);
+        columns.push((below, !below));
+        columns.resize(last_block + 1, (u64::MAX, 0u64));
         // Lowest block the band has reached so far. `score` tracks the
         // computed D[r][j] at the band anchor row r = min(m, 64·(band + 1)),
         // advanced via the horizontal delta leaving that block.
-        let mut band = ((max + 1).min(m) - 1) / 64;
-        let mut score = (64 * (band + 1)).min(m);
+        let mut band = ((prefix + max + 1).min(m) - 1) / 64;
+        let mut score = (64 * (band + 1)).min(m) - prefix;
 
-        for (j, &sym) in text.iter().enumerate() {
+        for (j, &sym) in text[..n].iter().enumerate().skip(prefix) {
             let col = j + 1;
             // Row band for this column: lo..=hi (1-based over the pattern).
             let lo = col.saturating_sub(max).max(1);
@@ -281,36 +427,15 @@ impl BitParallelPattern {
             // for a window starting above row 0 the true delta is ≤ +1.
             let mut hin: i32 = 1;
             for w in first..=band {
-                let eq0 = peq_row[w];
-                let (pvw, mvw) = columns[w];
-                let xv = eq0 | mvw;
-                // A negative carry-in acts like a match in the lowest row.
-                let eq = eq0 | u64::from(hin < 0);
-                let xh = (((eq & pvw).wrapping_add(pvw)) ^ pvw) | eq;
-                let mut ph = mvw | !(xh | pvw);
-                let mut mh = pvw & xh;
                 // Horizontal delta leaving the top of this block: read at
                 // the last *used* pattern row, not bit 63, for the final
-                // block — rows past `m` are fictional.
+                // block — rows past `m` are not part of this comparison.
                 let out_bit = if w == last_block {
                     score_bit
                 } else {
                     1u64 << 63
                 };
-                let hout: i32 = if ph & out_bit != 0 {
-                    1
-                } else {
-                    -i32::from(mh & out_bit != 0)
-                };
-                ph <<= 1;
-                mh <<= 1;
-                if hin < 0 {
-                    mh |= 1;
-                } else if hin > 0 {
-                    ph |= 1;
-                }
-                columns[w] = (mh | !(xv | ph), ph & xv);
-                hin = hout;
+                hin = advance_block(peq_row[w], &mut columns[w], hin, out_bit);
             }
             score = score.wrapping_add_signed(hin as isize);
             // Early exit, only once the band anchor is the true score row
@@ -339,11 +464,11 @@ impl BitParallelPattern {
         threshold: f64,
         scratch: &mut BitParallelScratch,
     ) -> Option<f64> {
-        let max_len = self.len.max(text.len());
+        let max_len = self.len().max(text.len());
         if max_len == 0 {
             return Some(0.0);
         }
-        let budget = edit_budget(self.len, text.len(), threshold)?;
+        let budget = edit_budget(self.len(), text.len(), threshold)?;
         self.distance_bounded_in(text, budget, scratch)
             .map(|d| d as f64 / max_len as f64)
     }

@@ -2,13 +2,69 @@
 
 use kizzle_cluster::distance::{
     edit_distance, edit_distance_bounded, normalized_edit_distance,
-    normalized_edit_distance_bounded,
+    normalized_edit_distance_bounded, BitParallelPattern, BitParallelScratch,
 };
 use kizzle_cluster::{dbscan, Clustering, DbscanParams, DistributedClusterer, DistributedConfig};
 use proptest::prelude::*;
 
 fn token_string() -> impl Strategy<Value = Vec<u8>> {
     prop::collection::vec(0u8..6, 0..80)
+}
+
+/// Core lengths on both sides of every path `distance_bounded_in` takes:
+/// no core, one symbol, the single-word kernel's last two sizes, the block
+/// kernel's first, and a core of several blocks.
+const CORE_LENS: [usize; 6] = [0, 1, 63, 64, 65, 200];
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(40))]
+
+    /// `prefix · core_a · suffix` against `prefix · core_b · suffix`: one
+    /// reused pattern answers exactly like the scalar oracle at every
+    /// budget, whatever affix each text shares with it — equal strings,
+    /// pure insertions and one-sided cores included — and the normalized
+    /// form is bit-equal whichever side is the pattern.
+    #[test]
+    fn kernel_follows_the_oracle_over_shared_affixes(
+        pattern in prop::collection::vec(0u8..6, 0..2001),
+        prefix_lens in prop::collection::vec(0usize..901, 4),
+        core_a_lens in prop::collection::vec(0usize..6, 4),
+        core_b_lens in prop::collection::vec(0usize..6, 4),
+        cores in prop::collection::vec(prop::collection::vec(0u8..6, 200), 4),
+    ) {
+        let kernel = BitParallelPattern::new(&pattern);
+        let mut scratch = BitParallelScratch::default();
+        for k in 0..4 {
+            let core_a = CORE_LENS[core_a_lens[k]].min(pattern.len());
+            let core_b = CORE_LENS[core_b_lens[k]];
+            let prefix = prefix_lens[k].min(pattern.len() - core_a);
+            let mut text = pattern[..prefix].to_vec();
+            text.extend_from_slice(&cores[k][..core_b]);
+            text.extend_from_slice(&pattern[prefix + core_a..]);
+
+            let d = edit_distance_bounded(&pattern, &text, core_a.max(core_b))
+                .expect("no further apart than the longer core");
+            for max in 0..=d + 2 {
+                prop_assert_eq!(
+                    kernel.distance_bounded_in(&text, max, &mut scratch),
+                    edit_distance_bounded(&pattern, &text, max),
+                    "prefix {} core_a {} core_b {} max {}",
+                    prefix, core_a, core_b, max
+                );
+            }
+            let reversed = BitParallelPattern::new(&text);
+            for eps in [0.10, 0.5] {
+                prop_assert_eq!(
+                    kernel
+                        .normalized_distance_bounded_in(&text, eps, &mut scratch)
+                        .map(f64::to_bits),
+                    reversed
+                        .normalized_distance_bounded_in(&pattern, eps, &mut scratch)
+                        .map(f64::to_bits)
+                );
+            }
+        }
+    }
 }
 
 proptest! {

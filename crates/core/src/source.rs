@@ -32,7 +32,9 @@ use crate::error::KizzleError;
 use crate::snapshot::{MANIFEST_FILE, SCAN_SECTION, SIGNATURES_SECTION, STATE_CHAIN_PREFIX};
 use kizzle_signature::{ScanPipeline, SignatureSet};
 use kizzle_snapshot::chain::SECTION_KEY_PREFIX;
-use kizzle_snapshot::{crc32, ChainedSnapshot, Decoder, Manifest, SectionSource, SnapshotError};
+use kizzle_snapshot::{
+    fingerprint, ChainedSnapshot, Decoder, Manifest, SectionSource, SnapshotError,
+};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, RwLock};
@@ -163,12 +165,6 @@ pub(crate) fn decode_signature_sections(
         }
     }
     Ok((signatures, notes))
-}
-
-/// A `crc/len` section fingerprint in the manifest's format, so locally
-/// computed fingerprints compare against recorded ones as plain strings.
-fn fingerprint(payload: &[u8]) -> String {
-    format!("{:#010x}/{}", crc32(payload), payload.len())
 }
 
 /// Bookkeeping one poll hands the next, under the poll mutex.

@@ -21,6 +21,7 @@ use crate::protocol::{
 };
 use kizzle::{ChainFollower, FollowHandle, Matcher, SignatureSource};
 use kizzle_telemetry::{counter, Record, Recorder};
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::io::{self, BufReader, BufWriter, Write};
@@ -364,7 +365,13 @@ fn serve_connection(
         };
         match opcode {
             OP_SCAN => {
-                let document = String::from_utf8_lossy(body);
+                // A valid document is scanned in place; only a damaged one
+                // pays `from_utf8_lossy`, which walks every byte one at a
+                // time even when there is nothing to repair.
+                let document = match std::str::from_utf8(body) {
+                    Ok(valid) => Cow::Borrowed(valid),
+                    Err(_) => String::from_utf8_lossy(body),
+                };
                 let verdict = matcher.scan_verdict(&document);
                 scans.incr();
                 scan_bytes.add(body.len() as u64);

@@ -4,6 +4,9 @@
 
 use kizzle::prelude::*;
 use kizzle_corpus::{GraywareStream, SimDate, StreamConfig};
+use kizzle_serve::protocol::{
+    decode_scan_reply, read_frame, write_request, FrameRead, OP_SCAN, ST_OK,
+};
 use kizzle_serve::{ScanClient, ServeConfig, Server};
 use std::path::PathBuf;
 
@@ -58,6 +61,29 @@ fn served_verdicts_match_the_in_process_matcher_byte_for_byte() {
         }
     }
     assert!(detections > 0, "the mix must exercise real detections");
+
+    // Bytes that are not UTF-8 (`ScanClient` cannot send them) are scanned
+    // as their lossy repair: every page with a stray byte in front of it
+    // and another in its middle gets the in-process verdict of the repair.
+    let mut raw = std::net::TcpStream::connect(&addr).expect("raw connection");
+    let mut reply = Vec::new();
+    for document in &documents {
+        let mut damaged = vec![0xFF];
+        damaged.extend_from_slice(document.as_bytes());
+        damaged.insert(damaged.len() / 2, 0xC0);
+        write_request(&mut raw, OP_SCAN, &damaged).expect("request written");
+        let mut reader = std::io::BufReader::new(&raw);
+        assert!(matches!(
+            read_frame(&mut reader, &mut reply).expect("reply read"),
+            FrameRead::Frame
+        ));
+        assert_eq!(reply[0], ST_OK);
+        assert_eq!(
+            decode_scan_reply(&reply[1..]).expect("scan reply"),
+            local.scan_verdict(&String::from_utf8_lossy(&damaged))
+        );
+    }
+    drop(raw);
 
     let status = client.status().expect("status");
     assert!(

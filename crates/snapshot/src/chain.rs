@@ -37,7 +37,7 @@
 use crate::codec::{Decoder, Encoder};
 use crate::container::{Snapshot, SnapshotBuilder};
 use crate::manifest::Manifest;
-use crate::{crc32, SectionSource, SnapshotError};
+use crate::{fingerprint, SectionSource, SnapshotError};
 use std::path::{Path, PathBuf};
 
 pub use crate::sections::{CHAIN_KEY, DELTA_META_SECTION, HEAD_CRC_KEY, SECTION_KEY_PREFIX};
@@ -65,11 +65,6 @@ pub struct ChainSave {
 fn trailer_of(bytes: &[u8]) -> u32 {
     let tail: [u8; 4] = bytes[bytes.len() - 4..].try_into().expect("4 bytes");
     u32::from_le_bytes(tail)
-}
-
-/// A `crc/len` section fingerprint as recorded in the manifest.
-fn fingerprint(payload: &[u8]) -> String {
-    format!("{:#010x}/{}", crc32(payload), payload.len())
 }
 
 fn encode_delta_meta(seq: u64, prev_crc: u32) -> Vec<u8> {

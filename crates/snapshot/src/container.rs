@@ -32,7 +32,9 @@
 use crate::{crc32, SnapshotError};
 use std::fs;
 use std::io::Write;
+use std::ops::Range;
 use std::path::Path;
+use std::sync::OnceLock;
 
 /// File magic: identifies a Kizzle snapshot regardless of version.
 pub const MAGIC: [u8; 8] = *b"KIZSNAP1";
@@ -121,38 +123,46 @@ pub fn write_atomic(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
     fs::rename(&tmp, path)
 }
 
-/// One parsed section: payload plus its integrity verdict.
+/// One parsed section: where its payload sits in the file, and the
+/// checksum it has to match.
 #[derive(Debug)]
 struct ParsedSection {
     name: String,
-    payload: Vec<u8>,
-    crc_ok: bool,
+    /// The payload's range in [`Snapshot::bytes`].
+    payload: Range<usize>,
+    stored_crc: u32,
+    /// Whether the payload matches `stored_crc` — decided by the first
+    /// [`Snapshot::section`] call that asks for it.
+    crc_ok: OnceLock<bool>,
 }
 
 /// A parsed snapshot container.
 ///
 /// Parsing is *structural*: magic and version are enforced up front, then
-/// the section table is walked as far as the file allows. Section payloads
-/// are checksum-verified individually on access, so one damaged section
-/// does not take the intact ones down with it.
+/// the section table is walked as far as the file allows. Checksums are
+/// verified when first asked for and remembered — a section's on its first
+/// [`Snapshot::section`], the file trailer's on the first
+/// [`Snapshot::is_complete`] — so a reader of two sections does not pay
+/// for the rest, and one damaged section does not take the intact ones
+/// down with it.
 #[derive(Debug)]
 pub struct Snapshot {
+    /// The file as read.
+    bytes: Vec<u8>,
     sections: Vec<ParsedSection>,
     /// Every declared section was present in full.
     complete: bool,
-    /// The whole-file trailer checksum verified.
-    file_crc_ok: bool,
-    /// The stored trailer checksum, when the file was long enough to
-    /// carry one — the chain layer binds each delta to this value of its
-    /// predecessor.
-    trailer_crc: Option<u32>,
+    /// Whether the whole-file trailer checksum verifies.
+    file_crc_ok: OnceLock<bool>,
+    /// The stored trailer checksum (the file's last four bytes) — the
+    /// chain layer binds each delta to this value of its predecessor.
+    trailer_crc: u32,
 }
 
 impl Snapshot {
     /// Read and parse a snapshot file.
     pub fn read(path: &Path) -> Result<Self, SnapshotError> {
-        let bytes = fs::read(path)?;
-        Snapshot::from_bytes(&bytes)
+        Snapshot::parse(fs::read(path)?)
     }
 
     /// Parse a snapshot from bytes.
@@ -163,11 +173,15 @@ impl Snapshot {
     /// [`Snapshot::is_complete`] false and the surviving sections
     /// readable.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, SnapshotError> {
+        Snapshot::parse(bytes.to_vec())
+    }
+
+    fn parse(bytes: Vec<u8>) -> Result<Self, SnapshotError> {
         if bytes.len() < MAGIC.len() + 8 {
             // Too short even for magic + version + count: if the prefix
             // matches the magic it is a truncated snapshot, otherwise it
             // is not a snapshot at all.
-            return if bytes.starts_with(&MAGIC) || MAGIC.starts_with(bytes) {
+            return if bytes.starts_with(&MAGIC) || MAGIC.starts_with(&bytes) {
                 Err(SnapshotError::Truncated)
             } else {
                 Err(SnapshotError::BadMagic)
@@ -187,18 +201,15 @@ impl Snapshot {
 
         // The trailer covers everything before itself; a file shorter than
         // its declared structure simply fails the walk below.
-        let trailer_crc = (bytes.len() >= 4)
-            .then(|| u32::from_le_bytes(bytes[bytes.len() - 4..].try_into().expect("4 bytes")));
-        let file_crc_ok =
-            trailer_crc.is_some_and(|stored| crc32(&bytes[..bytes.len() - 4]) == stored);
+        let trailer_crc = u32::from_le_bytes(bytes[bytes.len() - 4..].try_into().expect("4 bytes"));
 
         let mut sections = Vec::new();
         let mut pos = 16usize;
         let mut complete = true;
         // The last 4 bytes are the trailer; sections must fit before it.
-        let body_end = bytes.len().saturating_sub(4);
+        let body_end = bytes.len() - 4;
         for _ in 0..declared {
-            let Some(parsed) = parse_section(bytes, body_end, &mut pos) else {
+            let Some(parsed) = parse_section(&bytes, body_end, &mut pos) else {
                 complete = false;
                 break;
             };
@@ -209,9 +220,10 @@ impl Snapshot {
             complete = false;
         }
         Ok(Snapshot {
+            bytes,
             sections,
             complete,
-            file_crc_ok,
+            file_crc_ok: OnceLock::new(),
             trailer_crc,
         })
     }
@@ -220,15 +232,20 @@ impl Snapshot {
     /// checksum verified — the file is exactly as written.
     #[must_use]
     pub fn is_complete(&self) -> bool {
-        self.complete && self.file_crc_ok
+        self.complete
+            && *self.file_crc_ok.get_or_init(|| {
+                let body = &self.bytes[..self.bytes.len() - 4];
+                self.trailer_crc == crc32(body)
+            })
     }
 
-    /// The trailer checksum stored in the file, if present. This is the
+    /// The trailer checksum stored in the file (every parsed snapshot is
+    /// long enough to carry one). This is the
     /// identity the delta chain binds to: a delta records its
     /// predecessor's trailer and is rejected when they disagree.
     #[must_use]
     pub fn trailer_crc(&self) -> Option<u32> {
-        self.trailer_crc
+        Some(self.trailer_crc)
     }
 
     /// True if a section of this name parsed structurally (its payload
@@ -250,42 +267,50 @@ impl Snapshot {
     /// also the answer for sections lost to a truncated tail) from "the
     /// section is present but damaged" ([`SnapshotError::ChecksumMismatch`]).
     pub fn section(&self, name: &str) -> Result<&[u8], SnapshotError> {
-        match self.sections.iter().find(|s| s.name == name) {
-            None => Err(SnapshotError::SectionMissing {
+        let Some(section) = self.sections.iter().find(|s| s.name == name) else {
+            return Err(SnapshotError::SectionMissing {
                 section: name.to_string(),
-            }),
-            Some(section) if !section.crc_ok => Err(SnapshotError::ChecksumMismatch {
+            });
+        };
+        let payload = &self.bytes[section.payload.clone()];
+        if *section
+            .crc_ok
+            .get_or_init(|| crc32(payload) == section.stored_crc)
+        {
+            Ok(payload)
+        } else {
+            Err(SnapshotError::ChecksumMismatch {
                 section: name.to_string(),
-            }),
-            Some(section) => Ok(&section.payload),
+            })
         }
     }
 }
 
 /// Parse one section at `*pos`; `None` when the file ends first.
 fn parse_section(bytes: &[u8], body_end: usize, pos: &mut usize) -> Option<ParsedSection> {
-    let take = |pos: &mut usize, n: usize| -> Option<&[u8]> {
+    let take = |pos: &mut usize, n: usize| -> Option<Range<usize>> {
         // checked: a crafted payload length near u64::MAX must read as
-        // truncation, not wrap around and panic on the slice below.
+        // truncation, not wrap around and panic on a slice.
         let end = pos.checked_add(n)?;
         if end > body_end {
             return None;
         }
-        let slice = &bytes[*pos..end];
+        let range = *pos..end;
         *pos = end;
-        Some(slice)
+        Some(range)
     };
-    let name_len = u16::from_le_bytes(take(pos, 2)?.try_into().expect("2 bytes")) as usize;
-    let name = std::str::from_utf8(take(pos, name_len)?).ok()?.to_string();
-    let payload_len = u64::from_le_bytes(take(pos, 8)?.try_into().expect("8 bytes"));
+    let name_len = u16::from_le_bytes(bytes[take(pos, 2)?].try_into().expect("2 bytes")) as usize;
+    let name = std::str::from_utf8(&bytes[take(pos, name_len)?])
+        .ok()?
+        .to_string();
+    let payload_len = u64::from_le_bytes(bytes[take(pos, 8)?].try_into().expect("8 bytes"));
     let payload_len = usize::try_from(payload_len).ok()?;
-    let stored_crc = u32::from_le_bytes(take(pos, 4)?.try_into().expect("4 bytes"));
-    let payload = take(pos, payload_len)?.to_vec();
-    let crc_ok = crc32(&payload) == stored_crc;
+    let stored_crc = u32::from_le_bytes(bytes[take(pos, 4)?].try_into().expect("4 bytes"));
     Some(ParsedSection {
         name,
-        payload,
-        crc_ok,
+        payload: take(pos, payload_len)?,
+        stored_crc,
+        crc_ok: OnceLock::new(),
     })
 }
 
