@@ -6,6 +6,8 @@ use kizzle_cluster::distance::{
     edit_distance, normalized_edit_distance_bounded, BitParallelPattern, BitParallelScratch,
 };
 use kizzle_corpus::KitFamily;
+use kizzle_js::TokenStream;
+use kizzle_signature::prefilter::StreamProfile;
 use kizzle_signature::{generate_signature, SignatureConfig};
 use kizzle_winnow::{Fingerprint, WinnowConfig};
 use std::hint::black_box;
@@ -149,6 +151,47 @@ fn bench_signature_generation(c: &mut Criterion) {
     g.finish();
 }
 
+/// Stage 2 of a hit: the token profiles a scan builds from the page's
+/// first token through the window its signature matches, for one
+/// SweetOrange page (payload chunks of ~260 bytes) and one Rig page.
+fn bench_profile(c: &mut Criterion) {
+    let mut g = group(c, "prefilter");
+    let prefixes: Vec<(TokenStream, usize)> = [KitFamily::SweetOrange, KitFamily::Rig]
+        .into_iter()
+        .map(|family| {
+            let members = tokenized(&packed_samples(family, 12, 8), 900);
+            let signature = generate_signature("bench.sig", &members, &SignatureConfig::default())
+                .expect("signature");
+            let page = members.into_iter().next().expect("a member");
+            let start = signature
+                .find_in_tokens(page.tokens())
+                .expect("a member matches its signature");
+            let upto = start + signature.elements.len();
+            let bytes: usize = page
+                .tokens()
+                .window(0, upto)
+                .into_iter()
+                .map(|t| t.unquoted().len())
+                .sum();
+            eprintln!(
+                "prefilter/profile_hit_prefix: {family:?} profiles {upto} tokens, {bytes} bytes"
+            );
+            (page, upto)
+        })
+        .collect();
+    let mut profile = StreamProfile::new();
+    g.bench_function("profile_hit_prefix", |b| {
+        b.iter(|| {
+            for (page, upto) in &prefixes {
+                profile.reset();
+                profile.ensure(page.tokens(), *upto);
+            }
+            black_box(profile.covered())
+        })
+    });
+    g.finish();
+}
+
 fn bench_unpackers(c: &mut Criterion) {
     let mut g = group(c, "unpackers");
     for family in KitFamily::ALL {
@@ -168,6 +211,7 @@ criterion_group!(
     bench_winnowing,
     bench_scanning,
     bench_signature_generation,
+    bench_profile,
     bench_unpackers
 );
 criterion_main!(components);

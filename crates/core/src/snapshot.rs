@@ -481,8 +481,9 @@ mod tests {
     use crate::source::{ChainFollower, SignatureSource};
     use crate::KizzleService;
     use kizzle_corpus::{GraywareStream, Sample, StreamConfig};
-    use kizzle_signature::{CharClass, Element, ScanPipeline, Signature};
-    use kizzle_snapshot::{crc32, Manifest, Snapshot};
+    use kizzle_signature::matcher::PIPELINE_VERSION;
+    use kizzle_signature::{CharClass, Element, LabeledSignature, ScanPipeline, Signature};
+    use kizzle_snapshot::{crc32, Manifest, Snapshot, SnapshotBuilder};
     use std::sync::Arc;
 
     fn test_day(date: SimDate, seed: u64) -> Vec<Sample> {
@@ -806,20 +807,97 @@ mod tests {
         );
         assert_eq!(&*resumed.signatures(), &*service.signatures());
 
-        // Damage only the scan-pipeline section's payload: the load still
-        // succeeds (it is derived state) and the set reseals lazily.
-        // Overwrite the base with a save whose pipeline bytes are bogus by
-        // truncating the chain's base mid-file — covered by the damage
-        // test above — so here exercise the decode-reject path directly.
+        // The payload of the previous pipeline version is refused at its
+        // stamp; `v1_scan_pipeline_sections_reseal_on_load_and_follow`
+        // takes the same payload through a whole chain.
         let mut enc = Encoder::new();
         service.signatures().seal().encode_into(&mut enc);
-        let mut bytes = enc.into_bytes();
-        bytes[0] ^= 0x40; // version skew
+        let bytes = stamp_pipeline_version(enc.into_bytes(), 1);
         let mut dec = Decoder::new(&bytes);
         assert!(matches!(
             ScanPipeline::decode_from(&mut dec, service.signatures().len()),
-            Err(SnapshotError::VersionSkew { .. })
+            Err(SnapshotError::VersionSkew { found: 1, expected }) if expected == u32::from(PIPELINE_VERSION)
         ));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A scan-pipeline payload with its version stamp (the leading `u16`)
+    /// set to `version`.
+    fn stamp_pipeline_version(mut payload: Vec<u8>, version: u16) -> Vec<u8> {
+        payload[..2].copy_from_slice(&version.to_le_bytes());
+        payload
+    }
+
+    /// A version 1 scan pipeline holds whole-literal hashes where this
+    /// build stores fingerprints, so it must be refused, not decoded — and
+    /// refusing it must cost nothing but the reseal: the chain resumes,
+    /// a follower swaps it in, both say why, and every verdict is the one
+    /// a freshly built pipeline gives.
+    #[test]
+    fn v1_scan_pipeline_sections_reseal_on_load_and_follow() {
+        let dir = state_dir("pipeline-v1");
+        let mut service = fresh_service();
+        let d1 = SimDate::new(2014, 8, 5);
+        service.process_day(d1, test_day(d1, 3)).expect("day 1");
+        service.save(&dir).expect("state saved");
+
+        // Rewrite the base with its scan-pipeline section stamped v1;
+        // every other section is byte-identical.
+        let path = dir.join(STATE_FILE);
+        let base = Snapshot::read(&path).expect("base reads");
+        let mut builder = SnapshotBuilder::new();
+        for name in base.section_names() {
+            let payload = base.section(name).expect("intact").to_vec();
+            let payload = if name == SCAN_SECTION {
+                stamp_pipeline_version(payload, 1)
+            } else {
+                payload
+            };
+            builder.section(name, payload);
+        }
+        builder.write_atomic(&path).expect("rewrite");
+
+        let resealing = "scan pipeline not restored, resealing: pipeline version 1";
+        let (resumed, report) =
+            KizzleService::load(&dir, KizzleConfig::fast()).expect("a v1 pipeline still resumes");
+        assert!(report.is_warm(), "report: {report:?}");
+        assert!(
+            report.notes.iter().any(|n| n.starts_with(resealing)),
+            "notes: {:?}",
+            report.notes
+        );
+        assert_eq!(&*resumed.signatures(), &*service.signatures());
+        assert!(!read_signatures(&dir).expect("chain reads").is_sealed());
+
+        let follower = ChainFollower::new(&dir);
+        assert!(follower.poll().expect("the follower loads it"));
+        assert!(
+            follower.notes().iter().any(|n| n.starts_with(resealing)),
+            "notes: {:?}",
+            follower.notes()
+        );
+        let (epoch, served) = follower.current();
+        assert_eq!(epoch, 1);
+
+        let members: Vec<LabeledSignature> = service.signatures().iter().cloned().collect();
+        let mut fresh = SignatureSet::new();
+        fresh.extend(members.clone());
+        assert!(fresh.attach_pipeline(ScanPipeline::build(&members)));
+        let cap = KizzleConfig::fast().token_cap;
+        let mut hits = 0;
+        for sample in test_day(d1, 3)
+            .iter()
+            .chain(&test_day(SimDate::new(2014, 8, 6), 9))
+        {
+            let want = fresh.scan_document_index(&sample.html, cap);
+            assert_eq!(
+                resumed.signatures().scan_document_index(&sample.html, cap),
+                want
+            );
+            assert_eq!(served.scan_document_index(&sample.html, cap), want);
+            hits += usize::from(want.is_some());
+        }
+        assert!(hits > 0, "the probe documents must include hits");
         std::fs::remove_dir_all(&dir).ok();
     }
 

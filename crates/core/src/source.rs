@@ -160,6 +160,11 @@ pub(crate) fn decode_signature_sections(
                 notes.push("scan pipeline does not cover the set, resealing".to_string());
             }
         }
+        // A pipeline of another version is never decoded: its stored values
+        // may mean something else (see `PIPELINE_VERSION`).
+        Err(SnapshotError::VersionSkew { found, expected }) => notes.push(format!(
+            "scan pipeline not restored, resealing: pipeline version {found}, this build reads {expected}"
+        )),
         Err(err) => {
             notes.push(format!("scan pipeline not restored, resealing: {err}"));
         }

@@ -20,15 +20,16 @@
 //! 2. **Batched prefilter** ([`crate::prefilter`]): each candidate's
 //!    token window is screened against fixed-width, branch-free element
 //!    checks over cheap per-token profiles (length, class-acceptance
-//!    mask, content hash), with a window-level class-histogram bound in
-//!    front when many signatures fan out behind one shared literal. The
-//!    profiles are built lazily, so a document that never hits an anchor
-//!    pays stage 1 only.
+//!    mask, literal fingerprint), with a window-level class-histogram
+//!    bound in front when many signatures fan out behind one shared
+//!    literal. The profiles are built lazily, so a document that never
+//!    hits an anchor pays stage 1 only.
 //! 3. **Verification**: `Class` elements are already decided exactly by
 //!    stage 2; only `Literal` elements need their text confirmed (the
-//!    profile compares a 32-bit hash). Signatures with no selective
-//!    literal (rare: pure character classes, or only ubiquitous
-//!    punctuation like `=` and `[`) fall back to a linear scan.
+//!    profile compares a 32-bit fingerprint of at most 16 of the token's
+//!    bytes). Signatures with no selective literal (rare: pure character
+//!    classes, or only ubiquitous punctuation like `=` and `[`) fall back
+//!    to a linear scan.
 //!
 //! The result is byte-identical to [`SignatureSet::scan_stream_linear`]
 //! — first match in insertion order — property-tested in
@@ -313,9 +314,17 @@ fn with_scratch<R>(scan: impl FnOnce(&mut ScanScratch) -> R) -> R {
 }
 
 /// Wire version of the serialized pipeline. Bump when the pipeline layout
-/// changes; a version-skewed payload is refused at decode and the loader
-/// falls back to rebuilding from the signatures.
-pub const PIPELINE_VERSION: u16 = 1;
+/// or the meaning of a stored value changes; a version-skewed payload is
+/// refused at decode and the loader falls back to rebuilding from the
+/// signatures.
+///
+/// Version 2: a literal check stores
+/// [`fingerprint32`](crate::prefilter::fingerprint32) instead of FNV-1a
+/// over the whole literal. The bytes have the same width and literals of
+/// up to 16 bytes keep their values, so only the stamp tells the versions
+/// apart — and a version 1 pipeline must never be decoded, or its long
+/// literals would never match again.
+pub const PIPELINE_VERSION: u16 = 2;
 
 /// Candidate buckets grow a window-histogram pre-gate from this size on:
 /// eight prefix-sum subtractions are only worth it when they can reject
@@ -505,7 +514,7 @@ impl ScanPipeline {
                         continue;
                     }
                     // Stage 3: classes are already exact; confirm literal
-                    // text (the profile only compared a 32-bit hash).
+                    // text (the profile only compared a fingerprint).
                     if !confirm_literals(&signatures[index].signature, tokens, start) {
                         if tel {
                             counts.verify_rejected += 1;
@@ -646,8 +655,8 @@ impl ScanPipeline {
 }
 
 /// Confirm every `Literal` element's text over the window at `start` —
-/// the only part of a prefilter pass that is hash-strength rather than
-/// exact.
+/// the only part of a prefilter pass that is fingerprint-strength rather
+/// than exact.
 fn confirm_literals(signature: &Signature, tokens: Tokens<'_>, start: usize) -> bool {
     signature
         .elements
@@ -827,7 +836,7 @@ impl SignatureSet {
                 }
                 None => max_edits,
             };
-            if stream_deficit(&labeled.signature, &pipeline.filters[index], &summary) > cutoff {
+            if stream_deficit(&pipeline.filters[index], &summary) > cutoff {
                 continue;
             }
             if let Some(edits) =
@@ -1361,13 +1370,17 @@ mod tests {
         let mut dec = Decoder::new(&bytes);
         assert!(ScanPipeline::decode_from(&mut dec, set.len() + 1).is_err());
 
-        // Version skew is a typed error so loaders can fall back.
+        // Version skew is a typed error so loaders can fall back — the
+        // previous version's whole-literal hashes included.
         let mut skewed = bytes.clone();
-        skewed[0] ^= 0x40;
+        skewed[..2].copy_from_slice(&1u16.to_le_bytes());
         let mut dec = Decoder::new(&skewed);
         assert!(matches!(
             ScanPipeline::decode_from(&mut dec, set.len()),
-            Err(SnapshotError::VersionSkew { .. })
+            Err(SnapshotError::VersionSkew {
+                found: 1,
+                expected: 2
+            })
         ));
 
         // A decoded pipeline attached to an equal set scans identically.

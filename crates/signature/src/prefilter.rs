@@ -21,12 +21,17 @@
 //!    fixed-width compare per element against the token profile at its
 //!    offset. For `Class` elements the check is **exact** (length range +
 //!    acceptability bit reproduce `Element::matches_token` precisely);
-//!    for `Literal` elements it compares a 32-bit FNV-1a hash and the
-//!    length, so a pass still needs stage 3's literal text confirmation
-//!    (hash collisions) but a fail is final.
+//!    for `Literal` elements it compares the length and a 32-bit
+//!    [`fingerprint32`] that reads at most 16 bytes of the token, so a
+//!    pass still needs stage 3's literal text confirmation (fingerprint
+//!    collisions) but a fail is final.
 //!
 //! Profiles are built **lazily**: a document whose tokens never hit the
 //! automaton pays nothing here, keeping the miss path at stage-1 cost.
+//! Building one ([`profile_text`]) is a single branch-free pass over the
+//! token's bytes, folded 32 bytes at a time, plus the fingerprint's
+//! constant-size read — a hit's payload chunks cost their bytes once, not
+//! a `char` decode and a serial hash each.
 
 use crate::pattern::{CharClass, Element, Signature};
 use kizzle_js::Tokens;
@@ -37,17 +42,18 @@ use kizzle_snapshot::{Decoder, Encoder, SnapshotError};
 pub struct TokenProfile {
     /// Character (not byte) count of the token's unquoted text.
     pub chars: u32,
-    /// FNV-1a 32-bit hash of the unquoted bytes.
-    pub hash: u32,
+    /// [`fingerprint32`] of the unquoted bytes.
+    pub fingerprint: u32,
     /// Bit `c` set iff the [`CharClass`] with discriminant `c` accepts
     /// every character.
     pub mask: u8,
 }
 
-/// FNV-1a, 32-bit — the literal-hash side of [`TokenProfile`].
-#[must_use]
-pub fn fnv1a32(bytes: &[u8]) -> u32 {
-    let mut hash: u32 = 0x811c_9dc5;
+const FNV_OFFSET: u32 = 0x811c_9dc5;
+
+/// Continue an FNV-1a 32-bit hash over `bytes`.
+#[inline]
+fn fnv1a32_from(mut hash: u32, bytes: &[u8]) -> u32 {
     for &b in bytes {
         hash ^= u32::from(b);
         hash = hash.wrapping_mul(0x0100_0193);
@@ -55,69 +61,174 @@ pub fn fnv1a32(bytes: &[u8]) -> u32 {
     hash
 }
 
-/// Class-acceptance mask of one character: bit `c` set iff template `c`
-/// accepts it. ASCII goes through a precomputed table; anything beyond
-/// ASCII is accepted only by [`CharClass::Any`].
-#[inline]
-fn char_mask(c: char) -> u8 {
-    const TABLE: [u8; 128] = build_char_table();
-    if (c as u32) < 128 {
-        TABLE[c as usize]
-    } else {
-        1 << (CharClass::Any as u8)
-    }
+/// FNV-1a, 32-bit: [`fingerprint32`] of a short token.
+#[must_use]
+pub fn fnv1a32(bytes: &[u8]) -> u32 {
+    fnv1a32_from(FNV_OFFSET, bytes)
 }
 
-const fn build_char_table() -> [u8; 128] {
-    let mut table = [0u8; 128];
-    let mut i = 0;
-    while i < 128 {
-        let c = i as u8 as char;
-        let mut mask = 0u8;
-        // Mirrors `CharClass::accepts` exactly; const fn, so spelled out.
-        if c.is_ascii_lowercase() {
-            mask |= 1 << (CharClass::Lower as u8);
+/// Tokens up to this many bytes are fingerprinted whole.
+pub const FINGERPRINT_WHOLE_LEN: usize = 16;
+
+/// The literal side of [`TokenProfile`], in `O(1)` of the token length:
+/// [`fnv1a32`] of the whole token up to [`FINGERPRINT_WHOLE_LEN`] bytes,
+/// beyond that of its first 8 bytes, its last 8 bytes and its length as a
+/// little-endian `u32`. Two tokens with equal fingerprints may still
+/// differ in the middle — the scan confirms literal text after the
+/// prefilter passes — but unequal fingerprints never belong to equal
+/// tokens.
+#[must_use]
+pub fn fingerprint32(bytes: &[u8]) -> u32 {
+    if bytes.len() <= FINGERPRINT_WHOLE_LEN {
+        return fnv1a32(bytes);
+    }
+    let len = u32::try_from(bytes.len()).unwrap_or(u32::MAX);
+    let hash = fnv1a32_from(FNV_OFFSET, &bytes[..8]);
+    let hash = fnv1a32_from(hash, &bytes[bytes.len() - 8..]);
+    fnv1a32_from(hash, &len.to_le_bytes())
+}
+
+/// The byte categories the profile pass tells apart, one bit each in this
+/// order — `a–f`, `g–z`, `A–Z`, `0–9`, the eight `Wordlike` punctuation
+/// bytes `_ . : / ? = & -`, and every other byte — with the classes that
+/// accept a byte of that category. Every byte of a multi-byte UTF-8
+/// character is "other", as is the character (only [`CharClass::Any`]
+/// accepts it), so a token's class mask follows from the set of
+/// categories its bytes fall in.
+const CATEGORY_MASKS: [u8; 6] = {
+    use CharClass::{Alpha, AlphaNum, Any, Digits, HexLower, Lower, Upper, Wordlike};
+    const fn bits(classes: &[CharClass]) -> u8 {
+        let mut mask = 0;
+        let mut i = 0;
+        while i < classes.len() {
+            mask |= 1 << (classes[i] as u8);
+            i += 1;
         }
-        if c.is_ascii_uppercase() {
-            mask |= 1 << (CharClass::Upper as u8);
-        }
-        if c.is_ascii_alphabetic() {
-            mask |= 1 << (CharClass::Alpha as u8);
-        }
-        if c.is_ascii_digit() {
-            mask |= 1 << (CharClass::Digits as u8);
-        }
-        if c.is_ascii_digit() || (c as u8 >= b'a' && c as u8 <= b'f') {
-            mask |= 1 << (CharClass::HexLower as u8);
-        }
-        if c.is_ascii_alphanumeric() {
-            mask |= 1 << (CharClass::AlphaNum as u8);
-        }
-        if c.is_ascii_alphanumeric() || matches!(c, '_' | '.' | ':' | '/' | '?' | '=' | '&' | '-') {
-            mask |= 1 << (CharClass::Wordlike as u8);
-        }
-        mask |= 1 << (CharClass::Any as u8);
-        table[i] = mask;
-        i += 1;
+        mask
+    }
+    [
+        bits(&[Lower, Alpha, HexLower, AlphaNum, Wordlike, Any]),
+        bits(&[Lower, Alpha, AlphaNum, Wordlike, Any]),
+        bits(&[Upper, Alpha, AlphaNum, Wordlike, Any]),
+        bits(&[Digits, HexLower, AlphaNum, Wordlike, Any]),
+        bits(&[Wordlike, Any]),
+        bits(&[Any]),
+    ]
+};
+
+/// The category bit of one byte (bit order of [`CATEGORY_MASKS`]) —
+/// compares only, so a loop of these vectorizes.
+#[inline(always)]
+const fn category(b: u8) -> u8 {
+    let hex = (b.wrapping_sub(b'a') < 6) as u8;
+    let lower = (b.wrapping_sub(b'g') < 20) as u8;
+    let upper = (b.wrapping_sub(b'A') < 26) as u8;
+    let digit = (b.wrapping_sub(b'0') < 10) as u8;
+    // `-./` are adjacent; `: = ? & _` are not.
+    let punct = (b.wrapping_sub(b'-') < 3) as u8
+        | (b == b':') as u8
+        | (b == b'=') as u8
+        | (b == b'?') as u8
+        | (b == b'&') as u8
+        | (b == b'_') as u8;
+    let known = hex | lower | upper | digit | punct;
+    hex | lower << 1 | upper << 2 | digit << 3 | punct << 4 | (known ^ 1) << 5
+}
+
+/// Is `b` a UTF-8 continuation byte (`10xx_xxxx`)? A token's character
+/// count is its byte count less these.
+#[inline(always)]
+const fn is_continuation(b: u8) -> bool {
+    b & 0xC0 == 0x80
+}
+
+/// [`category`] of every byte, with bit 7 set on continuation bytes: the
+/// lookup the sub-block tail of a token takes, one load per byte where a
+/// vector of compares would cost more than the few bytes it covers.
+const BYTE_TABLE: [u8; 256] = {
+    let mut table = [0u8; 256];
+    let mut b = 0;
+    while b < 256 {
+        table[b] = category(b as u8) | (is_continuation(b as u8) as u8) << 7;
+        b += 1;
     }
     table
+};
+
+/// Bytes folded per block, one byte lane each: a block's categories OR
+/// into the lanes and its continuation bytes count up per lane, and the
+/// lanes are reduced once per [`RUN_BLOCKS`] blocks, not per block.
+const PROFILE_BLOCK: usize = 32;
+
+/// Blocks a lane's `u8` continuation count covers before it could wrap.
+const RUN_BLOCKS: usize = u8::MAX as usize;
+
+/// The class mask of a token by the set of categories its bytes fall in
+/// (low six bits of the index): the classes that accept every one of
+/// them. No categories — the empty string — is accepted by every class.
+const PRESENT_MASKS: [u8; 64] = {
+    let mut table = [0u8; 64];
+    let mut present = 0;
+    while present < 64 {
+        let mut mask = 0xFF;
+        let mut bit = 0;
+        while bit < CATEGORY_MASKS.len() {
+            if present >> bit & 1 == 1 {
+                mask &= CATEGORY_MASKS[bit];
+            }
+            bit += 1;
+        }
+        table[present] = mask;
+        present += 1;
+    }
+    table
+};
+
+/// OR of the categories and count of continuation bytes over whole
+/// blocks (`bytes.len()` a multiple of [`PROFILE_BLOCK`]).
+fn fold_blocks(bytes: &[u8]) -> (u8, usize) {
+    let mut lanes = [0u8; PROFILE_BLOCK];
+    let mut continuations = 0usize;
+    for run in bytes.chunks(PROFILE_BLOCK * RUN_BLOCKS) {
+        let mut counts = [0u8; PROFILE_BLOCK];
+        for block in run.chunks_exact(PROFILE_BLOCK) {
+            for ((lane, count), &b) in lanes.iter_mut().zip(&mut counts).zip(block) {
+                *lane |= category(b);
+                *count += u8::from(is_continuation(b));
+            }
+        }
+        continuations += counts.iter().map(|&c| usize::from(c)).sum::<usize>();
+    }
+    (lanes.iter().fold(0, |acc, &lane| acc | lane), continuations)
 }
 
-/// Profile one token's unquoted text.
+/// Profile one token's unquoted text: one pass over its bytes for the
+/// character count and the class mask, and its [`fingerprint32`].
 #[must_use]
 pub fn profile_text(text: &str) -> TokenProfile {
-    let mut chars: u32 = 0;
-    let mut mask: u8 = 0xFF;
-    for c in text.chars() {
-        chars += 1;
-        mask &= char_mask(c);
+    profile_bytes(text.as_bytes())
+}
+
+/// [`profile_text`] of UTF-8 `bytes` — the scan's profiles are cut from
+/// the document's text at token boundaries, so they are.
+#[inline]
+pub(crate) fn profile_bytes(bytes: &[u8]) -> TokenProfile {
+    let (blocks, tail) = bytes.split_at(bytes.len() - bytes.len() % PROFILE_BLOCK);
+    // Most tokens are shorter than a block: they are all tail.
+    let (mut present, mut continuations) = if blocks.is_empty() {
+        (0, 0)
+    } else {
+        fold_blocks(blocks)
+    };
+    for &b in tail {
+        let entry = BYTE_TABLE[usize::from(b)];
+        present |= entry;
+        continuations += usize::from(entry >> 7);
     }
-    // The empty string is accepted by every class (`accepts_all` over no
-    // characters), which `mask = 0xFF` already encodes.
     TokenProfile {
-        chars,
-        hash: fnv1a32(text.as_bytes()),
-        mask,
+        chars: u32::try_from(bytes.len() - continuations).unwrap_or(u32::MAX),
+        fingerprint: fingerprint32(bytes),
+        mask: PRESENT_MASKS[usize::from(present & 0x3F)],
     }
 }
 
@@ -177,16 +288,25 @@ impl StreamProfile {
     /// the stream length is clamped. Every call between two
     /// [`StreamProfile::reset`]s must pass the same tokens.
     pub fn ensure(&mut self, tokens: Tokens<'_>, upto: usize) {
+        let from = self.profiles.len();
         let upto = upto.min(tokens.len());
-        while self.profiles.len() < upto {
-            let profile = profile_text(tokens.at(self.profiles.len()).unquoted());
-            let mut row = *self.prefix.last().expect("row 0 exists");
-            for (c, slot) in row.iter_mut().enumerate() {
-                *slot += u32::from(profile.mask >> c & 1);
-            }
-            self.prefix.push(row);
-            self.profiles.push(profile);
+        if upto <= from {
+            return;
         }
+        self.profiles.extend(
+            tokens
+                .window(from, upto - from)
+                .unquoted_bytes()
+                .map(profile_bytes),
+        );
+        let mut row = *self.prefix.last().expect("row 0 exists");
+        self.prefix
+            .extend(self.profiles[from..].iter().map(|profile| {
+                for (c, slot) in row.iter_mut().enumerate() {
+                    *slot += u32::from(profile.mask >> c & 1);
+                }
+                row
+            }));
     }
 
     /// Profiles of the window `[start, start + len)` — the caller must
@@ -217,8 +337,9 @@ pub struct ElemCheck {
     min: u32,
     /// Maximum unquoted character count.
     max: u32,
-    /// For literals: FNV-1a of the literal bytes. Unused for classes.
-    hash: u32,
+    /// For literals: [`fingerprint32`] of the literal bytes. Unused for
+    /// classes.
+    fingerprint: u32,
     /// For classes: the class index (bit position). Unused for literals.
     class_bit: u8,
     /// [`KIND_LITERAL`] or [`KIND_CLASS`].
@@ -233,7 +354,7 @@ impl ElemCheck {
                 ElemCheck {
                     min: chars,
                     max: chars,
-                    hash: fnv1a32(text.as_bytes()),
+                    fingerprint: fingerprint32(text.as_bytes()),
                     class_bit: 0,
                     kind: KIND_LITERAL,
                 }
@@ -245,7 +366,7 @@ impl ElemCheck {
             } => ElemCheck {
                 min: u32::try_from(*min_len).unwrap_or(u32::MAX),
                 max: u32::try_from(*max_len).unwrap_or(u32::MAX),
-                hash: 0,
+                fingerprint: 0,
                 class_bit: *class as u8,
                 kind: KIND_CLASS,
             },
@@ -305,8 +426,8 @@ impl SigFilter {
 
     /// Level 2: the branch-free element-wise check over the window's
     /// profiles. A `false` is a certain rejection; a `true` is exact for
-    /// `Class` elements and hash-strength for `Literal` elements (the
-    /// matcher confirms literal text afterwards).
+    /// `Class` elements and fingerprint-strength for `Literal` elements
+    /// (the matcher confirms literal text afterwards).
     #[inline]
     #[must_use]
     pub fn window_passes(&self, window: &[TokenProfile]) -> bool {
@@ -314,11 +435,11 @@ impl SigFilter {
         let mut ok = 1u8;
         for (check, p) in self.checks.iter().zip(window) {
             let len_ok = u8::from(p.chars >= check.min) & u8::from(p.chars <= check.max);
-            let lit_ok = u8::from(p.hash == check.hash);
+            let lit_ok = u8::from(p.fingerprint == check.fingerprint);
             let class_ok = p.mask >> check.class_bit & 1;
             let is_class = check.kind; // 0 literal, 1 class
-                                       // Literal: length + hash must hold; class test is vacuous.
-                                       // Class: length + acceptance bit must hold; hash is vacuous.
+                                       // Literal: length + fingerprint must hold; class test is vacuous.
+                                       // Class: length + acceptance bit must hold; fingerprint is vacuous.
             ok &= len_ok & (lit_ok | is_class) & (class_ok | (1 - is_class));
         }
         ok == 1
@@ -329,6 +450,15 @@ impl SigFilter {
     #[must_use]
     pub fn class_demand(&self, c: usize) -> u16 {
         self.hist[c]
+    }
+
+    /// The [`fingerprint32`] of each `Literal` element, in element order
+    /// (the verify kernel's literal bound).
+    pub(crate) fn literal_fingerprints(&self) -> impl Iterator<Item = u32> + '_ {
+        self.checks
+            .iter()
+            .filter(|check| check.kind == KIND_LITERAL)
+            .map(|check| check.fingerprint)
     }
 }
 
@@ -368,7 +498,7 @@ pub fn windows_pass_batch(profile: &StreamProfile, candidates: &[(&SigFilter, us
             };
             let p = profile.profiles[start + j];
             let len_ok = u8::from(p.chars >= check.min) & u8::from(p.chars <= check.max);
-            let lit_ok = u8::from(p.hash == check.hash);
+            let lit_ok = u8::from(p.fingerprint == check.fingerprint);
             let class_ok = p.mask >> check.class_bit & 1;
             let is_class = check.kind; // 0 literal, 1 class
             let pass = len_ok & (lit_ok | is_class) & (class_ok | (1 - is_class));
@@ -390,7 +520,7 @@ impl SigFilter {
             enc.varint(u64::from(check.min));
             enc.varint(u64::from(check.max));
             match check.kind {
-                KIND_LITERAL => enc.u32(check.hash),
+                KIND_LITERAL => enc.u32(check.fingerprint),
                 _ => enc.u8(check.class_bit),
             }
         }
@@ -413,7 +543,7 @@ impl SigFilter {
             if min > max {
                 return Err(corrupt("inverted length range"));
             }
-            let (hash, class_bit) = match kind {
+            let (fingerprint, class_bit) = match kind {
                 KIND_LITERAL => (dec.u32()?, 0),
                 KIND_CLASS => {
                     let bit = dec.u8()?;
@@ -428,7 +558,7 @@ impl SigFilter {
             checks.push(ElemCheck {
                 min,
                 max,
-                hash,
+                fingerprint,
                 class_bit,
                 kind,
             });
@@ -448,16 +578,27 @@ mod tests {
 
     #[test]
     fn char_table_mirrors_char_class_accepts() {
-        for code in 0u32..128 {
-            let c = char::from_u32(code).unwrap();
+        // The category tables, read through one byte: every ASCII byte's
+        // mask is exactly the set of classes accepting it, by the vector
+        // path's compares and by the tail's lookup alike.
+        let mask = |b: u8| PRESENT_MASKS[usize::from(category(b))];
+        for b in 0u8..128 {
+            let c = char::from(b);
+            assert_eq!(BYTE_TABLE[usize::from(b)], category(b), "{c:?}");
             for class in CharClass::TEMPLATES {
                 let expect = class.accepts(c);
-                let got = char_mask(c) >> (class as u8) & 1 == 1;
+                let got = mask(b) >> (class as u8) & 1 == 1;
                 assert_eq!(got, expect, "char {c:?} class {class:?}");
             }
         }
-        // Non-ASCII: only Any.
-        assert_eq!(char_mask('é'), 1 << (CharClass::Any as u8));
+        // Every byte of a non-ASCII character is "other": only Any.
+        for b in 128u8..=255 {
+            assert_eq!(mask(b), 1 << (CharClass::Any as u8));
+            assert_eq!(BYTE_TABLE[usize::from(b)] & 0x3F, category(b));
+            assert_eq!(BYTE_TABLE[usize::from(b)] >> 7, u8::from(b < 0xC0));
+        }
+        assert_eq!(PRESENT_MASKS[0], 0xFF, "no bytes: every class");
+        assert_eq!(profile_text("é").mask, 1 << (CharClass::Any as u8));
     }
 
     #[test]
@@ -491,6 +632,14 @@ mod tests {
         assert!(filter.window_passes(&[profile_text("fromCharCode")]));
         assert!(!filter.window_passes(&[profile_text("fromCharCodf")]));
         assert!(!filter.window_passes(&[profile_text("fromCharCod")]));
+        // Beyond 16 bytes only the ends and the length are fingerprinted:
+        // a middle-only difference passes here, for stage 3 to reject.
+        let long = "abcdefgh-the-middle-ijklmnop";
+        let filter = SigFilter::of(&sig(vec![Element::Literal(long.into())]));
+        assert!(filter.window_passes(&[profile_text(long)]));
+        assert!(filter.window_passes(&[profile_text("abcdefgh-THE-MIDDLE-ijklmnop")]));
+        assert!(!filter.window_passes(&[profile_text("abcdefgh-the-middle-ijklmnoq")]));
+        assert!(!filter.window_passes(&[profile_text("Abcdefgh-the-middle-ijklmnop")]));
     }
 
     #[test]

@@ -27,12 +27,15 @@
 //! Before the DP, the crate-private `stream_deficit` applies the
 //! prefilter's histogram
 //! idiom fuzzily: every `Class` element demanded more times than the
-//! whole stream can supply, and every `Literal` element whose hash never
-//! occurs, each force at least one edit — a sound lower bound costing
-//! `O(8 + literals)` per signature after one shared `O(tokens)` pass.
+//! whole stream can supply, and every `Literal` element whose fingerprint
+//! never occurs, each force at least one edit — a sound lower bound
+//! costing `O(8 + literals)` per signature after one shared `O(tokens)`
+//! pass. That pass and the bound use the exact scan's profile kernel and
+//! the sealed filters' fingerprints, so the two scans cannot disagree
+//! about what a token is.
 
-use crate::pattern::{Element, Signature};
-use crate::prefilter::{fnv1a32, profile_text, SigFilter};
+use crate::pattern::Element;
+use crate::prefilter::{profile_bytes, SigFilter};
 use kizzle_js::Tokens;
 use std::collections::HashSet;
 
@@ -46,11 +49,11 @@ pub struct NearestMatch {
 }
 
 /// Shared per-stream summary for [`stream_deficit`]: how many tokens each
-/// class accepts, and which literal hashes occur at all.
+/// class accepts, and which token fingerprints occur at all.
 #[derive(Debug)]
 pub(crate) struct StreamSummary {
     class_counts: [u32; 8],
-    literal_hashes: HashSet<u32>,
+    fingerprints: HashSet<u32>,
 }
 
 impl StreamSummary {
@@ -58,42 +61,34 @@ impl StreamSummary {
     #[must_use]
     pub(crate) fn of(tokens: Tokens<'_>) -> Self {
         let mut class_counts = [0u32; 8];
-        let mut literal_hashes = HashSet::new();
-        for token in tokens {
-            let profile = profile_text(token.unquoted());
+        let mut fingerprints = HashSet::new();
+        for profile in tokens.unquoted_bytes().map(profile_bytes) {
             for (c, slot) in class_counts.iter_mut().enumerate() {
                 *slot += u32::from(profile.mask >> c & 1);
             }
-            literal_hashes.insert(profile.hash);
+            fingerprints.insert(profile.fingerprint);
         }
         StreamSummary {
             class_counts,
-            literal_hashes,
+            fingerprints,
         }
     }
 }
 
-/// A sound lower bound on the semi-global edit distance of `signature`
-/// against the summarized stream: elements that provably cannot be
-/// satisfied by *any* stream token must each be edited away.
+/// A sound lower bound on the semi-global edit distance of the signature
+/// `filter` was sealed from against the summarized stream: elements that
+/// provably cannot be satisfied by *any* stream token must each be edited
+/// away.
 #[must_use]
-pub(crate) fn stream_deficit(
-    signature: &Signature,
-    filter: &SigFilter,
-    summary: &StreamSummary,
-) -> usize {
+pub(crate) fn stream_deficit(filter: &SigFilter, summary: &StreamSummary) -> usize {
     let mut deficit = 0usize;
     for c in 0..8 {
         let need = u32::from(filter.class_demand(c));
         let have = summary.class_counts[c];
         deficit += usize::try_from(need.saturating_sub(have)).expect("u32 fits usize");
     }
-    for element in &signature.elements {
-        if let Element::Literal(text) = element {
-            if !summary.literal_hashes.contains(&fnv1a32(text.as_bytes())) {
-                deficit += 1;
-            }
-        }
+    for fingerprint in filter.literal_fingerprints() {
+        deficit += usize::from(!summary.fingerprints.contains(&fingerprint));
     }
     deficit
 }
@@ -178,7 +173,7 @@ pub(crate) fn nearest_naive(elements: &[Element], tokens: Tokens<'_>) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pattern::CharClass;
+    use crate::pattern::{CharClass, Signature};
     use kizzle_js::tokenize;
 
     fn lit(s: &str) -> Element {
@@ -282,13 +277,13 @@ mod tests {
         // Stream with neither the literal nor any digits: deficit 3.
         let stream = tokenize("alpha beta gamma");
         let summary = StreamSummary::of(stream.tokens());
-        let deficit = stream_deficit(&sig, &filter, &summary);
+        let deficit = stream_deficit(&filter, &summary);
         assert_eq!(deficit, 3);
         let actual = nearest_naive(&sig.elements, stream.tokens());
         assert!(deficit <= actual, "bound {deficit} > actual {actual}");
         // Stream satisfying everything: deficit 0.
         let stream = tokenize("fromCharCode 12 34");
         let summary = StreamSummary::of(stream.tokens());
-        assert_eq!(stream_deficit(&sig, &filter, &summary), 0);
+        assert_eq!(stream_deficit(&filter, &summary), 0);
     }
 }

@@ -167,8 +167,10 @@ fn threaded_scan_counters_are_exact_and_repeatable() {
     // hit, some candidates are rejected by prefilters, some confirm, and
     // the short-literal signature is checked unanchored. The exception is
     // verify_rejected: the batched window check is position-exact, so the
-    // literal-text confirmation only rejects on a 32-bit hash collision —
-    // unreachable from a natural corpus.
+    // literal-text confirmation only rejects on a fingerprint collision —
+    // a long token sharing a literal's length and first and last 8 bytes,
+    // which `fingerprint_collisions.rs` builds on purpose and this corpus
+    // does not.
     for (name, delta) in COUNTERS.iter().zip(&first).skip(1) {
         if *name == "kizzle_scan_verify_rejected_total" {
             continue;
