@@ -19,7 +19,7 @@
 //!   every source file, and maps out `#[cfg(test)]`/`#[test]` regions;
 //! * [`allow`] — the justified allowlist (`analysis/allow.toml`);
 //!   every suppression carries a mandatory `reason`;
-//! * [`lint`] + [`lints`] — the framework and the six repo-specific
+//! * [`lint`] + [`lints`] — the framework and the seven repo-specific
 //!   checks. `ANALYSIS.md` at the workspace root catalogs them and
 //!   documents how to add a new one.
 //!

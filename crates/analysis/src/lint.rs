@@ -101,6 +101,11 @@ pub fn all_lints() -> Vec<Lint> {
             description: "every workspace crate's library root carries #![forbid(unsafe_code)]",
             run: lints::unsafe_audit::run,
         },
+        Lint {
+            name: "test-only-pub",
+            description: "every pub fn in library code has a caller outside test code",
+            run: lints::test_only_pub::run,
+        },
     ]
 }
 

@@ -5,6 +5,7 @@
 pub mod panic_path;
 pub mod section_registry;
 pub mod telemetry_drift;
+pub mod test_only_pub;
 pub mod threshold_drift;
 pub mod timing;
 pub mod unsafe_audit;

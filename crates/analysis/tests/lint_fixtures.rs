@@ -3,7 +3,7 @@
 //! case, and must produce exactly the expected findings with correct
 //! `file:line` positions. The `one_injected_violation_per_lint` test at
 //! the bottom is the acceptance check from the issue: a workspace with
-//! one violation of *each* lint fails with all six diagnostics.
+//! one violation of *each* lint fails with all seven diagnostics.
 
 use kizzle_analyze::{run, Severity};
 use std::path::{Path, PathBuf};
@@ -253,6 +253,49 @@ fn unsafe_audit_requires_the_forbid_attribute() {
     assert!(f.message.contains("forbid(unsafe_code)"));
 }
 
+#[test]
+fn test_only_pub_flags_public_fns_only_tests_call() {
+    let fx = fixture(
+        "test-only-pub",
+        &[
+            (
+                "crates/demo/src/lib.rs",
+                "#![forbid(unsafe_code)]\npub fn used() {}\npub fn oracle() {}\npub(crate) fn internal() {}\npub fn shown() {}\nfn private() {\n    used();\n}\n#[cfg(test)]\nmod tests {\n    pub fn helper() {}\n    #[test]\n    fn t() {\n        super::oracle();\n    }\n}\n",
+            ),
+            ("crates/demo/tests/it.rs", "fn main() {\n    demo::oracle();\n}\n"),
+            ("crates/demo/examples/ex.rs", "fn main() {\n    demo::shown();\n}\n"),
+        ],
+    );
+    let report = fx.run(&["test-only-pub"]);
+    assert_eq!(report.findings.len(), 1, "{}", report.render());
+    let f = &report.findings[0];
+    assert_eq!(f.severity, Severity::Error);
+    assert_eq!((f.path.as_str(), f.line), ("crates/demo/src/lib.rs", 3));
+    assert!(f.message.contains("`pub fn oracle`"), "{}", f.message);
+}
+
+#[test]
+fn test_only_pub_passes_when_allowlisted() {
+    let fx = fixture(
+        "test-only-pub-allow",
+        &[
+            (
+                "crates/demo/src/lib.rs",
+                "#![forbid(unsafe_code)]\npub fn pending() {}\n",
+            ),
+            ("crates/demo/tests/it.rs", "fn main() {\n    demo::pending();\n}\n"),
+            (
+                "analysis/allow.toml",
+                "[[allow]]\nlint = \"test-only-pub\"\ncontains = \"fn pending\"\nreason = \"wiring pending\"\n",
+            ),
+        ],
+    );
+    let report = fx.run(&["test-only-pub"]);
+    assert!(report.findings.is_empty(), "{}", report.render());
+    assert_eq!(report.suppressed, 1);
+    assert!(report.unused_allows.is_empty());
+}
+
 /// The issue's acceptance check: inject one violation of each lint into
 /// one workspace and every lint fires with a correct location.
 #[test]
@@ -285,6 +328,7 @@ fn one_injected_violation_per_lint() {
         "threshold-drift",
         "timing-discipline",
         "forbid-unsafe-audit",
+        "test-only-pub",
     ] {
         assert!(
             fired.contains(lint),
@@ -308,4 +352,5 @@ fn one_injected_violation_per_lint() {
     assert_eq!(by("section-registry"), ("crates/demo/src/lib.rs", 5));
     assert_eq!(by("timing-discipline"), ("crates/demo/src/lib.rs", 6));
     assert_eq!(by("threshold-drift"), ("crates/bench/thresholds.json", 2));
+    assert_eq!(by("test-only-pub"), ("crates/demo/src/lib.rs", 2));
 }

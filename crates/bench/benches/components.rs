@@ -1,15 +1,19 @@
-//! Micro-benchmarks of the individual pipeline stages.
+//! Kernel micro-benchmarks, each gated in `thresholds.json`: the Myers
+//! distance kernel, the snapshot checksum, signature generation, the
+//! scan's stage-2 token profile, and the anchor automaton's skip-loop.
+//! Everything a whole day or a whole scan costs is the ledger's question
+//! (`examples/perf_ledger`), not criterion's.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{criterion_group, criterion_main, Criterion};
+use kizzle::prelude::*;
 use kizzle_bench::{packed_samples, tokenized};
 use kizzle_cluster::distance::{
-    edit_distance, normalized_edit_distance_bounded, BitParallelPattern, BitParallelScratch,
+    normalized_edit_distance_bounded, BitParallelPattern, BitParallelScratch,
 };
-use kizzle_corpus::KitFamily;
+use kizzle_corpus::{GraywareStream, KitFamily, SimDate, StreamConfig};
 use kizzle_js::TokenStream;
 use kizzle_signature::prefilter::StreamProfile;
 use kizzle_signature::{generate_signature, SignatureConfig};
-use kizzle_winnow::{Fingerprint, WinnowConfig};
 use std::hint::black_box;
 use std::time::Duration;
 
@@ -30,9 +34,7 @@ fn bench_edit_distance(c: &mut Criterion) {
     let streams = tokenized(&docs, 800);
     let a = streams[0].class_codes();
     let b_codes = streams[1].class_codes();
-    g.bench_function("full", |bench| {
-        bench.iter(|| black_box(edit_distance(&a, &b_codes)))
-    });
+    // Ungated: the one-off form, pattern built per call.
     g.bench_function("bounded_at_paper_threshold", |bench| {
         bench.iter(|| black_box(normalized_edit_distance_bounded(&a, &b_codes, 0.10)))
     });
@@ -91,41 +93,14 @@ fn bench_edit_distance(c: &mut Criterion) {
     g.finish();
 }
 
-fn bench_winnowing(c: &mut Criterion) {
-    let mut g = group(c, "winnowing");
-    let payload = kizzle_corpus::KitModel::new(KitFamily::Angler)
-        .reference_payload(kizzle_corpus::SimDate::new(2014, 8, 15));
-    let cfg = WinnowConfig::default();
-    g.bench_function("fingerprint_unpacked_payload", |b| {
-        b.iter(|| black_box(Fingerprint::of_text(&payload, &cfg)).len())
-    });
-    let fp_a = Fingerprint::of_text(&payload, &cfg);
-    let other = kizzle_corpus::KitModel::new(KitFamily::Nuclear)
-        .reference_payload(kizzle_corpus::SimDate::new(2014, 8, 15));
-    let fp_b = Fingerprint::of_text(&other, &cfg);
-    g.bench_function("overlap", |b| b.iter(|| black_box(fp_a.overlap(&fp_b))));
-    g.finish();
-}
-
-fn bench_scanning(c: &mut Criterion) {
-    let mut g = group(c, "scanning");
-    let samples = tokenized(&packed_samples(KitFamily::Nuclear, 26, 6), 600);
-    let signature =
-        generate_signature("bench.sig", &samples, &SignatureConfig::default()).expect("signature");
-    let benign_doc = {
-        use rand::SeedableRng;
-        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(1);
-        kizzle_corpus::benign::generate_benign(
-            kizzle_corpus::benign::BenignKind::PluginDetect,
-            &mut rng,
-        )
-    };
-    let benign_stream = kizzle_js::tokenize_document(&benign_doc);
-    g.bench_function("match_hit", |b| {
-        b.iter(|| black_box(signature.matches_stream(&samples[0])))
-    });
-    g.bench_function("match_miss_benign", |b| {
-        b.iter(|| black_box(signature.matches_stream(&benign_stream)))
+/// The checksum every saved and every loaded snapshot byte goes through.
+fn bench_crc32(c: &mut Criterion) {
+    let mut g = group(c, "crc32");
+    let bytes: Vec<u8> = (0u32..1 << 20)
+        .map(|i| (i.wrapping_mul(2_654_435_761) >> 24) as u8)
+        .collect();
+    g.bench_function("1MiB", |b| {
+        b.iter(|| black_box(kizzle_snapshot::crc32(black_box(&bytes))))
     });
     g.finish();
 }
@@ -192,26 +167,75 @@ fn bench_profile(c: &mut Criterion) {
     g.finish();
 }
 
-fn bench_unpackers(c: &mut Criterion) {
-    let mut g = group(c, "unpackers");
-    for family in KitFamily::ALL {
-        let doc = packed_samples(family, 20, 1).remove(0);
-        g.bench_with_input(
-            BenchmarkId::new("unpack", family.short_code()),
-            &doc,
-            |b, doc| b.iter(|| black_box(kizzle_unpack::unpack(family, doc)).map(|p| p.len())),
-        );
+/// A service with a realistic published set: three sealed days of the
+/// default stream (cumulative signatures, same-day response included).
+fn compiled_service() -> KizzleService {
+    let config = KizzleConfig::fast();
+    let start = SimDate::new(2014, 8, 5);
+    let reference = ReferenceCorpus::seeded_from_models(start, &config);
+    let mut service = KizzleService::new(config, reference).expect("fast config is valid");
+    let mut date = start;
+    for seed in [3u64, 4, 5] {
+        let day = GraywareStream::new(StreamConfig {
+            samples_per_day: 64,
+            malicious_fraction: 0.5,
+            seed,
+            ..StreamConfig::default()
+        })
+        .generate_day(date);
+        let _ = service.process_day(date, &day).expect("day seals");
+        date = date.next();
     }
+    assert!(
+        !service.signatures().is_empty(),
+        "bench needs a published set"
+    );
+    service
+}
+
+/// Minified-style pages — long runs of one-byte identifiers and
+/// operators, almost every token a one-byte operator — pre-tokenized and
+/// scanned through a `Matcher` handle: the worst case for a per-token
+/// automaton probe and the best case for its first-byte skip-loop.
+fn bench_scan_punct(c: &mut Criterion) {
+    let service = compiled_service();
+    let matcher = service.matcher();
+    let cap = service.config().token_cap;
+    let punct_streams: Vec<TokenStream> = (0..256usize)
+        .map(|i| {
+            let mut page = String::from("<html><script>");
+            for k in 0..400 {
+                page.push_str(match (i + k) % 6 {
+                    0 => "a=b;",
+                    1 => "c=(d);",
+                    2 => "e&&f;",
+                    3 => "g[h]=i;",
+                    4 => "j!=k;",
+                    _ => "l+=m;",
+                });
+            }
+            page.push_str("</script></html>");
+            kizzle_js::tokenize_document_capped(&page, cap)
+        })
+        .collect();
+
+    let mut g = group(c, "matcher_throughput");
+    g.bench_function("scan_punct", |b| {
+        let mut i = 0usize;
+        b.iter(|| {
+            i = (i + 1) % punct_streams.len();
+            black_box(matcher.scan_stream(&punct_streams[i]))
+        })
+    });
     g.finish();
 }
 
 criterion_group!(
     components,
     bench_edit_distance,
-    bench_winnowing,
-    bench_scanning,
+    bench_crc32,
     bench_signature_generation,
     bench_profile,
-    bench_unpackers
+    bench_scan_punct
 );
 criterion_main!(components);

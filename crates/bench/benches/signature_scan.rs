@@ -1,13 +1,11 @@
-//! Staged vs. linear signature-set scanning, across signature scale.
+//! The staged signature-set scan across signature scale.
 //!
-//! Acceptance bars: with 500 deployed signatures the staged scan must
-//! beat the linear scan by ≥ 5× on non-matching documents (ISSUE 1), and
-//! the per-document scan cost must stay nearly flat in the signature
-//! count — the 50k-signature arms within 3× of the 500-signature arms
-//! (ISSUE 6). The staged scan walks the document's tokens once through
-//! the Aho–Corasick anchor automaton regardless of set size; the linear
-//! scan slides every signature across every token offset (kept at 500 as
-//! the oracle baseline, deliberately ungated).
+//! The per-document scan cost must stay nearly flat in the signature
+//! count — the 50k-signature arms within 3× of the 500-signature arms.
+//! The staged scan walks the document's tokens once through the
+//! Aho–Corasick anchor automaton regardless of set size. The ledger never
+//! deploys more than a few hundred signatures, so these arms are the only
+//! measurement of the automaton at 500–50k.
 //!
 //! `seal_50k` tracks the pipeline build itself (automaton + prefilter
 //! tables over 50k signatures) — paid once per publish, shipped in
@@ -94,44 +92,22 @@ fn bench_scan(c: &mut Criterion) {
         .measurement_time(Duration::from_secs(4))
         .warm_up_time(Duration::from_millis(500));
 
-    for (label, scan_anchored) in [("linear", false), ("anchored", true)] {
-        group.bench_with_input(
-            BenchmarkId::new("miss_500_sigs", label),
-            &scan_anchored,
-            |b, &anchored| {
-                b.iter(|| {
-                    let mut hits = 0usize;
-                    for stream in &benign_streams {
-                        let hit = if anchored {
-                            set.scan_stream(stream)
-                        } else {
-                            set.scan_stream_linear(stream)
-                        };
-                        hits += usize::from(hit.is_some());
-                    }
-                    black_box(hits)
-                })
-            },
-        );
-        group.bench_with_input(
-            BenchmarkId::new("hit_500_sigs", label),
-            &scan_anchored,
-            |b, &anchored| {
-                b.iter(|| {
-                    let hit = if anchored {
-                        set.scan_stream(&hit_stream)
-                    } else {
-                        set.scan_stream_linear(&hit_stream)
-                    };
-                    black_box(hit.is_some())
-                })
-            },
-        );
-    }
+    group.bench_function(BenchmarkId::new("miss_500_sigs", "anchored"), |b| {
+        b.iter(|| {
+            let mut hits = 0usize;
+            for stream in &benign_streams {
+                hits += usize::from(set.scan_stream(stream).is_some());
+            }
+            black_box(hits)
+        })
+    });
+    group.bench_function(BenchmarkId::new("hit_500_sigs", "anchored"), |b| {
+        b.iter(|| black_box(set.scan_stream(&hit_stream).is_some()))
+    });
     group.finish();
 }
 
-/// The scale arms (ISSUE 6): the same scan at 10× and 100× the signature
+/// The scale arms: the same scan at 10× and 100× the signature
 /// count. Every signature still has a unique anchor literal, which is the
 /// production shape — daily compounding emits fresh `decoder_NNNN`-style
 /// packer tokens far more often than it reuses one.

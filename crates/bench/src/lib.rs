@@ -1,15 +1,19 @@
-//! # kizzle-bench — shared fixtures for the Criterion benchmark harness
+//! # kizzle-bench — shared fixtures for the benchmarks
 //!
-//! The benchmarks live in `benches/`:
+//! The repository's benchmark is the ledger, `examples/perf_ledger`: one
+//! canonical workload per question, end to end and layer by layer.
+//! Criterion (`benches/`) keeps only the kernel arms the ledger cannot
+//! isolate, each gated in `thresholds.json`:
 //!
-//! * `paper_experiments` — one Criterion group per paper table/figure
-//!   (the E1–E12 index of DESIGN.md), regenerating each result at bench
-//!   scale plus the ablations called out in DESIGN.md §5.
-//! * `components` — micro-benchmarks of the individual pipeline stages
-//!   (tokenization, edit distance, DBSCAN, winnowing, signature
-//!   generation, scanning).
+//! * `components` — the Myers distance kernel, the snapshot checksum,
+//!   signature generation, the scan's stage-2 token profile and the
+//!   anchor automaton's skip-loop;
+//! * `signature_scan` — the staged scan at 500–50k signatures;
+//! * `telemetry_overhead` — scanning with telemetry on over off.
 //!
-//! This library only holds the fixture helpers those benches share.
+//! `examples/scale_sweep` drives the neighbor index at scale. The paper's
+//! tables and figures are regenerated by `kizzle-eval`'s `experiments`
+//! binary. This library only holds the fixture helpers these share.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -41,23 +45,21 @@ pub fn tokenized(documents: &[String], cap: usize) -> Vec<TokenStream> {
         .collect()
 }
 
-/// Token-class strings for clustering benches.
-#[must_use]
-pub fn class_strings(documents: &[String], cap: usize) -> Vec<Vec<u8>> {
+/// Token-class strings of `documents`, each capped at `cap` tokens.
+fn class_strings(documents: &[String], cap: usize) -> Vec<Vec<u8>> {
     tokenized(documents, cap)
         .iter()
         .map(TokenStream::class_codes)
         .collect()
 }
 
-/// Token-class strings of one synthetic "day" for the clustering benches:
-/// a mix of exploit-kit families (clusterable near-duplicates) and benign
-/// one-off pages (noise), matching what the daily pipeline clusters.
+/// Token-class strings of one synthetic "day": a mix of exploit-kit
+/// families (clusterable near-duplicates) and benign one-off pages
+/// (noise), matching what the daily pipeline clusters.
 ///
 /// Deterministic for a given `total`; documents are capped at `cap` tokens
 /// like the service's ingest does (`KizzleConfig::token_cap`).
-#[must_use]
-pub fn synthetic_day_class_strings(total: usize, cap: usize) -> Vec<Vec<u8>> {
+fn synthetic_day_class_strings(total: usize, cap: usize) -> Vec<Vec<u8>> {
     use kizzle_corpus::benign::{generate_benign, BenignKind};
     let families = [
         KitFamily::Angler,
@@ -86,8 +88,9 @@ pub fn synthetic_day_class_strings(total: usize, cap: usize) -> Vec<Vec<u8>> {
     class_strings(&documents, cap)
 }
 
-/// Like [`synthetic_day_class_strings`], but every string is guaranteed
-/// distinct: sample `i` carries a 6-token class-code prefix encoding `i`.
+/// One synthetic day of token-class strings — exploit-kit families and
+/// benign one-off pages — in which every string is guaranteed distinct:
+/// sample `i` carries a 6-token class-code prefix encoding `i`.
 ///
 /// The kit generators are *too* faithful for some benches: variants of one
 /// family often collapse to the same token-class sequence, and anything

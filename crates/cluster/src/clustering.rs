@@ -4,9 +4,6 @@
 //! *clusters*: it picks a prototype (medoid) per cluster, unpacks and labels
 //! the prototype, and generates one signature per malicious cluster.
 
-use crate::dbscan::{DbscanResult, Label};
-use rayon::prelude::*;
-
 /// A single cluster of sample indices.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct Cluster {
@@ -37,51 +34,13 @@ impl Cluster {
     pub fn is_empty(&self) -> bool {
         self.members.is_empty()
     }
-
-    /// Compute and cache the medoid: the member minimizing the sum of
-    /// distances to all other members. Returns the chosen sample index.
-    ///
-    /// For clusters larger than `sample_cap` members, the medoid is computed
-    /// over an evenly-spaced subsample to bound the quadratic cost; this is
-    /// the same engineering concession a production deployment makes, and
-    /// the medoid of a tight cluster is insensitive to it. The subsample
-    /// takes every `⌊len / sample_cap⌋`-th member, so it holds **fewer than
-    /// `2 · sample_cap`** members, not at most `sample_cap`: a cluster of
-    /// `2 · sample_cap − 1` members has stride 1 and is scanned whole (127
-    /// members at cap 64 → a pool of 127). The selection is pinned — the
-    /// medoids feed the signature digests the paper-claims tests hold fixed.
-    ///
-    /// Candidates are **early-abandoned**, which requires `distance` to be
-    /// **non-negative** (every in-repo distance is in `[0, 1]`): a
-    /// candidate whose partial sum already reaches the best full sum cannot
-    /// win, and the rest of its row is skipped. A signed "distance" breaks
-    /// that pruning argument — a negative later term could bring the full
-    /// sum back under — and may silently select a different medoid than the
-    /// exhaustive scan would. For non-negative distances the selected
-    /// medoid is identical to the exhaustive scan (ties resolve to the
-    /// earliest pool member either way), but on tight clusters — where one
-    /// good candidate appears early — most rows stop after a few terms.
-    pub fn compute_prototype<T, D>(
-        &mut self,
-        samples: &[T],
-        distance: D,
-        sample_cap: usize,
-    ) -> Option<usize>
-    where
-        D: Fn(&T, &T) -> f64,
-    {
-        self.prototype = medoid_of(&self.members, sample_cap, |a, b| {
-            distance(&samples[a], &samples[b])
-        });
-        self.prototype
-    }
 }
 
 /// The sample cap of the final per-cluster prototype pass.
 pub(crate) const PROTOTYPE_SAMPLE_CAP: usize = 64;
 
-/// The members a medoid scan ranges over; see
-/// [`Cluster::compute_prototype`] for the (pinned) subsampling rule.
+/// The members a medoid scan ranges over; see [`medoid_of`] for the
+/// (pinned) subsampling rule.
 fn medoid_pool(members: &[usize], sample_cap: usize) -> Vec<usize> {
     if members.len() > sample_cap && sample_cap > 0 {
         let step = members.len() / sample_cap;
@@ -91,11 +50,32 @@ fn medoid_pool(members: &[usize], sample_cap: usize) -> Vec<usize> {
     }
 }
 
-/// The medoid scan behind [`Cluster::compute_prototype`], over borrowed
-/// member lists. `distance(cand, other)` takes sample indices and is called
-/// row by row — every `other` of one `cand` before the next `cand` — so a
-/// stateful metric can keep per-candidate state (a preprocessed pattern)
-/// for the length of a row.
+/// The medoid of `members`: the member minimizing the sum of distances to
+/// all other members. `distance(cand, other)` takes sample indices and is
+/// called row by row — every `other` of one `cand` before the next `cand`
+/// — so a stateful metric can keep per-candidate state (a preprocessed
+/// pattern) for the length of a row.
+///
+/// For clusters larger than `sample_cap` members, the medoid is computed
+/// over an evenly-spaced subsample to bound the quadratic cost; this is
+/// the same engineering concession a production deployment makes, and
+/// the medoid of a tight cluster is insensitive to it. The subsample
+/// takes every `⌊len / sample_cap⌋`-th member, so it holds **fewer than
+/// `2 · sample_cap`** members, not at most `sample_cap`: a cluster of
+/// `2 · sample_cap − 1` members has stride 1 and is scanned whole (127
+/// members at cap 64 → a pool of 127). The selection is pinned — the
+/// medoids feed the signature digests the paper-claims tests hold fixed.
+///
+/// Candidates are **early-abandoned**, which requires `distance` to be
+/// **non-negative** (every in-repo distance is in `[0, 1]`): a
+/// candidate whose partial sum already reaches the best full sum cannot
+/// win, and the rest of its row is skipped. A signed "distance" breaks
+/// that pruning argument — a negative later term could bring the full
+/// sum back under — and may silently select a different medoid than the
+/// exhaustive scan would. For non-negative distances the selected
+/// medoid is identical to the exhaustive scan (ties resolve to the
+/// earliest pool member either way), but on tight clusters — where one
+/// good candidate appears early — most rows stop after a few terms.
 pub(crate) fn medoid_of(
     members: &[usize],
     sample_cap: usize,
@@ -140,27 +120,8 @@ pub struct Clustering {
 }
 
 impl Clustering {
-    /// Build a [`Clustering`] from a DBSCAN result.
-    #[must_use]
-    pub fn from_dbscan(result: &DbscanResult) -> Self {
-        let mut clusters = vec![Cluster::default(); result.cluster_count()];
-        let mut noise = Vec::new();
-        for (i, label) in result.labels().iter().enumerate() {
-            match label {
-                Label::Cluster(c) => clusters[*c].members.push(i),
-                Label::Noise => noise.push(i),
-                Label::Unvisited => unreachable!("dbscan labels every sample"),
-            }
-        }
-        Clustering {
-            clusters,
-            noise,
-            sample_count: result.labels().len(),
-        }
-    }
-
-    /// Build a clustering directly from member lists (used by the
-    /// distributed reduce step).
+    /// Build a clustering directly from member lists (the reduce step's
+    /// output).
     #[must_use]
     pub fn from_members(clusters: Vec<Vec<usize>>, noise: Vec<usize>, sample_count: usize) -> Self {
         Clustering {
@@ -174,31 +135,6 @@ impl Clustering {
     #[must_use]
     pub fn cluster_count(&self) -> usize {
         self.clusters.len()
-    }
-
-    /// Compute prototypes for every cluster, in parallel: clusters are
-    /// independent, so the per-cluster medoid scans (each capped all-pairs,
-    /// see [`Cluster::compute_prototype`], including its non-negativity
-    /// requirement on `distance`) run through the rayon pool — the final
-    /// prototype pass of a large-cluster day costs the slowest cluster,
-    /// not the sum.
-    pub fn compute_prototypes<T, D>(&mut self, samples: &[T], distance: D)
-    where
-        T: Sync,
-        D: Fn(&T, &T) -> f64 + Copy + Sync,
-    {
-        let prototypes: Vec<Option<usize>> = self
-            .clusters
-            .par_iter()
-            .map(|cluster| {
-                medoid_of(&cluster.members, PROTOTYPE_SAMPLE_CAP, |a, b| {
-                    distance(&samples[a], &samples[b])
-                })
-            })
-            .collect();
-        for (cluster, prototype) in self.clusters.iter_mut().zip(prototypes) {
-            cluster.prototype = prototype;
-        }
     }
 
     /// Clusters with at least `min_size` members, largest first. Kizzle only
@@ -244,51 +180,36 @@ impl Clustering {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dbscan::{dbscan, DbscanParams};
 
-    fn abs_dist(a: &f64, b: &f64) -> f64 {
-        (a - b).abs()
-    }
-
-    #[test]
-    fn from_dbscan_partitions_samples() {
-        let pts = [0.0f64, 0.1, 0.2, 9.0, 9.1, 50.0];
-        let r = dbscan(&pts, &DbscanParams::new(0.5, 2), abs_dist);
-        let clustering = Clustering::from_dbscan(&r);
-        assert_eq!(clustering.cluster_count(), 2);
-        assert_eq!(clustering.noise, vec![5]);
-        assert!(clustering.is_partition());
-        assert_eq!(clustering.sample_count, 6);
+    /// The medoid of `members` over points on a line.
+    fn medoid(samples: &[f64], members: &[usize], sample_cap: usize) -> Option<usize> {
+        medoid_of(members, sample_cap, |a, b| (samples[a] - samples[b]).abs())
     }
 
     #[test]
     fn prototype_of_singleton_is_itself() {
-        let mut c = Cluster::new(vec![3]);
         let samples = [0.0f64, 1.0, 2.0, 3.0];
-        assert_eq!(c.compute_prototype(&samples, abs_dist, 64), Some(3));
+        assert_eq!(medoid(&samples, &[3], 64), Some(3));
     }
 
     #[test]
     fn prototype_is_the_medoid() {
         // Members 0,1,2 at positions 0.0, 10.0, 11.0 — the medoid is 10.0.
         let samples = [0.0f64, 10.0, 11.0];
-        let mut c = Cluster::new(vec![0, 1, 2]);
-        assert_eq!(c.compute_prototype(&samples, abs_dist, 64), Some(1));
-        assert_eq!(c.prototype, Some(1));
+        assert_eq!(medoid(&samples, &[0, 1, 2], 64), Some(1));
     }
 
     #[test]
     fn prototype_of_empty_cluster_is_none() {
-        let mut c = Cluster::default();
-        assert_eq!(c.compute_prototype(&[] as &[f64], abs_dist, 64), None);
-        assert!(c.is_empty());
+        assert_eq!(medoid(&[], &[], 64), None);
+        assert!(Cluster::default().is_empty());
     }
 
     #[test]
     fn prototype_with_subsampling_still_reasonable() {
         let samples: Vec<f64> = (0..1000).map(f64::from).collect();
-        let mut c = Cluster::new((0..1000).collect());
-        let proto = c.compute_prototype(&samples, abs_dist, 16).unwrap();
+        let members: Vec<usize> = (0..1000).collect();
+        let proto = medoid(&samples, &members, 16).unwrap();
         // True medoid is ~500; subsampled medoid must be in the middle half.
         assert!((250..750).contains(&proto));
     }
@@ -347,10 +268,24 @@ mod tests {
 
     #[test]
     fn compute_prototypes_fills_all_clusters() {
-        let pts = [0.0f64, 0.1, 0.2, 9.0, 9.1, 9.3];
-        let r = dbscan(&pts, &DbscanParams::new(0.5, 2), abs_dist);
-        let mut clustering = Clustering::from_dbscan(&r);
-        clustering.compute_prototypes(&pts, abs_dist);
-        assert!(clustering.clusters.iter().all(|c| c.prototype.is_some()));
+        // Two families of near-identical class strings: the engine's final
+        // medoid pass gives every cluster a prototype among its members.
+        let day: Vec<Vec<u8>> = (0..6u8)
+            .map(|i| {
+                let base = if i < 3 { 1 } else { 4 };
+                let mut s = vec![base; 40];
+                s[usize::from(i)] = base + 1;
+                s
+            })
+            .collect();
+        let config = crate::DistributedConfig::new(2, crate::DbscanParams::new(0.10, 2), 1);
+        let mut engine = crate::CorpusEngine::new(config);
+        let ids = engine.add_batch(0, &day);
+        let (clustering, _) = engine.cluster_day(&ids);
+        assert_eq!(clustering.cluster_count(), 2);
+        for cluster in &clustering.clusters {
+            let prototype = cluster.prototype.expect("prototype computed");
+            assert!(cluster.members.contains(&prototype));
+        }
     }
 }

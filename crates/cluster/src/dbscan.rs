@@ -1,18 +1,19 @@
-//! DBSCAN density clustering over an arbitrary distance function.
+//! DBSCAN density clustering over precomputed neighborhoods.
 //!
 //! Kizzle deliberately uses an off-the-shelf clustering strategy — DBSCAN —
 //! so that the end-to-end system can be "built and supported by security
 //! engineers and not machine learning experts" (paper §I-A). DBSCAN needs no
 //! pre-declared cluster count, tolerates noise (most grayware clusters are
 //! benign one-offs), and only requires a pairwise distance, which for Kizzle
-//! is the normalized edit distance over token strings.
-
-use crate::index::{IndexStats, NeighborIndex};
+//! is the normalized edit distance over token strings. The neighborhoods
+//! come from the [`NeighborIndex`](crate::index::NeighborIndex), so the
+//! label assignment here never computes a distance itself.
 
 /// Cluster assignment of a single sample.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Label {
-    /// Not yet processed (never returned from [`dbscan`]).
+    /// Not yet processed (never returned from
+    /// [`dbscan_with_neighborhoods`]).
     Unvisited,
     /// Density noise: not reachable from any core point.
     Noise,
@@ -83,16 +84,6 @@ impl DbscanResult {
         self.cluster_count
     }
 
-    /// Whether sample `i` was classified as noise.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is out of range.
-    #[must_use]
-    pub fn is_noise(&self, i: usize) -> bool {
-        self.labels[i] == Label::Noise
-    }
-
     /// Indices of the members of cluster `id`.
     #[must_use]
     pub fn members(&self, id: usize) -> Vec<usize> {
@@ -101,81 +92,6 @@ impl DbscanResult {
             .enumerate()
             .filter_map(|(i, l)| (*l == Label::Cluster(id)).then_some(i))
             .collect()
-    }
-
-    /// Number of noise samples.
-    #[must_use]
-    pub fn noise_count(&self) -> usize {
-        self.labels.iter().filter(|l| **l == Label::Noise).count()
-    }
-}
-
-/// Run DBSCAN over `samples` with the given `distance` function.
-///
-/// `distance` must be symmetric and return values comparable against
-/// `params.eps`; it may be arbitrarily expensive — it is called at most once
-/// per ordered pair per neighborhood query.
-///
-/// The implementation is the textbook `O(n^2)`-distance-call algorithm with
-/// an explicit expansion queue; Kizzle keeps `n` manageable by partitioning
-/// the day's samples across machines first (see
-/// [`crate::distributed`]).
-pub fn dbscan<T, D>(samples: &[T], params: &DbscanParams, distance: D) -> DbscanResult
-where
-    D: Fn(&T, &T) -> f64,
-{
-    let n = samples.len();
-    let mut labels = vec![Label::Unvisited; n];
-    let mut cluster_count = 0usize;
-
-    let neighbors_of = |idx: usize| -> Vec<usize> {
-        (0..n)
-            .filter(|&j| j != idx && distance(&samples[idx], &samples[j]) <= params.eps)
-            .collect()
-    };
-
-    for start in 0..n {
-        if labels[start] != Label::Unvisited {
-            continue;
-        }
-        let neighbors = neighbors_of(start);
-        // +1: the point itself counts toward density.
-        if neighbors.len() + 1 < params.min_points {
-            labels[start] = Label::Noise;
-            continue;
-        }
-        let cluster_id = cluster_count;
-        cluster_count += 1;
-        labels[start] = Label::Cluster(cluster_id);
-
-        let mut queue: std::collections::VecDeque<usize> = neighbors.into();
-        while let Some(p) = queue.pop_front() {
-            match labels[p] {
-                Label::Cluster(_) => continue,
-                Label::Noise => {
-                    // Border point: reachable from a core point, adopt it.
-                    labels[p] = Label::Cluster(cluster_id);
-                    continue;
-                }
-                Label::Unvisited => {
-                    labels[p] = Label::Cluster(cluster_id);
-                    let p_neighbors = neighbors_of(p);
-                    if p_neighbors.len() + 1 >= params.min_points {
-                        for q in p_neighbors {
-                            if labels[q] == Label::Unvisited || labels[q] == Label::Noise {
-                                queue.push_back(q);
-                            }
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    debug_assert!(labels.iter().all(|l| *l != Label::Unvisited));
-    DbscanResult {
-        labels,
-        cluster_count,
     }
 }
 
@@ -188,9 +104,11 @@ where
 /// by construction). A point is core when the samples within eps of any one
 /// of its own — `weights[i]` plus its neighbors' weights — reach
 /// `min_points`. A sample set without duplicates passes all-ones weights,
-/// and then the control flow is identical to [`dbscan`], so for the same
-/// neighborhood relation the labels come out identical — this is what makes
-/// the indexed engine a drop-in replacement.
+/// and then the control flow is the textbook algorithm's (an explicit
+/// expansion queue over each core point's neighbors), so for the same
+/// neighborhood relation the labels are those of naive DBSCAN — the
+/// property tests hold it to the seed's distance-callback DBSCAN
+/// (`tests/common/mod.rs`).
 ///
 /// With the points ordered by the first position of their content, the
 /// labels equal those of DBSCAN over the expanded samples in position
@@ -261,39 +179,39 @@ pub fn dbscan_with_neighborhoods(
     }
 }
 
-/// Indexed DBSCAN over token strings: build a [`NeighborIndex`], answer
-/// every neighborhood query in parallel through the
-/// length-window → histogram → bit-parallel-distance filter chain, then
-/// run the standard label assignment.
-///
-/// Produces labels identical to
-/// `dbscan(samples, params, |a, b| normalized_edit_distance_bounded(a, b,
-/// params.eps).unwrap_or(1.0))` — the equivalence property test holds it
-/// to that — while doing orders of magnitude less distance work.
-///
-/// Also returns the index work counters for observability.
-#[must_use]
-pub fn dbscan_indexed<S: AsRef<[u8]> + Sync>(
-    samples: &[S],
-    params: &DbscanParams,
-) -> (DbscanResult, IndexStats) {
-    let mut index = NeighborIndex::build(samples, params.eps);
-    let neighborhoods = index.dense_neighborhoods(samples.len());
-    let stats = index.take_stats();
-    let weights = vec![1; samples.len()];
-    (
-        dbscan_with_neighborhoods(&neighborhoods, &weights, params),
-        stats,
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::distance::normalized_edit_distance;
+    use crate::distance::normalized_edit_distance_bounded;
+    use crate::index::NeighborIndex;
+    use crate::store::SampleId;
+
+    /// DBSCAN over brute-force neighborhoods under `distance`.
+    fn dbscan<T>(
+        samples: &[T],
+        params: &DbscanParams,
+        distance: impl Fn(&T, &T) -> f64,
+    ) -> DbscanResult {
+        let neighborhoods: Vec<Vec<usize>> = (0..samples.len())
+            .map(|i| {
+                (0..samples.len())
+                    .filter(|&j| j != i && distance(&samples[i], &samples[j]) <= params.eps)
+                    .collect()
+            })
+            .collect();
+        dbscan_with_neighborhoods(&neighborhoods, &vec![1; samples.len()], params)
+    }
 
     fn abs_dist(a: &f64, b: &f64) -> f64 {
         (a - b).abs()
+    }
+
+    fn noise_count(result: &DbscanResult) -> usize {
+        result
+            .labels()
+            .iter()
+            .filter(|l| **l == Label::Noise)
+            .count()
     }
 
     #[test]
@@ -307,7 +225,7 @@ mod tests {
     fn single_point_is_noise_unless_min_points_one() {
         let pts = [1.0f64];
         let r = dbscan(&pts, &DbscanParams::new(1.0, 2), abs_dist);
-        assert!(r.is_noise(0));
+        assert_eq!(r.labels(), [Label::Noise]);
         let r = dbscan(&pts, &DbscanParams::new(1.0, 1), abs_dist);
         assert_eq!(r.cluster_count(), 1);
     }
@@ -317,7 +235,7 @@ mod tests {
         let pts = [0.0f64, 0.1, 0.2, 10.0, 10.1, 10.2, 55.0];
         let r = dbscan(&pts, &DbscanParams::new(0.5, 2), abs_dist);
         assert_eq!(r.cluster_count(), 2);
-        assert!(r.is_noise(6));
+        assert_eq!(r.labels()[6], Label::Noise);
         let c0 = r.labels()[0];
         assert_eq!(r.labels()[1], c0);
         assert_eq!(r.labels()[2], c0);
@@ -333,7 +251,7 @@ mod tests {
         let pts: Vec<f64> = (0..20).map(|i| f64::from(i) * 0.4).collect();
         let r = dbscan(&pts, &DbscanParams::new(0.5, 2), abs_dist);
         assert_eq!(r.cluster_count(), 1);
-        assert_eq!(r.noise_count(), 0);
+        assert_eq!(noise_count(&r), 0);
     }
 
     #[test]
@@ -344,7 +262,7 @@ mod tests {
         let pts = [0.0f64, 0.25, 0.5, 1.0];
         let r = dbscan(&pts, &DbscanParams::new(0.5, 3), abs_dist);
         assert_eq!(r.cluster_count(), 1);
-        assert_eq!(r.noise_count(), 0);
+        assert_eq!(noise_count(&r), 0);
         assert_eq!(r.members(0).len(), 4);
     }
 
@@ -362,7 +280,7 @@ mod tests {
         let pts = [0.0f64, 0.1, 0.2, 5.0, 9.0, 9.05, 9.1];
         let r = dbscan(&pts, &DbscanParams::new(0.3, 3), abs_dist);
         let member_total: usize = (0..r.cluster_count()).map(|c| r.members(c).len()).sum();
-        assert_eq!(member_total + r.noise_count(), pts.len());
+        assert_eq!(member_total + noise_count(&r), pts.len());
     }
 
     #[test]
@@ -378,11 +296,11 @@ mod tests {
         let benign: Vec<u8> = (0..100).map(|i| ((i * 7) % 6) as u8).collect();
         let samples = vec![kit_a, kit_a2, kit_a3, benign];
         let r = dbscan(&samples, &DbscanParams::new(0.10, 2), |a, b| {
-            normalized_edit_distance(a, b)
+            normalized_edit_distance_bounded(a, b, 0.10).unwrap_or(1.0)
         });
         assert_eq!(r.cluster_count(), 1);
         assert_eq!(r.members(0), vec![0, 1, 2]);
-        assert!(r.is_noise(3));
+        assert_eq!(r.labels()[3], Label::Noise);
     }
 
     #[test]
@@ -405,9 +323,25 @@ mod tests {
         assert_eq!(DbscanParams::default(), p);
     }
 
+    /// DBSCAN over the neighbor index's eps-balls, as the engine runs it
+    /// for a single partition.
+    fn indexed(samples: &[Vec<u8>], params: &DbscanParams) -> DbscanResult {
+        let mut index = NeighborIndex::build(samples, params.eps);
+        let neighborhoods: Vec<Vec<usize>> = (0..samples.len())
+            .map(|i| {
+                let id = SampleId::new(u32::try_from(i).expect("small test"));
+                index
+                    .neighbors(id)
+                    .iter()
+                    .map(|n| n.raw() as usize)
+                    .collect()
+            })
+            .collect();
+        dbscan_with_neighborhoods(&neighborhoods, &vec![1; samples.len()], params)
+    }
+
     #[test]
     fn indexed_matches_naive_on_token_corpus() {
-        use crate::distance::normalized_edit_distance_bounded;
         // Same corpus as token_string_clustering_at_paper_threshold, plus
         // extra variants so expansion paths get exercised.
         let mut samples: Vec<Vec<u8>> = Vec::new();
@@ -428,34 +362,12 @@ mod tests {
         let naive = dbscan(&samples, &params, |a, b| {
             normalized_edit_distance_bounded(a, b, params.eps).unwrap_or(1.0)
         });
-        let (indexed, stats) = dbscan_indexed(&samples, &params);
-        assert_eq!(indexed, naive);
-        assert_eq!(stats.queries, samples.len());
-    }
-
-    #[test]
-    fn with_neighborhoods_matches_callback_dbscan() {
-        let pts = [0.0f64, 0.1, 0.2, 10.0, 10.1, 10.2, 55.0];
-        let params = DbscanParams::new(0.5, 2);
-        let naive = dbscan(&pts, &params, abs_dist);
-        let neighborhoods: Vec<Vec<usize>> = (0..pts.len())
-            .map(|i| {
-                (0..pts.len())
-                    .filter(|&j| j != i && abs_dist(&pts[i], &pts[j]) <= params.eps)
-                    .collect()
-            })
-            .collect();
-        let weights = vec![1; pts.len()];
-        assert_eq!(
-            dbscan_with_neighborhoods(&neighborhoods, &weights, &params),
-            naive
-        );
+        assert_eq!(indexed(&samples, &params), naive);
     }
 
     #[test]
     fn indexed_empty_input() {
-        let samples: Vec<Vec<u8>> = Vec::new();
-        let (result, _) = dbscan_indexed(&samples, &DbscanParams::kizzle_default());
+        let result = indexed(&[], &DbscanParams::kizzle_default());
         assert_eq!(result.cluster_count(), 0);
         assert!(result.labels().is_empty());
     }

@@ -3,14 +3,12 @@
 //! Kizzle measures the distance between two samples as the edit distance of
 //! their token-class strings, normalized by the longer length, and clusters
 //! with a threshold of 0.10 (paper §III-A). Computing millions of pairwise
-//! distances dominates the pipeline, so in addition to the plain
-//! Levenshtein distance this module provides bounded variants that give up
-//! early once the distance provably exceeds a bound — with a 10% threshold
-//! the band is narrow and the common case is fast. Every product path
+//! distances dominates the pipeline, so every distance here is bounded: it
+//! gives up early once the distance provably exceeds a bound — with a 10%
+//! threshold the band is narrow and the common case is fast. Every path
 //! (neighbor index, medoid passes, [`normalized_edit_distance_bounded`])
-//! runs the bit-parallel [`BitParallelPattern`] kernel; the scalar banded
-//! DP [`edit_distance_bounded`] is kept as the oracle the property tests
-//! compare it against.
+//! runs the bit-parallel [`BitParallelPattern`] kernel; the scalar DPs it
+//! is held to live with the tests (`tests/common/distance.rs`).
 //!
 //! What a comparison costs follows what differs, not how long the strings
 //! are: the kernel strips the prefix and suffix a pair shares before it
@@ -18,108 +16,6 @@
 //! (paper Fig. 5) — on the ledger's diverse days 85–95 % of the pairs that
 //! reach the kernel keep a core of at most 64 symbols of their ~850, the
 //! median pair 4–5 (PERF.md, "Distance kernel — current state").
-
-/// Plain Levenshtein edit distance (insertions, deletions, substitutions all
-/// cost 1) between two byte strings.
-///
-/// Runs in `O(|a| * |b|)` time and `O(min(|a|, |b|))` space.
-///
-/// # Examples
-///
-/// ```
-/// use kizzle_cluster::distance::edit_distance;
-/// assert_eq!(edit_distance(b"kitten", b"sitting"), 3);
-/// assert_eq!(edit_distance(b"", b"abc"), 3);
-/// ```
-#[must_use]
-pub fn edit_distance(a: &[u8], b: &[u8]) -> usize {
-    // Keep the shorter string as the row to minimize memory.
-    let (a, b) = if a.len() < b.len() { (a, b) } else { (b, a) };
-    if a.is_empty() {
-        return b.len();
-    }
-    let mut prev: Vec<usize> = (0..=a.len()).collect();
-    let mut curr: Vec<usize> = vec![0; a.len() + 1];
-    for (j, &bc) in b.iter().enumerate() {
-        curr[0] = j + 1;
-        for (i, &ac) in a.iter().enumerate() {
-            let cost = usize::from(ac != bc);
-            curr[i + 1] = (prev[i] + cost).min(prev[i + 1] + 1).min(curr[i] + 1);
-        }
-        std::mem::swap(&mut prev, &mut curr);
-    }
-    prev[a.len()]
-}
-
-/// Edit distance with an upper bound: returns `None` as soon as the distance
-/// is guaranteed to exceed `max`, otherwise the exact distance.
-///
-/// Uses Ukkonen's band: only diagonals within `max` of the main diagonal are
-/// explored, so the cost is `O(max * min(|a|, |b|))`. This scalar DP is the
-/// reference implementation: no product path calls it, the property tests
-/// hold [`BitParallelPattern`] to its verdicts.
-///
-/// # Examples
-///
-/// ```
-/// use kizzle_cluster::distance::edit_distance_bounded;
-/// assert_eq!(edit_distance_bounded(b"kitten", b"sitting", 3), Some(3));
-/// assert_eq!(edit_distance_bounded(b"kitten", b"sitting", 2), None);
-/// ```
-#[must_use]
-pub fn edit_distance_bounded(a: &[u8], b: &[u8], max: usize) -> Option<usize> {
-    let (a, b) = if a.len() < b.len() { (a, b) } else { (b, a) };
-    let (n, m) = (a.len(), b.len());
-    if m - n > max {
-        return None;
-    }
-    if n == 0 {
-        return Some(m);
-    }
-
-    const INF: usize = usize::MAX / 2;
-    let mut prev = vec![INF; n + 1];
-    let mut curr = vec![INF; n + 1];
-    for (i, slot) in prev.iter_mut().enumerate().take(max.min(n) + 1) {
-        *slot = i;
-    }
-
-    for j in 1..=m {
-        // Band limits for row index i (1-based over `a`).
-        let lo = j.saturating_sub(max).max(1);
-        let hi = (j + max).min(n);
-        if lo > hi {
-            return None;
-        }
-        curr[lo - 1] = if lo == 1 { j } else { INF };
-        let mut row_min = curr[lo - 1];
-        let bc = b[j - 1];
-        for i in lo..=hi {
-            let cost = usize::from(a[i - 1] != bc);
-            let diag = prev[i - 1].saturating_add(cost);
-            let up = prev[i].saturating_add(1);
-            let left = curr[i - 1].saturating_add(1);
-            let v = diag.min(up).min(left);
-            curr[i] = v;
-            row_min = row_min.min(v);
-        }
-        if hi < n {
-            curr[hi + 1] = INF;
-        }
-        if row_min > max {
-            return None;
-        }
-        std::mem::swap(&mut prev, &mut curr);
-        // No need to clear `curr` (the old `prev`): the next iteration
-        // overwrites every cell it will read. The band only moves by one
-        // position per row, `curr[lo - 1]` and `curr[hi + 1]` are set
-        // explicitly, and cells outside `[lo - 1, hi + 1]` are never read.
-        // Clearing the whole row here would silently turn the O(max · n)
-        // band back into O(n · m).
-    }
-    let d = prev[n];
-    (d <= max).then_some(d)
-}
 
 /// A token string preprocessed for Myers' bit-parallel edit distance.
 ///
@@ -310,8 +206,7 @@ impl BitParallelPattern {
         self.symbols.is_empty()
     }
 
-    /// Edit distance to `text` with an upper bound, like
-    /// [`edit_distance_bounded`] but bit-parallel: `None` as soon as the
+    /// Edit distance to `text` with an upper bound: `None` as soon as the
     /// distance provably exceeds `max`, otherwise the exact distance.
     ///
     /// The prefix and suffix the two strings share are stripped first —
@@ -491,26 +386,6 @@ pub fn edit_distance_bitparallel_bounded(a: &[u8], b: &[u8], max: usize) -> Opti
     BitParallelPattern::new(pattern).distance_bounded(text, max)
 }
 
-/// Normalized edit distance: edit distance divided by the length of the
-/// longer string, yielding a value in `[0, 1]`. Two empty strings are at
-/// distance 0.
-///
-/// # Examples
-///
-/// ```
-/// use kizzle_cluster::distance::normalized_edit_distance;
-/// assert_eq!(normalized_edit_distance(b"aaaa", b"aaaa"), 0.0);
-/// assert_eq!(normalized_edit_distance(b"aaaa", b"bbbb"), 1.0);
-/// ```
-#[must_use]
-pub fn normalized_edit_distance(a: &[u8], b: &[u8]) -> f64 {
-    let max_len = a.len().max(b.len());
-    if max_len == 0 {
-        return 0.0;
-    }
-    edit_distance(a, b) as f64 / max_len as f64
-}
-
 /// Normalized edit distance with an early exit: returns `None` when the
 /// normalized distance is guaranteed to exceed `threshold`.
 ///
@@ -530,7 +405,12 @@ pub fn normalized_edit_distance_bounded(a: &[u8], b: &[u8], threshold: f64) -> O
 }
 
 #[cfg(test)]
+#[path = "../tests/common/distance.rs"]
+mod oracle;
+
+#[cfg(test)]
 mod tests {
+    use super::oracle::{edit_distance, edit_distance_bounded, normalized_edit_distance};
     use super::*;
 
     #[test]

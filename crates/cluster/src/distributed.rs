@@ -1,50 +1,40 @@
-//! Distributed clustering: partition → per-partition DBSCAN → reduce.
+//! The partition → per-partition DBSCAN → reduce dataflow behind
+//! [`CorpusEngine::cluster_day`](crate::engine::CorpusEngine::cluster_day).
 //!
 //! The Kizzle deployment partitions each day's samples across a cluster of
 //! ~50 machines, runs the clustering independently per partition, and
 //! reconciles the partition-level clusters in a final reduce step (paper
 //! §III-A, Fig. 7; the reduce step is reported as the scalability
-//! bottleneck in §IV). This module reproduces that dataflow with a
+//! bottleneck in §IV). The engine reproduces that dataflow with a
 //! rayon-parallel map: the algorithmic structure — including the
 //! reduce-side reconciliation by prototype distance — is identical, only
-//! the transport differs. Token-string paths assign partitions by
-//! **content key** ([`partition_key`]): the same sample lands in the same
-//! partition every day regardless of the day's size, which is what lets
-//! per-partition state memoize across the heavily overlapping daily
-//! corpora (the generic callback path, which has no content to key on,
-//! keeps the legacy seeded shuffle).
+//! the transport differs. Partitions are assigned by **content key**
+//! ([`partition_key`]): the same sample lands in the same partition every
+//! day regardless of the day's size, which is what lets per-partition state
+//! memoize across the heavily overlapping daily corpora.
 //!
-//! Token-string workloads ([`DistributedClusterer::cluster_token_strings`],
-//! the path the daily pipeline takes) are a thin wrapper over the
-//! incremental [`CorpusEngine`](crate::engine::CorpusEngine): the day is
-//! loaded into a throwaway engine and clustered through the shared
-//! partition/reduce machinery, so the one-shot batch path and the warm
-//! multi-day path are literally the same code. The reduce step no longer
-//! reconciles merged prototypes all-pairs: prototype merge edges and noise
-//! re-adoption lookups are routed through a small
-//! [`NeighborIndex`] (the paper names exactly
-//! this reconciliation as its bottleneck), with the reconciliation and
-//! adoption phases timed separately in [`DistributedStats`]. The day
-//! reaches the reduce as a multiset — distinct class-strings plus a
-//! position → content map — and its three medoid passes share one memo of
-//! pair distances keyed by content, so the seal's pairwise work follows the
-//! day's distinct content, not its positions.
+//! The reduce does not reconcile merged prototypes all-pairs: prototype
+//! merge edges and noise re-adoption lookups are routed through a small
+//! [`NeighborIndex`] (the paper names exactly this reconciliation as its
+//! bottleneck), with the reconciliation and adoption phases timed
+//! separately in [`DistributedStats`]. The day reaches the reduce as a
+//! multiset — distinct class-strings plus a position → content map — and
+//! its three medoid passes share one memo of pair distances keyed by
+//! content, so the seal's pairwise work follows the day's distinct content,
+//! not its positions. The seed's all-pairs reduce is the oracle the
+//! property tests hold this one to (`tests/common/mod.rs`).
 
 use crate::clustering::{medoid_of, Clustering, PROTOTYPE_SAMPLE_CAP};
-use crate::dbscan::{dbscan, DbscanParams};
+use crate::dbscan::DbscanParams;
 use crate::distance::{BitParallelPattern, BitParallelScratch};
 use crate::index::{IndexStats, NeighborIndex};
 use crate::store::SampleId;
-use kizzle_telemetry::trace::SpanGuard;
-use rand::seq::SliceRandom;
-use rand::SeedableRng;
-use rand_chacha::ChaCha8Rng;
 use rayon::prelude::*;
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Duration;
 
-/// Configuration of a distributed clustering run.
+/// Configuration of the partitioned clustering.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DistributedConfig {
     /// Number of partitions ("machines"). Each partition is clustered on its
@@ -53,7 +43,7 @@ pub struct DistributedConfig {
     /// DBSCAN parameters used inside every partition and for reduce-side
     /// reconciliation.
     pub dbscan: DbscanParams,
-    /// Seed for the random partitioning, so runs are reproducible.
+    /// Seed mixed into the content-keyed partition assignment.
     pub seed: u64,
 }
 
@@ -80,14 +70,14 @@ impl Default for DistributedConfig {
     }
 }
 
-/// Timing and size statistics of a distributed clustering run, used by the
+/// Timing and size statistics of one day's clustering, used by the
 /// "Cluster-Based Processing Performance" experiment (paper §IV).
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct DistributedStats {
     /// Wall-clock time spent partitioning the input.
     pub partition_time: Duration,
-    /// Wall-clock time of the parallel map (per-partition DBSCAN) phase.
-    /// On the engine paths this includes the neighborhood queries.
+    /// Wall-clock time of the parallel map (per-partition DBSCAN) phase,
+    /// neighborhood queries included.
     pub map_time: Duration,
     /// Wall-clock time of the whole reduce phase
     /// (`reconcile_time + adopt_time` plus final bookkeeping).
@@ -100,9 +90,9 @@ pub struct DistributedStats {
     pub adopt_time: Duration,
     /// Wall-clock time of the *final* per-cluster prototype computation
     /// (the reduce epilogue's medoid pass, stamped after `reduce_time`).
-    /// It is an early-abandoned all-pairs scan per (capped) cluster; on the
-    /// token-string paths most of its pairs are answered by the memo the
-    /// two reduce-side medoid passes filled.
+    /// It is an early-abandoned all-pairs scan per (capped) cluster; most
+    /// of its pairs are answered by the memo the two reduce-side medoid
+    /// passes filled.
     pub prototype_time: Duration,
     /// Number of clusters found in each partition, before reconciliation.
     pub per_partition_clusters: Vec<usize>,
@@ -110,16 +100,13 @@ pub struct DistributedStats {
     pub merged_clusters: usize,
     /// Number of samples classified as noise after reconciliation.
     pub noise: usize,
-    /// Aggregated neighbor-index work counters of the map phase (engine
-    /// paths only; zero for the generic distance-callback path).
+    /// Aggregated neighbor-index work counters of the map phase.
     pub index: IndexStats,
-    /// Work counters of the reduce step's throwaway prototype indexes
-    /// (token-string paths only).
+    /// Work counters of the reduce step's throwaway prototype indexes.
     pub reduce_index: IndexStats,
     /// Distance-kernel calls made by the three medoid passes (partition
-    /// clusters, merged clusters, final prototypes; token-string paths
-    /// only): one per unordered pair of distinct class strings a scan
-    /// reached before abandoning its row.
+    /// clusters, merged clusters, final prototypes): one per unordered pair
+    /// of distinct class strings a scan reached before abandoning its row.
     pub medoid_distance_calls: usize,
     /// Medoid-pass pair lookups answered without a kernel call: both
     /// positions hold the same class string, or the pair was computed
@@ -139,24 +126,6 @@ impl DistributedStats {
 /// (global indices).
 pub(crate) type PartitionOutcome = (Vec<Vec<usize>>, Vec<usize>);
 
-/// Seeded random partitioning of `0..n` into at most `partitions` chunks —
-/// the legacy assignment of the generic distance-callback path, where no
-/// content is available to key on.
-pub(crate) fn partition_indices(n: usize, partitions: usize, seed: u64) -> Vec<Vec<usize>> {
-    if n == 0 {
-        // `chunks` panics on a zero chunk size; an empty day partitions
-        // into nothing.
-        return Vec::new();
-    }
-    let mut indices: Vec<usize> = (0..n).collect();
-    let mut rng = ChaCha8Rng::seed_from_u64(seed);
-    indices.shuffle(&mut rng);
-    indices
-        .chunks(n.div_ceil(partitions))
-        .map(<[usize]>::to_vec)
-        .collect()
-}
-
 /// Stable 64-bit content key for partition assignment: FNV-1a over the
 /// sample bytes. Deliberately *not* the std hasher — the key must be
 /// identical across processes, platforms and Rust releases, because
@@ -174,10 +143,9 @@ pub fn partition_key(data: &[u8]) -> u64 {
 
 /// Content-stable partition assignment: sample `i` lands in partition
 /// `mix(keys[i], seed) % partitions`, so the *same content* maps to the
-/// *same partition* on every day, at every day size (the legacy shuffle
-/// re-dealt everything whenever `n` changed). That stability is what lets
-/// per-partition neighborhoods memoize across heavily overlapping days —
-/// the first ROADMAP follow-up from PR 2. Duplicated content shares a key
+/// *same partition* on every day, at every day size. That stability is
+/// what lets per-partition neighborhoods memoize across heavily
+/// overlapping days. Duplicated content shares a key
 /// and therefore a partition; empty partitions are kept (their DBSCAN run
 /// is a no-op) so the outcome count stays `partitions` regardless of the
 /// key distribution.
@@ -194,20 +162,6 @@ pub(crate) fn partition_by_key(keys: &[u64], partitions: usize, seed: u64) -> Ve
         parts[(h % partitions as u64) as usize].push(i);
     }
     parts
-}
-
-/// Translate a partition-local DBSCAN result back to global sample indices.
-fn partition_outcome(result: &crate::dbscan::DbscanResult, part: &[usize]) -> PartitionOutcome {
-    let clusters: Vec<Vec<usize>> = (0..result.cluster_count())
-        .map(|c| result.members(c).into_iter().map(|i| part[i]).collect())
-        .collect();
-    let noise: Vec<usize> = result
-        .labels()
-        .iter()
-        .enumerate()
-        .filter_map(|(i, l)| (*l == crate::dbscan::Label::Noise).then_some(part[i]))
-        .collect();
-    (clusters, noise)
 }
 
 /// Path-compressing union-find over partition-level cluster ids.
@@ -252,24 +206,6 @@ fn flatten_outcomes(partition_results: Vec<PartitionOutcome>) -> (Vec<Vec<usize>
 /// Reduce-side sample cap of the partition-cluster and merged-cluster
 /// medoid passes.
 const REDUCE_SAMPLE_CAP: usize = 32;
-
-/// Medoid prototype per cluster member list, in parallel: the medoid scan
-/// is quadratic in (capped) cluster size and independent across clusters.
-fn parallel_medoids<T, D>(samples: &[T], clusters: &[Vec<usize>], distance: &D) -> Vec<usize>
-where
-    T: Sync,
-    D: Fn(&T, &T) -> f64 + Sync,
-{
-    clusters
-        .par_iter()
-        .map(|members| {
-            medoid_of(members, REDUCE_SAMPLE_CAP, |a, b| {
-                distance(&samples[a], &samples[b])
-            })
-            .expect("non-empty cluster has a prototype")
-        })
-        .collect()
-}
 
 /// One seal's medoid passes over a day of token strings.
 ///
@@ -383,9 +319,8 @@ impl<'a, T: AsRef<[u8]> + Sync> TokenMedoids<'a, T> {
     }
 }
 
-/// Assemble merged clusters from union-find roots, in the deterministic
-/// order both reduce variants share: members ascending, clusters ordered by
-/// smallest member index.
+/// Assemble merged clusters from union-find roots, in a deterministic
+/// order: members ascending, clusters ordered by smallest member index.
 fn assemble_merged(all_clusters: &[Vec<usize>], uf: &mut UnionFind) -> Vec<Vec<usize>> {
     let mut merged: std::collections::HashMap<usize, Vec<usize>> = std::collections::HashMap::new();
     for (idx, members) in all_clusters.iter().enumerate() {
@@ -403,101 +338,12 @@ fn assemble_merged(all_clusters: &[Vec<usize>], uf: &mut UnionFind) -> Vec<Vec<u
     merged_clusters
 }
 
-/// Shared reduce epilogue: deterministic ordering, stats bookkeeping, and
-/// final prototypes (`prototypes` fills them in — the generic callback scan
-/// or the memoized token pass). Both reduce variants must finish
-/// identically — the warm/cold and indexed-vs-generic equivalence
-/// properties depend on it.
-fn finish_reduce(
-    sample_count: usize,
-    mut merged_clusters: Vec<Vec<usize>>,
-    mut remaining_noise: Vec<usize>,
-    reduce_span: SpanGuard,
-    stats: &mut DistributedStats,
-    prototypes: impl FnOnce(&mut Clustering),
-) -> Clustering {
-    for m in &mut merged_clusters {
-        m.sort_unstable();
-    }
-    remaining_noise.sort_unstable();
-    stats.reduce_time = reduce_span.finish();
-    stats.merged_clusters = merged_clusters.len();
-    stats.noise = remaining_noise.len();
-
-    let mut clustering = Clustering::from_members(merged_clusters, remaining_noise, sample_count);
-    // Timed separately from the reduce phases, so the final medoid pass
-    // shows as its own layer in the ledger.
-    let proto_span = kizzle_telemetry::span!("cluster.prototypes");
-    prototypes(&mut clustering);
-    stats.prototype_time = proto_span.finish();
-    clustering
-}
-
-/// Reduce for the generic distance-callback path: reconcile partition-level
-/// clusters by all-pairs prototype distance, then re-adopt noise points
-/// close to a merged prototype. Arbitrary distances cannot go through the
-/// neighbor index; token-string workloads use [`reduce_token`] instead.
-fn reduce_generic<T, D>(
-    samples: &[T],
-    params: &DbscanParams,
-    partition_results: Vec<PartitionOutcome>,
-    distance: &D,
-    stats: &mut DistributedStats,
-) -> Clustering
-where
-    T: Sync,
-    D: Fn(&T, &T) -> f64 + Sync,
-{
-    let reduce_span = kizzle_telemetry::span!("cluster.reduce");
-    let reconcile_span = kizzle_telemetry::span!("cluster.reconcile");
-    let (all_clusters, all_noise) = flatten_outcomes(partition_results);
-
-    let prototypes = parallel_medoids(samples, &all_clusters, distance);
-    let mut uf = UnionFind::new(all_clusters.len());
-    for i in 0..prototypes.len() {
-        for j in i + 1..prototypes.len() {
-            if distance(&samples[prototypes[i]], &samples[prototypes[j]]) <= params.eps {
-                uf.union(i, j);
-            }
-        }
-    }
-    let mut merged_clusters = assemble_merged(&all_clusters, &mut uf);
-    stats.reconcile_time = reconcile_span.finish();
-
-    // Re-adopt noise points that are within eps of a merged prototype.
-    let adopt_span = kizzle_telemetry::span!("cluster.adopt");
-    let merged_prototypes = parallel_medoids(samples, &merged_clusters, distance);
-    let mut remaining_noise = Vec::new();
-    for idx in all_noise {
-        let mut adopted = false;
-        for (c, &proto) in merged_prototypes.iter().enumerate() {
-            if distance(&samples[idx], &samples[proto]) <= params.eps {
-                merged_clusters[c].push(idx);
-                adopted = true;
-                break;
-            }
-        }
-        if !adopted {
-            remaining_noise.push(idx);
-        }
-    }
-    stats.adopt_time = adopt_span.finish();
-
-    finish_reduce(
-        samples.len(),
-        merged_clusters,
-        remaining_noise,
-        reduce_span,
-        stats,
-        |clustering| clustering.compute_prototypes(samples, distance),
-    )
-}
-
-/// Index-routed reduce for token-string workloads: identical merge and
-/// adoption semantics to [`reduce_generic`] with the paper's bounded
-/// distance, but prototype merge edges and noise-adoption lookups go
-/// through a small [`NeighborIndex`] instead of all-pairs scans — at
-/// production partition counts the all-pairs reconciliation is the
+/// The index-routed reduce: partition clusters whose medoids lie within
+/// `eps` merge, then noise points within `eps` of a merged cluster's medoid
+/// join it. The merge semantics are the seed's all-pairs reduce under the
+/// paper's bounded distance, but prototype merge edges and noise-adoption
+/// lookups go through a small [`NeighborIndex`] instead of all-pairs scans
+/// — at production partition counts the all-pairs reconciliation is the
 /// bottleneck the paper calls out in §IV — and the three medoid passes
 /// share one per-seal pair memo ([`TokenMedoids`]).
 ///
@@ -579,24 +425,24 @@ where
     stats.reduce_index.merge(&adopt_index.take_stats());
     stats.adopt_time = adopt_span.finish();
 
-    let clustering = finish_reduce(
-        content.len(),
-        merged_clusters,
-        remaining_noise,
-        reduce_span,
-        stats,
-        |clustering| {
-            let members: Vec<&[usize]> = clustering
-                .clusters
-                .iter()
-                .map(|cluster| cluster.members.as_slice())
-                .collect();
-            let prototypes = medoids.pass(&members, PROTOTYPE_SAMPLE_CAP);
-            for (cluster, prototype) in clustering.clusters.iter_mut().zip(prototypes) {
-                cluster.prototype = Some(prototype);
-            }
-        },
-    );
+    for m in &mut merged_clusters {
+        m.sort_unstable();
+    }
+    remaining_noise.sort_unstable();
+    stats.reduce_time = reduce_span.finish();
+    stats.merged_clusters = merged_clusters.len();
+    stats.noise = remaining_noise.len();
+
+    // Timed separately from the reduce phases, so the final medoid pass
+    // shows as its own layer in the ledger.
+    let proto_span = kizzle_telemetry::span!("cluster.prototypes");
+    let prototypes = medoids.pass(&merged_clusters, PROTOTYPE_SAMPLE_CAP);
+    let mut clustering = Clustering::from_members(merged_clusters, remaining_noise, content.len());
+    for (cluster, prototype) in clustering.clusters.iter_mut().zip(prototypes) {
+        cluster.prototype = Some(prototype);
+    }
+    stats.prototype_time = proto_span.finish();
+    debug_assert!(clustering.is_partition(), "every position in one place");
     stats.medoid_distance_calls = medoids.memo.distance_calls;
     stats.medoid_memo_hits = medoids.memo.memo_hits;
     if kizzle_telemetry::enabled() {
@@ -608,133 +454,17 @@ where
     clustering
 }
 
-/// The distributed clustering driver.
-#[derive(Debug, Clone, Default)]
-pub struct DistributedClusterer {
-    config: DistributedConfig,
-}
-
-impl DistributedClusterer {
-    /// Create a driver with the given configuration.
-    #[must_use]
-    pub fn new(config: DistributedConfig) -> Self {
-        DistributedClusterer { config }
-    }
-
-    /// The configuration in use.
-    #[must_use]
-    pub fn config(&self) -> &DistributedConfig {
-        &self.config
-    }
-
-    /// Cluster `samples` with an arbitrary (symmetric) distance function.
-    ///
-    /// Partitions are clustered with the callback-based [`dbscan`] on a
-    /// rayon-parallel map — arbitrary distances cannot go through the
-    /// neighbor index; token strings should use
-    /// [`DistributedClusterer::cluster_token_strings`] instead.
-    ///
-    /// Returns the reconciled global [`Clustering`] (indices refer to
-    /// `samples`) and run statistics.
-    pub fn cluster_with<T, D>(&self, samples: &[T], distance: D) -> (Clustering, DistributedStats)
-    where
-        T: Sync,
-        D: Fn(&T, &T) -> f64 + Sync,
-    {
-        let partition_span = kizzle_telemetry::span!("cluster.partition");
-        let partitions = partition_indices(samples.len(), self.config.partitions, self.config.seed);
-        self.cluster_partitioned(samples, partitions, partition_span.finish(), distance)
-    }
-
-    /// Like [`DistributedClusterer::cluster_with`], but with the
-    /// content-stable partition assignment: `keys[i]` is the partition key
-    /// of `samples[i]` (see [`partition_key`]), and the assignment depends
-    /// only on `(key, seed, partitions)` — never on the day size. This is
-    /// the partitioning the engine paths use; routing the generic callback
-    /// path through the same keys keeps the two byte-identical (the
-    /// `indexed_path_matches_generic_path` property).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `keys` and `samples` have different lengths.
-    pub fn cluster_with_keys<T, D>(
-        &self,
-        samples: &[T],
-        keys: &[u64],
-        distance: D,
-    ) -> (Clustering, DistributedStats)
-    where
-        T: Sync,
-        D: Fn(&T, &T) -> f64 + Sync,
-    {
-        assert_eq!(samples.len(), keys.len(), "one key per sample");
-        let partition_span = kizzle_telemetry::span!("cluster.partition");
-        let partitions = partition_by_key(keys, self.config.partitions, self.config.seed);
-        self.cluster_partitioned(samples, partitions, partition_span.finish(), distance)
-    }
-
-    /// Shared map + reduce over an already-computed partition assignment.
-    fn cluster_partitioned<T, D>(
-        &self,
-        samples: &[T],
-        partitions: Vec<Vec<usize>>,
-        partition_time: Duration,
-        distance: D,
-    ) -> (Clustering, DistributedStats)
-    where
-        T: Sync,
-        D: Fn(&T, &T) -> f64 + Sync,
-    {
-        let mut stats = DistributedStats::default();
-        if samples.is_empty() {
-            return (Clustering::default(), stats);
-        }
-        stats.partition_time = partition_time;
-
-        let params = self.config.dbscan;
-        let map_span = kizzle_telemetry::span!("cluster.map");
-        let outcomes: Vec<PartitionOutcome> = partitions
-            .par_iter()
-            .map(|part| {
-                let local: Vec<&T> = part.iter().map(|&i| &samples[i]).collect();
-                let result = dbscan(&local, &params, |a, b| distance(a, b));
-                partition_outcome(&result, part)
-            })
-            .collect();
-        stats.map_time = map_span.finish();
-        for outcome in &outcomes {
-            stats.per_partition_clusters.push(outcome.0.len());
-        }
-
-        let clustering = reduce_generic(samples, &params, outcomes, &distance, &mut stats);
-        (clustering, stats)
-    }
-
-    /// Cluster token-class strings with the paper's normalized edit
-    /// distance at `eps`, through the incremental engine: the day is loaded
-    /// into a throwaway [`CorpusEngine`](crate::engine::CorpusEngine) and
-    /// clustered with memoized, parallel neighborhood queries and the
-    /// index-routed reduce.
-    ///
-    /// Label-equivalent to routing the bounded distance through
-    /// [`DistributedClusterer::cluster_with`], as the seed did, but
-    /// dramatically faster — see `benches/clustering_indexed_vs_naive.rs` —
-    /// and byte-identical to a warm multi-day engine clustering the same
-    /// samples (the property tests in `tests/incremental_properties.rs`
-    /// hold both paths to that).
-    pub fn cluster_token_strings<S: AsRef<[u8]> + Sync>(
-        &self,
-        samples: &[S],
-    ) -> (Clustering, DistributedStats) {
-        let mut engine = crate::engine::CorpusEngine::new(self.config);
-        let ids = engine.add_batch(0, samples);
-        engine.cluster_day(&ids)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::CorpusEngine;
+
+    /// A one-shot day through a fresh engine.
+    fn cluster(config: DistributedConfig, samples: &[Vec<u8>]) -> (Clustering, DistributedStats) {
+        let mut engine = CorpusEngine::new(config);
+        let ids = engine.add_batch(0, samples);
+        engine.cluster_day(&ids)
+    }
 
     /// Three synthetic "families" of token strings plus random noise.
     fn synthetic_samples(per_family: usize) -> (Vec<Vec<u8>>, Vec<usize>) {
@@ -762,8 +492,7 @@ mod tests {
 
     #[test]
     fn empty_input_is_fine() {
-        let clusterer = DistributedClusterer::default();
-        let (clustering, stats) = clusterer.cluster_token_strings::<Vec<u8>>(&[]);
+        let (clustering, stats) = cluster(DistributedConfig::default(), &[]);
         assert_eq!(clustering.cluster_count(), 0);
         assert_eq!(stats.merged_clusters, 0);
     }
@@ -772,7 +501,7 @@ mod tests {
     fn single_partition_equals_plain_dbscan_structure() {
         let (samples, _) = synthetic_samples(5);
         let cfg = DistributedConfig::new(1, DbscanParams::new(0.10, 2), 7);
-        let (clustering, stats) = DistributedClusterer::new(cfg).cluster_token_strings(&samples);
+        let (clustering, stats) = cluster(cfg, &samples);
         assert_eq!(clustering.cluster_count(), 3);
         assert!(clustering.is_partition());
         assert_eq!(stats.per_partition_clusters.len(), 1);
@@ -782,7 +511,7 @@ mod tests {
     fn multi_partition_reconciles_families_split_across_partitions() {
         let (samples, family_of) = synthetic_samples(8);
         let cfg = DistributedConfig::new(4, DbscanParams::new(0.10, 2), 42);
-        let (clustering, stats) = DistributedClusterer::new(cfg).cluster_token_strings(&samples);
+        let (clustering, stats) = cluster(cfg, &samples);
         assert!(clustering.is_partition());
         // All three families must be re-united by the reduce step.
         assert_eq!(clustering.cluster_count(), 3, "stats: {stats:?}");
@@ -804,7 +533,7 @@ mod tests {
         let noise_a = samples.len() - 2;
         let noise_b = samples.len() - 1;
         let cfg = DistributedConfig::new(3, DbscanParams::new(0.10, 2), 1);
-        let (clustering, _) = DistributedClusterer::new(cfg).cluster_token_strings(&samples);
+        let (clustering, _) = cluster(cfg, &samples);
         assert!(clustering.noise.contains(&noise_a));
         assert!(clustering.noise.contains(&noise_b));
     }
@@ -813,33 +542,9 @@ mod tests {
     fn deterministic_given_seed() {
         let (samples, _) = synthetic_samples(6);
         let cfg = DistributedConfig::new(4, DbscanParams::new(0.10, 2), 99);
-        let (a, _) = DistributedClusterer::new(cfg).cluster_token_strings(&samples);
-        let (b, _) = DistributedClusterer::new(cfg).cluster_token_strings(&samples);
+        let (a, _) = cluster(cfg, &samples);
+        let (b, _) = cluster(cfg, &samples);
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn indexed_path_matches_generic_path() {
-        // The engine-backed token-string path (memoized index queries,
-        // index-routed reduce) must produce the same clustering as routing
-        // the bounded distance through the generic callback path (what the
-        // seed implementation did), given the same content-keyed partition
-        // assignment.
-        let (mut samples, _) = synthetic_samples(7);
-        samples.push((0..40).map(|i| (i % 3) as u8 + 6).collect());
-        samples.push(Vec::new());
-        let keys: Vec<u64> = samples.iter().map(|s| partition_key(s)).collect();
-        for partitions in [1, 3, 5] {
-            let cfg = DistributedConfig::new(partitions, DbscanParams::new(0.10, 2), 11);
-            let clusterer = DistributedClusterer::new(cfg);
-            let (indexed, _) = clusterer.cluster_token_strings(&samples);
-            let eps = cfg.dbscan.eps;
-            let (generic, _) =
-                clusterer.cluster_with_keys(&samples, &keys, |a: &Vec<u8>, b: &Vec<u8>| {
-                    crate::distance::normalized_edit_distance_bounded(a, b, eps).unwrap_or(1.0)
-                });
-            assert_eq!(indexed, generic, "partitions = {partitions}");
-        }
     }
 
     #[test]
@@ -881,16 +586,11 @@ mod tests {
 
     #[test]
     fn empty_input_clusters_to_nothing_on_every_path() {
+        // A day clustered in one call, and one prepared and finished apart.
         let cfg = DistributedConfig::new(3, DbscanParams::new(0.10, 2), 5);
-        let clusterer = DistributedClusterer::new(cfg);
-        let none: &[Vec<u8>] = &[];
-        let (clustering, _) =
-            clusterer.cluster_with(none, |a, b| crate::normalized_edit_distance(a, b));
+        let (clustering, _) = cluster(cfg, &[]);
         assert_eq!(clustering, Clustering::default());
-        let (clustering, _) =
-            clusterer.cluster_with_keys(none, &[], |a, b| crate::normalized_edit_distance(a, b));
-        assert_eq!(clustering, Clustering::default());
-        let (clustering, _) = clusterer.cluster_token_strings::<Vec<u8>>(&[]);
+        let (clustering, _) = CorpusEngine::new(cfg).prepare_day(&[]).finish();
         assert_eq!(clustering, Clustering::default());
     }
 
@@ -898,7 +598,7 @@ mod tests {
     fn index_stats_are_aggregated() {
         let (samples, _) = synthetic_samples(5);
         let cfg = DistributedConfig::new(3, DbscanParams::new(0.10, 2), 5);
-        let (_, stats) = DistributedClusterer::new(cfg).cluster_token_strings(&samples);
+        let (_, stats) = cluster(cfg, &samples);
         // Every (distinct) sample's neighborhood is computed exactly once.
         assert_eq!(stats.index.queries, samples.len());
         // Pairs past both filters get at most one kernel call of their own;
@@ -913,7 +613,7 @@ mod tests {
     fn stats_are_populated() {
         let (samples, _) = synthetic_samples(4);
         let cfg = DistributedConfig::new(2, DbscanParams::new(0.10, 2), 5);
-        let (_, stats) = DistributedClusterer::new(cfg).cluster_token_strings(&samples);
+        let (_, stats) = cluster(cfg, &samples);
         assert_eq!(stats.per_partition_clusters.len(), 2);
         assert!(stats.total_time() >= stats.reduce_time);
         assert!(stats.reduce_time >= stats.reconcile_time);
@@ -930,7 +630,7 @@ mod tests {
     fn more_partitions_than_samples() {
         let (samples, _) = synthetic_samples(1);
         let cfg = DistributedConfig::new(16, DbscanParams::new(0.10, 1), 3);
-        let (clustering, _) = DistributedClusterer::new(cfg).cluster_token_strings(&samples);
+        let (clustering, _) = cluster(cfg, &samples);
         assert!(clustering.is_partition());
     }
 }

@@ -10,10 +10,10 @@
 //! recomputed), so day *N+1* pays query cost only for its churned fraction.
 //!
 //! [`CorpusEngine::cluster_day`] clusters an arbitrary *view* of the live
-//! corpus — the ids of one day's samples — through exactly the partition →
+//! corpus — the ids of one day's samples — through the partition →
 //! per-partition DBSCAN → index-routed reduce dataflow of
-//! [`DistributedClusterer`](crate::distributed::DistributedClusterer). The
-//! key identity making that sound: an eps-ball restricted to a subset of
+//! [`distributed`](crate::distributed). The key identity making that
+//! sound: an eps-ball restricted to a subset of
 //! samples equals the subset-local eps-ball, because the accept predicate
 //! is pairwise. The engine therefore filters its full-corpus memoized
 //! neighborhoods down to the day (and further down to each partition)
@@ -75,12 +75,6 @@ pub struct ResumeReport {
 }
 
 impl ResumeReport {
-    /// True when both layers came back from the snapshot unchanged.
-    #[must_use]
-    pub fn is_warm(&self) -> bool {
-        self.store_restored && self.index_restored
-    }
-
     /// Record one fallback-ladder note. Besides appending to
     /// [`ResumeReport::notes`], the note is emitted as an
     /// `engine.resume.note` telemetry event (and counted in
@@ -346,9 +340,8 @@ impl CorpusEngine {
 
     /// Cluster a view of the live corpus — `day_ids[p]` is the sample at
     /// dense position `p` — through the distributed partition/reduce
-    /// dataflow, byte-identical to a cold
-    /// [`cluster_token_strings`](crate::distributed::DistributedClusterer::cluster_token_strings)
-    /// run over the same dense sample sequence. Memoized neighborhoods are
+    /// dataflow, byte-identical to a fresh engine clustering the same dense
+    /// sample sequence in one batch. Memoized neighborhoods are
     /// reused; only ids whose cache was churned away pay query cost.
     ///
     /// # Panics
@@ -584,7 +577,6 @@ impl PreparedDay {
 mod tests {
     use super::*;
     use crate::dbscan::DbscanParams;
-    use crate::distributed::DistributedClusterer;
     use kizzle_snapshot::Snapshot;
 
     fn family_day(per_family: usize, variant_offset: usize) -> Vec<Vec<u8>> {
@@ -611,6 +603,13 @@ mod tests {
         DistributedConfig::new(3, DbscanParams::new(0.10, 2), 42)
     }
 
+    /// A cold one-shot run: the day through a fresh engine.
+    fn cold(day: &[Vec<u8>]) -> Clustering {
+        let mut engine = CorpusEngine::new(cfg());
+        let ids = engine.add_batch(0, day);
+        engine.cluster_day(&ids).0
+    }
+
     #[test]
     fn empty_day_is_fine() {
         let mut engine = CorpusEngine::new(cfg());
@@ -632,11 +631,8 @@ mod tests {
         let ids2 = engine.add_batch(2, &day2);
         let (warm2, stats2) = engine.cluster_day(&ids2);
 
-        let clusterer = DistributedClusterer::new(cfg());
-        let (cold1, _) = clusterer.cluster_token_strings(&day1);
-        let (cold2, _) = clusterer.cluster_token_strings(&day2);
-        assert_eq!(warm1, cold1);
-        assert_eq!(warm2, cold2);
+        assert_eq!(warm1, cold(&day1));
+        assert_eq!(warm2, cold(&day2));
         // The carried-over samples were cache hits: only the churned
         // fraction paid query cost on day 2.
         assert!(
@@ -684,8 +680,7 @@ mod tests {
         assert_eq!(retired, day1.len());
         assert_eq!(engine.len(), day2.len());
         let (warm, _) = engine.cluster_day(&ids2);
-        let (cold, _) = DistributedClusterer::new(cfg()).cluster_token_strings(&day2);
-        assert_eq!(warm, cold);
+        assert_eq!(warm, cold(&day2));
     }
 
     #[test]
@@ -702,8 +697,7 @@ mod tests {
         assert_eq!(ids[0], ids[base.len()]);
         assert_eq!(ids[0], ids[base.len() + 1]);
         let (warm, _) = engine.cluster_day(&ids);
-        let (cold, _) = DistributedClusterer::new(cfg()).cluster_token_strings(&day);
-        assert_eq!(warm, cold);
+        assert_eq!(warm, cold(&day));
     }
 
     /// A fresh chain directory per test (a chain directory hosts one chain).
@@ -727,7 +721,10 @@ mod tests {
         let dir = temp_dir("warm");
         engine.snapshot_delta(&dir, 0).expect("snapshot written");
         let (mut resumed, report) = CorpusEngine::resume_chain(cfg(), &dir);
-        assert!(report.is_warm(), "report: {report:?}");
+        assert!(
+            report.store_restored && report.index_restored,
+            "report: {report:?}"
+        );
         assert_eq!(report.live_samples, engine.len());
         assert!(report.cached_neighborhoods > 0);
         assert!(report.notes.is_empty(), "notes: {:?}", report.notes);
@@ -755,7 +752,7 @@ mod tests {
         engine.snapshot_delta(&dir, 0).expect("snapshot written");
 
         let (mut resumed, report) = CorpusEngine::resume_chain(cfg(), &dir);
-        assert!(report.is_warm());
+        assert!(report.store_restored && report.index_restored);
         // The same content re-added deduplicates onto live entries; the
         // resumed caches answer the whole day — same as a long-lived
         // process, zero recomputed queries.
@@ -827,7 +824,7 @@ mod tests {
         rebuilt.snapshot_delta(&dir, 0).expect("snapshot written");
         let (mut resumed, report) = CorpusEngine::resume_chain(cfg(), &dir);
         assert!(
-            report.is_warm(),
+            report.store_restored && report.index_restored,
             "cache-less index is still restorable: {report:?}"
         );
         assert_eq!(report.cached_neighborhoods, 0);

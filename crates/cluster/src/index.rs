@@ -63,10 +63,10 @@
 //! The accept decision reproduces
 //! [`normalized_edit_distance_bounded`](crate::distance::normalized_edit_distance_bounded)
 //! `≤ eps` bit-for-bit (same `max_edits` floor, same final normalized
-//! comparison), so [`dbscan_indexed`](crate::dbscan::dbscan_indexed) is
-//! label-identical to the naive [`dbscan`](crate::dbscan::dbscan) — the
-//! property tests in `tests/indexed_properties.rs` and
-//! `tests/incremental_properties.rs` hold it to that.
+//! comparison), so DBSCAN over its eps-balls is label-identical to the
+//! seed's naive distance-callback DBSCAN — the property tests in
+//! `tests/indexed_properties.rs` and `tests/incremental_properties.rs`
+//! hold it to that.
 
 use crate::distance::{BitParallelPattern, BitParallelScratch};
 use crate::store::SampleId;
@@ -1022,29 +1022,6 @@ impl NeighborIndex {
         }
         Ok(index)
     }
-
-    /// Every entry's neighborhood for a freshly [`build`](Self::build)-style
-    /// index over `n` dense slots, as `usize` lists for the DBSCAN driver.
-    /// `result[i]` is ascending and excludes `i`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if slots `0..n` are not all live.
-    #[must_use]
-    pub fn dense_neighborhoods(&mut self, n: usize) -> Vec<Vec<usize>> {
-        let ids: Vec<SampleId> = (0..n)
-            .map(|i| SampleId::new(u32::try_from(i).expect("dense slot fits u32")))
-            .collect();
-        self.ensure_cached(&ids);
-        ids.iter()
-            .map(|id| {
-                self.cached_slots(id.raw())
-                    .iter()
-                    .map(|&slot| slot as usize)
-                    .collect()
-            })
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -1229,7 +1206,6 @@ mod tests {
         let samples: Vec<Vec<u8>> = Vec::new();
         let mut index = NeighborIndex::build(&samples, 0.10);
         assert!(index.is_empty());
-        assert!(index.dense_neighborhoods(0).is_empty());
         assert_eq!(index.take_stats(), IndexStats::default());
     }
 

@@ -8,22 +8,21 @@
 //!
 //! This crate provides each of those pieces:
 //!
-//! * [`distance`] — Levenshtein edit distance: the Myers-style
-//!   bit-parallel bounded kernel ([`BitParallelPattern`]) every product
-//!   path runs, the normalized form used by the paper on top of it, and a
-//!   scalar banded variant kept as the test oracle.
+//! * [`distance`] — bounded Levenshtein edit distance: the Myers-style
+//!   bit-parallel kernel ([`BitParallelPattern`]) every path runs, and the
+//!   normalized form used by the paper on top of it.
 //! * [`index`] — the incremental [`NeighborIndex`]: length-window +
 //!   histogram-lower-bound candidate pruning with parallel neighborhood
 //!   queries, in-place insert/remove, and maintained (not recomputed)
-//!   memoized neighborhoods — the engine behind [`dbscan_indexed`].
+//!   memoized neighborhoods.
 //! * [`store`] — the [`CorpusStore`]: token class-strings under stable
 //!   [`SampleId`]s with content dedup and stamp-based retirement.
 //! * [`engine`] — the [`CorpusEngine`]: store + index threaded through
 //!   consecutive days, clustering any day view byte-identically to a cold
-//!   one-shot run while only the churned fraction pays query cost.
-//! * [`dbscan`](mod@dbscan) — a generic DBSCAN over any distance function, plus the
-//!   indexed variant that is label-identical and vastly faster on token
-//!   strings.
+//!   one-shot run while only the churned fraction pays query cost. It is
+//!   the one clusterer: a one-off batch is a fresh engine and one day.
+//! * [`dbscan`](mod@dbscan) — DBSCAN label assignment over the index's
+//!   precomputed (and multiplicity-weighted) neighborhoods.
 //! * [`clustering`] — cluster bookkeeping: members, medoid prototypes,
 //!   summary statistics.
 //! * [`distributed`] — the partition → cluster → reduce dataflow, run on
@@ -31,10 +30,14 @@
 //!   deployment, with reduce-side reconciliation routed through a
 //!   [`NeighborIndex`] instead of all-pairs prototype scans.
 //!
+//! The seed's scalar edit distances, naive DBSCAN and all-pairs reduce are
+//! the oracles the property tests hold this path to; they live with the
+//! tests (`tests/common/`), not here.
+//!
 //! ## Example
 //!
 //! ```
-//! use kizzle_cluster::{dbscan::DbscanParams, distance::normalized_edit_distance, dbscan::dbscan};
+//! use kizzle_cluster::{CorpusEngine, DbscanParams, DistributedConfig};
 //!
 //! // Three near-identical token strings and one outlier.
 //! let samples: Vec<Vec<u8>> = vec![
@@ -43,10 +46,11 @@
 //!     vec![1, 2, 3, 4, 5, 6, 7, 8, 9, 10],
 //!     vec![9, 9, 9, 9, 1, 1, 1, 1, 2, 2],
 //! ];
-//! let params = DbscanParams::new(0.10, 2);
-//! let result = dbscan(&samples, &params, |a, b| normalized_edit_distance(a, b));
-//! assert_eq!(result.cluster_count(), 1);
-//! assert!(result.is_noise(3));
+//! let mut engine = CorpusEngine::new(DistributedConfig::new(1, DbscanParams::new(0.10, 2), 0));
+//! let ids = engine.add_batch(0, &samples);
+//! let (clustering, _) = engine.cluster_day(&ids);
+//! assert_eq!(clustering.cluster_count(), 1);
+//! assert_eq!(clustering.noise, vec![3]);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -61,14 +65,12 @@ pub mod index;
 pub mod store;
 
 pub use clustering::{Cluster, Clustering};
-pub use dbscan::{
-    dbscan, dbscan_indexed, dbscan_with_neighborhoods, DbscanParams, DbscanResult, Label,
-};
+pub use dbscan::{dbscan_with_neighborhoods, DbscanParams, DbscanResult, Label};
 pub use distance::{
-    edit_distance, edit_distance_bitparallel_bounded, edit_distance_bounded,
-    normalized_edit_distance, BitParallelPattern, BitParallelScratch,
+    edit_distance_bitparallel_bounded, normalized_edit_distance_bounded, BitParallelPattern,
+    BitParallelScratch,
 };
-pub use distributed::{partition_key, DistributedClusterer, DistributedConfig, DistributedStats};
+pub use distributed::{partition_key, DistributedConfig, DistributedStats};
 pub use engine::{
     CorpusEngine, PreparedDay, ResumeReport, ENGINE_CHAIN_PREFIX, INDEX_SECTION, STORE_SECTION,
 };

@@ -1,10 +1,12 @@
 //! Property-based tests for edit distance and clustering invariants.
 
+mod common;
+
+use common::distance::{edit_distance, edit_distance_bounded, normalized_edit_distance};
 use kizzle_cluster::distance::{
-    edit_distance, edit_distance_bounded, normalized_edit_distance,
     normalized_edit_distance_bounded, BitParallelPattern, BitParallelScratch,
 };
-use kizzle_cluster::{dbscan, Clustering, DbscanParams, DistributedClusterer, DistributedConfig};
+use kizzle_cluster::{DbscanParams, DistributedConfig, Label};
 use proptest::prelude::*;
 
 fn token_string() -> impl Strategy<Value = Vec<u8>> {
@@ -111,15 +113,22 @@ proptest! {
         }
     }
 
-    /// DBSCAN assigns every sample exactly one label and the derived
-    /// Clustering is a partition of the input.
+    /// DBSCAN assigns every sample exactly one label, and the clusters it
+    /// numbers are dense and non-empty: a partition of the input.
     #[test]
     fn dbscan_produces_a_partition(samples in prop::collection::vec(token_string(), 0..25)) {
         let params = DbscanParams::new(0.10, 2);
-        let result = dbscan(&samples, &params, |a, b| normalized_edit_distance(a, b));
+        let result = common::indexed_dbscan(&samples, &params);
         prop_assert_eq!(result.labels().len(), samples.len());
-        let clustering = Clustering::from_dbscan(&result);
-        prop_assert!(clustering.is_partition());
+        prop_assert!(!result.labels().contains(&Label::Unvisited));
+        let members: Vec<Vec<usize>> =
+            (0..result.cluster_count()).map(|c| result.members(c)).collect();
+        prop_assert!(members.iter().all(|m| !m.is_empty()));
+        prop_assert_eq!(
+            members.iter().map(Vec::len).sum::<usize>()
+                + result.labels().iter().filter(|l| **l == Label::Noise).count(),
+            samples.len()
+        );
     }
 
     /// Distributed clustering always yields a partition of the input and is
@@ -131,10 +140,9 @@ proptest! {
         seed in any::<u64>(),
     ) {
         let cfg = DistributedConfig::new(partitions, DbscanParams::new(0.10, 2), seed);
-        let clusterer = DistributedClusterer::new(cfg);
-        let (a, _) = clusterer.cluster_token_strings(&samples);
+        let (a, _) = common::cluster(cfg, &samples);
         prop_assert!(a.is_partition());
-        let (b, _) = clusterer.cluster_token_strings(&samples);
+        let (b, _) = common::cluster(cfg, &samples);
         prop_assert_eq!(a, b);
     }
 }

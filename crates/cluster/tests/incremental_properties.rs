@@ -8,13 +8,13 @@
 //!    samples (and to brute force over the accept predicate).
 //! 2. A [`CorpusEngine`] threading warm state across simulated days
 //!    (carry-over + churn + retirement) clusters each day byte-identically
-//!    to a cold one-shot [`DistributedClusterer`] run over that day's
+//!    to the seed's cold one-shot driver (`tests/common/`) over that day's
 //!    samples.
 
+mod common;
+
 use kizzle_cluster::distance::normalized_edit_distance_bounded;
-use kizzle_cluster::{
-    CorpusEngine, DbscanParams, DistributedClusterer, DistributedConfig, NeighborIndex, SampleId,
-};
+use kizzle_cluster::{CorpusEngine, DbscanParams, DistributedConfig, NeighborIndex, SampleId};
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -103,7 +103,6 @@ proptest! {
             seed,
         );
         let mut engine = CorpusEngine::new(cfg);
-        let clusterer = DistributedClusterer::new(cfg);
 
         // Sliding window over the pool: consecutive days overlap heavily,
         // like the paper's grayware corpora.
@@ -118,7 +117,7 @@ proptest! {
             engine.retire_older_than(stamp.saturating_sub(1));
             let ids = engine.add_batch(stamp, &day_samples);
             let (warm, warm_stats) = engine.cluster_day(&ids);
-            let (cold, _) = clusterer.cluster_token_strings(&day_samples);
+            let cold = common::cluster_seed(&cfg, &day_samples);
             prop_assert_eq!(&warm, &cold, "day {}", day);
             prop_assert!(warm.is_partition());
             prop_assert!(

@@ -1,19 +1,18 @@
 //! Property-based equivalence tests for the indexed clustering engine.
 //!
-//! The whole point of the `NeighborIndex` + `dbscan_indexed` stack is that
-//! it is *only* faster: for any corpus it must reproduce the naive
-//! engine's answers exactly. These properties pin that down at every
-//! layer — distance kernel, neighbor queries, single-machine DBSCAN, and
-//! the distributed driver.
+//! The whole point of the `NeighborIndex` + `CorpusEngine` stack is that
+//! it is *only* faster: for any corpus it must reproduce the seed's naive
+//! answers (`tests/common/`) exactly. These properties pin that down at
+//! every layer — distance kernel, neighbor queries, single-machine DBSCAN,
+//! and the partitioned engine.
 
+mod common;
+
+use common::distance::{edit_distance, edit_distance_bounded};
 use kizzle_cluster::distance::{
-    edit_distance, edit_distance_bitparallel_bounded, edit_distance_bounded,
-    normalized_edit_distance_bounded, BitParallelPattern,
+    edit_distance_bitparallel_bounded, normalized_edit_distance_bounded, BitParallelPattern,
 };
-use kizzle_cluster::{
-    dbscan, dbscan_indexed, DbscanParams, DistributedClusterer, DistributedConfig, Label,
-    NeighborIndex, SampleId,
-};
+use kizzle_cluster::{DbscanParams, DistributedConfig, Label, NeighborIndex, SampleId};
 use proptest::prelude::*;
 
 fn token_string() -> impl Strategy<Value = Vec<u8>> {
@@ -119,34 +118,31 @@ proptest! {
         }
     }
 
-    /// `dbscan_indexed` is label-identical to the naive `dbscan` with the
-    /// bounded distance — not just equivalent up to renaming.
+    /// DBSCAN over the index's eps-balls is label-identical to the naive
+    /// `dbscan` with the bounded distance — not just equivalent up to
+    /// renaming.
     #[test]
     fn indexed_dbscan_identical_to_naive(
         samples in clustered_corpus(),
         min_points in 1usize..5,
     ) {
         let params = DbscanParams::new(0.10, min_points);
-        let naive = dbscan(&samples, &params, |a, b| {
+        let naive = common::dbscan(&samples, &params, |a, b| {
             normalized_edit_distance_bounded(a, b, params.eps).unwrap_or(1.0)
         });
-        let (indexed, stats) = dbscan_indexed(&samples, &params);
-        prop_assert_eq!(&indexed, &naive);
-        prop_assert_eq!(stats.queries, samples.len());
+        let indexed = common::indexed_dbscan(&samples, &params);
+        prop_assert_eq!(indexed.labels(), &naive[..]);
 
         // Belt and braces: the induced partitions agree too (this is the
         // "up to cluster-id renaming" formulation, which identical labels
         // imply).
-        prop_assert_eq!(
-            co_membership(indexed.labels()),
-            co_membership(naive.labels())
-        );
+        prop_assert_eq!(co_membership(indexed.labels()), co_membership(&naive));
     }
 
-    /// The distributed token-string driver (indexed per-partition engine)
-    /// produces the same clustering as the generic callback driver the
-    /// seed used, for any partition count and seed, given the same
-    /// content-keyed partition assignment.
+    /// The engine (indexed per-partition DBSCAN, index-routed reduce)
+    /// produces the same clustering as the seed's all-pairs driver, for
+    /// any partition count and seed, given the same content-keyed
+    /// partition assignment.
     #[test]
     fn distributed_indexed_matches_generic(
         samples in prop::collection::vec(token_string(), 0..20),
@@ -154,13 +150,47 @@ proptest! {
         seed in any::<u64>(),
     ) {
         let cfg = DistributedConfig::new(partitions, DbscanParams::new(0.10, 2), seed);
-        let clusterer = DistributedClusterer::new(cfg);
-        let (indexed, _) = clusterer.cluster_token_strings(&samples);
-        let keys: Vec<u64> = samples.iter().map(|s| kizzle_cluster::partition_key(s)).collect();
-        let (generic, _) = clusterer.cluster_with_keys(&samples, &keys, |a: &Vec<u8>, b: &Vec<u8>| {
-            normalized_edit_distance_bounded(a, b, 0.10).unwrap_or(1.0)
-        });
-        prop_assert_eq!(&indexed, &generic);
+        let (indexed, stats) = common::cluster(cfg, &samples);
+        prop_assert_eq!(&indexed, &common::cluster_seed(&cfg, &samples));
         prop_assert!(indexed.is_partition());
+        // Every distinct sample's neighborhood is computed exactly once.
+        let mut distinct = samples.clone();
+        distinct.sort_unstable();
+        distinct.dedup();
+        prop_assert_eq!(stats.index.queries, distinct.len());
+    }
+}
+
+/// Three families of kit-like variants, an outlier and an empty string,
+/// at several partition counts: the engine reproduces the seed's driver.
+#[test]
+fn indexed_path_matches_generic_path() {
+    let bases: [Vec<u8>; 3] = [
+        (0..120).map(|i| (i % 5) as u8).collect(),
+        (0..150).map(|i| ((i * 3) % 6) as u8).collect(),
+        (0..90).map(|i| ((i * 7 + 1) % 4) as u8).collect(),
+    ];
+    let mut samples: Vec<Vec<u8>> = Vec::new();
+    for base in &bases {
+        for v in 0..7 {
+            // Perturb < 5% of positions so members stay within eps = 0.1.
+            let mut s = base.clone();
+            for k in 0..(s.len() / 30) {
+                let pos = (v * 13 + k * 17) % s.len();
+                s[pos] = (s[pos] + 1) % 6;
+            }
+            samples.push(s);
+        }
+    }
+    samples.push((0..40).map(|i| (i % 3) as u8 + 6).collect());
+    samples.push(Vec::new());
+    for partitions in [1, 3, 5] {
+        let cfg = DistributedConfig::new(partitions, DbscanParams::new(0.10, 2), 11);
+        let (indexed, _) = common::cluster(cfg, &samples);
+        assert_eq!(
+            indexed,
+            common::cluster_seed(&cfg, &samples),
+            "partitions = {partitions}"
+        );
     }
 }

@@ -15,9 +15,10 @@
 //!    rebuilt-from-store, or cold — and never a wrong clustering: whatever
 //!    survives still matches a cold run over the same samples.
 
+mod common;
+
 use kizzle_cluster::{
-    CorpusEngine, CorpusStore, DbscanParams, DistributedClusterer, DistributedConfig,
-    NeighborIndex, SampleId,
+    CorpusEngine, CorpusStore, DbscanParams, DistributedConfig, NeighborIndex, SampleId,
 };
 use kizzle_snapshot::{Decoder, Encoder, Snapshot, SnapshotBuilder};
 use proptest::prelude::*;
@@ -172,7 +173,7 @@ proptest! {
 
         let snapshot = Snapshot::from_bytes(&engine_container(&engine)).unwrap();
         let (mut resumed, report) = CorpusEngine::resume_from_sections(cfg, &snapshot);
-        prop_assert!(report.is_warm(), "report: {:?}", report);
+        prop_assert!(report.store_restored && report.index_restored, "report: {:?}", report);
 
         let ids2 = engine.add_batch(2, &day2);
         let ids2_resumed = resumed.add_batch(2, &day2);
@@ -217,7 +218,7 @@ proptest! {
         resumed.retire_older_than(stamp); // clear whatever survived
         let day_ids = resumed.add_batch(stamp, &day);
         let (got, _) = resumed.cluster_day(&day_ids);
-        let (want, _) = DistributedClusterer::new(cfg).cluster_token_strings(&day);
+        let want = common::cluster_seed(&cfg, &day);
         prop_assert_eq!(got, want);
     }
 
@@ -271,10 +272,10 @@ proptest! {
         let full = engine.snapshot_delta(&full_dir, 0).unwrap();
         prop_assert!(full.wrote_base);
         let (mut via_full, full_report) = CorpusEngine::resume_chain(cfg, &full_dir);
-        prop_assert!(full_report.is_warm(), "full: {:?}", full_report);
+        prop_assert!(full_report.store_restored && full_report.index_restored, "full: {:?}", full_report);
 
         let (mut via_chain, chain_report) = CorpusEngine::resume_chain(cfg, &dir);
-        prop_assert!(chain_report.is_warm(), "chain: {:?}", chain_report);
+        prop_assert!(chain_report.store_restored && chain_report.index_restored, "chain: {:?}", chain_report);
         prop_assert!(chain_report.notes.is_empty(), "notes: {:?}", chain_report.notes);
 
         prop_assert_eq!(via_chain.len(), via_full.len());
@@ -346,7 +347,7 @@ proptest! {
         resumed.retire_older_than(99);
         let fresh_ids = resumed.add_batch(99, &fresh);
         let (got, _) = resumed.cluster_day(&fresh_ids);
-        let (want, _) = DistributedClusterer::new(cfg).cluster_token_strings(&fresh);
+        let want = common::cluster_seed(&cfg, &fresh);
         prop_assert_eq!(got, want);
         std::fs::remove_dir_all(&dir).ok();
     }

@@ -18,7 +18,10 @@
 //! `budget + 1`, and lengths spread across the eps window so per-pair
 //! budgets differ inside one group ([`edges_are_hit`] counts them).
 
-use kizzle_cluster::distance::{edit_distance, normalized_edit_distance_bounded};
+mod common;
+
+use common::distance::edit_distance;
+use kizzle_cluster::distance::normalized_edit_distance_bounded;
 use kizzle_cluster::{
     CorpusEngine, DbscanParams, DistributedConfig, NeighborIndex, SampleId, STORE_SECTION,
 };

@@ -8,12 +8,10 @@
 
 mod common;
 
+use common::distance::edit_distance_bounded;
 use common::serial_allpairs;
-use kizzle_cluster::distance::{edit_distance_bounded, normalized_edit_distance_bounded};
-use kizzle_cluster::{
-    dbscan, dbscan_with_neighborhoods, partition_key, Clustering, DbscanParams,
-    DistributedClusterer, DistributedConfig,
-};
+use kizzle_cluster::distance::normalized_edit_distance_bounded;
+use kizzle_cluster::{dbscan_with_neighborhoods, DbscanParams, DistributedConfig};
 use proptest::prelude::*;
 
 /// `normalized_edit_distance_bounded` as it was before it ran the
@@ -156,9 +154,11 @@ proptest! {
         assert_matches_oracle(&base, &other, f64::from(eps_permille) / 1000.0);
     }
 
-    /// The shipped early-abandoned parallel prototype pass picks the
-    /// exhaustive scan's medoids on duplicate-heavy member lists, where
-    /// many candidates tie.
+    /// The shipped early-abandoned, memoized prototype pass picks the
+    /// exhaustive scan's medoid on a duplicate-heavy cluster of every
+    /// family at once, where many candidates tie: at `eps = 1` every pair
+    /// is within reach, so the whole day is one cluster and every distance
+    /// is exact.
     #[test]
     fn compute_prototypes_match_exhaustive_oracle(
         families in 1usize..4,
@@ -167,28 +167,21 @@ proptest! {
         salt in any::<u64>(),
     ) {
         let day = duplicate_heavy_day(families, variants, max_copies, salt);
-        let distance = |a: &Vec<u8>, b: &Vec<u8>| {
-            normalized_edit_distance_bounded(a, b, 0.10).unwrap_or(1.0)
-        };
-        // One cluster per family by construction order, plus one of
-        // everything.
-        let mut members: Vec<Vec<usize>> = vec![Vec::new(); families];
-        for (i, s) in day.iter().enumerate() {
-            members[(s.len().saturating_sub(56)) / 37 % families].push(i);
-        }
-        members.push((0..day.len()).collect());
-        let want = serial_allpairs(&members, &day, 64, distance);
-        let mut clustering = Clustering::from_members(members, Vec::new(), day.len());
-        clustering.compute_prototypes(&day, distance);
-        let got: Vec<Option<usize>> = clustering.clusters.iter().map(|c| c.prototype).collect();
-        prop_assert_eq!(got, want);
+        let cfg = DistributedConfig::new(1, DbscanParams::new(1.0, 1), salt);
+        let (clustering, _) = common::cluster(cfg, &day);
+        let everything: Vec<usize> = (0..day.len()).collect();
+        prop_assert_eq!(&clustering.clusters[0].members, &everything);
+        let want = serial_allpairs(&[everything], &day, 64, |a: &Vec<u8>, b: &Vec<u8>| {
+            normalized_edit_distance_bounded(a, b, 1.0).unwrap_or(1.0)
+        });
+        prop_assert_eq!(clustering.clusters[0].prototype, want[0]);
     }
 
     /// The memoized seal (content-keyed medoid passes, multiset DBSCAN) is
     /// the unmemoized position-level dataflow: same clustering as the
-    /// generic callback path over the same partition keys — which runs the
-    /// reduce-side medoid passes without a memo — and final prototypes
-    /// equal to the exhaustive all-pairs oracle.
+    /// seed's all-pairs driver over the same partition keys — which runs
+    /// every medoid pass without a memo — and final prototypes equal to
+    /// the exhaustive all-pairs oracle.
     #[test]
     fn memoized_seal_matches_unmemoized_dataflow_and_exhaustive_medoids(
         families in 1usize..4,
@@ -203,15 +196,12 @@ proptest! {
         day.push(vec![7; 45]);
         day.push(Vec::new());
         let cfg = DistributedConfig::new(partitions, DbscanParams::new(0.10, min_points), salt);
-        let clusterer = DistributedClusterer::new(cfg);
         let distance = |a: &Vec<u8>, b: &Vec<u8>| {
             normalized_edit_distance_bounded(a, b, 0.10).unwrap_or(1.0)
         };
 
-        let (sealed, stats) = clusterer.cluster_token_strings(&day);
-        let keys: Vec<u64> = day.iter().map(|s| partition_key(s)).collect();
-        let (generic, _) = clusterer.cluster_with_keys(&day, &keys, distance);
-        prop_assert_eq!(&sealed, &generic);
+        let (sealed, stats) = common::cluster(cfg, &day);
+        prop_assert_eq!(&sealed, &common::cluster_seed(&cfg, &day));
 
         let members: Vec<Vec<usize>> = sealed.clusters.iter().map(|c| c.members.clone()).collect();
         let want = serial_allpairs(&members, &day, 64, distance);
@@ -229,7 +219,7 @@ proptest! {
             stats.medoid_distance_calls <= pairs,
             "{} calls for {} distinct pairs", stats.medoid_distance_calls, pairs
         );
-        let (_, again) = clusterer.cluster_token_strings(&day);
+        let (_, again) = common::cluster(cfg, &day);
         prop_assert_eq!(stats.medoid_distance_calls, again.medoid_distance_calls);
         prop_assert_eq!(stats.medoid_memo_hits, again.medoid_memo_hits);
     }
@@ -244,7 +234,7 @@ proptest! {
         min_points in 1usize..7,
     ) {
         let params = DbscanParams::new(2.0, min_points);
-        let position_level = dbscan(&day, &params, |a, b| f64::from((a - b).abs()));
+        let position_level = common::dbscan(&day, &params, |a, b| f64::from((a - b).abs()));
 
         // Distinct values in first-position order, with multiplicities.
         let mut unique: Vec<i32> = Vec::new();
@@ -271,7 +261,6 @@ proptest! {
         let weighted = dbscan_with_neighborhoods(&balls, &weights, &params);
 
         let expanded: Vec<_> = content.iter().map(|&u| weighted.labels()[u]).collect();
-        prop_assert_eq!(expanded, position_level.labels().to_vec());
-        prop_assert_eq!(weighted.cluster_count(), position_level.cluster_count());
+        prop_assert_eq!(expanded, position_level);
     }
 }

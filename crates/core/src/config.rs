@@ -15,8 +15,8 @@ use kizzle_winnow::WinnowConfig;
 /// Configuration of the whole Kizzle pipeline.
 ///
 /// The defaults reproduce the paper's operating point where it is stated
-/// (DBSCAN threshold 0.10, 200-token signature cap) and otherwise use the
-/// values determined in DESIGN.md.
+/// (DBSCAN threshold 0.10, 200-token signature cap; see PAPER.md) and
+/// otherwise use values tuned on the synthetic corpus.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct KizzleConfig {
     /// Distributed clustering configuration (partition count stands in for

@@ -7,7 +7,6 @@
 //! "malware family specific".
 
 use crate::config::KizzleConfig;
-use crate::snapshot::{family_code, family_from_code};
 use kizzle_corpus::{KitFamily, KitModel, SimDate};
 use kizzle_snapshot::{Decoder, Encoder, SnapshotError};
 use kizzle_winnow::{Fingerprint, WinnowConfig};
@@ -35,12 +34,6 @@ impl ReferenceCorpus {
             entries: Vec::new(),
             winnow,
         }
-    }
-
-    /// The winnowing configuration used for fingerprints.
-    #[must_use]
-    pub fn winnow_config(&self) -> &WinnowConfig {
-        &self.winnow
     }
 
     /// Number of known families.
@@ -98,8 +91,8 @@ impl ReferenceCorpus {
     }
 
     /// Overlap of an unpacked prototype with a specific family's reference.
-    #[must_use]
-    pub fn overlap_with(&self, family: KitFamily, unpacked: &str) -> f64 {
+    #[cfg(test)]
+    fn overlap_with(&self, family: KitFamily, unpacked: &str) -> f64 {
         let probe = Fingerprint::of_text(unpacked, &self.winnow);
         self.entries
             .iter()
@@ -145,7 +138,7 @@ impl ReferenceCorpus {
         enc.usize(self.winnow.window);
         enc.usize(self.entries.len());
         for entry in &self.entries {
-            enc.u8(family_code(entry.family));
+            enc.u8(entry.family.code());
             enc.f64(entry.threshold);
             let mut pairs: Vec<(u64, u32)> = entry.fingerprint.iter().collect();
             pairs.sort_unstable();
@@ -169,7 +162,7 @@ impl ReferenceCorpus {
         let entry_count = dec.usize()?;
         for _ in 0..entry_count {
             let family =
-                family_from_code(dec.u8()?).ok_or_else(|| corrupt("unknown family code"))?;
+                KitFamily::from_code(dec.u8()?).ok_or_else(|| corrupt("unknown family code"))?;
             if corpus.entries.iter().any(|e| e.family == family) {
                 return Err(corrupt("family duplicated"));
             }

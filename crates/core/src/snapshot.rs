@@ -88,20 +88,6 @@ pub use kizzle_snapshot::sections::{
     META_SECTION, REFERENCE_SECTION, SCAN_SECTION, SIGNATURES_SECTION, WINDOW_SECTION,
 };
 
-/// Stable wire code for a kit family (the paper's Fig. 2 order).
-pub(crate) fn family_code(family: KitFamily) -> u8 {
-    KitFamily::ALL
-        .iter()
-        .position(|f| *f == family)
-        .map(|p| u8::try_from(p).expect("few families"))
-        .expect("family listed in ALL")
-}
-
-/// Inverse of [`family_code`].
-pub(crate) fn family_from_code(code: u8) -> Option<KitFamily> {
-    KitFamily::ALL.get(usize::from(code)).copied()
-}
-
 /// Canonical byte encoding of every configuration field that shapes
 /// persisted state, hashed with FNV-1a 64. Two configs with the same
 /// fingerprint produce interchangeable snapshots; anything else is
@@ -153,7 +139,7 @@ fn encode_meta(compiler: &KizzleCompiler, enc: &mut Encoder) {
     let mut counters: Vec<(u8, u64)> = compiler
         .signature_counters
         .iter()
-        .map(|(family, count)| (family_code(*family), *count as u64))
+        .map(|(family, count)| (family.code(), *count as u64))
         .collect();
     counters.sort_unstable();
     enc.usize(counters.len());
@@ -178,7 +164,8 @@ fn decode_meta(dec: &mut Decoder<'_>) -> Result<Meta, SnapshotError> {
     let counter_count = dec.usize()?;
     let mut counters = HashMap::new();
     for _ in 0..counter_count {
-        let family = family_from_code(dec.u8()?).ok_or_else(|| corrupt("unknown family code"))?;
+        let family =
+            KitFamily::from_code(dec.u8()?).ok_or_else(|| corrupt("unknown family code"))?;
         let count = usize::try_from(dec.u64()?).map_err(|_| corrupt("counter exceeds usize"))?;
         if counters.insert(family, count).is_some() {
             return Err(corrupt("family counter duplicated"));
@@ -533,7 +520,10 @@ mod tests {
         drop(first_run);
         let (mut second_run, report) =
             KizzleService::load(&dir, KizzleConfig::fast()).expect("state loads");
-        assert!(report.is_warm(), "report: {report:?}");
+        assert!(
+            report.store_restored && report.index_restored,
+            "report: {report:?}"
+        );
         assert_eq!(second_run.last_processed_day(), Some(d1));
         let got = second_run.process_day(d2, &day2).expect("day 2");
 
@@ -781,10 +771,12 @@ mod tests {
 
     #[test]
     fn family_codes_roundtrip() {
-        for family in KitFamily::ALL {
-            assert_eq!(family_from_code(family_code(family)), Some(family));
+        // The codes are persisted: their order is part of the format.
+        for (code, family) in (0u8..).zip(KitFamily::ALL) {
+            assert_eq!(family.code(), code);
+            assert_eq!(KitFamily::from_code(code), Some(family));
         }
-        assert_eq!(family_from_code(200), None);
+        assert_eq!(KitFamily::from_code(200), None);
     }
 
     #[test]
@@ -796,7 +788,10 @@ mod tests {
         service.save(&dir).expect("state saved");
         let (resumed, report) =
             KizzleService::load(&dir, KizzleConfig::fast()).expect("state loads");
-        assert!(report.is_warm(), "report: {report:?}");
+        assert!(
+            report.store_restored && report.index_restored,
+            "report: {report:?}"
+        );
         // A service seals whatever it publishes, so read the chain itself
         // too: the set must arrive sealed, with no reseal note.
         assert!(report.notes.is_empty(), "notes: {:?}", report.notes);
@@ -860,7 +855,10 @@ mod tests {
         let resealing = "scan pipeline not restored, resealing: pipeline version 1";
         let (resumed, report) =
             KizzleService::load(&dir, KizzleConfig::fast()).expect("a v1 pipeline still resumes");
-        assert!(report.is_warm(), "report: {report:?}");
+        assert!(
+            report.store_restored && report.index_restored,
+            "report: {report:?}"
+        );
         assert!(
             report.notes.iter().any(|n| n.starts_with(resealing)),
             "notes: {:?}",

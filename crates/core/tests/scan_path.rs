@@ -110,8 +110,10 @@ fn document_scan_equals_stream_scan_equals_linear_oracle() {
         let stream = kizzle_js::tokenize_document_capped(page, cap);
         let from_document = matcher.scan_verdict(page);
         assert_eq!(from_document, matcher.scan_stream_verdict(&stream));
+        // The linear oracle: the first signature in insertion order.
         let linear = set
-            .scan_stream_linear(&stream)
+            .iter()
+            .find(|hit| hit.signature.matches_stream(&stream))
             .map(|hit| hit.signature.name.as_str());
         let staged = from_document
             .index

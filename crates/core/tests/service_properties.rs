@@ -400,7 +400,7 @@ fn matcher_clones_never_observe_a_torn_set_during_seal() {
                     // pins one immutable set.
                     let set = matcher.signatures();
                     let len_a = set.len();
-                    let hit = set.scan_document(&probe).is_some();
+                    let hit = set.scan_document_index(&probe, usize::MAX).is_some();
                     let len_b = set.len();
                     assert_eq!(len_a, len_b, "set mutated under a reader");
                     // Before any publish the set is empty and cannot hit;
@@ -498,7 +498,7 @@ fn matcher_clones_never_observe_a_torn_set_during_overlapped_seal() {
                 while !stop.load(Ordering::Relaxed) {
                     let set = matcher.signatures();
                     let len_a = set.len();
-                    let hit = set.scan_document(&probe).is_some();
+                    let hit = set.scan_document_index(&probe, usize::MAX).is_some();
                     assert_eq!(len_a, set.len(), "set mutated under a reader");
                     if hit {
                         assert!(len_a > 0);

@@ -48,6 +48,25 @@ impl KitFamily {
         }
     }
 
+    /// Stable one-byte wire code: the family's index in [`KitFamily::ALL`].
+    /// Snapshots and the scan protocol both carry it, so the order is a
+    /// format.
+    #[must_use]
+    pub fn code(self) -> u8 {
+        match self {
+            KitFamily::SweetOrange => 0,
+            KitFamily::Angler => 1,
+            KitFamily::Rig => 2,
+            KitFamily::Nuclear => 3,
+        }
+    }
+
+    /// Inverse of [`KitFamily::code`]; unknown codes are `None`.
+    #[must_use]
+    pub fn from_code(code: u8) -> Option<KitFamily> {
+        KitFamily::ALL.get(usize::from(code)).copied()
+    }
+
     /// Whether the kit performs an anti-virus presence check before
     /// exploiting (Fig. 2, "AV check" column; as of September 2014).
     #[must_use]

@@ -31,7 +31,7 @@ pub struct StreamConfig {
     /// paper's absolute counts (Fig. 14) are heavily skewed towards Angler;
     /// the default flattens that skew slightly so that even the rare
     /// families produce enough daily variants to exercise clustering at the
-    /// reduced scale (documented in DESIGN.md).
+    /// reduced scale (the paper's counts are in PAPER.md).
     pub family_weights: Vec<(KitFamily, f64)>,
     /// Master seed; combined with the date so each day is independently
     /// reproducible.
@@ -100,14 +100,15 @@ fn default_weights() -> Vec<(KitFamily, f64)> {
 }
 
 /// Statistics of one generated day.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize)]
-pub struct DayStats {
+#[cfg(test)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+struct DayStats {
     /// Samples generated.
-    pub total: usize,
+    total: usize,
     /// Benign samples.
-    pub benign: usize,
+    benign: usize,
     /// Malicious samples per family.
-    pub per_family: Vec<(KitFamily, usize)>,
+    per_family: Vec<(KitFamily, usize)>,
 }
 
 /// The grayware stream generator.
@@ -161,8 +162,8 @@ impl GraywareStream {
 
     /// Generate every day in `[start, end]`, returning one `Vec<Sample>`
     /// per day.
-    #[must_use]
-    pub fn generate_range(&self, start: SimDate, end: SimDate) -> Vec<(SimDate, Vec<Sample>)> {
+    #[cfg(test)]
+    fn generate_range(&self, start: SimDate, end: SimDate) -> Vec<(SimDate, Vec<Sample>)> {
         start
             .range_inclusive(end)
             .into_iter()
@@ -171,8 +172,8 @@ impl GraywareStream {
     }
 
     /// Summary statistics of a generated day.
-    #[must_use]
-    pub fn day_stats(samples: &[Sample]) -> DayStats {
+    #[cfg(test)]
+    fn day_stats(samples: &[Sample]) -> DayStats {
         let mut per_family: Vec<(KitFamily, usize)> =
             KitFamily::ALL.iter().map(|f| (*f, 0)).collect();
         let mut benign = 0usize;

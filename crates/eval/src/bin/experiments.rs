@@ -9,7 +9,7 @@
 //! # Everything, on a one-week quick window.
 //! cargo run --release -p kizzle-eval --bin experiments -- quick
 //!
-//! # A single experiment by its DESIGN.md id (e1, e2, e4, e5, e6, e10, e12)
+//! # A single experiment by its id (e1, e2, e4, e5, e6, e10, e12)
 //! # or `monthly` for the combined E3/E7/E8/E9/E11 run.
 //! cargo run --release -p kizzle-eval --bin experiments -- e6
 //! ```

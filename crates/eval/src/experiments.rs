@@ -1,7 +1,6 @@
-//! One entry point per paper figure/table (the per-experiment index E1–E12
-//! in DESIGN.md). Every function returns a plain-text report; the
-//! `experiments` binary prints them and EXPERIMENTS.md records a reference
-//! run.
+//! One entry point per paper figure/table (ids E1–E12, as the
+//! `experiments` binary names them). Every function returns a plain-text
+//! report; the binary prints them, so a run regenerates every figure.
 
 use crate::adversarial::run_cycle;
 use crate::monthly::{EvalConfig, MonthlyEvaluation, MonthlyResult};

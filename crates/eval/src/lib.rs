@@ -3,9 +3,9 @@
 //! Everything needed to regenerate the paper's evaluation (§IV) on the
 //! synthetic corpus: the month-long simulation comparing Kizzle against the
 //! baseline AV engine, the day-over-day similarity measurements, and one
-//! experiment entry point per figure/table of the paper (see the
-//! per-experiment index in `DESIGN.md` and the measured results in
-//! `EXPERIMENTS.md`).
+//! experiment entry point per figure/table of the paper (the `experiments`
+//! binary lists them by id and prints each report; PAPER.md has the
+//! paper's own numbers).
 //!
 //! The harness is deterministic: every experiment takes an [`EvalConfig`]
 //! whose seed fixes the grayware stream, so reruns reproduce the same

@@ -91,12 +91,6 @@ impl TokenStream {
         self.tokens().iter()
     }
 
-    /// Concrete texts of all tokens, in order.
-    #[must_use]
-    pub fn texts(&self) -> Vec<&str> {
-        self.iter().map(|t| t.text).collect()
-    }
-
     /// Reconstruct an approximation of the source by joining token texts
     /// with single spaces. Used for diagnostics and winnowing of unpacked
     /// payloads, where original whitespace is irrelevant.
@@ -225,7 +219,8 @@ mod tests {
     fn slice_extracts_window() {
         let s = tokenize("a b c d e");
         let w = s.slice(1, 3);
-        assert_eq!(w.texts(), vec!["b", "c", "d"]);
+        let texts: Vec<&str> = w.iter().map(|t| t.text).collect();
+        assert_eq!(texts, ["b", "c", "d"]);
     }
 
     #[test]

@@ -313,18 +313,12 @@ impl<'a> IntoIterator for Tokens<'a> {
 }
 
 /// Returns true if `word` is a JavaScript reserved word
-/// ([`TokenClass::Keyword`]).
+/// ([`TokenClass::Keyword`]), on the lexer's bytes (keywords are ASCII, so
+/// no UTF-8 check is needed first).
 ///
 /// The list covers ES5 plus the handful of ES6 keywords observed in the
 /// wild in exploit-kit code; `this` is deliberately *not* included because
 /// the paper's Fig. 8 classifies it as an identifier.
-#[must_use]
-pub fn is_keyword(word: &str) -> bool {
-    is_keyword_bytes(word.as_bytes())
-}
-
-/// [`is_keyword`] on the lexer's bytes (keywords are ASCII, so no UTF-8
-/// check is needed first).
 #[inline]
 pub(crate) fn is_keyword_bytes(word: &[u8]) -> bool {
     // Length first: most identifiers fall out on it, and each arm then
@@ -353,7 +347,7 @@ mod tests {
     use super::*;
 
     /// The reserved words, spelled out once more so a typo in one of
-    /// [`is_keyword`]'s arms cannot go unnoticed.
+    /// [`is_keyword_bytes`]'s arms cannot go unnoticed.
     const KEYWORDS: &[&str] = &[
         "break",
         "case",
@@ -389,6 +383,10 @@ mod tests {
         "with",
         "yield",
     ];
+
+    fn is_keyword(word: &str) -> bool {
+        is_keyword_bytes(word.as_bytes())
+    }
 
     #[test]
     fn keyword_match_agrees_with_the_keyword_list() {

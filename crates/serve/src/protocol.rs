@@ -58,20 +58,11 @@ pub const NO_INDEX: u32 = u32::MAX;
 /// a buffer to allocate.
 pub const MAX_FRAME: usize = 16 * 1024 * 1024;
 
-/// Stable wire code of a kit family: its index in [`KitFamily::ALL`].
+/// Stable wire code of a kit family: [`KitFamily::code`], the code
+/// snapshots persist.
 #[must_use]
 pub fn family_code(family: KitFamily) -> u8 {
-    KitFamily::ALL
-        .iter()
-        .position(|f| *f == family)
-        .map_or(NO_FAMILY, |p| u8::try_from(p).unwrap_or(NO_FAMILY))
-}
-
-/// Inverse of [`family_code`]; [`NO_FAMILY`] and unknown codes are
-/// `None`.
-#[must_use]
-pub fn family_from_code(code: u8) -> Option<KitFamily> {
-    KitFamily::ALL.get(usize::from(code)).copied()
+    family.code()
 }
 
 /// What one [`read_frame`] call found.
@@ -199,7 +190,7 @@ pub fn decode_scan_reply(body: &[u8]) -> io::Result<ScanVerdict> {
             "scan reply must be 13 bytes",
         ));
     }
-    let family = family_from_code(body[0]);
+    let family = KitFamily::from_code(body[0]);
     let epoch = u64::from_le_bytes(body[1..9].try_into().expect("8 bytes"));
     let index = u32::from_le_bytes(body[9..13].try_into().expect("4 bytes"));
     Ok(ScanVerdict {
@@ -271,8 +262,8 @@ mod tests {
     #[test]
     fn family_codes_roundtrip() {
         for family in KitFamily::ALL {
-            assert_eq!(family_from_code(family_code(family)), Some(family));
+            assert_eq!(KitFamily::from_code(family_code(family)), Some(family));
         }
-        assert_eq!(family_from_code(NO_FAMILY), None);
+        assert_eq!(KitFamily::from_code(NO_FAMILY), None);
     }
 }

@@ -219,12 +219,6 @@ impl ServerHandle {
         &self.follower
     }
 
-    /// Whether a drain has been requested (locally or over the wire).
-    #[must_use]
-    pub fn draining(&self) -> bool {
-        self.shutdown.load(Ordering::Acquire)
-    }
-
     /// Request a graceful drain and join every thread. In-flight
     /// requests finish; queued connections are still served; new
     /// connections stop being accepted.

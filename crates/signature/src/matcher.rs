@@ -31,10 +31,10 @@
 //!    classes, or only ubiquitous punctuation like `=` and `[`) fall back
 //!    to a linear scan.
 //!
-//! The result is byte-identical to [`SignatureSet::scan_stream_linear`]
-//! — first match in insertion order — property-tested in
-//! `tests/signature_properties.rs`. The pipeline (automaton, buckets,
-//! filters) serializes through [`ScanPipeline::encode_into`] /
+//! The result is byte-identical to a linear scan — the first signature in
+//! insertion order whose [`Signature::matches_stream`] holds —
+//! property-tested in `tests/signature_properties.rs`. The pipeline
+//! (automaton, buckets, filters) serializes through [`ScanPipeline::encode_into`] /
 //! [`ScanPipeline::decode_from`] so published snapshot chains ship
 //! ready-to-scan sets; it is immutable once built, and
 //! [`SignatureSet::add`] invalidates it so a mutated set reseals.
@@ -399,14 +399,14 @@ impl ScanPipeline {
     }
 
     /// Number of signatures on the linear fallback path.
-    #[must_use]
-    pub fn unanchored_count(&self) -> usize {
+    #[cfg(test)]
+    fn unanchored_count(&self) -> usize {
         self.unanchored.len()
     }
 
     /// The staged scan: returns the index of the first matching signature
-    /// in insertion order — exactly [`SignatureSet::scan_stream_linear`]'s
-    /// answer, reached through the three stages.
+    /// in insertion order — exactly the linear scan's answer, reached
+    /// through the three stages.
     fn scan(
         &self,
         signatures: &[LabeledSignature],
@@ -795,17 +795,6 @@ impl SignatureSet {
         })
     }
 
-    /// Reference linear scan: first signature (in insertion order) matching
-    /// anywhere in the stream. Kept as the oracle the staged
-    /// [`SignatureSet::scan_stream`] is benchmarked and property-tested
-    /// against.
-    #[must_use]
-    pub fn scan_stream_linear(&self, stream: &TokenStream) -> Option<&LabeledSignature> {
-        self.signatures
-            .iter()
-            .find(|s| s.signature.matches_stream(stream))
-    }
-
     /// The signature closest to the stream under the semi-global edit
     /// distance of [`crate::verify`], within `max_edits`. Ties in distance
     /// go to the earlier signature; 0 edits coincides with
@@ -846,13 +835,6 @@ impl SignatureSet {
             }
         }
         best
-    }
-
-    /// Scan a raw HTML/JavaScript document, uncapped.
-    #[must_use]
-    pub fn scan_document(&self, document: &str) -> Option<&LabeledSignature> {
-        let index = self.scan_document_index(document, usize::MAX)?;
-        Some(&self.signatures[index])
     }
 
     /// All labels with at least one signature, deduplicated, in insertion
@@ -1004,6 +986,20 @@ mod tests {
     use crate::pattern::SignatureConfig;
     use kizzle_js::tokenize;
 
+    /// An uncapped raw-document scan.
+    fn scan_document<'a>(set: &'a SignatureSet, document: &str) -> Option<&'a LabeledSignature> {
+        set.get(set.scan_document_index(document, usize::MAX)?)
+    }
+
+    /// The linear oracle: the first signature in insertion order matching
+    /// anywhere in the stream.
+    fn scan_linear<'a>(
+        set: &'a SignatureSet,
+        stream: &TokenStream,
+    ) -> Option<&'a LabeledSignature> {
+        set.iter().find(|s| s.signature.matches_stream(stream))
+    }
+
     fn nuclear_like_signature() -> Signature {
         let samples = vec![
             tokenize(r#"Euur1V = this["l9D"]("ev#333399al");"#),
@@ -1043,19 +1039,21 @@ mod tests {
         set.add("RIG", rig_like_signature());
         assert_eq!(set.len(), 2);
 
-        let hit = set
-            .scan_document(r#"<script>zZzQ9p = this["abc"]("ev#000000al");</script>"#)
-            .expect("should match Nuclear");
+        let hit = scan_document(
+            &set,
+            r#"<script>zZzQ9p = this["abc"]("ev#000000al");</script>"#,
+        )
+        .expect("should match Nuclear");
         assert_eq!(hit.label, "Nuclear");
 
-        let hit = set
-            .scan_document(r#"<script>piece = buf.split(del); el.text += String.fromCharCode(piece[k]);</script>"#)
-            .expect("should match RIG");
+        let hit = scan_document(
+            &set,
+            r#"<script>piece = buf.split(del); el.text += String.fromCharCode(piece[k]);</script>"#,
+        )
+        .expect("should match RIG");
         assert_eq!(hit.label, "RIG");
 
-        assert!(set
-            .scan_document("<script>function benign() { return 42; }</script>")
-            .is_none());
+        assert!(scan_document(&set, "<script>function benign() { return 42; }</script>").is_none());
     }
 
     #[test]
@@ -1072,9 +1070,7 @@ mod tests {
         ] {
             let stream = kizzle_js::tokenize_document(doc);
             let staged = set.scan_stream(&stream).map(|s| s.signature.name.clone());
-            let linear = set
-                .scan_stream_linear(&stream)
-                .map(|s| s.signature.name.clone());
+            let linear = scan_linear(&set, &stream).map(|s| s.signature.name.clone());
             assert_eq!(staged, linear, "doc: {doc}");
         }
     }
@@ -1209,7 +1205,7 @@ mod tests {
             set.scan_stream(&stream).unwrap().signature.name,
             "shared.sig7"
         );
-        let linear = set.scan_stream_linear(&stream).unwrap();
+        let linear = scan_linear(&set, &stream).unwrap();
         assert_eq!(linear.signature.name, "shared.sig7");
         assert!(set.scan_stream(&tokenize("sharedAnchor x")).is_none());
     }
@@ -1243,7 +1239,7 @@ mod tests {
     fn empty_set_matches_nothing() {
         let set = SignatureSet::new();
         assert!(set.is_empty());
-        assert!(set.scan_document("<script>anything()</script>").is_none());
+        assert!(scan_document(&set, "<script>anything()</script>").is_none());
         assert!(set.scan_stream_nearest(&tokenize("anything"), 10).is_none());
     }
 
@@ -1395,8 +1391,8 @@ mod tests {
         assert!(restored.is_sealed());
         let doc = r#"<script>zZzQ9p = this["abc"]("ev#000000al");</script>"#;
         assert_eq!(
-            restored.scan_document(doc).map(|s| s.label.clone()),
-            set.scan_document(doc).map(|s| s.label.clone())
+            scan_document(&restored, doc).map(|s| s.label.clone()),
+            scan_document(&set, doc).map(|s| s.label.clone())
         );
 
         // Truncations decode to clean errors.

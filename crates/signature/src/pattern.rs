@@ -234,12 +234,6 @@ impl Signature {
         })
     }
 
-    /// Does the signature match a raw HTML/JavaScript document?
-    #[must_use]
-    pub fn matches_document(&self, document: &str) -> bool {
-        self.matches_stream(&kizzle_js::tokenize_document(document))
-    }
-
     /// Render the signature as a regex-like string with named capture
     /// groups, in the style of the paper's Fig. 10. The rendered length in
     /// characters is the metric of Fig. 12.
@@ -403,7 +397,7 @@ mod tests {
             "<html><script>var pre = 1; {} var post = 2;</script></html>",
             r#"Euur1V = this["l9D"]("ev#333399al");"#
         );
-        assert!(sig.matches_document(&doc));
+        assert!(sig.matches_stream(&kizzle_js::tokenize_document(&doc)));
         assert_eq!(sig.find_in(&kizzle_js::tokenize_document(&doc)), Some(5));
     }
 

@@ -28,7 +28,7 @@
 //!
 //! Profiles are built **lazily**: a document whose tokens never hit the
 //! automaton pays nothing here, keeping the miss path at stage-1 cost.
-//! Building one ([`profile_text`]) is a single branch-free pass over the
+//! Building one ([`profile_bytes`]) is a single branch-free pass over the
 //! token's bytes, folded 32 bytes at a time, plus the fingerprint's
 //! constant-size read — a hit's payload chunks cost their bytes once, not
 //! a `char` decode and a serial hash each.
@@ -202,17 +202,14 @@ fn fold_blocks(bytes: &[u8]) -> (u8, usize) {
     (lanes.iter().fold(0, |acc, &lane| acc | lane), continuations)
 }
 
-/// Profile one token's unquoted text: one pass over its bytes for the
-/// character count and the class mask, and its [`fingerprint32`].
-#[must_use]
-pub fn profile_text(text: &str) -> TokenProfile {
-    profile_bytes(text.as_bytes())
-}
-
-/// [`profile_text`] of UTF-8 `bytes` — the scan's profiles are cut from
-/// the document's text at token boundaries, so they are.
+/// Profile one token's unquoted text, as UTF-8 `bytes`: one pass over them
+/// for the character count and the class mask, and their
+/// [`fingerprint32`]. The scan's profiles are cut from the document's text
+/// at token boundaries, so the bytes are always UTF-8; `chars` counts the
+/// bytes that do not continue a UTF-8 sequence.
 #[inline]
-pub(crate) fn profile_bytes(bytes: &[u8]) -> TokenProfile {
+#[must_use]
+pub fn profile_bytes(bytes: &[u8]) -> TokenProfile {
     let (blocks, tail) = bytes.split_at(bytes.len() - bytes.len() % PROFILE_BLOCK);
     // Most tokens are shorter than a block: they are all tail.
     let (mut present, mut continuations) = if blocks.is_empty() {
@@ -598,14 +595,17 @@ mod tests {
             assert_eq!(BYTE_TABLE[usize::from(b)] >> 7, u8::from(b < 0xC0));
         }
         assert_eq!(PRESENT_MASKS[0], 0xFF, "no bytes: every class");
-        assert_eq!(profile_text("é").mask, 1 << (CharClass::Any as u8));
+        assert_eq!(
+            profile_bytes("é".as_bytes()).mask,
+            1 << (CharClass::Any as u8)
+        );
     }
 
     #[test]
     fn profile_matches_element_semantics_exactly_for_classes() {
         let stream = tokenize(r#"abc ABC 123 deadbeef a_b "quoted" é"#);
         for token in stream.tokens() {
-            let profile = profile_text(token.unquoted());
+            let profile = profile_bytes(token.unquoted().as_bytes());
             for class in CharClass::TEMPLATES {
                 let len = token.unquoted().chars().count();
                 let element = Element::Class {
@@ -629,17 +629,17 @@ mod tests {
     #[test]
     fn literal_check_accepts_equal_and_rejects_different_text() {
         let filter = SigFilter::of(&sig(vec![Element::Literal("fromCharCode".into())]));
-        assert!(filter.window_passes(&[profile_text("fromCharCode")]));
-        assert!(!filter.window_passes(&[profile_text("fromCharCodf")]));
-        assert!(!filter.window_passes(&[profile_text("fromCharCod")]));
+        assert!(filter.window_passes(&[profile_bytes(b"fromCharCode")]));
+        assert!(!filter.window_passes(&[profile_bytes(b"fromCharCodf")]));
+        assert!(!filter.window_passes(&[profile_bytes(b"fromCharCod")]));
         // Beyond 16 bytes only the ends and the length are fingerprinted:
         // a middle-only difference passes here, for stage 3 to reject.
         let long = "abcdefgh-the-middle-ijklmnop";
         let filter = SigFilter::of(&sig(vec![Element::Literal(long.into())]));
-        assert!(filter.window_passes(&[profile_text(long)]));
-        assert!(filter.window_passes(&[profile_text("abcdefgh-THE-MIDDLE-ijklmnop")]));
-        assert!(!filter.window_passes(&[profile_text("abcdefgh-the-middle-ijklmnoq")]));
-        assert!(!filter.window_passes(&[profile_text("Abcdefgh-the-middle-ijklmnop")]));
+        assert!(filter.window_passes(&[profile_bytes(long.as_bytes())]));
+        assert!(filter.window_passes(&[profile_bytes(b"abcdefgh-THE-MIDDLE-ijklmnop")]));
+        assert!(!filter.window_passes(&[profile_bytes(b"abcdefgh-the-middle-ijklmnoq")]));
+        assert!(!filter.window_passes(&[profile_bytes(b"Abcdefgh-the-middle-ijklmnop")]));
     }
 
     #[test]

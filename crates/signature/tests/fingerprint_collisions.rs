@@ -4,15 +4,20 @@
 //! first and last 8 bytes, so a token that matches all three but differs
 //! in the middle passes the prefilter. These documents are built to do
 //! exactly that, at literal lengths from just past the whole-token limit
-//! to a payload chunk: the staged scan must still answer what
-//! `scan_stream_linear` answers, and `kizzle_scan_verify_rejected_total`
+//! to a payload chunk: the staged scan must still answer what the linear
+//! oracle answers, and `kizzle_scan_verify_rejected_total`
 //! must count one rejection per colliding window.
 //!
 //! This file is its own test binary on purpose: it flips the
 //! process-global telemetry gate (see `scan_counters.rs`).
 
+mod common {
+    pub mod scan;
+}
+
+use common::scan::scan_linear;
 use kizzle_js::{tokenize, TokenStream};
-use kizzle_signature::prefilter::{fingerprint32, profile_text};
+use kizzle_signature::prefilter::{fingerprint32, profile_bytes};
 use kizzle_signature::{Element, Signature, SignatureSet};
 
 /// Literal lengths: just past the whole-token limit, a block edge, and
@@ -84,8 +89,8 @@ fn colliding_tokens_are_rejected_by_text_and_counted() {
             fingerprint32(chunk.as_bytes())
         );
         assert_eq!(
-            profile_text(&fake),
-            profile_text(chunk),
+            profile_bytes(fake.as_bytes()),
+            profile_bytes(chunk.as_bytes()),
             "the prefilter sees no difference"
         );
         colliding.push(tokenize(&format!(r#"x = {anchor}("{fake}");"#)));
@@ -95,7 +100,7 @@ fn colliding_tokens_are_rejected_by_text_and_counted() {
     let before = verify_rejected();
     for (stream, name) in colliding.iter().zip(LENGTHS) {
         assert_eq!(set.scan_stream(stream), None, "length {name}");
-        assert_eq!(set.scan_stream_linear(stream), None);
+        assert_eq!(scan_linear(&set, stream), None);
     }
     kizzle_signature::flush_scan_counters();
     assert_eq!(
@@ -110,9 +115,7 @@ fn colliding_tokens_are_rejected_by_text_and_counted() {
     let before = verify_rejected();
     for (i, stream) in exact.iter().enumerate() {
         let staged = set.scan_stream(stream).map(|s| s.signature.name.clone());
-        let linear = set
-            .scan_stream_linear(stream)
-            .map(|s| s.signature.name.clone());
+        let linear = scan_linear(&set, stream).map(|s| s.signature.name.clone());
         assert_eq!(staged, linear);
         assert_eq!(staged, Some(format!("collide.{}", LENGTHS[i])));
     }
@@ -123,8 +126,7 @@ fn colliding_tokens_are_rejected_by_text_and_counted() {
     ));
     assert_eq!(
         set.scan_stream(&both).map(|s| s.signature.name.clone()),
-        set.scan_stream_linear(&both)
-            .map(|s| s.signature.name.clone())
+        scan_linear(&set, &both).map(|s| s.signature.name.clone())
     );
     assert!(set.scan_stream(&both).is_some());
     kizzle_signature::flush_scan_counters();

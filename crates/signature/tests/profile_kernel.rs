@@ -1,12 +1,12 @@
 //! The prefilter's byte-pass profile against the seed's `char`-decoding
 //! one, and the literal fingerprint against whole-token FNV-1a.
 //!
-//! `profile_text` must give exactly the oracle's `chars` and `mask` on
+//! `profile_bytes` must give exactly the oracle's `chars` and `mask` on
 //! every string — the prefilter decides `Class` elements from them alone,
 //! so any difference is a wrong verdict — and `fingerprint32` must keep
 //! the whole-token hash for every token of at most 16 bytes.
 
-use kizzle_signature::prefilter::{fingerprint32, fnv1a32, profile_text, FINGERPRINT_WHOLE_LEN};
+use kizzle_signature::prefilter::{fingerprint32, fnv1a32, profile_bytes, FINGERPRINT_WHOLE_LEN};
 use kizzle_signature::CharClass;
 use proptest::prelude::*;
 
@@ -35,7 +35,7 @@ const PROBES: [char; 16] = [
 
 fn assert_agrees(text: &str) {
     let want = oracle::profile_text(text);
-    let got = profile_text(text);
+    let got = profile_bytes(text.as_bytes());
     assert_eq!(
         (got.chars, got.mask),
         (want.chars, want.mask),
@@ -97,14 +97,17 @@ fn empty_and_non_ascii_strings() {
     ] {
         assert_agrees(text);
     }
-    let empty = profile_text("");
+    let empty = profile_bytes(b"");
     assert_eq!(
         (empty.chars, empty.mask),
         (0, 0xFF),
         "every class accepts ε"
     );
     assert_eq!(empty.fingerprint, fnv1a32(b""));
-    assert_eq!(profile_text("é").mask, 1 << (CharClass::Any as u8));
+    assert_eq!(
+        profile_bytes("é".as_bytes()).mask,
+        1 << (CharClass::Any as u8)
+    );
 }
 
 #[test]
@@ -113,7 +116,7 @@ fn each_wordlike_punctuation_byte_alone_and_among_letters() {
         let alone = punct.to_string();
         assert_agrees(&alone);
         assert_eq!(
-            profile_text(&alone).mask,
+            profile_bytes(alone.as_bytes()).mask,
             (1 << (CharClass::Wordlike as u8)) | (1 << (CharClass::Any as u8)),
             "{punct:?}"
         );
@@ -124,7 +127,10 @@ fn each_wordlike_punctuation_byte_alone_and_among_letters() {
     // Neighbours of the punctuation bytes are not Wordlike.
     for other in [",", ";", "<", ">", "@", "[", "^", "`", "{", "%", "+", "'"] {
         assert_agrees(other);
-        assert_eq!(profile_text(other).mask, 1 << (CharClass::Any as u8));
+        assert_eq!(
+            profile_bytes(other.as_bytes()).mask,
+            1 << (CharClass::Any as u8)
+        );
     }
 }
 
@@ -160,7 +166,7 @@ fn every_one_and_two_byte_input_keeps_its_whole_token_hash() {
     assert_eq!(fingerprint32(&sixteen), fnv1a32(&sixteen));
     assert_eq!(
         oracle::profile_text("fromCharCode").fingerprint,
-        profile_text("fromCharCode").fingerprint,
+        profile_bytes(b"fromCharCode").fingerprint,
         "short literals keep their version-1 value"
     );
 }

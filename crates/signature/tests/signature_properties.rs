@@ -1,7 +1,7 @@
 //! Property-based tests for signature generation and matching.
 
 use kizzle_corpus::{variation_prefix, KitFamily, KitModel, SimDate};
-use kizzle_js::{tokenize, tokenize_document_capped, TokenStream, Tokens};
+use kizzle_js::{tokenize, tokenize_document_capped, TokenStream};
 use kizzle_signature::generate::{find_common_window, generate_signature};
 use kizzle_signature::verify::nearest_in_stream;
 use kizzle_signature::{
@@ -13,11 +13,14 @@ use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
 /// The seed generator (per-window `Vec<usize>` maps at every probe
-/// length): the oracle for the content-keyed common-window search.
+/// length): the oracle for the content-keyed common-window search; and the
+/// linear and unbanded-DP scan oracles.
 mod common {
     pub mod reference;
+    pub mod scan;
 }
 use common::reference;
+use common::scan::{nearest_naive, scan_linear};
 
 /// One source token per class code: each lexes to a token of a different
 /// class, so a code sequence spells a class string.
@@ -187,25 +190,6 @@ fn document_strategy() -> impl Strategy<Value = String> {
     })
 }
 
-/// Full, unbanded semi-global DP — the independent oracle the banded
-/// kernel is held to (mirrors `verify::nearest_naive`, reimplemented here
-/// because that one is crate-private).
-fn naive_nearest(elements: &[Element], tokens: Tokens<'_>) -> usize {
-    let m = elements.len();
-    let mut prev: Vec<usize> = (0..=m).collect();
-    let mut best = m;
-    for token in tokens {
-        let mut cur = vec![0usize; m + 1];
-        for j in 1..=m {
-            let sub = usize::from(!elements[j - 1].matches_token(token));
-            cur[j] = (prev[j - 1] + sub).min(prev[j] + 1).min(cur[j - 1] + 1);
-        }
-        best = best.min(cur[m]);
-        prev = cur;
-    }
-    best
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -315,9 +299,7 @@ proptest! {
         for doc in &docs {
             let stream = tokenize(doc);
             let staged = set.scan_stream(&stream).map(|s| s.signature.name.as_str());
-            let linear = set
-                .scan_stream_linear(&stream)
-                .map(|s| s.signature.name.as_str());
+            let linear = scan_linear(&set, &stream).map(|s| s.signature.name.as_str());
             prop_assert_eq!(staged, linear, "doc: {:?}", doc);
         }
         // The empty stream, explicitly.
@@ -367,7 +349,7 @@ proptest! {
         doc in document_strategy(),
     ) {
         let stream = tokenize(&doc);
-        let want = naive_nearest(&elements, stream.tokens());
+        let want = nearest_naive(&elements, stream.tokens());
         for cutoff in 0..=elements.len() + 2 {
             let got = nearest_in_stream(&elements, stream.tokens(), cutoff);
             if want <= cutoff {
@@ -390,7 +372,7 @@ proptest! {
         let brute = set
             .iter()
             .enumerate()
-            .map(|(i, s)| (naive_nearest(&s.signature.elements, stream.tokens()), i))
+            .map(|(i, s)| (nearest_naive(&s.signature.elements, stream.tokens()), i))
             .filter(|&(d, _)| d <= max_edits)
             .min();
         let got = set.scan_stream_nearest(&stream, max_edits);
@@ -421,5 +403,43 @@ proptest! {
         prop_assert_eq!(sig.render(), sig.render());
         prop_assert_eq!(sig.rendered_len(), sig.render().chars().count());
         prop_assert!(sig.rendered_len() > 0);
+    }
+}
+
+/// The banded kernel against the unbanded DP on hand-built cases: exact
+/// hits, near misses on either side of the region, class elements, an
+/// absent literal and interleaved noise tokens.
+#[test]
+fn banded_agrees_with_naive_on_structured_cases() {
+    let lit = |s: &str| Element::Literal(s.to_string());
+    let digits = || Element::Class {
+        class: CharClass::Digits,
+        min_len: 1,
+        max_len: 4,
+    };
+    let cases: Vec<(Vec<Element>, &str)> = vec![
+        (vec![lit("this"), lit("["), lit("x"), lit("]")], "this[x]"),
+        (
+            vec![lit("this"), lit("["), lit("x"), lit("]")],
+            "self[x] this(x) this[y]",
+        ),
+        (vec![digits(), lit("+"), digits()], "a = 12 + 34; b = x + 1"),
+        (vec![lit("absent")], "nothing here matches at all"),
+        (
+            vec![lit("a"), lit("b"), lit("c"), lit("d"), lit("e")],
+            "a b x c d q e",
+        ),
+    ];
+    for (elements, doc) in cases {
+        let stream = tokenize(doc);
+        let want = nearest_naive(&elements, stream.tokens());
+        for cutoff in 0..=elements.len() + 2 {
+            let got = nearest_in_stream(&elements, stream.tokens(), cutoff);
+            if want <= cutoff {
+                assert_eq!(got, Some(want), "doc {doc:?} cutoff {cutoff}");
+            } else {
+                assert_eq!(got, None, "doc {doc:?} cutoff {cutoff}");
+            }
+        }
     }
 }

@@ -32,8 +32,8 @@ impl WinnowConfig {
     }
 
     /// The guarantee threshold `t = window + k - 1`.
-    #[must_use]
-    pub fn guarantee_threshold(&self) -> usize {
+    #[cfg(test)]
+    fn guarantee_threshold(&self) -> usize {
         self.window + self.k - 1
     }
 }

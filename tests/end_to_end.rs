@@ -3,7 +3,7 @@
 
 use kizzle::{KizzleConfig, KizzleService, ReferenceCorpus};
 use kizzle_avsim::{AvConfig, AvEngine};
-use kizzle_cluster::{DbscanParams, DistributedClusterer, DistributedConfig};
+use kizzle_cluster::{CorpusEngine, DbscanParams, DistributedConfig};
 use kizzle_corpus::{GraywareStream, GroundTruth, KitFamily, KitModel, SimDate, StreamConfig};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -50,9 +50,9 @@ fn packed_samples_cluster_by_family_at_the_paper_threshold() {
         .map(|(_, html)| kizzle_js::tokenize_document_capped(html, 600).class_codes())
         .collect();
 
-    let clusterer =
-        DistributedClusterer::new(DistributedConfig::new(2, DbscanParams::new(0.10, 3), 1));
-    let (clustering, _) = clusterer.cluster_token_strings(&token_strings);
+    let mut engine = CorpusEngine::new(DistributedConfig::new(2, DbscanParams::new(0.10, 3), 1));
+    let ids = engine.add_batch(0, &token_strings);
+    let (clustering, _) = engine.cluster_day(&ids);
     assert!(clustering.is_partition());
     assert!(
         clustering.cluster_count() >= 3,
