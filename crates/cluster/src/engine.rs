@@ -548,10 +548,9 @@ impl PreparedDay {
             }
         }
         self.stats.map_time = self.t_map.elapsed() - self.stats.partition_time;
-        // The map measurement starts on the preparing thread (`t_map`) and
-        // closes here, possibly on the seal thread — an RAII guard cannot
-        // cross that boundary, so the already-measured duration is recorded
-        // explicitly.
+        // The map measurement starts in `prepare_day` (`t_map`) and closes
+        // here — an RAII guard cannot cross that call boundary, so the
+        // already-measured duration is recorded explicitly.
         kizzle_telemetry::record_span("cluster.map", self.stats.map_time);
         for outcome in &outcomes {
             self.stats.per_partition_clusters.push(outcome.0.len());

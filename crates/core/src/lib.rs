@@ -32,7 +32,7 @@
 //! compiler state, [`KizzleService::begin_day`] opens a streaming
 //! [`DaySession`] that ingests the day as [`Batch`]es — one way in,
 //! whether a batch is borrowed, owned, `Arc`-shared or already tokenized —
-//! and seals it inline or in the background, and
+//! and seals it on the caller's thread, and
 //! [`KizzleService::save`] / [`KizzleService::open`] persist and resume
 //! the state as a snapshot chain. [`KizzleService::matcher`] hands out
 //! cloneable `Send + Sync` [`Matcher`] read handles that keep scanning —
@@ -89,8 +89,7 @@ pub use error::KizzleError;
 pub use pipeline::{ClusterVerdict, DayReport, PipelineStats};
 pub use reference::ReferenceCorpus;
 pub use service::{
-    Batch, DaySession, IngestProducer, KizzleService, Matcher, ScanVerdict, SealHandle,
-    DEFAULT_PIPELINE_BOUND,
+    Batch, DaySession, IngestProducer, KizzleService, Matcher, ScanVerdict, PIPELINE_BOUND,
 };
 pub use snapshot::{config_fingerprint, read_signatures, ResumeReport, DEFAULT_MAX_DELTAS};
 pub use source::{ChainFollower, EpochSource, FollowHandle, SignatureSource};
@@ -105,7 +104,7 @@ pub mod prelude {
     pub use crate::pipeline::{ClusterVerdict, DayReport, PipelineStats};
     pub use crate::reference::ReferenceCorpus;
     pub use crate::service::{
-        Batch, DaySession, IngestProducer, KizzleService, Matcher, ScanVerdict, SealHandle,
+        Batch, DaySession, IngestProducer, KizzleService, Matcher, ScanVerdict,
     };
     pub use crate::snapshot::ResumeReport;
     pub use crate::source::{ChainFollower, EpochSource, SignatureSource};

@@ -26,7 +26,7 @@ pub struct ClusterVerdict {
 }
 
 /// Counters from the session ingest frontend, surfaced per day in the
-/// [`DayReport`] so pipeline overlap and backpressure are measurable.
+/// [`DayReport`] so ingest backpressure is measurable.
 ///
 /// A [`DaySession`](crate::DaySession) counts every non-empty mini-batch
 /// (the single-shot [`KizzleService::process_day`](crate::KizzleService::process_day)
@@ -51,27 +51,6 @@ pub struct PipelineStats {
 }
 
 impl PipelineStats {
-    /// A hint for the next run's channel bound, derived from this run's
-    /// backpressure — the first step of the ROADMAP adaptive-channel-bound
-    /// follow-up. `None` when no producer ever stalled: the bound was not
-    /// the bottleneck, so there is nothing to suggest. Otherwise the
-    /// smallest power of two above twice the observed high-water mark —
-    /// producers filled the channel to its bound (that is what a stall
-    /// means), so the mark *is* the current bound and doubling it gives the
-    /// frontend room to absorb the burst that caused the stall.
-    #[must_use]
-    pub fn suggested_bound(&self) -> Option<u64> {
-        if self.producer_stalls == 0 {
-            return None;
-        }
-        Some(
-            self.max_queue_depth
-                .saturating_mul(2)
-                .next_power_of_two()
-                .max(2),
-        )
-    }
-
     /// Fold these per-day counters into the global telemetry registry
     /// (`kizzle_ingest_producer_stalls_total`,
     /// `kizzle_pipeline_max_queue_depth` as a run-level high-water mark).
@@ -236,12 +215,10 @@ impl KizzleCompiler {
     }
 
     /// Session phase 3 — record (or replace) the day's retained view and
-    /// capture the clustering inputs while the compiler is borrowed.
-    /// `day_ids` is the concatenation of every ingested batch's ids. The
-    /// returned [`PreparedDay`](kizzle_cluster::PreparedDay) owns
-    /// everything the clustering needs, so the borrow can end before the
-    /// expensive, engine-free
-    /// [`finish`](kizzle_cluster::PreparedDay::finish) starts.
+    /// capture the clustering inputs. `day_ids` is the concatenation of
+    /// every ingested batch's ids; the seal runs the returned
+    /// [`PreparedDay`](kizzle_cluster::PreparedDay) inside its `day.seal`
+    /// span.
     ///
     /// Re-sealing a day *replaces* its view: a crashed cron job that
     /// re-runs the same date (allowed by the service's monotone check)
@@ -260,11 +237,9 @@ impl KizzleCompiler {
     }
 
     /// Session phase 4 — label cluster prototypes against the reference
-    /// corpus, absorb labeled prototypes, and generate signatures. Touches
-    /// reference/signatures/counters but **never** the engine, which is
-    /// what lets the next day's ingest mutate the warm store while this
-    /// runs. `samples`/`streams` are the position-parallel concatenation
-    /// of every ingested batch.
+    /// corpus, absorb labeled prototypes, and generate signatures.
+    /// `samples`/`streams` are the position-parallel concatenation of
+    /// every ingested batch.
     pub(crate) fn label_and_sign(
         &mut self,
         date: SimDate,

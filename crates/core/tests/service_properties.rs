@@ -127,41 +127,32 @@ proptest! {
         prop_assert_eq!(window_single, window_batched);
     }
 
-    /// The pipelined frontend with **multiple producer threads** plus an
-    /// **overlapped background seal** is still byte-identical to the
-    /// one-batch day, whichever route each batch takes through the
-    /// channel. Producers hand off mini-batches through the
-    /// bounded channel in a rendezvous order (the day's sample sequence is
-    /// defined by channel FIFO order, so the test serializes *sends* while
-    /// still exercising cross-thread submission and backpressure), and
-    /// each day's seal runs concurrently with the next day's ingest.
+    /// The pipelined frontend with **multiple producer threads** is still
+    /// byte-identical to the one-batch day, whichever route each batch
+    /// takes through the channel. Producers hand off mini-batches through
+    /// the bounded channel in a rendezvous order (the day's sample
+    /// sequence is defined by channel FIFO order, so the test serializes
+    /// *sends* while still exercising cross-thread submission), and each
+    /// day's seal flushes the channel before it clusters.
     #[test]
-    fn pipelined_multi_producer_with_overlapped_seal_equals_single_shot(
+    fn pipelined_multi_producer_equals_single_shot(
         day_sizes in prop::collection::vec(8usize..48, 2..4),
         batch_size in 1usize..16,
         routes in prop::collection::vec(0u8..4, 1..8),
         producers in 2usize..4,
-        channel_bound in 1usize..4,
         seed in 0u64..1000,
     ) {
         let mut single = fast_service();
         let mut piped = fast_service();
         let token_cap = piped.config().token_cap;
         let mut date = SimDate::new(2014, 8, 5);
-        let mut pending: Option<SealHandle> = None;
-        let mut want_reports = Vec::new();
-        let mut got_reports = Vec::new();
 
         for (d, &size) in day_sizes.iter().enumerate() {
             let day = day_samples(date, size, seed.wrapping_add(d as u64));
-            want_reports.push(normalized(
-                single.process_day(date, &day).expect("single-shot day"),
-            ));
+            let want = single.process_day(date, &day).expect("single-shot day");
 
-            // begin_day + pipelined ingest run while the *previous* day's
-            // background seal is (potentially) still in flight.
             let mut session = piped.begin_day(date).expect("day opens");
-            let producer = session.pipeline(channel_bound);
+            let producer = session.pipeline_auto();
             let chunks: Vec<&[Sample]> = day.chunks(batch_size).collect();
             let turn = Arc::new(std::sync::atomic::AtomicUsize::new(0));
             std::thread::scope(|scope| {
@@ -185,17 +176,11 @@ proptest! {
                 }
             });
             drop(producer);
-            // Only now collect the previous day's overlapped report.
-            if let Some(handle) = pending.take() {
-                got_reports.push(normalized(handle.wait()));
-            }
-            pending = Some(session.seal_background());
-            let _ = d;
+            let got = session.seal();
+            prop_assert_eq!(normalized(want), normalized(got), "day {}", d);
             date = date.next();
         }
-        got_reports.push(normalized(pending.take().expect("last handle").wait()));
 
-        prop_assert_eq!(want_reports, got_reports);
         prop_assert_eq!(&*single.signatures(), &*piped.signatures());
         prop_assert_eq!(single.engine().len(), piped.engine().len());
         prop_assert_eq!(
@@ -231,7 +216,7 @@ proptest! {
             let want = single.process_day(date, &day).expect("single-shot day");
 
             let mut session = piped.begin_day(date).expect("day opens");
-            let producer = session.pipeline(64);
+            let producer = session.pipeline_auto();
             prop_assert!(producer.send(&day[..head]));
             for (i, chunk) in day[head..].chunks(batch_size).enumerate() {
                 prop_assert!(producer.send(routed(routes[i % routes.len()], chunk, token_cap)));
@@ -255,7 +240,7 @@ fn small_batches_queue_up_behind_a_busy_worker() {
     let day = day_samples(date, 420, 17);
     let mut service = fast_service();
     let mut session = service.begin_day(date).expect("day opens");
-    let producer = session.pipeline(64);
+    let producer = session.pipeline_auto();
     assert!(producer.send(&day[..300]));
     for chunk in day[300..].chunks(2) {
         assert!(producer.send(chunk));
@@ -281,7 +266,7 @@ fn cutoff_met_mid_drain_applies_what_was_queued_before_it_and_nothing_after() {
     let late = distinct_content(day_samples(date, 90, 24), day.len() as u64);
     let mut service = fast_service();
     let mut session = service.begin_day(date).expect("day opens");
-    let producer = session.pipeline(256);
+    let producer = session.pipeline_auto();
     // The head keeps the worker busy; the tail queues behind it.
     assert!(producer.send(&day[..100]));
     let early_batches = 1 + day[100..].chunks(4).len() as u64;
@@ -325,8 +310,8 @@ fn cutoff_met_mid_drain_applies_what_was_queued_before_it_and_nothing_after() {
 }
 
 /// A session dropped while a group is in flight stops at a batch
-/// boundary — only whole batches are in the store — and a producer
-/// blocked on the full channel unblocks.
+/// boundary — only whole batches are in the store — and the producer
+/// still sending unblocks.
 #[test]
 fn session_dropped_mid_group_leaves_whole_batches_and_unblocks_producers() {
     const BATCH: usize = 7;
@@ -335,7 +320,7 @@ fn session_dropped_mid_group_leaves_whole_batches_and_unblocks_producers() {
     let mut service = fast_service();
     let accepted = {
         let mut session = service.begin_day(date).expect("day opens");
-        let producer = session.pipeline(8);
+        let producer = session.pipeline_auto();
         let flooder = {
             let day = day.clone();
             std::thread::spawn(move || {
@@ -466,74 +451,4 @@ fn consecutive_seals_publish_monotonically() {
         .expect("day 2");
     assert_eq!(matcher.epoch(), 2);
     assert!(matcher.signatures().len() >= after_day1);
-}
-
-/// Scanner threads hammer matcher clones while a **background** seal is
-/// in flight and the next day is already ingesting — the overlapped
-/// variant of the torn-set property. Every observed set must be a
-/// complete published epoch; the background publish is the same atomic
-/// swap as the synchronous one.
-#[test]
-fn matcher_clones_never_observe_a_torn_set_during_overlapped_seal() {
-    let mut service = fast_service();
-    let d1 = SimDate::new(2014, 8, 5);
-    let d2 = SimDate::new(2014, 8, 6);
-    let day1 = day_samples(d1, 48, 14);
-    let day2 = day_samples(d2, 32, 15);
-    let malicious = day1
-        .iter()
-        .find(|s| s.truth.is_malicious())
-        .expect("malicious sample in a 50% day")
-        .html
-        .clone();
-
-    let matcher = service.matcher();
-    let stop = Arc::new(AtomicBool::new(false));
-    let scanners: Vec<_> = (0..3)
-        .map(|_| {
-            let matcher = matcher.clone();
-            let stop = Arc::clone(&stop);
-            let probe = malicious.clone();
-            std::thread::spawn(move || {
-                while !stop.load(Ordering::Relaxed) {
-                    let set = matcher.signatures();
-                    let len_a = set.len();
-                    let hit = set.scan_document_index(&probe, usize::MAX).is_some();
-                    assert_eq!(len_a, set.len(), "set mutated under a reader");
-                    if hit {
-                        assert!(len_a > 0);
-                        assert!(matcher.epoch() >= 1);
-                    }
-                }
-            })
-        })
-        .collect();
-
-    let mut session = service.begin_day(d1).expect("day 1 opens");
-    session.ingest(&day1);
-    let handle = session.seal_background();
-    // Overlap: day 2 ingests while day 1 seals and the scanners scan.
-    let mut next = service.begin_day(d2).expect("day 2 opens");
-    for chunk in day2.chunks(8) {
-        next.ingest(chunk);
-    }
-    let report1 = handle.wait();
-    assert!(
-        !report1.new_signatures.is_empty(),
-        "day 1 produced no signatures; report: {report1}"
-    );
-    let report2 = next.seal();
-    stop.store(true, Ordering::Relaxed);
-    for scanner in scanners {
-        scanner.join().expect("scanner thread panicked");
-    }
-
-    // Both publishes landed in order; the handle converged.
-    assert_eq!(matcher.epoch(), 2);
-    let _ = report2;
-    let detected = day1
-        .iter()
-        .filter(|s| matcher.scan(&s.html).is_some())
-        .count();
-    assert!(detected > 0);
 }

@@ -3,8 +3,7 @@
 //! produces byte-identical results to running it **off** — reports,
 //! signatures, and warm engine state. The instrumented run here is the
 //! hardest shape the service supports: multiple producer threads feeding
-//! the bounded-channel frontend while the previous day's seal runs
-//! overlapped in the background, so every span/counter site in
+//! the bounded-channel frontend, so every span/counter site in
 //! service.rs, pipeline.rs, engine.rs, distributed.rs and matcher.rs is
 //! exercised while the comparison runs.
 //!
@@ -54,25 +53,22 @@ fn normalized(mut report: DayReport) -> DayReport {
     report
 }
 
-/// One multi-producer pipelined run with overlapped background seals,
-/// returning the per-day normalized reports. Identical driving logic for
-/// both the telemetry-off and telemetry-on arms — only the global gate
-/// differs between them.
+/// One multi-producer pipelined run, returning the per-day normalized
+/// reports. Identical driving logic for both the telemetry-off and
+/// telemetry-on arms — only the global gate differs between them.
 fn pipelined_run(
     service: &mut KizzleService,
     day_sizes: &[usize],
     batch_size: usize,
     producers: usize,
-    channel_bound: usize,
     seed: u64,
 ) -> Vec<DayReport> {
     let mut date = SimDate::new(2014, 8, 5);
-    let mut pending: Option<SealHandle> = None;
     let mut reports = Vec::new();
     for (d, &size) in day_sizes.iter().enumerate() {
         let day = day_samples(date, size, seed.wrapping_add(d as u64));
         let mut session = service.begin_day(date).expect("day opens");
-        let producer = session.pipeline(channel_bound);
+        let producer = session.pipeline_auto();
         let chunks: Vec<Arc<[Sample]>> = day.chunks(batch_size).map(Arc::from).collect();
         let turn = Arc::new(AtomicUsize::new(0));
         std::thread::scope(|scope| {
@@ -95,13 +91,9 @@ fn pipelined_run(
             }
         });
         drop(producer);
-        if let Some(handle) = pending.take() {
-            reports.push(normalized(handle.wait()));
-        }
-        pending = Some(session.seal_background());
+        reports.push(normalized(session.seal()));
         date = date.next();
     }
-    reports.push(normalized(pending.take().expect("last handle").wait()));
     reports
 }
 
@@ -118,16 +110,13 @@ proptest! {
         day_sizes in prop::collection::vec(8usize..48, 2..4),
         batch_size in 1usize..16,
         producers in 2usize..4,
-        channel_bound in 1usize..4,
         seed in 0u64..1000,
     ) {
         let _gate = GATE.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
         // Arm 1: gate off (the default production posture).
         kizzle_telemetry::set_enabled(false);
         let mut plain = fast_service();
-        let want = pipelined_run(
-            &mut plain, &day_sizes, batch_size, producers, channel_bound, seed,
-        );
+        let want = pipelined_run(&mut plain, &day_sizes, batch_size, producers, seed);
 
         // Arm 2: gate on, same inputs. Drain leftovers first so the span
         // assertions below see only this run's records.
@@ -135,9 +124,7 @@ proptest! {
         let _ = kizzle_telemetry::drain();
         let sealed_before = kizzle_telemetry::counter("kizzle_days_sealed_total").value();
         let mut traced = fast_service();
-        let got = pipelined_run(
-            &mut traced, &day_sizes, batch_size, producers, channel_bound, seed,
-        );
+        let got = pipelined_run(&mut traced, &day_sizes, batch_size, producers, seed);
         let sealed_after = kizzle_telemetry::counter("kizzle_days_sealed_total").value();
         let records = kizzle_telemetry::drain();
         kizzle_telemetry::set_enabled(false);
@@ -162,53 +149,42 @@ proptest! {
     }
 }
 
-/// The inline seal and the background seal are one body: over the same
-/// day they record the same multiset of span names, and `day.publish` is
-/// the last span either records — what the ledger's clock alignment
-/// (`perf_ledger/days.rs`) leans on.
+/// A seal records its phases and `day.publish` is the last span it
+/// records — what the ledger's clock alignment (`perf_ledger/days.rs`)
+/// leans on.
 #[test]
-fn inline_and_background_seals_record_the_same_spans_ending_in_publish() {
+fn seal_records_its_spans_ending_in_publish() {
     let _gate = GATE.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
     let date = SimDate::new(2014, 8, 5);
     let day = day_samples(date, 40, 9);
-    let seal_spans = |background: bool| {
-        let mut service = fast_service();
-        let mut session = service.begin_day(date).expect("day opens");
-        session.ingest(&day);
-        kizzle_telemetry::set_enabled(true);
-        let _ = kizzle_telemetry::drain();
-        let report = if background {
-            session.seal_background().wait()
-        } else {
-            session.seal()
-        };
-        let records = kizzle_telemetry::drain();
-        kizzle_telemetry::set_enabled(false);
-        assert!(!report.new_signatures.is_empty(), "report: {report}");
+    let mut service = fast_service();
+    let mut session = service.begin_day(date).expect("day opens");
+    session.ingest(&day);
+    kizzle_telemetry::set_enabled(true);
+    let _ = kizzle_telemetry::drain();
+    let report = session.seal();
+    let records = kizzle_telemetry::drain();
+    kizzle_telemetry::set_enabled(false);
+    assert!(!report.new_signatures.is_empty(), "report: {report}");
 
-        let spans: Vec<(&str, u64)> = records
-            .iter()
-            .filter_map(|r| match r {
-                kizzle_telemetry::Record::Span {
-                    name,
-                    start_us,
-                    dur_us,
-                    ..
-                } => Some((*name, start_us + dur_us)),
-                kizzle_telemetry::Record::Event { .. } => None,
-            })
-            .collect();
-        let &(last, publish_end) = spans.last().expect("the seal recorded spans");
-        assert_eq!(last, "day.publish", "background={background}: {spans:?}");
-        assert!(
-            spans.iter().all(|&(_, end)| end <= publish_end),
-            "background={background}: a span ends after day.publish: {spans:?}"
-        );
-        let mut names: Vec<&str> = spans.into_iter().map(|(name, _)| name).collect();
-        names.sort_unstable();
-        names
-    };
-    let inline = seal_spans(false);
-    assert!(inline.contains(&"day.seal") && inline.contains(&"day.cluster"));
-    assert_eq!(inline, seal_spans(true));
+    let spans: Vec<(&str, u64)> = records
+        .iter()
+        .filter_map(|r| match r {
+            kizzle_telemetry::Record::Span {
+                name,
+                start_us,
+                dur_us,
+                ..
+            } => Some((*name, start_us + dur_us)),
+            kizzle_telemetry::Record::Event { .. } => None,
+        })
+        .collect();
+    let &(last, publish_end) = spans.last().expect("the seal recorded spans");
+    assert_eq!(last, "day.publish", "{spans:?}");
+    assert!(
+        spans.iter().all(|&(_, end)| end <= publish_end),
+        "a span ends after day.publish: {spans:?}"
+    );
+    let names: Vec<&str> = spans.into_iter().map(|(name, _)| name).collect();
+    assert!(names.contains(&"day.seal") && names.contains(&"day.cluster"));
 }

@@ -5,7 +5,6 @@ use kizzle::prelude::*;
 use kizzle_avsim::{AvConfig, AvEngine};
 use kizzle_corpus::{GraywareStream, GroundTruth, KitFamily, Sample, SimDate, StreamConfig};
 use serde::Serialize;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// Configuration of an evaluation run.
@@ -31,25 +30,6 @@ pub struct EvalConfig {
     /// save rewrites the full base. `0` writes a full snapshot every day
     /// (the pre-chain behavior).
     pub compact_every: usize,
-    /// Streaming-ingest mini-batch size: each day is fed to the
-    /// [`DaySession`] in chunks of this many samples, as a live frontend
-    /// would. `0` ingests the whole day in one call — the single-shot
-    /// semantics of the pre-façade `process_day`. Both shapes seal to
-    /// byte-identical reports (the façade's core property), which the CI
-    /// examples smoke diffs end to end.
-    pub ingest_batch: usize,
-    /// Pipelined-frontend producer thread count: with a non-zero value
-    /// (and a non-zero [`EvalConfig::ingest_batch`]) the day's mini-batches
-    /// ride the bounded-channel frontend from this many producer threads
-    /// instead of the caller's thread. The producers rendezvous on a turn
-    /// counter so the day's sample order — and therefore every report —
-    /// stays byte-identical to the serial shapes, which the CI pipelined
-    /// smoke diffs end to end. `0` keeps the direct in-session ingest.
-    pub pipeline_producers: usize,
-    /// Channel bound for the pipelined frontend (mini-batches that may
-    /// queue before producers block); clamped to at least 1 when the
-    /// pipelined mode is on.
-    pub pipeline_bound: usize,
 }
 
 impl EvalConfig {
@@ -68,9 +48,6 @@ impl EvalConfig {
             end: SimDate::evaluation_end(),
             window_cluster: false,
             compact_every: kizzle::DEFAULT_MAX_DELTAS,
-            ingest_batch: 0,
-            pipeline_producers: 0,
-            pipeline_bound: 0,
         }
     }
 
@@ -90,9 +67,6 @@ impl EvalConfig {
             end: SimDate::new(2014, 8, 16),
             window_cluster: false,
             compact_every: kizzle::DEFAULT_MAX_DELTAS,
-            ingest_batch: 0,
-            pipeline_producers: 0,
-            pipeline_bound: 0,
         }
     }
 }
@@ -249,10 +223,9 @@ impl MonthlyEvaluation {
         MonthlyResult { days, per_family }
     }
 
-    /// One simulated day against one service: stream the day into a
-    /// session (mini-batched per [`EvalConfig::ingest_batch`]), seal, then
-    /// scan every sample through a matcher handle over the freshly
-    /// published set.
+    /// One simulated day against one service: the pre-tokenized day as
+    /// one batch through [`KizzleService::process_day`], then every sample
+    /// scanned through a matcher handle over the freshly published set.
     fn process_one_day(
         &self,
         service: &mut KizzleService,
@@ -261,9 +234,8 @@ impl MonthlyEvaluation {
         date: SimDate,
         per_family: &mut [(KitFamily, FamilyCounts)],
     ) -> DailyMetrics {
-        // Held as one shared allocation: the single-shot mode hands the
-        // session this `Arc`, so the day's documents are never buffered
-        // twice.
+        // Held as one shared allocation: the session gets this `Arc`, so
+        // the day's documents are never buffered twice.
         let samples: Arc<[Sample]> = stream.generate_day(date).into();
         let streams: Vec<_> = {
             // The eval pre-tokenizes the day (both detectors scan the same
@@ -277,62 +249,16 @@ impl MonthlyEvaluation {
                 .map(|s| kizzle_js::tokenize_document_capped(&s.html, token_cap))
                 .collect()
         };
-        let report = match (self.config.ingest_batch, self.config.pipeline_producers) {
-            // Single-shot: the whole day as one batch.
-            (0, _) => service
-                .process_day(
-                    date,
-                    Batch::tokenized(Arc::clone(&samples), streams.clone()),
-                )
-                .expect("evaluation days are monotone"),
-            (chunk, 0) => {
-                let mut session = service
-                    .begin_day(date)
-                    .expect("evaluation days are monotone");
-                for (sample_chunk, stream_chunk) in samples.chunks(chunk).zip(streams.chunks(chunk))
-                {
-                    session.ingest(Batch::tokenized(sample_chunk, stream_chunk.to_vec()));
-                }
-                session.seal()
-            }
-            // Pipelined: the mini-batches ride the bounded channel from
-            // `producers` threads. A turn rendezvous serializes the *sends*
-            // (channel FIFO order defines the day's sample order) while
-            // still exercising cross-thread submission and backpressure —
-            // so the sealed report stays byte-identical to the serial
-            // shapes above.
-            (chunk, producers) => {
-                let mut session = service
-                    .begin_day(date)
-                    .expect("evaluation days are monotone");
-                let producer = session.pipeline(self.config.pipeline_bound);
-                let chunks: Vec<(&[Sample], &[kizzle_js::TokenStream])> =
-                    samples.chunks(chunk).zip(streams.chunks(chunk)).collect();
-                let turn = AtomicUsize::new(0);
-                std::thread::scope(|scope| {
-                    for worker in 0..producers {
-                        let producer = producer.clone();
-                        let turn = &turn;
-                        let chunks = &chunks;
-                        scope.spawn(move || {
-                            for (i, (sample_chunk, stream_chunk)) in chunks.iter().enumerate() {
-                                if i % producers != worker {
-                                    continue;
-                                }
-                                while turn.load(Ordering::Acquire) != i {
-                                    std::thread::yield_now();
-                                }
-                                assert!(producer
-                                    .send(Batch::tokenized(*sample_chunk, stream_chunk.to_vec())));
-                                turn.store(i + 1, Ordering::Release);
-                            }
-                        });
-                    }
-                });
-                drop(producer);
-                session.seal()
-            }
-        };
+        // The whole day as one batch, sharing the caller's allocation.
+        // How a day is cut into batches never changes the seal —
+        // `kizzle`'s `tests/service_properties.rs` holds every shape to
+        // this one.
+        let report = service
+            .process_day(
+                date,
+                Batch::tokenized(Arc::clone(&samples), streams.clone()),
+            )
+            .expect("evaluation days are monotone");
         let matcher = service.matcher();
 
         let mut kizzle_counts = DetectorCounts::default();
@@ -550,34 +476,6 @@ mod tests {
         // Without the flag the column stays empty.
         let result = MonthlyEvaluation::new(three_day_config(5)).run();
         assert!(result.days.iter().all(|d| d.window_clusters.is_none()));
-    }
-
-    #[test]
-    fn mini_batched_ingest_matches_single_shot_end_to_end() {
-        // The façade's core property, exercised through the whole eval
-        // harness: streaming each day in mini-batches produces the same
-        // report table as single-shot ingest.
-        let single = MonthlyEvaluation::new(three_day_config(5)).run();
-        let mut batched_config = three_day_config(5);
-        batched_config.ingest_batch = 7;
-        let batched = MonthlyEvaluation::new(batched_config).run();
-        assert_eq!(normalized(&single.days), normalized(&batched.days));
-        assert_eq!(single.per_family, batched.per_family);
-    }
-
-    #[test]
-    fn pipelined_multi_producer_ingest_matches_single_shot_end_to_end() {
-        // The PR 7 tentpole property through the whole harness: the
-        // bounded-channel frontend with several producer threads and the
-        // serial single-shot runs produce identical report tables.
-        let single = MonthlyEvaluation::new(three_day_config(5)).run();
-        let mut piped_config = three_day_config(5);
-        piped_config.ingest_batch = 7;
-        piped_config.pipeline_producers = 3;
-        piped_config.pipeline_bound = 2;
-        let piped = MonthlyEvaluation::new(piped_config).run();
-        assert_eq!(normalized(&single.days), normalized(&piped.days));
-        assert_eq!(single.per_family, piped.per_family);
     }
 
     #[test]

@@ -259,8 +259,9 @@ impl Drop for SpanGuard {
 /// Record an already-measured span duration under `name`.
 ///
 /// For measurements that cannot be an RAII guard: durations that cross a
-/// thread boundary (the cluster map phase starts on the ingest worker and
-/// closes on the seal thread) or are accumulated across a loop (per-day
+/// call boundary (the cluster map phase starts in the engine's
+/// `prepare_day` and closes in `PreparedDay::finish`, which may run on
+/// another thread) or are accumulated across a loop (per-day
 /// winnow/siggen totals). Recorded at the current thread's depth, as a
 /// span that *ends* now.
 pub fn record_span(name: &'static str, duration: Duration) {

@@ -12,14 +12,6 @@
 //! miniature. Its report table is byte-identical to the long-lived run
 //! (CI diffs the two). `--window-cluster` adds the multi-day eval mode: a
 //! `window` column with the cluster count over the whole retention window.
-//! `--ingest-batch N` streams each day into the `DaySession` in
-//! mini-batches of N samples, as a live frontend would; the report table
-//! is byte-identical to the default single-shot ingest (CI diffs that
-//! pair too — the façade's core property, end to end). `--producers N`
-//! (with `--ingest-batch`) routes those mini-batches through the
-//! bounded-channel pipelined frontend from N producer threads
-//! (`--channel-bound` sets the channel capacity) — still byte-identical
-//! on stdout, which CI also diffs.
 //!
 //! `--metrics-out PATH` / `--trace-out PATH` switch on the
 //! `kizzle-telemetry` layer for the run and dump the metric registry
@@ -46,9 +38,6 @@ struct Args {
     restart_each_day: bool,
     window_cluster: bool,
     compact_every: usize,
-    ingest_batch: usize,
-    producers: usize,
-    channel_bound: usize,
     metrics_out: Option<PathBuf>,
     trace_out: Option<PathBuf>,
 }
@@ -62,9 +51,6 @@ fn parse_args() -> Args {
         restart_each_day: false,
         window_cluster: false,
         compact_every: kizzle::DEFAULT_MAX_DELTAS,
-        ingest_batch: 0,
-        producers: 0,
-        channel_bound: 2,
         metrics_out: None,
         trace_out: None,
     };
@@ -86,33 +72,19 @@ fn parse_args() -> Args {
             "--compact-every" => {
                 args.compact_every = parse(&value("--compact-every"), "--compact-every");
             }
-            "--ingest-batch" => {
-                args.ingest_batch = parse(&value("--ingest-batch"), "--ingest-batch");
-            }
-            "--producers" => {
-                args.producers = parse(&value("--producers"), "--producers");
-            }
-            "--channel-bound" => {
-                args.channel_bound = parse(&value("--channel-bound"), "--channel-bound");
-            }
             "--metrics-out" => args.metrics_out = Some(PathBuf::from(value("--metrics-out"))),
             "--trace-out" => args.trace_out = Some(PathBuf::from(value("--trace-out"))),
             "--help" | "-h" => {
                 println!(
                     "usage: daily_pipeline [--days N] [--samples-per-day M] [--seed S]\n\
                      \x20                     [--state-dir DIR [--restart-each-day] [--compact-every N]]\n\
-                     \x20                     [--window-cluster] [--ingest-batch N]\n\
+                     \x20                     [--window-cluster]\n\
                      defaults: --days 7 --samples-per-day 150 --seed 11\n\
                      --state-dir DIR       persist compiler state (snapshot chain + MANIFEST) after each day\n\
                      --restart-each-day    drop + reload the compiler between days (cron simulation)\n\
                      --compact-every N     rewrite the full base once the chain holds N delta files\n\
                      \x20                     (0 = full snapshot every day); default 6\n\
                      --window-cluster      also cluster the whole retention window each day\n\
-                     --ingest-batch N      stream each day into the session in mini-batches of N\n\
-                     \x20                     samples (0 = single-shot, the default)\n\
-                     --producers N         submit the mini-batches from N threads through the\n\
-                     \x20                     bounded-channel pipelined frontend (0 = direct; needs --ingest-batch)\n\
-                     --channel-bound N     pipelined frontend channel capacity in batches; default 2\n\
                      --metrics-out PATH    enable telemetry; write the metric registry in Prometheus\n\
                      \x20                     text exposition format to PATH after the run\n\
                      --trace-out PATH      enable telemetry; write the span/event trace as JSONL to\n\
@@ -129,9 +101,6 @@ fn parse_args() -> Args {
     }
     if args.restart_each_day && args.state_dir.is_none() {
         die("--restart-each-day needs --state-dir (state must live somewhere between runs)");
-    }
-    if args.producers > 0 && args.ingest_batch == 0 {
-        die("--producers needs --ingest-batch (the pipelined frontend submits mini-batches)");
     }
     args
 }
@@ -161,9 +130,6 @@ fn main() {
     config.stream.samples_per_day = args.samples_per_day;
     config.window_cluster = args.window_cluster;
     config.compact_every = args.compact_every;
-    config.ingest_batch = args.ingest_batch;
-    config.pipeline_producers = args.producers;
-    config.pipeline_bound = args.channel_bound;
     let mut end = config.start;
     for _ in 1..args.days {
         end = end.next();
