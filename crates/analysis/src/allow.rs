@@ -15,8 +15,8 @@
 //!
 //! `reason` is mandatory and must be non-empty — an unexplained
 //! suppression is itself a lint violation, so the parser rejects it.
-//! Entries that match nothing are reported as stale so the file shrinks
-//! as violations are fixed.
+//! Entries that match nothing are reported as stale (and fail a
+//! `--deny-all` run) so the file shrinks as violations are fixed.
 
 use crate::lint::Finding;
 use std::cell::Cell;
@@ -220,12 +220,14 @@ impl Allowlist {
         hit
     }
 
-    /// Descriptions of entries that matched nothing this run.
+    /// Descriptions of the entries for the lints in `ran` that matched
+    /// nothing this run. An entry whose lint did not run cannot have
+    /// matched, so it is not reported.
     #[must_use]
-    pub fn unused(&self) -> Vec<String> {
+    pub fn unused(&self, ran: &[&str]) -> Vec<String> {
         self.entries
             .iter()
-            .filter(|e| e.hits.get() == 0)
+            .filter(|e| e.hits.get() == 0 && ran.contains(&e.lint.as_str()))
             .map(AllowEntry::describe)
             .collect()
     }
@@ -322,7 +324,7 @@ mod tests {
             "crates/core/src/service.rs",
             "self.x.lock().expect(\"lock\")"
         )));
-        assert!(list.unused().is_empty());
+        assert!(list.unused(&["panic-path"]).is_empty());
     }
 
     #[test]
@@ -344,8 +346,9 @@ mod tests {
     #[test]
     fn stale_entries_are_reported() {
         let list = Allowlist::parse("[[allow]]\nlint = \"panic-path\"\nreason = \"r\"\n").unwrap();
-        assert_eq!(list.unused().len(), 1);
+        assert_eq!(list.unused(&["panic-path"]).len(), 1);
+        assert!(list.unused(&["timing-discipline"]).is_empty());
         assert!(list.matches(&finding("panic-path", "x.rs", "")));
-        assert!(list.unused().is_empty());
+        assert!(list.unused(&["panic-path"]).is_empty());
     }
 }

@@ -8,7 +8,8 @@
 //! * `--root DIR` — workspace root (default: walk up from the current
 //!   directory to the first `Cargo.toml` declaring `[workspace]`).
 //! * `--allow FILE` — allowlist (default: `<root>/analysis/allow.toml`).
-//! * `--deny-all` — CI mode: warnings fail the run too.
+//! * `--deny-all` — CI mode: warnings and stale allowlist entries fail
+//!   the run too.
 //! * `--lint NAME` — run only the named lint(s); repeatable.
 //! * `--report FILE` — additionally write the report to FILE (uploaded
 //!   as a CI artifact on failure).

@@ -116,7 +116,8 @@ pub struct Report {
     pub findings: Vec<Finding>,
     /// How many findings the allowlist suppressed.
     pub suppressed: usize,
-    /// Allowlist entries that matched nothing — stale entries to prune.
+    /// Allowlist entries of the lints that ran which matched nothing —
+    /// stale entries to prune.
     pub unused_allows: Vec<String>,
 }
 
@@ -134,11 +135,12 @@ impl Report {
         self.findings.len() - self.error_count()
     }
 
-    /// Whether the run fails: errors always do, warnings only when
-    /// `deny_all` is set.
+    /// Whether the run fails: errors always do, warnings and stale
+    /// allowlist entries only when `deny_all` is set.
     #[must_use]
     pub fn failed(&self, deny_all: bool) -> bool {
-        self.error_count() > 0 || (deny_all && !self.findings.is_empty())
+        self.error_count() > 0
+            || (deny_all && !(self.findings.is_empty() && self.unused_allows.is_empty()))
     }
 
     /// Render the full human-readable report.
@@ -150,9 +152,7 @@ impl Report {
             out.push('\n');
         }
         for name in &self.unused_allows {
-            out.push_str(&format!(
-                "note: allowlist entry matched nothing (stale?): {name}\n"
-            ));
+            out.push_str(&format!("stale: allowlist entry matched nothing: {name}\n"));
         }
         out.push_str(&format!(
             "kizzle-analyze: {} error(s), {} warning(s), {} finding(s) allowlisted\n",
@@ -181,9 +181,11 @@ pub fn run(root: &Path, allow_path: &Path, lint_filter: &[String]) -> io::Result
     let workspace = Workspace::load(root)?;
 
     let mut raw = Vec::new();
+    let mut ran = Vec::new();
     for lint in all_lints() {
         if lint_filter.is_empty() || lint_filter.iter().any(|n| n == lint.name) {
             (lint.run)(&workspace, &mut raw);
+            ran.push(lint.name);
         }
     }
 
@@ -199,6 +201,6 @@ pub fn run(root: &Path, allow_path: &Path, lint_filter: &[String]) -> io::Result
     Ok(Report {
         findings,
         suppressed,
-        unused_allows: allowlist.unused(),
+        unused_allows: allowlist.unused(&ran),
     })
 }

@@ -82,15 +82,24 @@ fn panic_path_respects_allowlist_and_reports_stale_entries() {
             ),
             (
                 "analysis/allow.toml",
-                "[[allow]]\nlint = \"panic-path\"\ncontains = \".lock().expect(\"\nreason = \"poisoning means crash\"\n\n[[allow]]\nlint = \"panic-path\"\npath = \"crates/nonexistent/\"\nreason = \"stale entry\"\n",
+                "[[allow]]\nlint = \"panic-path\"\ncontains = \".lock().expect(\"\nreason = \"poisoning means crash\"\n\n[[allow]]\nlint = \"panic-path\"\npath = \"crates/nonexistent/\"\nreason = \"stale entry\"\n\n[[allow]]\nlint = \"timing-discipline\"\npath = \"crates/nonexistent/\"\nreason = \"stale entry of another lint\"\n",
             ),
         ],
     );
     let report = fx.run(&["panic-path"]);
     assert!(report.findings.is_empty(), "{}", report.render());
     assert_eq!(report.suppressed, 1);
+    // Only the entry of the lint that ran is stale: the filter skipped
+    // timing-discipline, so its entry could not have matched.
     assert_eq!(report.unused_allows.len(), 1);
     assert!(report.unused_allows[0].contains("crates/nonexistent/"));
+    // A stale entry is a note by default and fails the CI mode.
+    assert!(!report.failed(false));
+    assert!(report.failed(true), "{}", report.render());
+
+    let report = fx.run(&["panic-path", "timing-discipline"]);
+    assert_eq!(report.unused_allows.len(), 2, "{}", report.render());
+    assert!(report.unused_allows[1].contains("timing-discipline"));
 }
 
 #[test]

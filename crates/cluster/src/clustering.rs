@@ -278,7 +278,7 @@ mod tests {
                 s
             })
             .collect();
-        let config = crate::DistributedConfig::new(2, crate::DbscanParams::new(0.10, 2), 1);
+        let config = crate::DistributedConfig::new(2, crate::DbscanParams::new(0.10, 2));
         let mut engine = crate::CorpusEngine::new(config);
         let ids = engine.add_batch(0, &day);
         let (clustering, _) = engine.cluster_day(&ids);

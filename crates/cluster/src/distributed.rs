@@ -43,8 +43,6 @@ pub struct DistributedConfig {
     /// DBSCAN parameters used inside every partition and for reduce-side
     /// reconciliation.
     pub dbscan: DbscanParams,
-    /// Seed mixed into the content-keyed partition assignment.
-    pub seed: u64,
 }
 
 impl DistributedConfig {
@@ -54,19 +52,15 @@ impl DistributedConfig {
     ///
     /// Panics if `partitions` is zero.
     #[must_use]
-    pub fn new(partitions: usize, dbscan: DbscanParams, seed: u64) -> Self {
+    pub fn new(partitions: usize, dbscan: DbscanParams) -> Self {
         assert!(partitions >= 1, "at least one partition is required");
-        DistributedConfig {
-            partitions,
-            dbscan,
-            seed,
-        }
+        DistributedConfig { partitions, dbscan }
     }
 }
 
 impl Default for DistributedConfig {
     fn default() -> Self {
-        DistributedConfig::new(4, DbscanParams::kizzle_default(), 0)
+        DistributedConfig::new(4, DbscanParams::kizzle_default())
     }
 }
 
@@ -94,16 +88,8 @@ pub struct DistributedStats {
     /// of its pairs are answered by the memo the two reduce-side medoid
     /// passes filled.
     pub prototype_time: Duration,
-    /// Number of clusters found in each partition, before reconciliation.
-    pub per_partition_clusters: Vec<usize>,
-    /// Number of clusters after reconciliation.
-    pub merged_clusters: usize,
-    /// Number of samples classified as noise after reconciliation.
-    pub noise: usize,
     /// Aggregated neighbor-index work counters of the map phase.
     pub index: IndexStats,
-    /// Work counters of the reduce step's throwaway prototype indexes.
-    pub reduce_index: IndexStats,
     /// Distance-kernel calls made by the three medoid passes (partition
     /// clusters, merged clusters, final prototypes): one per unordered pair
     /// of distinct class strings a scan reached before abandoning its row.
@@ -142,20 +128,20 @@ pub fn partition_key(data: &[u8]) -> u64 {
 }
 
 /// Content-stable partition assignment: sample `i` lands in partition
-/// `mix(keys[i], seed) % partitions`, so the *same content* maps to the
+/// `mix(keys[i]) % partitions`, so the *same content* maps to the
 /// *same partition* on every day, at every day size. That stability is
 /// what lets per-partition neighborhoods memoize across heavily
 /// overlapping days. Duplicated content shares a key
 /// and therefore a partition; empty partitions are kept (their DBSCAN run
 /// is a no-op) so the outcome count stays `partitions` regardless of the
 /// key distribution.
-pub(crate) fn partition_by_key(keys: &[u64], partitions: usize, seed: u64) -> Vec<Vec<usize>> {
+pub(crate) fn partition_by_key(keys: &[u64], partitions: usize) -> Vec<Vec<usize>> {
     let mut parts: Vec<Vec<usize>> = vec![Vec::new(); partitions];
     for (i, &key) in keys.iter().enumerate() {
-        // splitmix64-style finalizer over (key, seed): the raw FNV key is
-        // well-distributed in the low bits but the modulo must also move
-        // when the seed does.
-        let mut h = key ^ seed.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        // splitmix64-style finalizer over the key. Changing the mix moves
+        // partition assignments, and with them every pinned clustering and
+        // signature digest.
+        let mut h = key;
         h ^= h >> 33;
         h = h.wrapping_mul(0xFF51_AFD7_ED55_8CCD);
         h ^= h >> 33;
@@ -376,7 +362,7 @@ where
     // answers the eps-ball of every prototype through the filter chain;
     // symmetry makes each edge appear from both endpoints, which union-find
     // absorbs.
-    let mut proto_index = NeighborIndex::build(
+    let proto_index = NeighborIndex::build(
         &prototypes
             .iter()
             .map(|&p| medoids.sample(p))
@@ -389,7 +375,6 @@ where
             uf.union(i, j as usize);
         }
     }
-    stats.reduce_index.merge(&proto_index.take_stats());
     let mut merged_clusters = assemble_merged(&all_clusters, &mut uf);
     stats.reconcile_time = reconcile_span.finish();
 
@@ -422,7 +407,6 @@ where
             None => remaining_noise.push(idx),
         }
     }
-    stats.reduce_index.merge(&adopt_index.take_stats());
     stats.adopt_time = adopt_span.finish();
 
     for m in &mut merged_clusters {
@@ -430,8 +414,6 @@ where
     }
     remaining_noise.sort_unstable();
     stats.reduce_time = reduce_span.finish();
-    stats.merged_clusters = merged_clusters.len();
-    stats.noise = remaining_noise.len();
 
     // Timed separately from the reduce phases, so the final medoid pass
     // shows as its own layer in the ledger.
@@ -494,23 +476,22 @@ mod tests {
     fn empty_input_is_fine() {
         let (clustering, stats) = cluster(DistributedConfig::default(), &[]);
         assert_eq!(clustering.cluster_count(), 0);
-        assert_eq!(stats.merged_clusters, 0);
+        assert_eq!(stats.medoid_distance_calls, 0);
     }
 
     #[test]
     fn single_partition_equals_plain_dbscan_structure() {
         let (samples, _) = synthetic_samples(5);
-        let cfg = DistributedConfig::new(1, DbscanParams::new(0.10, 2), 7);
-        let (clustering, stats) = cluster(cfg, &samples);
+        let cfg = DistributedConfig::new(1, DbscanParams::new(0.10, 2));
+        let (clustering, _) = cluster(cfg, &samples);
         assert_eq!(clustering.cluster_count(), 3);
         assert!(clustering.is_partition());
-        assert_eq!(stats.per_partition_clusters.len(), 1);
     }
 
     #[test]
     fn multi_partition_reconciles_families_split_across_partitions() {
         let (samples, family_of) = synthetic_samples(8);
-        let cfg = DistributedConfig::new(4, DbscanParams::new(0.10, 2), 42);
+        let cfg = DistributedConfig::new(4, DbscanParams::new(0.10, 2));
         let (clustering, stats) = cluster(cfg, &samples);
         assert!(clustering.is_partition());
         // All three families must be re-united by the reduce step.
@@ -521,7 +502,6 @@ mod tests {
                 cluster.members.iter().map(|&i| family_of[i]).collect();
             assert_eq!(families.len(), 1, "cluster mixes families");
         }
-        assert_eq!(stats.merged_clusters, 3);
     }
 
     #[test]
@@ -532,16 +512,16 @@ mod tests {
         samples.push((0..300).map(|_| 3u8).collect());
         let noise_a = samples.len() - 2;
         let noise_b = samples.len() - 1;
-        let cfg = DistributedConfig::new(3, DbscanParams::new(0.10, 2), 1);
+        let cfg = DistributedConfig::new(3, DbscanParams::new(0.10, 2));
         let (clustering, _) = cluster(cfg, &samples);
         assert!(clustering.noise.contains(&noise_a));
         assert!(clustering.noise.contains(&noise_b));
     }
 
     #[test]
-    fn deterministic_given_seed() {
+    fn repeated_runs_cluster_identically() {
         let (samples, _) = synthetic_samples(6);
-        let cfg = DistributedConfig::new(4, DbscanParams::new(0.10, 2), 99);
+        let cfg = DistributedConfig::new(4, DbscanParams::new(0.10, 2));
         let (a, _) = cluster(cfg, &samples);
         let (b, _) = cluster(cfg, &samples);
         assert_eq!(a, b);
@@ -555,8 +535,7 @@ mod tests {
         let (samples, _) = synthetic_samples(6);
         let keys: Vec<u64> = samples.iter().map(|s| partition_key(s)).collect();
         let partitions = 4;
-        let seed = 42;
-        let full = partition_by_key(&keys, partitions, seed);
+        let full = partition_by_key(&keys, partitions);
         let part_of = |parts: &[Vec<usize>], i: usize| {
             parts
                 .iter()
@@ -566,7 +545,7 @@ mod tests {
         // Drop half the day: the survivors keep their partitions.
         let survivors: Vec<usize> = (0..samples.len()).filter(|i| i % 2 == 0).collect();
         let kept_keys: Vec<u64> = survivors.iter().map(|&i| keys[i]).collect();
-        let reduced = partition_by_key(&kept_keys, partitions, seed);
+        let reduced = partition_by_key(&kept_keys, partitions);
         for (new_pos, &old_pos) in survivors.iter().enumerate() {
             assert_eq!(
                 part_of(&full, old_pos),
@@ -574,30 +553,28 @@ mod tests {
                 "sample {old_pos} moved partitions when the day shrank"
             );
         }
-        // The seed still matters: a different seed deals a different hand
-        // for at least one sample (overwhelmingly likely at this size).
-        let reseeded = partition_by_key(&keys, partitions, seed ^ 0xDEAD);
-        assert_ne!(full, reseeded);
         // Duplicated content shares a partition by construction.
         let dup_keys = vec![keys[0], keys[1], keys[0]];
-        let dup = partition_by_key(&dup_keys, partitions, seed);
+        let dup = partition_by_key(&dup_keys, partitions);
         assert_eq!(part_of(&dup, 0), part_of(&dup, 2));
     }
 
     #[test]
     fn empty_input_clusters_to_nothing_on_every_path() {
-        // A day clustered in one call, and one prepared and finished apart.
-        let cfg = DistributedConfig::new(3, DbscanParams::new(0.10, 2), 5);
+        // A fresh engine's empty day, and an empty view of a live corpus.
+        let cfg = DistributedConfig::new(3, DbscanParams::new(0.10, 2));
         let (clustering, _) = cluster(cfg, &[]);
         assert_eq!(clustering, Clustering::default());
-        let (clustering, _) = CorpusEngine::new(cfg).prepare_day(&[]).finish();
+        let mut engine = CorpusEngine::new(cfg);
+        engine.add_batch(0, &synthetic_samples(2).0);
+        let (clustering, _) = engine.cluster_day(&[]);
         assert_eq!(clustering, Clustering::default());
     }
 
     #[test]
     fn index_stats_are_aggregated() {
         let (samples, _) = synthetic_samples(5);
-        let cfg = DistributedConfig::new(3, DbscanParams::new(0.10, 2), 5);
+        let cfg = DistributedConfig::new(3, DbscanParams::new(0.10, 2));
         let (_, stats) = cluster(cfg, &samples);
         // Every (distinct) sample's neighborhood is computed exactly once.
         assert_eq!(stats.index.queries, samples.len());
@@ -612,24 +589,23 @@ mod tests {
     #[test]
     fn stats_are_populated() {
         let (samples, _) = synthetic_samples(4);
-        let cfg = DistributedConfig::new(2, DbscanParams::new(0.10, 2), 5);
+        let cfg = DistributedConfig::new(2, DbscanParams::new(0.10, 2));
         let (_, stats) = cluster(cfg, &samples);
-        assert_eq!(stats.per_partition_clusters.len(), 2);
         assert!(stats.total_time() >= stats.reduce_time);
         assert!(stats.reduce_time >= stats.reconcile_time);
-        assert!(stats.merged_clusters > 0);
+        assert!(stats.medoid_distance_calls > 0);
     }
 
     #[test]
     #[should_panic(expected = "at least one partition")]
     fn zero_partitions_panics() {
-        let _ = DistributedConfig::new(0, DbscanParams::kizzle_default(), 0);
+        let _ = DistributedConfig::new(0, DbscanParams::kizzle_default());
     }
 
     #[test]
     fn more_partitions_than_samples() {
         let (samples, _) = synthetic_samples(1);
-        let cfg = DistributedConfig::new(16, DbscanParams::new(0.10, 1), 3);
+        let cfg = DistributedConfig::new(16, DbscanParams::new(0.10, 1));
         let (clustering, _) = cluster(cfg, &samples);
         assert!(clustering.is_partition());
     }

@@ -26,27 +26,22 @@
 //! `tests/seal_properties.rs` — at the cost of the distinct content.
 
 use crate::clustering::Clustering;
-use crate::dbscan::{dbscan_with_neighborhoods, DbscanParams, DbscanResult, Label};
+use crate::dbscan::{dbscan_with_neighborhoods, DbscanResult, Label};
 use crate::distributed::{
     partition_by_key, reduce_token, DistributedConfig, DistributedStats, PartitionOutcome,
 };
 use crate::index::NeighborIndex;
 use crate::store::{CorpusStore, SampleId};
-use kizzle_snapshot::{
-    ChainSave, ChainWriter, ChainedSnapshot, Decoder, Encoder, SectionSource, SnapshotError,
-};
+use kizzle_snapshot::{Decoder, Encoder, SectionSource, SnapshotError};
 use rayon::prelude::*;
 use std::collections::HashMap;
-use std::path::Path;
 use std::sync::Arc;
 use std::time::Instant;
 
 pub use kizzle_snapshot::sections::{INDEX_SECTION, STORE_SECTION};
-/// Chain file prefix of [`CorpusEngine::snapshot_delta`] state
-/// (`engine.snap` + `engine.delta-N.snap`).
-pub const ENGINE_CHAIN_PREFIX: &str = "engine";
 
-/// What a [`CorpusEngine::resume_chain`] actually managed to restore.
+/// What a [`CorpusEngine::resume_from_sections`] actually managed to
+/// restore.
 ///
 /// Resume never fails: the worst outcome is a cold, empty engine — exactly
 /// the state a fresh cron-job process would have had before persistence
@@ -202,59 +197,11 @@ impl CorpusEngine {
         ]
     }
 
-    /// Persist the engine as the next link of a base→delta snapshot chain
-    /// in `dir` (base `engine.snap`, deltas `engine.delta-N.snap`, chain
-    /// and section fingerprints recorded in the `MANIFEST` sidecar):
-    /// only the sections whose content fingerprint changed since the base
-    /// manifest's record are written. Once the chain carries `max_deltas`
-    /// deltas, the next save compacts back to a fresh full base
-    /// (`max_deltas == 0`: every save is a full snapshot — a chain of
-    /// length one).
-    ///
-    /// [`CorpusEngine::resume_chain`] follows the recorded chain back.
-    pub fn snapshot_delta(&self, dir: &Path, max_deltas: usize) -> std::io::Result<ChainSave> {
-        ChainWriter::new(dir, ENGINE_CHAIN_PREFIX).save(
-            self.encode_sections(),
-            max_deltas,
-            |manifest, save| {
-                manifest.set("live_samples", self.len());
-                manifest.set("cached_neighborhoods", self.index.cached_count());
-                manifest.set(
-                    "written_file",
-                    save.file.as_deref().unwrap_or("none (no sections changed)"),
-                );
-                manifest.set("written_bytes", save.bytes);
-            },
-        )
-    }
-
-    /// Resume an engine from a [`CorpusEngine::snapshot_delta`] chain in
-    /// `dir`. Never fails: any damage degrades down the fallback ladder
-    /// described on [`ResumeReport`], with one rung above it — a broken
-    /// delta truncates the chain (resume the base — an older but
-    /// self-consistent state) before section damage degrades per section.
-    #[must_use]
-    pub fn resume_chain(config: DistributedConfig, dir: &Path) -> (Self, ResumeReport) {
-        match ChainedSnapshot::open(dir, ENGINE_CHAIN_PREFIX) {
-            Ok(chained) => {
-                let (engine, mut report) = CorpusEngine::resume_from_sections(config, &chained);
-                for chain_note in chained.notes() {
-                    report.note(chain_note.clone());
-                }
-                (engine, report)
-            }
-            Err(err) => {
-                let mut report = ResumeReport::default();
-                report.note(format!("snapshot chain unreadable, cold start: {err}"));
-                (CorpusEngine::new(config), report)
-            }
-        }
-    }
-
-    /// Resume from already-parsed snapshot sections — a chained overlay
-    /// (the compiler embeds the engine sections in its own state chain) or
-    /// a single parsed container. See [`CorpusEngine::resume_chain`] for
-    /// the fallback behavior.
+    /// Resume from snapshot sections written by
+    /// [`CorpusEngine::encode_sections`] — the compiler's chained overlay
+    /// (the engine's sections persist only inside the compiler's state
+    /// chain) or a single parsed container. Never fails: any damage
+    /// degrades down the fallback ladder described on [`ResumeReport`].
     #[must_use]
     pub fn resume_from_sections(
         config: DistributedConfig,
@@ -339,33 +286,19 @@ impl CorpusEngine {
     }
 
     /// Cluster a view of the live corpus — `day_ids[p]` is the sample at
-    /// dense position `p` — through the distributed partition/reduce
-    /// dataflow, byte-identical to a fresh engine clustering the same dense
-    /// sample sequence in one batch. Memoized neighborhoods are
-    /// reused; only ids whose cache was churned away pay query cost.
+    /// dense position `p` — through partition → per-partition DBSCAN →
+    /// index-routed reduce, byte-identical to a fresh engine clustering the
+    /// same dense sample sequence in one batch. Memoized neighborhoods are
+    /// reused; only ids whose cache was churned away pay query cost. The
+    /// day is held as a multiset — its distinct class-strings (in
+    /// first-position order) with multiplicities — so the map phase costs
+    /// what the distinct content and its eps-balls cost, however many
+    /// positions repeat it.
     ///
     /// # Panics
     ///
     /// Panics if any id is not live.
     pub fn cluster_day(&mut self, day_ids: &[SampleId]) -> (Clustering, DistributedStats) {
-        self.prepare_day(day_ids).finish()
-    }
-
-    /// Capture one day's clustering inputs under the engine borrow — the
-    /// short phase of [`CorpusEngine::cluster_day`]. The returned
-    /// [`PreparedDay`] owns everything the expensive partition →
-    /// per-partition DBSCAN → reduce dataflow needs ([`Arc`] clones of the
-    /// day's distinct class-strings, their day-restricted neighborhoods
-    /// and multiplicities, partition keys, drained index stats), so
-    /// [`PreparedDay::finish`] runs without touching the engine at all: the
-    /// next day can insert, retire, or re-cache concurrently and the
-    /// finished clustering is still byte-identical to a serial
-    /// [`CorpusEngine::cluster_day`] call made at capture time.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any id is not live.
-    pub fn prepare_day(&mut self, day_ids: &[SampleId]) -> PreparedDay {
         let mut stats = DistributedStats::default();
         let t_map = Instant::now();
 
@@ -407,13 +340,9 @@ impl CorpusEngine {
             .collect();
 
         // Keys were hashed once at store-insert; the daily pass is lookups,
-        // not re-hashing. The data Arcs pin the day's class-strings even if
-        // retirement drops them from the store before `finish` runs.
+        // not re-hashing.
         let (keys, data) = self.store.day_view(&unique);
 
-        // Drain the index counters now, while the day still owns them —
-        // queries the *next* day issues while `finish` is in flight must
-        // not be attributed to this day.
         stats.index = self.index.take_stats();
         if kizzle_telemetry::enabled() {
             use kizzle_telemetry::counter;
@@ -433,64 +362,10 @@ impl CorpusEngine {
                 .set(self.index.pivot_count() as u64);
         }
 
-        PreparedDay {
-            params: self.config.dbscan,
-            partitions: self.config.partitions,
-            seed: self.config.seed,
-            content,
-            weights,
-            balls,
-            keys,
-            data,
-            stats,
-            t_map,
+        if content.is_empty() {
+            return (Clustering::default(), stats);
         }
-    }
-}
-
-/// One day's clustering inputs, captured by [`CorpusEngine::prepare_day`].
-///
-/// Owns everything the partition/DBSCAN/reduce dataflow needs; `finish`
-/// borrows nothing from the engine, so it can run on another thread while
-/// the engine ingests the next day. The day is held as a multiset — its
-/// distinct class-strings (in first-position order) with multiplicities —
-/// so the map phase costs what the distinct content and its eps-balls cost,
-/// however many positions repeat it.
-#[derive(Debug)]
-pub struct PreparedDay {
-    params: DbscanParams,
-    partitions: usize,
-    seed: u64,
-    /// Position → index of its class-string among the distinct ones.
-    content: Vec<u32>,
-    /// Positions holding each distinct class-string.
-    weights: Vec<usize>,
-    /// Day-restricted eps-ball of each distinct class-string, ascending.
-    balls: Vec<Vec<usize>>,
-    /// Partition key of each distinct class-string.
-    keys: Vec<u64>,
-    /// The distinct class-strings.
-    data: Vec<Arc<[u8]>>,
-    stats: DistributedStats,
-    t_map: Instant,
-}
-
-impl PreparedDay {
-    /// Dense positions in the captured view.
-    #[must_use]
-    pub fn sample_count(&self) -> usize {
-        self.content.len()
-    }
-
-    /// Run the captured view through partition → per-partition DBSCAN →
-    /// index-routed reduce. Engine-free and byte-identical to the serial
-    /// [`CorpusEngine::cluster_day`] over the same view.
-    #[must_use]
-    pub fn finish(mut self) -> (Clustering, DistributedStats) {
-        if self.content.is_empty() {
-            return (Clustering::default(), self.stats);
-        }
-        let params = self.params;
+        let params = self.config.dbscan;
         let day_span = kizzle_telemetry::span!("day.cluster");
 
         // Partition by content key — the same class-string lands in the
@@ -499,17 +374,16 @@ impl PreparedDay {
         // partition on its induced subgraph, the same label computation a
         // fresh per-partition index performs.
         let partition_span = kizzle_telemetry::span!("cluster.partition");
-        let partitions = partition_by_key(&self.keys, self.partitions, self.seed);
+        let partitions = partition_by_key(&keys, self.config.partitions);
         // Partition and partition-local index of every distinct string.
-        let mut placed = vec![(0usize, 0usize); self.keys.len()];
+        let mut placed = vec![(0usize, 0usize); keys.len()];
         for (part, members) in partitions.iter().enumerate() {
             for (local, &u) in members.iter().enumerate() {
                 placed[u] = (part, local);
             }
         }
-        self.stats.partition_time = partition_span.finish();
+        stats.partition_time = partition_span.finish();
 
-        let (balls, weights) = (&self.balls, &self.weights);
         let results: Vec<DbscanResult> = partitions
             .par_iter()
             .enumerate()
@@ -540,35 +414,25 @@ impl PreparedDay {
             .iter()
             .map(|result| (vec![Vec::new(); result.cluster_count()], Vec::new()))
             .collect();
-        for (position, &u) in self.content.iter().enumerate() {
+        for (position, &u) in content.iter().enumerate() {
             let (part, local) = placed[u as usize];
             match results[part].labels()[local] {
                 Label::Cluster(c) => outcomes[part].0[c].push(position),
                 _ => outcomes[part].1.push(position),
             }
         }
-        self.stats.map_time = self.t_map.elapsed() - self.stats.partition_time;
-        // The map measurement starts in `prepare_day` (`t_map`) and closes
-        // here — an RAII guard cannot cross that call boundary, so the
-        // already-measured duration is recorded explicitly.
-        kizzle_telemetry::record_span("cluster.map", self.stats.map_time);
-        for outcome in &outcomes {
-            self.stats.per_partition_clusters.push(outcome.0.len());
-        }
+        stats.map_time = t_map.elapsed() - stats.partition_time;
+        // The map phase encloses the partition phase but excludes its
+        // time, so it is recorded as a measured duration, not a guard.
+        kizzle_telemetry::record_span("cluster.map", stats.map_time);
 
         // Index-routed reduce over the day view.
-        let clustering = reduce_token(
-            &self.data,
-            &self.content,
-            &params,
-            outcomes,
-            &mut self.stats,
-        );
+        let clustering = reduce_token(&data, &content, &params, outcomes, &mut stats);
         let day_elapsed = day_span.finish();
         if kizzle_telemetry::enabled() {
             kizzle_telemetry::histogram("kizzle_cluster_day_ns").observe_duration(day_elapsed);
         }
-        (clustering, self.stats)
+        (clustering, stats)
     }
 }
 
@@ -599,7 +463,7 @@ mod tests {
     }
 
     fn cfg() -> DistributedConfig {
-        DistributedConfig::new(3, DbscanParams::new(0.10, 2), 42)
+        DistributedConfig::new(3, DbscanParams::new(0.10, 2))
     }
 
     /// A cold one-shot run: the day through a fresh engine.
@@ -614,7 +478,7 @@ mod tests {
         let mut engine = CorpusEngine::new(cfg());
         let (clustering, stats) = engine.cluster_day(&[]);
         assert_eq!(clustering.cluster_count(), 0);
-        assert_eq!(stats.merged_clusters, 0);
+        assert_eq!(stats.medoid_distance_calls, 0);
     }
 
     #[test]
@@ -640,30 +504,6 @@ mod tests {
             stats2.index
         );
         assert!(stats2.index.cache_hits > 0);
-    }
-
-    #[test]
-    fn prepared_day_finishes_off_thread_while_the_engine_moves_on() {
-        let day1 = family_day(5, 0);
-        let day2 = family_day(4, 7);
-
-        let mut serial = CorpusEngine::new(cfg());
-        let ids1 = serial.add_batch(1, &day1);
-        let (want, _) = serial.cluster_day(&ids1);
-
-        let mut engine = CorpusEngine::new(cfg());
-        let ids1b = engine.add_batch(1, &day1);
-        assert_eq!(ids1, ids1b);
-        let prepared = engine.prepare_day(&ids1b);
-        assert_eq!(prepared.sample_count(), day1.len());
-        let handle = std::thread::spawn(move || prepared.finish());
-        // Mutate the engine while the finish is in flight: insert day 2 and
-        // retire day 1. The captured Arcs keep day 1's bytes alive.
-        engine.add_batch(2, &day2);
-        engine.retire_older_than(2);
-        let (got, stats) = handle.join().expect("finish thread");
-        assert_eq!(want, got);
-        assert!(stats.merged_clusters > 0);
     }
 
     #[test]
@@ -699,12 +539,14 @@ mod tests {
         assert_eq!(warm, cold(&day));
     }
 
-    /// A fresh chain directory per test (a chain directory hosts one chain).
-    fn temp_dir(name: &str) -> std::path::PathBuf {
-        let dir =
-            std::env::temp_dir().join(format!("kizzle-engine-test-{}-{name}", std::process::id()));
-        std::fs::remove_dir_all(&dir).ok();
-        dir
+    /// The engine's sections as one parsed container — what the
+    /// compiler's state chain carries for it.
+    fn saved(engine: &CorpusEngine) -> Snapshot {
+        let mut builder = kizzle_snapshot::SnapshotBuilder::new();
+        for (name, payload) in engine.encode_sections() {
+            builder.section(&name, payload);
+        }
+        Snapshot::from_bytes(&builder.to_bytes()).expect("parses")
     }
 
     #[test]
@@ -717,9 +559,7 @@ mod tests {
         let ids1 = engine.add_batch(1, &day1);
         let (_, _) = engine.cluster_day(&ids1);
 
-        let dir = temp_dir("warm");
-        engine.snapshot_delta(&dir, 0).expect("snapshot written");
-        let (mut resumed, report) = CorpusEngine::resume_chain(cfg(), &dir);
+        let (mut resumed, report) = CorpusEngine::resume_from_sections(cfg(), &saved(&engine));
         assert!(
             report.store_restored && report.index_restored,
             "report: {report:?}"
@@ -738,7 +578,6 @@ mod tests {
         let (resumed_clustering, resumed_stats) = resumed.cluster_day(&ids2_resumed);
         assert_eq!(live_clustering, resumed_clustering);
         assert!(resumed_stats.index.cache_hits > 0);
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -747,10 +586,8 @@ mod tests {
         let mut engine = CorpusEngine::new(cfg());
         let ids = engine.add_batch(1, &day);
         let (_, _) = engine.cluster_day(&ids);
-        let dir = temp_dir("rerun");
-        engine.snapshot_delta(&dir, 0).expect("snapshot written");
 
-        let (mut resumed, report) = CorpusEngine::resume_chain(cfg(), &dir);
+        let (mut resumed, report) = CorpusEngine::resume_from_sections(cfg(), &saved(&engine));
         assert!(report.store_restored && report.index_restored);
         // The same content re-added deduplicates onto live entries; the
         // resumed caches answer the whole day — same as a long-lived
@@ -759,13 +596,13 @@ mod tests {
         let (_, stats) = resumed.cluster_day(&ids2);
         assert_eq!(stats.index.queries, 0, "stats: {:?}", stats.index);
         assert!(stats.index.cache_hits > 0);
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn missing_snapshot_degrades_to_cold_empty_engine() {
-        let dir = temp_dir("never-written");
-        let (engine, report) = CorpusEngine::resume_chain(cfg(), &dir);
+        let empty = kizzle_snapshot::SnapshotBuilder::new().to_bytes();
+        let snapshot = Snapshot::from_bytes(&empty).expect("parses");
+        let (engine, report) = CorpusEngine::resume_from_sections(cfg(), &snapshot);
         assert!(engine.is_empty());
         assert!(!report.store_restored);
         assert_eq!(report.notes.len(), 1);
@@ -819,9 +656,7 @@ mod tests {
         let (rebuilt, report) = CorpusEngine::resume_from_sections(cfg(), &snapshot);
         assert!(!report.index_restored);
 
-        let dir = temp_dir("rebuilt");
-        rebuilt.snapshot_delta(&dir, 0).expect("snapshot written");
-        let (mut resumed, report) = CorpusEngine::resume_chain(cfg(), &dir);
+        let (mut resumed, report) = CorpusEngine::resume_from_sections(cfg(), &saved(&rebuilt));
         assert!(
             report.store_restored && report.index_restored,
             "cache-less index is still restorable: {report:?}"
@@ -835,7 +670,6 @@ mod tests {
             stats.index.queries > 0,
             "nothing was cached, so queries were paid"
         );
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -46,7 +46,7 @@
 //!     vec![1, 2, 3, 4, 5, 6, 7, 8, 9, 10],
 //!     vec![9, 9, 9, 9, 1, 1, 1, 1, 2, 2],
 //! ];
-//! let mut engine = CorpusEngine::new(DistributedConfig::new(1, DbscanParams::new(0.10, 2), 0));
+//! let mut engine = CorpusEngine::new(DistributedConfig::new(1, DbscanParams::new(0.10, 2)));
 //! let ids = engine.add_batch(0, &samples);
 //! let (clustering, _) = engine.cluster_day(&ids);
 //! assert_eq!(clustering.cluster_count(), 1);
@@ -71,8 +71,6 @@ pub use distance::{
     BitParallelScratch,
 };
 pub use distributed::{partition_key, DistributedConfig, DistributedStats};
-pub use engine::{
-    CorpusEngine, PreparedDay, ResumeReport, ENGINE_CHAIN_PREFIX, INDEX_SECTION, STORE_SECTION,
-};
+pub use engine::{CorpusEngine, ResumeReport, INDEX_SECTION, STORE_SECTION};
 pub use index::{IndexStats, NeighborIndex};
 pub use store::{CorpusStore, SampleId};

@@ -134,16 +134,14 @@ impl CorpusStore {
         self.slots.get(id.raw() as usize)?.as_ref().map(|e| e.key)
     }
 
-    /// Partition keys and shared data handles for a dense day view, in
-    /// view order — one locked pass for the seal's capture phase instead
-    /// of two per-id lookup loops. The returned Arcs pin the day's bytes
-    /// independently of the store, so a prepared day survives retirement.
+    /// Partition keys and class-strings for a dense day view, in view
+    /// order — one pass for the seal instead of two per-id lookup loops.
     ///
     /// # Panics
     ///
     /// Panics if any id is not live.
     #[must_use]
-    pub fn day_view(&self, ids: &[SampleId]) -> (Vec<u64>, Vec<Arc<[u8]>>) {
+    pub fn day_view(&self, ids: &[SampleId]) -> (Vec<u64>, Vec<&[u8]>) {
         let mut keys = Vec::with_capacity(ids.len());
         let mut data = Vec::with_capacity(ids.len());
         for &id in ids {
@@ -153,7 +151,7 @@ impl CorpusStore {
                 .and_then(Option::as_ref)
                 .expect("day id is live");
             keys.push(entry.key);
-            data.push(Arc::clone(&entry.data));
+            data.push(&*entry.data);
         }
         (keys, data)
     }

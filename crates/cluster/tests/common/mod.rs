@@ -123,7 +123,7 @@ pub fn cluster_keyed<T>(
     // Map: partition-local clusters (ascending global members) and noise.
     let mut clusters: Vec<Vec<usize>> = Vec::new();
     let mut noise: Vec<usize> = Vec::new();
-    for part in partition_by_key(keys, config.partitions, config.seed) {
+    for part in partition_by_key(keys, config.partitions) {
         let local: Vec<&T> = part.iter().map(|&i| &samples[i]).collect();
         let labels = dbscan(&local, &config.dbscan, |a, b| distance(a, b));
         let count = labels
@@ -219,13 +219,13 @@ pub fn cluster_seed<S: AsRef<[u8]>>(config: &DistributedConfig, samples: &[S]) -
     })
 }
 
-/// The seed's content-stable partition assignment: sample `i` lands in
-/// partition `mix(keys[i], seed) % partitions` (a splitmix64-style
+/// The seed's content-stable partition assignment at mix seed 0: sample
+/// `i` lands in partition `mix(keys[i]) % partitions` (a splitmix64-style
 /// finalizer), members ascending, empty partitions kept.
-fn partition_by_key(keys: &[u64], partitions: usize, seed: u64) -> Vec<Vec<usize>> {
+fn partition_by_key(keys: &[u64], partitions: usize) -> Vec<Vec<usize>> {
     let mut parts: Vec<Vec<usize>> = vec![Vec::new(); partitions];
     for (i, &key) in keys.iter().enumerate() {
-        let mut h = key ^ seed.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        let mut h = key;
         h ^= h >> 33;
         h = h.wrapping_mul(0xFF51_AFD7_ED55_8CCD);
         h ^= h >> 33;

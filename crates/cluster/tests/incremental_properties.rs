@@ -94,13 +94,11 @@ proptest! {
     fn warm_multi_day_matches_cold_batches(
         pool in prop::collection::vec(token_string(), 4..28),
         partitions in 1usize..4,
-        seed in any::<u64>(),
         min_points in 1usize..4,
     ) {
         let cfg = DistributedConfig::new(
             partitions,
             DbscanParams::new(EPS, min_points),
-            seed,
         );
         let mut engine = CorpusEngine::new(cfg);
 

@@ -141,15 +141,14 @@ proptest! {
 
     /// The engine (indexed per-partition DBSCAN, index-routed reduce)
     /// produces the same clustering as the seed's all-pairs driver, for
-    /// any partition count and seed, given the same content-keyed
-    /// partition assignment.
+    /// any partition count, given the same content-keyed partition
+    /// assignment.
     #[test]
     fn distributed_indexed_matches_generic(
         samples in prop::collection::vec(token_string(), 0..20),
         partitions in 1usize..5,
-        seed in any::<u64>(),
     ) {
-        let cfg = DistributedConfig::new(partitions, DbscanParams::new(0.10, 2), seed);
+        let cfg = DistributedConfig::new(partitions, DbscanParams::new(0.10, 2));
         let (indexed, stats) = common::cluster(cfg, &samples);
         prop_assert_eq!(&indexed, &common::cluster_seed(&cfg, &samples));
         prop_assert!(indexed.is_partition());
@@ -185,7 +184,7 @@ fn indexed_path_matches_generic_path() {
     samples.push((0..40).map(|i| (i % 3) as u8 + 6).collect());
     samples.push(Vec::new());
     for partitions in [1, 3, 5] {
-        let cfg = DistributedConfig::new(partitions, DbscanParams::new(0.10, 2), 11);
+        let cfg = DistributedConfig::new(partitions, DbscanParams::new(0.10, 2));
         let (indexed, _) = common::cluster(cfg, &samples);
         assert_eq!(
             indexed,

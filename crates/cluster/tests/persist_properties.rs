@@ -18,10 +18,14 @@
 mod common;
 
 use kizzle_cluster::{
-    CorpusEngine, CorpusStore, DbscanParams, DistributedConfig, NeighborIndex, SampleId,
+    CorpusEngine, CorpusStore, DbscanParams, DistributedConfig, NeighborIndex, ResumeReport,
+    SampleId,
 };
-use kizzle_snapshot::{Decoder, Encoder, Snapshot, SnapshotBuilder};
+use kizzle_snapshot::{
+    ChainSave, ChainWriter, ChainedSnapshot, Decoder, Encoder, Snapshot, SnapshotBuilder,
+};
 use proptest::prelude::*;
+use std::path::Path;
 use std::sync::Arc;
 
 const EPS: f64 = 0.10;
@@ -34,6 +38,37 @@ fn engine_container(engine: &CorpusEngine) -> Vec<u8> {
         builder.section(&name, payload);
     }
     builder.to_bytes()
+}
+
+/// Chain file prefix of the engine-only chains these tests write.
+const CHAIN_PREFIX: &str = "engine";
+
+/// The engine's sections as the next link of a base→delta chain in `dir`,
+/// through the writer the compiler's state chain uses.
+fn save_chain(engine: &CorpusEngine, dir: &Path, max_deltas: usize) -> ChainSave {
+    ChainWriter::new(dir, CHAIN_PREFIX)
+        .save(engine.encode_sections(), max_deltas, |_, _| {})
+        .unwrap()
+}
+
+/// Resume an engine from the chain in `dir`, with the chain's own notes
+/// (a broken delta truncates it to the intact prefix) in the report; an
+/// unreadable chain is a cold start.
+fn resume_chain(cfg: DistributedConfig, dir: &Path) -> (CorpusEngine, ResumeReport) {
+    match ChainedSnapshot::open(dir, CHAIN_PREFIX) {
+        Ok(chained) => {
+            let (engine, mut report) = CorpusEngine::resume_from_sections(cfg, &chained);
+            for note in chained.notes() {
+                report.note(note.clone());
+            }
+            (engine, report)
+        }
+        Err(err) => {
+            let mut report = ResumeReport::default();
+            report.note(format!("snapshot chain unreadable, cold start: {err}"));
+            (CorpusEngine::new(cfg), report)
+        }
+    }
 }
 
 fn token_string() -> impl Strategy<Value = Vec<u8>> {
@@ -160,9 +195,8 @@ proptest! {
     fn resumed_engine_clusters_like_the_original(
         pool in prop::collection::vec(token_string(), 4..24),
         partitions in 1usize..4,
-        seed in any::<u64>(),
     ) {
-        let cfg = DistributedConfig::new(partitions, DbscanParams::new(EPS, 2), seed);
+        let cfg = DistributedConfig::new(partitions, DbscanParams::new(EPS, 2));
         let day_len = (pool.len() / 2).max(2);
         let day1: Vec<Vec<u8>> = pool[..day_len].to_vec();
         let day2: Vec<Vec<u8>> = pool[pool.len() - day_len..].to_vec();
@@ -193,7 +227,7 @@ proptest! {
         flip in any::<u8>(),
         truncate in any::<bool>(),
     ) {
-        let cfg = DistributedConfig::new(2, DbscanParams::new(EPS, 2), 7);
+        let cfg = DistributedConfig::new(2, DbscanParams::new(EPS, 2));
         let mut engine = CorpusEngine::new(cfg);
         let ids = engine.add_batch(1, &pool);
         let (_, _) = engine.cluster_day(&ids);
@@ -232,7 +266,7 @@ proptest! {
         churn_mask in any::<u32>(),
         days in 1usize..4,
     ) {
-        let cfg = DistributedConfig::new(2, DbscanParams::new(EPS, 2), 11);
+        let cfg = DistributedConfig::new(2, DbscanParams::new(EPS, 2));
         let dir = std::env::temp_dir().join(format!(
             "kizzle-persist-chain-{}-{churn_mask}-{days}",
             std::process::id()
@@ -242,7 +276,7 @@ proptest! {
         let mut engine = CorpusEngine::new(cfg);
         let ids = engine.add_batch(0, &pool);
         let (_, _) = engine.cluster_day(&ids);
-        engine.snapshot_delta(&dir, 8).unwrap(); // base
+        save_chain(&engine, &dir, 8); // base
 
         // `days` rounds of churn, one delta per round.
         for day in 1..=days as u64 {
@@ -263,18 +297,18 @@ proptest! {
                 .collect();
             let day_ids = engine.add_batch(day, &refill);
             let (_, _) = engine.cluster_day(&day_ids);
-            engine.snapshot_delta(&dir, 8).unwrap();
+            save_chain(&engine, &dir, 8);
         }
 
         // Full snapshot of the same final engine: a chain of length one
         // in a directory of its own.
         let full_dir = dir.join("full");
-        let full = engine.snapshot_delta(&full_dir, 0).unwrap();
+        let full = save_chain(&engine, &full_dir, 0);
         prop_assert!(full.wrote_base);
-        let (mut via_full, full_report) = CorpusEngine::resume_chain(cfg, &full_dir);
+        let (mut via_full, full_report) = resume_chain(cfg, &full_dir);
         prop_assert!(full_report.store_restored && full_report.index_restored, "full: {:?}", full_report);
 
-        let (mut via_chain, chain_report) = CorpusEngine::resume_chain(cfg, &dir);
+        let (mut via_chain, chain_report) = resume_chain(cfg, &dir);
         prop_assert!(chain_report.store_restored && chain_report.index_restored, "chain: {:?}", chain_report);
         prop_assert!(chain_report.notes.is_empty(), "notes: {:?}", chain_report.notes);
 
@@ -307,7 +341,7 @@ proptest! {
         damage_at in any::<u32>(),
         flip in any::<u8>(),
     ) {
-        let cfg = DistributedConfig::new(2, DbscanParams::new(EPS, 2), 13);
+        let cfg = DistributedConfig::new(2, DbscanParams::new(EPS, 2));
         let dir = std::env::temp_dir().join(format!(
             "kizzle-persist-broken-{}-{damage_at}-{flip}",
             std::process::id()
@@ -317,7 +351,7 @@ proptest! {
         let mut engine = CorpusEngine::new(cfg);
         let ids = engine.add_batch(0, &pool);
         let (_, _) = engine.cluster_day(&ids);
-        engine.snapshot_delta(&dir, 8).unwrap(); // base
+        save_chain(&engine, &dir, 8); // base
         // One churned day → one delta.
         let extra: Vec<Vec<u8>> = pool.iter().map(|s| {
             let mut t = s.clone();
@@ -326,7 +360,7 @@ proptest! {
         }).collect();
         let day_ids = engine.add_batch(1, &extra);
         let (_, _) = engine.cluster_day(&day_ids);
-        let save = engine.snapshot_delta(&dir, 8).unwrap();
+        let save = save_chain(&engine, &dir, 8);
 
         if let Some(delta_file) = save.file {
             let path = dir.join(delta_file);
@@ -336,7 +370,7 @@ proptest! {
             std::fs::write(&path, &bytes).unwrap();
         }
 
-        let (mut resumed, report) = CorpusEngine::resume_chain(cfg, &dir);
+        let (mut resumed, report) = resume_chain(cfg, &dir);
         // Damage anywhere in the delta is caught by the whole-file CRC:
         // the chain truncates to the base (day-0 state) and the report
         // says so. (A flip that leaves the delta readable-but-rejected or

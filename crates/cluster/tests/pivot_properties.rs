@@ -347,7 +347,7 @@ proptest! {
     ) {
         let eps = eps_of(eps_pick);
         let mut rng = Rng(seed);
-        let cfg = DistributedConfig::new(2, DbscanParams::new(eps, 2), 3);
+        let cfg = DistributedConfig::new(2, DbscanParams::new(eps, 2));
         let day1 = corpus(&mut rng, eps, 90);
         let mut engine = CorpusEngine::new(cfg);
         engine.add_batch(1, &day1);

@@ -167,7 +167,7 @@ proptest! {
         salt in any::<u64>(),
     ) {
         let day = duplicate_heavy_day(families, variants, max_copies, salt);
-        let cfg = DistributedConfig::new(1, DbscanParams::new(1.0, 1), salt);
+        let cfg = DistributedConfig::new(1, DbscanParams::new(1.0, 1));
         let (clustering, _) = common::cluster(cfg, &day);
         let everything: Vec<usize> = (0..day.len()).collect();
         prop_assert_eq!(&clustering.clusters[0].members, &everything);
@@ -195,7 +195,7 @@ proptest! {
         // A far outlier and an empty string ride along as noise candidates.
         day.push(vec![7; 45]);
         day.push(Vec::new());
-        let cfg = DistributedConfig::new(partitions, DbscanParams::new(0.10, min_points), salt);
+        let cfg = DistributedConfig::new(partitions, DbscanParams::new(0.10, min_points));
         let distance = |a: &Vec<u8>, b: &Vec<u8>| {
             normalized_edit_distance_bounded(a, b, 0.10).unwrap_or(1.0)
         };

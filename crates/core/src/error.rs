@@ -17,8 +17,7 @@ use std::fmt;
 pub enum KizzleError {
     /// A configuration violates a cross-module invariant (the message says
     /// which one). Produced by
-    /// [`KizzleConfig::validate`](crate::KizzleConfig::validate) and the
-    /// [builder](crate::config::KizzleConfigBuilder)'s `build`.
+    /// [`KizzleConfig::validate`](crate::KizzleConfig::validate).
     Config(String),
     /// Persisted state could not be read or written: container damage,
     /// version skew, a broken chain, or the underlying I/O failure. The

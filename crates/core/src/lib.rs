@@ -37,9 +37,9 @@
 //! the state as a snapshot chain. [`KizzleService::matcher`] hands out
 //! cloneable `Send + Sync` [`Matcher`] read handles that keep scanning —
 //! lock-free in the steady state — while a day seals, picking up each
-//! newly published signature set atomically. Configuration goes through
-//! [`KizzleConfig::builder`], and every fallible operation returns the
-//! unified [`KizzleError`].
+//! newly published signature set atomically. Configuration is
+//! [`KizzleConfig::paper`] or [`KizzleConfig::fast`] plus plain fields,
+//! and every fallible operation returns the unified [`KizzleError`].
 //!
 //! ## Quickstart
 //!
@@ -84,7 +84,7 @@ pub mod service;
 pub mod snapshot;
 pub mod source;
 
-pub use config::{KizzleConfig, KizzleConfigBuilder};
+pub use config::KizzleConfig;
 pub use error::KizzleError;
 pub use pipeline::{ClusterVerdict, DayReport, PipelineStats};
 pub use reference::ReferenceCorpus;
@@ -99,7 +99,7 @@ pub use kizzle_signature::SignatureSet;
 pub mod prelude {
     //! One-line import of the curated service API:
     //! `use kizzle::prelude::*;`.
-    pub use crate::config::{KizzleConfig, KizzleConfigBuilder};
+    pub use crate::config::KizzleConfig;
     pub use crate::error::KizzleError;
     pub use crate::pipeline::{ClusterVerdict, DayReport, PipelineStats};
     pub use crate::reference::ReferenceCorpus;

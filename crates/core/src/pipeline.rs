@@ -149,9 +149,9 @@ pub(crate) struct KizzleCompiler {
 }
 
 impl KizzleCompiler {
-    /// Create a compiler from a configuration and a seeded reference corpus.
+    /// Create a compiler from a validated configuration and a seeded
+    /// reference corpus.
     pub(crate) fn new(config: KizzleConfig, reference: ReferenceCorpus) -> Self {
-        let config = config.validated();
         KizzleCompiler {
             engine: CorpusEngine::new(config.clustering),
             config,
@@ -214,11 +214,9 @@ impl KizzleCompiler {
         ids
     }
 
-    /// Session phase 3 — record (or replace) the day's retained view and
-    /// capture the clustering inputs. `day_ids` is the concatenation of
-    /// every ingested batch's ids; the seal runs the returned
-    /// [`PreparedDay`](kizzle_cluster::PreparedDay) inside its `day.seal`
-    /// span.
+    /// Session phase 3 — cluster the day and record (or replace) its
+    /// retained view. `day_ids` is the concatenation of every ingested
+    /// batch's ids.
     ///
     /// Re-sealing a day *replaces* its view: a crashed cron job that
     /// re-runs the same date (allowed by the service's monotone check)
@@ -228,12 +226,12 @@ impl KizzleCompiler {
         &mut self,
         stamp: u64,
         day_ids: Vec<SampleId>,
-    ) -> kizzle_cluster::PreparedDay {
+    ) -> (Clustering, DistributedStats) {
         self.day_views
             .retain(|(view_stamp, _)| *view_stamp != stamp);
-        let prepared = self.engine.prepare_day(&day_ids);
+        let clustered = self.engine.cluster_day(&day_ids);
         self.day_views.push((stamp, day_ids));
-        prepared
+        clustered
     }
 
     /// Session phase 4 — label cluster prototypes against the reference

@@ -95,6 +95,15 @@ use std::thread::JoinHandle;
 /// outruns the worker is held to a bounded backlog.
 pub const PIPELINE_BOUND: usize = 256;
 
+/// The furthest ahead (in days) an opened day may be of the last opened
+/// one. The retention sweep retires everything older than
+/// `date - retention_days`, so one mis-parsed far-future date would
+/// silently discard the whole warm corpus; [`KizzleService::begin_day`]
+/// refuses such jumps as [`KizzleError::Ingest`] instead. Weekends,
+/// holidays and pipeline outages are normal gaps; a date parser emitting
+/// 2034 is not. It gates requests and shapes no persisted state.
+const MAX_DAY_ADVANCE: i64 = 90;
+
 /// The compiler-side state shared between the service and its ingest
 /// workers: the warm compiler under a mutex, plus the publication point.
 /// Worker threads hold `Arc` clones, so an abandoned session's detached
@@ -290,14 +299,13 @@ impl KizzleService {
             // Guard the other direction too: a mis-parsed far-future date
             // would retire the entire retained corpus in one sweep (every
             // live sample ages out against the bogus day). Refuse jumps
-            // beyond the configured horizon as a typed ingest error the
-            // caller can fix, instead of silently going cold.
+            // beyond the horizon as a typed ingest error the caller can
+            // fix, instead of silently going cold.
             let advance = date.absolute_day() - last.absolute_day();
-            let max_advance = i64::try_from(self.config().max_day_advance).unwrap_or(i64::MAX);
-            if advance > max_advance {
+            if advance > MAX_DAY_ADVANCE {
                 return Err(KizzleError::Ingest(format!(
                     "day {date} is {advance} days past the last opened day {last} \
-                     (max_day_advance is {max_advance}); refusing to retire the corpus"
+                     (max_day_advance is {MAX_DAY_ADVANCE}); refusing to retire the corpus"
                 )));
             }
         }
@@ -858,9 +866,8 @@ impl DaySession<'_> {
         let buffers = mem::take(&mut *self.state.inner.lock().expect("session buffers lock"));
         let mut compiler = self.service.lock_compiler();
         let stamp = buffers.stamp.unwrap_or_else(|| compiler.open_day(date));
-        let prepared = compiler.seal_view(stamp, buffers.day_ids);
         let seal_span = kizzle_telemetry::span!("day.seal");
-        let (clustering, stats) = prepared.finish();
+        let (clustering, stats) = compiler.seal_view(stamp, buffers.day_ids);
         let mut report =
             compiler.label_and_sign(date, &buffers.samples, &buffers.streams, clustering, stats);
         let set = Arc::clone(&compiler.signatures);
@@ -1312,25 +1319,15 @@ mod tests {
     }
 
     #[test]
-    fn max_day_advance_is_configurable() {
-        let config = KizzleConfig::builder()
-            .max_day_advance(5)
-            .build()
-            .expect("valid config");
-        let reference = ReferenceCorpus::seeded_from_models(SimDate::new(2014, 8, 1), &config);
-        let mut service = KizzleService::new(config, reference).expect("service");
+    fn max_day_advance_is_an_inclusive_boundary() {
+        let mut service = test_service();
         let d1 = SimDate::new(2014, 8, 6);
         service.process_day(d1, test_day(d1, 3)).expect("day 1");
-        // 6 days ahead exceeds the tightened horizon; 5 is the boundary.
-        assert!(service.begin_day(SimDate::new(2014, 8, 12)).is_err());
-        assert!(service.begin_day(SimDate::new(2014, 8, 11)).is_ok());
+        // 91 days ahead exceeds the horizon; 90 is the boundary.
+        assert!(service.begin_day(SimDate::new(2014, 11, 5)).is_err());
+        assert!(service.begin_day(SimDate::new(2014, 11, 4)).is_ok());
         // The very first day has no baseline, so any date opens.
-        let config = KizzleConfig::builder()
-            .max_day_advance(1)
-            .build()
-            .expect("valid config");
-        let reference = ReferenceCorpus::seeded_from_models(SimDate::new(2014, 8, 1), &config);
-        let mut fresh = KizzleService::new(config, reference).expect("service");
+        let mut fresh = test_service();
         assert!(fresh.begin_day(SimDate::new(2034, 1, 1)).is_ok());
     }
 

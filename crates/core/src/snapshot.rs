@@ -98,7 +98,9 @@ pub fn config_fingerprint(config: &KizzleConfig) -> u64 {
     enc.usize(config.clustering.partitions);
     enc.f64(config.clustering.dbscan.eps);
     enc.usize(config.clustering.dbscan.min_points);
-    enc.u64(config.clustering.seed);
+    // The retired partition-seed slot, always 0: keeps every saved
+    // chain's fingerprint, and so its loadability, unchanged.
+    enc.u64(0);
     enc.usize(config.token_cap);
     enc.usize(config.min_cluster_size);
     enc.usize(config.retention_days);
@@ -755,18 +757,23 @@ mod tests {
         c.clustering.dbscan.eps += 0.01;
         assert_ne!(fp, config_fingerprint(&c));
         let mut c = base;
-        c.clustering.seed ^= 1;
-        assert_ne!(fp, config_fingerprint(&c));
-        let mut c = base;
         c.token_cap += 1;
         assert_ne!(fp, config_fingerprint(&c));
         assert_ne!(fp, config_fingerprint(&KizzleConfig::fast()));
+    }
 
-        // max_day_advance gates ingest requests but shapes no persisted
-        // state — tightening it must NOT orphan existing snapshots.
-        let mut c = base;
-        c.max_day_advance = 5;
-        assert_eq!(fp, config_fingerprint(&c), "fingerprint must ignore it");
+    #[test]
+    fn curated_config_fingerprints_are_pinned() {
+        // Saved chains record these values; a change here orphans every
+        // existing state directory written under `paper()` or `fast()`.
+        assert_eq!(
+            config_fingerprint(&KizzleConfig::paper()),
+            0xac30_d3f7_7c3d_1f6c
+        );
+        assert_eq!(
+            config_fingerprint(&KizzleConfig::fast()),
+            0xe9d0_274f_e58c_696d
+        );
     }
 
     #[test]

@@ -237,7 +237,6 @@ impl FollowState {
 #[derive(Debug)]
 pub struct ChainFollower {
     dir: PathBuf,
-    prefix: String,
     epoch_hint: AtomicU64,
     slot: RwLock<(u64, Arc<SignatureSet>)>,
     /// Cap read from the manifest's `token_cap` key; until a manifest
@@ -247,7 +246,7 @@ pub struct ChainFollower {
 }
 
 impl ChainFollower {
-    /// A follower for the standard compiler-state chain
+    /// A follower for the compiler-state chain
     /// (`kizzle-state.snap` + deltas) in `dir`. Construction never
     /// touches the filesystem — a follower may be created before the
     /// compiler's first save; [`ChainFollower::poll`] reports
@@ -256,17 +255,10 @@ impl ChainFollower {
     /// (epoch 0) meanwhile.
     #[must_use]
     pub fn new(dir: impl Into<PathBuf>) -> Self {
-        ChainFollower::with_prefix(dir, STATE_CHAIN_PREFIX)
-    }
-
-    /// A follower for the chain `<dir>/<prefix>.snap` + deltas.
-    #[must_use]
-    pub fn with_prefix(dir: impl Into<PathBuf>, prefix: impl Into<String>) -> Self {
         let empty = SignatureSet::new();
         empty.seal();
         ChainFollower {
             dir: dir.into(),
-            prefix: prefix.into(),
             epoch_hint: AtomicU64::new(0),
             slot: RwLock::new((0, Arc::new(empty))),
             token_cap: AtomicUsize::new(KizzleConfig::paper().token_cap),
@@ -335,7 +327,7 @@ impl ChainFollower {
         // sections ourselves (covers manifest-less bare bases and
         // truncated chains, where the recorded fingerprints lie).
         let snapshot =
-            ChainedSnapshot::open(&self.dir, &self.prefix).map_err(KizzleError::Snapshot)?;
+            ChainedSnapshot::open(&self.dir, STATE_CHAIN_PREFIX).map_err(KizzleError::Snapshot)?;
         let sig_fingerprint = Some(fingerprint(
             snapshot
                 .section(SIGNATURES_SECTION)

@@ -258,10 +258,9 @@ impl Drop for SpanGuard {
 
 /// Record an already-measured span duration under `name`.
 ///
-/// For measurements that cannot be an RAII guard: durations that cross a
-/// call boundary (the cluster map phase starts in the engine's
-/// `prepare_day` and closes in `PreparedDay::finish`, which may run on
-/// another thread) or are accumulated across a loop (per-day
+/// For measurements that cannot be an RAII guard: durations that exclude
+/// a nested phase (the cluster map phase encloses the partition phase but
+/// does not count it) or are accumulated across a loop (per-day
 /// winnow/siggen totals). Recorded at the current thread's depth, as a
 /// span that *ends* now.
 pub fn record_span(name: &'static str, duration: Duration) {

@@ -10,10 +10,9 @@ use kizzle_corpus::{GraywareStream, GroundTruth, SimDate, StreamConfig};
 
 fn main() -> Result<(), KizzleError> {
     // 1. The day we are processing and the pipeline configuration — the
-    //    paper's operating point (DBSCAN at 0.10, 200-token signatures)
-    //    via the validated builder.
+    //    paper's operating point (DBSCAN at 0.10, 200-token signatures).
     let date = SimDate::new(2014, 8, 5);
-    let config = KizzleConfig::builder().partitions(4).eps(0.10).build()?;
+    let config = KizzleConfig::paper();
 
     // 2. Kizzle must be seeded with known, unpacked exploit kits — it
     //    automates the analyst's signature writing, it does not replace the

@@ -18,9 +18,10 @@
 //! * [`Matcher`] — `Send + Sync` scan handle over the epoch-swapped
 //!   published signature set; scans stay lock-free while a seal is in
 //!   flight and pick up each publication atomically.
-//! * [`KizzleConfig`] / [`KizzleConfig::builder`] — validated
-//!   configuration; [`KizzleError`] — the one error type every fallible
-//!   operation returns.
+//! * [`KizzleConfig`] — [`KizzleConfig::paper`] or [`KizzleConfig::fast`]
+//!   plus plain fields, checked by every service entry point;
+//!   [`KizzleError`] — the one error type every fallible operation
+//!   returns.
 //!
 //! ## Quickstart
 //!
@@ -29,7 +30,7 @@
 //! use kizzle_sim::corpus::{GraywareStream, SimDate, StreamConfig};
 //!
 //! let date = SimDate::new(2014, 8, 5);
-//! let config = KizzleConfig::builder().partitions(2).retention_days(2).build()?;
+//! let config = KizzleConfig::fast();
 //! let reference = ReferenceCorpus::seeded_from_models(date, &config);
 //! let mut service = KizzleService::new(config, reference)?;
 //!
@@ -55,8 +56,7 @@
 
 pub use kizzle::{
     config_fingerprint, read_signatures, Batch, ClusterVerdict, DayReport, DaySession,
-    KizzleConfig, KizzleConfigBuilder, KizzleError, KizzleService, Matcher, ReferenceCorpus,
-    ResumeReport, SignatureSet,
+    KizzleConfig, KizzleError, KizzleService, Matcher, ReferenceCorpus, ResumeReport, SignatureSet,
 };
 
 pub mod prelude {

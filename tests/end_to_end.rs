@@ -50,7 +50,7 @@ fn packed_samples_cluster_by_family_at_the_paper_threshold() {
         .map(|(_, html)| kizzle_js::tokenize_document_capped(html, 600).class_codes())
         .collect();
 
-    let mut engine = CorpusEngine::new(DistributedConfig::new(2, DbscanParams::new(0.10, 3), 1));
+    let mut engine = CorpusEngine::new(DistributedConfig::new(2, DbscanParams::new(0.10, 3)));
     let ids = engine.add_batch(0, &token_strings);
     let (clustering, _) = engine.cluster_day(&ids);
     assert!(clustering.is_partition());
