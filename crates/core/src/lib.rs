@@ -31,8 +31,8 @@
 //! [`KizzleService`] is the one compile-side driver: it owns the warm
 //! compiler state, [`KizzleService::begin_day`] opens a streaming
 //! [`DaySession`] that ingests the day as [`Batch`]es — one way in,
-//! whether a batch is borrowed, owned, `Arc`-shared or already tokenized —
-//! and seals it on the caller's thread, and
+//! whether a batch is borrowed, owned or `Arc`-shared — and seals it on
+//! the caller's thread, and
 //! [`KizzleService::save`] / [`KizzleService::open`] persist and resume
 //! the state as a snapshot chain. [`KizzleService::matcher`] hands out
 //! cloneable `Send + Sync` [`Matcher`] read handles that keep scanning —

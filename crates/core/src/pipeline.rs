@@ -5,10 +5,11 @@ use crate::reference::ReferenceCorpus;
 use kizzle_cluster::{Clustering, CorpusEngine, DistributedStats, SampleId};
 use kizzle_corpus::{KitFamily, Sample, SimDate};
 use kizzle_js::TokenStream;
-use kizzle_signature::{generate_signature, SignatureSet};
+use kizzle_signature::{generate_from_subsample, pick_subsample, SignatureSet};
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::Arc;
+use std::ops::Range;
+use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// What the pipeline decided about one cluster.
@@ -40,7 +41,7 @@ pub struct ClusterVerdict {
 pub struct PipelineStats {
     /// Mini-batches submitted for ingest (direct calls and channel sends).
     pub submitted_batches: u64,
-    /// Mini-batches actually tokenized/deduped/store-inserted. Less than
+    /// Mini-batches actually lexed/deduped/store-inserted. Less than
     /// `submitted_batches` only when an aborted session discarded work.
     pub applied_batches: u64,
     /// Producer sends that found the channel full and had to block — the
@@ -117,12 +118,12 @@ impl fmt::Display for DayReport {
 /// Holds the labeled reference corpus it was seeded with, the cumulative
 /// set of signatures it has emitted so far, and the warm incremental
 /// corpus engine threaded through consecutive days: each day's
-/// class-strings are tokenized once into the engine's store (content dedup
+/// class-strings are lexed once into the engine's store (content dedup
 /// turns the overlap with recent days into index cache hits), samples
 /// older than the configured retention window are retired, and the day is
 /// clustered as a view over the live corpus — byte-identical to a cold
 /// per-day run. The service drives the phases below
-/// ([`open_day`](Self::open_day) → [`ingest_streams`](Self::ingest_streams)
+/// ([`open_day`](Self::open_day) → [`ingest`](Self::ingest)
 /// per batch → [`seal_view`](Self::seal_view) →
 /// [`label_and_sign`](Self::label_and_sign)); nothing else does.
 #[derive(Debug)]
@@ -195,19 +196,19 @@ impl KizzleCompiler {
         stamp
     }
 
-    /// Session phase 2 — ingest a mini-batch of tokenized streams: deposit
-    /// their class-strings into the warm engine (carry-over content becomes
-    /// a cache hit; fresh content is indexed eagerly, so the day's front
-    /// half amortizes while later batches are still arriving) and return
-    /// the batch's sample ids. Callable any number of times per open day.
-    pub(crate) fn ingest_streams(&mut self, stamp: u64, streams: &[TokenStream]) -> Vec<SampleId> {
+    /// Session phase 2 — ingest a mini-batch of samples' class strings:
+    /// deposit them into the warm engine (carry-over content becomes a
+    /// cache hit; fresh content is indexed eagerly, so the day's front half
+    /// amortizes while later batches are still arriving) and return the
+    /// batch's sample ids. Callable any number of times per open day.
+    pub(crate) fn ingest(&mut self, stamp: u64, class_strings: &[Vec<u8>]) -> Vec<SampleId> {
         let _dedup_span = kizzle_telemetry::span!("day.dedup");
         if kizzle_telemetry::enabled() {
             kizzle_telemetry::counter("kizzle_ingest_batches_total").incr();
-            kizzle_telemetry::counter("kizzle_ingest_samples_total").add(streams.len() as u64);
+            kizzle_telemetry::counter("kizzle_ingest_samples_total")
+                .add(class_strings.len() as u64);
         }
-        let class_strings: Vec<Vec<u8>> = streams.iter().map(TokenStream::class_codes).collect();
-        let ids = self.engine.add_batch(stamp, &class_strings);
+        let ids = self.engine.add_batch(stamp, class_strings);
         if kizzle_telemetry::enabled() {
             kizzle_telemetry::gauge("kizzle_corpus_live_samples").set(self.engine.len() as u64);
         }
@@ -225,90 +226,145 @@ impl KizzleCompiler {
     pub(crate) fn seal_view(
         &mut self,
         stamp: u64,
-        day_ids: Vec<SampleId>,
+        day_ids: &[SampleId],
     ) -> (Clustering, DistributedStats) {
         self.day_views
             .retain(|(view_stamp, _)| *view_stamp != stamp);
-        let clustered = self.engine.cluster_day(&day_ids);
-        self.day_views.push((stamp, day_ids));
+        let clustered = self.engine.cluster_day(day_ids);
+        self.day_views.push((stamp, day_ids.to_vec()));
         clustered
     }
 
     /// Session phase 4 — label cluster prototypes against the reference
     /// corpus, absorb labeled prototypes, and generate signatures.
-    /// `samples`/`streams` are the position-parallel concatenation of
-    /// every ingested batch.
+    /// `samples` and `day_ids` are the position-parallel concatenation of
+    /// every ingested batch's documents and store ids.
+    ///
+    /// Ingest kept only class strings, so the members a labelled cluster's
+    /// signature reads — the [`pick_subsample`] of those whose class string
+    /// is non-empty — are lexed here, and only those. The lexing overlaps
+    /// the winnow loop: each labelled cluster's picks are queued to a
+    /// helper thread while the next prototype is labelled, and the seal's
+    /// thread joins in on whatever is left once labelling is done.
+    /// Signatures are then generated in cluster order — labelling never
+    /// reads the signature set, so doing every label first changes nothing.
     pub(crate) fn label_and_sign(
         &mut self,
         date: SimDate,
         samples: &SampleRope,
-        streams: &[TokenStream],
+        day_ids: &[SampleId],
         clustering: Clustering,
         stats: DistributedStats,
     ) -> DayReport {
         let tel = kizzle_telemetry::enabled();
-        let mut verdicts = Vec::new();
-        let mut new_signatures = Vec::new();
-        // The winnow (unpack → reference label → absorb) and siggen
-        // (signature generation → set append) phases interleave per
-        // cluster, so an RAII guard per phase would spray hundreds of
-        // sub-ms spans; accumulate each phase across the loop and record
-        // two per-day spans after it.
+        let token_cap = self.config.token_cap;
+        let significant = clustering.significant_clusters(self.config.min_cluster_size);
+        let mut verdicts: Vec<ClusterVerdict> = Vec::with_capacity(significant.len());
+        // Per labelled cluster: its verdict, its family, and its picked
+        // members' streams in `lexed`.
+        let mut labelled: Vec<(usize, KitFamily, Range<usize>)> = Vec::new();
+        // The winnow phase (unpack → reference label → absorb) runs per
+        // cluster, so an RAII guard would spray hundreds of sub-ms spans;
+        // accumulate it across the loop and record one per-day span after.
         let mut winnow_time = Duration::ZERO;
-        let mut siggen_time = Duration::ZERO;
-        for cluster in clustering.significant_clusters(self.config.min_cluster_size) {
-            let winnow_started = tel.then(Instant::now);
-            let prototype_idx = cluster.prototype.unwrap_or_else(|| cluster.members[0]);
-            let (_, unpacked) = kizzle_unpack::unpack_or_passthrough(samples.html(prototype_idx));
-            let labeled = self.reference.label(&unpacked);
+        let mut siggen_started = None;
 
-            let mut verdict = ClusterVerdict {
-                size: cluster.len(),
-                family: labeled.map(|(f, _)| f),
-                overlap: labeled.map_or(0.0, |(_, o)| o),
-                signature_name: None,
-            };
-
-            if let Some((family, _)) = labeled {
-                // Track the kit's evolution so tomorrow's variant still
-                // labels correctly.
-                self.reference.absorb(family, &unpacked);
+        // Lex jobs: (job number, day position). Whoever holds the queue
+        // lock waits for the next job; the lock is released before lexing.
+        let (jobs, queue) = mpsc::channel::<(usize, usize)>();
+        let queue = Mutex::new(queue);
+        let lex_queued = || {
+            let mut out = Vec::new();
+            loop {
+                let job = queue.lock().expect("lex queue lock").recv();
+                let Ok((job, position)) = job else {
+                    return out;
+                };
+                let stream = kizzle_js::tokenize_document_capped(samples.html(position), token_cap);
+                out.push((job, stream));
+            }
+        };
+        let lexed: Vec<TokenStream> = std::thread::scope(|scope| {
+            let mut helper = None;
+            let mut queued = 0;
+            for cluster in &significant {
+                let winnow_started = tel.then(Instant::now);
+                let prototype_idx = cluster.prototype.unwrap_or_else(|| cluster.members[0]);
+                let (_, unpacked) =
+                    kizzle_unpack::unpack_or_passthrough(samples.html(prototype_idx));
+                let labeled = self.reference.label(&unpacked);
+                if let Some((family, _)) = labeled {
+                    // Track the kit's evolution so tomorrow's variant still
+                    // labels correctly.
+                    self.reference.absorb(family, &unpacked);
+                    let store = self.engine.store();
+                    let usable: Vec<usize> = cluster
+                        .members
+                        .iter()
+                        .copied()
+                        .filter(|&i| store.get(day_ids[i]).is_some_and(|c| !c.is_empty()))
+                        .collect();
+                    helper.get_or_insert_with(|| scope.spawn(lex_queued));
+                    let first = queued;
+                    for position in pick_subsample(&usable, &self.config.signature) {
+                        jobs.send((queued, position))
+                            .expect("the lex queue is open");
+                        queued += 1;
+                    }
+                    labelled.push((verdicts.len(), family, first..queued));
+                }
+                verdicts.push(ClusterVerdict {
+                    size: cluster.len(),
+                    family: labeled.map(|(f, _)| f),
+                    overlap: labeled.map_or(0.0, |(_, o)| o),
+                    signature_name: None,
+                });
                 if let Some(started) = winnow_started {
                     winnow_time += started.elapsed();
                 }
-                let siggen_started = tel.then(Instant::now);
-
-                let member_streams: Vec<&TokenStream> =
-                    cluster.members.iter().map(|&i| &streams[i]).collect();
-                let counter = self.signature_counters.entry(family).or_insert(0);
-                let name = format!("{}.sig{}", family.short_code(), *counter + 1);
-                match generate_signature(&name, &member_streams, &self.config.signature) {
-                    Ok(signature) => {
-                        // Copy-on-write: the set only materializes a copy
-                        // when a published epoch still shares it.
-                        if Arc::make_mut(&mut self.signatures).add(family.name(), signature) {
-                            *counter += 1;
-                            verdict.signature_name = Some(name.clone());
-                            new_signatures.push(name);
-                        }
-                    }
-                    Err(_) => {
-                        // Not enough common structure (paper: short common
-                        // subsequences are discarded); the cluster stays
-                        // labeled but unsigned.
-                    }
-                }
-                if let Some(started) = siggen_started {
-                    siggen_time += started.elapsed();
-                }
-            } else if let Some(started) = winnow_started {
-                winnow_time += started.elapsed();
             }
-            verdicts.push(verdict);
+            // What the helper has not lexed yet is lexed on both threads
+            // and charged to siggen, whose input it is.
+            siggen_started = tel.then(Instant::now);
+            drop(jobs);
+            let mut lexed = lex_queued();
+            if let Some(helper) = helper {
+                match helper.join() {
+                    Ok(helped) => lexed.extend(helped),
+                    Err(payload) => std::panic::resume_unwind(payload),
+                }
+            }
+            lexed.sort_unstable_by_key(|&(job, _)| job);
+            lexed.into_iter().map(|(_, stream)| stream).collect()
+        });
+
+        let mut new_signatures = Vec::new();
+        for (verdict, family, streams) in labelled {
+            let subsample: Vec<&TokenStream> = lexed[streams].iter().collect();
+            let counter = self.signature_counters.entry(family).or_insert(0);
+            let name = format!("{}.sig{}", family.short_code(), *counter + 1);
+            let members = verdicts[verdict].size;
+            // An error means not enough common structure (paper: short
+            // common subsequences are discarded); the cluster stays labeled
+            // but unsigned.
+            if let Ok(signature) =
+                generate_from_subsample(&name, &subsample, members, &self.config.signature)
+            {
+                // Copy-on-write: the set only materializes a copy when a
+                // published epoch still shares it.
+                if Arc::make_mut(&mut self.signatures).add(family.name(), signature) {
+                    *counter += 1;
+                    verdicts[verdict].signature_name = Some(name.clone());
+                    new_signatures.push(name);
+                }
+            }
         }
         if tel {
             kizzle_telemetry::record_span("day.winnow", winnow_time);
-            kizzle_telemetry::record_span("day.siggen", siggen_time);
+            kizzle_telemetry::record_span(
+                "day.siggen",
+                siggen_started.map_or(Duration::ZERO, |started| started.elapsed()),
+            );
             kizzle_telemetry::counter("kizzle_days_sealed_total").incr();
             kizzle_telemetry::counter("kizzle_signatures_emitted_total")
                 .add(new_signatures.len() as u64);

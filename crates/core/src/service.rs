@@ -7,13 +7,14 @@
 //!
 //! * **Ingest is a session with one way in.** [`KizzleService::begin_day`]
 //!   opens a [`DaySession`]; every mini-batch enters it as a [`Batch`] —
-//!   built from a borrowed slice (copied), an owned `Vec` (moved), an
-//!   `Arc<[Sample]>` (shared, so the day is never buffered twice), or
-//!   [`Batch::tokenized`] when the caller already holds the token
-//!   streams. [`DaySession::ingest`] tokenizes, deduplicates and
-//!   store-inserts eagerly, amortizing the day's front half across the
-//!   arrival window, and [`DaySession::seal`] runs cluster →
-//!   winnow-label → signature generation → publish.
+//!   built from a borrowed slice (copied), an owned `Vec` (moved) or an
+//!   `Arc<[Sample]>` (shared, so the day is never buffered twice).
+//!   [`DaySession::ingest`] lexes each document into per-thread scratch
+//!   and keeps only its token-class string, deduplicating and
+//!   store-inserting eagerly, amortizing the day's front half across the
+//!   arrival window; [`DaySession::seal`] runs cluster → winnow-label →
+//!   signature generation → publish, lexing concrete tokens only for the
+//!   members each labelled cluster's signature reads.
 //!   [`KizzleService::process_day`] is exactly that for a day that is
 //!   already complete: `begin_day`, one `ingest`, `seal`. However the day
 //!   is cut into batches, and whichever route each batch takes, the seal
@@ -32,11 +33,11 @@
 //! * **The ingest side pipelines.** [`DaySession::pipeline_auto`] puts a
 //!   channel of [`PIPELINE_BOUND`] batches and one worker thread in front
 //!   of the session: cloneable [`IngestProducer`]s submit the same
-//!   [`Batch`]es ([`IngestProducer::send`]) and the worker tokenizes/
+//!   [`Batch`]es ([`IngestProducer::send`]) and the worker lexes/
 //!   dedups/store-inserts off the producers' threads, a full channel
 //!   blocking them (backpressure, counted in [`DayReport`]`.pipeline`).
 //!   The worker takes everything already queued as one group and
-//!   tokenizes its documents across the cores (`KIZZLE_RAYON_THREADS`
+//!   lexes its documents across the cores (`KIZZLE_RAYON_THREADS`
 //!   sets the width), then applies the batches one by one in FIFO order.
 //!   The seal stays on the caller's thread: it flushes the channel, then
 //!   clusters, labels, signs and publishes before it returns.
@@ -77,9 +78,10 @@ use crate::snapshot::ResumeReport;
 use crate::source::{EpochSource, SignatureSource};
 use kizzle_cluster::{Clustering, CorpusEngine, DistributedStats, SampleId};
 use kizzle_corpus::{KitFamily, Sample, SimDate};
-use kizzle_js::TokenStream;
+use kizzle_js::{Span, TokenStream};
 use kizzle_signature::SignatureSet;
 use rayon::prelude::*;
+use std::cell::RefCell;
 use std::mem;
 use std::ops::Deref;
 use std::path::Path;
@@ -124,7 +126,7 @@ struct ServiceCore {
 ///
 /// The front-end is pipelined: [`DaySession::pipeline_auto`] opens a
 /// `sync_channel` of [`PIPELINE_BOUND`] batches whose worker
-/// tokenizes/dedups/store-inserts mini-batches off the callers' threads
+/// lexes/dedups/store-inserts mini-batches off the callers' threads
 /// (cloneable [`IngestProducer`]s submit with backpressure).
 /// [`DaySession::seal`] flushes the channel and compiles the day on the
 /// calling thread; [`KizzleService::matcher`] scans run concurrently
@@ -435,10 +437,10 @@ impl Deref for EngineRef<'_> {
 /// the batch into shared storage, `Vec<Sample>` **moves** it, and
 /// `Arc<[Sample]>` **shares** the caller's allocation — the session
 /// buffers the batch until seal (cluster member indices are
-/// day-positional, and labeling/signature generation need the originals),
-/// so a large day held elsewhere is best handed in shared.
-/// [`Batch::tokenized`] additionally carries token streams the caller
-/// already computed; any other batch is tokenized by the session.
+/// day-positional, labeling unpacks a cluster's prototype document and
+/// signature generation lexes the members it reads), so a large day held
+/// elsewhere is best handed in shared. The session lexes every document
+/// itself and keeps only its token-class string.
 ///
 /// An **empty** batch is an accepted no-op: it does not open the day, so
 /// a frontend that flushes on a timer and sends empty ticks never commits
@@ -446,41 +448,11 @@ impl Deref for EngineRef<'_> {
 #[derive(Debug)]
 pub struct Batch {
     samples: Arc<[Sample]>,
-    /// Caller-provided token streams, position-parallel with `samples`.
-    streams: Option<Vec<TokenStream>>,
-}
-
-impl Batch {
-    /// A batch with already tokenized streams, position-parallel with
-    /// `samples` (the evaluation harness tokenizes once and shares the
-    /// streams between Kizzle and its metrics — a [`TokenStream`] clone is
-    /// two reference-count bumps). `samples` converts like the `From`
-    /// impls: a slice copies, a `Vec` moves, an `Arc<[Sample]>` shares.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the lengths differ.
-    #[must_use]
-    pub fn tokenized(samples: impl Into<Arc<[Sample]>>, streams: Vec<TokenStream>) -> Self {
-        let samples = samples.into();
-        assert_eq!(
-            samples.len(),
-            streams.len(),
-            "samples and streams must be parallel"
-        );
-        Batch {
-            samples,
-            streams: Some(streams),
-        }
-    }
 }
 
 impl From<Arc<[Sample]>> for Batch {
     fn from(samples: Arc<[Sample]>) -> Self {
-        Batch {
-            samples,
-            streams: None,
-        }
+        Batch { samples }
     }
 }
 
@@ -512,7 +484,6 @@ struct SessionInner {
     /// committed.
     stamp: Option<u64>,
     samples: SampleRope,
-    streams: Vec<TokenStream>,
     day_ids: Vec<SampleId>,
 }
 
@@ -564,60 +535,90 @@ struct Frontend {
 }
 
 /// Most samples the channel worker drains into one group. A group's
-/// documents are tokenized together across the cores; the bound keeps the
-/// stretch between store inserts — and the token streams held meanwhile —
-/// to a fraction of a day.
+/// documents are lexed together across the cores; the bound keeps the
+/// stretch between store inserts to a fraction of a day.
 const INGEST_GROUP_SAMPLES: usize = 1024;
 
-/// Fewer documents than this are tokenized on the calling thread: the
-/// vendored rayon spawns scoped threads per call, which costs about what
-/// tokenizing a dozen pages does.
+/// Fewer documents than this are lexed on the calling thread: the vendored
+/// rayon spawns scoped threads per call, which costs about what lexing a
+/// dozen pages does.
 const PAR_TOKENIZE_MIN: usize = 64;
 
-/// A non-empty mini-batch with its token streams, position-parallel.
-struct TokenizedBatch {
-    samples: Arc<[Sample]>,
-    streams: Vec<TokenStream>,
+/// Above this many spans a thread's ingest scratch is released after the
+/// document instead of kept — an uncapped configuration must not pin the
+/// largest page's span buffer on a long-lived thread.
+const SCRATCH_RETAIN_SPANS: usize = 1 << 16;
+
+thread_local! {
+    /// The calling thread's span buffer for ingest lexing.
+    static SPANS: RefCell<Vec<Span>> = const { RefCell::new(Vec::new()) };
 }
 
-/// Tokenize every document of `group` whose batch did not bring its
-/// streams — one parallel map over all of them, in order, so a deep queue
-/// uses every core however small its batches are. Order and content are
-/// those of batch-by-batch tokenization; only the threads differ.
-fn tokenize_group(token_cap: usize, group: Vec<Batch>) -> Vec<TokenizedBatch> {
+/// The token-class string of `document` lexed to `token_cap` tokens — what
+/// `tokenize_document_capped(document, token_cap).class_codes()` returns,
+/// lexed into the calling thread's scratch span buffer, so the one
+/// allocation per document is the string itself.
+fn class_string(document: &str, token_cap: usize) -> Vec<u8> {
+    SPANS.with(|spans| {
+        let spans = &mut *spans.borrow_mut();
+        let classes = kizzle_js::lex_document(document, token_cap, spans)
+            .0
+            .class_codes();
+        if spans.capacity() > SCRATCH_RETAIN_SPANS {
+            *spans = Vec::new();
+        }
+        classes
+    })
+}
+
+/// A non-empty mini-batch with its samples' class strings, position-parallel.
+struct ClassedBatch {
+    samples: Arc<[Sample]>,
+    class_strings: Vec<Vec<u8>>,
+}
+
+/// Lex every document of `group` to its class string — one parallel map
+/// over all of them, in order, so a deep queue uses every core however
+/// small its batches are. Order and content are those of batch-by-batch
+/// lexing; only the threads differ.
+fn tokenize_group(token_cap: usize, group: Vec<Batch>) -> Vec<ClassedBatch> {
     let documents: Vec<&Sample> = group
         .iter()
-        .filter(|batch| batch.streams.is_none())
         .flat_map(|batch| batch.samples.iter())
         .collect();
-    let tokenize = |sample: &&Sample| kizzle_js::tokenize_document_capped(&sample.html, token_cap);
-    let mut fresh = {
-        let _ingest_span = (!documents.is_empty()).then(|| kizzle_telemetry::span!("day.ingest"));
+    let lex = |sample: &&Sample| class_string(&sample.html, token_cap);
+    let mut class_strings = {
+        let _ingest_span = kizzle_telemetry::span!("day.ingest");
         if documents.len() < PAR_TOKENIZE_MIN {
-            documents.iter().map(tokenize).collect::<Vec<TokenStream>>()
+            documents.iter().map(lex).collect::<Vec<Vec<u8>>>()
         } else {
-            documents.par_iter().map(tokenize).collect()
+            documents.par_iter().map(lex).collect()
         }
     }
     .into_iter();
     if kizzle_telemetry::enabled() {
-        let samples: usize = group.iter().map(|batch| batch.samples.len()).sum();
-        kizzle_telemetry::gauge("kizzle_ingest_group_samples").set_max(samples as u64);
+        kizzle_telemetry::gauge("kizzle_ingest_group_samples").set_max(documents.len() as u64);
     }
     group
         .into_iter()
-        .map(|Batch { samples, streams }| {
-            let streams = streams.unwrap_or_else(|| fresh.by_ref().take(samples.len()).collect());
-            TokenizedBatch { samples, streams }
+        .map(|Batch { samples }| {
+            let class_strings = class_strings.by_ref().take(samples.len()).collect();
+            ClassedBatch {
+                samples,
+                class_strings,
+            }
         })
         .collect()
 }
 
-/// Dedup and store-insert one tokenized mini-batch atomically: the whole
-/// batch lands under one compiler lock, so no observer (and no abort) ever
-/// sees a half-inserted batch.
-fn apply_batch(state: &SessionState, batch: TokenizedBatch) {
-    let TokenizedBatch { samples, streams } = batch;
+/// Dedup and store-insert one lexed mini-batch atomically: the whole batch
+/// lands under one compiler lock, so no observer (and no abort) ever sees
+/// a half-inserted batch.
+fn apply_batch(state: &SessionState, batch: ClassedBatch) {
+    let ClassedBatch {
+        samples,
+        class_strings,
+    } = batch;
     let mut compiler = state.core.compiler.lock().expect("compiler lock");
     let mut inner = state.inner.lock().expect("session buffers lock");
     // The first batch applied opens the day: advance the cursor, run the
@@ -626,16 +627,15 @@ fn apply_batch(state: &SessionState, batch: TokenizedBatch) {
         Some(stamp) => stamp,
         None => *inner.stamp.insert(compiler.open_day(state.date)),
     };
-    let ids = compiler.ingest_streams(stamp, &streams);
+    let ids = compiler.ingest(stamp, &class_strings);
     inner.day_ids.extend(ids);
-    inner.streams.extend(streams);
     inner.samples.push(samples);
     state.applied.fetch_add(1, Ordering::Relaxed);
 }
 
-/// Tokenize a group of non-empty batches (before any lock is taken), then
+/// Lex a group of non-empty batches (before any lock is taken), then
 /// apply them one by one in order. An abandoned session's group is
-/// discarded untokenized; a session dropped meanwhile stops the group at
+/// discarded unlexed; a session dropped meanwhile stops the group at
 /// the next batch boundary, so what is applied is whole batches.
 fn apply_group(state: &SessionState, group: Vec<Batch>) {
     let abandoned = || state.closed.load(Ordering::Acquire);
@@ -748,13 +748,14 @@ impl IngestProducer {
 /// A streaming ingest session for one day, opened by
 /// [`KizzleService::begin_day`].
 ///
-/// Mini-batches are tokenized, deduplicated and store-inserted **eagerly**
-/// on [`DaySession::ingest`] — by the time the day's tail arrives, its
-/// front half has already been indexed, so [`DaySession::seal`] pays only
-/// clustering, labeling and signature generation. The first *non-empty*
-/// batch applied also *opens* the day (advances the day cursor, retires
-/// samples that aged out of the retention window); dropping a session
-/// before that first batch is a complete no-op. Dropping it afterwards
+/// Mini-batches are lexed to class strings, deduplicated and
+/// store-inserted **eagerly** on [`DaySession::ingest`] — by the time the
+/// day's tail arrives, its front half has already been indexed, so
+/// [`DaySession::seal`] pays only clustering, labeling and signature
+/// generation. The first *non-empty* batch applied also *opens* the day
+/// (advances the day cursor, retires samples that aged out of the
+/// retention window); dropping a session before that first batch is a
+/// complete no-op. Dropping it afterwards
 /// abandons the day: already-applied batches stay in the warm store (where
 /// retention will age them out) but no clustering runs, no day view is
 /// recorded and nothing is published. With the pipelined frontend the
@@ -766,7 +767,7 @@ impl IngestProducer {
 ///
 /// [`DaySession::pipeline_auto`] opens a `sync_channel` of
 /// [`PIPELINE_BOUND`] batches and spawns a worker that
-/// tokenizes/dedups/store-inserts off the callers' threads; cloneable
+/// lexes/dedups/store-inserts off the callers' threads; cloneable
 /// [`IngestProducer`]s submit mini-batches with backpressure. The
 /// frontend is byte-identical to direct ingest (property-tested in
 /// `tests/service_properties.rs`); the [`DayReport::pipeline`] counters
@@ -804,7 +805,7 @@ impl DaySession<'_> {
     /// more producers for the same channel.
     ///
     /// Producers may be cloned and moved to other threads; the worker
-    /// tokenizes and applies batches in channel FIFO order. Sends racing a
+    /// lexes and applies batches in channel FIFO order. Sends racing a
     /// seal are cut off: once [`DaySession::seal`] has flushed the
     /// channel, further sends return `false`.
     pub fn pipeline_auto(&mut self) -> IngestProducer {
@@ -823,14 +824,16 @@ impl DaySession<'_> {
         }
     }
 
-    /// Ingest a mini-batch (see [`Batch`] for the accepted sources):
-    /// tokenize each sample (capped at the configured prefix) unless the
-    /// batch brought its streams, deposit the class-strings into the warm
-    /// engine (duplicate content — intra-day or carried over from recent
-    /// days — dedups onto the live entry), and index fresh content
-    /// immediately. When the pipelined frontend is active the batch rides
-    /// the channel instead (tokenized by the worker), keeping one FIFO
-    /// order across direct and producer submissions.
+    /// Ingest a mini-batch (see [`Batch`] for the accepted sources): lex
+    /// each document (capped at the configured prefix) into the thread's
+    /// scratch, keeping only its class string, deposit the class strings
+    /// into the warm engine (duplicate content — intra-day or carried over
+    /// from recent days — dedups onto the live entry), and index fresh
+    /// content immediately. No token stream is built or kept: the seal
+    /// lexes again only the members signature generation reads. When the
+    /// pipelined frontend is active the batch rides the channel instead
+    /// (lexed by the worker), keeping one FIFO order across direct and
+    /// producer submissions.
     pub fn ingest(&mut self, batch: impl Into<Batch>) {
         let tx = self.frontend.as_ref().map(|frontend| &frontend.tx);
         submit(&self.state, tx, batch.into());
@@ -867,9 +870,9 @@ impl DaySession<'_> {
         let mut compiler = self.service.lock_compiler();
         let stamp = buffers.stamp.unwrap_or_else(|| compiler.open_day(date));
         let seal_span = kizzle_telemetry::span!("day.seal");
-        let (clustering, stats) = compiler.seal_view(stamp, buffers.day_ids);
+        let (clustering, stats) = compiler.seal_view(stamp, &buffers.day_ids);
         let mut report =
-            compiler.label_and_sign(date, &buffers.samples, &buffers.streams, clustering, stats);
+            compiler.label_and_sign(date, &buffers.samples, &buffers.day_ids, clustering, stats);
         let set = Arc::clone(&compiler.signatures);
         drop(compiler);
         report.pipeline = self.state.pipeline_stats();
@@ -1094,29 +1097,30 @@ mod tests {
     }
 
     #[test]
-    fn group_tokenization_fills_in_raw_batches_only_and_in_order() {
+    fn group_tokenization_yields_class_strings_in_order() {
         let date = SimDate::new(2014, 8, 5);
         let day = test_day(date, 7);
-        let tokenize = |samples: &[Sample]| -> Vec<TokenStream> {
+        let classes = |samples: &[Sample]| -> Vec<Vec<u8>> {
             samples
                 .iter()
-                .map(|s| kizzle_js::tokenize_document_capped(&s.html, 500))
+                .map(|s| kizzle_js::tokenize_document_capped(&s.html, 500).class_codes())
                 .collect()
         };
-        // Below and above the pooled threshold: raw, caller-tokenized, raw.
-        // The caller's streams are deliberately not its samples', so
-        // passing them through untouched is visible.
-        for raw in [5, PAR_TOKENIZE_MIN] {
-            let first: Vec<Sample> = day.iter().cycle().take(raw).cloned().collect();
-            let marker = tokenize(&day[..3]);
+        // Below and above the pooled threshold, each batch's strings in its
+        // own sample order.
+        for first in [5, PAR_TOKENIZE_MIN] {
+            let first: Vec<Sample> = day.iter().cycle().take(first).cloned().collect();
             let group = vec![
                 Batch::from(&first),
-                Batch::tokenized(&day[3..6], marker.clone()),
+                Batch::from(&day[3..6]),
                 Batch::from(&day[6..9]),
             ];
-            let tokenized = tokenize_group(500, group);
-            let streams: Vec<&Vec<TokenStream>> = tokenized.iter().map(|b| &b.streams).collect();
-            assert_eq!(streams, [&tokenize(&first), &marker, &tokenize(&day[6..9])]);
+            let lexed = tokenize_group(500, group);
+            let strings: Vec<&Vec<Vec<u8>>> = lexed.iter().map(|b| &b.class_strings).collect();
+            assert_eq!(
+                strings,
+                [&classes(&first), &classes(&day[3..6]), &classes(&day[6..9])]
+            );
         }
     }
 
@@ -1372,7 +1376,7 @@ mod tests {
         {
             let mut session = service.begin_day(far).expect("monotone date opens");
             session.ingest(&[][..]);
-            session.ingest(Batch::tokenized(&[][..], Vec::new()));
+            session.ingest(Vec::<Sample>::new());
             assert_eq!(session.ingested(), 0);
         }
         assert_eq!(service.last_processed_day(), Some(d1));
@@ -1418,13 +1422,6 @@ mod tests {
         let (second, _) = service.cluster_window();
         assert_eq!(first.sample_count, second.sample_count);
         assert_eq!(first.cluster_count(), second.cluster_count());
-    }
-
-    #[test]
-    #[should_panic(expected = "samples and streams must be parallel")]
-    fn tokenized_batch_with_mismatched_lengths_panics() {
-        let date = SimDate::new(2014, 8, 5);
-        let _ = Batch::tokenized(test_day(date, 3), Vec::new());
     }
 
     #[test]

@@ -18,47 +18,12 @@ use kizzle_corpus::benign::{generate_benign, BenignKind};
 use kizzle_corpus::{GraywareStream, KitFamily, KitModel, SimDate, StreamConfig};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
 
-/// The system allocator plus a per-thread count of allocating calls (tests
-/// in this binary run on parallel threads; a global count would see their
-/// allocations too).
-struct CountingAllocator;
-
-thread_local! {
-    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+/// The counting global allocator.
+mod common {
+    pub mod counting_alloc;
 }
-
-// SAFETY: every call is forwarded unchanged to `System`, which upholds the
-// `GlobalAlloc` contract; the counter is a `const`-initialized thread-local
-// `Cell` without a destructor, so touching it neither allocates nor runs
-// after thread teardown.
-unsafe impl GlobalAlloc for CountingAllocator {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.with(|count| count.set(count.get() + 1));
-        // SAFETY: the caller's obligations are passed through as they are.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: as above.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.with(|count| count.set(count.get() + 1));
-        // SAFETY: as above.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static GLOBAL: CountingAllocator = CountingAllocator;
-
-fn allocations() -> u64 {
-    ALLOCATIONS.with(Cell::get)
-}
+use common::counting_alloc::allocations;
 
 /// A service that has compiled one day of the fast corpus, its matcher, and
 /// that day's pages plus fresh ones it never saw.

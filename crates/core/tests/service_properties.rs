@@ -2,17 +2,17 @@
 //!
 //! 1. **Streaming == single-shot.** A [`DaySession`] fed the day in
 //!    arbitrary mini-batches — each entering by an arbitrary [`Batch`]
-//!    route: borrowed, owned, `Arc`-shared or already tokenized — seals
+//!    route: borrowed, owned or `Arc`-shared — seals
 //!    to a [`DayReport`] byte-identical (modulo wall-clock/work-counter
 //!    stats) to the one-batch [`KizzleService::process_day`] over the
 //!    same sample sequence, with identical resulting signatures,
 //!    reference corpus evolution and warm engine state — across multiple
 //!    consecutive days.
-//!    The channel worker tokenizes whatever is queued as one group across
-//!    the cores; deep queues of mixed raw and caller-tokenized batches, a
-//!    seal cutting a drain short and a session dropped mid-group are held
-//!    to the same contract (CI runs this file a second time under
-//!    `KIZZLE_RAYON_THREADS=1`, pinning pooled ≡ sequential tokenization).
+//!    The channel worker lexes whatever is queued as one group across the
+//!    cores; deep queues of mixed-route batches, a seal cutting a drain
+//!    short and a session dropped mid-group are held to the same contract
+//!    (CI runs this file a second time under `KIZZLE_RAYON_THREADS=1`,
+//!    pinning pooled ≡ sequential lexing).
 //! 2. **Publication is atomic.** [`Matcher`] clones scanning from other
 //!    threads while a seal is in flight observe either the previous
 //!    published set or the new one — a complete, self-consistent set
@@ -56,20 +56,12 @@ fn distinct_content(mut samples: Vec<Sample>, first: u64) -> Vec<Sample> {
 }
 
 /// `chunk` as a [`Batch`], by the route `route` selects: copied from the
-/// borrowed slice, moved as a `Vec`, shared as an `Arc<[Sample]>`, or
-/// tokenized by the caller.
-fn routed(route: u8, chunk: &[Sample], token_cap: usize) -> Batch {
-    match route % 4 {
+/// borrowed slice, moved as a `Vec`, or shared as an `Arc<[Sample]>`.
+fn routed(route: u8, chunk: &[Sample]) -> Batch {
+    match route % 3 {
         0 => chunk.into(),
         1 => chunk.to_vec().into(),
-        2 => Arc::<[Sample]>::from(chunk).into(),
-        _ => Batch::tokenized(
-            chunk,
-            chunk
-                .iter()
-                .map(|s| kizzle_js::tokenize_document_capped(&s.html, token_cap))
-                .collect(),
-        ),
+        _ => Arc::<[Sample]>::from(chunk).into(),
     }
 }
 
@@ -92,12 +84,11 @@ proptest! {
     fn mini_batch_ingest_equals_single_shot(
         day_sizes in prop::collection::vec(8usize..56, 1..4),
         batch_size in 1usize..24,
-        routes in prop::collection::vec(0u8..4, 1..8),
+        routes in prop::collection::vec(0u8..3, 1..8),
         seed in 0u64..1000,
     ) {
         let mut single = fast_service();
         let mut batched = fast_service();
-        let token_cap = batched.config().token_cap;
         let mut date = SimDate::new(2014, 8, 5);
         for (d, &size) in day_sizes.iter().enumerate() {
             let day = day_samples(date, size, seed.wrapping_add(d as u64));
@@ -106,7 +97,7 @@ proptest! {
 
             let mut session = batched.begin_day(date).expect("day opens");
             for (i, chunk) in day.chunks(batch_size).enumerate() {
-                session.ingest(routed(routes[i % routes.len()], chunk, token_cap));
+                session.ingest(routed(routes[i % routes.len()], chunk));
             }
             prop_assert_eq!(session.ingested(), day.len());
             let got = session.seal();
@@ -138,13 +129,12 @@ proptest! {
     fn pipelined_multi_producer_equals_single_shot(
         day_sizes in prop::collection::vec(8usize..48, 2..4),
         batch_size in 1usize..16,
-        routes in prop::collection::vec(0u8..4, 1..8),
+        routes in prop::collection::vec(0u8..3, 1..8),
         producers in 2usize..4,
         seed in 0u64..1000,
     ) {
         let mut single = fast_service();
         let mut piped = fast_service();
-        let token_cap = piped.config().token_cap;
         let mut date = SimDate::new(2014, 8, 5);
 
         for (d, &size) in day_sizes.iter().enumerate() {
@@ -169,7 +159,7 @@ proptest! {
                                 std::thread::yield_now();
                             }
                             let route = routes[i % routes.len()];
-                            assert!(producer.send(routed(route, chunk, token_cap)));
+                            assert!(producer.send(routed(route, chunk)));
                             turn.store(i + 1, Ordering::Release);
                         }
                     });
@@ -193,23 +183,21 @@ proptest! {
     }
 
     /// Groups really form, and still equal single-shot: the day's head
-    /// goes in as one raw batch large enough for the pooled tokenizer, and
-    /// while the worker is busy with it the tail queues up behind — small
-    /// batches, raw and caller-tokenized interleaved by drawn route —
-    /// followed at once by the seal's cutoff. The worker drains the tail as
-    /// groups of mixed batches (tokenizing only what arrived raw) and
+    /// goes in as one batch large enough for the pooled lexer, and while
+    /// the worker is busy with it the tail queues up behind — small
+    /// batches, interleaved by drawn route — followed at once by the seal's
+    /// cutoff. The worker drains the tail as groups of mixed batches and
     /// meets the cutoff mid-drain.
     #[test]
     fn grouped_ingest_behind_a_deep_queue_equals_single_shot(
         head in 64usize..96,
         tail in 16usize..48,
         batch_size in 1usize..6,
-        routes in prop::collection::vec(0u8..4, 1..8),
+        routes in prop::collection::vec(0u8..3, 1..8),
         seed in 0u64..1000,
     ) {
         let mut single = fast_service();
         let mut piped = fast_service();
-        let token_cap = piped.config().token_cap;
         let mut date = SimDate::new(2014, 8, 5);
         for d in 0..2u64 {
             let day = day_samples(date, head + tail, seed.wrapping_add(d));
@@ -219,7 +207,7 @@ proptest! {
             let producer = session.pipeline_auto();
             prop_assert!(producer.send(&day[..head]));
             for (i, chunk) in day[head..].chunks(batch_size).enumerate() {
-                prop_assert!(producer.send(routed(routes[i % routes.len()], chunk, token_cap)));
+                prop_assert!(producer.send(routed(routes[i % routes.len()], chunk)));
             }
             let got = session.seal();
 
@@ -233,7 +221,7 @@ proptest! {
 }
 
 /// The deep queue the property above relies on is real: while the worker
-/// tokenizes a 300-page head, 60 two-page batches pile up behind it.
+/// lexes a 300-page head, 60 two-page batches pile up behind it.
 #[test]
 fn small_batches_queue_up_behind_a_busy_worker() {
     let date = SimDate::new(2014, 8, 5);

@@ -223,8 +223,8 @@ impl MonthlyEvaluation {
         MonthlyResult { days, per_family }
     }
 
-    /// One simulated day against one service: the pre-tokenized day as
-    /// one batch through [`KizzleService::process_day`], then every sample
+    /// One simulated day against one service: the day as one batch
+    /// through [`KizzleService::process_day`], then every sample's document
     /// scanned through a matcher handle over the freshly published set.
     fn process_one_day(
         &self,
@@ -237,27 +237,12 @@ impl MonthlyEvaluation {
         // Held as one shared allocation: the session gets this `Arc`, so
         // the day's documents are never buffered twice.
         let samples: Arc<[Sample]> = stream.generate_day(date).into();
-        let streams: Vec<_> = {
-            // The eval pre-tokenizes the day (both detectors scan the same
-            // token streams), so the service-side ingest only ever sees
-            // tokenized batches — this block is the day's real ingest
-            // phase, so the span lives here.
-            let _ingest_span = kizzle_telemetry::span!("day.ingest");
-            let token_cap = service.config().token_cap;
-            samples
-                .iter()
-                .map(|s| kizzle_js::tokenize_document_capped(&s.html, token_cap))
-                .collect()
-        };
         // The whole day as one batch, sharing the caller's allocation.
         // How a day is cut into batches never changes the seal —
         // `kizzle`'s `tests/service_properties.rs` holds every shape to
         // this one.
         let report = service
-            .process_day(
-                date,
-                Batch::tokenized(Arc::clone(&samples), streams.clone()),
-            )
+            .process_day(date, Batch::from(Arc::clone(&samples)))
             .expect("evaluation days are monotone");
         let matcher = service.matcher();
 
@@ -266,9 +251,9 @@ impl MonthlyEvaluation {
         let mut kizzle_angler = DetectorCounts::default();
         let mut av_angler = DetectorCounts::default();
 
-        for (sample, stream_tokens) in samples.iter().zip(&streams) {
+        for sample in samples.iter() {
             let truth_malicious = sample.truth.is_malicious();
-            let kizzle_hit = matcher.scan_stream(stream_tokens);
+            let kizzle_hit = matcher.scan(&sample.html);
             let av_hit = av.scan(date, &sample.html);
 
             kizzle_counts.record(truth_malicious, kizzle_hit.is_some());

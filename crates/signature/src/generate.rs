@@ -324,12 +324,12 @@ pub fn generalize(samples: &[&TokenStream], window: &CommonWindow) -> Vec<Elemen
     elements
 }
 
-/// Generate a signature from the packed samples of one malicious cluster.
+/// Generate a signature from the packed samples of one malicious cluster:
+/// [`pick_subsample`] of the non-empty samples, then
+/// [`generate_from_subsample`] with the cluster's size as the support.
 ///
-/// Large clusters are subsampled evenly (up to `config.max_samples`) before
-/// the search, which bounds the cost without biasing the window choice for
-/// tight clusters. Samples are only read, so a cluster's members can be
-/// passed by reference (`&[&TokenStream]`) as well as by value.
+/// Samples are only read, so a cluster's members can be passed by
+/// reference (`&[&TokenStream]`) as well as by value.
 ///
 /// # Errors
 ///
@@ -346,18 +346,49 @@ pub fn generate_signature<S: AsRef<TokenStream>>(
         .map(AsRef::as_ref)
         .filter(|s| !s.is_empty())
         .collect();
-    if usable.is_empty() {
+    generate_from_subsample(
+        name,
+        &pick_subsample(&usable, config),
+        samples.len(),
+        config,
+    )
+}
+
+/// The members signature generation reads, out of a cluster's `usable`
+/// ones (those with at least one token, in member order): all of them up
+/// to `config.max_samples`, an even stride through them beyond that — which
+/// bounds the cost without biasing the window choice for tight clusters.
+/// The items are whatever stands for a member (a stream, a day position),
+/// so a caller can pick before it holds any tokens.
+#[must_use]
+pub fn pick_subsample<T: Copy>(usable: &[T], config: &SignatureConfig) -> Vec<T> {
+    if usable.len() <= config.max_samples {
+        return usable.to_vec();
+    }
+    let step = usable.len().div_ceil(config.max_samples);
+    usable.iter().step_by(step).copied().collect()
+}
+
+/// Generate the signature of a cluster of `members` samples from the
+/// [`pick_subsample`] of its non-empty ones — the same signature
+/// [`generate_signature`] builds from the whole cluster.
+///
+/// # Errors
+///
+/// Returns [`GenerateError::EmptyCluster`] when `subsample` is empty and
+/// [`GenerateError::NoCommonSubsequence`] when its samples share no
+/// sufficiently long unique window.
+pub fn generate_from_subsample(
+    name: &str,
+    subsample: &[&TokenStream],
+    members: usize,
+    config: &SignatureConfig,
+) -> Result<Signature, GenerateError> {
+    if subsample.is_empty() {
         return Err(GenerateError::EmptyCluster);
     }
-    let subsampled: Vec<&TokenStream> = if usable.len() > config.max_samples {
-        let step = usable.len().div_ceil(config.max_samples);
-        usable.iter().step_by(step).copied().collect()
-    } else {
-        usable
-    };
-
     let window =
-        find_common_window(&subsampled, config).ok_or(GenerateError::NoCommonSubsequence {
+        find_common_window(subsample, config).ok_or(GenerateError::NoCommonSubsequence {
             longest_found: 0,
             required: config.min_tokens,
         })?;
@@ -367,8 +398,8 @@ pub fn generate_signature<S: AsRef<TokenStream>>(
             required: config.min_tokens,
         });
     }
-    let elements = generalize(&subsampled, &window);
-    Ok(Signature::new(name, elements, samples.len()))
+    let elements = generalize(subsample, &window);
+    Ok(Signature::new(name, elements, members))
 }
 
 #[cfg(test)]

@@ -68,7 +68,7 @@ pub mod prefilter;
 pub mod verify;
 
 pub use automaton::AnchorAutomaton;
-pub use generate::{generate_signature, GenerateError};
+pub use generate::{generate_from_subsample, generate_signature, pick_subsample, GenerateError};
 pub use matcher::{flush_scan_counters, LabeledSignature, ScanPipeline, SignatureSet};
 pub use pattern::{CharClass, Element, Signature, SignatureConfig};
 pub use verify::NearestMatch;

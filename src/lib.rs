@@ -10,8 +10,8 @@
 //!   compiler state across days, saves and resumes it as a snapshot
 //!   chain ([`KizzleService::save`] / [`KizzleService::open`]).
 //! * [`DaySession`] — streaming ingest: [`KizzleService::begin_day`],
-//!   mini-batched [`DaySession::ingest`] of [`Batch`]es (borrowed, owned,
-//!   `Arc`-shared or already tokenized — one way in), then
+//!   mini-batched [`DaySession::ingest`] of [`Batch`]es (borrowed, owned
+//!   or `Arc`-shared — one way in), then
 //!   [`DaySession::seal`] to cluster → label → sign → publish.
 //!   Byte-identical to the one-batch [`KizzleService::process_day`]
 //!   however the day is cut (property-tested).
