@@ -8,8 +8,9 @@
 //! measurement of the automaton at 500–50k.
 //!
 //! `seal_50k` tracks the pipeline build itself (automaton + prefilter
-//! tables over 50k signatures) — paid once per publish, shipped in
-//! snapshots, but worth gating so it never silently becomes minutes.
+//! tables over 50k signatures) — paid once per publish and once per load
+//! or follower swap (chains store signatures, not the pipeline), so worth
+//! gating so it never silently becomes minutes.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use kizzle_corpus::benign::{generate_benign, BenignKind};

@@ -181,8 +181,7 @@ impl KizzleService {
     fn from_compiler(compiler: KizzleCompiler) -> Self {
         let set = Arc::clone(&compiler.signatures);
         // Seal at publish time: scans on fresh Matcher handles must never
-        // pay the pipeline build (a resumed set usually arrives pre-sealed
-        // from the snapshot's scan-pipeline section).
+        // pay the pipeline build (a resumed set arrives unsealed).
         set.seal();
         let config = compiler.config;
         let shared = Arc::new(EpochSource::new(set, config.token_cap));

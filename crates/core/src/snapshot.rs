@@ -25,19 +25,16 @@
 //! |------------------|-------------------------------------------------------|
 //! | `meta`           | config fingerprint, last processed day, sig counters  |
 //! | `signatures`     | the cumulative signature set, insertion-ordered       |
-//! | `scan-pipeline`  | the sealed scan pipeline (automaton + prefilters)     |
 //! | `reference`      | the reference corpus with its absorbed evolution      |
 //! | `corpus-store`   | the engine's sample store (see `kizzle-cluster`)      |
 //! | `neighbor-index` | memoized neighborhoods (see `kizzle-cluster`)         |
 //!
-//! The `scan-pipeline` section is an accelerator, not state: it ships the
-//! signature set's ready-to-scan Aho–Corasick automaton and prefilter
-//! tables (see `kizzle_signature::matcher`) so a resumed run — and any
-//! scanner fed from the snapshot — skips the seal-time build. It is
-//! versioned independently ([`kizzle_signature::matcher::PIPELINE_VERSION`])
-//! and fully recoverable: a missing, damaged, or version-skewed pipeline
-//! section only adds a [`ResumeReport`] note and the set reseals lazily
-//! from the signatures.
+//! The scan pipeline (anchor automaton, candidate buckets, prefilters; see
+//! `kizzle_signature::matcher`) is not state: it is a pure function of the
+//! signature set, so the chain stores the signatures and every reader
+//! rebuilds the pipeline with [`SignatureSet::seal`]. A chain written by an
+//! older build may still carry a `scan-pipeline` section; no reader looks
+//! at it, and the next compaction drops it.
 //!
 //! ## Trust ladder
 //!
@@ -85,7 +82,7 @@ pub const MANIFEST_FILE: &str = "MANIFEST";
 pub const DEFAULT_MAX_DELTAS: usize = 6;
 
 pub use kizzle_snapshot::sections::{
-    META_SECTION, REFERENCE_SECTION, SCAN_SECTION, SIGNATURES_SECTION, WINDOW_SECTION,
+    META_SECTION, REFERENCE_SECTION, SIGNATURES_SECTION, WINDOW_SECTION,
 };
 
 /// Canonical byte encoding of every configuration field that shapes
@@ -181,7 +178,7 @@ fn decode_meta(dec: &mut Decoder<'_>) -> Result<Meta, SnapshotError> {
 }
 
 impl KizzleCompiler {
-    /// Serialize every compiler section. The six payloads are independent,
+    /// Serialize every compiler section. The payloads are independent,
     /// so they encode through the rayon pool — a multi-core save costs the
     /// slowest section, not the sum.
     fn encode_state_sections(&self) -> Vec<(String, Vec<u8>)> {
@@ -202,18 +199,6 @@ impl KizzleCompiler {
                     // semantics depend on.
                     let mut enc = Encoder::new();
                     self.signatures.encode_into(&mut enc);
-                    enc.into_bytes()
-                }),
-            ),
-            (
-                SCAN_SECTION,
-                Box::new(|| {
-                    // Seal here if no scan did: the build cost lands in
-                    // the save (amortized across the chain — the section
-                    // only re-ships when the set changed), and the next
-                    // run resumes ready to scan.
-                    let mut enc = Encoder::new();
-                    self.signatures.seal().encode_into(&mut enc);
                     enc.into_bytes()
                 }),
             ),
@@ -343,10 +328,10 @@ impl KizzleCompiler {
             });
         }
 
-        // Signatures + scan pipeline decode through the one shared
-        // section reader (`kizzle::source`) — the same code path the
-        // serving-side `ChainFollower` and `read_signatures` use.
-        let (signatures, signature_notes) = crate::source::decode_signature_sections(&snapshot)?;
+        // Signatures decode through the one shared section reader
+        // (`kizzle::source`) — the same code path the serving-side
+        // `ChainFollower` and `read_signatures` use.
+        let signatures = crate::source::decode_signature_sections(&snapshot)?;
 
         let mut dec = Decoder::new(snapshot.section(REFERENCE_SECTION)?);
         let reference = ReferenceCorpus::decode_from(&mut dec)?;
@@ -355,12 +340,6 @@ impl KizzleCompiler {
         let (engine, mut report) = CorpusEngine::resume_from_sections(config.clustering, &snapshot);
         for chain_note in snapshot.notes() {
             report.note(chain_note.clone());
-        }
-        // Scan-pipeline degradation (absent in pre-PR-6 snapshots,
-        // damaged, version-skewed, or not covering this set) just means
-        // the set reseals lazily.
-        for note in signature_notes {
-            report.note(note);
         }
 
         // Day views are only meaningful against the engine they were saved
@@ -433,35 +412,34 @@ impl KizzleCompiler {
     }
 }
 
-/// Read just the signature set out of a saved state chain — what
-/// `examples/signature_inspect` uses to inspect deployed signatures
-/// without recompiling them.
+/// Read just the signature set out of the state chain in `state_dir` —
+/// what `examples/signature_inspect` uses to inspect deployed signatures
+/// without recompiling them. The recorded deltas are overlaid so the
+/// *newest* signature section answers; the set comes back unsealed.
 ///
-/// Pointed at a state *directory* or at a chain's base file inside one
-/// (`kizzle-state.snap` next to its `MANIFEST`), the recorded deltas are
-/// overlaid so the *newest* signature section answers.
-pub fn read_signatures(state_path: &Path) -> Result<SignatureSet, KizzleError> {
-    let (dir, prefix) = if state_path.is_dir() {
-        (state_path, STATE_CHAIN_PREFIX)
-    } else {
-        let prefix = state_path
-            .file_name()
-            .and_then(|n| n.to_str())
-            .and_then(|n| n.strip_suffix(".snap"))
-            .ok_or_else(|| {
-                std::io::Error::other(format!(
-                    "{} is neither a state directory nor a chain's .snap base file",
-                    state_path.display()
-                ))
-            })?;
-        (state_path.parent().unwrap_or(Path::new("")), prefix)
-    };
-    let chained = ChainedSnapshot::open(dir, prefix)?;
+/// # Errors
+///
+/// A file path — a chain's base or one of its deltas — is refused with an
+/// error naming its directory: a chain's files only make sense together,
+/// and a delta read on its own would answer with an older set. A missing
+/// directory is the chain's not-found error.
+pub fn read_signatures(state_dir: &Path) -> Result<SignatureSet, KizzleError> {
+    if state_dir.is_file() {
+        let holder = state_dir
+            .parent()
+            .filter(|parent| !parent.as_os_str().is_empty())
+            .unwrap_or(Path::new("."));
+        return Err(std::io::Error::other(format!(
+            "{} is a file, not a state directory; pass its directory {}",
+            state_dir.display(),
+            holder.display()
+        ))
+        .into());
+    }
+    let chained = ChainedSnapshot::open(state_dir, STATE_CHAIN_PREFIX)?;
     // The one shared section reader (`kizzle::source`) interprets the
-    // layout — it also attaches the snapshot's sealed scan pipeline, so
-    // the returned set is ready to scan without paying the build.
-    let (set, _notes) = crate::source::decode_signature_sections(&chained)?;
-    Ok(set)
+    // layout.
+    Ok(crate::source::decode_signature_sections(&chained)?)
 }
 
 #[cfg(test)]
@@ -470,8 +448,7 @@ mod tests {
     use crate::source::{ChainFollower, SignatureSource};
     use crate::KizzleService;
     use kizzle_corpus::{GraywareStream, Sample, StreamConfig};
-    use kizzle_signature::matcher::PIPELINE_VERSION;
-    use kizzle_signature::{CharClass, Element, LabeledSignature, ScanPipeline, Signature};
+    use kizzle_signature::{CharClass, Element, Signature};
     use kizzle_snapshot::{crc32, Manifest, Snapshot, SnapshotBuilder};
     use std::sync::Arc;
 
@@ -650,9 +627,42 @@ mod tests {
             manifest.get(kizzle_snapshot::sections::CHAIN_KEY),
             Some(format!("{STATE_FILE} {written}").as_str())
         );
-        // read_signatures follows the chain from the base file.
-        let set = read_signatures(&dir.join(STATE_FILE)).expect("signatures");
+        // read_signatures follows the chain from the state directory.
+        let set = read_signatures(&dir).expect("signatures");
         assert_eq!(&set, &*service.signatures());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A chain's files only make sense together: `read_signatures` takes
+    /// the state directory and refuses the base or a delta read alone —
+    /// the delta would otherwise answer with the set it overlays, an older
+    /// one — naming the directory to pass instead.
+    #[test]
+    fn read_signatures_refuses_a_chain_file() {
+        let dir = state_dir("read-file");
+        let mut service = fresh_service();
+        for (day, seed) in [(5, 3), (6, 4)] {
+            let date = SimDate::new(2014, 8, day);
+            service
+                .process_day(date, test_day(date, seed))
+                .expect("day");
+            service.save(&dir).expect("state saved");
+        }
+        let manifest = Manifest::read(&dir.join(MANIFEST_FILE)).expect("manifest");
+        let delta = manifest.get("written_file").expect("written_file");
+        assert_ne!(delta, STATE_FILE, "day 2 must be a delta");
+        for file in [STATE_FILE, delta] {
+            let err = read_signatures(&dir.join(file)).expect_err("a file is refused");
+            let message = err.to_string();
+            assert!(
+                message.contains(&format!("pass its directory {}", dir.display())),
+                "{file}: {message}"
+            );
+        }
+        assert_eq!(
+            &read_signatures(&dir).expect("the directory reads"),
+            &*service.signatures()
+        );
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -786,8 +796,11 @@ mod tests {
         assert_eq!(KitFamily::from_code(200), None);
     }
 
+    /// The resumed service publishes its set sealed, and a follower swaps
+    /// its set in sealed, neither with a note: the pipeline is rebuilt from
+    /// the signatures on every load, which is not a degradation.
     #[test]
-    fn resumed_state_carries_a_sealed_scan_pipeline() {
+    fn resumed_and_followed_sets_arrive_sealed_without_notes() {
         let dir = state_dir("pipeline");
         let mut service = fresh_service();
         let d1 = SimDate::new(2014, 8, 5);
@@ -799,95 +812,67 @@ mod tests {
             report.store_restored && report.index_restored,
             "report: {report:?}"
         );
-        // A service seals whatever it publishes, so read the chain itself
-        // too: the set must arrive sealed, with no reseal note.
         assert!(report.notes.is_empty(), "notes: {:?}", report.notes);
-        assert!(
-            read_signatures(&dir).expect("chain reads").is_sealed()
-                && resumed.signatures().is_sealed(),
-            "snapshot must ship a ready-to-scan pipeline"
-        );
+        assert!(resumed.signatures().is_sealed());
         assert_eq!(&*resumed.signatures(), &*service.signatures());
 
-        // The payload of the previous pipeline version is refused at its
-        // stamp; `v1_scan_pipeline_sections_reseal_on_load_and_follow`
-        // takes the same payload through a whole chain.
-        let mut enc = Encoder::new();
-        service.signatures().seal().encode_into(&mut enc);
-        let bytes = stamp_pipeline_version(enc.into_bytes(), 1);
-        let mut dec = Decoder::new(&bytes);
-        assert!(matches!(
-            ScanPipeline::decode_from(&mut dec, service.signatures().len()),
-            Err(SnapshotError::VersionSkew { found: 1, expected }) if expected == u32::from(PIPELINE_VERSION)
-        ));
+        let follower = ChainFollower::new(&dir);
+        assert!(follower.poll().expect("the follower loads it"));
+        assert!(follower.notes().is_empty(), "notes: {:?}", follower.notes());
+        let (_, served) = follower.current();
+        assert!(served.is_sealed());
+        assert_eq!(&*served, &*service.signatures());
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    /// A scan-pipeline payload with its version stamp (the leading `u16`)
-    /// set to `version`.
-    fn stamp_pipeline_version(mut payload: Vec<u8>, version: u16) -> Vec<u8> {
-        payload[..2].copy_from_slice(&version.to_le_bytes());
-        payload
-    }
-
-    /// A version 1 scan pipeline holds whole-literal hashes where this
-    /// build stores fingerprints, so it must be refused, not decoded — and
-    /// refusing it must cost nothing but the reseal: the chain resumes,
-    /// a follower swaps it in, both say why, and every verdict is the one
-    /// a freshly built pipeline gives.
+    /// Chains saved before the scan pipeline stopped being stored carry a
+    /// `scan-pipeline` section beside the signatures. No reader looks at
+    /// it: load, `read_signatures` and a follower return the same set with
+    /// no notes, every verdict is a freshly built set's, and the next
+    /// compacting save drops the section.
     #[test]
     fn v1_scan_pipeline_sections_reseal_on_load_and_follow() {
+        const RETIRED_SCAN_SECTION: &str = "scan-pipeline";
         let dir = state_dir("pipeline-v1");
         let mut service = fresh_service();
         let d1 = SimDate::new(2014, 8, 5);
         service.process_day(d1, test_day(d1, 3)).expect("day 1");
         service.save(&dir).expect("state saved");
 
-        // Rewrite the base with its scan-pipeline section stamped v1;
-        // every other section is byte-identical.
+        // Rewrite the base with the retired section added: a version 1
+        // stamp, then bytes no pipeline decoder would accept. Every other
+        // section is byte-identical.
         let path = dir.join(STATE_FILE);
         let base = Snapshot::read(&path).expect("base reads");
         let mut builder = SnapshotBuilder::new();
         for name in base.section_names() {
-            let payload = base.section(name).expect("intact").to_vec();
-            let payload = if name == SCAN_SECTION {
-                stamp_pipeline_version(payload, 1)
-            } else {
-                payload
-            };
-            builder.section(name, payload);
+            builder.section(name, base.section(name).expect("intact").to_vec());
         }
+        builder.section(
+            RETIRED_SCAN_SECTION,
+            vec![1, 0, 0xFF, 0xFF, 0x7F, 0x00, 0x13],
+        );
         builder.write_atomic(&path).expect("rewrite");
 
-        let resealing = "scan pipeline not restored, resealing: pipeline version 1";
-        let (resumed, report) =
-            KizzleService::load(&dir, KizzleConfig::fast()).expect("a v1 pipeline still resumes");
+        let (mut resumed, report) =
+            KizzleService::load(&dir, KizzleConfig::fast()).expect("the chain resumes");
         assert!(
             report.store_restored && report.index_restored,
             "report: {report:?}"
         );
-        assert!(
-            report.notes.iter().any(|n| n.starts_with(resealing)),
-            "notes: {:?}",
-            report.notes
-        );
-        assert_eq!(&*resumed.signatures(), &*service.signatures());
-        assert!(!read_signatures(&dir).expect("chain reads").is_sealed());
-
+        assert!(report.notes.is_empty(), "notes: {:?}", report.notes);
+        let read = read_signatures(&dir).expect("chain reads");
         let follower = ChainFollower::new(&dir);
         assert!(follower.poll().expect("the follower loads it"));
-        assert!(
-            follower.notes().iter().any(|n| n.starts_with(resealing)),
-            "notes: {:?}",
-            follower.notes()
-        );
+        assert!(follower.notes().is_empty(), "notes: {:?}", follower.notes());
         let (epoch, served) = follower.current();
         assert_eq!(epoch, 1);
+        for set in [&*resumed.signatures(), &read, &*served] {
+            assert_eq!(set, &*service.signatures());
+        }
 
-        let members: Vec<LabeledSignature> = service.signatures().iter().cloned().collect();
         let mut fresh = SignatureSet::new();
-        fresh.extend(members.clone());
-        assert!(fresh.attach_pipeline(ScanPipeline::build(&members)));
+        fresh.extend(service.signatures().iter().cloned());
         let cap = KizzleConfig::fast().token_cap;
         let mut hits = 0;
         for sample in test_day(d1, 3)
@@ -895,14 +880,21 @@ mod tests {
             .chain(&test_day(SimDate::new(2014, 8, 6), 9))
         {
             let want = fresh.scan_document_index(&sample.html, cap);
-            assert_eq!(
-                resumed.signatures().scan_document_index(&sample.html, cap),
-                want
-            );
-            assert_eq!(served.scan_document_index(&sample.html, cap), want);
+            for set in [&*resumed.signatures(), &read, &*served] {
+                assert_eq!(set.scan_document_index(&sample.html, cap), want);
+            }
             hits += usize::from(want.is_some());
         }
         assert!(hits > 0, "the probe documents must include hits");
+
+        let d2 = SimDate::new(2014, 8, 6);
+        resumed.process_day(d2, test_day(d2, 4)).expect("day 2");
+        resumed.save_compacting(&dir, 0).expect("compacting save");
+        let base = Snapshot::read(&path).expect("base reads");
+        assert!(
+            !base.section_names().contains(&RETIRED_SCAN_SECTION),
+            "the compacted base still declares the retired section"
+        );
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -16,11 +16,12 @@
 //!   [`KizzleService::save`](crate::KizzleService::save)
 //!   on another thread, another process, or another machine's shared
 //!   filesystem. Each [`ChainFollower::poll`] stats the `MANIFEST`,
-//!   diffs the recorded signature-section fingerprints, and only when
-//!   they moved re-opens the chain, decodes the signature and
-//!   scan-pipeline sections, and swaps the new set in **exactly like the
-//!   epoch swap** — scans in flight keep the previous complete set; the
-//!   next scan on each handle picks up the new one atomically.
+//!   diffs the recorded signature-section fingerprint, and only when it
+//!   moved re-opens the chain, decodes the signature section, seals the
+//!   set (the scan pipeline is built from the signatures, never read from
+//!   disk), and swaps it in **exactly like the epoch swap** — scans in
+//!   flight keep the previous complete set; the next scan on each handle
+//!   picks up the new one atomically.
 //!
 //! The follower is the subscription half of the deployment topology the
 //! paper implies but never names: one compiler sealing days and saving
@@ -29,8 +30,8 @@
 
 use crate::config::KizzleConfig;
 use crate::error::KizzleError;
-use crate::snapshot::{MANIFEST_FILE, SCAN_SECTION, SIGNATURES_SECTION, STATE_CHAIN_PREFIX};
-use kizzle_signature::{ScanPipeline, SignatureSet};
+use crate::snapshot::{MANIFEST_FILE, SIGNATURES_SECTION, STATE_CHAIN_PREFIX};
+use kizzle_signature::SignatureSet;
 use kizzle_snapshot::chain::SECTION_KEY_PREFIX;
 use kizzle_snapshot::{
     fingerprint, ChainedSnapshot, Decoder, Manifest, SectionSource, SnapshotError,
@@ -132,44 +133,20 @@ impl SignatureSource for EpochSource {
     }
 }
 
-/// Decode the serving-side sections of a compiler-state snapshot: the
-/// signature set (required) plus its sealed scan pipeline (an
-/// accelerator — any failure to restore it only adds a note and the set
-/// reseals lazily). This is the **single** reader of those sections:
+/// Decode the signature set of a compiler-state snapshot, unsealed. This
+/// is the **single** reader of that section:
 /// [`KizzleService::load`](crate::KizzleService::load),
 /// [`read_signatures`](crate::read_signatures) and the [`ChainFollower`]
 /// all route through it, so the chain layout has exactly one
-/// interpretation.
+/// interpretation. Other sections — a `scan-pipeline` section written by
+/// an older build included — are not read.
 pub(crate) fn decode_signature_sections(
     source: &impl SectionSource,
-) -> Result<(SignatureSet, Vec<String>), SnapshotError> {
+) -> Result<SignatureSet, SnapshotError> {
     let mut dec = Decoder::new(source.section(SIGNATURES_SECTION)?);
-    let mut signatures = SignatureSet::decode_from(&mut dec)?;
+    let signatures = SignatureSet::decode_from(&mut dec)?;
     dec.finish()?;
-
-    let mut notes = Vec::new();
-    let pipeline = source.section(SCAN_SECTION).and_then(|payload| {
-        let mut dec = Decoder::new(payload);
-        let pipeline = ScanPipeline::decode_from(&mut dec, signatures.len())?;
-        dec.finish()?;
-        Ok(pipeline)
-    });
-    match pipeline {
-        Ok(pipeline) => {
-            if !signatures.attach_pipeline(pipeline) {
-                notes.push("scan pipeline does not cover the set, resealing".to_string());
-            }
-        }
-        // A pipeline of another version is never decoded: its stored values
-        // may mean something else (see `PIPELINE_VERSION`).
-        Err(SnapshotError::VersionSkew { found, expected }) => notes.push(format!(
-            "scan pipeline not restored, resealing: pipeline version {found}, this build reads {expected}"
-        )),
-        Err(err) => {
-            notes.push(format!("scan pipeline not restored, resealing: {err}"));
-        }
-    }
-    Ok((signatures, notes))
+    Ok(signatures)
 }
 
 /// Bookkeeping one poll hands the next, under the poll mutex.
@@ -181,8 +158,6 @@ struct FollowState {
     manifest_stamp: Option<(SystemTime, u64)>,
     /// Fingerprint of the signature section currently swapped in.
     sig_fingerprint: Option<String>,
-    /// Fingerprint of the scan-pipeline section currently swapped in.
-    scan_fingerprint: Option<String>,
     /// The chain as of the last swap — its base's trailer CRC and how many
     /// layers it had — so the next swap can count the publications it
     /// covers (see [`ChainFollower::poll`]).
@@ -305,18 +280,15 @@ impl ChainFollower {
         }
 
         // Fast path 2: the manifest moved (or stat is unusable), but the
-        // signature fingerprints it records are the ones already swapped
-        // in — the save only touched other sections.
+        // signature fingerprint it records is the one already swapped in —
+        // the save only touched other sections.
         let manifest = Manifest::read(&manifest_path).ok();
         if loaded {
             if let Some(manifest) = &manifest {
                 let sig = manifest
                     .get(&format!("{SECTION_KEY_PREFIX}{SIGNATURES_SECTION}"))
                     .map(str::to_string);
-                let scan = manifest
-                    .get(&format!("{SECTION_KEY_PREFIX}{SCAN_SECTION}"))
-                    .map(str::to_string);
-                if sig.is_some() && sig == state.sig_fingerprint && scan == state.scan_fingerprint {
+                if sig.is_some() && sig == state.sig_fingerprint {
                     state.manifest_stamp = stamp;
                     return Ok(false);
                 }
@@ -324,7 +296,7 @@ impl ChainFollower {
         }
 
         // Full read: overlay the chain and fingerprint the winning
-        // sections ourselves (covers manifest-less bare bases and
+        // section ourselves (covers manifest-less bare bases and
         // truncated chains, where the recorded fingerprints lie).
         let snapshot =
             ChainedSnapshot::open(&self.dir, STATE_CHAIN_PREFIX).map_err(KizzleError::Snapshot)?;
@@ -333,17 +305,12 @@ impl ChainFollower {
                 .section(SIGNATURES_SECTION)
                 .map_err(KizzleError::Snapshot)?,
         ));
-        let scan_fingerprint = snapshot.section(SCAN_SECTION).ok().map(fingerprint);
-        if loaded
-            && sig_fingerprint == state.sig_fingerprint
-            && scan_fingerprint == state.scan_fingerprint
-        {
+        if loaded && sig_fingerprint == state.sig_fingerprint {
             state.manifest_stamp = stamp;
             return Ok(false);
         }
 
-        let (set, decode_notes) =
-            decode_signature_sections(&snapshot).map_err(KizzleError::Snapshot)?;
+        let set = decode_signature_sections(&snapshot).map_err(KizzleError::Snapshot)?;
         if let Some(cap) = manifest
             .as_ref()
             .and_then(|m| m.get("token_cap"))
@@ -351,9 +318,8 @@ impl ChainFollower {
         {
             self.token_cap.store(cap, Ordering::Relaxed);
         }
-        // Seal before the swap: no scan on any handle ever pays the
-        // pipeline build (usually free — the scan-pipeline section
-        // already attached one).
+        // Seal before the swap, on this thread: no scan on any handle ever
+        // pays the pipeline build.
         set.seal();
         let signatures = set.len();
         // One epoch per publication, not per poll. The compiler may save
@@ -367,7 +333,7 @@ impl ChainFollower {
         // epoch, as is a follower's first load.)
         let (seen_base, seen_layers) = state.chain_position;
         let publications = if loaded && seen_base.is_some() && seen_base == snapshot.base_crc() {
-            snapshot.layers_declaring(seen_layers, &[SIGNATURES_SECTION, SCAN_SECTION])
+            snapshot.layers_declaring(seen_layers, SIGNATURES_SECTION)
         } else {
             0
         };
@@ -378,14 +344,10 @@ impl ChainFollower {
             self.epoch_hint.store(slot.0, Ordering::Release);
         }
         state.sig_fingerprint = sig_fingerprint;
-        state.scan_fingerprint = scan_fingerprint;
         state.manifest_stamp = stamp;
         state.chain_position = (snapshot.base_crc(), snapshot.layer_count());
         for note in snapshot.notes() {
             state.push_note(note.clone());
-        }
-        for note in decode_notes {
-            state.push_note(note);
         }
         if kizzle_telemetry::enabled() {
             kizzle_telemetry::counter("kizzle_chain_refreshes_total").incr();
@@ -394,9 +356,8 @@ impl ChainFollower {
         Ok(true)
     }
 
-    /// Degradations observed while following (chain truncations, lost
-    /// scan pipelines, background poll errors) — newest last, bounded,
-    /// consecutive duplicates collapsed.
+    /// Degradations observed while following (chain truncations, background
+    /// poll errors) — newest last, bounded, consecutive duplicates collapsed.
     #[must_use]
     pub fn notes(&self) -> Vec<String> {
         self.state
@@ -558,7 +519,7 @@ mod tests {
         let (epoch, set) = follower.current();
         assert_eq!(epoch, 1);
         assert_eq!(&*set, &*service.signatures());
-        assert!(set.is_sealed(), "scan-pipeline section must pre-seal");
+        assert!(set.is_sealed(), "the follower seals before the swap");
         // Token cap came from the manifest.
         assert_eq!(follower.token_cap(), service.config().token_cap);
         // A second poll with no new save is a cheap no-op.

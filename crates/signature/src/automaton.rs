@@ -21,14 +21,11 @@
 //! the property tests hold it to the brute-force oracle, which in turn
 //! pins down the goto/fail structure `match_token` walks.
 //!
-//! Layout is flattened for scan speed and serialization: a dense 256-way
-//! root table (most tokens die on their first byte, one load), then
-//! per-node sorted edge runs resolved by binary search. The whole
-//! structure is immutable after build and ships through
-//! [`AnchorAutomaton::encode_into`]/[`AnchorAutomaton::decode_from`] so a
-//! published snapshot chain carries ready-to-scan sets.
-
-use kizzle_snapshot::{Decoder, Encoder, SnapshotError};
+//! Layout is flattened for scan speed: a dense 256-way root table (most
+//! tokens die on their first byte, one load), then per-node sorted edge
+//! runs resolved by binary search. The whole structure is immutable after
+//! build and is never serialized: every loader rebuilds it from the
+//! signatures it serves.
 
 /// Sentinel for "no node" in the root table and failure links.
 const NO_NODE: u32 = u32::MAX;
@@ -36,7 +33,7 @@ const NO_NODE: u32 = u32::MAX;
 const NO_PATTERN: u32 = u32::MAX;
 
 /// One interior node of the flattened automaton.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy)]
 struct Node {
     /// First edge of this node's run in [`AnchorAutomaton::edge_bytes`] /
     /// [`AnchorAutomaton::edge_targets`].
@@ -59,7 +56,7 @@ struct Node {
 ///
 /// Build once per sealed signature set with [`AnchorAutomaton::build`];
 /// see the [module docs](self) for the two scan modes.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug)]
 pub struct AnchorAutomaton {
     /// Dense goto table of the root: byte → node id or `NO_NODE`.
     root: Vec<u32>,
@@ -68,40 +65,15 @@ pub struct AnchorAutomaton {
     edge_bytes: Vec<u8>,
     /// Edge targets, parallel to `edge_bytes`.
     edge_targets: Vec<u32>,
-    /// Number of patterns the automaton was built from.
-    patterns: u32,
     /// Skip-loop bitmap: bit `b` set iff some pattern starts with byte
     /// `b`. 32 bytes — one cache line — versus the 1 KiB root table, so
     /// [`AnchorAutomaton::match_token`] rejects the common token (anchors
-    /// are rare) without touching the table. **Derived** from the root at
-    /// build *and* decode by the same helper; never serialized, so the
-    /// wire format and [`PIPELINE_VERSION`](crate::PIPELINE_VERSION) are
-    /// unchanged.
+    /// are rare) without touching the table.
     first_byte: [u64; 4],
     /// Length of the shortest pattern (`u32::MAX` when empty) — tokens
     /// shorter than every pattern (single punctuation, short operators)
     /// can never equal one, so the walk is skipped outright.
     min_pattern_len: u32,
-}
-
-/// Derive the skip-loop structures ([`AnchorAutomaton::first_byte`],
-/// [`AnchorAutomaton::min_pattern_len`]) from the flattened automaton —
-/// shared by [`AnchorAutomaton::build`] and [`AnchorAutomaton::decode_from`]
-/// so a decoded automaton skips identically to a freshly built one.
-fn derive_skip(root: &[u32], nodes: &[Node]) -> ([u64; 4], u32) {
-    let mut first_byte = [0u64; 4];
-    for (b, &node) in root.iter().enumerate() {
-        if node != NO_NODE {
-            first_byte[b >> 6] |= 1u64 << (b & 63);
-        }
-    }
-    let min_pattern_len = nodes
-        .iter()
-        .filter(|n| n.pattern != NO_PATTERN)
-        .map(|n| n.depth)
-        .min()
-        .unwrap_or(u32::MAX);
-    (first_byte, min_pattern_len)
 }
 
 /// A pattern occurrence reported by [`AnchorAutomaton::scan_bytes`].
@@ -222,28 +194,27 @@ impl AnchorAutomaton {
             }
         }
 
-        let (first_byte, min_pattern_len) = derive_skip(&root, &nodes);
+        // Phase 3: the skip-loop test in front of `match_token`.
+        let mut first_byte = [0u64; 4];
+        for (b, &node) in root.iter().enumerate() {
+            if node != NO_NODE {
+                first_byte[b >> 6] |= 1u64 << (b & 63);
+            }
+        }
+        let min_pattern_len = nodes
+            .iter()
+            .filter(|n| n.pattern != NO_PATTERN)
+            .map(|n| n.depth)
+            .min()
+            .unwrap_or(u32::MAX);
         AnchorAutomaton {
             root,
             nodes,
             edge_bytes,
             edge_targets,
-            patterns: u32::try_from(patterns.len()).expect("pattern count fits u32"),
             first_byte,
             min_pattern_len,
         }
-    }
-
-    /// Number of patterns the automaton was built from.
-    #[must_use]
-    pub fn pattern_count(&self) -> usize {
-        self.patterns as usize
-    }
-
-    /// Number of automaton states (including the root).
-    #[must_use]
-    pub fn node_count(&self) -> usize {
-        self.nodes.len()
     }
 
     /// Token mode: the pattern equal to the **whole** of `text`, if any.
@@ -340,129 +311,6 @@ impl AnchorAutomaton {
             .ok()
             .map(|pos| self.edge_targets[start + pos])
     }
-
-    /// Serialize the automaton.
-    pub fn encode_into(&self, enc: &mut Encoder) {
-        enc.varint_usize(self.nodes.len());
-        enc.varint(u64::from(self.patterns));
-        for node in &self.nodes {
-            enc.varint(u64::from(node.edges_start));
-            enc.varint(u64::from(node.edges_len));
-            enc.varint(u64::from(node.fail));
-            // NO_NODE / NO_PATTERN travel as 0 with present values shifted
-            // by one, keeping the varints short.
-            enc.varint(option_code(node.output));
-            enc.varint(option_code(node.pattern));
-            enc.varint(u64::from(node.depth));
-        }
-        enc.varint_usize(self.edge_bytes.len());
-        for (&b, &to) in self.edge_bytes.iter().zip(&self.edge_targets) {
-            enc.u8(b);
-            enc.varint(u64::from(to));
-        }
-        // The root table is recovered from the root node's edge run; only
-        // the flattened structure travels.
-    }
-
-    /// Decode an automaton written by [`AnchorAutomaton::encode_into`],
-    /// validating every structural invariant (indices in range, edge runs
-    /// inside the edge table, sorted runs) so a decoded automaton can
-    /// never walk out of bounds.
-    pub fn decode_from(dec: &mut Decoder<'_>) -> Result<Self, SnapshotError> {
-        let corrupt = |what: &str| SnapshotError::Corrupt(format!("anchor automaton: {what}"));
-        let node_count = dec.varint_usize()?;
-        if node_count == 0 {
-            return Err(corrupt("no root node"));
-        }
-        let patterns = u32::try_from(dec.varint()?).map_err(|_| corrupt("pattern count"))?;
-        let mut nodes = Vec::with_capacity(node_count.min(1 << 20));
-        for _ in 0..node_count {
-            let edges_start = u32::try_from(dec.varint()?).map_err(|_| corrupt("edge start"))?;
-            let edges_len = u16::try_from(dec.varint()?).map_err(|_| corrupt("edge len"))?;
-            let fail = u32::try_from(dec.varint()?).map_err(|_| corrupt("fail link"))?;
-            let output = option_decode(dec.varint()?).ok_or_else(|| corrupt("output link"))?;
-            let pattern = option_decode(dec.varint()?).ok_or_else(|| corrupt("pattern id"))?;
-            let depth = u32::try_from(dec.varint()?).map_err(|_| corrupt("depth"))?;
-            nodes.push(Node {
-                edges_start,
-                edges_len,
-                fail,
-                output,
-                pattern,
-                depth,
-            });
-        }
-        let edge_count = dec.varint_usize()?;
-        let mut edge_bytes = Vec::with_capacity(edge_count.min(1 << 20));
-        let mut edge_targets = Vec::with_capacity(edge_count.min(1 << 20));
-        for _ in 0..edge_count {
-            edge_bytes.push(dec.u8()?);
-            edge_targets.push(u32::try_from(dec.varint()?).map_err(|_| corrupt("edge target"))?);
-        }
-
-        let n = nodes.len() as u64;
-        for node in &nodes {
-            let start = u64::from(node.edges_start);
-            let len = u64::from(node.edges_len);
-            if start + len > edge_count as u64 {
-                return Err(corrupt("edge run out of range"));
-            }
-            let run = &edge_bytes
-                [node.edges_start as usize..(node.edges_start as usize + node.edges_len as usize)];
-            if !run.windows(2).all(|w| w[0] < w[1]) {
-                return Err(corrupt("edge run not strictly sorted"));
-            }
-            if u64::from(node.fail) >= n {
-                return Err(corrupt("fail link out of range"));
-            }
-            if node.output != NO_NODE && u64::from(node.output) >= n {
-                return Err(corrupt("output link out of range"));
-            }
-            if node.pattern != NO_PATTERN && node.pattern >= patterns {
-                return Err(corrupt("pattern id out of range"));
-            }
-        }
-        for &to in &edge_targets {
-            if u64::from(to) >= n {
-                return Err(corrupt("edge target out of range"));
-            }
-        }
-
-        let mut root = vec![NO_NODE; 256];
-        let root_node = nodes[0];
-        let start = root_node.edges_start as usize;
-        for pos in start..start + root_node.edges_len as usize {
-            root[edge_bytes[pos] as usize] = edge_targets[pos];
-        }
-
-        let (first_byte, min_pattern_len) = derive_skip(&root, &nodes);
-        Ok(AnchorAutomaton {
-            root,
-            nodes,
-            edge_bytes,
-            edge_targets,
-            patterns,
-            first_byte,
-            min_pattern_len,
-        })
-    }
-}
-
-/// `NO_NODE`/`NO_PATTERN` as 0, present ids shifted by one.
-fn option_code(v: u32) -> u64 {
-    if v == u32::MAX {
-        0
-    } else {
-        u64::from(v) + 1
-    }
-}
-
-fn option_decode(code: u64) -> Option<u32> {
-    if code == 0 {
-        Some(u32::MAX)
-    } else {
-        u32::try_from(code - 1).ok()
-    }
 }
 
 /// Index range of a node's edge run.
@@ -548,20 +396,6 @@ mod tests {
     }
 
     #[test]
-    fn skip_loop_is_identical_after_decode() {
-        let ac = AnchorAutomaton::build(&patterns());
-        let mut enc = Encoder::new();
-        ac.encode_into(&mut enc);
-        let bytes = enc.into_bytes();
-        let back = AnchorAutomaton::decode_from(&mut Decoder::new(&bytes)).expect("decodes");
-        for b in 0u8..=255 {
-            for probe in [vec![b], vec![b, b'h'], vec![b, b'e', b'r', b's']] {
-                assert_eq!(ac.may_match(&probe), back.may_match(&probe), "{probe:?}");
-            }
-        }
-    }
-
-    #[test]
     fn scan_bytes_matches_brute_force() {
         let pats = patterns();
         let ac = AnchorAutomaton::build(&pats);
@@ -595,40 +429,5 @@ mod tests {
         let ac = AnchorAutomaton::build(&["", "dup", "dup"]);
         assert_eq!(ac.match_token(b"dup"), Some(2));
         assert_eq!(ac.match_token(b""), None);
-    }
-
-    #[test]
-    fn roundtrips_through_the_codec() {
-        let ac = AnchorAutomaton::build(&patterns());
-        let mut enc = Encoder::new();
-        ac.encode_into(&mut enc);
-        let bytes = enc.into_bytes();
-        let mut dec = Decoder::new(&bytes);
-        let back = AnchorAutomaton::decode_from(&mut dec).expect("decodes");
-        dec.finish().expect("fully consumed");
-        assert_eq!(back, ac);
-        assert_eq!(back.match_token(b"hers"), Some(3));
-        assert_eq!(
-            back.scan_bytes(b"ushers").len(),
-            ac.scan_bytes(b"ushers").len()
-        );
-    }
-
-    #[test]
-    fn decode_rejects_structural_damage() {
-        let ac = AnchorAutomaton::build(&patterns());
-        let mut enc = Encoder::new();
-        ac.encode_into(&mut enc);
-        let bytes = enc.into_bytes();
-        // Truncations decode to clean errors, never panics.
-        for cut in 0..bytes.len() {
-            let mut dec = Decoder::new(&bytes[..cut]);
-            let result = AnchorAutomaton::decode_from(&mut dec);
-            if let Ok(decoded) = result {
-                // A prefix that happens to parse must still be structurally
-                // valid — exercised by walking it.
-                let _ = decoded.scan_bytes(b"she sells seashells");
-            }
-        }
     }
 }

@@ -34,10 +34,12 @@
 //! The result is byte-identical to a linear scan — the first signature in
 //! insertion order whose [`Signature::matches_stream`] holds —
 //! property-tested in `tests/signature_properties.rs`. The pipeline
-//! (automaton, buckets, filters) serializes through [`ScanPipeline::encode_into`] /
-//! [`ScanPipeline::decode_from`] so published snapshot chains ship
-//! ready-to-scan sets; it is immutable once built, and
-//! [`SignatureSet::add`] invalidates it so a mutated set reseals.
+//! (automaton, buckets, filters) is a pure function of the signatures and
+//! [`SignatureSet::seal`] is the only way one is built: it is never
+//! serialized — a snapshot chain ships the members
+//! ([`SignatureSet::encode_into`]) and every loader reseals. It is
+//! immutable once built, and [`SignatureSet::add`] invalidates it so a
+//! mutated set reseals.
 //!
 //! Beyond the exact scan, [`SignatureSet::scan_stream_nearest`] grades
 //! near-misses with the adaptive banded kernel in [`crate::verify`]: the
@@ -313,19 +315,6 @@ fn with_scratch<R>(scan: impl FnOnce(&mut ScanScratch) -> R) -> R {
     })
 }
 
-/// Wire version of the serialized pipeline. Bump when the pipeline layout
-/// or the meaning of a stored value changes; a version-skewed payload is
-/// refused at decode and the loader falls back to rebuilding from the
-/// signatures.
-///
-/// Version 2: a literal check stores
-/// [`fingerprint32`](crate::prefilter::fingerprint32) instead of FNV-1a
-/// over the whole literal. The bytes have the same width and literals of
-/// up to 16 bytes keep their values, so only the stamp tells the versions
-/// apart — and a version 1 pipeline must never be decoded, or its long
-/// literals would never match again.
-pub const PIPELINE_VERSION: u16 = 2;
-
 /// Candidate buckets grow a window-histogram pre-gate from this size on:
 /// eight prefix-sum subtractions are only worth it when they can reject
 /// for several fanned-out candidates' element loops at once.
@@ -334,9 +323,8 @@ const HIST_GATE_MIN_SIG_LEN: usize = 8;
 /// The sealed, immutable scan structures of one [`SignatureSet`]: the
 /// anchor automaton, the per-literal candidate buckets, the per-signature
 /// prefilters and the unanchored fallback list. Built by
-/// [`SignatureSet::seal`], shared by `Arc` across clones, and shipped
-/// inside snapshots via [`ScanPipeline::encode_into`].
-#[derive(Debug, PartialEq)]
+/// [`SignatureSet::seal`] and shared by `Arc` across clones.
+#[derive(Debug)]
 pub struct ScanPipeline {
     /// Stage 1: one automaton over every distinct anchor literal.
     automaton: AnchorAutomaton,
@@ -384,12 +372,6 @@ impl ScanPipeline {
             filters,
             unanchored,
         }
-    }
-
-    /// The automaton, for observability (state count, pattern count).
-    #[must_use]
-    pub fn automaton(&self) -> &AnchorAutomaton {
-        &self.automaton
     }
 
     /// Number of distinct anchor literals.
@@ -556,102 +538,6 @@ impl ScanPipeline {
         }
         best
     }
-
-    /// Serialize the pipeline (version-stamped; see [`PIPELINE_VERSION`]).
-    pub fn encode_into(&self, enc: &mut Encoder) {
-        enc.u16(PIPELINE_VERSION);
-        enc.varint_usize(self.filters.len());
-        self.automaton.encode_into(enc);
-        enc.varint_usize(self.literals.len());
-        for (literal, bucket) in self.literals.iter().zip(&self.buckets) {
-            enc.str(literal);
-            enc.varint_usize(bucket.len());
-            for &(index, offset) in bucket {
-                enc.varint(u64::from(index));
-                enc.varint(u64::from(offset));
-            }
-        }
-        for filter in &self.filters {
-            filter.encode_into(enc);
-        }
-        enc.gap_list(&self.unanchored);
-    }
-
-    /// Decode a pipeline written by [`ScanPipeline::encode_into`] for a
-    /// set of `expected_signatures` members, validating the version stamp
-    /// and every index against the set it will serve. A failure here is
-    /// recoverable — the caller rebuilds from the signatures.
-    pub fn decode_from(
-        dec: &mut Decoder<'_>,
-        expected_signatures: usize,
-    ) -> Result<Self, SnapshotError> {
-        let corrupt = |what: &str| SnapshotError::Corrupt(format!("scan pipeline: {what}"));
-        let version = dec.u16()?;
-        if version != PIPELINE_VERSION {
-            return Err(SnapshotError::VersionSkew {
-                found: u32::from(version),
-                expected: u32::from(PIPELINE_VERSION),
-            });
-        }
-        let signature_count = dec.varint_usize()?;
-        if signature_count != expected_signatures {
-            return Err(corrupt("signature count mismatch"));
-        }
-        let automaton = AnchorAutomaton::decode_from(dec)?;
-        let literal_count = dec.varint_usize()?;
-        if literal_count != automaton.pattern_count() {
-            return Err(corrupt("literal count disagrees with automaton"));
-        }
-        let mut literals = Vec::with_capacity(literal_count.min(1 << 20));
-        let mut buckets = Vec::with_capacity(literal_count.min(1 << 20));
-        for _ in 0..literal_count {
-            let literal = dec.str()?.to_string();
-            if literal.len() < MIN_ANCHOR_LEN {
-                return Err(corrupt("anchor literal below minimum length"));
-            }
-            let entry_count = dec.varint_usize()?;
-            let mut bucket: Vec<(u32, u32)> = Vec::with_capacity(entry_count.min(1 << 20));
-            for _ in 0..entry_count {
-                let index = u32::try_from(dec.varint()?).map_err(|_| corrupt("bucket index"))?;
-                if index as usize >= signature_count {
-                    return Err(corrupt("bucket index out of range"));
-                }
-                let offset = u32::try_from(dec.varint()?).map_err(|_| corrupt("anchor offset"))?;
-                if bucket.last().is_some_and(|&(prev, _)| prev >= index) {
-                    return Err(corrupt("bucket not ascending by signature"));
-                }
-                bucket.push((index, offset));
-            }
-            literals.push(literal);
-            buckets.push(bucket);
-        }
-        let mut filters = Vec::with_capacity(signature_count.min(1 << 20));
-        for _ in 0..signature_count {
-            filters.push(SigFilter::decode_from(dec)?);
-        }
-        // Anchor offsets must point inside their signature's window.
-        for bucket in &buckets {
-            for &(index, offset) in bucket {
-                if offset as usize >= filters[index as usize].len() {
-                    return Err(corrupt("anchor offset outside signature"));
-                }
-            }
-        }
-        let unanchored = dec.gap_list()?;
-        if unanchored
-            .iter()
-            .any(|&index| index as usize >= signature_count)
-        {
-            return Err(corrupt("unanchored index out of range"));
-        }
-        Ok(ScanPipeline {
-            automaton,
-            literals,
-            buckets,
-            filters,
-            unanchored,
-        })
-    }
 }
 
 /// Confirm every `Literal` element's text over the window at `start` —
@@ -725,16 +611,6 @@ impl SignatureSet {
     #[must_use]
     pub fn is_sealed(&self) -> bool {
         self.pipeline.get().is_some()
-    }
-
-    /// Attach a pipeline decoded from a snapshot instead of rebuilding.
-    /// Returns `false` (and keeps the set lazy) if the pipeline does not
-    /// cover exactly this set's signatures or one is already attached.
-    pub fn attach_pipeline(&mut self, pipeline: ScanPipeline) -> bool {
-        if pipeline.filters.len() != self.signatures.len() {
-            return false;
-        }
-        self.pipeline.set(Arc::new(pipeline)).is_ok()
     }
 
     /// Iterate over the labeled signatures.
@@ -845,9 +721,9 @@ impl SignatureSet {
     }
 
     /// Serialize the set's members in insertion order (which the scan's
-    /// first-match semantics depend on). The pipeline is **not** included
-    /// — encode it separately via [`SignatureSet::seal`] and
-    /// [`ScanPipeline::encode_into`] when shipping ready-to-scan sets.
+    /// first-match semantics depend on). The pipeline is never included:
+    /// it is derived, and the decoded set rebuilds it at its first
+    /// [`SignatureSet::seal`].
     pub fn encode_into(&self, enc: &mut Encoder) {
         enc.usize(self.signatures.len());
         for labeled in &self.signatures {
@@ -878,7 +754,7 @@ impl SignatureSet {
 
     /// Rebuild a set from [`SignatureSet::encode_into`] output; the dedup
     /// and label tables are re-derived by re-adding in order, and the
-    /// pipeline is left unsealed (attach or rebuild separately).
+    /// set is left unsealed.
     pub fn decode_from(dec: &mut Decoder<'_>) -> Result<Self, SnapshotError> {
         let corrupt = |what: &str| SnapshotError::Corrupt(format!("signature set: {what}"));
         let count = dec.usize()?;
@@ -1344,76 +1220,6 @@ mod tests {
         assert!(SignatureSet::decode_from(&mut dec)
             .and_then(|_| dec.finish())
             .is_err());
-    }
-
-    #[test]
-    fn pipeline_codec_roundtrips_and_validates() {
-        let mut set = SignatureSet::new();
-        set.add("Nuclear", nuclear_like_signature());
-        set.add("RIG", rig_like_signature());
-        let pipeline = set.seal();
-        let mut enc = Encoder::new();
-        pipeline.encode_into(&mut enc);
-        let bytes = enc.into_bytes();
-
-        let mut dec = Decoder::new(&bytes);
-        let decoded = ScanPipeline::decode_from(&mut dec, set.len()).expect("decodes");
-        dec.finish().expect("fully consumed");
-        assert_eq!(&decoded, pipeline);
-
-        // Wrong signature count is refused (a pipeline must exactly cover
-        // the set it serves).
-        let mut dec = Decoder::new(&bytes);
-        assert!(ScanPipeline::decode_from(&mut dec, set.len() + 1).is_err());
-
-        // Version skew is a typed error so loaders can fall back — the
-        // previous version's whole-literal hashes included.
-        let mut skewed = bytes.clone();
-        skewed[..2].copy_from_slice(&1u16.to_le_bytes());
-        let mut dec = Decoder::new(&skewed);
-        assert!(matches!(
-            ScanPipeline::decode_from(&mut dec, set.len()),
-            Err(SnapshotError::VersionSkew {
-                found: 1,
-                expected: 2
-            })
-        ));
-
-        // A decoded pipeline attached to an equal set scans identically.
-        let mut enc = Encoder::new();
-        set.encode_into(&mut enc);
-        let set_bytes = enc.into_bytes();
-        let mut dec = Decoder::new(&set_bytes);
-        let mut restored = SignatureSet::decode_from(&mut dec).expect("set decodes");
-        let mut dec = Decoder::new(&bytes);
-        let decoded = ScanPipeline::decode_from(&mut dec, restored.len()).expect("decodes");
-        assert!(restored.attach_pipeline(decoded));
-        assert!(restored.is_sealed());
-        let doc = r#"<script>zZzQ9p = this["abc"]("ev#000000al");</script>"#;
-        assert_eq!(
-            scan_document(&restored, doc).map(|s| s.label.clone()),
-            scan_document(&set, doc).map(|s| s.label.clone())
-        );
-
-        // Truncations decode to clean errors.
-        for cut in 0..bytes.len() {
-            let mut dec = Decoder::new(&bytes[..cut]);
-            assert!(
-                ScanPipeline::decode_from(&mut dec, set.len())
-                    .and_then(|_| dec.finish())
-                    .is_err(),
-                "cut {cut}"
-            );
-        }
-    }
-
-    #[test]
-    fn attach_pipeline_refuses_mismatched_coverage() {
-        let mut set = SignatureSet::new();
-        set.add("Nuclear", nuclear_like_signature());
-        let pipeline = ScanPipeline::build(&[]);
-        assert!(!set.attach_pipeline(pipeline), "covers 0 of 1 signatures");
-        assert!(!set.is_sealed());
     }
 
     #[test]

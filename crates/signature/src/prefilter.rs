@@ -35,7 +35,6 @@
 
 use crate::pattern::{CharClass, Element, Signature};
 use kizzle_js::Tokens;
-use kizzle_snapshot::{Decoder, Encoder, SnapshotError};
 
 /// Per-token summary the branch-free checks compare against.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -328,7 +327,7 @@ const KIND_CLASS: u8 = 1;
 /// One fixed-width, branch-free element check. 16 bytes, compared with
 /// two integer range tests, one equality and one mask probe — no string
 /// data touched.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug)]
 pub struct ElemCheck {
     /// Minimum unquoted character count.
     min: u32,
@@ -373,7 +372,7 @@ impl ElemCheck {
 
 /// The prefilter view of one signature: its element checks plus the class
 /// histogram the window-level bound compares against.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug)]
 pub struct SigFilter {
     checks: Vec<ElemCheck>,
     /// `hist[c]` = number of `Class` elements of class `c`.
@@ -506,62 +505,6 @@ pub fn windows_pass_batch(profile: &StreamProfile, candidates: &[(&SigFilter, us
         }
     }
     alive
-}
-
-impl SigFilter {
-    /// Serialize the filter.
-    pub fn encode_into(&self, enc: &mut Encoder) {
-        enc.varint_usize(self.checks.len());
-        for check in &self.checks {
-            enc.u8(check.kind);
-            enc.varint(u64::from(check.min));
-            enc.varint(u64::from(check.max));
-            match check.kind {
-                KIND_LITERAL => enc.u32(check.fingerprint),
-                _ => enc.u8(check.class_bit),
-            }
-        }
-        // The histogram re-derives from the checks on decode.
-    }
-
-    /// Decode a filter written by [`SigFilter::encode_into`].
-    pub fn decode_from(dec: &mut Decoder<'_>) -> Result<Self, SnapshotError> {
-        let corrupt = |what: &str| SnapshotError::Corrupt(format!("sig filter: {what}"));
-        let count = dec.varint_usize()?;
-        if count == 0 {
-            return Err(corrupt("empty check list"));
-        }
-        let mut checks = Vec::with_capacity(count.min(1 << 16));
-        let mut hist = [0u16; 8];
-        for _ in 0..count {
-            let kind = dec.u8()?;
-            let min = u32::try_from(dec.varint()?).map_err(|_| corrupt("min length"))?;
-            let max = u32::try_from(dec.varint()?).map_err(|_| corrupt("max length"))?;
-            if min > max {
-                return Err(corrupt("inverted length range"));
-            }
-            let (fingerprint, class_bit) = match kind {
-                KIND_LITERAL => (dec.u32()?, 0),
-                KIND_CLASS => {
-                    let bit = dec.u8()?;
-                    if usize::from(bit) >= CharClass::TEMPLATES.len() {
-                        return Err(corrupt("class bit out of range"));
-                    }
-                    hist[usize::from(bit)] = hist[usize::from(bit)].saturating_add(1);
-                    (0, bit)
-                }
-                other => return Err(corrupt(&format!("unknown element kind {other}"))),
-            };
-            checks.push(ElemCheck {
-                min,
-                max,
-                fingerprint,
-                class_bit,
-                kind,
-            });
-        }
-        Ok(SigFilter { checks, hist })
-    }
 }
 
 #[cfg(test)]
@@ -779,46 +722,5 @@ mod tests {
         // Dead lanes never leak into live ones.
         let mask = windows_pass_batch(&profile, &[(&lower, 1), (&lower, 0), (&lower, 1)]);
         assert_eq!(mask, 0b010);
-    }
-
-    #[test]
-    fn filters_roundtrip_through_the_codec() {
-        let filter = SigFilter::of(&sig(vec![
-            Element::Literal("this".into()),
-            Element::Class {
-                class: CharClass::AlphaNum,
-                min_len: 3,
-                max_len: 5,
-            },
-            Element::Literal("]".into()),
-        ]));
-        let mut enc = Encoder::new();
-        filter.encode_into(&mut enc);
-        let bytes = enc.into_bytes();
-        let mut dec = Decoder::new(&bytes);
-        let back = SigFilter::decode_from(&mut dec).expect("decodes");
-        dec.finish().expect("fully consumed");
-        assert_eq!(back, filter);
-    }
-
-    #[test]
-    fn decode_rejects_damage() {
-        let filter = SigFilter::of(&sig(vec![Element::Literal("x".into())]));
-        let mut enc = Encoder::new();
-        filter.encode_into(&mut enc);
-        let bytes = enc.into_bytes();
-        for cut in 0..bytes.len() {
-            let mut dec = Decoder::new(&bytes[..cut]);
-            assert!(SigFilter::decode_from(&mut dec).is_err(), "cut {cut}");
-        }
-        // Unknown kind tag.
-        let mut enc = Encoder::new();
-        enc.varint_usize(1);
-        enc.u8(9);
-        enc.varint(1);
-        enc.varint(1);
-        let bytes = enc.into_bytes();
-        let mut dec = Decoder::new(&bytes);
-        assert!(SigFilter::decode_from(&mut dec).is_err());
     }
 }

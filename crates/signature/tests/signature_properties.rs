@@ -4,9 +4,7 @@ use kizzle_corpus::{variation_prefix, KitFamily, KitModel, SimDate};
 use kizzle_js::{tokenize, tokenize_document_capped, TokenStream};
 use kizzle_signature::generate::{find_common_window, generate_signature};
 use kizzle_signature::verify::nearest_in_stream;
-use kizzle_signature::{
-    CharClass, Element, ScanPipeline, Signature, SignatureConfig, SignatureSet,
-};
+use kizzle_signature::{CharClass, Element, Signature, SignatureConfig, SignatureSet};
 use kizzle_snapshot::{Decoder, Encoder};
 use proptest::prelude::*;
 use rand::SeedableRng;
@@ -190,6 +188,30 @@ fn document_strategy() -> impl Strategy<Value = String> {
     })
 }
 
+fn encode_set(set: &SignatureSet) -> Vec<u8> {
+    let mut enc = Encoder::new();
+    set.encode_into(&mut enc);
+    enc.into_bytes()
+}
+
+/// Decode `bytes` as a signature set the way a chain reader does, then
+/// seal whatever decoded and scan `doc` through both scan entry points.
+/// Returns whether the bytes were exactly one set.
+fn decode_seal_and_scan(bytes: &[u8], doc: &str) -> bool {
+    let mut dec = Decoder::new(bytes);
+    let Ok(set) = SignatureSet::decode_from(&mut dec) else {
+        return false;
+    };
+    set.seal();
+    let hit = set.scan_document_index(doc, usize::MAX);
+    assert_eq!(
+        hit,
+        set.scan_stream_index(&tokenize_document_capped(doc, usize::MAX))
+    );
+    assert!(hit.is_none_or(|index| index < set.len()));
+    dec.finish().is_ok()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -306,29 +328,20 @@ proptest! {
         prop_assert!(set.scan_stream(&tokenize("")).is_none());
     }
 
-    /// A set and pipeline shipped through the codec scan byte-identically
-    /// to the originals on arbitrary documents.
+    /// A set shipped through the codec reseals from its members and scans
+    /// byte-identically to the original on arbitrary documents.
     #[test]
     fn codec_roundtrip_preserves_scan_results(
         set in signature_set_strategy(),
         docs in prop::collection::vec(document_strategy(), 1..4),
     ) {
-        let mut enc = Encoder::new();
-        set.encode_into(&mut enc);
-        let set_bytes = enc.into_bytes();
-        let mut enc = Encoder::new();
-        set.seal().encode_into(&mut enc);
-        let pipeline_bytes = enc.into_bytes();
-
-        let mut dec = Decoder::new(&set_bytes);
-        let mut restored = SignatureSet::decode_from(&mut dec).expect("set decodes");
+        set.seal();
+        let bytes = encode_set(&set);
+        let mut dec = Decoder::new(&bytes);
+        let restored = SignatureSet::decode_from(&mut dec).expect("set decodes");
         dec.finish().expect("set fully consumed");
-        let mut dec = Decoder::new(&pipeline_bytes);
-        let pipeline =
-            ScanPipeline::decode_from(&mut dec, restored.len()).expect("pipeline decodes");
-        dec.finish().expect("pipeline fully consumed");
         prop_assert_eq!(&restored, &set);
-        prop_assert!(restored.attach_pipeline(pipeline));
+        prop_assert!(!restored.is_sealed(), "the codec ships members only");
 
         for doc in &docs {
             let stream = tokenize(doc);
@@ -337,6 +350,42 @@ proptest! {
                 set.scan_stream(&stream).map(|s| s.signature.name.as_str()),
                 "doc: {:?}", doc
             );
+        }
+    }
+
+    /// The signature set is the one decoder of scan state on the chain
+    /// path, so untrusted bytes stop there: decoding arbitrary bytes is a
+    /// clean error or a set, and a decoded set seals and scans without
+    /// panicking.
+    #[test]
+    fn set_decode_seal_and_scan_never_panic_on_arbitrary_bytes(
+        bytes in prop::collection::vec(any::<u8>(), 0..512),
+        doc in document_strategy(),
+    ) {
+        decode_seal_and_scan(&bytes, &doc);
+    }
+
+    /// Every cut of a valid payload, and every single-byte corruption of
+    /// one, decodes to a clean error or a set that seals and scans.
+    #[test]
+    fn set_decode_seal_and_scan_never_panic_on_damaged_payloads(
+        set in signature_set_strategy(),
+        doc in document_strategy(),
+        flip in any::<u8>(),
+    ) {
+        let bytes = encode_set(&set);
+        for cut in 0..bytes.len() {
+            prop_assert!(
+                !decode_seal_and_scan(&bytes[..cut], &doc),
+                "cut {} of {} decoded as a whole set", cut, bytes.len()
+            );
+        }
+        let flip = flip | 1;
+        let mut damaged = bytes.clone();
+        for at in 0..damaged.len() {
+            damaged[at] ^= flip;
+            decode_seal_and_scan(&damaged, &doc);
+            damaged[at] ^= flip;
         }
     }
 

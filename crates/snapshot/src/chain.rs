@@ -499,16 +499,16 @@ impl ChainedSnapshot {
         self.layers.first().and_then(Snapshot::trailer_crc)
     }
 
-    /// How many of the layers from index `from` on declare at least one
-    /// of `sections`. A delta carries exactly the sections its save
-    /// changed, so over the deltas appended since a reader last looked
-    /// this is the number of saves that changed one of them.
+    /// How many of the layers from index `from` on declare `section`. A
+    /// delta carries exactly the sections its save changed, so over the
+    /// deltas appended since a reader last looked this is the number of
+    /// saves that changed it.
     #[must_use]
-    pub fn layers_declaring(&self, from: usize, sections: &[&str]) -> usize {
+    pub fn layers_declaring(&self, from: usize, section: &str) -> usize {
         self.layers
             .iter()
             .skip(from)
-            .filter(|layer| sections.iter().any(|name| layer.has_section(name)))
+            .filter(|layer| layer.has_section(section))
             .count()
     }
 }

@@ -17,8 +17,6 @@
 pub const META_SECTION: &str = "meta";
 /// Section holding the cumulative signature set.
 pub const SIGNATURES_SECTION: &str = "signatures";
-/// Section holding the sealed scan pipeline (automaton + prefilters).
-pub const SCAN_SECTION: &str = "scan-pipeline";
 /// Section holding the reference corpus.
 pub const REFERENCE_SECTION: &str = "reference";
 /// Section holding the retained day views (for window clustering).

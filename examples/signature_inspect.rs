@@ -1,10 +1,10 @@
 //! Signature inspection: show how signatures generalize (paper Figs.
 //! 9–10) — either by generating one per kit from a small cluster of
-//! same-day packed variants, or, with `--snapshot PATH`, by loading the
-//! *deployed* set straight out of a compiler state snapshot (as written by
-//! `daily_pipeline --state-dir`) instead of recompiling anything. `PATH`
-//! may be the state directory itself or a snapshot file inside it; either
-//! way the chain's deltas are overlaid so the newest set answers.
+//! same-day packed variants, or, with `--snapshot DIR`, by loading the
+//! *deployed* set straight out of a compiler state directory (as written
+//! by `daily_pipeline --state-dir`) instead of recompiling anything. The
+//! chain's deltas are overlaid so the newest set answers; a file inside
+//! the directory is refused, since a delta alone holds an older set.
 //!
 //! ```bash
 //! cargo run --release -p kizzle-sim --example signature_inspect
@@ -39,8 +39,7 @@ fn describe(sig: &Signature) {
     println!("  {preview}…");
 }
 
-/// Inspect the deployed signature set inside a state snapshot (a state
-/// directory or a snapshot file).
+/// Inspect the deployed signature set in a state directory.
 fn inspect_snapshot(path: &str) {
     let set = match kizzle::read_signatures(std::path::Path::new(path)) {
         Ok(set) => set,
@@ -73,7 +72,7 @@ fn main() {
             return;
         }
         _ => {
-            eprintln!("usage: signature_inspect [--snapshot FILE_OR_DIR]");
+            eprintln!("usage: signature_inspect [--snapshot DIR]");
             std::process::exit(2);
         }
     }
