@@ -285,6 +285,9 @@ impl KizzleCompiler {
             },
         )?;
         let snapshot_elapsed = snapshot_span.finish();
+        // The manifest is committed: followers on this host need not wait
+        // out their poll interval to read it.
+        crate::source::wake_followers(state_dir);
         if kizzle_telemetry::enabled() {
             kizzle_telemetry::counter("kizzle_snapshot_saves_total").incr();
             kizzle_telemetry::histogram("kizzle_snapshot_save_ns")

@@ -21,7 +21,9 @@
 //!   set (the scan pipeline is built from the signatures, never read from
 //!   disk), and swaps it in **exactly like the epoch swap** — scans in
 //!   flight keep the previous complete set; the next scan on each handle
-//!   picks up the new one atomically.
+//!   picks up the new one atomically. A [`ChainFollower::follow`] thread
+//!   does not wait out a timer for that: every save wakes the follow
+//!   threads bound in its directory.
 //!
 //! The follower is the subscription half of the deployment topology the
 //! paper implies but never names: one compiler sealing days and saving
@@ -36,11 +38,19 @@ use kizzle_snapshot::chain::SECTION_KEY_PREFIX;
 use kizzle_snapshot::{
     fingerprint, ChainedSnapshot, Decoder, Manifest, SectionSource, SnapshotError,
 };
+use std::io;
+use std::os::unix::fs::FileTypeExt;
+use std::os::unix::net::UnixDatagram;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, RwLock};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, RwLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, SystemTime};
+
+/// File-name prefix of the datagram sockets [`ChainFollower::follow`]
+/// threads bind in the chain directory (`.kizzle-wake-<pid>-<n>`). Every
+/// save sends each of them one byte.
+pub(crate) const WAKE_PREFIX: &str = ".kizzle-wake-";
 
 /// Where published signature sets come from — the read-side contract
 /// shared by every [`Matcher`](crate::Matcher).
@@ -193,8 +203,14 @@ impl FollowState {
 ///
 /// ## Freshness and consistency
 ///
-/// `poll` is a stat loop, not inotify: a new save is observed at the next
-/// poll, so staleness is bounded by the poll interval plus one decode.
+/// `poll` itself is a stat of the `MANIFEST`; what decides *when* it runs
+/// is the caller. A [`ChainFollower::follow`] thread binds a datagram
+/// socket in the chain directory, and every
+/// [`KizzleService::save`](crate::KizzleService::save) on this host wakes
+/// it once the manifest is committed, so a save is served one decode and
+/// seal later. The follow interval bounds staleness only where a save
+/// cannot wake the thread: a writer on another host of a shared
+/// filesystem, or a directory where the socket could not be bound.
 /// Consistency is absolute regardless: the chain's files and its manifest
 /// are each written atomically (tmp + rename), the manifest only after
 /// its chain file, so every poll sees either the complete previous save
@@ -367,49 +383,149 @@ impl ChainFollower {
             .clone()
     }
 
-    /// Spawn a background thread that [`ChainFollower::poll`]s every
-    /// `interval` until the returned handle is dropped or
-    /// [`FollowHandle::shutdown`] is called (both stop promptly — the
-    /// sleep is a condvar wait, not a hard `sleep`). Poll errors are
-    /// recorded as [`ChainFollower::notes`], except not-found (the
-    /// compiler simply has not saved yet).
+    /// Spawn a background thread that [`ChainFollower::poll`]s whenever a
+    /// save to the chain directory wakes it, and at the latest every
+    /// `interval`, until the returned handle is dropped or
+    /// [`FollowHandle::shutdown`] is called (both stop it promptly: they
+    /// wake it the way a save does).
+    ///
+    /// The thread waits on a datagram socket bound at
+    /// `<dir>/.kizzle-wake-<pid>-<n>` (the directory is created if it is
+    /// missing, as the first save would) and removes it when it exits.
+    /// Where the socket cannot be bound — a path longer than a socket
+    /// address holds, a read-only or remote filesystem — the thread waits
+    /// on a private socket pair instead, so only `interval` brings the
+    /// next poll; [`FollowHandle::woken_by_saves`] says which, and a note
+    /// records why. Poll errors are recorded as [`ChainFollower::notes`],
+    /// except not-found (the compiler simply has not saved yet).
     pub fn follow(self: &Arc<Self>, interval: Duration) -> FollowHandle {
+        let bound = bind_wake_socket(&self.dir)
+            .map(|(wake, waker, path)| (wake, waker, Some(path)))
+            .inspect_err(|err| {
+                self.push_note(format!(
+                    "no wake socket in the chain directory ({err}): saves are seen by polling every {interval:?}"
+                ));
+            });
+        let woken_by_saves = bound.is_ok();
         let follower = Arc::clone(self);
-        let signal = Arc::new((Mutex::new(false), Condvar::new()));
-        let thread_signal = Arc::clone(&signal);
-        let worker = std::thread::Builder::new()
-            .name("kizzle-follow".into())
-            .spawn(move || {
-                let (stop, wake) = &*thread_signal;
-                loop {
-                    if let Err(err) = follower.poll() {
-                        let waiting = matches!(
-                            &err,
-                            KizzleError::Snapshot(SnapshotError::Io(io))
-                                if io.kind() == std::io::ErrorKind::NotFound
-                        );
-                        if !waiting {
-                            let mut state =
-                                follower.state.lock().expect("chain follower poll lock");
-                            state.push_note(format!("chain poll failed: {err}"));
+        let stop = Arc::new(AtomicBool::new(false));
+        let thread_stop = Arc::clone(&stop);
+        // Without a socket in the directory the thread waits on a private
+        // pair: the same loop, woken only by its handle.
+        bound
+            .or_else(|_| UnixDatagram::pair().map(|(wake, waker)| (wake, waker, None)))
+            .and_then(|(wake, waker, socket)| {
+                wake.set_read_timeout(Some(interval.max(Duration::from_millis(1))))?;
+                // Nonblocking: a full queue already holds a wake.
+                waker.set_nonblocking(true)?;
+                let worker = std::thread::Builder::new()
+                    .name("kizzle-follow".into())
+                    .spawn(move || {
+                        if let Err(err) = follow_loop(&follower, &wake, &thread_stop) {
+                            follower.push_note(format!("follow thread stopped: {err}"));
                         }
-                    }
-                    let stopped = stop.lock().expect("follow stop lock");
-                    if *stopped {
-                        return;
-                    }
-                    let (stopped, _) = wake
-                        .wait_timeout(stopped, interval)
-                        .expect("follow stop lock");
-                    if *stopped {
-                        return;
-                    }
-                }
+                        if let Some(path) = socket {
+                            std::fs::remove_file(path).ok();
+                        }
+                    })?;
+                Ok(FollowHandle {
+                    stop,
+                    waker,
+                    woken_by_saves,
+                    worker: Some(worker),
+                })
             })
-            .expect("spawn chain follower thread");
-        FollowHandle {
-            signal,
-            worker: Some(worker),
+            .expect("spawn chain follower thread")
+    }
+
+    fn push_note(&self, note: String) {
+        self.state
+            .lock()
+            .expect("chain follower poll lock")
+            .push_note(note);
+    }
+}
+
+/// The follow thread: poll, then wait for a wake or the read timeout.
+/// Returns once the handle's flag is up, or with the error that broke the
+/// wait.
+fn follow_loop(follower: &ChainFollower, wake: &UnixDatagram, stop: &AtomicBool) -> io::Result<()> {
+    let mut byte = [0u8; 1];
+    loop {
+        if let Err(err) = follower.poll() {
+            let waiting = matches!(
+                &err,
+                KizzleError::Snapshot(SnapshotError::Io(io))
+                    if io.kind() == io::ErrorKind::NotFound
+            );
+            if !waiting {
+                follower.push_note(format!("chain poll failed: {err}"));
+            }
+        }
+        if stop.load(Ordering::Acquire) {
+            return Ok(());
+        }
+        // Wakes that queued up meanwhile are drained: the next poll reads
+        // whatever the latest save committed.
+        if wake.recv(&mut byte).is_ok() {
+            wake.set_nonblocking(true)?;
+            while wake.recv(&mut byte).is_ok() {}
+            wake.set_nonblocking(false)?;
+        }
+        if stop.load(Ordering::Acquire) {
+            return Ok(());
+        }
+    }
+}
+
+/// Bind a follow thread's wake socket in `dir`, creating `dir` as
+/// [`ChainWriter::save`](kizzle_snapshot::ChainWriter::save) would:
+/// `(the socket, a sender connected to it, its path)`.
+fn bind_wake_socket(dir: &Path) -> io::Result<(UnixDatagram, UnixDatagram, PathBuf)> {
+    static NEXT: AtomicUsize = AtomicUsize::new(0);
+    std::fs::create_dir_all(dir)?;
+    let path = dir.join(format!(
+        "{WAKE_PREFIX}{}-{}",
+        std::process::id(),
+        NEXT.fetch_add(1, Ordering::Relaxed)
+    ));
+    let wake = UnixDatagram::bind(&path)?;
+    let waker = UnixDatagram::unbound()
+        .and_then(|waker| waker.connect(&path).map(|()| waker))
+        .inspect_err(|_| {
+            std::fs::remove_file(&path).ok();
+        })?;
+    Ok((wake, waker, path))
+}
+
+/// Wake every [`ChainFollower::follow`] thread bound in `dir`: one byte to
+/// each socket whose name starts with [`WAKE_PREFIX`]. Run after a save has
+/// committed its manifest, and best effort: a wake that is not delivered
+/// costs that follower at most its poll interval, never the save. A socket
+/// nobody is bound to any more (its follower died before removing it)
+/// refuses the byte and is removed; an entry that is not a socket is never
+/// touched.
+pub(crate) fn wake_followers(dir: &Path) {
+    let (Ok(entries), Ok(sender)) = (std::fs::read_dir(dir), UnixDatagram::unbound()) else {
+        return;
+    };
+    // A follower whose queue is full has a wake pending already.
+    if sender.set_nonblocking(true).is_err() {
+        return;
+    }
+    for entry in entries.flatten() {
+        let named = entry
+            .file_name()
+            .to_str()
+            .is_some_and(|name| name.starts_with(WAKE_PREFIX));
+        if !named || !entry.file_type().is_ok_and(|kind| kind.is_socket()) {
+            continue;
+        }
+        let path = entry.path();
+        if let Err(err) = sender.send_to(&[1], &path) {
+            if err.kind() == io::ErrorKind::ConnectionRefused {
+                std::fs::remove_file(&path).ok();
+            }
         }
     }
 }
@@ -433,21 +549,31 @@ impl SignatureSource for ChainFollower {
 /// stops and joins the thread.
 #[derive(Debug)]
 pub struct FollowHandle {
-    signal: Arc<(Mutex<bool>, Condvar)>,
+    stop: Arc<AtomicBool>,
+    /// Connected to the thread's wake socket: one datagram ends its wait.
+    waker: UnixDatagram,
+    woken_by_saves: bool,
     worker: Option<JoinHandle<()>>,
 }
 
 impl FollowHandle {
+    /// Whether saves on this host wake the thread (`true`), or it sees them
+    /// only at its next interval (`false`: the wake socket could not be
+    /// bound in the chain directory; [`ChainFollower::notes`] says why).
+    #[must_use]
+    pub fn woken_by_saves(&self) -> bool {
+        self.woken_by_saves
+    }
+
     /// Stop the polling thread and wait for it to exit.
     pub fn shutdown(mut self) {
         self.stop();
     }
 
     fn stop(&mut self) {
-        let (stop, wake) = &*self.signal;
-        *stop.lock().expect("follow stop lock") = true;
-        wake.notify_all();
         if let Some(worker) = self.worker.take() {
+            self.stop.store(true, Ordering::Release);
+            self.waker.send(&[0]).ok();
             if let Err(payload) = worker.join() {
                 std::panic::resume_unwind(payload);
             }
@@ -632,6 +758,102 @@ mod tests {
             std::thread::sleep(Duration::from_millis(2));
         }
         assert_eq!(&*follower.current().1, &*service.signatures());
+        handle.shutdown();
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// The wake sockets bound in `dir`.
+    fn wake_sockets(dir: &Path) -> Vec<PathBuf> {
+        std::fs::read_dir(dir)
+            .expect("chain dir lists")
+            .flatten()
+            .filter(|entry| entry.file_type().is_ok_and(|kind| kind.is_socket()))
+            .map(|entry| entry.path())
+            .filter(|path| {
+                path.file_name()
+                    .and_then(|name| name.to_str())
+                    .is_some_and(|name| name.starts_with(WAKE_PREFIX))
+            })
+            .collect()
+    }
+
+    #[test]
+    fn a_save_wakes_a_follower_that_polls_hourly() {
+        let dir = chain_dir("hourly");
+        let follower = Arc::new(ChainFollower::new(&dir));
+        let handle = follower.follow(Duration::from_secs(3600));
+        assert!(handle.woken_by_saves());
+        let sockets = wake_sockets(&dir);
+        assert_eq!(sockets.len(), 1, "one wake socket per follow thread");
+
+        let date = SimDate::new(2014, 8, 5);
+        let mut service = test_service();
+        service
+            .process_day(date, test_day(date, 7))
+            .expect("day processes");
+        service.save(&dir).expect("state saved");
+
+        let deadline = std::time::Instant::now() + Duration::from_secs(10);
+        while follower.epoch_hint() == 0 {
+            assert!(
+                std::time::Instant::now() < deadline,
+                "the save did not wake the follower"
+            );
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        assert_eq!(&*follower.current().1, &*service.signatures());
+
+        let stopping = std::time::Instant::now();
+        handle.shutdown();
+        assert!(
+            stopping.elapsed() < Duration::from_secs(2),
+            "shutdown waits"
+        );
+        assert!(!sockets[0].exists(), "the thread removes its socket");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_save_removes_dead_wake_sockets_and_touches_nothing_else() {
+        let dir = chain_dir("hygiene");
+        std::fs::create_dir_all(&dir).expect("chain dir");
+        // A follower that died without removing its socket: bound, then
+        // closed, so the path refuses datagrams.
+        let dead = dir.join(format!("{WAKE_PREFIX}dead"));
+        drop(UnixDatagram::bind(&dead).expect("bind"));
+        // Not a socket, or not ours: never touched.
+        let regular = dir.join(format!("{WAKE_PREFIX}x"));
+        std::fs::write(&regular, b"keep").expect("regular file");
+        let foreign = dir.join("other.sock");
+        let _foreign = UnixDatagram::bind(&foreign).expect("bind");
+        // A live follower keeps its socket across saves.
+        let follower = Arc::new(ChainFollower::new(&dir));
+        let handle = follower.follow(Duration::from_secs(3600));
+        let live = wake_sockets(&dir)
+            .into_iter()
+            .find(|path| *path != dead)
+            .expect("the follow thread's socket");
+
+        let mut service = test_service();
+        let mut date = SimDate::new(2014, 8, 5);
+        for seed in [3, 4] {
+            service
+                .process_day(date, test_day(date, seed))
+                .expect("day processes");
+            date = date.next();
+            service.save(&dir).expect("state saved");
+        }
+        assert!(!dead.exists(), "a refused socket is removed");
+        assert_eq!(std::fs::read(&regular).expect("survives"), b"keep");
+        assert!(foreign.exists() && live.exists());
+
+        // Every reader of the directory ignores the sockets: the chain
+        // opens, compacts and loads as if they were not there.
+        ChainedSnapshot::open(&dir, STATE_CHAIN_PREFIX).expect("chain opens");
+        service.save_compacting(&dir, 0).expect("compacting save");
+        let (loaded, _) = KizzleService::load(&dir, KizzleConfig::fast()).expect("loads");
+        assert_eq!(&*loaded.signatures(), &*service.signatures());
+        assert!(live.exists() && foreign.exists());
         handle.shutdown();
         std::fs::remove_dir_all(&dir).ok();
     }

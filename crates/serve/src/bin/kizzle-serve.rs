@@ -7,7 +7,12 @@ use std::process::ExitCode;
 use std::time::Duration;
 
 const USAGE: &str =
-    "usage: kizzle-serve --chain-dir DIR [--addr HOST:PORT] [--workers N] [--poll-ms MS]";
+    "usage: kizzle-serve --chain-dir DIR [--addr HOST:PORT] [--workers N] [--poll-ms MS]
+
+A save on this host wakes the daemon at once. --poll-ms (default 200) bounds
+only the staleness of saves that cannot wake it: another host of a shared
+filesystem, or a chain directory where the wake socket cannot be bound
+(STATUS then says follow=poll).";
 
 fn parse_args() -> Result<ServeConfig, String> {
     let mut chain_dir = None;

@@ -2,18 +2,22 @@
 //! [`ChainFollower`].
 //!
 //! One compiler process writes the snapshot chain; this daemon tails it.
-//! A single [`ChainFollower`] polls the chain directory on a background
-//! thread; every worker holds a [`Matcher`] over that shared follower,
+//! A single [`ChainFollower`] follows the chain directory on a background
+//! thread, woken by each save on this host (and polling at
+//! [`ServeConfig::poll_interval`] for the saves that cannot wake it);
+//! every worker holds a [`Matcher`] over that shared follower,
 //! so a publication swaps the set under all workers at once — mid-scan
 //! traffic keeps reading the old `Arc` it pinned, the next scan reads
 //! the new one, and no request ever sees a torn mixture.
 //!
-//! Connections are accepted on a dedicated thread and dispatched to `N`
-//! worker threads over a channel; each worker serves one connection at a
-//! time with buffered pipelined I/O. Shutdown (the [`OP_SHUTDOWN`]
-//! opcode or [`ServerHandle::shutdown`]) is a graceful drain: the
-//! acceptor stops taking new connections, workers finish the requests
-//! already in flight, then everything joins.
+//! Connections are accepted on a dedicated thread, blocked in `accept`,
+//! and dispatched to `N` worker threads over a channel; each worker
+//! serves one connection at a time with buffered pipelined I/O. Shutdown
+//! (the [`OP_SHUTDOWN`] opcode or [`ServerHandle::shutdown`]) is a
+//! graceful drain: whoever starts it raises a flag and makes one loopback
+//! connection to wake the acceptor, which stops taking new connections;
+//! workers finish the requests already in flight and the connections
+//! already queued, then everything joins.
 
 use crate::protocol::{
     encode_scan_reply, read_frame, write_frame, FrameRead, OP_METRICS, OP_SCAN, OP_SHUTDOWN,
@@ -25,7 +29,7 @@ use std::borrow::Cow;
 use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::io::{self, BufReader, BufWriter, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
@@ -41,8 +45,9 @@ const IO_BUF: usize = 64 * 1024;
 /// connection notices a drain request.
 const READ_TIMEOUT: Duration = Duration::from_millis(100);
 
-/// How long the acceptor sleeps when `accept` would block.
-const ACCEPT_IDLE: Duration = Duration::from_millis(5);
+/// How long the acceptor backs off after an `accept` failure that would
+/// repeat at once (out of file descriptors) instead of spinning on it.
+const ACCEPT_BACKOFF: Duration = Duration::from_millis(5);
 
 /// Configuration for [`Server::start`].
 #[derive(Debug, Clone)]
@@ -53,13 +58,16 @@ pub struct ServeConfig {
     pub chain_dir: PathBuf,
     /// Number of scan worker threads.
     pub workers: usize,
-    /// Chain poll interval for the follow thread.
+    /// Staleness bound for saves that cannot wake the follow thread: a
+    /// save on this host wakes it at once, but a writer on another host
+    /// of a shared filesystem (or a chain directory where the wake socket
+    /// cannot be bound, `STATUS` `follow=poll`) is seen at the next poll.
     pub poll_interval: Duration,
 }
 
 impl ServeConfig {
     /// Loopback defaults: OS-picked port, one worker per available core,
-    /// 200 ms chain polls.
+    /// a 200 ms poll for the saves that cannot wake the follower.
     #[must_use]
     pub fn new(chain_dir: impl Into<PathBuf>) -> Self {
         ServeConfig {
@@ -132,12 +140,61 @@ impl Recorder for SharedAggregator {
 /// The serve daemon, start-to-join. See the [module docs](self).
 pub struct Server;
 
+/// The drain switch every thread shares.
+struct Drain {
+    started: AtomicBool,
+    /// Where a loopback connection reaches the listener.
+    wake_addr: SocketAddr,
+}
+
+impl Drain {
+    fn new(local_addr: SocketAddr) -> Self {
+        let mut wake_addr = local_addr;
+        if wake_addr.ip().is_unspecified() {
+            wake_addr.set_ip(match wake_addr.ip() {
+                IpAddr::V4(_) => IpAddr::V4(Ipv4Addr::LOCALHOST),
+                IpAddr::V6(_) => IpAddr::V6(Ipv6Addr::LOCALHOST),
+            });
+        }
+        Drain {
+            started: AtomicBool::new(false),
+            wake_addr,
+        }
+    }
+
+    fn started(&self) -> bool {
+        self.started.load(Ordering::Acquire)
+    }
+
+    /// Raise the flag, then wake the acceptor out of `accept` with one
+    /// loopback connection, closed at once: the acceptor hands it on with
+    /// the rest of the backlog, and its worker ends it at the first read.
+    /// Only the first call connects. A connect that cannot finish within
+    /// `READ_TIMEOUT` means a full accept backlog, whose connections wake
+    /// the acceptor anyway.
+    fn start(&self) {
+        if !self.started.swap(true, Ordering::AcqRel) {
+            let _ = TcpStream::connect_timeout(&self.wake_addr, READ_TIMEOUT);
+        }
+    }
+}
+
+/// What every worker shares besides its own [`Matcher`].
+struct Fleet {
+    follower: Arc<ChainFollower>,
+    aggregator: Arc<SpanAggregator>,
+    drain: Drain,
+    workers: usize,
+    /// `STATUS`'s `follow=`: `wake` when saves on this host wake the
+    /// follow thread, `poll` when only the poll interval does.
+    follow: &'static str,
+}
+
 /// A running daemon: the bound address plus the handles needed to drain
 /// and join it.
 pub struct ServerHandle {
     local_addr: SocketAddr,
-    shutdown: Arc<AtomicBool>,
-    follower: Arc<ChainFollower>,
+    fleet: Arc<Fleet>,
     follow: Option<FollowHandle>,
     acceptor: Option<JoinHandle<()>>,
     workers: Vec<JoinHandle<()>>,
@@ -168,37 +225,41 @@ impl Server {
 
         let listener = TcpListener::bind(&config.addr)?;
         let local_addr = listener.local_addr()?;
-        listener.set_nonblocking(true)?;
 
-        let shutdown = Arc::new(AtomicBool::new(false));
         let workers = config.workers.max(1);
+        let fleet = Arc::new(Fleet {
+            follower,
+            aggregator,
+            drain: Drain::new(local_addr),
+            workers,
+            follow: if follow.woken_by_saves() {
+                "wake"
+            } else {
+                "poll"
+            },
+        });
         let (conn_tx, conn_rx) = sync_channel::<TcpStream>(workers * 2);
         let conn_rx = Arc::new(Mutex::new(conn_rx));
 
         let mut worker_handles = Vec::with_capacity(workers);
         for id in 0..workers {
             let rx = Arc::clone(&conn_rx);
-            let flag = Arc::clone(&shutdown);
-            let matcher = Matcher::over(Arc::clone(&follower));
-            let aggregator = Arc::clone(&aggregator);
-            let follower = Arc::clone(&follower);
+            let matcher = Matcher::over(Arc::clone(&fleet.follower));
+            let fleet = Arc::clone(&fleet);
             let handle = std::thread::Builder::new()
                 .name(format!("kizzle-worker-{id}"))
-                .spawn(move || {
-                    worker_loop(&rx, &matcher, &follower, &aggregator, &flag, workers);
-                })?;
+                .spawn(move || worker_loop(&rx, &matcher, &fleet))?;
             worker_handles.push(handle);
         }
 
-        let acceptor_flag = Arc::clone(&shutdown);
+        let acceptor_fleet = Arc::clone(&fleet);
         let acceptor = std::thread::Builder::new()
             .name("kizzle-accept".into())
-            .spawn(move || accept_loop(&listener, &conn_tx, &acceptor_flag))?;
+            .spawn(move || accept_loop(&listener, &conn_tx, &acceptor_fleet.drain))?;
 
         Ok(ServerHandle {
             local_addr,
-            shutdown,
-            follower,
+            fleet,
             follow: Some(follow),
             acceptor: Some(acceptor),
             workers: worker_handles,
@@ -216,21 +277,19 @@ impl ServerHandle {
     /// The shared chain follower the workers scan with.
     #[must_use]
     pub fn follower(&self) -> &Arc<ChainFollower> {
-        &self.follower
+        &self.fleet.follower
     }
 
     /// Request a graceful drain and join every thread. In-flight
     /// requests finish; queued connections are still served; new
     /// connections stop being accepted.
     pub fn shutdown(mut self) {
-        self.shutdown.store(true, Ordering::Release);
+        self.fleet.drain.start();
         self.join_threads();
     }
 
     /// Block until the daemon drains — i.e. until a client sends
-    /// [`OP_SHUTDOWN`] (or [`ServerHandle::shutdown`] was called from
-    /// another thread via the flag). This is the daemon binary's main
-    /// loop.
+    /// [`OP_SHUTDOWN`]. This is the daemon binary's main loop.
     pub fn join(mut self) {
         self.join_threads();
     }
@@ -250,35 +309,44 @@ impl ServerHandle {
 
 impl Drop for ServerHandle {
     fn drop(&mut self) {
-        self.shutdown.store(true, Ordering::Release);
+        self.fleet.drain.start();
         self.join_threads();
     }
 }
 
-fn accept_loop(listener: &TcpListener, conn_tx: &SyncSender<TcpStream>, shutdown: &AtomicBool) {
-    loop {
-        if shutdown.load(Ordering::Acquire) {
-            break;
-        }
+fn accept_loop(listener: &TcpListener, conn_tx: &SyncSender<TcpStream>, drain: &Drain) {
+    // Blocks when all workers are busy and the queue is full — natural
+    // admission backpressure. Send only fails once every worker has
+    // exited, i.e. mid-drain.
+    let hand_on = |stream: TcpStream| {
+        counter("kizzle_serve_connections_total").incr();
+        conn_tx.send(stream).is_ok()
+    };
+    // `accept` blocks until a client connects or a drain's loopback
+    // connection wakes it.
+    while !drain.started() {
         match listener.accept() {
             Ok((stream, _)) => {
-                counter("kizzle_serve_connections_total").incr();
-                // Blocks when all workers are busy and the queue is
-                // full — natural admission backpressure. Send only
-                // fails once every worker has exited, i.e. mid-drain.
-                if conn_tx.send(stream).is_err() {
-                    break;
+                if !hand_on(stream) {
+                    return;
                 }
             }
             Err(err)
                 if matches!(
                     err.kind(),
-                    io::ErrorKind::WouldBlock | io::ErrorKind::Interrupted
-                ) =>
-            {
-                std::thread::sleep(ACCEPT_IDLE);
+                    io::ErrorKind::Interrupted | io::ErrorKind::ConnectionAborted
+                ) => {}
+            Err(_) => std::thread::sleep(ACCEPT_BACKOFF),
+        }
+    }
+    // Draining: the backlog (a client whose connect returned before the
+    // drain began, and the wake connection) is still handed on, without
+    // waiting for more.
+    if listener.set_nonblocking(true).is_ok() {
+        while let Ok((stream, _)) = listener.accept() {
+            if !hand_on(stream) {
+                return;
             }
-            Err(_) => std::thread::sleep(ACCEPT_IDLE),
         }
     }
     // Dropping conn_tx disconnects the channel; workers drain whatever
@@ -288,10 +356,7 @@ fn accept_loop(listener: &TcpListener, conn_tx: &SyncSender<TcpStream>, shutdown
 fn worker_loop(
     conn_rx: &Mutex<Receiver<TcpStream>>,
     matcher: &Matcher<ChainFollower>,
-    follower: &Arc<ChainFollower>,
-    aggregator: &SpanAggregator,
-    shutdown: &AtomicBool,
-    workers: usize,
+    fleet: &Fleet,
 ) {
     loop {
         // Hold the lock only while waiting for a connection; serving
@@ -302,10 +367,10 @@ fn worker_loop(
         };
         match next {
             Ok(stream) => {
-                let _ = serve_connection(stream, matcher, follower, aggregator, shutdown, workers);
+                let _ = serve_connection(stream, matcher, fleet);
             }
             Err(std::sync::mpsc::RecvTimeoutError::Timeout) => {
-                if shutdown.load(Ordering::Acquire) {
+                if fleet.drain.started() {
                     // The acceptor is also draining; it drops the sender
                     // once it exits, which flips us to Disconnected. Keep
                     // looping so queued connections still get served.
@@ -320,10 +385,7 @@ fn worker_loop(
 fn serve_connection(
     stream: TcpStream,
     matcher: &Matcher<ChainFollower>,
-    follower: &Arc<ChainFollower>,
-    aggregator: &SpanAggregator,
-    shutdown: &AtomicBool,
-    workers: usize,
+    fleet: &Fleet,
 ) -> io::Result<()> {
     stream.set_nodelay(true)?;
     stream.set_read_timeout(Some(READ_TIMEOUT))?;
@@ -345,7 +407,7 @@ fn serve_connection(
         match read_frame(&mut reader, &mut payload)? {
             FrameRead::Closed => return writer.flush(),
             FrameRead::Idle => {
-                if shutdown.load(Ordering::Acquire) {
+                if fleet.drain.started() {
                     // Drain: nothing in flight on this connection.
                     return writer.flush();
                 }
@@ -376,20 +438,21 @@ fn serve_connection(
             }
             OP_METRICS => {
                 let mut text = kizzle_telemetry::render_prometheus();
-                text.push_str(&aggregator.render_prometheus());
+                text.push_str(&fleet.aggregator.render_prometheus());
                 let mut reply = Vec::with_capacity(1 + text.len());
                 reply.push(ST_OK);
                 reply.extend_from_slice(text.as_bytes());
                 write_frame(&mut writer, &reply)?;
             }
             OP_STATUS => {
-                let (epoch, set) = follower.current();
+                let (epoch, set) = fleet.follower.current();
                 let mut text = String::new();
                 let _ = writeln!(text, "epoch={epoch}");
                 let _ = writeln!(text, "signatures={}", set.len());
-                let _ = writeln!(text, "workers={workers}");
-                let _ = writeln!(text, "draining={}", shutdown.load(Ordering::Acquire));
-                for note in follower.notes() {
+                let _ = writeln!(text, "workers={}", fleet.workers);
+                let _ = writeln!(text, "follow={}", fleet.follow);
+                let _ = writeln!(text, "draining={}", fleet.drain.started());
+                for note in fleet.follower.notes() {
                     let _ = writeln!(text, "note={note}");
                 }
                 let mut reply = Vec::with_capacity(1 + text.len());
@@ -398,7 +461,7 @@ fn serve_connection(
                 write_frame(&mut writer, &reply)?;
             }
             OP_SHUTDOWN => {
-                shutdown.store(true, Ordering::Release);
+                fleet.drain.start();
                 write_frame(&mut writer, &[ST_OK])?;
                 return writer.flush();
             }

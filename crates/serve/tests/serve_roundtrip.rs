@@ -149,3 +149,123 @@ fn a_server_over_an_empty_chain_serves_epoch_zero_until_the_first_save() {
     server.shutdown();
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// A server with one worker, held by an idle connection, and a second
+/// connection queued behind it with a scan request written: what a drain
+/// must still serve. Returns the server, the held connection, and the
+/// queued one.
+fn held_and_queued(
+    bind: &str,
+    name: &str,
+) -> (kizzle_serve::ServerHandle, ScanClient, std::net::TcpStream) {
+    let config = ServeConfig {
+        addr: bind.to_string(),
+        workers: 1,
+        ..ServeConfig::new(chain_dir(name))
+    };
+    let server = Server::start(&config).expect("server starts");
+    let loopback = std::net::SocketAddr::new([127, 0, 0, 1].into(), server.addr().port());
+    let mut held = ScanClient::connect(&loopback.to_string()).expect("client connects");
+    // A reply means the only worker now serves this connection.
+    let status = held.status().expect("status");
+    assert!(status.contains("follow=wake"), "status: {status}");
+    let mut queued = std::net::TcpStream::connect(loopback).expect("queued connection");
+    queued
+        .set_read_timeout(Some(std::time::Duration::from_secs(10)))
+        .expect("read timeout");
+    write_request(&mut queued, OP_SCAN, b"var x = 1;").expect("request written");
+    (server, held, queued)
+}
+
+/// Run `drain` on a thread of its own and fail, rather than hang, if it
+/// has not returned after 2 s.
+fn returns_within_2s(bind: &str, drain: impl FnOnce() + Send + 'static) {
+    let (done, finished) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        drain();
+        let _ = done.send(());
+    });
+    assert!(
+        finished
+            .recv_timeout(std::time::Duration::from_secs(2))
+            .is_ok(),
+        "{bind}: the drain did not return within 2 s"
+    );
+}
+
+fn assert_served(queued: std::net::TcpStream) {
+    let mut reader = std::io::BufReader::new(queued);
+    let mut reply = Vec::new();
+    assert!(matches!(
+        read_frame(&mut reader, &mut reply).expect("reply read"),
+        FrameRead::Frame
+    ));
+    assert_eq!(reply[0], ST_OK);
+    let verdict = decode_scan_reply(&reply[1..]).expect("scan reply");
+    assert_eq!(verdict.index, None);
+}
+
+#[test]
+fn shutdown_wakes_the_blocking_acceptor_and_serves_queued_connections() {
+    for (bind, name) in [("127.0.0.1:0", "drain-v4"), ("0.0.0.0:0", "drain-any")] {
+        let (server, held, queued) = held_and_queued(bind, name);
+        returns_within_2s(bind, move || server.shutdown());
+        assert_served(queued);
+        drop(held);
+        std::fs::remove_dir_all(chain_dir(name)).ok();
+    }
+}
+
+#[test]
+fn a_client_shutdown_wakes_the_blocking_acceptor_and_serves_queued_connections() {
+    for (bind, name) in [
+        ("127.0.0.1:0", "op-drain-v4"),
+        ("0.0.0.0:0", "op-drain-any"),
+    ] {
+        let (server, held, queued) = held_and_queued(bind, name);
+        held.shutdown().expect("shutdown acked");
+        returns_within_2s(bind, move || server.join());
+        assert_served(queued);
+        std::fs::remove_dir_all(chain_dir(name)).ok();
+    }
+}
+
+#[test]
+fn a_chain_dir_too_long_for_a_wake_socket_falls_back_to_polling_and_says_so() {
+    // 120 bytes: the wake socket's path would not fit a socket address.
+    let mut dir = chain_dir("long-")
+        .into_os_string()
+        .into_string()
+        .expect("utf-8 path");
+    while dir.len() < 120 {
+        dir.push('x');
+    }
+    let dir = PathBuf::from(dir);
+    let config = ServeConfig {
+        workers: 1,
+        poll_interval: std::time::Duration::from_millis(5),
+        ..ServeConfig::new(&dir)
+    };
+    let server = Server::start(&config).expect("server starts");
+    let mut client = ScanClient::connect(&server.addr().to_string()).expect("client connects");
+    let status = client.status().expect("status");
+    assert!(status.contains("follow=poll"), "status: {status}");
+    assert!(status.contains("note=no wake socket"), "status: {status}");
+
+    let mut service = test_service();
+    let date = SimDate::new(2014, 8, 5);
+    let day = GraywareStream::new(StreamConfig::small(7)).generate_day(date);
+    service.process_day(date, &day).expect("day processes");
+    service.save(&dir).expect("state saved");
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+    while client.scan(&day[0].html).expect("scan").epoch == 0 {
+        assert!(
+            std::time::Instant::now() < deadline,
+            "the poll never saw the save"
+        );
+        std::thread::sleep(std::time::Duration::from_millis(2));
+    }
+    drop(client);
+    server.shutdown();
+    std::fs::remove_dir_all(&dir).ok();
+}
