@@ -1,6 +1,7 @@
 //! Kernel micro-benchmarks, each gated in `thresholds.json`: the Myers
 //! distance kernel, the snapshot checksum, signature generation, the
-//! scan's stage-2 token profile, and the anchor automaton's skip-loop.
+//! scan's stage-2 token profile, the anchor automaton's skip-loop, and
+//! the lexer.
 //! Everything a whole day or a whole scan costs is the ledger's question
 //! (`examples/perf_ledger`), not criterion's.
 
@@ -194,14 +195,10 @@ fn compiled_service() -> KizzleService {
 }
 
 /// Minified-style pages — long runs of one-byte identifiers and
-/// operators, almost every token a one-byte operator — pre-tokenized and
-/// scanned through a `Matcher` handle: the worst case for a per-token
-/// automaton probe and the best case for its first-byte skip-loop.
-fn bench_scan_punct(c: &mut Criterion) {
-    let service = compiled_service();
-    let matcher = service.matcher();
-    let cap = service.config().token_cap;
-    let punct_streams: Vec<TokenStream> = (0..256usize)
+/// operators, almost every token a one-byte operator: 256 rotations of
+/// one 400-statement script.
+fn minified_pages() -> Vec<String> {
+    (0..256usize)
         .map(|i| {
             let mut page = String::from("<html><script>");
             for k in 0..400 {
@@ -215,8 +212,21 @@ fn bench_scan_punct(c: &mut Criterion) {
                 });
             }
             page.push_str("</script></html>");
-            kizzle_js::tokenize_document_capped(&page, cap)
+            page
         })
+        .collect()
+}
+
+/// The minified pages pre-tokenized and scanned through a `Matcher`
+/// handle: the worst case for a per-token automaton probe and the best
+/// case for its first-byte skip-loop.
+fn bench_scan_punct(c: &mut Criterion) {
+    let service = compiled_service();
+    let matcher = service.matcher();
+    let cap = service.config().token_cap;
+    let punct_streams: Vec<TokenStream> = minified_pages()
+        .iter()
+        .map(|page| kizzle_js::tokenize_document_capped(page, cap))
         .collect();
 
     let mut g = group(c, "matcher_throughput");
@@ -230,12 +240,85 @@ fn bench_scan_punct(c: &mut Criterion) {
     g.finish();
 }
 
+/// The lexer as the scan path and ingest run it: `lex_document` into a
+/// kept span buffer. One `lex_stock_page` iteration lexes a fixed 64-page
+/// mixture in the ledger's stock shares (15 % kit pages, the rest the
+/// benign kinds, uniform) at the paper's cap of 900;
+/// `lex_minified_page` lexes one whole minified page (1,935 tokens,
+/// nearly all one-byte punctuation), where the per-token cost of the
+/// dispatch loop is all there is.
+fn bench_lex(c: &mut Criterion) {
+    use kizzle_corpus::benign::{generate_benign, BenignKind};
+    use kizzle_corpus::KitModel;
+    use rand::SeedableRng;
+    use rand_chacha::ChaCha8Rng;
+
+    // 10 of the 64 pages (15 %) are kit pages, about as the stream
+    // weights its families (0.45, 0.25, 0.20, 0.10).
+    use KitFamily::{Angler, Nuclear, Rig, SweetOrange};
+    const KITS: [KitFamily; 10] = [
+        Angler,
+        Angler,
+        Angler,
+        Angler,
+        SweetOrange,
+        SweetOrange,
+        SweetOrange,
+        Nuclear,
+        Nuclear,
+        Rig,
+    ];
+    let date = SimDate::new(2014, 8, 14);
+    let stock: Vec<String> = (0..64usize)
+        .map(|i| {
+            let mut rng = ChaCha8Rng::seed_from_u64(11_000 + i as u64);
+            match KITS.get(i) {
+                Some(&family) => KitModel::new(family).generate_sample(date, &mut rng),
+                None => generate_benign(BenignKind::ALL[i % BenignKind::ALL.len()], &mut rng),
+            }
+        })
+        .collect();
+    let minified = minified_pages();
+    let mut spans = Vec::new();
+    let bytes: usize = stock.iter().map(String::len).sum();
+    let tokens: usize = stock
+        .iter()
+        .map(|page| kizzle_js::lex_document(page, 900, &mut spans).0.len())
+        .sum();
+    eprintln!("jslex/lex_stock_page: 64 pages, {bytes} bytes, {tokens} tokens a round");
+    let tokens = kizzle_js::lex_document(&minified[0], usize::MAX, &mut spans)
+        .0
+        .len();
+    eprintln!(
+        "jslex/lex_minified_page: {} bytes, {tokens} tokens a page",
+        minified[0].len()
+    );
+
+    let mut g = group(c, "jslex");
+    g.bench_function("lex_stock_page", |b| {
+        b.iter(|| {
+            for page in &stock {
+                black_box(kizzle_js::lex_document(black_box(page), 900, &mut spans).1);
+            }
+        })
+    });
+    g.bench_function("lex_minified_page", |b| {
+        let mut i = 0usize;
+        b.iter(|| {
+            i = (i + 1) % minified.len();
+            black_box(kizzle_js::lex_document(black_box(&minified[i]), usize::MAX, &mut spans).1)
+        })
+    });
+    g.finish();
+}
+
 criterion_group!(
     components,
     bench_edit_distance,
     bench_crc32,
     bench_signature_generation,
     bench_profile,
-    bench_scan_punct
+    bench_scan_punct,
+    bench_lex
 );
 criterion_main!(components);

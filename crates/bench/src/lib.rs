@@ -6,8 +6,8 @@
 //! isolate, each gated in `thresholds.json`:
 //!
 //! * `components` — the Myers distance kernel, the snapshot checksum,
-//!   signature generation, the scan's stage-2 token profile and the
-//!   anchor automaton's skip-loop;
+//!   signature generation, the scan's stage-2 token profile, the anchor
+//!   automaton's skip-loop and the lexer;
 //! * `signature_scan` — the staged scan at 500–50k signatures;
 //! * `telemetry_overhead` — scanning with telemetry on over off.
 //!

@@ -13,6 +13,21 @@
 //! `lex` drives it into a span buffer (every `tokenize*` entry point and
 //! the scan path); [`Lexer`] drives it one token at a time and is the only
 //! user that pays for diagnostics.
+//!
+//! The core must inline whole into both drivers. Each keeps the cursor —
+//! the position and the regex flag — in a local, and the core calls only
+//! scanners that are `#[inline(always)]` or pure `(bytes, start) -> end`
+//! functions, so the cursor stays in registers from one token to the
+//! next. An out-of-line helper that takes `&mut Cursor` puts the position
+//! in memory, and the tokens that reach it store and reload it: one such
+//! helper on the punctuation path costs about a third more per minified
+//! token, and scanners that each took `&mut self` out of line and
+//! returned a `Span` cost 2.3× (9.9 ns a minified token against 4.2; a
+//! bare run of `;`, about 9 against 3; 2 vCPUs at 2.1 GHz). The string,
+//! regex and block-comment scanners are the pure ones, and stay out of
+//! line on purpose: inlined, their eight-byte loops crowd the core's
+//! registers and it spills the cursor again. The
+//! `jslex/lex_minified_page` bench arm is gated on this.
 
 use crate::token::{is_keyword_bytes, Span, Token, TokenClass};
 use std::fmt;
@@ -162,7 +177,7 @@ pub(crate) fn find_any<const N: usize>(bytes: &[u8], from: usize, needles: [u8; 
 /// `??=`, `=>`, `==`, `!=`, `<=`, `>=`, `&&`, `||`, `??`, `++`, `--`, `+=`,
 /// `-=`, `*=`, `/=`, `%=`, `&=`, `|=`, `^=`, `<<`, `>>`, `**`); brackets
 /// and separators never look past themselves.
-#[inline]
+#[inline(always)]
 fn punct_len(bytes: &[u8], pos: usize) -> usize {
     let at = |ahead: usize| bytes.get(pos + ahead).copied();
     let first = bytes[pos];
@@ -196,9 +211,11 @@ fn punct_len(bytes: &[u8], pos: usize) -> usize {
     }
 }
 
-/// The lexer core: a position in a byte buffer plus the one bit of
-/// context JavaScript needs (may a `/` here start a regex literal?).
-#[derive(Debug, Clone)]
+/// Where the lexer stands: a position in a byte buffer plus the one bit
+/// of context JavaScript needs (may a `/` here start a regex literal?).
+/// Every caller keeps it in a local, so that once [`Cursor::next_span`]
+/// is inlined both fields live in registers.
+#[derive(Debug, Clone, Copy)]
 pub(crate) struct Cursor<'a> {
     /// The lexed text, cut at the end of the range being lexed; positions
     /// index the whole text so spans are relative to it.
@@ -225,208 +242,192 @@ impl<'a> Cursor<'a> {
         }
     }
 
-    /// Where the cursor stands: one past the last byte consumed.
-    pub(crate) fn position(&self) -> usize {
-        self.pos
-    }
-
-    #[inline]
-    fn peek_at(&self, ahead: usize) -> Option<u8> {
-        self.bytes.get(self.pos + ahead).copied()
-    }
-
-    fn span(&self, start: usize, class: TokenClass) -> Span {
-        // `Cursor::new` bounds every position by a `u32`.
-        Span {
-            start: start as u32,
-            len: (self.pos - start) as u32,
-            class,
-        }
-    }
-
-    /// The next token, or `None` at the end of the range.
+    /// The lexer core: the next token, or `None` at the end of the range.
+    /// The scanners it calls are inlined or pure `(bytes, start)`
+    /// functions, so nothing here takes the cursor's address (module doc).
+    #[inline(always)]
     pub(crate) fn next_span<D: Diagnostics>(&mut self, diag: &mut D) -> Option<Span> {
         let bytes = self.bytes;
-        loop {
-            let start = self.pos;
-            let &first = bytes.get(start)?;
-            let span = match BYTE_CLASS[first as usize] {
-                SPACE => {
-                    self.pos += 1;
-                    self.eat_while(|&b| BYTE_CLASS[b as usize] == SPACE);
-                    continue;
-                }
+        let mut start = self.pos;
+        // Each arm either ends a token — its class, end and whether a `/`
+        // after it may open a regex — or steps over input and goes on.
+        let (class, end, regex_ok) = loop {
+            // Whitespace is stepped over before the dispatch, not by an
+            // arm of it: a run costs a loop rather than a second indirect
+            // jump, and stock pages have one for every 2.5 tokens.
+            start = skip_while(bytes, start, |b| BYTE_CLASS[b as usize] == SPACE);
+            let Some(&first) = bytes.get(start) else {
+                self.pos = start;
+                return None;
+            };
+            start = match BYTE_CLASS[first as usize] {
                 WORD => {
-                    self.pos += 1;
-                    self.eat_while(|&b| is_word_byte(b));
-                    let class = if is_keyword_bytes(&bytes[start..self.pos]) {
-                        TokenClass::Keyword
+                    let end = skip_while(bytes, start + 1, is_word_byte);
+                    break if is_keyword_bytes(&bytes[start..end]) {
+                        (TokenClass::Keyword, end, true)
                     } else {
-                        TokenClass::Identifier
+                        (TokenClass::Identifier, end, false)
                     };
-                    self.span(start, class)
                 }
-                DIGIT => self.scan_number(start),
-                DOT if self.peek_at(1).is_some_and(|b| b.is_ascii_digit()) => {
-                    self.scan_number(start)
+                DIGIT => break (TokenClass::Number, number_end(bytes, start), false),
+                DOT if bytes.get(start + 1).is_some_and(u8::is_ascii_digit) => {
+                    break (TokenClass::Number, number_end(bytes, start), false)
                 }
-                QUOTE => self.scan_string(start, first, diag),
-                SLASH => match self.peek_at(1) {
-                    Some(b'/') => {
-                        // Line comment, through its newline.
-                        self.pos = (find_any(bytes, start + 2, [b'\n']) + 1).min(bytes.len());
-                        continue;
+                QUOTE => {
+                    let (end, terminated) = string_end(bytes, start);
+                    if !terminated {
+                        diag.unterminated(start, "string literal");
                     }
-                    Some(b'*') => {
-                        self.skip_block_comment(start, diag);
-                        continue;
+                    break (TokenClass::String, end, false);
+                }
+                SLASH => match bytes.get(start + 1) {
+                    // Line comment, through its newline.
+                    Some(b'/') => (find_any(bytes, start + 2, [b'\n']) + 1).min(bytes.len()),
+                    Some(b'*') => block_comment_end(bytes, start).unwrap_or_else(|| {
+                        diag.unterminated(start, "block comment");
+                        bytes.len()
+                    }),
+                    _ if self.regex_ok => match regex_end(bytes, start) {
+                        Some(end) => break (TokenClass::Regex, end, false),
+                        // Not a real regex (a stray `/`): one byte of
+                        // punctuation.
+                        None => break (TokenClass::Punctuation, start + 1, true),
+                    },
+                    _ => {
+                        break (
+                            TokenClass::Punctuation,
+                            start + punct_len(bytes, start),
+                            true,
+                        )
                     }
-                    _ if self.regex_ok => self.scan_regex(start),
-                    _ => self.scan_punct(start),
                 },
-                DOT | PUNCT => self.scan_punct(start),
+                DOT | PUNCT => {
+                    // A closing bracket ends an operand; it is one byte.
+                    let closes = matches!(first, b')' | b']' | b'}');
+                    break (
+                        TokenClass::Punctuation,
+                        start + punct_len(bytes, start),
+                        !closes,
+                    );
+                }
+                // `OTHER`: a byte that starts nothing.
                 _ => {
                     diag.unexpected_byte(start, first);
-                    self.pos += 1;
-                    continue;
+                    start + 1
                 }
             };
-            self.regex_ok = match span.class {
-                TokenClass::Punctuation => {
-                    !(span.len == 1 && matches!(bytes[start], b')' | b']' | b'}'))
-                }
-                TokenClass::Keyword => true,
-                _ => false,
-            };
-            return Some(span);
+        };
+        self.pos = end;
+        self.regex_ok = regex_ok;
+        // `Cursor::new` bounds every position by a `u32`.
+        Some(Span {
+            start: start as u32,
+            len: (end - start) as u32,
+            class,
+        })
+    }
+}
+
+/// The first position at or after `from` whose byte fails `pred`.
+#[inline(always)]
+fn skip_while(bytes: &[u8], mut from: usize, pred: impl Fn(u8) -> bool) -> usize {
+    while bytes.get(from).is_some_and(|&b| pred(b)) {
+        from += 1;
+    }
+    from
+}
+
+/// End of the number literal starting at `bytes[start]` — a digit, or a
+/// `.` before one.
+#[inline(always)]
+fn number_end(bytes: &[u8], start: usize) -> usize {
+    let digits = |from| skip_while(bytes, from, |b| b.is_ascii_digit());
+    if bytes[start] == b'0' && matches!(bytes.get(start + 1), Some(b'x' | b'X')) {
+        return skip_while(bytes, start + 2, |b| b.is_ascii_hexdigit());
+    }
+    let mut pos = digits(start);
+    if bytes.get(pos) == Some(&b'.') {
+        pos = digits(pos + 1);
+    }
+    if matches!(bytes.get(pos), Some(b'e' | b'E')) {
+        let mut exp = pos + 1;
+        if matches!(bytes.get(exp), Some(b'+' | b'-')) {
+            exp += 1;
+        }
+        // Not an exponent unless a digit follows (`1e` then an identifier).
+        if bytes.get(exp).is_some_and(u8::is_ascii_digit) {
+            pos = digits(exp);
         }
     }
+    pos
+}
 
-    fn skip_block_comment<D: Diagnostics>(&mut self, start: usize, diag: &mut D) {
-        let bytes = self.bytes;
-        let mut pos = start + 2;
-        loop {
-            pos = find_any(bytes, pos, [b'*']);
-            if pos >= bytes.len() {
-                diag.unterminated(start, "block comment");
-                self.pos = bytes.len();
-                return;
-            }
-            pos += 1;
-            if bytes.get(pos) == Some(&b'/') {
-                self.pos = pos + 1;
-                return;
-            }
+// The body scanners: out of line, so their eight-byte loops do not take
+// the core's registers (module doc).
+
+/// End of the block comment opening at `bytes[start]` (`/*`), or `None`
+/// when it never closes.
+#[inline(never)]
+fn block_comment_end(bytes: &[u8], start: usize) -> Option<usize> {
+    let mut pos = start + 2;
+    loop {
+        pos = find_any(bytes, pos, [b'*']);
+        if pos >= bytes.len() {
+            return None;
+        }
+        pos += 1;
+        if bytes.get(pos) == Some(&b'/') {
+            return Some(pos + 1);
         }
     }
+}
 
-    fn scan_string<D: Diagnostics>(&mut self, start: usize, quote: u8, diag: &mut D) -> Span {
-        let bytes = self.bytes;
-        let mut pos = start + 1;
-        let mut terminated = false;
-        loop {
-            pos = find_any(bytes, pos, [quote, b'\\', b'\n']);
-            match bytes.get(pos) {
-                // An escape hides the next byte, whatever it is. When that
-                // byte starts a multi-byte character, its continuation
-                // bytes are none of the needles and are stepped over like
-                // any other content.
-                Some(b'\\') => pos = (pos + 2).min(bytes.len()),
-                Some(&b) if b == quote => {
-                    pos += 1;
-                    terminated = true;
-                    break;
-                }
-                // Template literals may span lines; ordinary strings that
-                // hit a newline are treated as (sloppily) terminated, which
-                // matches how packers emit long single-line strings anyway.
-                Some(_) if quote == b'`' => pos += 1,
-                _ => break,
-            }
-        }
-        self.pos = pos;
-        if !terminated {
-            diag.unterminated(start, "string literal");
-        }
-        self.span(start, TokenClass::String)
-    }
-
-    #[inline]
-    fn eat_while(&mut self, pred: impl Fn(&u8) -> bool) {
-        while self.bytes.get(self.pos).is_some_and(&pred) {
-            self.pos += 1;
+/// End of the string literal opening at `bytes[start]`, and whether its
+/// closing quote was found.
+#[inline(never)]
+fn string_end(bytes: &[u8], start: usize) -> (usize, bool) {
+    let quote = bytes[start];
+    let mut pos = start + 1;
+    loop {
+        pos = find_any(bytes, pos, [quote, b'\\', b'\n']);
+        match bytes.get(pos) {
+            // An escape hides the next byte, whatever it is. When that
+            // byte starts a multi-byte character, its continuation
+            // bytes are none of the needles and are stepped over like
+            // any other content.
+            Some(b'\\') => pos = (pos + 2).min(bytes.len()),
+            Some(&b) if b == quote => return (pos + 1, true),
+            // Template literals may span lines; ordinary strings that
+            // hit a newline are treated as (sloppily) terminated, which
+            // matches how packers emit long single-line strings anyway.
+            Some(_) if quote == b'`' => pos += 1,
+            _ => return (pos, false),
         }
     }
+}
 
-    fn scan_number(&mut self, start: usize) -> Span {
-        if self.bytes[start] == b'0' && matches!(self.peek_at(1), Some(b'x' | b'X')) {
-            self.pos += 2;
-            self.eat_while(u8::is_ascii_hexdigit);
-        } else {
-            self.eat_while(u8::is_ascii_digit);
-            if self.peek_at(0) == Some(b'.') {
-                self.pos += 1;
-                self.eat_while(u8::is_ascii_digit);
+/// End of the regex literal opening at `bytes[start]` (`/`), flags
+/// included, or `None` when the line ends first.
+#[inline(never)]
+fn regex_end(bytes: &[u8], start: usize) -> Option<usize> {
+    let mut pos = start + 1;
+    let mut in_class = false;
+    loop {
+        pos = find_any(bytes, pos, [b'/', b'\\', b'[', b']', b'\n']);
+        match bytes.get(pos) {
+            Some(b'\\') => pos = (pos + 2).min(bytes.len()),
+            Some(b'[') => {
+                in_class = true;
+                pos += 1;
             }
-            if matches!(self.peek_at(0), Some(b'e' | b'E')) {
-                let mark = self.pos;
-                self.pos += 1;
-                if matches!(self.peek_at(0), Some(b'+' | b'-')) {
-                    self.pos += 1;
-                }
-                if self.peek_at(0).is_some_and(|b| b.is_ascii_digit()) {
-                    self.eat_while(u8::is_ascii_digit);
-                } else {
-                    // Not an exponent after all (`1e` followed by identifier).
-                    self.pos = mark;
-                }
+            Some(b']') => {
+                in_class = false;
+                pos += 1;
             }
+            Some(b'/') if in_class => pos += 1,
+            Some(b'/') => return Some(skip_while(bytes, pos + 1, |b| b.is_ascii_alphabetic())),
+            _ => return None,
         }
-        self.span(start, TokenClass::Number)
-    }
-
-    fn scan_regex(&mut self, start: usize) -> Span {
-        let bytes = self.bytes;
-        let mut pos = start + 1;
-        let mut in_class = false;
-        let mut terminated = false;
-        loop {
-            pos = find_any(bytes, pos, [b'/', b'\\', b'[', b']', b'\n']);
-            match bytes.get(pos) {
-                Some(b'\\') => pos = (pos + 2).min(bytes.len()),
-                Some(b'[') => {
-                    in_class = true;
-                    pos += 1;
-                }
-                Some(b']') => {
-                    in_class = false;
-                    pos += 1;
-                }
-                Some(b'/') if in_class => pos += 1,
-                Some(b'/') => {
-                    pos += 1;
-                    terminated = true;
-                    break;
-                }
-                _ => break,
-            }
-        }
-        if !terminated {
-            // Not a real regex (e.g. stray '/'); fall back to punctuation.
-            self.pos = start + 1;
-            return self.span(start, TokenClass::Punctuation);
-        }
-        // Flags.
-        while bytes.get(pos).is_some_and(u8::is_ascii_alphabetic) {
-            pos += 1;
-        }
-        self.pos = pos;
-        self.span(start, TokenClass::Regex)
-    }
-
-    fn scan_punct(&mut self, start: usize) -> Span {
-        self.pos = start + punct_len(self.bytes, start);
-        self.span(start, TokenClass::Punctuation)
     }
 }
 
@@ -466,7 +467,7 @@ pub(crate) fn lex(text: &str, range: Range<usize>, cap: usize, out: &mut Vec<Spa
             None => break,
         }
     }
-    cursor.position()
+    cursor.pos
 }
 
 /// A streaming JavaScript scanner producing [`Token`]s.
@@ -504,18 +505,17 @@ impl<'a> Lexer<'a> {
     pub fn errors(&self) -> &[LexError] {
         &self.errors
     }
-
-    fn next_token(&mut self) -> Option<Token<'a>> {
-        let span = self.cursor.next_span(&mut self.errors)?;
-        Some(span.token(self.source, 0))
-    }
 }
 
 impl<'a> Iterator for Lexer<'a> {
     type Item = Token<'a>;
 
     fn next(&mut self) -> Option<Token<'a>> {
-        self.next_token()
+        // On a local copy, so the inlined core keeps it in registers.
+        let mut cursor = self.cursor;
+        let span = cursor.next_span(&mut self.errors);
+        self.cursor = cursor;
+        Some(span?.token(self.source, 0))
     }
 }
 
@@ -561,7 +561,7 @@ mod tests {
         assert!(toks.iter().any(|t| t.class == TokenClass::Keyword));
         // Re-scan to check the error is recorded.
         let mut lexer = Lexer::new("\"abc\nvar x");
-        while lexer.next_token().is_some() {}
+        while lexer.next().is_some() {}
         assert!(!lexer.errors().is_empty());
     }
 
@@ -599,7 +599,7 @@ mod tests {
     #[test]
     fn unterminated_block_comment_reports_error() {
         let mut lexer = Lexer::new("var x /* never closed");
-        while lexer.next_token().is_some() {}
+        while lexer.next().is_some() {}
         assert!(lexer
             .errors()
             .iter()
@@ -677,7 +677,7 @@ mod tests {
     fn error_log_is_bounded() {
         let junk: String = "\u{0001}".repeat(5000);
         let mut lexer = Lexer::new(&junk);
-        while lexer.next_token().is_some() {}
+        while lexer.next().is_some() {}
         assert!(lexer.errors().len() <= 1024);
     }
 

@@ -30,6 +30,10 @@
 //! There is one lexer core ([`lexer`]): a 256-entry byte-class table for
 //! dispatch, multi-character punctuation chosen by first byte, keywords by
 //! length, and string/regex/comment bodies skipped eight bytes at a time.
+//! It is one function that inlines whole into its two drivers — the span
+//! loop behind every `tokenize*` entry point and [`lex_document`], and
+//! [`Lexer`] — so the lexer's position never leaves a register between
+//! tokens (the module doc says why that matters).
 //! Script bodies of an HTML document are found **in place** by a
 //! case-insensitive byte search ([`html`]) — a Kizzle *sample* is a full
 //! HTML page — and a token cap stops both the lexer and that tag walk, so

@@ -319,7 +319,7 @@ impl<'a> IntoIterator for Tokens<'a> {
 /// The list covers ES5 plus the handful of ES6 keywords observed in the
 /// wild in exploit-kit code; `this` is deliberately *not* included because
 /// the paper's Fig. 8 classifies it as an identifier.
-#[inline]
+#[inline(always)]
 pub(crate) fn is_keyword_bytes(word: &[u8]) -> bool {
     // Length first: most identifiers fall out on it, and each arm then
     // compares against a handful of same-length candidates.

@@ -55,6 +55,15 @@ fn corpus_pages_tokenize_like_the_seed_at_every_cap() {
         let old = reference::tokenize_document(page);
         assert!(!old.is_empty(), "{name}: corpus pages carry script");
         capped_pages += usize::from(old.len() > 500);
+        // Uncapped, lexing stops at the end of the last script body that
+        // holds more than blanks.
+        let old_scripts = reference::extract_scripts(page);
+        let body_end = old_scripts
+            .iter()
+            .rev()
+            .find(|s| !s.body.trim().is_empty())
+            .map(|s| s.offset + s.body.len())
+            .expect("corpus pages carry script");
 
         let new = kizzle_js::tokenize_document(page);
         assert_eq!(
@@ -90,11 +99,21 @@ fn corpus_pages_tokenize_like_the_seed_at_every_cap() {
                 "{name} cap {cap}"
             );
             assert!(end <= page.len());
+            // Where lexing stopped: at the end of the last token kept when
+            // the cap bites, else at the end of the last script body.
+            if cap > old.len() {
+                assert_eq!(end, body_end, "{name} cap {cap}");
+            } else if let Some(last) = view.iter().next_back() {
+                assert_eq!(
+                    end,
+                    last.offset as usize + last.text.len(),
+                    "{name} cap {cap}"
+                );
+            }
         }
 
         // Bare-script entry point, on the text the unpackers work on.
         let script = kizzle_unpack::script_text(page);
-        let old_scripts = reference::extract_scripts(page);
         assert_eq!(
             script,
             old_scripts
