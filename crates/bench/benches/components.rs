@@ -1,7 +1,7 @@
 //! Kernel micro-benchmarks, each gated in `thresholds.json`: the Myers
 //! distance kernel, the snapshot checksum, signature generation, the
-//! scan's stage-2 token profile, the anchor automaton's skip-loop, and
-//! the lexer.
+//! scan's stage-2 token profile, the anchor trie's skip-loop, the anchor
+//! gate over a large page, and the lexer.
 //! Everything a whole day or a whole scan costs is the ledger's question
 //! (`examples/perf_ledger`), not criterion's.
 
@@ -237,7 +237,58 @@ fn bench_scan_punct(c: &mut Criterion) {
             black_box(matcher.scan_stream(&punct_streams[i]))
         })
     });
+
+    // One 16 MiB document with no anchor in it, scanned raw: the anchor
+    // gate's cost per byte with nothing to lex, beside the UTF-8 check the
+    // daemon already pays on every frame of the same bytes.
+    let set = matcher.signatures();
+    assert_eq!(set.seal().gate_off(), None, "the published set is gated");
+    let big = anchor_free_document(&set, 16 << 20);
+    g.bench_function("gate_16mib_miss", |b| {
+        b.iter(|| black_box(matcher.scan_verdict(black_box(&big))))
+    });
+    g.bench_function("utf8_16mib", |b| {
+        b.iter(|| black_box(std::str::from_utf8(black_box(big.as_bytes())).is_ok()))
+    });
     g.finish();
+}
+
+/// Does the anchor gate turn `document` away unlexed? Read off the
+/// `kizzle_scan_gate_rejected_total` counter around one scan.
+fn gated_out(set: &SignatureSet, document: &str) -> bool {
+    let rejected = kizzle_telemetry::counter("kizzle_scan_gate_rejected_total");
+    kizzle_telemetry::set_enabled(true);
+    kizzle_signature::flush_scan_counters();
+    let before = rejected.value();
+    let _ = set.scan_document_index(document, usize::MAX);
+    kizzle_signature::flush_scan_counters();
+    kizzle_telemetry::set_enabled(false);
+    rejected.value() > before
+}
+
+/// `len` bytes of benign pages that `set`'s anchor gate turns away.
+fn anchor_free_document(set: &SignatureSet, len: usize) -> String {
+    use kizzle_corpus::benign::{generate_benign, BenignKind};
+    use rand::SeedableRng;
+
+    let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(16);
+    let pages: Vec<String> = (0..256)
+        .map(|i| generate_benign(BenignKind::ALL[i % BenignKind::ALL.len()], &mut rng))
+        .filter(|page| gated_out(set, page))
+        .collect();
+    assert!(pages.len() > 128, "most benign pages hold no anchor");
+    let mut document = String::with_capacity(len);
+    for page in pages.iter().cycle() {
+        if document.len() + page.len() > len {
+            break;
+        }
+        document.push_str(page);
+    }
+    while document.len() < len {
+        document.push(' ');
+    }
+    assert!(gated_out(set, &document));
+    document
 }
 
 /// The lexer as the scan path and ingest run it: `lex_document` into a

@@ -2,12 +2,18 @@
 //!
 //! The per-document scan cost must stay nearly flat in the signature
 //! count — the 50k-signature arms within 3× of the 500-signature arms.
-//! The staged scan walks the document's tokens once through the
-//! Aho–Corasick anchor automaton regardless of set size. The ledger never
-//! deploys more than a few hundred signatures, so these arms are the only
-//! measurement of the automaton at 500–50k.
+//! The staged scan walks the document's tokens once through the anchor
+//! trie regardless of set size. The ledger never deploys more than a few
+//! hundred signatures, so these arms are the only measurement of the trie
+//! and the gate at 500–50k.
 //!
-//! `seal_50k` tracks the pipeline build itself (automaton + prefilter
+//! The `raw_miss_*` arms run the same four benign pages as raw documents
+//! through `scan_document_index`, where the anchor gate answers them
+//! without lexing; `lex_benign_pages` lexes those pages alone, the cost
+//! the gate saves. A gate that searched anchor by anchor would cost
+//! ~4 ms a page at 50k signatures and fail every `raw_miss_*` ceiling.
+//!
+//! `seal_50k` tracks the pipeline build itself (gate, trie and prefilter
 //! tables over 50k signatures) — paid once per publish and once per load
 //! or follower swap (chains store signatures, not the pipeline), so worth
 //! gating so it never silently becomes minutes.
@@ -68,12 +74,9 @@ fn bench_scan(c: &mut Criterion) {
     assert_eq!(set.len(), 500);
 
     // Non-matching corpus: realistic benign pages.
-    let benign_streams: Vec<_> = (0..4u64)
-        .map(|i| {
-            let mut rng = ChaCha8Rng::seed_from_u64(i);
-            let kind = BenignKind::ALL[i as usize % BenignKind::ALL.len()];
-            kizzle_js::tokenize_document(&generate_benign(kind, &mut rng))
-        })
+    let benign_streams: Vec<_> = benign_pages()
+        .iter()
+        .map(|page| kizzle_js::tokenize_document(page))
         .collect();
     for stream in &benign_streams {
         assert!(
@@ -113,12 +116,9 @@ fn bench_scan(c: &mut Criterion) {
 /// production shape — daily compounding emits fresh `decoder_NNNN`-style
 /// packer tokens far more often than it reuses one.
 fn bench_scan_at_scale(c: &mut Criterion) {
-    let benign_streams: Vec<_> = (0..4u64)
-        .map(|i| {
-            let mut rng = ChaCha8Rng::seed_from_u64(i);
-            let kind = BenignKind::ALL[i as usize % BenignKind::ALL.len()];
-            kizzle_js::tokenize_document(&generate_benign(kind, &mut rng))
-        })
+    let benign_streams: Vec<_> = benign_pages()
+        .iter()
+        .map(|page| kizzle_js::tokenize_document(page))
         .collect();
 
     let mut group = c.benchmark_group("signature_scan");
@@ -202,7 +202,65 @@ fn bench_scan_at_scale(c: &mut Criterion) {
     group.finish();
 }
 
-/// Pipeline build (automaton + prefilter tables) at the 100× scale —
+/// The four benign pages, raw.
+fn benign_pages() -> Vec<String> {
+    (0..4u64)
+        .map(|i| {
+            let mut rng = ChaCha8Rng::seed_from_u64(i);
+            generate_benign(
+                BenignKind::ALL[i as usize % BenignKind::ALL.len()],
+                &mut rng,
+            )
+        })
+        .collect()
+}
+
+/// Raw-document misses at 500, 5k and 50k signatures, beside the cost of
+/// lexing the same pages: the gate must keep the first flat in the
+/// signature count and under the second.
+fn bench_raw_miss(c: &mut Criterion) {
+    const CAP: usize = 900;
+    let pages = benign_pages();
+    let mut group = c.benchmark_group("signature_scan");
+    group
+        .sample_size(20)
+        .measurement_time(Duration::from_secs(3))
+        .warm_up_time(Duration::from_millis(500));
+
+    let mut spans = Vec::new();
+    group.bench_function("lex_benign_pages", |b| {
+        b.iter(|| {
+            let mut tokens = 0usize;
+            for page in &pages {
+                tokens += kizzle_js::lex_document(page, CAP, &mut spans).0.len();
+            }
+            black_box(tokens)
+        })
+    });
+    for (name, count) in [
+        ("raw_miss_500_sigs", 500usize),
+        ("raw_miss_5k_sigs", 5_000),
+        ("raw_miss_50k_sigs", 50_000),
+    ] {
+        let set = signature_set(count);
+        assert_eq!(set.seal().gate_off(), None, "{name}: the gate is on");
+        for page in &pages {
+            assert!(set.scan_document_index(page, CAP).is_none());
+        }
+        group.bench_function(name, |b| {
+            b.iter(|| {
+                let mut hits = 0usize;
+                for page in &pages {
+                    hits += usize::from(set.scan_document_index(page, CAP).is_some());
+                }
+                black_box(hits)
+            })
+        });
+    }
+    group.finish();
+}
+
+/// Pipeline build (gate, trie and prefilter tables) at the 100× scale —
 /// paid once per publish/save, not per scan.
 fn bench_seal(c: &mut Criterion) {
     let members: Vec<LabeledSignature> = signature_set(50_000).iter().cloned().collect();
@@ -217,5 +275,11 @@ fn bench_seal(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(signature_scan, bench_scan, bench_scan_at_scale, bench_seal);
+criterion_group!(
+    signature_scan,
+    bench_scan,
+    bench_scan_at_scale,
+    bench_raw_miss,
+    bench_seal
+);
 criterion_main!(signature_scan);

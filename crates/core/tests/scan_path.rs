@@ -12,10 +12,16 @@
 //! 3. **No allocation in the steady state.** Counted, not argued: this
 //!    binary's global allocator tallies allocations per thread, and a
 //!    warmed-up thread scans hit and miss documents with a tally of zero.
+//!
+//! The anchor gate answers a document with no anchor in it without lexing
+//! it. The day's set may hold an unanchored signature, which turns the
+//! gate off, so its anchored signatures are also held to all three alone.
 
 use kizzle::prelude::*;
 use kizzle_corpus::benign::{generate_benign, BenignKind};
 use kizzle_corpus::{GraywareStream, KitFamily, KitModel, SimDate, StreamConfig};
+use kizzle_signature::matcher::MIN_ANCHOR_LEN;
+use kizzle_signature::Element;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
@@ -178,4 +184,60 @@ fn a_warmed_up_thread_scans_without_allocating() {
     let before = allocations();
     let _ = kizzle_js::tokenize_document_capped(&pages[0], 900);
     assert!(allocations() > before);
+}
+
+/// The compiled set's signatures that have an anchor (their longest
+/// literal of at least `MIN_ANCHOR_LEN` bytes), so the anchor gate is on
+/// whatever the day compiled; and how many `pages` hold none of those
+/// anchors, which the gate must turn away unlexed.
+fn anchored_only(set: &SignatureSet, pages: &[String]) -> (SignatureSet, usize) {
+    let anchor = |labeled: &kizzle_signature::LabeledSignature| -> Option<String> {
+        labeled
+            .signature
+            .elements
+            .iter()
+            .filter_map(|element| match element {
+                Element::Literal(text) if text.len() >= MIN_ANCHOR_LEN => Some(text.clone()),
+                _ => None,
+            })
+            .max_by_key(String::len)
+    };
+    let mut anchored = SignatureSet::new();
+    anchored.extend(set.iter().filter(|s| anchor(s).is_some()).cloned());
+    let anchors: Vec<String> = anchored.iter().filter_map(anchor).collect();
+    let anchor_free = pages
+        .iter()
+        .filter(|page| !anchors.iter().any(|a| page.contains(a.as_str())))
+        .count();
+    (anchored, anchor_free)
+}
+
+#[test]
+fn the_anchor_gate_changes_no_verdict_and_allocates_nothing() {
+    let (service, pages) = compiled();
+    let cap = service.config().token_cap;
+    let (set, anchor_free) = anchored_only(&service.matcher().signatures(), &pages);
+    assert_eq!(set.seal().gate_off(), None, "an anchored set is gated");
+    assert!(
+        anchor_free > pages.len() / 4,
+        "only {anchor_free} of {} pages are anchor-free",
+        pages.len()
+    );
+    let verdicts: Vec<Option<usize>> = pages
+        .iter()
+        .map(|page| {
+            let lexed = set.scan_stream_index(&kizzle_js::tokenize_document_capped(page, cap));
+            assert_eq!(set.scan_document_index(page, cap), lexed);
+            lexed
+        })
+        .collect();
+    let hits = verdicts.iter().filter(|v| v.is_some()).count();
+    assert!(hits > 20, "only {hits} of {} pages hit", pages.len());
+
+    let before = allocations();
+    for (page, verdict) in pages.iter().zip(&verdicts) {
+        assert_eq!(set.scan_document_index(page, cap), *verdict);
+    }
+    let allocated = allocations() - before;
+    assert_eq!(allocated, 0, "{allocated} allocations over gated scans");
 }

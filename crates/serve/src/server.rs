@@ -451,6 +451,12 @@ fn serve_connection(
                 let _ = writeln!(text, "signatures={}", set.len());
                 let _ = writeln!(text, "workers={}", fleet.workers);
                 let _ = writeln!(text, "follow={}", fleet.follow);
+                match set.seal().gate_off() {
+                    None => text.push_str("gate=on\n"),
+                    Some(reason) => {
+                        let _ = writeln!(text, "gate=off:{reason}");
+                    }
+                }
                 let _ = writeln!(text, "draining={}", fleet.drain.started());
                 for note in fleet.follower.notes() {
                     let _ = writeln!(text, "note={note}");

@@ -94,6 +94,14 @@ fn served_verdicts_match_the_in_process_matcher_byte_for_byte() {
         status.contains("workers=2"),
         "status reports the fleet: {status}"
     );
+    let gate = match local.signatures().seal().gate_off() {
+        None => "gate=on".to_string(),
+        Some(reason) => format!("gate=off:{reason}"),
+    };
+    assert!(
+        status.lines().any(|line| line == gate),
+        "status reports the anchor gate as {gate}: {status}"
+    );
 
     let metrics = client.metrics().expect("metrics");
     assert!(
@@ -126,6 +134,13 @@ fn a_server_over_an_empty_chain_serves_epoch_zero_until_the_first_save() {
     let verdict = client.scan("var x = 1;").expect("scan on the empty set");
     assert_eq!(verdict.epoch, 0);
     assert_eq!(verdict.index, None);
+    // The empty set has no unanchored signature: every document is a
+    // proven miss.
+    let status = client.status().expect("status");
+    assert!(
+        status.lines().any(|line| line == "gate=on"),
+        "status: {status}"
+    );
 
     // First save lands mid-flight; the follow thread hot-swaps it in.
     let mut service = test_service();

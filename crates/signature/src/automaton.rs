@@ -1,7 +1,6 @@
-//! Aho–Corasick automaton over anchor literals — stage 1 of the scan
-//! pipeline.
+//! The anchor trie — stage 1 of the scan pipeline.
 //!
-//! One automaton is built over *all* anchor literals of a sealed
+//! One trie is built over *all* anchor literals of a sealed
 //! [`SignatureSet`](crate::SignatureSet), so the anchor stage costs one
 //! pass over the token stream **regardless of signature count** — the
 //! 100×-signature-scale requirement. Each distinct literal is one
@@ -9,17 +8,14 @@
 //! differ only in the candidate bucket attached to it
 //! ([`crate::matcher::ScanPipeline`]).
 //!
-//! The matcher drives the automaton in **token mode**
-//! ([`AnchorAutomaton::match_token`]): anchors are whole tokens, so every
-//! token restarts at the root and a pattern only fires when the token's
-//! complete (quote-stripped) text equals the pattern. Walking from the
-//! root makes this a pure goto-transition walk — the failure links never
-//! trigger — which is why the hot path is a handful of instructions per
-//! byte with no hashing and no per-signature work. The failure and output
-//! links are still built (classic BFS construction) and power
-//! [`AnchorAutomaton::scan_bytes`], the textbook streaming-substring mode;
-//! the property tests hold it to the brute-force oracle, which in turn
-//! pins down the goto/fail structure `match_token` walks.
+//! It runs in **token mode** only ([`AnchorAutomaton::match_token`]):
+//! anchors are whole tokens, so every token starts at the root and a
+//! pattern fires only when the token's complete (quote-stripped) text
+//! equals it. A walk from the root is pure goto transitions, so the trie
+//! has no failure or output links — the hot path is a handful of
+//! instructions per byte with no hashing and no per-signature work.
+//! Finding anchors inside raw, untokenized bytes is the gate's job
+//! (`crate::gate`), not this trie's.
 //!
 //! Layout is flattened for scan speed: a dense 256-way root table (most
 //! tokens die on their first byte, one load), then per-node sorted edge
@@ -27,12 +23,12 @@
 //! build and is never serialized: every loader rebuilds it from the
 //! signatures it serves.
 
-/// Sentinel for "no node" in the root table and failure links.
+/// Sentinel for "no node" in the root table.
 const NO_NODE: u32 = u32::MAX;
 /// Sentinel for "no pattern ends here".
 const NO_PATTERN: u32 = u32::MAX;
 
-/// One interior node of the flattened automaton.
+/// One node of the flattened trie.
 #[derive(Debug, Clone, Copy)]
 struct Node {
     /// First edge of this node's run in [`AnchorAutomaton::edge_bytes`] /
@@ -40,22 +36,14 @@ struct Node {
     edges_start: u32,
     /// Number of edges in the run.
     edges_len: u16,
-    /// Failure link (longest proper suffix of this node's path that is
-    /// also a path prefix); `NO_NODE` only during construction.
-    fail: u32,
-    /// Output link: nearest node on the failure chain (self included)
-    /// where a pattern ends, or `NO_NODE`.
-    output: u32,
     /// Pattern ending exactly at this node, or `NO_PATTERN`.
     pattern: u32,
-    /// Depth in bytes (== pattern length at terminal nodes).
-    depth: u32,
 }
 
-/// An immutable multi-pattern matcher over anchor literal byte strings.
+/// An immutable whole-token matcher over anchor literal byte strings.
 ///
 /// Build once per sealed signature set with [`AnchorAutomaton::build`];
-/// see the [module docs](self) for the two scan modes.
+/// see the [module docs](self).
 #[derive(Debug)]
 pub struct AnchorAutomaton {
     /// Dense goto table of the root: byte → node id or `NO_NODE`.
@@ -76,137 +64,62 @@ pub struct AnchorAutomaton {
     min_pattern_len: u32,
 }
 
-/// A pattern occurrence reported by [`AnchorAutomaton::scan_bytes`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Occurrence {
-    /// Id of the pattern (its index in the build slice).
-    pub pattern: u32,
-    /// Byte offset of the *end* of the occurrence (exclusive).
-    pub end: usize,
-}
-
-/// Mutable trie node used only during construction.
-#[derive(Debug, Default)]
-struct BuildNode {
-    /// Sorted `(byte, child)` edges.
-    edges: Vec<(u8, u32)>,
-    pattern: u32,
-    depth: u32,
-}
-
 impl AnchorAutomaton {
-    /// Build the automaton over `patterns`. Duplicate patterns are the
+    /// Build the trie over `patterns`. Duplicate patterns are the
     /// caller's concern (the pipeline deduplicates literals into shared
     /// candidate buckets before building); if duplicates are passed, the
     /// **last** one owns the terminal node. Empty patterns never match
     /// (no token has empty text) and are ignored.
     #[must_use]
     pub fn build<P: AsRef<[u8]>>(patterns: &[P]) -> Self {
-        // Phase 1: byte trie.
-        let mut trie: Vec<BuildNode> = vec![BuildNode {
-            edges: Vec::new(),
-            pattern: NO_PATTERN,
-            depth: 0,
-        }];
+        // Sorted `(byte, child)` edges per node while building.
+        let mut edges: Vec<Vec<(u8, u32)>> = vec![Vec::new()];
+        let mut terminal: Vec<u32> = vec![NO_PATTERN];
+        let mut min_pattern_len = u32::MAX;
         for (id, pattern) in patterns.iter().enumerate() {
             let bytes = pattern.as_ref();
             if bytes.is_empty() {
                 continue;
             }
             let mut node = 0usize;
-            for (i, &b) in bytes.iter().enumerate() {
-                node = match trie[node].edges.binary_search_by_key(&b, |e| e.0) {
-                    Ok(pos) => trie[node].edges[pos].1 as usize,
+            for &b in bytes {
+                node = match edges[node].binary_search_by_key(&b, |e| e.0) {
+                    Ok(pos) => edges[node][pos].1 as usize,
                     Err(pos) => {
-                        let child = trie.len() as u32;
-                        trie.push(BuildNode {
-                            edges: Vec::new(),
-                            pattern: NO_PATTERN,
-                            depth: i as u32 + 1,
-                        });
-                        trie[node].edges.insert(pos, (b, child));
+                        let child = u32::try_from(edges.len()).expect("node count fits u32");
+                        edges.push(Vec::new());
+                        terminal.push(NO_PATTERN);
+                        edges[node].insert(pos, (b, child));
                         child as usize
                     }
                 };
             }
-            trie[node].pattern = u32::try_from(id).expect("pattern count fits u32");
+            terminal[node] = u32::try_from(id).expect("pattern count fits u32");
+            min_pattern_len = min_pattern_len.min(u32::try_from(bytes.len()).unwrap_or(u32::MAX));
         }
 
-        // Phase 2: flatten and wire failure/output links by BFS. Node ids
-        // are already BFS-friendly only for the root's children, so walk
-        // explicitly.
-        let mut nodes: Vec<Node> = trie
-            .iter()
-            .map(|b| Node {
-                edges_start: 0,
-                edges_len: 0,
-                fail: 0,
-                output: NO_NODE,
-                pattern: b.pattern,
-                depth: b.depth,
-            })
-            .collect();
+        // Flatten into one edge array, one run per node.
+        let mut nodes = Vec::with_capacity(edges.len());
         let mut edge_bytes = Vec::new();
         let mut edge_targets = Vec::new();
-        for (id, build) in trie.iter().enumerate() {
-            nodes[id].edges_start = u32::try_from(edge_bytes.len()).expect("edge count fits u32");
-            nodes[id].edges_len = u16::try_from(build.edges.len()).expect("≤256 edges per node");
-            for &(b, to) in &build.edges {
+        for (run, &pattern) in edges.iter().zip(&terminal) {
+            nodes.push(Node {
+                edges_start: u32::try_from(edge_bytes.len()).expect("edge count fits u32"),
+                edges_len: u16::try_from(run.len()).expect("≤256 edges per node"),
+                pattern,
+            });
+            for &(b, to) in run {
                 edge_bytes.push(b);
                 edge_targets.push(to);
             }
         }
 
         let mut root = vec![NO_NODE; 256];
-        for &(b, to) in &trie[0].edges {
-            root[b as usize] = to;
-        }
-
-        // BFS from the root's children (whose failure link is the root).
-        let mut queue: std::collections::VecDeque<u32> =
-            trie[0].edges.iter().map(|&(_, to)| to).collect();
-        while let Some(id) = queue.pop_front() {
-            let fail = nodes[id as usize].fail;
-            nodes[id as usize].output = if nodes[fail as usize].pattern != NO_PATTERN {
-                fail
-            } else {
-                nodes[fail as usize].output
-            };
-            let run = edge_run(&nodes, id);
-            for pos in run {
-                let (b, child) = (edge_bytes[pos], edge_targets[pos]);
-                // Child's failure: follow this node's failure chain until a
-                // node with a `b` edge exists (the root as last resort).
-                let mut f = fail;
-                let child_fail = loop {
-                    if let Some(next) = lookup(&nodes, &root, &edge_bytes, &edge_targets, f, b) {
-                        if next != child {
-                            break next;
-                        }
-                    }
-                    if f == 0 {
-                        break 0;
-                    }
-                    f = nodes[f as usize].fail;
-                };
-                nodes[child as usize].fail = child_fail;
-                queue.push_back(child);
-            }
-        }
-
-        // Phase 3: the skip-loop test in front of `match_token`.
         let mut first_byte = [0u64; 4];
-        for (b, &node) in root.iter().enumerate() {
-            if node != NO_NODE {
-                first_byte[b >> 6] |= 1u64 << (b & 63);
-            }
+        for &(b, to) in &edges[0] {
+            root[b as usize] = to;
+            first_byte[usize::from(b >> 6)] |= 1u64 << (b & 63);
         }
-        let min_pattern_len = nodes
-            .iter()
-            .filter(|n| n.pattern != NO_PATTERN)
-            .map(|n| n.depth)
-            .min()
-            .unwrap_or(u32::MAX);
         AnchorAutomaton {
             root,
             nodes,
@@ -258,50 +171,7 @@ impl AnchorAutomaton {
             && self.first_byte[usize::from(first >> 6)] >> (first & 63) & 1 == 1
     }
 
-    /// Streaming substring mode: every occurrence of every pattern in
-    /// `haystack`, in end-offset order — the textbook Aho–Corasick scan
-    /// using the failure and output links. The matcher's token mode does
-    /// not need it (anchors are whole tokens); it exists to pin the
-    /// goto/fail construction to the brute-force oracle in tests and for
-    /// future raw-byte prefilters over untokenized documents.
-    #[must_use]
-    pub fn scan_bytes(&self, haystack: &[u8]) -> Vec<Occurrence> {
-        let mut hits = Vec::new();
-        let mut state = 0u32;
-        for (i, &b) in haystack.iter().enumerate() {
-            state = loop {
-                if let Some(next) = lookup(
-                    &self.nodes,
-                    &self.root,
-                    &self.edge_bytes,
-                    &self.edge_targets,
-                    state,
-                    b,
-                ) {
-                    break next;
-                }
-                if state == 0 {
-                    break 0;
-                }
-                state = self.nodes[state as usize].fail;
-            };
-            // Report the state's own pattern, then walk the output chain.
-            let mut out = state;
-            while out != NO_NODE {
-                let node = &self.nodes[out as usize];
-                if node.pattern != NO_PATTERN {
-                    hits.push(Occurrence {
-                        pattern: node.pattern,
-                        end: i + 1,
-                    });
-                }
-                out = node.output;
-            }
-        }
-        hits
-    }
-
-    /// Goto transition out of `node` on byte `b` (no failure fallback).
+    /// Goto transition out of `node` on byte `b`.
     #[inline]
     fn goto(&self, node: u32, b: u8) -> Option<u32> {
         let n = &self.nodes[node as usize];
@@ -311,36 +181,6 @@ impl AnchorAutomaton {
             .ok()
             .map(|pos| self.edge_targets[start + pos])
     }
-}
-
-/// Index range of a node's edge run.
-fn edge_run(nodes: &[Node], id: u32) -> std::ops::Range<usize> {
-    let n = &nodes[id as usize];
-    let start = n.edges_start as usize;
-    start..start + n.edges_len as usize
-}
-
-/// Goto transition with the dense root table, used during construction and
-/// the streaming scan (where `node` may be the root).
-#[inline]
-fn lookup(
-    nodes: &[Node],
-    root: &[u32],
-    edge_bytes: &[u8],
-    edge_targets: &[u32],
-    node: u32,
-    b: u8,
-) -> Option<u32> {
-    if node == 0 {
-        let next = root[b as usize];
-        return (next != NO_NODE).then_some(next);
-    }
-    let n = &nodes[node as usize];
-    let start = n.edges_start as usize;
-    let run = &edge_bytes[start..start + n.edges_len as usize];
-    run.binary_search(&b)
-        .ok()
-        .map(|pos| edge_targets[start + pos])
 }
 
 #[cfg(test)]
@@ -396,34 +236,9 @@ mod tests {
     }
 
     #[test]
-    fn scan_bytes_matches_brute_force() {
-        let pats = patterns();
-        let ac = AnchorAutomaton::build(&pats);
-        let haystack = b"ushers said he heard of his decoder_0001x";
-        let mut want = Vec::new();
-        for (id, p) in pats.iter().enumerate() {
-            let p = p.as_bytes();
-            for end in p.len()..=haystack.len() {
-                if &haystack[end - p.len()..end] == p {
-                    want.push((id as u32, end));
-                }
-            }
-        }
-        let mut got: Vec<(u32, usize)> = ac
-            .scan_bytes(haystack)
-            .into_iter()
-            .map(|o| (o.pattern, o.end))
-            .collect();
-        got.sort_unstable();
-        want.sort_unstable();
-        assert_eq!(got, want);
-    }
-
-    #[test]
     fn empty_and_degenerate_builds() {
         let ac = AnchorAutomaton::build::<&str>(&[]);
         assert_eq!(ac.match_token(b"anything"), None);
-        assert!(ac.scan_bytes(b"anything").is_empty());
 
         // Empty patterns are ignored, later duplicates win the terminal.
         let ac = AnchorAutomaton::build(&["", "dup", "dup"]);

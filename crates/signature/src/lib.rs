@@ -29,7 +29,8 @@
 //! representation the generator works in, so a signature is guaranteed to
 //! match the samples it was generated from. At deployment scale (tens of
 //! thousands of compounding daily signatures) the scan runs through a
-//! staged pipeline — an Aho–Corasick anchor automaton
+//! staged pipeline — a raw-byte anchor gate that answers most benign
+//! documents without lexing them, an anchor trie
 //! ([`automaton::AnchorAutomaton`]), batched per-window prefilters
 //! ([`prefilter`]), and a literal-confirmation step — that returns
 //! exactly the linear scan's answer at a per-document cost independent
@@ -61,6 +62,7 @@
 #![warn(missing_docs)]
 
 pub mod automaton;
+mod gate;
 pub mod generate;
 pub mod matcher;
 pub mod pattern;
@@ -69,6 +71,6 @@ pub mod verify;
 
 pub use automaton::AnchorAutomaton;
 pub use generate::{generate_from_subsample, generate_signature, pick_subsample, GenerateError};
-pub use matcher::{flush_scan_counters, LabeledSignature, ScanPipeline, SignatureSet};
+pub use matcher::{flush_scan_counters, GateOff, LabeledSignature, ScanPipeline, SignatureSet};
 pub use pattern::{CharClass, Element, Signature, SignatureConfig};
 pub use verify::NearestMatch;

@@ -1,5 +1,4 @@
-//! A deployable set of labeled signatures and its three-stage scan
-//! pipeline.
+//! A deployable set of labeled signatures and its staged scan pipeline.
 //!
 //! This is the consumer side of Kizzle: the signatures the compiler emits
 //! are deployed to a scanner (browser, desktop AV, or CDN-side, per the
@@ -9,14 +8,24 @@
 //! *signature count*, not just the document length. Scanning runs through
 //! a [`ScanPipeline`] built once per sealed set:
 //!
-//! 1. **Anchor automaton** ([`crate::automaton::AnchorAutomaton`]): every
+//! 0. **Anchor gate** (`crate::gate`, raw documents only): every
 //!    signature with a selective literal element (at least
 //!    [`MIN_ANCHOR_LEN`] chars; longest wins — long literals are the most
-//!    selective) contributes that literal to one Aho–Corasick automaton
-//!    over *all* anchor literals. A scan walks the document's tokens once
-//!    through the automaton — `O(token bytes)` total, **independent of
-//!    the signature count** — and each terminal hit yields the bucket of
-//!    `(signature, anchor offset)` candidates sharing that literal.
+//!    selective) is anchored on it, and an anchored signature can match
+//!    only where a token's unquoted text equals its anchor. Every such
+//!    text is a byte slice of the document, so when no anchor occurs
+//!    anywhere in the document's bytes the scan is a proven miss and the
+//!    document is never lexed. Most pages a client sees are benign, and
+//!    lexing is most of a raw-document miss. The gate is absent — every
+//!    document is lexed — when some signature is unanchored or when the
+//!    gate's tables cannot skip; both are facts about the sealed set
+//!    ([`ScanPipeline::gate_off`]).
+//! 1. **Anchor trie** ([`crate::automaton::AnchorAutomaton`]): the
+//!    distinct anchor literals in one trie. A scan walks the document's
+//!    tokens once through it — `O(token bytes)` total, **independent of
+//!    the signature count** — and each token equal to an anchor yields the
+//!    bucket of `(signature, anchor offset)` candidates sharing that
+//!    literal.
 //! 2. **Batched prefilter** ([`crate::prefilter`]): each candidate's
 //!    token window is screened against fixed-width, branch-free element
 //!    checks over cheap per-token profiles (length, class-acceptance
@@ -33,10 +42,10 @@
 //!
 //! The result is byte-identical to a linear scan — the first signature in
 //! insertion order whose [`Signature::matches_stream`] holds —
-//! property-tested in `tests/signature_properties.rs`. The pipeline
-//! (automaton, buckets, filters) is a pure function of the signatures and
-//! [`SignatureSet::seal`] is the only way one is built: it is never
-//! serialized — a snapshot chain ships the members
+//! property-tested in `tests/signature_properties.rs`, gate included. The
+//! pipeline (gate, trie, buckets, filters) is a pure function of the
+//! signatures and [`SignatureSet::seal`] is the only way one is built: it
+//! is never serialized — a snapshot chain ships the members
 //! ([`SignatureSet::encode_into`]) and every loader reseals. It is
 //! immutable once built, and [`SignatureSet::add`] invalidates it so a
 //! mutated set reseals.
@@ -47,6 +56,7 @@
 //! set.
 
 use crate::automaton::AnchorAutomaton;
+use crate::gate::AnchorGate;
 use crate::pattern::{CharClass, Element, Signature};
 use crate::prefilter::{windows_pass_batch, SigFilter, StreamProfile};
 use crate::verify::{nearest_in_stream, stream_deficit, NearestMatch, StreamSummary};
@@ -82,6 +92,7 @@ pub mod scan_metrics {
     #[derive(Debug, Default)]
     pub(super) struct ScanCounts {
         pub scans: u64,
+        pub gate_rejected: u64,
         pub anchor_hits: u64,
         pub prefilter_checked: u64,
         pub prefilter_rejected: u64,
@@ -92,6 +103,7 @@ pub mod scan_metrics {
 
     struct Tallies {
         scans: Batched,
+        gate_rejected: Batched,
         anchor_hits: Batched,
         prefilter_checked: Batched,
         prefilter_rejected: Batched,
@@ -104,6 +116,7 @@ pub mod scan_metrics {
         fn new() -> Self {
             Tallies {
                 scans: Batched::new(counter("kizzle_scans_total"), BATCH),
+                gate_rejected: Batched::new(counter("kizzle_scan_gate_rejected_total"), BATCH),
                 anchor_hits: Batched::new(counter("kizzle_scan_anchor_hits_total"), BATCH),
                 prefilter_checked: Batched::new(
                     counter("kizzle_scan_prefilter_checked_total"),
@@ -127,6 +140,7 @@ pub mod scan_metrics {
 
         fn flush(&self) {
             self.scans.flush();
+            self.gate_rejected.flush();
             self.anchor_hits.flush();
             self.prefilter_checked.flush();
             self.prefilter_rejected.flush();
@@ -145,6 +159,7 @@ pub mod scan_metrics {
         pub(super) fn commit(&self) {
             TALLIES.with(|t| {
                 t.scans.bump(self.scans);
+                t.gate_rejected.bump(self.gate_rejected);
                 t.anchor_hits.bump(self.anchor_hits);
                 t.prefilter_checked.bump(self.prefilter_checked);
                 t.prefilter_rejected.bump(self.prefilter_rejected);
@@ -285,7 +300,7 @@ struct ScanScratch {
 struct MatchScratch {
     /// Stage 2's token profiles, filled lazily from the first anchor hit.
     profile: StreamProfile,
-    /// Candidates surviving the cheap gates, gathered per automaton hit
+    /// Candidates surviving the cheap gates, gathered per anchor hit
     /// and evaluated lane-parallel.
     eligible: Vec<(usize, usize)>,
 }
@@ -320,15 +335,36 @@ fn with_scratch<R>(scan: impl FnOnce(&mut ScanScratch) -> R) -> R {
 /// for several fanned-out candidates' element loops at once.
 const HIST_GATE_MIN_SIG_LEN: usize = 8;
 
+/// Why a sealed set's raw-document scans run without the anchor gate.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum GateOff {
+    /// Some signature has no anchor, so no document is a proven miss.
+    Unanchored,
+    /// A block-shift table of the gate is saturated and would cost more
+    /// than lexing.
+    NoSkip,
+}
+
+impl fmt::Display for GateOff {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(match self {
+            GateOff::Unanchored => "unanchored",
+            GateOff::NoSkip => "no-skip",
+        })
+    }
+}
+
 /// The sealed, immutable scan structures of one [`SignatureSet`]: the
-/// anchor automaton, the per-literal candidate buckets, the per-signature
-/// prefilters and the unanchored fallback list. Built by
+/// anchor gate, the anchor trie, the per-literal candidate buckets, the
+/// per-signature prefilters and the unanchored fallback list. Built by
 /// [`SignatureSet::seal`] and shared by `Arc` across clones.
 #[derive(Debug)]
 pub struct ScanPipeline {
-    /// Stage 1: one automaton over every distinct anchor literal.
+    /// Stage 0: the raw-byte gate over every distinct anchor literal.
+    gate: Result<AnchorGate, GateOff>,
+    /// Stage 1: one trie over every distinct anchor literal.
     automaton: AnchorAutomaton,
-    /// The distinct anchor literals, indexed by automaton pattern id.
+    /// The distinct anchor literals, indexed by trie pattern id.
     literals: Vec<String>,
     /// Pattern id → `(signature index, anchor element offset)` for every
     /// signature anchored on that literal, ascending by signature index.
@@ -364,9 +400,14 @@ impl ScanPipeline {
                 None => unanchored.push(index),
             }
         }
-        let automaton = AnchorAutomaton::build(&literals);
+        let gate = if unanchored.is_empty() {
+            AnchorGate::build(&literals).ok_or(GateOff::NoSkip)
+        } else {
+            Err(GateOff::Unanchored)
+        };
         ScanPipeline {
-            automaton,
+            gate,
+            automaton: AnchorAutomaton::build(&literals),
             literals,
             buckets,
             filters,
@@ -380,10 +421,37 @@ impl ScanPipeline {
         self.literals.len()
     }
 
+    /// Why raw-document scans are lexed without the anchor gate, or
+    /// `None` when the gate is on.
+    #[must_use]
+    pub fn gate_off(&self) -> Option<GateOff> {
+        self.gate.as_ref().err().copied()
+    }
+
     /// Number of signatures on the linear fallback path.
     #[cfg(test)]
     fn unanchored_count(&self) -> usize {
         self.unanchored.len()
+    }
+
+    /// Stage 0: does the gate prove `document` a miss? Such a document
+    /// still counts as a scan.
+    fn gate_rejects(&self, document: &str) -> bool {
+        let Ok(gate) = &self.gate else {
+            return false;
+        };
+        if gate.may_match(document) {
+            return false;
+        }
+        if kizzle_telemetry::enabled() {
+            scan_metrics::ScanCounts {
+                scans: 1,
+                gate_rejected: 1,
+                ..Default::default()
+            }
+            .commit();
+        }
+        true
     }
 
     /// The staged scan: returns the index of the first matching signature
@@ -417,7 +485,7 @@ impl ScanPipeline {
     ) -> Option<usize> {
         let MatchScratch { profile, eligible } = scratch;
         let mut best: Option<usize> = None;
-        // Stage 2's profiles are filled from the first automaton hit on, so
+        // Stage 2's profiles are filled from the first anchor hit on, so
         // anchor-free documents never pay for them.
         profile.reset();
         'tokens: for (position, unquoted) in tokens.unquoted_bytes().enumerate() {
@@ -522,7 +590,7 @@ impl ScanPipeline {
                 }
             }
         }
-        // Unanchored signatures cannot use the automaton; check them
+        // Unanchored signatures cannot use the trie; check them
         // directly.
         for &index in &self.unanchored {
             let index = index as usize;
@@ -658,16 +726,20 @@ impl SignatureSet {
     /// Scan a raw HTML/JavaScript document truncated to its first `cap`
     /// tokens (see [`kizzle_js::tokenize_document_capped`]), returning the
     /// matching signature's index — [`SignatureSet::scan_stream_index`]
-    /// without the stream: the document is lexed into this thread's scratch
-    /// and matched in place, the same scan over a borrowed view. This is
-    /// the path a serving worker runs; once a thread's scratch has grown to
-    /// its documents it allocates nothing.
+    /// without the stream. A document the anchor gate proves a miss is
+    /// answered without being lexed; any other is lexed into this thread's
+    /// scratch and matched in place, the same scan over a borrowed view.
+    /// This is the path a serving worker runs; once a thread's scratch has
+    /// grown to its documents it allocates nothing.
     #[must_use]
     pub fn scan_document_index(&self, document: &str, cap: usize) -> Option<usize> {
+        let pipeline = self.seal();
+        if pipeline.gate_rejects(document) {
+            return None;
+        }
         with_scratch(|scratch| {
             let (tokens, _) = lex_document(document, cap, &mut scratch.spans);
-            self.seal()
-                .scan(&self.signatures, tokens, &mut scratch.matching)
+            pipeline.scan(&self.signatures, tokens, &mut scratch.matching)
         })
     }
 

@@ -96,6 +96,20 @@ fn documents() -> Vec<String> {
     ]
 }
 
+/// [`counting_set`] without its unanchored signature, so raw documents
+/// scanned against it pass the anchor gate, whose anchors are `payload`
+/// and `fromCharCode`.
+fn gated_set() -> SignatureSet {
+    let mut set = SignatureSet::new();
+    set.extend(counting_set().iter().filter(|s| s.label != "Odd").cloned());
+    assert_eq!(set.seal().gate_off(), None);
+    set
+}
+
+/// The [`documents`] holding neither gated anchor: "decode alone …",
+/// "nothing relevant …", "ab xy" and the empty document.
+const GATED_OUT: u64 = 4;
+
 const COUNTERS: &[&str] = &[
     "kizzle_scans_total",
     "kizzle_scan_anchor_hits_total",
@@ -104,6 +118,7 @@ const COUNTERS: &[&str] = &[
     "kizzle_scan_verify_confirmed_total",
     "kizzle_scan_verify_rejected_total",
     "kizzle_scan_unanchored_checked_total",
+    "kizzle_scan_gate_rejected_total",
 ];
 
 fn counter_values() -> Vec<u64> {
@@ -114,19 +129,29 @@ fn counter_values() -> Vec<u64> {
 }
 
 /// One scan storm: `threads` workers each scan every document `rounds`
-/// times against a shared set. Returns the registry deltas for all seven
-/// scan counters, exact because worker tallies flush on thread exit and
-/// the main thread flushes its own at the end.
-fn storm_deltas(set: &SignatureSet, threads: usize, rounds: usize) -> Vec<u64> {
-    let streams: Vec<_> = documents().iter().map(|d| tokenize(d)).collect();
+/// times against a shared set, tokenized, and raw against `gated`.
+/// Returns the registry deltas for all eight scan counters, exact because
+/// worker tallies flush on thread exit and the main thread flushes its
+/// own at the end.
+fn storm_deltas(
+    set: &SignatureSet,
+    gated: &SignatureSet,
+    threads: usize,
+    rounds: usize,
+) -> Vec<u64> {
+    let documents = documents();
+    let streams: Vec<_> = documents.iter().map(|d| tokenize(d)).collect();
     let before = counter_values();
     std::thread::scope(|scope| {
         for _ in 0..threads {
-            let streams = &streams;
+            let (streams, documents) = (&streams, &documents);
             scope.spawn(move || {
                 for _ in 0..rounds {
                     for stream in streams {
                         let _ = set.scan_stream(stream);
+                    }
+                    for document in documents {
+                        let _ = gated.scan_document_index(document, usize::MAX);
                     }
                 }
                 // Flush before the closure returns: `thread::scope` wakes
@@ -151,18 +176,26 @@ fn storm_deltas(set: &SignatureSet, threads: usize, rounds: usize) -> Vec<u64> {
 #[test]
 fn threaded_scan_counters_are_exact_and_repeatable() {
     kizzle_telemetry::set_enabled(true);
-    let set = counting_set();
+    let (set, gated) = (counting_set(), gated_set());
     let (threads, rounds) = (4, 25);
 
-    let first = storm_deltas(&set, threads, rounds);
-    let second = storm_deltas(&set, threads, rounds);
+    let first = storm_deltas(&set, &gated, threads, rounds);
+    let second = storm_deltas(&set, &gated, threads, rounds);
     assert_eq!(
         first, second,
         "identical storms must produce identical counter deltas"
     );
 
-    let scans = (threads * rounds * documents().len()) as u64;
-    assert_eq!(first[0], scans, "kizzle_scans_total counts every scan call");
+    let scans = (2 * threads * rounds * documents().len()) as u64;
+    assert_eq!(
+        first[0], scans,
+        "kizzle_scans_total counts every scan call, gated out or not"
+    );
+    assert_eq!(
+        first[7],
+        (threads * rounds) as u64 * GATED_OUT,
+        "kizzle_scan_gate_rejected_total counts each anchor-free raw document"
+    );
     // The corpus is engineered so every reachable stage fires: anchors
     // hit, some candidates are rejected by prefilters, some confirm, and
     // the short-literal signature is checked unanchored. The exception is

@@ -4,7 +4,7 @@ use kizzle_corpus::{variation_prefix, KitFamily, KitModel, SimDate};
 use kizzle_js::{tokenize, tokenize_document_capped, TokenStream};
 use kizzle_signature::generate::{find_common_window, generate_signature};
 use kizzle_signature::verify::nearest_in_stream;
-use kizzle_signature::{CharClass, Element, Signature, SignatureConfig, SignatureSet};
+use kizzle_signature::{CharClass, Element, GateOff, Signature, SignatureConfig, SignatureSet};
 use kizzle_snapshot::{Decoder, Encoder};
 use proptest::prelude::*;
 use rand::SeedableRng;
@@ -323,6 +323,13 @@ proptest! {
             let staged = set.scan_stream(&stream).map(|s| s.signature.name.as_str());
             let linear = scan_linear(&set, &stream).map(|s| s.signature.name.as_str());
             prop_assert_eq!(staged, linear, "doc: {:?}", doc);
+            // The raw-document scan, gate included, agrees.
+            prop_assert_eq!(
+                set.scan_document_index(doc, usize::MAX),
+                set.scan_stream_index(&stream),
+                "doc: {:?}",
+                doc
+            );
         }
         // The empty stream, explicitly.
         prop_assert!(set.scan_stream(&tokenize("")).is_none());
@@ -491,4 +498,161 @@ fn banded_agrees_with_naive_on_structured_cases() {
             }
         }
     }
+}
+
+/// An identifier-shaped anchor of exactly `len` bytes, distinct per `tag`.
+fn anchor_of_len(tag: usize, len: usize) -> String {
+    let mut anchor = format!("gate{tag}z");
+    while anchor.len() < len {
+        anchor.push('_');
+    }
+    anchor
+}
+
+/// A set anchored on `anchors`: per anchor, the bare literal, and the
+/// literal between an identifier and a call, so planted anchors hit in
+/// some places and not in others.
+fn anchored_set(anchors: &[String]) -> SignatureSet {
+    let mut set = SignatureSet::new();
+    for (i, anchor) in anchors.iter().enumerate() {
+        set.add(
+            "Gate",
+            Signature::new(
+                format!("call.{i}"),
+                vec![
+                    Element::Literal(anchor.clone()),
+                    Element::Literal("(".into()),
+                    Element::Class {
+                        class: CharClass::Digits,
+                        min_len: 1,
+                        max_len: 4,
+                    },
+                ],
+                1,
+            ),
+        );
+        set.add(
+            "Gate",
+            Signature::new(
+                format!("bare.{i}"),
+                vec![Element::Literal(anchor.clone())],
+                1,
+            ),
+        );
+    }
+    set
+}
+
+/// Documents with `anchor` planted where the lexer sees it as a token and
+/// where it does not: comments, each quote kind, markup outside any
+/// script, split across two scripts, beside multi-byte characters, and
+/// behind `lead` filler tokens so a cap can fall before, on or after it.
+fn planted_documents(anchor: &str, lead: usize) -> Vec<String> {
+    let (head, tail) = anchor.split_at(anchor.len() / 2);
+    let filler = "a;".repeat(lead);
+    vec![
+        format!("<script>{filler}{anchor}(12);</script>"),
+        format!("{filler}{anchor}(7)"),
+        format!("<script>x = 1; // {anchor}(1)\ny = 2;</script>"),
+        format!("<script>/* {anchor}(1) */ f();</script>"),
+        format!("<script>s = \"{anchor}\"; f(3);</script>"),
+        format!("<script>s = '{anchor}'; f(3);</script>"),
+        format!("<script>s = `{anchor}`; f(3);</script>"),
+        format!("<p>{anchor}(5)</p><script>f(5);</script>"),
+        format!("<script>{filler}x = {head}</script><script>{tail}(9);</script>"),
+        format!("<script>é = \"日本{anchor}é\"; ü{anchor}(4); {anchor}(4)é;</script>"),
+        format!("<script>{filler}{anchor}</script>"),
+        format!("<script>{filler}{anchor}({anchor}(1));</script>"),
+        format!("<script>{filler}</script>{anchor}"),
+        String::new(),
+    ]
+}
+
+/// The raw-document scan, anchor gate included, against the lexed
+/// oracle `scan_stream_index(&tokenize_document_capped(doc, cap))` on
+/// planted anchors, over every shape of gate: none at all (empty set,
+/// an unanchored signature, a saturated table), a few short anchors
+/// searched one by one, one past that, and anchors either side of the
+/// long-tier boundary.
+#[test]
+fn gated_scan_equals_the_lexed_scan_on_planted_anchors() {
+    let short =
+        |count: usize| -> Vec<String> { (0..count).map(|i| anchor_of_len(i, 12)).collect() };
+    let mut unanchored = anchored_set(&short(3));
+    unanchored.add(
+        "Odd",
+        Signature::new("short.only", vec![Element::Literal("ab".into())], 1),
+    );
+    // 8,000 pseudo-random 33-byte identifiers: 240,000 blocks over a
+    // 64-symbol alphabet leave almost no slot of the long tier's table
+    // free to skip.
+    const IDENT: &[u8; 64] = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789_$";
+    let mut state = 11u64;
+    let saturated: Vec<String> = (0..8_000)
+        .map(|_| {
+            (0..33)
+                .map(|_| {
+                    state = state
+                        .wrapping_mul(6_364_136_223_846_793_005)
+                        .wrapping_add(1);
+                    char::from(IDENT[(state >> 58) as usize])
+                })
+                .collect::<String>()
+        })
+        .chain(short(2))
+        .collect();
+    let sets: Vec<(&str, SignatureSet, Option<GateOff>)> = vec![
+        ("empty", SignatureSet::new(), None),
+        ("unanchored", unanchored, Some(GateOff::Unanchored)),
+        ("8 short", anchored_set(&short(8)), None),
+        ("9 short", anchored_set(&short(9)), None),
+        (
+            "31 and 32 bytes",
+            anchored_set(&[
+                anchor_of_len(1, 31),
+                anchor_of_len(2, 32),
+                anchor_of_len(3, 40),
+            ]),
+            None,
+        ),
+        ("saturated", anchored_set(&saturated), Some(GateOff::NoSkip)),
+    ];
+    let mut hits = 0;
+    for (name, set, gate_off) in &sets {
+        assert_eq!(set.seal().gate_off(), *gate_off, "{name}");
+        let anchors: Vec<String> = set
+            .iter()
+            .filter_map(|labeled| match &labeled.signature.elements[0] {
+                Element::Literal(text) if text.len() >= 3 => Some(text.clone()),
+                _ => None,
+            })
+            .chain(["absent_anchor".to_string()])
+            .collect();
+        for anchor in anchors
+            .iter()
+            .step_by(anchors.len() / 6 + 1)
+            .chain(anchors.last())
+        {
+            for lead in [0, 4, 9] {
+                for doc in planted_documents(anchor, lead) {
+                    for cap in [
+                        usize::MAX,
+                        2 * lead,
+                        2 * lead + 1,
+                        2 * lead + 2,
+                        2 * lead + 3,
+                    ] {
+                        let want = set.scan_stream_index(&tokenize_document_capped(&doc, cap));
+                        assert_eq!(
+                            set.scan_document_index(&doc, cap),
+                            want,
+                            "{name}: cap {cap}, doc {doc:?}"
+                        );
+                        hits += usize::from(want.is_some());
+                    }
+                }
+            }
+        }
+    }
+    assert!(hits > 100, "only {hits} planted anchors hit");
 }
