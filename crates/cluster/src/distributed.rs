@@ -13,25 +13,25 @@
 //! day regardless of the day's size, which is what lets per-partition state
 //! memoize across the heavily overlapping daily corpora.
 //!
-//! The reduce does not reconcile merged prototypes all-pairs: prototype
-//! merge edges and noise re-adoption lookups are routed through a small
-//! [`NeighborIndex`] (the paper names exactly this reconciliation as its
-//! bottleneck), with the reconciliation and adoption phases timed
-//! separately in [`DistributedStats`]. The day reaches the reduce as a
-//! multiset — distinct class-strings plus a position → content map — and
-//! its three medoid passes share one memo of pair distances keyed by
-//! content, so the seal's pairwise work follows the day's distinct content,
-//! not its positions. The seed's all-pairs reduce is the oracle the
-//! property tests hold this one to (`tests/common/mod.rs`).
+//! The reduce computes no distance between prototypes (the paper names this
+//! reconciliation as its bottleneck): prototype merge edges and noise
+//! re-adoption are read off the day's eps-balls, which the map phase
+//! already holds, exact and restricted to the day, from the engine's
+//! [`NeighborIndex`](crate::index::NeighborIndex). The reconciliation and
+//! adoption phases are timed separately in [`DistributedStats`]. The day
+//! reaches the reduce as a multiset — distinct class-strings plus a
+//! position → content map — and its three medoid passes share one memo of
+//! pair distances keyed by content, so the seal's pairwise work follows the
+//! day's distinct content, not its positions. The seed's all-pairs reduce
+//! is the oracle the property tests hold this one to
+//! (`tests/common/mod.rs`).
 
 use crate::clustering::{medoid_of, Clustering, PROTOTYPE_SAMPLE_CAP};
 use crate::dbscan::DbscanParams;
 use crate::distance::{BitParallelPattern, BitParallelScratch};
-use crate::index::{IndexStats, NeighborIndex};
-use crate::store::SampleId;
+use crate::index::IndexStats;
 use rayon::prelude::*;
 use std::collections::HashMap;
-use std::sync::Arc;
 use std::time::Duration;
 
 /// Configuration of the partitioned clustering.
@@ -270,12 +270,7 @@ impl<T: AsRef<[u8]>> MedoidTask<'_, T> {
     }
 }
 
-impl<'a, T: AsRef<[u8]> + Sync> TokenMedoids<'a, T> {
-    /// The class string at a day position.
-    fn sample(&self, position: usize) -> &'a [u8] {
-        self.data[self.content[position] as usize].as_ref()
-    }
-
+impl<T: AsRef<[u8]> + Sync> TokenMedoids<'_, T> {
     /// One pass: the medoid of every (non-empty) cluster, in parallel.
     fn pass<C: AsRef<[usize]> + Sync>(&mut self, clusters: &[C], sample_cap: usize) -> Vec<usize> {
         let day = &*self;
@@ -324,21 +319,33 @@ fn assemble_merged(all_clusters: &[Vec<usize>], uf: &mut UnionFind) -> Vec<Vec<u
     merged_clusters
 }
 
-/// The index-routed reduce: partition clusters whose medoids lie within
-/// `eps` merge, then noise points within `eps` of a merged cluster's medoid
-/// join it. The merge semantics are the seed's all-pairs reduce under the
-/// paper's bounded distance, but prototype merge edges and noise-adoption
-/// lookups go through a small [`NeighborIndex`] instead of all-pairs scans
-/// — at production partition counts the all-pairs reconciliation is the
-/// bottleneck the paper calls out in §IV — and the three medoid passes
-/// share one per-seal pair memo ([`TokenMedoids`]).
+/// For each of `distinct` content ids, the first of `contents` (by
+/// position) that holds it.
+fn first_holders(distinct: usize, contents: impl Iterator<Item = u32>) -> Vec<Option<usize>> {
+    let mut holders = vec![None; distinct];
+    for (i, u) in contents.enumerate() {
+        holders[u as usize].get_or_insert(i);
+    }
+    holders
+}
+
+/// The reduce: partition clusters whose medoids lie within `eps` merge,
+/// then noise points within `eps` of a merged cluster's medoid join it.
+/// The merge semantics are the seed's all-pairs reduce under the paper's
+/// bounded distance, but both questions are answered from the day's
+/// eps-balls instead of all-pairs scans — at production partition counts
+/// the all-pairs reconciliation is the bottleneck the paper calls out in
+/// §IV — and the three medoid passes share one per-seal pair memo
+/// ([`TokenMedoids`]).
 ///
-/// The day arrives as its distinct class strings (`data`) plus the
-/// position → content-id map (`content`); member lists, noise and the
-/// returned clustering are position-level.
+/// The day arrives as its distinct class strings (`data`), the position →
+/// content-id map (`content`) and the eps-ball of every content id over the
+/// others (`balls`, the relation the map phase clustered on); member lists,
+/// noise and the returned clustering are position-level.
 pub(crate) fn reduce_token<T>(
     data: &[T],
     content: &[u32],
+    balls: &[Vec<usize>],
     params: &DbscanParams,
     partition_results: Vec<PartitionOutcome>,
     stats: &mut DistributedStats,
@@ -357,53 +364,37 @@ where
     let reconcile_span = kizzle_telemetry::span!("cluster.reconcile");
     let (all_clusters, all_noise) = flatten_outcomes(partition_results);
 
+    // A position's class string and every one within eps of it.
+    let within_eps = |position: usize| {
+        let u = content[position] as usize;
+        std::iter::once(u).chain(balls[u].iter().copied())
+    };
+
     let prototypes = medoids.pass(&all_clusters, REDUCE_SAMPLE_CAP);
-    // Prototype pairs within eps become merge edges. The throwaway index
-    // answers the eps-ball of every prototype through the filter chain;
-    // symmetry makes each edge appear from both endpoints, which union-find
-    // absorbs.
-    let proto_index = NeighborIndex::build(
-        &prototypes
-            .iter()
-            .map(|&p| medoids.sample(p))
-            .collect::<Vec<_>>(),
-        eps,
-    );
+    // Prototype pairs within eps become merge edges: each prototype unions
+    // with the first prototype of every class string within eps of its own.
+    // Prototypes sharing a string meet at its first one, and symmetry makes
+    // each edge appear from both endpoints, which union-find absorbs.
+    let proto_of = first_holders(data.len(), prototypes.iter().map(|&p| content[p]));
     let mut uf = UnionFind::new(all_clusters.len());
-    for i in 0..prototypes.len() {
-        for &j in proto_index.cached_slots(u32::try_from(i).expect("prototype count fits u32")) {
-            uf.union(i, j as usize);
+    for (i, &p) in prototypes.iter().enumerate() {
+        for j in within_eps(p).filter_map(|v| proto_of[v]) {
+            uf.union(i, j);
         }
     }
     let mut merged_clusters = assemble_merged(&all_clusters, &mut uf);
     stats.reconcile_time = reconcile_span.finish();
 
     // Re-adopt noise points that are within eps of a merged prototype: each
-    // noise sample queries the merged-prototype index and joins the first
-    // matching cluster (smallest id), exactly as the all-pairs scan did.
+    // joins the first such cluster in merged order (smallest index), as the
+    // seed's all-pairs scan does.
     let adopt_span = kizzle_telemetry::span!("cluster.adopt");
     let merged_prototypes = medoids.pass(&merged_clusters, REDUCE_SAMPLE_CAP);
-    // Structural insert only: adoption uses external queries, so eagerly
-    // memoized prototype-vs-prototype eps-balls would be thrown away.
-    let mut adopt_index = NeighborIndex::new(eps);
-    adopt_index.insert_batch_unmemoized(
-        merged_prototypes
-            .iter()
-            .enumerate()
-            .map(|(c, &p)| {
-                (
-                    SampleId::new(u32::try_from(c).expect("cluster count fits u32")),
-                    Arc::from(medoids.sample(p)),
-                )
-            })
-            .collect(),
-    );
+    let cluster_of = first_holders(data.len(), merged_prototypes.iter().map(|&p| content[p]));
     let mut remaining_noise = Vec::new();
     for idx in all_noise {
-        // `query` returns ascending ids, so the first hit is the first
-        // cluster in merged order.
-        match adopt_index.query(medoids.sample(idx)).first() {
-            Some(&cluster) => merged_clusters[cluster.raw() as usize].push(idx),
+        match within_eps(idx).filter_map(|v| cluster_of[v]).min() {
+            Some(cluster) => merged_clusters[cluster].push(idx),
             None => remaining_noise.push(idx),
         }
     }

@@ -11,7 +11,7 @@
 //!
 //! [`CorpusEngine::cluster_day`] clusters an arbitrary *view* of the live
 //! corpus — the ids of one day's samples — through the partition →
-//! per-partition DBSCAN → index-routed reduce dataflow of
+//! per-partition DBSCAN → reduce dataflow of
 //! [`distributed`](crate::distributed). The key identity making that
 //! sound: an eps-ball restricted to a subset of
 //! samples equals the subset-local eps-ball, because the accept predicate
@@ -287,8 +287,9 @@ impl CorpusEngine {
 
     /// Cluster a view of the live corpus — `day_ids[p]` is the sample at
     /// dense position `p` — through partition → per-partition DBSCAN →
-    /// index-routed reduce, byte-identical to a fresh engine clustering the
-    /// same dense sample sequence in one batch. Memoized neighborhoods are
+    /// reduce, the last two reading the same day-restricted eps-balls,
+    /// byte-identical to a fresh engine clustering the same dense sample
+    /// sequence in one batch. Memoized neighborhoods are
     /// reused; only ids whose cache was churned away pay query cost. The
     /// day is held as a multiset — its distinct class-strings (in
     /// first-position order) with multiplicities — so the map phase costs
@@ -426,8 +427,8 @@ impl CorpusEngine {
         // time, so it is recorded as a measured duration, not a guard.
         kizzle_telemetry::record_span("cluster.map", stats.map_time);
 
-        // Index-routed reduce over the day view.
-        let clustering = reduce_token(&data, &content, &params, outcomes, &mut stats);
+        // The reduce reads the same day-restricted eps-balls.
+        let clustering = reduce_token(&data, &content, &balls, &params, outcomes, &mut stats);
         let day_elapsed = day_span.finish();
         if kizzle_telemetry::enabled() {
             kizzle_telemetry::histogram("kizzle_cluster_day_ns").observe_duration(day_elapsed);

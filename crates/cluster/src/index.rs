@@ -12,11 +12,13 @@
 //!    only walks the contiguous range whose lengths satisfy the normalized
 //!    length-difference bound. `O(log n)` to locate, nothing at all spent
 //!    on samples outside the window.
-//! 2. **Token-class histogram L1 bound** — per entry the index stores a
-//!    compact histogram over the observed token alphabet. Each unit edit
-//!    changes the histogram L1 distance by at most 2, so
-//!    `⌈L1 / 2⌉ > max_edits` rejects a pair in `O(alphabet)` (the token
-//!    alphabet has ~a dozen classes) instead of `O(len²)`.
+//! 2. **Token-class histogram L1 bound** — per entry the index stores an
+//!    eight-bucket histogram: byte `s` counts in bucket `min(s, 7)`, one
+//!    bucket per code of the six token classes. Each unit edit changes the
+//!    histogram L1 distance by at most 2, so `⌈L1 / 2⌉ > max_edits`
+//!    rejects a pair in eight steps instead of `O(len²)`. Bytes past the
+//!    class codes share the last bucket, which can only lower L1, so the
+//!    bound holds for any bytes.
 //! 3. **Pivot bounds** — the first *two-sided* filter. Absolute edit
 //!    distance is a metric, and every entry stores `(pivot, dp)`: the slot
 //!    of a nearby entry and its exact edit distance to it. Survivors are
@@ -52,7 +54,7 @@
 //!
 //! Unlike the original batch-only index, this one is **incremental**:
 //! [`NeighborIndex::insert`] and [`NeighborIndex::remove`] update the
-//! length-ordered set and histogram table in place, and the memoized
+//! length-ordered set and per-entry histograms in place, and the memoized
 //! neighborhoods are *maintained* rather than recomputed — inserting a
 //! sample computes its own eps-ball once and splices the new id into its
 //! neighbors' cached lists (the eps relation is symmetric), removing a
@@ -79,8 +81,7 @@ use std::sync::Arc;
 /// pruning-efficiency numbers.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct IndexStats {
-    /// Number of eps-ball computations performed (cache misses and
-    /// external [`NeighborIndex::query`] calls).
+    /// Number of eps-ball computations performed (cache misses).
     pub queries: usize,
     /// Neighborhood reads served from the memoized cache.
     pub cache_hits: usize,
@@ -119,9 +120,6 @@ impl IndexStats {
     }
 }
 
-/// Histogram slot meaning "symbol not yet observed".
-const UNASSIGNED: u16 = u16::MAX;
-
 /// Entries whose eps-balls are computed side by side before any of them
 /// gets a pivot. Fixed rather than growing: with doubling waves the last
 /// one is half the batch and compares all of it pair by pair.
@@ -130,9 +128,7 @@ const WAVE: usize = 64;
 #[derive(Debug, Clone)]
 struct IndexEntry {
     data: Arc<[u8]>,
-    /// Compact histogram over the alphabet observed *when this entry was
-    /// inserted*; slots added later are implicitly zero.
-    hist: Vec<u32>,
+    hist: Histogram,
     /// Memoized eps-ball (ascending slot numbers), exact w.r.t. the current
     /// live set whenever present — insert/remove maintain it in place.
     cache: Option<Vec<u32>>,
@@ -157,10 +153,6 @@ pub struct NeighborIndex {
     /// Live `(length, slot)` pairs, the length-window structure. Updated in
     /// place by insert/remove.
     by_len: BTreeSet<(usize, u32)>,
-    /// Observed alphabet → histogram slot; grows monotonically.
-    slot_of: [u16; 256],
-    /// Number of assigned histogram slots.
-    width: usize,
     live: usize,
     /// Counters accumulated across operations, drained by
     /// [`NeighborIndex::take_stats`].
@@ -183,21 +175,22 @@ fn length_compatible(eps: f64, a: usize, b: usize) -> bool {
     a.abs_diff(b) as f64 / max_len as f64 <= eps
 }
 
-/// Histogram L1 distance with implicit zero-extension (entries inserted at
-/// different alphabet widths have different histogram lengths).
-fn histogram_l1(a: &[u32], b: &[u32]) -> u64 {
-    let common = a.len().min(b.len());
-    let mut sum: u64 = 0;
-    for i in 0..common {
-        sum += u64::from(a[i].abs_diff(b[i]));
+/// Symbol counts, byte `s` in bucket `min(s, 7)`.
+type Histogram = [u32; 8];
+
+fn histogram(data: &[u8]) -> Histogram {
+    let mut hist = [0; 8];
+    for &sym in data {
+        hist[usize::from(sym.min(7))] += 1;
     }
-    for &x in &a[common..] {
-        sum += u64::from(x);
-    }
-    for &x in &b[common..] {
-        sum += u64::from(x);
-    }
-    sum
+    hist
+}
+
+fn histogram_l1(a: &Histogram, b: &Histogram) -> u64 {
+    a.iter()
+        .zip(b)
+        .map(|(&x, &y)| u64::from(x.abs_diff(y)))
+        .sum()
 }
 
 /// The exact accept predicate for one pair — bit for bit
@@ -297,8 +290,6 @@ impl NeighborIndex {
             eps,
             entries: Vec::new(),
             by_len: BTreeSet::new(),
-            slot_of: [UNASSIGNED; 256],
-            width: 0,
             live: 0,
             session: IndexStats::default(),
         }
@@ -367,55 +358,20 @@ impl NeighborIndex {
             .expect("slot refers to a live entry")
     }
 
-    /// Register `data`'s symbols in the alphabet and return its histogram.
-    fn make_histogram(&mut self, data: &[u8]) -> Vec<u32> {
-        for &sym in data {
-            if self.slot_of[sym as usize] == UNASSIGNED {
-                self.slot_of[sym as usize] =
-                    u16::try_from(self.width).expect("alphabet exceeds u16 slots");
-                self.width += 1;
-            }
-        }
-        let mut hist = vec![0u32; self.width];
-        for &sym in data {
-            hist[self.slot_of[sym as usize] as usize] += 1;
-        }
-        hist
-    }
-
-    /// Histogram of an external (non-indexed) query string, plus the total
-    /// count of its symbols outside the observed alphabet (each contributes
-    /// its full count to every L1 distance).
-    fn external_histogram(&self, data: &[u8]) -> (Vec<u32>, u64) {
-        let mut hist = vec![0u32; self.width];
-        let mut unknown: u64 = 0;
-        for &sym in data {
-            let slot = self.slot_of[sym as usize];
-            if slot == UNASSIGNED {
-                unknown += 1;
-            } else {
-                hist[slot as usize] += 1;
-            }
-        }
-        (hist, unknown)
-    }
-
-    /// The eps-ball of `query` over the live entries: every slot whose
-    /// sample is within normalized edit distance `eps`, ascending.
-    /// `exclude` removes the query's own slot; `unknown` is the L1
-    /// contribution of query symbols outside the observed alphabet.
+    /// The eps-ball of live slot `own` over the other live entries: every
+    /// slot whose sample is within normalized edit distance `eps`,
+    /// ascending. No cache is read or written.
     ///
     /// Candidates pass the length window and the histogram bound one by
     /// one; the survivors that have a pivot are then settled group by
     /// group from one kernel call against the group's pivot, and only the
     /// band the triangle inequality leaves open is compared pair by pair.
-    fn eps_ball(
-        &self,
-        query: &[u8],
-        query_hist: &[u32],
-        unknown: u64,
-        exclude: Option<u32>,
-    ) -> Ball {
+    fn eps_ball(&self, own: u32) -> Ball {
+        let IndexEntry {
+            data: query,
+            hist: query_hist,
+            ..
+        } = self.entry(own);
         let mut q = BallQuery {
             eps: self.eps,
             query,
@@ -446,7 +402,7 @@ impl NeighborIndex {
                 // Below the exact bound but inside the conservative slack.
                 continue;
             }
-            if exclude == Some(slot) {
+            if slot == own {
                 continue;
             }
             q.ball.stats.window_candidates += 1;
@@ -460,7 +416,7 @@ impl NeighborIndex {
             let budget = max_edits(self.eps, max_len);
             let cand = self.entry(slot);
             // Each edit moves the histogram L1 by at most 2.
-            let l1 = histogram_l1(query_hist, &cand.hist) + unknown;
+            let l1 = histogram_l1(query_hist, &cand.hist);
             let l1_lower = usize::try_from(l1.div_ceil(2)).unwrap_or(usize::MAX);
             if l1_lower > budget {
                 q.ball.stats.pruned_by_histogram += 1;
@@ -520,24 +476,6 @@ impl NeighborIndex {
         q.ball
     }
 
-    /// Compute the eps-ball of live slot `slot` (no cache involvement).
-    fn eps_ball_of_slot(&self, slot: u32) -> Ball {
-        let entry = self.entry(slot);
-        self.eps_ball(&entry.data, &entry.hist, 0, Some(slot))
-    }
-
-    /// The eps-ball of an external sample over the indexed entries,
-    /// ascending. Used by the reduce step to route merged-prototype and
-    /// noise-adoption lookups through the filter chain instead of scanning
-    /// prototypes all-pairs.
-    #[must_use]
-    pub fn query(&mut self, sample: &[u8]) -> Vec<SampleId> {
-        let (hist, unknown) = self.external_histogram(sample);
-        let ball = self.eps_ball(sample, &hist, unknown, None);
-        self.session.merge(&ball.stats);
-        ball.neighbors.into_iter().map(SampleId::new).collect()
-    }
-
     /// Insert one sample under `id`.
     ///
     /// Computes the new entry's eps-ball once and splices `id` into its
@@ -580,10 +518,7 @@ impl NeighborIndex {
     /// pivot one.
     fn memoize_wave(&mut self, wave: &[u32]) {
         let shared: &NeighborIndex = self;
-        let computed: Vec<Ball> = wave
-            .par_iter()
-            .map(|&slot| shared.eps_ball_of_slot(slot))
-            .collect();
+        let computed: Vec<Ball> = wave.par_iter().map(|&slot| shared.eps_ball(slot)).collect();
         for (&slot, ball) in wave.iter().zip(computed) {
             self.session.merge(&ball.stats);
             for &other in &ball.neighbors {
@@ -662,7 +597,7 @@ impl NeighborIndex {
                 self.entries[slot as usize].is_none(),
                 "SampleId {slot} is already indexed"
             );
-            let hist = self.make_histogram(&data);
+            let hist = histogram(&data);
             self.by_len.insert((data.len(), slot));
             self.entries[slot as usize] = Some(IndexEntry {
                 data,
@@ -677,12 +612,11 @@ impl NeighborIndex {
         new_slots
     }
 
-    /// Insert a batch *without* computing neighborhoods — for throwaway
-    /// indexes that are only queried externally ([`NeighborIndex::query`]),
-    /// like the reduce step's noise-adoption index, where eager eps-balls
-    /// would be computed and thrown away. Only sound while no neighborhood
-    /// is memoized (maintained caches would silently go stale), which is
-    /// asserted.
+    /// Insert a batch *without* computing neighborhoods — for an index
+    /// rebuilt from the corpus store after its own snapshot section was
+    /// lost, whose neighborhoods are then computed on demand. Only sound
+    /// while no neighborhood is memoized (maintained caches would silently
+    /// go stale), which is asserted.
     pub(crate) fn insert_batch_unmemoized(&mut self, items: Vec<(SampleId, Arc<[u8]>)>) {
         assert!(
             self.entries.iter().flatten().all(|e| e.cache.is_none()),
@@ -704,7 +638,7 @@ impl NeighborIndex {
         let neighbors = match self.entry_mut(slot).cache.take() {
             Some(cached) => cached,
             None => {
-                let ball = self.eps_ball_of_slot(slot);
+                let ball = self.eps_ball(slot);
                 self.session.merge(&ball.stats);
                 ball.neighbors
             }
@@ -816,12 +750,11 @@ impl NeighborIndex {
             .count()
     }
 
-    /// Serialize the index state *except sample bytes*: `eps`, the
-    /// alphabet-slot assignment, and per live entry its slot and memoized
-    /// neighborhood (when present). Sample bytes are owned by the
+    /// Serialize the index state *except sample bytes*: `eps` and, per live
+    /// entry, its slot and memoized neighborhood (when present). Sample bytes are owned by the
     /// [`CorpusStore`](crate::store::CorpusStore) snapshot section and are
     /// re-linked at decode time, so an engine snapshot stores each sample
-    /// once. The pivot table is derived from the neighborhoods and is not
+    /// once. Histograms and the pivot table are derived state and are not
     /// written.
     ///
     /// Live slots are emitted ascending as varint gaps, and each memoized
@@ -832,10 +765,6 @@ impl NeighborIndex {
     /// does, per id).
     pub fn encode_into(&self, enc: &mut Encoder) {
         enc.f64(self.eps);
-        enc.varint_usize(self.width);
-        for slot in self.slot_of {
-            enc.u16(slot);
-        }
         enc.varint_usize(self.live);
         let mut prev_slot: Option<u32> = None;
         for (slot, entry) in self.entries.iter().enumerate() {
@@ -858,8 +787,8 @@ impl NeighborIndex {
 
     /// Rebuild an index from [`NeighborIndex::encode_into`] output,
     /// fetching each entry's bytes through `lookup` (the corpus store).
-    /// Histograms and the length window are recomputed under the restored
-    /// alphabet assignment; memoized neighborhoods are restored verbatim,
+    /// Histograms and the length window are recomputed from the bytes;
+    /// memoized neighborhoods are restored verbatim,
     /// so a resumed index answers exactly like the one that was saved —
     /// zero recomputed queries. The pivot table is rebuilt from them: in
     /// ascending slot order an entry attaches to the lowest neighbor that
@@ -867,9 +796,8 @@ impl NeighborIndex {
     /// in the session counters but not as a query) or becomes one; entries
     /// without a memoized neighborhood get theirs when it is computed.
     ///
-    /// Structural impossibilities (unknown slots, symbols outside the
-    /// restored alphabet, caches naming dead entries or entries that are
-    /// not neighbors) are rejected as
+    /// Structural impossibilities (unknown slots, caches naming dead
+    /// entries or entries that are not neighbors) are rejected as
     /// [`SnapshotError::Corrupt`]; the caller falls back to rebuilding
     /// from the store.
     pub fn decode_from<F>(dec: &mut Decoder<'_>, lookup: F) -> Result<Self, SnapshotError>
@@ -881,30 +809,7 @@ impl NeighborIndex {
         if !(eps >= 0.0 && eps.is_finite()) {
             return Err(corrupt("eps out of range"));
         }
-        let width = dec.varint_usize()?;
-        if width > 256 {
-            return Err(corrupt("alphabet width exceeds 256"));
-        }
-        let mut slot_of = [UNASSIGNED; 256];
-        let mut seen_hist_slot = vec![false; width];
-        for assigned in &mut slot_of {
-            let value = dec.u16()?;
-            if value != UNASSIGNED {
-                let idx = value as usize;
-                if idx >= width || seen_hist_slot[idx] {
-                    return Err(corrupt("alphabet slot out of range or duplicated"));
-                }
-                seen_hist_slot[idx] = true;
-            }
-            *assigned = value;
-        }
-        if !seen_hist_slot.iter().all(|&s| s) {
-            return Err(corrupt("alphabet slot unassigned below width"));
-        }
-
         let mut index = NeighborIndex::new(eps);
-        index.slot_of = slot_of;
-        index.width = width;
 
         // Pass 1 — structural decode: slots come as ascending varint gaps
         // (duplicates are unrepresentable) and caches as gap lists (strict
@@ -932,31 +837,17 @@ impl NeighborIndex {
             decoded.push((slot, data, cache));
         }
 
-        // Pass 2 — recompute every histogram under the *restored* alphabet
-        // assignment, in parallel (the per-entry scans are independent and
-        // dominate decode at large corpora). A symbol outside the restored
-        // alphabet means the sections do not belong together.
-        let slot_table = index.slot_of;
-        let hists: Vec<Option<Vec<u32>>> = decoded
+        // Pass 2 — recompute every histogram, in parallel (the per-entry
+        // scans are independent and dominate decode at large corpora).
+        let hists: Vec<Histogram> = decoded
             .par_iter()
-            .map(|(_, data, _)| {
-                let mut hist = vec![0u32; width];
-                for &sym in data.iter() {
-                    let hist_slot = slot_table[sym as usize];
-                    if hist_slot == UNASSIGNED {
-                        return None;
-                    }
-                    hist[hist_slot as usize] += 1;
-                }
-                Some(hist)
-            })
+            .map(|(_, data, _)| histogram(data))
             .collect();
 
         // Pass 3 — assemble live entries, then attach caches (they may
         // reference entries decoded later, so validation runs once every
         // entry exists).
         for ((slot, data, _), hist) in decoded.iter().zip(hists) {
-            let hist = hist.ok_or_else(|| corrupt("sample symbol outside restored alphabet"))?;
             let slot = *slot as usize;
             if index.entries.len() <= slot {
                 index.entries.resize(slot + 1, None);
@@ -1147,38 +1038,6 @@ mod tests {
                 "query {i}"
             );
         }
-    }
-
-    #[test]
-    fn external_query_matches_member_neighborhoods() {
-        let samples = family_corpus();
-        let mut index = NeighborIndex::build(&samples, 0.10);
-        // Querying with a member's own bytes returns its neighborhood plus
-        // itself (no exclusion for external queries).
-        let hits: Vec<usize> = index
-            .query(&samples[0])
-            .into_iter()
-            .map(|id| id.raw() as usize)
-            .collect();
-        let mut expected = brute_force_neighbors(&samples, 0.10, 0);
-        expected.push(0);
-        expected.sort_unstable();
-        assert_eq!(hits, expected);
-        // A query with symbols outside the observed alphabet still answers
-        // exactly (the unknown counts feed the L1 lower bound).
-        let alien = vec![200u8; 120];
-        let hits = index.query(&alien);
-        let expected: Vec<usize> = (0..samples.len())
-            .filter(|&j| {
-                normalized_edit_distance_bounded(&alien, &samples[j], 0.10).unwrap_or(1.0) <= 0.10
-            })
-            .collect();
-        assert_eq!(
-            hits.into_iter()
-                .map(|id| id.raw() as usize)
-                .collect::<Vec<_>>(),
-            expected
-        );
     }
 
     #[test]

@@ -11,10 +11,11 @@
 //! * [`distance`] — bounded Levenshtein edit distance: the Myers-style
 //!   bit-parallel kernel ([`BitParallelPattern`]) every path runs, and the
 //!   normalized form used by the paper on top of it.
-//! * [`index`] — the incremental [`NeighborIndex`]: length-window +
-//!   histogram-lower-bound candidate pruning with parallel neighborhood
-//!   queries, in-place insert/remove, and maintained (not recomputed)
-//!   memoized neighborhoods.
+//! * [`index`] — the incremental [`NeighborIndex`], the one place an
+//!   eps relation is computed: length-window, eight-bucket
+//!   histogram-lower-bound and pivot candidate pruning with parallel
+//!   neighborhood queries, in-place insert/remove, and maintained (not
+//!   recomputed) memoized neighborhoods.
 //! * [`store`] — the [`CorpusStore`]: token class-strings under stable
 //!   [`SampleId`]s with content dedup and stamp-based retirement.
 //! * [`engine`] — the [`CorpusEngine`]: store + index threaded through
@@ -27,8 +28,8 @@
 //!   summary statistics.
 //! * [`distributed`] — the partition → cluster → reduce dataflow, run on
 //!   a rayon-parallel map to stand in for the paper's 50-machine
-//!   deployment, with reduce-side reconciliation routed through a
-//!   [`NeighborIndex`] instead of all-pairs prototype scans.
+//!   deployment, with reduce-side reconciliation read off the day's
+//!   eps-balls instead of all-pairs prototype scans.
 //!
 //! The seed's scalar edit distances, naive DBSCAN and all-pairs reduce are
 //! the oracles the property tests hold this path to; they live with the

@@ -26,8 +26,7 @@ use std::sync::Arc;
 /// Ids are allocated by [`CorpusStore::add`] and stay valid until the entry
 /// is removed; a removed id's slot may later be reused for a new sample.
 /// When driving a [`NeighborIndex`](crate::index::NeighborIndex) without a
-/// store (tests, benches, the reduce step's throwaway prototype indexes),
-/// ids can be minted directly with [`SampleId::new`].
+/// store (tests, benches), ids can be minted directly with [`SampleId::new`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct SampleId(u32);
 

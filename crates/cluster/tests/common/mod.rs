@@ -222,7 +222,7 @@ pub fn cluster_seed<S: AsRef<[u8]>>(config: &DistributedConfig, samples: &[S]) -
 /// The seed's content-stable partition assignment at mix seed 0: sample
 /// `i` lands in partition `mix(keys[i]) % partitions` (a splitmix64-style
 /// finalizer), members ascending, empty partitions kept.
-fn partition_by_key(keys: &[u64], partitions: usize) -> Vec<Vec<usize>> {
+pub fn partition_by_key(keys: &[u64], partitions: usize) -> Vec<Vec<usize>> {
     let mut parts: Vec<Vec<usize>> = vec![Vec::new(); partitions];
     for (i, &key) in keys.iter().enumerate() {
         let mut h = key;

@@ -114,6 +114,36 @@ fn corpus(rng: &mut Rng, eps: f64, size: usize) -> Vec<Vec<u8>> {
     out
 }
 
+/// Families over the whole byte range: each base mixes token-class codes
+/// with arbitrary bytes, and its members substitute arbitrary bytes, up to
+/// one past the base's edit budget. The index's histogram gives every
+/// byte from 7 up one shared bucket, so here its L1 bound sees little of
+/// what separates two strings and the later filters must.
+fn byte_corpus(rng: &mut Rng, eps: f64, size: usize) -> Vec<Vec<u8>> {
+    let mut out = Vec::with_capacity(size);
+    while out.len() < size {
+        let len = rng.below(120);
+        let base: Vec<u8> = (0..len)
+            .map(|_| match rng.below(2) {
+                0 => rng.below(6) as u8,
+                _ => rng.next() as u8,
+            })
+            .collect();
+        for _ in 0..1 + rng.below(8) {
+            let mut member = base.clone();
+            if len > 0 {
+                for _ in 0..rng.below(budget(eps, len, len) + 2) {
+                    let at = rng.below(len);
+                    member[at] = rng.next() as u8;
+                }
+            }
+            out.push(member);
+        }
+    }
+    out.truncate(size);
+    out
+}
+
 fn within(a: &[u8], b: &[u8], eps: f64) -> bool {
     normalized_edit_distance_bounded(a, b, eps).is_some_and(|d| d <= eps)
 }
@@ -335,6 +365,26 @@ proptest! {
             }
             model.check(&mut index, &step);
         }
+    }
+
+    /// Symbols from the whole byte range, not only the six class codes:
+    /// every ball equals brute force after a batch insert, after the
+    /// snapshot round trip, and after an insert into the restored index.
+    #[test]
+    fn full_byte_alphabet_balls_equal_brute_force(
+        seed in any::<u64>(),
+        eps_pick in any::<u8>(),
+    ) {
+        let eps = eps_of(eps_pick);
+        let mut rng = Rng(seed);
+        let mut index = NeighborIndex::new(eps);
+        let mut model = Model::new(eps);
+        insert(&mut index, &mut model, byte_corpus(&mut rng, eps, 100));
+        model.check(&mut index, "batch");
+        let mut restored = round_trip(&index, &model);
+        model.check(&mut restored, "round trip");
+        insert(&mut restored, &mut model, byte_corpus(&mut rng, eps, 30));
+        model.check(&mut restored, "insert after the round trip");
     }
 
     /// An index rebuilt from the store without neighborhoods (the resume

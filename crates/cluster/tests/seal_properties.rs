@@ -96,6 +96,70 @@ fn duplicate_heavy_day(
     day
 }
 
+/// A noise page within eps of two merged prototypes joins the *first*
+/// merged cluster, as the seed's scan over merged order does. The day is
+/// two copies each of `a` and `b` and one `page`: `a` and `b` substitute
+/// eight symbols of the page in disjoint runs, so each is within eps of
+/// the page and not of the other. Over a range of salts the three strings
+/// land in three different partitions at 3 and at 4 partitions; there the
+/// page is noise in its own partition and only the reduce can adopt it.
+#[test]
+fn noise_near_two_merged_prototypes_joins_the_first() {
+    let eps = 0.10;
+    let within =
+        |x: &[u8], y: &[u8]| normalized_edit_distance_bounded(x, y, eps).is_some_and(|d| d <= eps);
+    // Partition counts at which the page was adopted, one entry per salt.
+    let mut adopted_at: Vec<usize> = Vec::new();
+    for salt in 0..64u64 {
+        let mut state = salt;
+        let page: Vec<u8> = (0..100)
+            .map(|_| {
+                state = state
+                    .wrapping_mul(6_364_136_223_846_793_005)
+                    .wrapping_add(1_442_695_040_888_963_407);
+                ((state >> 33) % 6) as u8
+            })
+            .collect();
+        let substituted = |from: usize| {
+            let mut s = page.clone();
+            for sym in &mut s[from..from + 8] {
+                *sym = (*sym + 3) % 6;
+            }
+            s
+        };
+        let (a, b) = (substituted(10), substituted(60));
+        if !within(&a, &page) || !within(&b, &page) || within(&a, &b) {
+            continue;
+        }
+        let day = vec![a.clone(), b.clone(), a.clone(), b.clone(), page.clone()];
+        let keys: Vec<u64> = [&a, &b, &page]
+            .iter()
+            .map(|s| kizzle_cluster::partition_key(s))
+            .collect();
+        for partitions in 2..=4 {
+            let cfg = DistributedConfig::new(partitions, DbscanParams::new(eps, 2));
+            let (sealed, _) = common::cluster(cfg, &day);
+            assert_eq!(
+                sealed,
+                common::cluster_seed(&cfg, &day),
+                "salt {salt}, {partitions} partitions"
+            );
+            let apart = common::partition_by_key(&keys, partitions)
+                .iter()
+                .all(|part| part.len() <= 1);
+            if apart {
+                assert_eq!(sealed.cluster_count(), 2, "salt {salt}");
+                assert!(sealed.clusters[0].members.contains(&4), "salt {salt}");
+                adopted_at.push(partitions);
+            }
+        }
+    }
+    assert!(
+        adopted_at.contains(&3) && adopted_at.contains(&4),
+        "adoptions at partition counts {adopted_at:?}"
+    );
+}
+
 #[test]
 fn bounded_distance_matches_scalar_oracle_at_block_and_budget_boundaries() {
     // Lengths on both sides of the kernel's 64-symbol blocks and at the

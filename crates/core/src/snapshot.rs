@@ -688,7 +688,8 @@ mod tests {
         let d2 = SimDate::new(2014, 8, 6);
         let reference =
             ReferenceCorpus::seeded_from_models(SimDate::new(2014, 8, 1), &KizzleConfig::fast());
-        for version in [1u32, 3] {
+        // The layout before the current one, and a future one.
+        for version in [FORMAT_VERSION - 1, FORMAT_VERSION + 1] {
             let dir = state_dir(&format!("version-gate-{version}"));
             let mut service = fresh_service();
             service.process_day(d1, test_day(d1, 3)).expect("day 1");
@@ -736,6 +737,12 @@ mod tests {
             // fresh one stays on the empty set at epoch 0, the serving one
             // re-opens (the manifest moved) and stays on the epoch it had
             // — each with the condition in its notes.
+            // Each refusal also counts in METRICS. Telemetry is switched on
+            // process-wide for the loop and the counter only grows, so other
+            // tests running meanwhile can add to it but never hide a rise.
+            kizzle_telemetry::set_enabled(true);
+            let failures = kizzle_telemetry::counter("kizzle_chain_poll_failures_total");
+            let failed_before = failures.value();
             let fresh_follower = Arc::new(ChainFollower::new(&dir));
             for follower in [&fresh_follower, &serving] {
                 let handle = follower.follow(std::time::Duration::from_millis(1));
@@ -749,6 +756,11 @@ mod tests {
                     follower.notes()
                 );
             }
+            kizzle_telemetry::set_enabled(false);
+            assert!(
+                failures.value() >= failed_before + 2,
+                "one counted failure per follower at least"
+            );
             assert_eq!(fresh_follower.current().0, 0);
             assert!(fresh_follower.current().1.is_empty());
             assert_eq!(serving.current().0, served.0);

@@ -281,7 +281,20 @@ impl ChainFollower {
     /// not-found before the compiler's first save — the caller's signal
     /// to keep waiting) or the signature section of an opened chain is
     /// damaged. The previously decoded set stays published either way.
+    /// Every error but not-found counts in
+    /// `kizzle_chain_poll_failures_total`.
     pub fn poll(&self) -> Result<bool, KizzleError> {
+        let polled = self.refresh();
+        if let Err(err) = &polled {
+            if kizzle_telemetry::enabled() && !still_waiting(err) {
+                kizzle_telemetry::counter("kizzle_chain_poll_failures_total").incr();
+            }
+        }
+        polled
+    }
+
+    /// [`ChainFollower::poll`] without the failure count.
+    fn refresh(&self) -> Result<bool, KizzleError> {
         let mut state = self.state.lock().expect("chain follower poll lock");
         let loaded = self.epoch_hint.load(Ordering::Acquire) > 0;
 
@@ -446,6 +459,14 @@ impl ChainFollower {
     }
 }
 
+/// A poll error that only means the compiler has not saved yet.
+fn still_waiting(err: &KizzleError) -> bool {
+    matches!(
+        err,
+        KizzleError::Snapshot(SnapshotError::Io(io)) if io.kind() == io::ErrorKind::NotFound
+    )
+}
+
 /// The follow thread: poll, then wait for a wake or the read timeout.
 /// Returns once the handle's flag is up, or with the error that broke the
 /// wait.
@@ -453,12 +474,7 @@ fn follow_loop(follower: &ChainFollower, wake: &UnixDatagram, stop: &AtomicBool)
     let mut byte = [0u8; 1];
     loop {
         if let Err(err) = follower.poll() {
-            let waiting = matches!(
-                &err,
-                KizzleError::Snapshot(SnapshotError::Io(io))
-                    if io.kind() == io::ErrorKind::NotFound
-            );
-            if !waiting {
+            if !still_waiting(&err) {
                 follower.push_note(format!("chain poll failed: {err}"));
             }
         }

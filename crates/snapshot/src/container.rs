@@ -47,7 +47,11 @@ pub const MAGIC: [u8; 8] = *b"KIZSNAP1";
 /// its payload encodings were not, so the header version is the only
 /// thing that tells them apart: a file stamped with any other version is
 /// refused with [`SnapshotError::VersionSkew`] before a section is parsed.
-pub const FORMAT_VERSION: u32 = 2;
+///
+/// Version 3: the neighbor-index section no longer carries the index's
+/// symbol alphabet (its histograms use fixed buckets). No reader for
+/// version 2 is kept; such a chain is refused like any other version.
+pub const FORMAT_VERSION: u32 = 3;
 
 /// Accumulates named sections and serializes them into one container.
 #[derive(Debug, Default)]
