@@ -7,6 +7,11 @@
 //! hundred signatures, so these arms are the only measurement of the trie
 //! and the gate at 500–50k.
 //!
+//! `hit_after_payload` is a kit-shaped hit: a packed payload before the
+//! decoder window the kit signature matches. Stage 2 profiles only the
+//! candidate windows; a scan that profiled the page from its first token
+//! again would read over twice this arm's ceiling.
+//!
 //! The `raw_miss_*` arms run the same four benign pages as raw documents
 //! through `scan_document_index`, where the anchor gate answers them
 //! without lexing; `lex_benign_pages` lexes those pages alone, the cost
@@ -108,7 +113,79 @@ fn bench_scan(c: &mut Criterion) {
     group.bench_function(BenchmarkId::new("hit_500_sigs", "anchored"), |b| {
         b.iter(|| black_box(set.scan_stream(&hit_stream).is_some()))
     });
+
+    // A kit-shaped hit: the 500 signatures plus one kit signature, and a
+    // page whose packed payload precedes the window that signature
+    // matches.
+    let (kit_signature, kit_stream) = kit_page();
+    let mut kit_set = signature_set(500);
+    kit_set.add("Kit", kit_signature);
+    assert_eq!(
+        kit_set.scan_stream(&kit_stream).map(|s| s.label.as_str()),
+        Some("Kit"),
+        "the kit page must match the kit signature"
+    );
+    group.bench_function("hit_after_payload", |b| {
+        b.iter(|| black_box(kit_set.scan_stream(&kit_stream).is_some()))
+    });
     group.finish();
+}
+
+/// The identifiers a kit renames per page, each a `Class` element of the
+/// kit signature.
+const KIT_IDENTIFIERS: [&str; 9] = ["dx", "sv", "kq", "ov", "ix", "cz", "kk", "rn", "pl"];
+
+/// A kit-shaped page and the signature of its decoder. The page is a
+/// packed payload — 512 string chunks of 16 bytes concatenated, then one
+/// 24 KB string literal — followed by a ~120-token decoder that carries a
+/// 1 KB key literal, as the corpus kits' pages are laid out. The
+/// signature has one element per decoder token: the renamed identifiers
+/// are `Class` elements, every other token a literal (the key, the
+/// longest, is the anchor). Stage 2 should pay for the decoder window;
+/// profiling the page from its first token pays for the payload too.
+fn kit_page() -> (Signature, kizzle_js::TokenStream) {
+    let text = |len: usize, seed: usize| -> String {
+        const ALPHABET: &[u8] = b"0123456789abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ";
+        (0..len)
+            .map(|i| char::from(ALPHABET[(i * 7 + seed * 13 + i * i / 3) % ALPHABET.len()]))
+            .collect()
+    };
+    let chunks: Vec<String> = (0..512).map(|i| format!("\"{}\"", text(16, i))).collect();
+    let [f, s, k, o, i, c, key, run, payload] = KIT_IDENTIFIERS;
+    let decoder = format!(
+        r#"function {f}({s}, {k}) {{ var {o} = ""; for (var {i} = 0; {i} < {s}.length; {i} += 2) {{ var {c} = parseInt({s}.substr({i}, 2), 16); {o} += String.fromCharCode({c} ^ {k}.charCodeAt({i} % {k}.length)); }} {o} = {o}.split("").reverse().join(""); return {o}; }} var {key} = "{key_text}"; var {run} = window["ev" + "al"]; {run}({f}({payload}, {key}));"#,
+        key_text = text(1024, 7),
+    );
+    let page = format!(
+        r#"<script>var {payload} = {} + "{}"; {decoder}</script>"#,
+        chunks.join(" + "),
+        text(24 * 1024, 3),
+    );
+    let window = kizzle_js::tokenize(&decoder);
+    let elements: Vec<Element> = window
+        .tokens()
+        .into_iter()
+        .map(|token| {
+            if KIT_IDENTIFIERS.contains(&token.text) {
+                Element::Class {
+                    class: CharClass::AlphaNum,
+                    min_len: 1,
+                    max_len: 8,
+                }
+            } else {
+                Element::Literal(token.unquoted().to_string())
+            }
+        })
+        .collect();
+    assert!(
+        (100..=140).contains(&elements.len()),
+        "a ~120-element window, not {}",
+        elements.len()
+    );
+    (
+        Signature::new("KIT.decoder", elements, 4),
+        kizzle_js::tokenize_document(&page),
+    )
 }
 
 /// The scale arms: the same scan at 10× and 100× the signature

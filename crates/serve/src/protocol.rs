@@ -33,6 +33,7 @@
 use kizzle::ScanVerdict;
 use kizzle_corpus::KitFamily;
 use std::io::{self, BufRead, Read, Write};
+use std::time::{Duration, Instant};
 
 /// Scan a document (body: the document bytes).
 pub const OP_SCAN: u8 = 1;
@@ -77,10 +78,11 @@ pub enum FrameRead {
     Idle,
 }
 
-/// How many consecutive mid-frame read timeouts are tolerated before the
-/// connection is declared dead. With the serve daemon's 100 ms read
-/// timeout this bounds a stalled half-frame at about a minute.
-const MAX_STALL_RETRIES: u32 = 600;
+/// How long a frame may take to arrive, from the first time a read finds
+/// it incomplete: a peer that stalls mid-frame, or trickles it a byte at
+/// a time, loses the connection after this long instead of holding a
+/// worker for as long as it likes.
+pub const FRAME_DEADLINE: Duration = Duration::from_secs(60);
 
 fn is_retry(kind: io::ErrorKind) -> bool {
     matches!(
@@ -89,10 +91,37 @@ fn is_retry(kind: io::ErrorKind) -> bool {
     )
 }
 
-/// `read_exact` that rides out read timeouts (boundedly): once a frame
-/// has begun, a timeout must not tear the stream's framing.
-fn read_exact_persistent(reader: &mut impl Read, mut buf: &mut [u8]) -> io::Result<()> {
-    let mut stalls = 0;
+/// The [`FRAME_DEADLINE`] of one frame. The clock is read only when a
+/// read comes back short or times out, so a frame that arrives whole
+/// costs no clock read.
+struct FrameDeadline<C> {
+    now: C,
+    first_short_read: Option<Instant>,
+}
+
+impl<C: FnMut() -> Instant> FrameDeadline<C> {
+    /// Called after a short or timed-out read: fails once the frame has
+    /// been incomplete for longer than [`FRAME_DEADLINE`].
+    fn check(&mut self) -> io::Result<()> {
+        let now = (self.now)();
+        let since = *self.first_short_read.get_or_insert(now);
+        if now.saturating_duration_since(since) > FRAME_DEADLINE {
+            return Err(io::Error::new(
+                io::ErrorKind::TimedOut,
+                "peer took longer than the frame deadline to send a frame",
+            ));
+        }
+        Ok(())
+    }
+}
+
+/// `read_exact` that rides out read timeouts until the frame's deadline:
+/// once a frame has begun, a timeout must not tear the stream's framing.
+fn read_exact_persistent<C: FnMut() -> Instant>(
+    reader: &mut impl Read,
+    mut buf: &mut [u8],
+    deadline: &mut FrameDeadline<C>,
+) -> io::Result<()> {
     while !buf.is_empty() {
         match reader.read(buf) {
             Ok(0) => {
@@ -101,19 +130,12 @@ fn read_exact_persistent(reader: &mut impl Read, mut buf: &mut [u8]) -> io::Resu
                     "connection closed mid-frame",
                 ))
             }
+            Ok(n) if n == buf.len() => return Ok(()),
             Ok(n) => {
-                stalls = 0;
                 buf = &mut buf[n..];
+                deadline.check()?;
             }
-            Err(err) if is_retry(err.kind()) => {
-                stalls += 1;
-                if stalls > MAX_STALL_RETRIES {
-                    return Err(io::Error::new(
-                        io::ErrorKind::TimedOut,
-                        "peer stalled mid-frame",
-                    ));
-                }
-            }
+            Err(err) if is_retry(err.kind()) => deadline.check()?,
             Err(err) => return Err(err),
         }
     }
@@ -126,8 +148,19 @@ fn read_exact_persistent(reader: &mut impl Read, mut buf: &mut [u8]) -> io::Resu
 /// complete frame, a clean close between frames, and a read timeout
 /// before any byte of a new frame (so a blocking worker can notice a
 /// shutdown flag). A timeout *inside* a frame is ridden out — framing is
-/// never torn by timing.
+/// never torn by timing — until the frame has been incomplete for
+/// [`FRAME_DEADLINE`], which fails the read with
+/// [`io::ErrorKind::TimedOut`].
 pub fn read_frame(reader: &mut impl BufRead, buf: &mut Vec<u8>) -> io::Result<FrameRead> {
+    read_frame_by(reader, buf, Instant::now)
+}
+
+/// [`read_frame`] with the clock its deadline reads.
+fn read_frame_by(
+    reader: &mut impl BufRead,
+    buf: &mut Vec<u8>,
+    now: impl FnMut() -> Instant,
+) -> io::Result<FrameRead> {
     // Wait for the first byte of the header without consuming it.
     match reader.fill_buf() {
         Ok([]) => return Ok(FrameRead::Closed),
@@ -135,8 +168,12 @@ pub fn read_frame(reader: &mut impl BufRead, buf: &mut Vec<u8>) -> io::Result<Fr
         Err(err) if is_retry(err.kind()) => return Ok(FrameRead::Idle),
         Err(err) => return Err(err),
     }
+    let mut deadline = FrameDeadline {
+        now,
+        first_short_read: None,
+    };
     let mut header = [0u8; 4];
-    read_exact_persistent(reader, &mut header)?;
+    read_exact_persistent(reader, &mut header, &mut deadline)?;
     let len = u32::from_le_bytes(header) as usize;
     if len > MAX_FRAME {
         return Err(io::Error::new(
@@ -145,7 +182,7 @@ pub fn read_frame(reader: &mut impl BufRead, buf: &mut Vec<u8>) -> io::Result<Fr
         ));
     }
     buf.resize(len, 0);
-    read_exact_persistent(reader, buf)?;
+    read_exact_persistent(reader, buf, &mut deadline)?;
     Ok(FrameRead::Frame)
 }
 
@@ -203,7 +240,9 @@ pub fn decode_scan_reply(body: &[u8]) -> io::Result<ScanVerdict> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::cell::Cell;
     use std::io::BufReader;
+    use std::rc::Rc;
 
     #[test]
     fn frames_roundtrip() {
@@ -226,6 +265,135 @@ mod tests {
         assert_eq!(
             read_frame(&mut reader, &mut buf).expect("read"),
             FrameRead::Closed
+        );
+    }
+
+    /// One event of a [`Scripted`] peer: bytes arriving, or a read timing
+    /// out, each after the wall-clock time it takes.
+    enum Step {
+        Bytes(Vec<u8>, Duration),
+        Timeout(Duration),
+    }
+
+    /// A peer that plays a script of [`Step`]s and keeps the clock the
+    /// deadline reads: each step advances it, and every read counts.
+    struct Scripted {
+        steps: std::collections::VecDeque<Step>,
+        elapsed: Rc<Cell<Duration>>,
+    }
+
+    impl Read for Scripted {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            match self.steps.pop_front() {
+                None => Ok(0),
+                Some(Step::Timeout(took)) => {
+                    self.elapsed.set(self.elapsed.get() + took);
+                    Err(io::ErrorKind::WouldBlock.into())
+                }
+                Some(Step::Bytes(mut bytes, took)) => {
+                    self.elapsed.set(self.elapsed.get() + took);
+                    let n = bytes.len().min(buf.len());
+                    buf[..n].copy_from_slice(&bytes[..n]);
+                    if n < bytes.len() {
+                        // The rest is already there: no further wait.
+                        self.steps
+                            .push_front(Step::Bytes(bytes.split_off(n), Duration::ZERO));
+                    }
+                    Ok(n)
+                }
+            }
+        }
+    }
+
+    /// Read one frame from `steps` with the script's clock; returns the
+    /// outcome, the steps left unplayed and how often the clock was read.
+    fn play(steps: Vec<Step>) -> (io::Result<FrameRead>, Vec<u8>, usize, usize) {
+        let elapsed = Rc::new(Cell::new(Duration::ZERO));
+        let clock_reads = Rc::new(Cell::new(0));
+        let start = Instant::now();
+        let mut reader = BufReader::new(Scripted {
+            steps: steps.into(),
+            elapsed: Rc::clone(&elapsed),
+        });
+        let mut buf = Vec::new();
+        let result = read_frame_by(&mut reader, &mut buf, || {
+            clock_reads.set(clock_reads.get() + 1);
+            start + elapsed.get()
+        });
+        let left = reader.into_inner().steps.len();
+        (result, buf, left, clock_reads.get())
+    }
+
+    /// A frame of `len` payload bytes, as a header and a payload.
+    fn frame(len: usize) -> (Vec<u8>, Vec<u8>) {
+        let header = u32::try_from(len).unwrap().to_le_bytes().to_vec();
+        (header, (0..len).map(|i| i as u8).collect())
+    }
+
+    const TRICKLE: Duration = Duration::from_millis(99);
+
+    #[test]
+    fn a_frame_that_arrives_whole_reads_no_clock() {
+        let (header, payload) = frame(1000);
+        let whole = [header.clone(), payload.clone()].concat();
+        let (result, buf, _, clock_reads) = play(vec![Step::Bytes(whole, TRICKLE)]);
+        assert_eq!(result.expect("read"), FrameRead::Frame);
+        assert_eq!(buf, payload);
+        assert_eq!(clock_reads, 0);
+    }
+
+    #[test]
+    fn a_slow_frame_inside_the_deadline_is_read() {
+        // 500 bytes a trickle apart: 49.5 s, with timeouts in between.
+        let (header, payload) = frame(500);
+        let mut steps = vec![Step::Bytes(header, Duration::ZERO)];
+        for &byte in &payload {
+            steps.push(Step::Timeout(Duration::ZERO));
+            steps.push(Step::Bytes(vec![byte], TRICKLE));
+        }
+        let (result, buf, left, clock_reads) = play(steps);
+        assert_eq!(result.expect("read"), FrameRead::Frame);
+        assert_eq!(buf, payload);
+        assert_eq!(left, 0);
+        assert!(clock_reads > 0);
+    }
+
+    #[test]
+    fn a_trickled_frame_is_cut_at_the_deadline() {
+        // One byte every 99 ms never stalls a read for long, but the
+        // 2,000-byte frame would take 198 s.
+        let (header, payload) = frame(2000);
+        let mut steps = vec![Step::Bytes(header, Duration::ZERO)];
+        steps.extend(payload.iter().map(|&byte| Step::Bytes(vec![byte], TRICKLE)));
+        let (result, _, left, _) = play(steps);
+        let err = result.expect_err("trickle outlasts the deadline");
+        assert_eq!(err.kind(), io::ErrorKind::TimedOut);
+        // Cut after just over 60 s of bytes, not after the whole frame.
+        let played = 2000 - left;
+        let deadline_steps = (FRAME_DEADLINE.as_millis() / TRICKLE.as_millis()) as usize;
+        assert!(
+            (deadline_steps..=deadline_steps + 2).contains(&played),
+            "cut after {played} bytes"
+        );
+    }
+
+    #[test]
+    fn a_stalled_frame_is_cut_at_the_deadline() {
+        // The header in two halves, then nothing but timeouts.
+        let (header, _) = frame(10);
+        let mut steps = vec![
+            Step::Bytes(header[..2].to_vec(), Duration::ZERO),
+            Step::Bytes(header[2..].to_vec(), Duration::from_secs(30)),
+        ];
+        steps.extend((0..1000).map(|_| Step::Timeout(Duration::from_millis(100))));
+        let (result, _, left, _) = play(steps);
+        let err = result.expect_err("stall outlasts the deadline");
+        assert_eq!(err.kind(), io::ErrorKind::TimedOut);
+        // 30 s went to the header; the payload stall is cut 30 s later.
+        let timeouts = 1000 - left;
+        assert!(
+            (300..=302).contains(&timeouts),
+            "cut after {timeouts} timeouts"
         );
     }
 

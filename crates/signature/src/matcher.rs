@@ -31,8 +31,11 @@
 //!    checks over cheap per-token profiles (length, class-acceptance
 //!    mask, literal fingerprint), with a window-level class-histogram
 //!    bound in front when many signatures fan out behind one shared
-//!    literal. The profiles are built lazily, so a document that never
-//!    hits an anchor pays stage 1 only.
+//!    literal. Only the candidate windows are profiled, so a document
+//!    that never hits an anchor pays stage 1 only, and a hit pays for its
+//!    windows, not for the page before them. A token longer than 16
+//!    bytes is profiled by its fingerprint alone unless a `Class` element
+//!    lands on it.
 //! 3. **Verification**: `Class` elements are already decided exactly by
 //!    stage 2; only `Literal` elements need their text confirmed (the
 //!    profile compares a 32-bit fingerprint of at most 16 of the token's
@@ -298,7 +301,7 @@ struct ScanScratch {
 /// scans mean nothing.
 #[derive(Default)]
 struct MatchScratch {
-    /// Stage 2's token profiles, filled lazily from the first anchor hit.
+    /// Stage 2's token profiles over the candidate windows.
     profile: StreamProfile,
     /// Candidates surviving the cheap gates, gathered per anchor hit
     /// and evaluated lane-parallel.
@@ -483,110 +486,26 @@ impl ScanPipeline {
         tel: bool,
         counts: &mut scan_metrics::ScanCounts,
     ) -> Option<usize> {
-        let MatchScratch { profile, eligible } = scratch;
         let mut best: Option<usize> = None;
-        // Stage 2's profiles are filled from the first anchor hit on, so
-        // anchor-free documents never pay for them.
-        profile.reset();
-        'tokens: for (position, unquoted) in tokens.unquoted_bytes().enumerate() {
+        // Stage 2 profiles the candidate windows only, so anchor-free
+        // documents never pay for a profile.
+        scratch.profile.reset();
+        for (position, unquoted) in tokens.unquoted_bytes().enumerate() {
             let Some(pattern) = self.automaton.match_token(unquoted) else {
                 continue;
             };
             if tel {
                 counts.anchor_hits += 1;
             }
-            // Gather pass: bounds, best-index pruning and the histogram
-            // pre-gate stay scalar (they are O(1) each); survivors queue
-            // for the batched window check.
-            eligible.clear();
-            for &(index, offset) in &self.buckets[pattern as usize] {
-                let index = index as usize;
-                // Buckets ascend by signature index: nothing after this
-                // candidate can beat the running best.
-                if best.is_some_and(|b| index >= b) {
-                    break;
-                }
-                let Some(start) = position.checked_sub(offset as usize) else {
-                    continue;
-                };
-                let filter = &self.filters[index];
-                let n = filter.len();
-                if start + n > tokens.len() {
-                    continue;
-                }
-                profile.ensure(tokens, start + n);
-                if n >= HIST_GATE_MIN_SIG_LEN && filter.hist_rejects(profile, start) {
-                    debug_assert!(!window_matches(
-                        &signatures[index].signature,
-                        tokens,
-                        position,
-                        offset as usize
-                    ));
-                    if tel {
-                        counts.prefilter_rejected += 1;
-                    }
-                    continue;
-                }
-                if tel {
-                    counts.prefilter_checked += 1;
-                }
-                eligible.push((index, start));
-            }
-            // Batched window check: up to 8 candidate windows per group
-            // evaluated lane-parallel over the shared profile, then the
-            // survivors confirmed in ascending signature index order —
-            // the first confirmation is the bucket's best (buckets
-            // ascend), so the rest of the hit is pruned.
-            for group in eligible.chunks(8) {
-                let mut lanes = [(&self.filters[group[0].0], group[0].1); 8];
-                for (lane, &(index, start)) in group.iter().enumerate() {
-                    lanes[lane] = (&self.filters[index], start);
-                }
-                let mask = windows_pass_batch(profile, &lanes[..group.len()]);
-                for (lane, &(index, start)) in group.iter().enumerate() {
-                    let passed = mask >> lane & 1 == 1;
-                    debug_assert_eq!(
-                        passed,
-                        self.filters[index]
-                            .window_passes(profile.window(start, self.filters[index].len())),
-                        "batch lane diverged from the scalar oracle"
-                    );
-                    if !passed {
-                        debug_assert!(!window_matches(
-                            &signatures[index].signature,
-                            tokens,
-                            position,
-                            position - start
-                        ));
-                        if tel {
-                            counts.prefilter_rejected += 1;
-                        }
-                        continue;
-                    }
-                    // Stage 3: classes are already exact; confirm literal
-                    // text (the profile only compared a fingerprint).
-                    if !confirm_literals(&signatures[index].signature, tokens, start) {
-                        if tel {
-                            counts.verify_rejected += 1;
-                        }
-                        continue;
-                    }
-                    if tel {
-                        counts.verify_confirmed += 1;
-                    }
-                    debug_assert!(window_matches(
-                        &signatures[index].signature,
-                        tokens,
-                        position,
-                        position - start
-                    ));
-                    best = Some(index);
-                    if index == 0 {
-                        // Signature 0 is first in insertion order; nothing
-                        // can beat it, so stop scanning.
-                        return Some(0);
-                    }
-                    continue 'tokens;
+            let hit = self.check_hit(
+                signatures, tokens, scratch, pattern, position, best, tel, counts,
+            );
+            if let Some(index) = hit {
+                best = hit;
+                if index == 0 {
+                    // Signature 0 is first in insertion order; nothing
+                    // can beat it, so stop scanning.
+                    return best;
                 }
             }
         }
@@ -605,6 +524,116 @@ impl ScanPipeline {
             }
         }
         best
+    }
+
+    /// Stages 2 and 3 for one anchor hit: the first signature, in
+    /// insertion order and below `best`, whose window around `position`
+    /// matches. Kept out of line so that the token loop around the anchor
+    /// trie holds its state in registers on the miss path.
+    #[inline(never)]
+    #[allow(clippy::too_many_arguments)]
+    fn check_hit(
+        &self,
+        signatures: &[LabeledSignature],
+        tokens: Tokens<'_>,
+        scratch: &mut MatchScratch,
+        pattern: u32,
+        position: usize,
+        best: Option<usize>,
+        tel: bool,
+        counts: &mut scan_metrics::ScanCounts,
+    ) -> Option<usize> {
+        let MatchScratch { profile, eligible } = scratch;
+        // Gather pass: bounds, best-index pruning and the histogram
+        // pre-gate stay scalar (they are O(1) each); survivors queue
+        // for the batched window check.
+        eligible.clear();
+        for &(index, offset) in &self.buckets[pattern as usize] {
+            let index = index as usize;
+            // Buckets ascend by signature index: nothing after this
+            // candidate can beat the running best.
+            if best.is_some_and(|b| index >= b) {
+                break;
+            }
+            let Some(start) = position.checked_sub(offset as usize) else {
+                continue;
+            };
+            let filter = &self.filters[index];
+            let n = filter.len();
+            if start + n > tokens.len() {
+                continue;
+            }
+            profile.ensure(tokens, start, start + n);
+            if n >= HIST_GATE_MIN_SIG_LEN && filter.hist_rejects(profile, start) {
+                debug_assert!(!window_matches(
+                    &signatures[index].signature,
+                    tokens,
+                    position,
+                    offset as usize
+                ));
+                if tel {
+                    counts.prefilter_rejected += 1;
+                }
+                continue;
+            }
+            if tel {
+                counts.prefilter_checked += 1;
+            }
+            profile.resolve(tokens, filter, start);
+            eligible.push((index, start));
+        }
+        // Batched window check: up to 8 candidate windows per group
+        // evaluated lane-parallel over the shared profile, then the
+        // survivors confirmed in ascending signature index order —
+        // the first confirmation is the bucket's best (buckets
+        // ascend), so the rest of the hit is pruned.
+        for group in eligible.chunks(8) {
+            let mut lanes = [(&self.filters[group[0].0], group[0].1); 8];
+            for (lane, &(index, start)) in group.iter().enumerate() {
+                lanes[lane] = (&self.filters[index], start);
+            }
+            let mask = windows_pass_batch(profile, &lanes[..group.len()]);
+            for (lane, &(index, start)) in group.iter().enumerate() {
+                let passed = mask >> lane & 1 == 1;
+                debug_assert_eq!(
+                    passed,
+                    self.filters[index]
+                        .window_passes(profile.window(start, self.filters[index].len())),
+                    "batch lane diverged from the scalar oracle"
+                );
+                if !passed {
+                    debug_assert!(!window_matches(
+                        &signatures[index].signature,
+                        tokens,
+                        position,
+                        position - start
+                    ));
+                    if tel {
+                        counts.prefilter_rejected += 1;
+                    }
+                    continue;
+                }
+                // Stage 3: classes are already exact; confirm literal
+                // text (the profile only compared a fingerprint).
+                if !confirm_literals(&signatures[index].signature, tokens, start) {
+                    if tel {
+                        counts.verify_rejected += 1;
+                    }
+                    continue;
+                }
+                if tel {
+                    counts.verify_confirmed += 1;
+                }
+                debug_assert!(window_matches(
+                    &signatures[index].signature,
+                    tokens,
+                    position,
+                    position - start
+                ));
+                return Some(index);
+            }
+        }
+        None
     }
 }
 

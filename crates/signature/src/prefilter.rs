@@ -21,22 +21,31 @@
 //!    fixed-width compare per element against the token profile at its
 //!    offset. For `Class` elements the check is **exact** (length range +
 //!    acceptability bit reproduce `Element::matches_token` precisely);
-//!    for `Literal` elements it compares the length and a 32-bit
-//!    [`fingerprint32`] that reads at most 16 bytes of the token, so a
-//!    pass still needs stage 3's literal text confirmation (fingerprint
-//!    collisions) but a fail is final.
+//!    for `Literal` elements it compares a 32-bit [`fingerprint32`] that
+//!    reads at most 16 bytes of the token (and holds the byte length of a
+//!    longer one) plus, for a literal of at most 16 bytes, the character
+//!    count. A pass still needs stage 3's literal text confirmation
+//!    (fingerprint collisions) but a fail is final.
 //!
-//! Profiles are built **lazily**: a document whose tokens never hit the
-//! automaton pays nothing here, keeping the miss path at stage-1 cost.
-//! Building one ([`profile_bytes`]) is a single branch-free pass over the
-//! token's bytes, folded 32 bytes at a time, plus the fingerprint's
-//! constant-size read — a hit's payload chunks cost their bytes once, not
-//! a `char` decode and a serial hash each.
+//! Profiles cover only the candidate windows ([`StreamProfile`]): a
+//! document whose tokens never hit the automaton pays nothing here,
+//! keeping the miss path at stage-1 cost, and a hit pays for the tokens
+//! around its anchor, not for the page before them. A token of at most 16
+//! bytes is profiled by [`profile_bytes`], a single branch-free pass over
+//! its bytes plus the fingerprint's constant-size read. A longer token —
+//! a string literal, a payload chunk — is first recorded by its
+//! fingerprint alone, with every class bit set, which is all a `Literal`
+//! check needs and leaves the histogram sound. The byte pass runs on it
+//! only when a `Class` element of a candidate window lands on it
+//! ([`StreamProfile::resolve`]), so the element check stays exact.
 
 use crate::pattern::{CharClass, Element, Signature};
 use kizzle_js::Tokens;
 
-/// Per-token summary the branch-free checks compare against.
+/// Per-token summary the branch-free checks compare against. A stream
+/// profile may also hold a long token's summary without its byte pass:
+/// its byte count in `chars` and every bit in `mask` (see
+/// [`StreamProfile`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct TokenProfile {
     /// Character (not byte) count of the token's unquoted text.
@@ -228,21 +237,68 @@ pub fn profile_bytes(bytes: &[u8]) -> TokenProfile {
     }
 }
 
-/// Lazily grown per-stream profile table with per-class prefix sums.
+/// Every class bit: the mask of a token recorded without its byte pass.
+const ALL_CLASSES: u8 = 0xFF;
+
+/// What stage 2 records for one token's unquoted bytes. A token of at most
+/// [`FINGERPRINT_WHOLE_LEN`] bytes gets its exact [`profile_bytes`]; a
+/// longer one gets no byte pass: its [`fingerprint32`] (which holds its
+/// byte length), its byte count for `chars` and every class in `mask`.
+/// That is all a `Literal` check reads of a long token, and the histogram
+/// gate can only reject less; [`StreamProfile::resolve`] runs the byte
+/// pass on the long tokens a `Class` element lands on.
+#[inline]
+fn profile_token(bytes: &[u8]) -> TokenProfile {
+    if bytes.len() <= FINGERPRINT_WHOLE_LEN {
+        return profile_bytes(bytes);
+    }
+    TokenProfile {
+        chars: u32::try_from(bytes.len()).unwrap_or(u32::MAX),
+        fingerprint: fingerprint32(bytes),
+        mask: ALL_CLASSES,
+    }
+}
+
+/// Was `profile` recorded without its byte pass? Every byte falls in a
+/// category that some class rejects, so a byte pass yields the all-classes
+/// mask only for the empty token.
+#[inline]
+fn is_unprofiled(profile: &TokenProfile) -> bool {
+    profile.mask == ALL_CLASSES && profile.chars != 0
+}
+
+/// Stage 2's token profiles over a scan's candidate windows, with
+/// per-class prefix sums.
 ///
-/// Construction cost is strictly proportional to the **profiled prefix**:
-/// [`StreamProfile::ensure`] extends coverage monotonically as the scan
-/// advances, so a document whose first anchor hit is at token `k` only
-/// ever profiles `k + window` tokens — and a document with no anchor hits
-/// never touches one of these at all. A profile is reusable:
-/// [`StreamProfile::reset`] empties it and keeps its buffers, which is how
-/// the matcher's per-thread scratch scans without allocating.
+/// Coverage is one contiguous token range that grows to hold each window
+/// [`StreamProfile::ensure`] is asked for: rightwards as the scan advances,
+/// leftwards when a later anchor hit's window starts before it. A hit
+/// pays for the tokens around its anchor, not for every token before it,
+/// and a document with no anchor hit never touches a profile. Tokens are
+/// recorded by [`profile_token`]: long ones without their byte pass until
+/// a `Class` element needs it ([`StreamProfile::resolve`]).
+///
+/// The prefix sums are only ever subtracted from each other, so they may
+/// start anywhere: growing leftwards writes rows below the first one
+/// (wrapping) and leaves the others alone. Room to grow leftwards is kept
+/// in front of the covered profiles and made at least as large as the
+/// coverage whenever it runs out, so moving the profiles costs amortized
+/// `O(1)` per token. A profile is reusable: [`StreamProfile::reset`]
+/// empties it and keeps its buffers, which is how the matcher's per-thread
+/// scratch scans without allocating.
 #[derive(Debug)]
 pub struct StreamProfile {
+    /// Token index of the first covered token.
+    base: usize,
+    /// Slot of the first covered token in `profiles` and `prefix`; the
+    /// slots before it are room to grow leftwards.
+    head: usize,
     profiles: Vec<TokenProfile>,
-    /// `prefix[i][c]` = number of tokens in `[0, i)` whose mask has bit
-    /// `c`; row `i` exists once token `i - 1` is profiled.
+    /// `prefix[head + j][c] - prefix[head + i][c]` (wrapping) is the
+    /// number of tokens in `[base + i, base + j)` whose mask has bit `c`.
     prefix: Vec<[u32; 8]>,
+    /// Covered tokens recorded without their byte pass.
+    unprofiled: usize,
 }
 
 impl Default for StreamProfile {
@@ -257,21 +313,28 @@ impl StreamProfile {
     #[must_use]
     pub fn new() -> Self {
         StreamProfile {
+            base: 0,
+            head: 0,
             profiles: Vec::new(),
             prefix: vec![[0u32; 8]],
+            unprofiled: 0,
         }
     }
 
     /// Forget the profiled stream, keeping the buffers for the next one.
     pub fn reset(&mut self) {
+        self.base = 0;
+        self.head = 0;
         self.profiles.clear();
+        // Rows are only subtracted from each other: any first row will do.
         self.prefix.truncate(1);
+        self.unprofiled = 0;
     }
 
-    /// Number of tokens profiled so far.
+    /// Number of tokens covered.
     #[must_use]
     pub fn covered(&self) -> usize {
-        self.profiles.len()
+        self.profiles.len() - self.head
     }
 
     /// Tokens the buffers can profile without growing.
@@ -280,43 +343,136 @@ impl StreamProfile {
         self.profiles.capacity()
     }
 
-    /// Extend coverage so tokens `[0, upto)` are profiled. `upto` beyond
-    /// the stream length is clamped. Every call between two
-    /// [`StreamProfile::reset`]s must pass the same tokens.
-    pub fn ensure(&mut self, tokens: Tokens<'_>, upto: usize) {
-        let from = self.profiles.len();
-        let upto = upto.min(tokens.len());
-        if upto <= from {
+    /// Slot of covered token `token`.
+    #[inline]
+    fn slot(&self, token: usize) -> usize {
+        self.head + token - self.base
+    }
+
+    /// Extend coverage to hold tokens `[start, end)`, clamped to the
+    /// stream; tokens between it and the current coverage are covered
+    /// too. Every call between two [`StreamProfile::reset`]s must pass the
+    /// same tokens.
+    #[inline]
+    pub fn ensure(&mut self, tokens: Tokens<'_>, start: usize, end: usize) {
+        // Most windows of a hit are already covered by its first one.
+        if start >= self.base && end <= self.base + self.covered() {
             return;
         }
+        self.grow(tokens, start, end);
+    }
+
+    fn grow(&mut self, tokens: Tokens<'_>, start: usize, end: usize) {
+        let end = end.min(tokens.len());
+        if start >= end {
+            return;
+        }
+        if self.covered() == 0 {
+            self.base = start;
+        }
+        self.extend_right(tokens, end);
+        if start < self.base {
+            self.extend_left(tokens, start);
+        }
+    }
+
+    /// Cover up to token `end` (exclusive).
+    fn extend_right(&mut self, tokens: Tokens<'_>, end: usize) {
+        let from = self.base + self.covered();
+        if end <= from {
+            return;
+        }
+        let first = self.profiles.len();
         self.profiles.extend(
             tokens
-                .window(from, upto - from)
+                .window(from, end - from)
                 .unquoted_bytes()
-                .map(profile_bytes),
+                .map(profile_token),
         );
-        let mut row = *self.prefix.last().expect("row 0 exists");
+        let mut row = *self.prefix.last().expect("a row past the last token");
+        let mut unprofiled = 0;
         self.prefix
-            .extend(self.profiles[from..].iter().map(|profile| {
+            .extend(self.profiles[first..].iter().map(|profile| {
+                unprofiled += usize::from(is_unprofiled(profile));
                 for (c, slot) in row.iter_mut().enumerate() {
-                    *slot += u32::from(profile.mask >> c & 1);
+                    *slot = slot.wrapping_add(u32::from(profile.mask >> c & 1));
                 }
                 row
             }));
+        self.unprofiled += unprofiled;
+    }
+
+    /// Cover down to token `start`, below the current base.
+    fn extend_left(&mut self, tokens: Tokens<'_>, start: usize) {
+        let grow = self.base - start;
+        if self.head < grow {
+            let room = grow.max(self.covered());
+            let len = self.profiles.len();
+            self.profiles.resize(len + room, TokenProfile::default());
+            self.profiles.copy_within(self.head..len, self.head + room);
+            let rows = self.prefix.len();
+            self.prefix.resize(rows + room, [0u32; 8]);
+            self.prefix.copy_within(self.head..rows, self.head + room);
+            self.head += room;
+        }
+        let first = self.head - grow;
+        for (slot, bytes) in self.profiles[first..self.head]
+            .iter_mut()
+            .zip(tokens.window(start, grow).unquoted_bytes())
+        {
+            *slot = profile_token(bytes);
+            self.unprofiled += usize::from(is_unprofiled(slot));
+        }
+        // Each new row is the row after it less its token's classes.
+        for i in (first..self.head).rev() {
+            let mask = self.profiles[i].mask;
+            let mut row = self.prefix[i + 1];
+            for (c, slot) in row.iter_mut().enumerate() {
+                *slot = slot.wrapping_sub(u32::from(mask >> c & 1));
+            }
+            self.prefix[i] = row;
+        }
+        self.head = first;
+        self.base = start;
+    }
+
+    /// Run the byte pass on each token of the window at `start` that is
+    /// unprofiled and under one of `filter`'s `Class` elements, so that
+    /// the window check decides every `Class` element exactly. The
+    /// histogram keeps counting such a token in every class. The caller
+    /// must have [`StreamProfile::ensure`]d coverage of the window.
+    #[inline]
+    pub fn resolve(&mut self, tokens: Tokens<'_>, filter: &SigFilter, start: usize) {
+        if self.unprofiled != 0 {
+            self.resolve_window(tokens, filter, start);
+        }
+    }
+
+    fn resolve_window(&mut self, tokens: Tokens<'_>, filter: &SigFilter, start: usize) {
+        let at = self.slot(start);
+        let window = &mut self.profiles[at..at + filter.checks.len()];
+        for (j, (check, profile)) in filter.checks.iter().zip(window).enumerate() {
+            if check.kind == KIND_CLASS && is_unprofiled(profile) {
+                *profile = profile_bytes(tokens.at(start + j).unquoted().as_bytes());
+                self.unprofiled -= 1;
+            }
+        }
     }
 
     /// Profiles of the window `[start, start + len)` — the caller must
     /// have [`StreamProfile::ensure`]d coverage.
     #[must_use]
     pub fn window(&self, start: usize, len: usize) -> &[TokenProfile] {
-        &self.profiles[start..start + len]
+        let at = self.slot(start);
+        &self.profiles[at..at + len]
     }
 
-    /// Count of tokens acceptable to class `c` within `[start, end)`.
+    /// Count of tokens acceptable to class `c` within `[start, end)`, an
+    /// unprofiled token counting for every class.
     #[inline]
     #[must_use]
     pub fn class_count(&self, c: usize, start: usize, end: usize) -> u32 {
-        self.prefix[end][c] - self.prefix[start][c]
+        self.prefix[self.slot(end)][c].wrapping_sub(self.prefix[self.slot(start)][c])
     }
 }
 
@@ -329,9 +485,11 @@ const KIND_CLASS: u8 = 1;
 /// data touched.
 #[derive(Debug)]
 pub struct ElemCheck {
-    /// Minimum unquoted character count.
+    /// Minimum unquoted character count (a literal of more than
+    /// [`FINGERPRINT_WHOLE_LEN`] bytes: 0).
     min: u32,
-    /// Maximum unquoted character count.
+    /// Maximum unquoted character count (a literal of more than
+    /// [`FINGERPRINT_WHOLE_LEN`] bytes: `u32::MAX`).
     max: u32,
     /// For literals: [`fingerprint32`] of the literal bytes. Unused for
     /// classes.
@@ -346,10 +504,21 @@ impl ElemCheck {
     fn of(element: &Element) -> Self {
         match element {
             Element::Literal(text) => {
-                let chars = u32::try_from(text.chars().count()).unwrap_or(u32::MAX);
+                // A long literal's fingerprint holds its byte length, and
+                // a long token may carry its byte count or its character
+                // count (once resolved): only the fingerprint is compared.
+                // A short literal's character count never equals an
+                // unprofiled token's byte count (over 16), and such a
+                // token is longer than the literal anyway.
+                let (min, max) = if text.len() <= FINGERPRINT_WHOLE_LEN {
+                    let chars = u32::try_from(text.chars().count()).unwrap_or(u32::MAX);
+                    (chars, chars)
+                } else {
+                    (0, u32::MAX)
+                };
                 ElemCheck {
-                    min: chars,
-                    max: chars,
+                    min,
+                    max,
                     fingerprint: fingerprint32(text.as_bytes()),
                     class_bit: 0,
                     kind: KIND_LITERAL,
@@ -473,8 +642,9 @@ impl SigFilter {
 /// its end separately. Lanes shorter than the deepest candidate simply
 /// stop contributing once exhausted.
 ///
-/// The caller must have [`StreamProfile::ensure`]d coverage through
-/// `start + filter.len()` for every candidate.
+/// The caller must have [`StreamProfile::ensure`]d coverage of every
+/// candidate's window and [`StreamProfile::resolve`]d it against the
+/// candidate's filter.
 #[must_use]
 pub fn windows_pass_batch(profile: &StreamProfile, candidates: &[(&SigFilter, usize)]) -> u8 {
     assert!(candidates.len() <= 8, "at most 8 lanes per batch");
@@ -482,17 +652,23 @@ pub fn windows_pass_batch(profile: &StreamProfile, candidates: &[(&SigFilter, us
         8 => 0xFF,
         n => (1u8 << n) - 1,
     };
-    let deepest = candidates
+    // Each lane's checks and the slot of its window's first profile.
+    let mut lanes: [(&[ElemCheck], usize); 8] = [(&[], 0); 8];
+    for (lane, &(filter, start)) in lanes.iter_mut().zip(candidates) {
+        *lane = (&filter.checks, profile.slot(start));
+    }
+    let lanes = &lanes[..candidates.len()];
+    let deepest = lanes
         .iter()
-        .map(|(filter, _)| filter.checks.len())
+        .map(|(checks, _)| checks.len())
         .max()
         .unwrap_or(0);
     for j in 0..deepest {
-        for (lane, &(filter, start)) in candidates.iter().enumerate() {
-            let Some(check) = filter.checks.get(j) else {
+        for (lane, &(checks, slot)) in lanes.iter().enumerate() {
+            let Some(check) = checks.get(j) else {
                 continue;
             };
-            let p = profile.profiles[start + j];
+            let p = profile.profiles[slot + j];
             let len_ok = u8::from(p.chars >= check.min) & u8::from(p.chars <= check.max);
             let lit_ok = u8::from(p.fingerprint == check.fingerprint);
             let class_ok = p.mask >> check.class_bit & 1;
@@ -590,11 +766,11 @@ mod tests {
         let stream = tokenize("abc 123 XYZ abc9");
         let mut profile = StreamProfile::new();
         assert_eq!(profile.covered(), 0);
-        profile.ensure(stream.tokens(), 2);
+        profile.ensure(stream.tokens(), 0, 2);
         assert_eq!(profile.covered(), 2);
-        profile.ensure(stream.tokens(), 1); // monotone: never shrinks
+        profile.ensure(stream.tokens(), 0, 1); // monotone: never shrinks
         assert_eq!(profile.covered(), 2);
-        profile.ensure(stream.tokens(), 100); // clamped to the stream
+        profile.ensure(stream.tokens(), 0, 100); // clamped to the stream
         assert_eq!(profile.covered(), stream.len());
         // [abc, 123, XYZ, abc9]: Lower accepts only "abc".
         assert_eq!(
@@ -610,6 +786,88 @@ mod tests {
             profile.class_count(CharClass::Any as usize, 0, stream.len()),
             u32::try_from(stream.len()).unwrap()
         );
+    }
+
+    #[test]
+    fn coverage_grows_both_ways_and_counts_like_a_fresh_profile() {
+        let stream = tokenize("a 1 B c2 d 3 E f4 g 5 H i6 j 7");
+        let tokens = stream.tokens();
+        let mut whole = StreamProfile::new();
+        whole.ensure(tokens, 0, tokens.len());
+        // Windows arriving right of, left of and inside the coverage, each
+        // leftward step larger than the room in front.
+        let mut profile = StreamProfile::new();
+        for (start, end) in [(8, 10), (6, 9), (9, 12), (1, 4), (0, 2), (5, 14)] {
+            profile.ensure(tokens, start, end);
+            let (lo, hi) = (profile.base, profile.base + profile.covered());
+            assert!(lo <= start && end.min(tokens.len()) <= hi);
+            assert_eq!(profile.window(lo, hi - lo), whole.window(lo, hi - lo));
+            for from in lo..=hi {
+                for to in from..=hi {
+                    for c in 0..8 {
+                        assert_eq!(
+                            profile.class_count(c, from, to),
+                            whole.class_count(c, from, to),
+                            "[{from}, {to}) class {c}"
+                        );
+                    }
+                }
+            }
+        }
+        assert_eq!(profile.covered(), tokens.len());
+        // A reset forgets the coverage and the room in front.
+        profile.reset();
+        profile.ensure(tokens, 3, 5);
+        assert_eq!((profile.base, profile.covered()), (3, 2));
+        assert_eq!(profile.window(3, 2), whole.window(3, 2));
+    }
+
+    #[test]
+    fn long_tokens_wait_for_a_class_element() {
+        let long = "abcdefghijklmnopq";
+        assert_eq!(long.len(), FINGERPRINT_WHOLE_LEN + 1);
+        // No byte pass yields the all-classes mask on a non-empty token.
+        assert!(CATEGORY_MASKS.iter().all(|&mask| mask != ALL_CLASSES));
+        let stream = tokenize(&format!("x = {long} + \"{long}é\";"));
+        let tokens = stream.tokens();
+        let mut profile = StreamProfile::new();
+        profile.ensure(tokens, 0, tokens.len());
+        assert_eq!(profile.unprofiled, 2);
+        let recorded = profile.window(2, 1)[0];
+        assert!(is_unprofiled(&recorded));
+        assert_eq!(recorded.fingerprint, fingerprint32(long.as_bytes()));
+        // The histogram counts it in every class.
+        assert_eq!(profile.class_count(CharClass::Digits as usize, 2, 3), 1);
+        // A literal check needs nothing more, either way round.
+        let literal = SigFilter::of(&sig(vec![Element::Literal(long.into())]));
+        assert!(literal.window_passes(profile.window(2, 1)));
+        let short = SigFilter::of(&sig(vec![Element::Literal("x".into())]));
+        assert!(!short.window_passes(profile.window(2, 1)));
+        // A literal element leaves it alone; a class element resolves it.
+        profile.resolve(tokens, &literal, 2);
+        assert_eq!(profile.unprofiled, 2);
+        let digits = SigFilter::of(&sig(vec![Element::Class {
+            class: CharClass::Digits,
+            min_len: 1,
+            max_len: 64,
+        }]));
+        profile.resolve(tokens, &digits, 2);
+        assert_eq!(profile.unprofiled, 1);
+        assert_eq!(profile.window(2, 1)[0], profile_bytes(long.as_bytes()));
+        assert!(!digits.window_passes(profile.window(2, 1)));
+        assert!(
+            literal.window_passes(profile.window(2, 1)),
+            "still the literal"
+        );
+        // The non-ASCII string: resolved, it counts characters, not bytes.
+        let any = SigFilter::of(&sig(vec![Element::Class {
+            class: CharClass::Any,
+            min_len: 18,
+            max_len: 18,
+        }]));
+        profile.resolve(tokens, &any, 4);
+        assert_eq!(profile.unprofiled, 0);
+        assert!(any.window_passes(profile.window(4, 1)));
     }
 
     #[test]
@@ -629,7 +887,7 @@ mod tests {
         ]));
         let stream = tokenize("123 abc");
         let mut profile = StreamProfile::new();
-        profile.ensure(stream.tokens(), stream.len());
+        profile.ensure(stream.tokens(), 0, stream.len());
         assert!(demanding.hist_rejects(&profile, 0));
 
         let satisfied = SigFilter::of(&sig(vec![
@@ -655,7 +913,7 @@ mod tests {
             r#"pieces = buffer.split(delim); el.text += String.fromCharCode(pieces[i]); x9 = "ab3";"#,
         );
         let mut profile = StreamProfile::new();
-        profile.ensure(stream.tokens(), stream.len());
+        profile.ensure(stream.tokens(), 0, stream.len());
         let filters = vec![
             SigFilter::of(&sig(vec![Element::Literal("fromCharCode".into())])),
             SigFilter::of(&sig(vec![
@@ -707,7 +965,7 @@ mod tests {
     fn batch_handles_partial_and_empty_lane_counts() {
         let stream = tokenize("abc 123");
         let mut profile = StreamProfile::new();
-        profile.ensure(stream.tokens(), stream.len());
+        profile.ensure(stream.tokens(), 0, stream.len());
         assert_eq!(windows_pass_batch(&profile, &[]), 0);
         let lower = SigFilter::of(&sig(vec![Element::Class {
             class: CharClass::Lower,

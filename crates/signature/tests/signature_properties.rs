@@ -3,6 +3,7 @@
 use kizzle_corpus::{variation_prefix, KitFamily, KitModel, SimDate};
 use kizzle_js::{tokenize, tokenize_document_capped, TokenStream};
 use kizzle_signature::generate::{find_common_window, generate_signature};
+use kizzle_signature::prefilter::fingerprint32;
 use kizzle_signature::verify::nearest_in_stream;
 use kizzle_signature::{CharClass, Element, GateOff, Signature, SignatureConfig, SignatureSet};
 use kizzle_snapshot::{Decoder, Encoder};
@@ -655,4 +656,275 @@ fn gated_scan_equals_the_lexed_scan_on_planted_anchors() {
         }
     }
     assert!(hits > 100, "only {hits} planted anchors hit");
+}
+
+/// The long words a case draws from: more than the 16 bytes a token may
+/// have before stage 2 records it by its fingerprint alone.
+const LONG_LENGTHS: [usize; 5] = [17, 20, 31, 33, 48];
+
+/// Alphabets of the long words, each inside a different set of classes.
+const LONG_ALPHABETS: [&str; 3] = [
+    "abcdefghijklmnopqrstuvwxyz",
+    "0123456789",
+    "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789",
+];
+
+/// A long ASCII word from `seed`: its length, alphabet and letters.
+fn long_word(seed: u32) -> String {
+    let len = LONG_LENGTHS[seed as usize % LONG_LENGTHS.len()];
+    let alphabet = LONG_ALPHABETS[seed as usize / 5 % LONG_ALPHABETS.len()].as_bytes();
+    (0..len)
+        .map(|i| char::from(alphabet[(i * 7 + seed as usize / 15) % alphabet.len()]))
+        .collect()
+}
+
+/// `word` as it is, or changed in the middle only: a byte no class but
+/// `Any` accepts; a two-byte character for one byte (one byte longer, as
+/// many characters) or for two bytes (as many bytes, one character
+/// fewer); or another letter of its own alphabet — same length, same
+/// first and last 8 bytes, so a literal of `word` has the same
+/// fingerprint.
+fn long_variant(word: &str, variant: u32) -> String {
+    let mid = word.len() / 2;
+    let (head, tail) = word.split_at(mid);
+    match variant % 5 {
+        0 => word.to_string(),
+        1 => format!("{head}%{}", &tail[1..]),
+        2 => format!("{head}é{}", &tail[1..]),
+        3 => format!("{head}é{}", &tail[2..]),
+        _ => {
+            // Another letter of the word itself, so of its alphabet.
+            let middle = tail.as_bytes()[0];
+            let swapped = word.bytes().find(|&b| b != middle).expect("two letters");
+            format!("{head}{}{}", char::from(swapped), &tail[1..])
+        }
+    }
+}
+
+/// Call names: the anchors when no long literal outbids them.
+const CALLS: [&str; 3] = ["decode", "payload", "unpack"];
+
+/// One argument of a call: a quoted variant of one of the case's long
+/// words, or a short digit run.
+fn long_argument(words: &[String], seed: u32) -> String {
+    if seed % 4 == 3 {
+        format!("{}", seed / 4 % 1000)
+    } else {
+        let word = &words[seed as usize / 4 % words.len()];
+        format!("\"{}\"", long_variant(word, seed / 8))
+    }
+}
+
+/// A document of calls `name("arg", "arg");`, each from three seeds.
+fn long_document(words: &[String], seeds: &[u32]) -> String {
+    seeds
+        .chunks(3)
+        .map(|call| {
+            let arg = |i: usize| long_argument(words, call.get(i).copied().unwrap_or(0));
+            format!(
+                "{}({}, {});",
+                CALLS[call[0] as usize % CALLS.len()],
+                arg(1),
+                arg(2)
+            )
+        })
+        .collect::<Vec<_>>()
+        .join(" ")
+}
+
+/// The element standing for one argument: a `Class` element whose length
+/// range sits at a long word's byte count (±1, so two-byte characters
+/// fall on either side of it), or a literal of one of the words'
+/// variants.
+fn long_element(words: &[String], seed: u32) -> Element {
+    const CLASSES: [CharClass; 5] = [
+        CharClass::Lower,
+        CharClass::Digits,
+        CharClass::AlphaNum,
+        CharClass::Wordlike,
+        CharClass::Any,
+    ];
+    let word = &words[seed as usize % words.len()];
+    if seed / 2 % 3 == 2 {
+        return Element::Literal(long_variant(word, seed / 6));
+    }
+    let len = word.len();
+    let (min_len, max_len) = match seed / 6 % 4 {
+        0 => (len, len),
+        1 => (len - 1, len - 1),
+        2 => (len - 1, len + 1),
+        _ => (1, len + 1),
+    };
+    Element::Class {
+        class: CLASSES[seed as usize / 24 % CLASSES.len()],
+        min_len,
+        max_len,
+    }
+}
+
+/// Signatures over the call documents, each from four seeds, in three
+/// shapes: a call from its name; a call's first argument back through
+/// the end of the call before it (the name at offset 2); and the call
+/// before's arguments through this call's first argument (the name at
+/// offset 5). A later signature's window may therefore start left of
+/// what an earlier one's covered, and one whose long literal outbids the
+/// name anchors on the long token.
+fn long_signature(words: &[String], seeds: &[u32]) -> Signature {
+    let lit = |s: &str| Element::Literal(s.to_string());
+    let name = CALLS[seeds[0] as usize / 3 % CALLS.len()];
+    let arg = |i: usize| long_element(words, seeds.get(i).copied().unwrap_or(0));
+    let elements = match seeds[0] % 3 {
+        0 => vec![lit(name), lit("("), arg(1), lit(","), arg(2), lit(")")],
+        1 => vec![lit(")"), lit(";"), lit(name), lit("("), arg(1)],
+        _ => vec![
+            arg(1),
+            lit(","),
+            arg(2),
+            lit(")"),
+            lit(";"),
+            lit(name),
+            lit("("),
+            arg(3),
+        ],
+    };
+    Signature::new(format!("long.{}", seeds[0]), elements, 1)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// Stage 2 records a token of more than 16 bytes without its byte
+    /// pass and runs the pass only when a `Class` element lands on it:
+    /// the staged scan must still answer exactly what the linear oracle
+    /// answers when long tokens carry a class-violating byte or a
+    /// multi-byte character in the middle, when a literal meets a
+    /// same-length, same-ends collision, and when a later window starts
+    /// left of the profiled range.
+    #[test]
+    fn long_token_windows_equal_linear_oracle(
+        word_seeds in prop::collection::vec(0u32..1_000_000, 2..4),
+        signature_seeds in prop::collection::vec(0u32..1_000_000, 4..28),
+        document_seeds in prop::collection::vec(0u32..1_000_000, 6..40),
+    ) {
+        let words: Vec<String> = word_seeds.iter().map(|&seed| long_word(seed)).collect();
+        let mut set = SignatureSet::new();
+        for seeds in signature_seeds.chunks(4) {
+            set.add("Long", long_signature(&words, seeds));
+        }
+        // Each signature alone, and the set in both orders: which window
+        // is profiled first differs between them.
+        let mut reversed = SignatureSet::new();
+        for labeled in set.iter().rev() {
+            reversed.add(labeled.label.clone(), labeled.signature.clone());
+        }
+        let doc = long_document(&words, &document_seeds);
+        let stream = tokenize(&doc);
+        for set in [&set, &reversed] {
+            let staged = set.scan_stream(&stream).map(|s| s.signature.name.as_str());
+            let linear = scan_linear(set, &stream).map(|s| s.signature.name.as_str());
+            prop_assert_eq!(staged, linear, "doc: {:?}", doc);
+            prop_assert_eq!(
+                set.scan_document_index(&doc, usize::MAX),
+                set.scan_stream_index(&stream),
+                "doc: {:?}",
+                doc
+            );
+        }
+        for labeled in set.iter() {
+            let mut alone = SignatureSet::new();
+            alone.add(labeled.label.clone(), labeled.signature.clone());
+            prop_assert_eq!(
+                alone.scan_stream(&stream).is_some(),
+                labeled.signature.matches_stream(&stream),
+                "{:?} on {:?}",
+                labeled.signature.elements,
+                doc
+            );
+        }
+    }
+}
+
+/// The long-token property's cases by hand, each against the linear
+/// oracle: a long word under a literal; class-violating and two-byte
+/// variants under a `Class` element; a same-ends collision, rejected by
+/// the literal and matched by the class; and a window that starts left
+/// of one profiled before it.
+#[test]
+fn long_token_cases_are_exercised() {
+    let words = vec![long_word(0), long_word(1)];
+    assert_eq!(words[0].len(), 17);
+    assert!(words.iter().all(|w| w.len() > 16));
+    for word in &words {
+        for variant in 1..5 {
+            assert_ne!(&long_variant(word, variant), word);
+        }
+        let collision = long_variant(word, 4);
+        assert_eq!(
+            fingerprint32(collision.as_bytes()),
+            fingerprint32(word.as_bytes())
+        );
+    }
+    let lower = |min_len, max_len| Element::Class {
+        class: CharClass::Lower,
+        min_len,
+        max_len,
+    };
+    let lit = |s: &str| Element::Literal(s.to_string());
+    let word = &words[0];
+    let mut set = SignatureSet::new();
+    // Anchored on the long word itself.
+    set.add(
+        "Long",
+        Signature::new("literal", vec![lit("decode"), lit("("), lit(word)], 1),
+    );
+    // Anchored on `unpack` at offsets 0 and 5: the second window starts
+    // left of the first.
+    set.add(
+        "Long",
+        Signature::new("call", vec![lit("unpack"), lit("("), lower(1, 8)], 1),
+    );
+    set.add(
+        "Long",
+        Signature::new(
+            "left",
+            vec![
+                lower(17, 17),
+                lit(","),
+                lit("1"),
+                lit(")"),
+                lit(";"),
+                lit("unpack"),
+            ],
+            1,
+        ),
+    );
+    set.add(
+        "Long",
+        Signature::new("class", vec![lit("decode"), lit("("), lower(17, 17)], 1),
+    );
+    let call = |arg: &str| format!("decode(\"{arg}\", 1);");
+    let expect = [
+        (call(word), Some("literal")),
+        (call(&long_variant(word, 1)), None),
+        (call(&long_variant(word, 2)), None),
+        (call(&long_variant(word, 4)), Some("class")),
+        (format!("{} unpack(2);", call(&long_variant(word, 1))), None),
+        (
+            format!("{} unpack(2);", call("qrstuvwxyzabcdefg")),
+            Some("left"),
+        ),
+    ];
+    for (doc, want) in expect {
+        let stream = tokenize(&doc);
+        assert_eq!(
+            set.scan_stream(&stream).map(|s| s.signature.name.as_str()),
+            want,
+            "{doc}"
+        );
+        assert_eq!(
+            scan_linear(&set, &stream).map(|s| s.signature.name.as_str()),
+            want,
+            "{doc}"
+        );
+    }
 }
