@@ -13,7 +13,7 @@ use kizzle_cluster::distance::{
 };
 use kizzle_corpus::{GraywareStream, KitFamily, SimDate, StreamConfig};
 use kizzle_js::TokenStream;
-use kizzle_signature::prefilter::profile_bytes;
+use kizzle_signature::prefilter::StreamProfile;
 use kizzle_signature::{generate_signature, SignatureConfig};
 use std::hint::black_box;
 use std::time::Duration;
@@ -127,12 +127,12 @@ fn bench_signature_generation(c: &mut Criterion) {
     g.finish();
 }
 
-/// The stage-2 byte pass ([`profile_bytes`]) over every token from a hit
-/// page's first token through the window its signature matches, for one
-/// SweetOrange page (payload chunks of ~260 bytes) and one Rig page: the
-/// kernel's own speed. A scan profiles only the candidate windows and
-/// runs the pass on long tokens only under `Class` elements, so this is
-/// more bytes than a scan of these pages passes over.
+/// Stage 2's token profiles and prefix sums over a hit page, from its
+/// first token through the window its signature matches, for one
+/// SweetOrange page (payload chunks of ~260 bytes) and one Rig page. A
+/// scan covers only the candidate windows, so this is more tokens than it
+/// profiles; a payload chunk, longer than 16 bytes, costs its
+/// fingerprint, not a pass over its bytes.
 fn bench_profile(c: &mut Criterion) {
     let mut g = group(c, "prefilter");
     let prefixes: Vec<(TokenStream, usize)> = [KitFamily::SweetOrange, KitFamily::Rig]
@@ -158,13 +158,14 @@ fn bench_profile(c: &mut Criterion) {
             (page, upto)
         })
         .collect();
+    let mut profile = StreamProfile::new();
     g.bench_function("profile_hit_prefix", |b| {
         b.iter(|| {
             for (page, upto) in &prefixes {
-                for bytes in page.tokens().window(0, *upto).unquoted_bytes() {
-                    black_box(profile_bytes(bytes));
-                }
+                profile.reset();
+                profile.ensure(page.tokens(), 0, *upto);
             }
+            black_box(profile.covered())
         })
     });
     g.finish();

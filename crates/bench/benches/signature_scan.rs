@@ -9,8 +9,10 @@
 //!
 //! `hit_after_payload` is a kit-shaped hit: a packed payload before the
 //! decoder window the kit signature matches. Stage 2 profiles only the
-//! candidate windows; a scan that profiled the page from its first token
-//! again would read over twice this arm's ceiling.
+//! candidate windows and records a token of more than 16 bytes by its
+//! fingerprint; a scan that profiled the page from its first token, with
+//! or without the byte pass over the payload, reads over this arm's
+//! ceiling.
 //!
 //! The `raw_miss_*` arms run the same four benign pages as raw documents
 //! through `scan_document_index`, where the anchor gate answers them
@@ -135,14 +137,17 @@ fn bench_scan(c: &mut Criterion) {
 /// kit signature.
 const KIT_IDENTIFIERS: [&str; 9] = ["dx", "sv", "kq", "ov", "ix", "cz", "kk", "rn", "pl"];
 
-/// A kit-shaped page and the signature of its decoder. The page is a
-/// packed payload — 512 string chunks of 16 bytes concatenated, then one
-/// 24 KB string literal — followed by a ~120-token decoder that carries a
-/// 1 KB key literal, as the corpus kits' pages are laid out. The
-/// signature has one element per decoder token: the renamed identifiers
-/// are `Class` elements, every other token a literal (the key, the
-/// longest, is the anchor). Stage 2 should pay for the decoder window;
-/// profiling the page from its first token pays for the payload too.
+/// A kit-shaped page and the signature of its decoder. The page is laid
+/// out as the corpus's RIG packer lays it out: the payload, 256 string
+/// chunks of 200 bytes each handed to an accumulator function
+/// (`collect("…");`, 51 KB and 1,280 tokens in all), then a ~120-token
+/// decoder that carries a 1 KB key literal. The signature has one
+/// element per decoder token: the renamed identifiers are `Class`
+/// elements, every other token a literal (the key, the longest, is the
+/// anchor). Stage 2 should pay for the decoder window only: profiling
+/// the page from its first token costs the payload's tokens too, and
+/// their bytes unless a token over 16 bytes is recorded by its
+/// fingerprint.
 fn kit_page() -> (Signature, kizzle_js::TokenStream) {
     let text = |len: usize, seed: usize| -> String {
         const ALPHABET: &[u8] = b"0123456789abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ";
@@ -150,16 +155,17 @@ fn kit_page() -> (Signature, kizzle_js::TokenStream) {
             .map(|i| char::from(ALPHABET[(i * 7 + seed * 13 + i * i / 3) % ALPHABET.len()]))
             .collect()
     };
-    let chunks: Vec<String> = (0..512).map(|i| format!("\"{}\"", text(16, i))).collect();
     let [f, s, k, o, i, c, key, run, payload] = KIT_IDENTIFIERS;
+    let collect = "qz";
+    let chunks: String = (0..256)
+        .map(|n| format!(r#"{collect}("{}"); "#, text(200, n)))
+        .collect();
     let decoder = format!(
         r#"function {f}({s}, {k}) {{ var {o} = ""; for (var {i} = 0; {i} < {s}.length; {i} += 2) {{ var {c} = parseInt({s}.substr({i}, 2), 16); {o} += String.fromCharCode({c} ^ {k}.charCodeAt({i} % {k}.length)); }} {o} = {o}.split("").reverse().join(""); return {o}; }} var {key} = "{key_text}"; var {run} = window["ev" + "al"]; {run}({f}({payload}, {key}));"#,
         key_text = text(1024, 7),
     );
     let page = format!(
-        r#"<script>var {payload} = {} + "{}"; {decoder}</script>"#,
-        chunks.join(" + "),
-        text(24 * 1024, 3),
+        r#"<script>var {payload} = ""; function {collect}(t) {{ {payload} += t; }} {chunks}{decoder}</script>"#,
     );
     let window = kizzle_js::tokenize(&decoder);
     let elements: Vec<Element> = window

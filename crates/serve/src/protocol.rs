@@ -82,7 +82,7 @@ pub enum FrameRead {
 /// it incomplete: a peer that stalls mid-frame, or trickles it a byte at
 /// a time, loses the connection after this long instead of holding a
 /// worker for as long as it likes.
-pub const FRAME_DEADLINE: Duration = Duration::from_secs(60);
+const FRAME_DEADLINE: Duration = Duration::from_secs(60);
 
 fn is_retry(kind: io::ErrorKind) -> bool {
     matches!(
@@ -148,9 +148,8 @@ fn read_exact_persistent<C: FnMut() -> Instant>(
 /// complete frame, a clean close between frames, and a read timeout
 /// before any byte of a new frame (so a blocking worker can notice a
 /// shutdown flag). A timeout *inside* a frame is ridden out — framing is
-/// never torn by timing — until the frame has been incomplete for
-/// [`FRAME_DEADLINE`], which fails the read with
-/// [`io::ErrorKind::TimedOut`].
+/// never torn by timing — until the frame has been incomplete for 60 s,
+/// which fails the read with [`io::ErrorKind::TimedOut`].
 pub fn read_frame(reader: &mut impl BufRead, buf: &mut Vec<u8>) -> io::Result<FrameRead> {
     read_frame_by(reader, buf, Instant::now)
 }

@@ -274,9 +274,9 @@ fn is_unprofiled(profile: &TokenProfile) -> bool {
 /// [`StreamProfile::ensure`] is asked for: rightwards as the scan advances,
 /// leftwards when a later anchor hit's window starts before it. A hit
 /// pays for the tokens around its anchor, not for every token before it,
-/// and a document with no anchor hit never touches a profile. Tokens are
-/// recorded by [`profile_token`]: long ones without their byte pass until
-/// a `Class` element needs it ([`StreamProfile::resolve`]).
+/// and a document with no anchor hit never touches a profile. A token of
+/// more than [`FINGERPRINT_WHOLE_LEN`] bytes is recorded without its byte
+/// pass until a `Class` element needs it ([`StreamProfile::resolve`]).
 ///
 /// The prefix sums are only ever subtracted from each other, so they may
 /// start anywhere: growing leftwards writes rows below the first one
@@ -389,7 +389,7 @@ impl StreamProfile {
                 .unquoted_bytes()
                 .map(profile_token),
         );
-        let mut row = *self.prefix.last().expect("a row past the last token");
+        let mut row = *self.prefix.last().expect("row 0 exists");
         let mut unprofiled = 0;
         self.prefix
             .extend(self.profiles[first..].iter().map(|profile| {
