@@ -32,7 +32,7 @@ use crate::distributed::{
 };
 use crate::index::NeighborIndex;
 use crate::store::{CorpusStore, SampleId};
-use kizzle_snapshot::{Decoder, Encoder, SectionSource, SnapshotError};
+use kizzle_snapshot::{Decoder, Encoder, Snapshot, SnapshotError};
 use rayon::prelude::*;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -198,14 +198,13 @@ impl CorpusEngine {
     }
 
     /// Resume from snapshot sections written by
-    /// [`CorpusEngine::encode_sections`] — the compiler's chained overlay
-    /// (the engine's sections persist only inside the compiler's state
-    /// chain) or a single parsed container. Never fails: any damage
-    /// degrades down the fallback ladder described on [`ResumeReport`].
+    /// [`CorpusEngine::encode_sections`] (they persist inside the
+    /// compiler's state file). Never fails: any damage degrades down the
+    /// fallback ladder described on [`ResumeReport`].
     #[must_use]
     pub fn resume_from_sections(
         config: DistributedConfig,
-        snapshot: &impl SectionSource,
+        snapshot: &Snapshot,
     ) -> (Self, ResumeReport) {
         let mut report = ResumeReport::default();
 
@@ -441,7 +440,6 @@ impl CorpusEngine {
 mod tests {
     use super::*;
     use crate::dbscan::DbscanParams;
-    use kizzle_snapshot::Snapshot;
 
     fn family_day(per_family: usize, variant_offset: usize) -> Vec<Vec<u8>> {
         let mut samples = Vec::new();
@@ -541,7 +539,7 @@ mod tests {
     }
 
     /// The engine's sections as one parsed container — what the
-    /// compiler's state chain carries for it.
+    /// compiler's state file carries for it.
     fn saved(engine: &CorpusEngine) -> Snapshot {
         let mut builder = kizzle_snapshot::SnapshotBuilder::new();
         for (name, payload) in engine.encode_sections() {

@@ -18,57 +18,22 @@
 mod common;
 
 use kizzle_cluster::{
-    CorpusEngine, CorpusStore, DbscanParams, DistributedConfig, NeighborIndex, ResumeReport,
-    SampleId,
+    CorpusEngine, CorpusStore, DbscanParams, DistributedConfig, NeighborIndex, SampleId,
 };
-use kizzle_snapshot::{
-    ChainSave, ChainWriter, ChainedSnapshot, Decoder, Encoder, Snapshot, SnapshotBuilder,
-};
+use kizzle_snapshot::{Decoder, Encoder, Snapshot, SnapshotBuilder};
 use proptest::prelude::*;
-use std::path::Path;
 use std::sync::Arc;
 
 const EPS: f64 = 0.10;
 
-/// The engine's sections as one in-memory container — what a chain of
-/// length one holds on disk.
+/// The engine's sections as one in-memory container — what the state file
+/// holds of them on disk.
 fn engine_container(engine: &CorpusEngine) -> Vec<u8> {
     let mut builder = SnapshotBuilder::new();
     for (name, payload) in engine.encode_sections() {
         builder.section(&name, payload);
     }
     builder.to_bytes()
-}
-
-/// Chain file prefix of the engine-only chains these tests write.
-const CHAIN_PREFIX: &str = "engine";
-
-/// The engine's sections as the next link of a base→delta chain in `dir`,
-/// through the writer the compiler's state chain uses.
-fn save_chain(engine: &CorpusEngine, dir: &Path, max_deltas: usize) -> ChainSave {
-    ChainWriter::new(dir, CHAIN_PREFIX)
-        .save(engine.encode_sections(), max_deltas, |_, _| {})
-        .unwrap()
-}
-
-/// Resume an engine from the chain in `dir`, with the chain's own notes
-/// (a broken delta truncates it to the intact prefix) in the report; an
-/// unreadable chain is a cold start.
-fn resume_chain(cfg: DistributedConfig, dir: &Path) -> (CorpusEngine, ResumeReport) {
-    match ChainedSnapshot::open(dir, CHAIN_PREFIX) {
-        Ok(chained) => {
-            let (engine, mut report) = CorpusEngine::resume_from_sections(cfg, &chained);
-            for note in chained.notes() {
-                report.note(note.clone());
-            }
-            (engine, report)
-        }
-        Err(err) => {
-            let mut report = ResumeReport::default();
-            report.note(format!("snapshot chain unreadable, cold start: {err}"));
-            (CorpusEngine::new(cfg), report)
-        }
-    }
 }
 
 fn token_string() -> impl Strategy<Value = Vec<u8>> {
@@ -254,135 +219,5 @@ proptest! {
         let (got, _) = resumed.cluster_day(&day_ids);
         let want = common::cluster_seed(&cfg, &day);
         prop_assert_eq!(got, want);
-    }
-
-    /// ISSUE 4 acceptance: resuming a base→delta chain is byte-identical
-    /// to resuming one full snapshot of the same (churned) engine — same
-    /// ids, same cached answers with zero recomputed queries, same
-    /// clustering on a fresh day.
-    #[test]
-    fn chain_resume_equals_full_snapshot_resume(
-        pool in prop::collection::vec(token_string(), 6..24),
-        churn_mask in any::<u32>(),
-        days in 1usize..4,
-    ) {
-        let cfg = DistributedConfig::new(2, DbscanParams::new(EPS, 2));
-        let dir = std::env::temp_dir().join(format!(
-            "kizzle-persist-chain-{}-{churn_mask}-{days}",
-            std::process::id()
-        ));
-        std::fs::remove_dir_all(&dir).ok();
-
-        let mut engine = CorpusEngine::new(cfg);
-        let ids = engine.add_batch(0, &pool);
-        let (_, _) = engine.cluster_day(&ids);
-        save_chain(&engine, &dir, 8); // base
-
-        // `days` rounds of churn, one delta per round.
-        for day in 1..=days as u64 {
-            for (i, id) in engine.store().live_ids().into_iter().enumerate() {
-                if churn_mask & (1 << ((i as u64 + day) % 32)) == 0 {
-                    engine.remove(id);
-                }
-            }
-            let refill: Vec<Vec<u8>> = pool
-                .iter()
-                .enumerate()
-                .map(|(i, s)| {
-                    let mut tagged = s.clone();
-                    tagged.push((day % 6) as u8);
-                    tagged.push((i % 6) as u8);
-                    tagged
-                })
-                .collect();
-            let day_ids = engine.add_batch(day, &refill);
-            let (_, _) = engine.cluster_day(&day_ids);
-            save_chain(&engine, &dir, 8);
-        }
-
-        // Full snapshot of the same final engine: a chain of length one
-        // in a directory of its own.
-        let full_dir = dir.join("full");
-        let full = save_chain(&engine, &full_dir, 0);
-        prop_assert!(full.wrote_base);
-        let (mut via_full, full_report) = resume_chain(cfg, &full_dir);
-        prop_assert!(full_report.store_restored && full_report.index_restored, "full: {:?}", full_report);
-
-        let (mut via_chain, chain_report) = resume_chain(cfg, &dir);
-        prop_assert!(chain_report.store_restored && chain_report.index_restored, "chain: {:?}", chain_report);
-        prop_assert!(chain_report.notes.is_empty(), "notes: {:?}", chain_report.notes);
-
-        prop_assert_eq!(via_chain.len(), via_full.len());
-        prop_assert_eq!(via_chain.store().live_ids(), via_full.store().live_ids());
-        prop_assert_eq!(
-            via_chain.index().cached_count(),
-            via_full.index().cached_count()
-        );
-        let fresh: Vec<Vec<u8>> = pool.iter().rev().cloned().collect();
-        let ids_full = via_full.add_batch(99, &fresh);
-        let ids_chain = via_chain.add_batch(99, &fresh);
-        prop_assert_eq!(&ids_full, &ids_chain);
-        let (want, full_stats) = via_full.cluster_day(&ids_full);
-        let (got, chain_stats) = via_chain.cluster_day(&ids_chain);
-        prop_assert_eq!(want, got);
-        // Both arms answer the carried-over fraction from restored caches
-        // with identical work: the chain lost nothing the full file kept.
-        prop_assert_eq!(chain_stats.index.queries, full_stats.index.queries);
-        prop_assert_eq!(chain_stats.index.cache_hits, full_stats.index.cache_hits);
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    /// A damaged delta truncates the chain to its intact prefix: the
-    /// resumed engine equals a resume of that prefix, never panics, and
-    /// still clusters a fresh day exactly like a cold run.
-    #[test]
-    fn broken_chain_resumes_the_intact_prefix(
-        pool in prop::collection::vec(token_string(), 4..16),
-        damage_at in any::<u32>(),
-        flip in any::<u8>(),
-    ) {
-        let cfg = DistributedConfig::new(2, DbscanParams::new(EPS, 2));
-        let dir = std::env::temp_dir().join(format!(
-            "kizzle-persist-broken-{}-{damage_at}-{flip}",
-            std::process::id()
-        ));
-        std::fs::remove_dir_all(&dir).ok();
-
-        let mut engine = CorpusEngine::new(cfg);
-        let ids = engine.add_batch(0, &pool);
-        let (_, _) = engine.cluster_day(&ids);
-        save_chain(&engine, &dir, 8); // base
-        // One churned day → one delta.
-        let extra: Vec<Vec<u8>> = pool.iter().map(|s| {
-            let mut t = s.clone();
-            t.push(5);
-            t
-        }).collect();
-        let day_ids = engine.add_batch(1, &extra);
-        let (_, _) = engine.cluster_day(&day_ids);
-        let save = save_chain(&engine, &dir, 8);
-
-        if let Some(delta_file) = save.file {
-            let path = dir.join(delta_file);
-            let mut bytes = std::fs::read(&path).unwrap();
-            let at = (damage_at as usize) % bytes.len();
-            bytes[at] ^= flip | 1;
-            std::fs::write(&path, &bytes).unwrap();
-        }
-
-        let (mut resumed, report) = resume_chain(cfg, &dir);
-        // Damage anywhere in the delta is caught by the whole-file CRC:
-        // the chain truncates to the base (day-0 state) and the report
-        // says so. (A flip that leaves the delta readable-but-rejected or
-        // hits only its trailer is equally fine — what matters is no
-        // panic and a usable engine.)
-        let _ = &report;
-        let fresh: Vec<Vec<u8>> = pool.iter().rev().cloned().collect();
-        resumed.retire_older_than(99);
-        let fresh_ids = resumed.add_batch(99, &fresh);
-        let (got, _) = resumed.cluster_day(&fresh_ids);
-        let want = common::cluster_seed(&cfg, &fresh);
-        prop_assert_eq!(got, want);
-        std::fs::remove_dir_all(&dir).ok();
     }
 }

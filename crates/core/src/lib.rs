@@ -34,7 +34,7 @@
 //! whether a batch is borrowed, owned or `Arc`-shared — and seals it on
 //! the caller's thread, and
 //! [`KizzleService::save`] / [`KizzleService::open`] persist and resume
-//! the state as a snapshot chain. [`KizzleService::matcher`] hands out
+//! the state as one snapshot file. [`KizzleService::matcher`] hands out
 //! cloneable `Send + Sync` [`Matcher`] read handles that keep scanning —
 //! lock-free in the steady state — while a day seals, picking up each
 //! newly published signature set atomically. Configuration is
@@ -91,7 +91,7 @@ pub use reference::ReferenceCorpus;
 pub use service::{
     Batch, DaySession, IngestProducer, KizzleService, Matcher, ScanVerdict, PIPELINE_BOUND,
 };
-pub use snapshot::{config_fingerprint, read_signatures, ResumeReport, DEFAULT_MAX_DELTAS};
+pub use snapshot::{config_fingerprint, read_signatures, ResumeReport};
 pub use source::{ChainFollower, EpochSource, FollowHandle, SignatureSource};
 
 pub use kizzle_signature::SignatureSet;

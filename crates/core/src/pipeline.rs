@@ -124,7 +124,7 @@ impl fmt::Display for DayReport {
 /// clustered as a view over the live corpus — byte-identical to a cold
 /// per-day run. The service drives the phases below
 /// ([`open_day`](Self::open_day) → [`ingest`](Self::ingest)
-/// per batch → [`seal_view`](Self::seal_view) →
+/// per batch → the engine's `cluster_day` →
 /// [`label_and_sign`](Self::label_and_sign)); nothing else does.
 #[derive(Debug)]
 pub(crate) struct KizzleCompiler {
@@ -141,12 +141,13 @@ pub(crate) struct KizzleCompiler {
     /// The most recent day opened — the day counter persisted by
     /// [`KizzleCompiler::save_state`].
     pub(crate) last_day: Option<SimDate>,
-    /// Each retained day's sample-id view (stamp, ids as deposited —
-    /// duplicates included), pruned with the retention window. This is
-    /// what makes [`KizzleCompiler::cluster_window`] weight repeated
-    /// content the way the per-day clustering does, instead of clustering
-    /// the deduplicated store.
-    pub(crate) day_views: Vec<(u64, Vec<SampleId>)>,
+    /// Saves that changed the signature set: the epoch every follower of
+    /// the state directory serves. Persisted beside the set, in its
+    /// section.
+    pub(crate) publications: u64,
+    /// Fingerprint of the set's encoding as the newest save wrote it —
+    /// what the next save compares against to decide whether it publishes.
+    pub(crate) saved_signatures: Option<String>,
 }
 
 impl KizzleCompiler {
@@ -160,26 +161,15 @@ impl KizzleCompiler {
             signatures: Arc::new(SignatureSet::new()),
             signature_counters: HashMap::new(),
             last_day: None,
-            day_views: Vec::new(),
+            publications: 0,
+            saved_signatures: None,
         }
     }
 
-    /// The body of [`KizzleService::cluster_window`](crate::KizzleService::cluster_window):
-    /// the retained day views concatenated in day order, duplicates
-    /// included, clustered as one view.
-    pub(crate) fn cluster_window(&mut self) -> (Clustering, DistributedStats) {
-        let ids: Vec<SampleId> = self
-            .day_views
-            .iter()
-            .flat_map(|(_, ids)| ids.iter().copied())
-            .collect();
-        self.engine.cluster_day(&ids)
-    }
-
     /// Session phase 1 — open a day: advance the day counter, retire
-    /// samples (and day views) that aged out of the retention window, and
-    /// return the day's stamp. Its own phase so ingest can start before
-    /// the day's data has fully arrived.
+    /// samples that aged out of the retention window, and return the
+    /// day's stamp. Its own phase so ingest can start before the day's
+    /// data has fully arrived.
     pub(crate) fn open_day(&mut self, date: SimDate) -> u64 {
         let stamp = u64::try_from(date.absolute_day()).unwrap_or(0);
         self.last_day = Some(date);
@@ -188,11 +178,6 @@ impl KizzleCompiler {
         if kizzle_telemetry::enabled() {
             kizzle_telemetry::gauge("kizzle_corpus_live_samples").set(self.engine.len() as u64);
         }
-        // Day views age out with the same cutoff as their samples: a view
-        // inside the window only names ids whose stamps are at or above
-        // its own, so every id it holds is still live.
-        self.day_views
-            .retain(|(view_stamp, _)| *view_stamp >= cutoff);
         stamp
     }
 
@@ -215,28 +200,9 @@ impl KizzleCompiler {
         ids
     }
 
-    /// Session phase 3 — cluster the day and record (or replace) its
-    /// retained view. `day_ids` is the concatenation of every ingested
-    /// batch's ids.
-    ///
-    /// Re-sealing a day *replaces* its view: a crashed cron job that
-    /// re-runs the same date (allowed by the service's monotone check)
-    /// must not leave the day counted twice in `cluster_window` or in
-    /// persisted snapshots.
-    pub(crate) fn seal_view(
-        &mut self,
-        stamp: u64,
-        day_ids: &[SampleId],
-    ) -> (Clustering, DistributedStats) {
-        self.day_views
-            .retain(|(view_stamp, _)| *view_stamp != stamp);
-        let clustered = self.engine.cluster_day(day_ids);
-        self.day_views.push((stamp, day_ids.to_vec()));
-        clustered
-    }
-
-    /// Session phase 4 — label cluster prototypes against the reference
-    /// corpus, absorb labeled prototypes, and generate signatures.
+    /// Session phase 3 — once the engine has clustered the day, label
+    /// cluster prototypes against the reference corpus, absorb labeled
+    /// prototypes, and generate signatures.
     /// `samples` and `day_ids` are the position-parallel concatenation of
     /// every ingested batch's documents and store ids.
     ///

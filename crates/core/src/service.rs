@@ -76,7 +76,7 @@ use crate::pipeline::{family_from_label, DayReport, KizzleCompiler, PipelineStat
 use crate::reference::ReferenceCorpus;
 use crate::snapshot::ResumeReport;
 use crate::source::{EpochSource, SignatureSource};
-use kizzle_cluster::{Clustering, CorpusEngine, DistributedStats, SampleId};
+use kizzle_cluster::{CorpusEngine, SampleId};
 use kizzle_corpus::{KitFamily, Sample, SimDate};
 use kizzle_js::{Span, TokenStream};
 use kizzle_signature::SignatureSet;
@@ -176,7 +176,7 @@ impl KizzleService {
         )))
     }
 
-    /// Wrap compiler state (fresh, or restored from a snapshot chain),
+    /// Wrap compiler state (fresh, or restored from a state file),
     /// publishing its current signature set as epoch 0.
     fn from_compiler(compiler: KizzleCompiler) -> Self {
         let set = Arc::clone(&compiler.signatures);
@@ -228,36 +228,25 @@ impl KizzleService {
         Ok((KizzleService::from_compiler(compiler), report))
     }
 
-    /// Persist the complete service state into `state_dir` as the next
-    /// link of the snapshot chain, with the default compaction cadence
-    /// ([`DEFAULT_MAX_DELTAS`](crate::DEFAULT_MAX_DELTAS)); see
-    /// [`KizzleService::save_compacting`].
+    /// Persist the complete service state into `state_dir`: one container,
+    /// [`STATE_FILE`](crate::snapshot::STATE_FILE), then the
+    /// [`MANIFEST_FILE`](crate::snapshot::MANIFEST_FILE) sidecar, each
+    /// written atomically (tmp file, fsync, rename) in that order, so a
+    /// crash mid-save leaves the previous state or the new one loadable,
+    /// never a mixture. A save whose signature set differs from the
+    /// previous save's is a *publication*: it advances the count stored
+    /// beside the set, which every
+    /// [`ChainFollower`](crate::ChainFollower) of the directory serves as
+    /// its epoch.
     pub fn save(&self, state_dir: &Path) -> Result<(), KizzleError> {
-        self.save_compacting(state_dir, crate::snapshot::DEFAULT_MAX_DELTAS)
-    }
-
-    /// Persist the complete service state into `state_dir` as the next
-    /// link of a base→delta snapshot chain: a full base file
-    /// ([`STATE_FILE`](crate::snapshot::STATE_FILE)) on the first save,
-    /// afterwards a delta holding only the sections whose content
-    /// fingerprint changed since the previous save (on heavily overlapping
-    /// days the reference and signature sections are usually
-    /// byte-identical). Once the chain carries `max_deltas` deltas the
-    /// next save **compacts**: the full base is rewritten and the stale
-    /// deltas removed; `max_deltas == 0` writes a full snapshot every
-    /// time. Every file and the
-    /// [`MANIFEST_FILE`](crate::snapshot::MANIFEST_FILE) sidecar are
-    /// written atomically, so a crash mid-save leaves the previous state
-    /// loadable.
-    pub fn save_compacting(&self, state_dir: &Path, max_deltas: usize) -> Result<(), KizzleError> {
-        self.lock_compiler().save_state(state_dir, max_deltas)
+        self.lock_compiler().save_state(state_dir)
     }
 
     /// Open a streaming ingest session for `date`. Mini-batches go in via
     /// [`DaySession::ingest`]; [`DaySession::seal`] compiles and publishes.
     ///
     /// Returns [`KizzleError::Ingest`] when `date` precedes the last
-    /// opened day — the retention window and day views are keyed on a
+    /// opened day — the retention window is keyed on a
     /// monotone day counter, so replaying the past would silently corrupt
     /// the warm state. (Re-running the *same* date is allowed: a crashed
     /// cron job may legitimately re-run a day.)
@@ -372,19 +361,6 @@ impl KizzleService {
     #[must_use]
     pub fn last_processed_day(&self) -> Option<SimDate> {
         self.lock_compiler().last_day
-    }
-
-    /// Cluster the *entire retention window* as one batch — every retained
-    /// day's samples concatenated in day order, duplicates included, so
-    /// repeated content carries the same weight it had per day — through
-    /// the same partition/reduce dataflow as a day's seal. The multi-day
-    /// eval mode: comparing its cluster count with the per-day counts
-    /// shows how much the day boundary fragments slow-moving families.
-    ///
-    /// Read-mostly: memoized neighborhoods computed here stay cached (they
-    /// are exact for any view), so labels of later days are unaffected.
-    pub fn cluster_window(&mut self) -> (Clustering, DistributedStats) {
-        self.lock_compiler().cluster_window()
     }
 }
 
@@ -756,8 +732,8 @@ impl IngestProducer {
 /// retention window); dropping a session before that first batch is a
 /// complete no-op. Dropping it afterwards
 /// abandons the day: already-applied batches stay in the warm store (where
-/// retention will age them out) but no clustering runs, no day view is
-/// recorded and nothing is published. With the pipelined frontend the
+/// retention will age them out) but no clustering runs and nothing is
+/// published. With the pipelined frontend the
 /// drop additionally aborts cleanly: queued batches are received and
 /// discarded (never half-applied — batches apply atomically), and a
 /// producer blocked on the full channel always unblocks.
@@ -867,9 +843,12 @@ impl DaySession<'_> {
         let date = self.state.date;
         let buffers = mem::take(&mut *self.state.inner.lock().expect("session buffers lock"));
         let mut compiler = self.service.lock_compiler();
-        let stamp = buffers.stamp.unwrap_or_else(|| compiler.open_day(date));
+        if buffers.stamp.is_none() {
+            // An empty day opens at seal.
+            compiler.open_day(date);
+        }
         let seal_span = kizzle_telemetry::span!("day.seal");
-        let (clustering, stats) = compiler.seal_view(stamp, &buffers.day_ids);
+        let (clustering, stats) = compiler.engine.cluster_day(&buffers.day_ids);
         let mut report =
             compiler.label_and_sign(date, &buffers.samples, &buffers.day_ids, clustering, stats);
         let set = Arc::clone(&compiler.signatures);
@@ -928,7 +907,7 @@ pub struct ScanVerdict {
 /// service's in-process [`EpochSource`], or built with [`Matcher::over`]
 /// on any other [`SignatureSource`] (a
 /// [`ChainFollower`](crate::source::ChainFollower) tailing another
-/// process's snapshot chain, say).
+/// process's state directory, say).
 ///
 /// Scanning is lock-free in the steady state: each scan is one atomic
 /// epoch load plus an uncontended per-handle mutex around the cached
@@ -1405,22 +1384,6 @@ mod tests {
         let report = service.process_day(date, &day).expect("day processes");
         assert!(report.clusters > 0);
         assert_eq!(matcher.epoch(), 1);
-    }
-
-    #[test]
-    fn re_sealing_a_day_replaces_its_window_view() {
-        // The crash-recovery flow: the same date sealed twice (allowed by
-        // the monotone check) must not double-count the day in the
-        // retention-window clustering.
-        let mut service = test_service();
-        let date = SimDate::new(2014, 8, 5);
-        let day = test_day(date, 3);
-        service.process_day(date, &day).expect("first seal");
-        let (first, _) = service.cluster_window();
-        service.process_day(date, &day).expect("re-run seal");
-        let (second, _) = service.cluster_window();
-        assert_eq!(first.sample_count, second.sample_count);
-        assert_eq!(first.cluster_count(), second.cluster_count());
     }
 
     #[test]

@@ -6,52 +6,65 @@
 //! [`SignatureSet`], the evolving reference corpus, the per-family
 //! signature counters — died with each run until this module existed.
 //! [`KizzleService::save`](crate::KizzleService::save) writes all of it as
-//! the next link of a [`kizzle_snapshot`] **base→delta chain** (a full
-//! base container, then per-day deltas holding only the sections whose
-//! content fingerprint changed, compacted back to a fresh base every
-//! [`DEFAULT_MAX_DELTAS`] saves; the `MANIFEST` sidecar records the
-//! chain). [`KizzleService::load`](crate::KizzleService::load) overlays
-//! the chain latest-wins and brings a fresh process back to exactly the
-//! state the previous run saved: restart-each-day runs are byte-identical
-//! to a long-lived warm process (held to that by
+//! one [`kizzle_snapshot`] container, [`STATE_FILE`], then the
+//! [`MANIFEST_FILE`] sidecar describing it (with every section's content
+//! fingerprint, which lets a follower skip a save that left the
+//! signatures alone). Both are written atomically (tmp file, fsync,
+//! rename), the container first, so a crash at any point leaves the
+//! previous state or the new one — a reader never sees a mixture, and a
+//! leftover `.tmp` is never read.
+//! [`KizzleService::load`](crate::KizzleService::load) reads that one file
+//! and brings a fresh process back to exactly the state the previous run
+//! saved: restart-each-day runs are byte-identical to a long-lived warm
+//! process (held to that by
 //! `save_load_resumes_exactly_like_a_long_lived_process` below and
-//! `restart_each_day_matches_the_long_lived_run` in `kizzle-eval`). The
-//! chain is the only on-disk shape: a full snapshot is a chain of length
-//! one.
+//! `restart_each_day_matches_the_long_lived_run` in `kizzle-eval`).
+//!
+//! Every save writes every section. Day-over-day deltas of only the
+//! changed sections would not write less on any measured workload: the
+//! day's churn reaches every section but the small reference one, so a
+//! delta carried 99.97–100 % of a full state (PERF.md, "Persistence").
 //!
 //! ## Sections
 //!
 //! | section          | contents                                              |
 //! |------------------|-------------------------------------------------------|
 //! | `meta`           | config fingerprint, last processed day, sig counters  |
-//! | `signatures`     | the cumulative signature set, insertion-ordered       |
+//! | `signatures`     | publication count, then the cumulative signature set  |
 //! | `reference`      | the reference corpus with its absorbed evolution      |
 //! | `corpus-store`   | the engine's sample store (see `kizzle-cluster`)      |
 //! | `neighbor-index` | memoized neighborhoods (see `kizzle-cluster`)         |
 //!
+//! The publication count is the number of saves whose signature set
+//! differed from the previous save's — the epoch every
+//! [`ChainFollower`](crate::ChainFollower) of the directory serves. It
+//! sits in the same checksummed section as the set it counts, so one read
+//! of the file gives a follower both, and no save can pair a new set with
+//! an old count.
+//!
 //! The scan pipeline (anchor automaton, candidate buckets, prefilters; see
 //! `kizzle_signature::matcher`) is not state: it is a pure function of the
-//! signature set, so the chain stores the signatures and every reader
-//! rebuilds the pipeline with [`SignatureSet::seal`]. A chain written by an
-//! older build may still carry a `scan-pipeline` section; no reader looks
-//! at it, and the next compaction drops it.
+//! signature set, so the file stores the signatures and every reader
+//! rebuilds the pipeline with [`SignatureSet::seal`]. A section no reader
+//! asks for (such as the `scan-pipeline` section older builds wrote) is
+//! ignored, and the next save drops it.
 //!
 //! ## Trust ladder
 //!
 //! Loading **refuses** a snapshot whose config fingerprint disagrees with
 //! the loading configuration — clustering parameters shape every piece of
 //! persisted state, so mixing them would silently corrupt results — and a
-//! base container stamped with any format version but
-//! [`FORMAT_VERSION`] (`SnapshotError::VersionSkew`, before a section is
-//! parsed). The damage ladder, top rung first: a broken **delta**
-//! truncates the chain to its intact prefix (the run resumes the base —
-//! an older but self-consistent state); within the resulting snapshot, damage degrades
-//! per section: a lost index rebuilds from the store, a lost store
-//! empties the engine (cold rebuild), while damage to
-//! `meta`/`signatures`/`reference` fails the load as a whole — those
-//! cannot be reconstructed, and
+//! container stamped with any format version but [`FORMAT_VERSION`]
+//! (`SnapshotError::VersionSkew`, before a section is parsed; the base
+//! file of a version-3 chain is such a container, and an older state than
+//! its chain described). Within the file, damage degrades per section: a
+//! lost index rebuilds from the store, a lost store empties the engine
+//! (cold rebuild), while damage to `meta`/`signatures`/`reference` fails
+//! the load as a whole — those cannot be reconstructed, and
 //! [`KizzleService::open`](crate::KizzleService::open) falls back to a
-//! fresh service exactly as if no snapshot existed.
+//! fresh service exactly as if no snapshot existed. There is no older
+//! state on disk to fall back to: a follower keeps serving the last set
+//! it decoded instead.
 
 use crate::config::KizzleConfig;
 use crate::error::KizzleError;
@@ -61,29 +74,20 @@ use kizzle_cluster::CorpusEngine;
 pub use kizzle_cluster::ResumeReport;
 use kizzle_corpus::{KitFamily, SimDate};
 use kizzle_signature::SignatureSet;
+use kizzle_snapshot::sections::SECTION_KEY_PREFIX;
 use kizzle_snapshot::{
-    ChainWriter, ChainedSnapshot, Decoder, Encoder, SectionSource, SnapshotError, FORMAT_VERSION,
+    fingerprint, write_atomic, Decoder, Encoder, Manifest, Snapshot, SnapshotBuilder,
+    SnapshotError, FORMAT_VERSION,
 };
-use rayon::prelude::*;
 use std::collections::HashMap;
 use std::path::Path;
 
-/// Chain file prefix of the compiler state (base file
-/// `kizzle-state.snap`, deltas `kizzle-state.delta-N.snap`).
-pub const STATE_CHAIN_PREFIX: &str = "kizzle-state";
-/// Name of the base binary state file inside a state directory.
+/// Name of the binary state file inside a state directory.
 pub const STATE_FILE: &str = "kizzle-state.snap";
 /// Name of the human-readable manifest sidecar.
 pub const MANIFEST_FILE: &str = "MANIFEST";
 
-/// Deltas a state chain accumulates before
-/// [`KizzleService::save`](crate::KizzleService::save) compacts back to a
-/// full base — a weekly cadence at one save per day.
-pub const DEFAULT_MAX_DELTAS: usize = 6;
-
-pub use kizzle_snapshot::sections::{
-    META_SECTION, REFERENCE_SECTION, SIGNATURES_SECTION, WINDOW_SECTION,
-};
+pub use kizzle_snapshot::sections::{META_SECTION, REFERENCE_SECTION, SIGNATURES_SECTION};
 
 /// Canonical byte encoding of every configuration field that shapes
 /// persisted state, hashed with FNV-1a 64. Two configs with the same
@@ -177,113 +181,117 @@ fn decode_meta(dec: &mut Decoder<'_>) -> Result<Meta, SnapshotError> {
     })
 }
 
+/// The signature section's payload: the publication count, then the set.
+fn encode_publication(count: u64, signatures: &SignatureSet) -> Vec<u8> {
+    let mut enc = Encoder::new();
+    enc.varint(count);
+    // Insertion order, which the scan's first-match semantics depend on.
+    signatures.encode_into(&mut enc);
+    enc.into_bytes()
+}
+
+/// Decode the signature section of a state file: the publication count
+/// and the set, unsealed. This is the **single** reader of that section —
+/// [`KizzleService::load`](crate::KizzleService::load),
+/// [`read_signatures`] and the [`ChainFollower`](crate::ChainFollower)
+/// all route through it, so the layout has exactly one interpretation.
+pub(crate) fn decode_publication(
+    snapshot: &Snapshot,
+) -> Result<(u64, SignatureSet), SnapshotError> {
+    let mut dec = Decoder::new(snapshot.section(SIGNATURES_SECTION)?);
+    let count = dec.varint()?;
+    let signatures = SignatureSet::decode_from(&mut dec)?;
+    dec.finish()?;
+    Ok((count, signatures))
+}
+
 impl KizzleCompiler {
-    /// Serialize every compiler section. The payloads are independent,
-    /// so they encode through the rayon pool — a multi-core save costs the
-    /// slowest section, not the sum.
-    fn encode_state_sections(&self) -> Vec<(String, Vec<u8>)> {
-        type Job<'a> = (&'a str, Box<dyn Fn() -> Vec<u8> + Sync + 'a>);
-        let jobs: Vec<Job<'_>> = vec![
-            (
-                META_SECTION,
-                Box::new(|| {
-                    let mut enc = Encoder::new();
-                    encode_meta(self, &mut enc);
-                    enc.into_bytes()
-                }),
-            ),
-            (
-                SIGNATURES_SECTION,
-                Box::new(|| {
-                    // Insertion order, which the scan's first-match
-                    // semantics depend on.
-                    let mut enc = Encoder::new();
-                    self.signatures.encode_into(&mut enc);
-                    enc.into_bytes()
-                }),
-            ),
-            (
-                REFERENCE_SECTION,
-                Box::new(|| {
-                    let mut enc = Encoder::new();
-                    self.reference.encode_into(&mut enc);
-                    enc.into_bytes()
-                }),
-            ),
-            (
-                WINDOW_SECTION,
-                Box::new(|| {
-                    let mut enc = Encoder::new();
-                    enc.varint_usize(self.day_views.len());
-                    for (stamp, ids) in &self.day_views {
-                        enc.varint(*stamp);
-                        enc.varint_usize(ids.len());
-                        for id in ids {
-                            enc.varint(u64::from(id.raw()));
-                        }
-                    }
-                    enc.into_bytes()
-                }),
-            ),
-        ];
-        // The engine owns its own section layout (names and payloads) —
-        // `CorpusEngine::encode_sections` is the single producer, run
-        // concurrently with the compiler-level jobs.
-        let (payloads, engine_sections) = rayon::join(
-            || -> Vec<Vec<u8>> { jobs.par_iter().map(|(_, job)| job()).collect() },
+    /// The signature section this save writes, and the publication count
+    /// in it: the previous save's count while the set is unchanged, the
+    /// next one when it moved.
+    fn publication_section(&self) -> (u64, Vec<u8>) {
+        let unchanged = encode_publication(self.publications, &self.signatures);
+        if self.saved_signatures.as_deref() == Some(fingerprint(&unchanged).as_str()) {
+            return (self.publications, unchanged);
+        }
+        let count = self.publications + 1;
+        (count, encode_publication(count, &self.signatures))
+    }
+
+    /// Serialize every compiler section, the signature section given. The
+    /// payloads are independent, so they encode through the rayon pool — a
+    /// multi-core save costs the slowest section, not the sum.
+    fn encode_state_sections(&self, signatures: Vec<u8>) -> Vec<(String, Vec<u8>)> {
+        let ((meta, reference), engine_sections) = rayon::join(
+            || {
+                rayon::join(
+                    || {
+                        let mut enc = Encoder::new();
+                        encode_meta(self, &mut enc);
+                        enc.into_bytes()
+                    },
+                    || {
+                        let mut enc = Encoder::new();
+                        self.reference.encode_into(&mut enc);
+                        enc.into_bytes()
+                    },
+                )
+            },
+            // The engine owns its own section layout (names and payloads)
+            // — `CorpusEngine::encode_sections` is the single producer.
             || self.engine.encode_sections(),
         );
-        let mut sections: Vec<(String, Vec<u8>)> = jobs
-            .iter()
-            .map(|(name, _)| (*name).to_string())
-            .zip(payloads)
-            .collect();
+        let mut sections = vec![
+            (META_SECTION.to_string(), meta),
+            (SIGNATURES_SECTION.to_string(), signatures),
+            (REFERENCE_SECTION.to_string(), reference),
+        ];
         sections.extend(engine_sections);
         sections
     }
 
-    /// The body of [`KizzleService::save_compacting`](crate::KizzleService::save_compacting):
-    /// the next link of the state chain, plus the manifest's descriptive
-    /// keys.
-    pub(crate) fn save_state(
-        &self,
-        state_dir: &Path,
-        max_deltas: usize,
-    ) -> Result<(), KizzleError> {
+    /// The body of [`KizzleService::save`](crate::KizzleService::save):
+    /// the state file, then the manifest describing it.
+    pub(crate) fn save_state(&mut self, state_dir: &Path) -> Result<(), KizzleError> {
         let snapshot_span = kizzle_telemetry::span!("day.snapshot");
-        let sections = self.encode_state_sections();
-        let save = ChainWriter::new(state_dir, STATE_CHAIN_PREFIX).save(
-            sections,
-            max_deltas,
-            |manifest, save| {
-                manifest.set("snapshot_file", STATE_FILE);
-                manifest.set("format_version", FORMAT_VERSION);
-                manifest.set(
-                    "config_fingerprint",
-                    format!("{:#018x}", config_fingerprint(&self.config)),
-                );
-                manifest.set(
-                    "last_day",
-                    self.last_day
-                        .map_or_else(|| "none".to_string(), |d| d.to_string()),
-                );
-                manifest.set("live_samples", self.engine.len());
-                // Serving-side followers scan with the compile-time cap.
-                manifest.set("token_cap", self.config.token_cap);
-                manifest.set("cached_neighborhoods", self.engine.index().cached_count());
-                manifest.set(SIGNATURES_SECTION, self.signatures.len());
-                // What *this* save put on disk — the base on day 1 and
-                // after compaction, otherwise a delta (or nothing on a
-                // no-change day). The logical state spans the whole
-                // `chain`, so a single "size of the snapshot" number no
-                // longer exists.
-                manifest.set(
-                    "written_file",
-                    save.file.as_deref().unwrap_or("none (no sections changed)"),
-                );
-                manifest.set("written_bytes", save.bytes);
-            },
-        )?;
+        let (publications, signatures) = self.publication_section();
+        let mut manifest = Manifest::new();
+        let mut builder = SnapshotBuilder::new();
+        let mut saved_signatures = None;
+        for (name, payload) in self.encode_state_sections(signatures) {
+            let recorded = fingerprint(&payload);
+            manifest.set(&format!("{SECTION_KEY_PREFIX}{name}"), &recorded);
+            if name == SIGNATURES_SECTION {
+                saved_signatures = Some(recorded);
+            }
+            builder.section(&name, payload);
+        }
+        let bytes = builder.to_bytes();
+        std::fs::create_dir_all(state_dir)?;
+        write_atomic(&state_dir.join(STATE_FILE), &bytes)?;
+        // The file holds the new count now: the next save continues from it
+        // even if the manifest write below fails.
+        self.publications = publications;
+        self.saved_signatures = saved_signatures;
+
+        manifest.set("snapshot_file", STATE_FILE);
+        manifest.set("snapshot_bytes", bytes.len());
+        manifest.set("format_version", FORMAT_VERSION);
+        manifest.set(
+            "config_fingerprint",
+            format!("{:#018x}", config_fingerprint(&self.config)),
+        );
+        manifest.set(
+            "last_day",
+            self.last_day
+                .map_or_else(|| "none".to_string(), |d| d.to_string()),
+        );
+        manifest.set("live_samples", self.engine.len());
+        // Serving-side followers scan with the compile-time cap.
+        manifest.set("token_cap", self.config.token_cap);
+        manifest.set("cached_neighborhoods", self.engine.index().cached_count());
+        manifest.set(SIGNATURES_SECTION, self.signatures.len());
+        manifest.write_atomic(&state_dir.join(MANIFEST_FILE))?;
         let snapshot_elapsed = snapshot_span.finish();
         // The manifest is committed: followers on this host need not wait
         // out their poll interval to read it.
@@ -294,21 +302,15 @@ impl KizzleCompiler {
                 .observe_duration(snapshot_elapsed);
             kizzle_telemetry::event(
                 "snapshot.save",
-                format!(
-                    "wrote {} ({} bytes)",
-                    save.file
-                        .as_deref()
-                        .unwrap_or("nothing (no sections changed)"),
-                    save.bytes
-                ),
+                format!("wrote {STATE_FILE} ({} bytes)", bytes.len()),
             );
         }
         Ok(())
     }
 
     /// The body of [`KizzleService::load`](crate::KizzleService::load):
-    /// follow the base→delta chain recorded in the manifest down the trust
-    /// ladder in the [module docs](self).
+    /// read the state file down the trust ladder in the
+    /// [module docs](self).
     pub(crate) fn load_state(
         state_dir: &Path,
         config: KizzleConfig,
@@ -318,7 +320,7 @@ impl KizzleCompiler {
             kizzle_telemetry::counter("kizzle_snapshot_loads_total").incr();
         }
         let config = config.validate()?;
-        let snapshot = ChainedSnapshot::open(state_dir, STATE_CHAIN_PREFIX)?;
+        let snapshot = Snapshot::read(&state_dir.join(STATE_FILE))?;
 
         let mut dec = Decoder::new(snapshot.section(META_SECTION)?);
         let meta = decode_meta(&mut dec)?;
@@ -331,57 +333,14 @@ impl KizzleCompiler {
             });
         }
 
-        // Signatures decode through the one shared section reader
-        // (`kizzle::source`) — the same code path the serving-side
-        // `ChainFollower` and `read_signatures` use.
-        let signatures = crate::source::decode_signature_sections(&snapshot)?;
+        let (publications, signatures) = decode_publication(&snapshot)?;
+        let saved_signatures = Some(fingerprint(snapshot.section(SIGNATURES_SECTION)?));
 
         let mut dec = Decoder::new(snapshot.section(REFERENCE_SECTION)?);
         let reference = ReferenceCorpus::decode_from(&mut dec)?;
         dec.finish()?;
 
-        let (engine, mut report) = CorpusEngine::resume_from_sections(config.clustering, &snapshot);
-        for chain_note in snapshot.notes() {
-            report.note(chain_note.clone());
-        }
-
-        // Day views are only meaningful against the engine they were saved
-        // with: if the engine degraded (or the section is damaged), window
-        // clustering starts over rather than pointing at dead ids.
-        let day_views = snapshot.section(WINDOW_SECTION).and_then(|payload| {
-            let mut dec = Decoder::new(payload);
-            let view_count = dec.varint_usize()?;
-            let mut views = Vec::with_capacity(view_count.min(1 << 10));
-            for _ in 0..view_count {
-                let stamp = dec.varint()?;
-                let id_count = dec.varint_usize()?;
-                let mut ids = Vec::with_capacity(id_count.min(1 << 20));
-                for _ in 0..id_count {
-                    let raw = u32::try_from(dec.varint()?)
-                        .map_err(|_| SnapshotError::Corrupt("window view id exceeds u32".into()))?;
-                    let id = kizzle_cluster::SampleId::new(raw);
-                    if !engine.store().contains(id) {
-                        return Err(SnapshotError::Corrupt(
-                            "window view names a dead sample".into(),
-                        ));
-                    }
-                    ids.push(id);
-                }
-                views.push((stamp, ids));
-            }
-            dec.finish()?;
-            Ok(views)
-        });
-        let day_views = match day_views {
-            Ok(views) => views,
-            Err(err) => {
-                report.note(format!(
-                    "window views lost, window clustering starts over: {err}"
-                ));
-                Vec::new()
-            }
-        };
-
+        let (engine, report) = CorpusEngine::resume_from_sections(config.clustering, &snapshot);
         Ok((
             KizzleCompiler {
                 config,
@@ -390,7 +349,8 @@ impl KizzleCompiler {
                 signature_counters: meta.counters,
                 engine,
                 last_day: meta.last_day,
-                day_views,
+                publications,
+                saved_signatures,
             },
             report,
         ))
@@ -415,17 +375,16 @@ impl KizzleCompiler {
     }
 }
 
-/// Read just the signature set out of the state chain in `state_dir` —
+/// Read just the signature set out of the state file in `state_dir` —
 /// what `examples/signature_inspect` uses to inspect deployed signatures
-/// without recompiling them. The recorded deltas are overlaid so the
-/// *newest* signature section answers; the set comes back unsealed.
+/// without recompiling them. The set comes back unsealed.
 ///
 /// # Errors
 ///
-/// A file path — a chain's base or one of its deltas — is refused with an
-/// error naming its directory: a chain's files only make sense together,
-/// and a delta read on its own would answer with an older set. A missing
-/// directory is the chain's not-found error.
+/// A file path — the state file itself included — is refused with an
+/// error naming its directory: the directory is the unit a compiler saves
+/// and a follower tails. A missing directory is the state file's
+/// not-found error.
 pub fn read_signatures(state_dir: &Path) -> Result<SignatureSet, KizzleError> {
     if state_dir.is_file() {
         let holder = state_dir
@@ -439,10 +398,8 @@ pub fn read_signatures(state_dir: &Path) -> Result<SignatureSet, KizzleError> {
         ))
         .into());
     }
-    let chained = ChainedSnapshot::open(state_dir, STATE_CHAIN_PREFIX)?;
-    // The one shared section reader (`kizzle::source`) interprets the
-    // layout.
-    Ok(crate::source::decode_signature_sections(&chained)?)
+    let snapshot = Snapshot::read(&state_dir.join(STATE_FILE))?;
+    Ok(decode_publication(&snapshot)?.1)
 }
 
 #[cfg(test)]
@@ -453,7 +410,8 @@ mod tests {
     use kizzle_corpus::{GraywareStream, Sample, StreamConfig};
     use kizzle_signature::{CharClass, Element, Signature};
     use kizzle_snapshot::{crc32, Manifest, Snapshot, SnapshotBuilder};
-    use std::sync::Arc;
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::{Arc, Mutex};
 
     fn test_day(date: SimDate, seed: u64) -> Vec<Sample> {
         let config = StreamConfig {
@@ -517,12 +475,6 @@ mod tests {
         assert_eq!(want, got);
         assert_eq!(&*long_lived.signatures(), &*second_run.signatures());
         assert_eq!(long_lived.engine().len(), second_run.engine().len());
-        // The multi-day window mode resumes identically too: the retained
-        // day views survived the snapshot.
-        let (window_live, _) = long_lived.cluster_window();
-        let (window_resumed, _) = second_run.cluster_window();
-        assert_eq!(window_live, window_resumed);
-        assert!(window_live.cluster_count() > 0, "window found no clusters");
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -604,42 +556,44 @@ mod tests {
             Some(format!("{:#018x}", config_fingerprint(service.config())).as_str())
         );
         assert_eq!(manifest.get("last_day"), Some("8/5/14"));
-        // Day 1 wrote the full base; `written_*` describe that save.
-        assert_eq!(manifest.get("written_file"), Some(STATE_FILE));
-        let bytes: usize = manifest
-            .get("written_bytes")
-            .unwrap()
-            .parse()
-            .expect("numeric");
-        assert_eq!(bytes, std::fs::read(dir.join(STATE_FILE)).unwrap().len());
-        // A second day's save extends the chain with a delta, and the
-        // manifest must describe *that* file — not misquote the base.
+        assert_eq!(manifest.get("format_version"), Some("4"));
+        // A second day's save rewrites the one file, and the manifest
+        // describes *that* file: its size and every section's fingerprint.
         let d2 = SimDate::new(2014, 8, 6);
         service.process_day(d2, test_day(d2, 4)).expect("day 2");
         service.save(&dir).expect("state saved");
         let manifest = Manifest::read(&dir.join(MANIFEST_FILE)).expect("manifest");
-        let written = manifest.get("written_file").expect("written_file");
-        assert_ne!(written, STATE_FILE, "day 2 must be a delta");
+        let file = std::fs::read(dir.join(STATE_FILE)).expect("state file");
         let bytes: usize = manifest
-            .get("written_bytes")
+            .get("snapshot_bytes")
             .unwrap()
             .parse()
             .expect("numeric");
-        assert_eq!(bytes, std::fs::read(dir.join(written)).unwrap().len());
-        assert_eq!(
-            manifest.get(kizzle_snapshot::sections::CHAIN_KEY),
-            Some(format!("{STATE_FILE} {written}").as_str())
-        );
-        // read_signatures follows the chain from the state directory.
+        assert_eq!(bytes, file.len());
+        let snapshot = Snapshot::from_bytes(&file).expect("parses");
+        assert!(snapshot.is_complete());
+        for name in snapshot.section_names() {
+            assert_eq!(
+                manifest.get(&format!("section.{name}")),
+                Some(kizzle_snapshot::fingerprint(snapshot.section(name).unwrap()).as_str()),
+                "{name}"
+            );
+        }
+        let mut names: Vec<_> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|entry| entry.unwrap().file_name().into_string().unwrap())
+            .collect();
+        names.sort();
+        assert_eq!(names, [MANIFEST_FILE, STATE_FILE]);
+        // read_signatures reads the state directory.
         let set = read_signatures(&dir).expect("signatures");
         assert_eq!(&set, &*service.signatures());
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    /// A chain's files only make sense together: `read_signatures` takes
-    /// the state directory and refuses the base or a delta read alone —
-    /// the delta would otherwise answer with the set it overlays, an older
-    /// one — naming the directory to pass instead.
+    /// `read_signatures` takes the state directory — the unit a compiler
+    /// saves and a follower tails — and refuses a file in it, naming the
+    /// directory to pass instead.
     #[test]
     fn read_signatures_refuses_a_chain_file() {
         let dir = state_dir("read-file");
@@ -651,10 +605,7 @@ mod tests {
                 .expect("day");
             service.save(&dir).expect("state saved");
         }
-        let manifest = Manifest::read(&dir.join(MANIFEST_FILE)).expect("manifest");
-        let delta = manifest.get("written_file").expect("written_file");
-        assert_ne!(delta, STATE_FILE, "day 2 must be a delta");
-        for file in [STATE_FILE, delta] {
+        for file in [STATE_FILE, MANIFEST_FILE] {
             let err = read_signatures(&dir.join(file)).expect_err("a file is refused");
             let message = err.to_string();
             assert!(
@@ -694,17 +645,17 @@ mod tests {
             let mut service = fresh_service();
             service.process_day(d1, test_day(d1, 3)).expect("day 1");
             service.save(&dir).expect("state saved");
-            // A follower that loaded the intact chain serves epoch 1.
+            // A follower that loaded the intact file serves epoch 1.
             let serving = Arc::new(ChainFollower::new(&dir));
             assert!(serving.poll().expect("intact chain"));
             let served = serving.current();
             assert_eq!(served.0, 1);
             assert!(serving.notes().is_empty());
 
-            // The next save compacts to a fresh base (and rewrites the
-            // manifest, so the follower re-opens) — stamped `version`.
+            // The next save rewrites the file (and the manifest, so the
+            // follower re-reads) — stamped `version`.
             service.process_day(d2, test_day(d2, 4)).expect("day 2");
-            service.save_compacting(&dir, 0).expect("state saved");
+            service.save(&dir).expect("state saved");
             assert!(service.signatures().len() > served.1.len());
             let bytes = restamp(&dir.join(STATE_FILE), version);
 
@@ -735,11 +686,12 @@ mod tests {
 
             // (iii) Followers never swap to a set they could not decode: a
             // fresh one stays on the empty set at epoch 0, the serving one
-            // re-opens (the manifest moved) and stays on the epoch it had
+            // re-reads (the manifest moved) and stays on the epoch it had
             // — each with the condition in its notes.
             // Each refusal also counts in METRICS. Telemetry is switched on
             // process-wide for the loop and the counter only grows, so other
             // tests running meanwhile can add to it but never hide a rise.
+            let telemetry = TELEMETRY.lock().unwrap_or_else(|e| e.into_inner());
             kizzle_telemetry::set_enabled(true);
             let failures = kizzle_telemetry::counter("kizzle_chain_poll_failures_total");
             let failed_before = failures.value();
@@ -757,6 +709,7 @@ mod tests {
                 );
             }
             kizzle_telemetry::set_enabled(false);
+            drop(telemetry);
             assert!(
                 failures.value() >= failed_before + 2,
                 "one counted failure per follower at least"
@@ -767,6 +720,284 @@ mod tests {
             assert!(Arc::ptr_eq(&serving.current().1, &served.1));
             std::fs::remove_dir_all(&dir).ok();
         }
+    }
+
+    /// Serializes the tests that switch telemetry on process-wide to read a
+    /// counter: one switching it off mid-way would hide the other's rise.
+    static TELEMETRY: Mutex<()> = Mutex::new(());
+
+    /// One save of a service, as a crash could find it on disk: the state
+    /// file and the manifest as bytes, and the state they hold.
+    struct Saved {
+        file: Vec<u8>,
+        manifest: Vec<u8>,
+        signatures: SignatureSet,
+        last_day: SimDate,
+        live_samples: usize,
+    }
+
+    /// Two consecutive saves of one service, both publications.
+    fn two_saves(name: &str) -> (Saved, Saved) {
+        let dir = state_dir(name);
+        let mut service = fresh_service();
+        let mut save = |date: SimDate, seed: u64| {
+            service
+                .process_day(date, test_day(date, seed))
+                .expect("day");
+            service.save(&dir).expect("state saved");
+            // One statement per read: each holds the compiler lock.
+            let signatures = (*service.signatures()).clone();
+            let live_samples = service.engine().len();
+            Saved {
+                file: std::fs::read(dir.join(STATE_FILE)).expect("state file"),
+                manifest: std::fs::read(dir.join(MANIFEST_FILE)).expect("manifest"),
+                signatures,
+                last_day: date,
+                live_samples,
+            }
+        };
+        let old = save(SimDate::new(2014, 8, 5), 3);
+        let new = save(SimDate::new(2014, 8, 6), 4);
+        assert_ne!(old.signatures, new.signatures, "both saves publish");
+        std::fs::remove_dir_all(&dir).ok();
+        (old, new)
+    }
+
+    /// Lay `saved` out in a fresh `dir` the way a completed save leaves it.
+    fn lay_out(dir: &Path, saved: &Saved) {
+        std::fs::remove_dir_all(dir).ok();
+        std::fs::create_dir_all(dir).expect("state dir");
+        write_atomic(&dir.join(STATE_FILE), &saved.file).expect("state file");
+        write_atomic(&dir.join(MANIFEST_FILE), &saved.manifest).expect("manifest");
+    }
+
+    /// A save is two atomic renames, the state file's and then the
+    /// manifest's. Each directory a crash can leave — a stray `.tmp` of
+    /// the new file, the new file under the old manifest, both new — loads
+    /// exactly the old state or the new one, and every follower serves the
+    /// old set at epoch 1 or the new one at epoch 2, never one set under
+    /// the other's epoch.
+    #[test]
+    fn a_crash_anywhere_in_a_save_leaves_the_old_state_or_the_new() {
+        let (old, new) = two_saves("crash-saves");
+        let dir = state_dir("crash");
+        let tmp = dir.join(format!("{STATE_FILE}.tmp"));
+        for crash in [
+            "before the file rename",
+            "before the manifest rename",
+            "after both",
+        ] {
+            lay_out(&dir, &old);
+            let serving = ChainFollower::new(&dir);
+            assert!(serving.poll().expect("the old state reads"));
+            match crash {
+                "before the file rename" => {
+                    std::fs::write(&tmp, &new.file[..new.file.len() / 2]).expect("tmp");
+                }
+                "before the manifest rename" => {
+                    write_atomic(&dir.join(STATE_FILE), &new.file).expect("state file");
+                }
+                _ => {
+                    write_atomic(&dir.join(STATE_FILE), &new.file).expect("state file");
+                    write_atomic(&dir.join(MANIFEST_FILE), &new.manifest).expect("manifest");
+                }
+            }
+            // The directory holds the new state once its file is renamed in.
+            let (want, want_epoch) = if crash == "before the file rename" {
+                (&old, 1)
+            } else {
+                (&new, 2)
+            };
+
+            let (loaded, report) =
+                KizzleService::load(&dir, KizzleConfig::fast()).expect("a state loads");
+            assert!(report.notes.is_empty(), "{crash}: {:?}", report.notes);
+            assert_eq!(&*loaded.signatures(), &want.signatures, "{crash}");
+            assert_eq!(loaded.last_processed_day(), Some(want.last_day), "{crash}");
+            assert_eq!(loaded.engine().len(), want.live_samples, "{crash}");
+            assert_eq!(read_signatures(&dir).expect("reads"), want.signatures);
+
+            // A follower reading the directory cold serves what is there; the
+            // one that served the old state keeps it until the manifest
+            // moves. Either way the set and its epoch belong together.
+            let fresh = ChainFollower::new(&dir);
+            assert!(fresh.poll().expect("a state reads"));
+            assert_eq!(fresh.current().0, want_epoch, "{crash}");
+            serving.poll().expect("a state reads");
+            for follower in [&fresh, &serving] {
+                let (epoch, set) = follower.current();
+                let pair = match epoch {
+                    1 => &old,
+                    2 => &new,
+                    other => panic!("{crash}: epoch {other} was never published"),
+                };
+                assert_eq!(*set, pair.signatures, "{crash}: epoch {epoch}");
+                assert!(
+                    follower.notes().is_empty(),
+                    "{crash}: {:?}",
+                    follower.notes()
+                );
+            }
+
+            // The next save replaces a stray tmp file and leaves none.
+            loaded.save(&dir).expect("state saved");
+            assert!(!tmp.exists(), "{crash}");
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// One flipped byte in the state file's signature section: a follower
+    /// keeps its last-known-good set and epoch, says why and counts the
+    /// failed poll; `load` refuses the file. The next intact save is served
+    /// again.
+    #[test]
+    fn a_flipped_byte_keeps_the_followers_last_known_good_set() {
+        let (old, new) = two_saves("flip-saves");
+        let dir = state_dir("flip");
+        lay_out(&dir, &old);
+        let follower = ChainFollower::new(&dir);
+        assert!(follower.poll().expect("the old state reads"));
+        let (epoch, served) = follower.current();
+        assert_eq!(epoch, 1);
+
+        let parsed = Snapshot::from_bytes(&new.file).expect("parses");
+        let payload = parsed.section(SIGNATURES_SECTION).expect("intact");
+        let at = new
+            .file
+            .windows(payload.len())
+            .position(|window| window == payload)
+            .expect("payload stored verbatim")
+            + payload.len() / 2;
+        let mut damaged = new.file.clone();
+        damaged[at] ^= 0x20;
+        write_atomic(&dir.join(STATE_FILE), &damaged).expect("state file");
+        write_atomic(&dir.join(MANIFEST_FILE), &new.manifest).expect("manifest");
+
+        let telemetry = TELEMETRY.lock().unwrap_or_else(|e| e.into_inner());
+        kizzle_telemetry::set_enabled(true);
+        let failures = kizzle_telemetry::counter("kizzle_chain_poll_failures_total");
+        let failed_before = failures.value();
+        let polled = follower.poll();
+        kizzle_telemetry::set_enabled(false);
+        drop(telemetry);
+        assert!(
+            matches!(
+                polled,
+                Err(KizzleError::Snapshot(
+                    SnapshotError::ChecksumMismatch { .. }
+                ))
+            ),
+            "{polled:?}"
+        );
+        assert!(failures.value() > failed_before, "the failed poll counts");
+        let (epoch, still) = follower.current();
+        assert_eq!(epoch, 1);
+        assert!(Arc::ptr_eq(&still, &served));
+        assert!(
+            follower
+                .notes()
+                .iter()
+                .any(|n| n.contains("still serving epoch 1") && n.contains("checksum")),
+            "notes: {:?}",
+            follower.notes()
+        );
+        assert!(matches!(
+            KizzleService::load(&dir, KizzleConfig::fast()),
+            Err(KizzleError::Snapshot(
+                SnapshotError::ChecksumMismatch { .. }
+            ))
+        ));
+
+        // A manifest one blank line longer than the last one the follower
+        // read: its stamp moves whatever inode and clock tick it gets.
+        let mut manifest = new.manifest.clone();
+        manifest.push(b'\n');
+        write_atomic(&dir.join(STATE_FILE), &new.file).expect("state file");
+        write_atomic(&dir.join(MANIFEST_FILE), &manifest).expect("manifest");
+        assert!(follower.poll().expect("the new state reads"));
+        assert_eq!(follower.current().0, 2);
+        assert_eq!(*follower.current().1, new.signatures);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A follower polling while the compiler saves serves only pairs the
+    /// compiler published: epoch N always with the set of the N-th save
+    /// that changed the signatures. A follower that took the count from
+    /// anywhere but the section holding the set would pair a set with a
+    /// neighbouring save's count whenever a poll straddles a save.
+    #[test]
+    fn a_follower_racing_saves_serves_each_set_under_its_own_epoch() {
+        const PUBLICATIONS: usize = 30;
+        // More pollers than cores: a saver preempted between its two
+        // renames holds the window open for the others.
+        const POLLERS: usize = 3;
+        let dir = state_dir("race");
+        // Row N-1 holds the set of publication N, pushed before that save.
+        let ledger: Arc<Mutex<Vec<SignatureSet>>> = Arc::default();
+        let done = Arc::new(AtomicBool::new(false));
+        let pollers: Vec<_> = (0..POLLERS)
+            .map(|_| {
+                let (dir, ledger, done) = (dir.clone(), Arc::clone(&ledger), Arc::clone(&done));
+                std::thread::spawn(move || {
+                    let tailing = ChainFollower::new(&dir);
+                    let mut last_epoch = 0;
+                    let mut swaps = 0usize;
+                    while !done.load(Ordering::Acquire) {
+                        // A long-lived follower, and one reading the
+                        // directory cold — whose poll always reads the file.
+                        for follower in [&tailing, &ChainFollower::new(&dir)] {
+                            if !matches!(follower.poll(), Ok(true)) {
+                                continue;
+                            }
+                            swaps += 1;
+                            let (epoch, set) = follower.current();
+                            let ledger = ledger.lock().expect("ledger");
+                            assert_eq!(
+                                ledger.get(epoch as usize - 1),
+                                Some(&*set),
+                                "epoch {epoch} served with another save's set"
+                            );
+                        }
+                        let epoch = tailing.current().0;
+                        assert!(epoch >= last_epoch, "epoch went back to {epoch}");
+                        last_epoch = epoch;
+                    }
+                    swaps
+                })
+            })
+            .collect();
+
+        let mut service = fresh_service();
+        let mut date = SimDate::new(2014, 8, 5);
+        let mut seed = 0;
+        while ledger.lock().expect("ledger").len() < PUBLICATIONS {
+            assert!(
+                seed < 4 * PUBLICATIONS as u64,
+                "too few days add signatures"
+            );
+            service
+                .process_day(date, test_day(date, seed))
+                .expect("day processes");
+            date = date.next();
+            seed += 1;
+            {
+                let mut ledger = ledger.lock().expect("ledger");
+                if ledger.last() != Some(&*service.signatures()) {
+                    ledger.push((*service.signatures()).clone());
+                }
+            }
+            service.save(&dir).expect("state saved");
+        }
+        done.store(true, Ordering::Release);
+        let swaps: usize = pollers
+            .into_iter()
+            .map(|poller| poller.join().expect("every served pair was published"))
+            .sum();
+        assert!(swaps >= PUBLICATIONS, "the poller swapped {swaps} times");
+        let last = ChainFollower::new(&dir);
+        assert!(last.poll().expect("reads"));
+        assert_eq!(last.current().0, PUBLICATIONS as u64);
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -840,11 +1071,11 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    /// Chains saved before the scan pipeline stopped being stored carry a
+    /// States saved before the scan pipeline stopped being stored carry a
     /// `scan-pipeline` section beside the signatures. No reader looks at
     /// it: load, `read_signatures` and a follower return the same set with
-    /// no notes, every verdict is a freshly built set's, and the next
-    /// compacting save drops the section.
+    /// no notes, every verdict is a freshly built set's, and the next save
+    /// drops the section.
     #[test]
     fn v1_scan_pipeline_sections_reseal_on_load_and_follow() {
         const RETIRED_SCAN_SECTION: &str = "scan-pipeline";
@@ -854,14 +1085,14 @@ mod tests {
         service.process_day(d1, test_day(d1, 3)).expect("day 1");
         service.save(&dir).expect("state saved");
 
-        // Rewrite the base with the retired section added: a version 1
+        // Rewrite the file with the retired section added: a version 1
         // stamp, then bytes no pipeline decoder would accept. Every other
         // section is byte-identical.
         let path = dir.join(STATE_FILE);
-        let base = Snapshot::read(&path).expect("base reads");
+        let saved = Snapshot::read(&path).expect("state file reads");
         let mut builder = SnapshotBuilder::new();
-        for name in base.section_names() {
-            builder.section(name, base.section(name).expect("intact").to_vec());
+        for name in saved.section_names() {
+            builder.section(name, saved.section(name).expect("intact").to_vec());
         }
         builder.section(
             RETIRED_SCAN_SECTION,
@@ -870,13 +1101,13 @@ mod tests {
         builder.write_atomic(&path).expect("rewrite");
 
         let (mut resumed, report) =
-            KizzleService::load(&dir, KizzleConfig::fast()).expect("the chain resumes");
+            KizzleService::load(&dir, KizzleConfig::fast()).expect("the state resumes");
         assert!(
             report.store_restored && report.index_restored,
             "report: {report:?}"
         );
         assert!(report.notes.is_empty(), "notes: {:?}", report.notes);
-        let read = read_signatures(&dir).expect("chain reads");
+        let read = read_signatures(&dir).expect("state reads");
         let follower = ChainFollower::new(&dir);
         assert!(follower.poll().expect("the follower loads it"));
         assert!(follower.notes().is_empty(), "notes: {:?}", follower.notes());
@@ -904,11 +1135,11 @@ mod tests {
 
         let d2 = SimDate::new(2014, 8, 6);
         resumed.process_day(d2, test_day(d2, 4)).expect("day 2");
-        resumed.save_compacting(&dir, 0).expect("compacting save");
-        let base = Snapshot::read(&path).expect("base reads");
+        resumed.save(&dir).expect("state saved");
+        let saved = Snapshot::read(&path).expect("state file reads");
         assert!(
-            !base.section_names().contains(&RETIRED_SCAN_SECTION),
-            "the compacted base still declares the retired section"
+            !saved.section_names().contains(&RETIRED_SCAN_SECTION),
+            "the next save still declares the retired section"
         );
         std::fs::remove_dir_all(&dir).ok();
     }

@@ -12,12 +12,12 @@
 //!   the pre-existing epoch mechanism, moved here unchanged: publication
 //!   is still a reference-count bump and a pointer swap under a write
 //!   lock held for nanoseconds.
-//! * [`ChainFollower`] — tails a snapshot-chain directory written by
+//! * [`ChainFollower`] — tails a state directory written by
 //!   [`KizzleService::save`](crate::KizzleService::save)
 //!   on another thread, another process, or another machine's shared
 //!   filesystem. Each [`ChainFollower::poll`] stats the `MANIFEST`,
 //!   diffs the recorded signature-section fingerprint, and only when it
-//!   moved re-opens the chain, decodes the signature section, seals the
+//!   moved reads the state file, decodes the signature section, seals the
 //!   set (the scan pipeline is built from the signatures, never read from
 //!   disk), and swaps it in **exactly like the epoch swap** — scans in
 //!   flight keep the previous complete set; the next scan on each handle
@@ -27,19 +27,17 @@
 //!
 //! The follower is the subscription half of the deployment topology the
 //! paper implies but never names: one compiler sealing days and saving
-//! chains, N scan workers (see `kizzle-serve`) following the chain
+//! its state, N scan workers (see `kizzle-serve`) following the state
 //! directory with zero coupling to the compiler process.
 
 use crate::config::KizzleConfig;
 use crate::error::KizzleError;
-use crate::snapshot::{MANIFEST_FILE, SIGNATURES_SECTION, STATE_CHAIN_PREFIX};
+use crate::snapshot::{decode_publication, MANIFEST_FILE, SIGNATURES_SECTION, STATE_FILE};
 use kizzle_signature::SignatureSet;
-use kizzle_snapshot::chain::SECTION_KEY_PREFIX;
-use kizzle_snapshot::{
-    fingerprint, ChainedSnapshot, Decoder, Manifest, SectionSource, SnapshotError,
-};
+use kizzle_snapshot::sections::SECTION_KEY_PREFIX;
+use kizzle_snapshot::{fingerprint, Manifest, Snapshot, SnapshotError};
 use std::io;
-use std::os::unix::fs::FileTypeExt;
+use std::os::unix::fs::{FileTypeExt, MetadataExt};
 use std::os::unix::net::UnixDatagram;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -48,7 +46,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, SystemTime};
 
 /// File-name prefix of the datagram sockets [`ChainFollower::follow`]
-/// threads bind in the chain directory (`.kizzle-wake-<pid>-<n>`). Every
+/// threads bind in the state directory (`.kizzle-wake-<pid>-<n>`). Every
 /// save sends each of them one byte.
 pub(crate) const WAKE_PREFIX: &str = ".kizzle-wake-";
 
@@ -143,35 +141,17 @@ impl SignatureSource for EpochSource {
     }
 }
 
-/// Decode the signature set of a compiler-state snapshot, unsealed. This
-/// is the **single** reader of that section:
-/// [`KizzleService::load`](crate::KizzleService::load),
-/// [`read_signatures`](crate::read_signatures) and the [`ChainFollower`]
-/// all route through it, so the chain layout has exactly one
-/// interpretation. Other sections — a `scan-pipeline` section written by
-/// an older build included — are not read.
-pub(crate) fn decode_signature_sections(
-    source: &impl SectionSource,
-) -> Result<SignatureSet, SnapshotError> {
-    let mut dec = Decoder::new(source.section(SIGNATURES_SECTION)?);
-    let signatures = SignatureSet::decode_from(&mut dec)?;
-    dec.finish()?;
-    Ok(signatures)
-}
-
 /// Bookkeeping one poll hands the next, under the poll mutex.
 #[derive(Debug, Default)]
 struct FollowState {
-    /// `(mtime, len)` of the manifest at the last completed poll — the
-    /// cheapest "nothing happened" check (the manifest is rewritten
-    /// atomically on every save, so an unchanged stat means no save).
-    manifest_stamp: Option<(SystemTime, u64)>,
+    /// `(inode, mtime, len)` of the manifest at the last completed poll —
+    /// the cheapest "nothing happened" check. Each save renames a new file
+    /// over the manifest, so its inode differs from the previous save's
+    /// even when both saves fall in one tick of the filesystem clock with
+    /// one length.
+    manifest_stamp: Option<(u64, SystemTime, u64)>,
     /// Fingerprint of the signature section currently swapped in.
     sig_fingerprint: Option<String>,
-    /// The chain as of the last swap — its base's trailer CRC and how many
-    /// layers it had — so the next swap can count the publications it
-    /// covers (see [`ChainFollower::poll`]).
-    chain_position: (Option<u32>, usize),
     /// Bounded log of degradations observed while following.
     notes: Vec<String>,
 }
@@ -190,7 +170,7 @@ impl FollowState {
     }
 }
 
-/// A [`SignatureSource`] that tails a snapshot-chain directory.
+/// A [`SignatureSource`] that tails a compiler's state directory.
 ///
 /// The follower is the serving side of a split deployment: a compiler
 /// process seals days and [`save`](crate::KizzleService::save)s
@@ -205,26 +185,29 @@ impl FollowState {
 ///
 /// `poll` itself is a stat of the `MANIFEST`; what decides *when* it runs
 /// is the caller. A [`ChainFollower::follow`] thread binds a datagram
-/// socket in the chain directory, and every
+/// socket in the state directory, and every
 /// [`KizzleService::save`](crate::KizzleService::save) on this host wakes
 /// it once the manifest is committed, so a save is served one decode and
 /// seal later. The follow interval bounds staleness only where a save
 /// cannot wake the thread: a writer on another host of a shared
 /// filesystem, or a directory where the socket could not be bound.
-/// Consistency is absolute regardless: the chain's files and its manifest
+/// Consistency is absolute regardless: the state file and its manifest
 /// are each written atomically (tmp + rename), the manifest only after
-/// its chain file, so every poll sees either the complete previous save
-/// or the complete new one — and the in-memory swap is the same
-/// epoch-bump-under-write-lock the in-process [`EpochSource`] uses, so a
-/// scan never observes a torn set. A save that only touched non-signature
-/// sections (store/index churn on a day with no new signatures) is
-/// detected by the recorded section fingerprints and skipped without
-/// opening the chain, let alone decoding it.
+/// the file, and the epoch is the publication count stored in the file's
+/// signature section beside the set — so every poll reads a set and its
+/// epoch from one save, the previous one or the new one, never a mix. The
+/// in-memory swap is the same epoch-bump-under-write-lock the in-process
+/// [`EpochSource`] uses, so a scan never observes a torn set. A save that
+/// only touched non-signature sections (store/index churn on a day with
+/// no new signatures) is detected by the recorded section fingerprints
+/// and skipped without reading the state file, let alone decoding it.
 ///
-/// Damage follows the chain's own degradation ladder: a broken delta
-/// truncates to the intact prefix (the follower serves the older,
-/// self-consistent set and notes it), an unreadable base keeps the
-/// previously decoded set (last-known-good) and returns the error.
+/// Damage keeps the last-known-good set: a state file whose signature
+/// section is unreadable (damaged, truncated, another format version)
+/// leaves the previously decoded set and its epoch published, returns the
+/// error, records a note and counts in
+/// `kizzle_chain_poll_failures_total`. The next save replaces the file
+/// and the follower catches up.
 #[derive(Debug)]
 pub struct ChainFollower {
     dir: PathBuf,
@@ -237,11 +220,10 @@ pub struct ChainFollower {
 }
 
 impl ChainFollower {
-    /// A follower for the compiler-state chain
-    /// (`kizzle-state.snap` + deltas) in `dir`. Construction never
-    /// touches the filesystem — a follower may be created before the
-    /// compiler's first save; [`ChainFollower::poll`] reports
-    /// [`KizzleError::Snapshot`] (io not-found) until a base exists,
+    /// A follower for the compiler state file (`kizzle-state.snap`) in
+    /// `dir`. Construction never touches the filesystem — a follower may
+    /// be created before the compiler's first save; [`ChainFollower::poll`]
+    /// reports [`KizzleError::Snapshot`] (io not-found) until a save exists,
     /// and every [`Matcher`](crate::Matcher) scans the empty set
     /// (epoch 0) meanwhile.
     #[must_use]
@@ -257,37 +239,41 @@ impl ChainFollower {
         }
     }
 
-    /// The chain directory being tailed.
+    /// The state directory being tailed.
     #[must_use]
     pub fn dir(&self) -> &Path {
         &self.dir
     }
 
-    /// Check the chain directory once and swap in a new set if one was
+    /// Check the state directory once and swap in a new set if one was
     /// published. Returns `Ok(true)` when a new epoch was swapped in
-    /// (the epoch advances by the number of publications the swap covers,
+    /// (the epoch is the publication count the file stores with the set,
     /// so a follower that polls less often than the compiler saves still
-    /// counts every one),
-    /// `Ok(false)` when the published signatures are unchanged (three
-    /// fast paths, cheapest first: manifest stat, recorded section
-    /// fingerprints, locally computed fingerprints of the opened chain).
+    /// counts every publication, and two followers of one directory agree
+    /// on it), `Ok(false)` when the published signatures are unchanged
+    /// (three fast paths, cheapest first: manifest stat, recorded section
+    /// fingerprint, locally computed fingerprint of the file's section).
     ///
     /// Concurrent polls serialize on an internal mutex; scans are never
     /// blocked by a poll except for the final pointer-swap instant.
     ///
     /// # Errors
     ///
-    /// [`KizzleError::Snapshot`] when no chain base is readable (io
+    /// [`KizzleError::Snapshot`] when no state file is readable (io
     /// not-found before the compiler's first save — the caller's signal
-    /// to keep waiting) or the signature section of an opened chain is
-    /// damaged. The previously decoded set stays published either way.
-    /// Every error but not-found counts in
+    /// to keep waiting) or its signature section is damaged. The
+    /// previously decoded set stays published either way. Every error but
+    /// not-found is recorded in [`ChainFollower::notes`] and counts in
     /// `kizzle_chain_poll_failures_total`.
     pub fn poll(&self) -> Result<bool, KizzleError> {
         let polled = self.refresh();
         if let Err(err) = &polled {
-            if kizzle_telemetry::enabled() && !still_waiting(err) {
-                kizzle_telemetry::counter("kizzle_chain_poll_failures_total").incr();
+            if !still_waiting(err) {
+                if kizzle_telemetry::enabled() {
+                    kizzle_telemetry::counter("kizzle_chain_poll_failures_total").incr();
+                }
+                let epoch = self.epoch_hint();
+                self.push_note(format!("poll failed, still serving epoch {epoch}: {err}"));
             }
         }
         polled
@@ -303,7 +289,7 @@ impl ChainFollower {
         let manifest_path = self.dir.join(MANIFEST_FILE);
         let stamp = std::fs::metadata(&manifest_path)
             .ok()
-            .and_then(|meta| Some((meta.modified().ok()?, meta.len())));
+            .and_then(|meta| Some((meta.ino(), meta.modified().ok()?, meta.len())));
         if loaded && stamp.is_some() && stamp == state.manifest_stamp {
             return Ok(false);
         }
@@ -324,11 +310,9 @@ impl ChainFollower {
             }
         }
 
-        // Full read: overlay the chain and fingerprint the winning
-        // section ourselves (covers manifest-less bare bases and
-        // truncated chains, where the recorded fingerprints lie).
-        let snapshot =
-            ChainedSnapshot::open(&self.dir, STATE_CHAIN_PREFIX).map_err(KizzleError::Snapshot)?;
+        // Full read: fingerprint the file's signature section ourselves
+        // (covers a missing manifest, and one that lags the file).
+        let snapshot = Snapshot::read(&self.dir.join(STATE_FILE)).map_err(KizzleError::Snapshot)?;
         let sig_fingerprint = Some(fingerprint(
             snapshot
                 .section(SIGNATURES_SECTION)
@@ -339,7 +323,7 @@ impl ChainFollower {
             return Ok(false);
         }
 
-        let set = decode_signature_sections(&snapshot).map_err(KizzleError::Snapshot)?;
+        let (publications, set) = decode_publication(&snapshot).map_err(KizzleError::Snapshot)?;
         if let Some(cap) = manifest
             .as_ref()
             .and_then(|m| m.get("token_cap"))
@@ -351,33 +335,18 @@ impl ChainFollower {
         // pays the pipeline build.
         set.seal();
         let signatures = set.len();
-        // One epoch per publication, not per poll. The compiler may save
-        // twice between two polls; each of those saves appended a delta
-        // carrying the signature sections it changed, so the deltas added
-        // under an unchanged base since the last swap say how many
-        // publications this swap covers. Two followers of one chain then
-        // agree on the epoch however often each polls — which is what lets
-        // a verdict's epoch be compared across processes. (A compaction in
-        // between rewrites the base and loses the count; the swap is one
-        // epoch, as is a follower's first load.)
-        let (seen_base, seen_layers) = state.chain_position;
-        let publications = if loaded && seen_base.is_some() && seen_base == snapshot.base_crc() {
-            snapshot.layers_declaring(seen_layers, SIGNATURES_SECTION)
-        } else {
-            0
-        };
         {
             let mut slot = self.slot.write().expect("chain follower slot lock");
-            slot.0 += publications.max(1) as u64;
+            // One epoch per publication, not per poll: the count came out
+            // of the same section as the set. A count that did not move
+            // past ours (a fresh compiler restarted the directory) still
+            // advances the epoch by one, which keeps it monotone.
+            slot.0 = publications.max(slot.0 + 1);
             slot.1 = Arc::new(set);
             self.epoch_hint.store(slot.0, Ordering::Release);
         }
         state.sig_fingerprint = sig_fingerprint;
         state.manifest_stamp = stamp;
-        state.chain_position = (snapshot.base_crc(), snapshot.layer_count());
-        for note in snapshot.notes() {
-            state.push_note(note.clone());
-        }
         if kizzle_telemetry::enabled() {
             kizzle_telemetry::counter("kizzle_chain_refreshes_total").incr();
             kizzle_telemetry::gauge("kizzle_signatures_live").set(signatures as u64);
@@ -385,8 +354,9 @@ impl ChainFollower {
         Ok(true)
     }
 
-    /// Degradations observed while following (chain truncations, background
-    /// poll errors) — newest last, bounded, consecutive duplicates collapsed.
+    /// Degradations observed while following (failed polls, a follow
+    /// thread without a wake socket) — newest last, bounded, consecutive
+    /// duplicates collapsed.
     #[must_use]
     pub fn notes(&self) -> Vec<String> {
         self.state
@@ -397,7 +367,7 @@ impl ChainFollower {
     }
 
     /// Spawn a background thread that [`ChainFollower::poll`]s whenever a
-    /// save to the chain directory wakes it, and at the latest every
+    /// save to the state directory wakes it, and at the latest every
     /// `interval`, until the returned handle is dropped or
     /// [`FollowHandle::shutdown`] is called (both stop it promptly: they
     /// wake it the way a save does).
@@ -409,14 +379,15 @@ impl ChainFollower {
     /// address holds, a read-only or remote filesystem — the thread waits
     /// on a private socket pair instead, so only `interval` brings the
     /// next poll; [`FollowHandle::woken_by_saves`] says which, and a note
-    /// records why. Poll errors are recorded as [`ChainFollower::notes`],
-    /// except not-found (the compiler simply has not saved yet).
+    /// records why. Poll errors are recorded as [`ChainFollower::notes`]
+    /// by the poll itself, except not-found (the compiler simply has not
+    /// saved yet).
     pub fn follow(self: &Arc<Self>, interval: Duration) -> FollowHandle {
         let bound = bind_wake_socket(&self.dir)
             .map(|(wake, waker, path)| (wake, waker, Some(path)))
             .inspect_err(|err| {
                 self.push_note(format!(
-                    "no wake socket in the chain directory ({err}): saves are seen by polling every {interval:?}"
+                    "no wake socket in the state directory ({err}): saves are seen by polling every {interval:?}"
                 ));
             });
         let woken_by_saves = bound.is_ok();
@@ -473,11 +444,8 @@ fn still_waiting(err: &KizzleError) -> bool {
 fn follow_loop(follower: &ChainFollower, wake: &UnixDatagram, stop: &AtomicBool) -> io::Result<()> {
     let mut byte = [0u8; 1];
     loop {
-        if let Err(err) = follower.poll() {
-            if !still_waiting(&err) {
-                follower.push_note(format!("chain poll failed: {err}"));
-            }
-        }
+        // A failed poll has noted itself; the next wake retries.
+        let _ = follower.poll();
         if stop.load(Ordering::Acquire) {
             return Ok(());
         }
@@ -495,7 +463,7 @@ fn follow_loop(follower: &ChainFollower, wake: &UnixDatagram, stop: &AtomicBool)
 }
 
 /// Bind a follow thread's wake socket in `dir`, creating `dir` as
-/// [`ChainWriter::save`](kizzle_snapshot::ChainWriter::save) would:
+/// [`KizzleService::save`](crate::KizzleService::save) would:
 /// `(the socket, a sender connected to it, its path)`.
 fn bind_wake_socket(dir: &Path) -> io::Result<(UnixDatagram, UnixDatagram, PathBuf)> {
     static NEXT: AtomicUsize = AtomicUsize::new(0);
@@ -575,7 +543,7 @@ pub struct FollowHandle {
 impl FollowHandle {
     /// Whether saves on this host wake the thread (`true`), or it sees them
     /// only at its next interval (`false`: the wake socket could not be
-    /// bound in the chain directory; [`ChainFollower::notes`] says why).
+    /// bound in the state directory; [`ChainFollower::notes`] says why).
     #[must_use]
     pub fn woken_by_saves(&self) -> bool {
         self.woken_by_saves
@@ -778,6 +746,63 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// Two saves inside one tick of the filesystem clock can leave
+    /// manifests of equal length and mtime (the two saves below are padded
+    /// to one length and stamped with one mtime). Every save renames a new
+    /// file over the manifest, so its inode still moves, and a follower
+    /// that saw the first save does not take the second for no save.
+    #[test]
+    fn a_save_in_the_same_clock_tick_and_length_is_not_missed() {
+        use std::io::Write;
+        const LEN: usize = 4096;
+        let dir = chain_dir("same-tick");
+        let manifest = dir.join(MANIFEST_FILE);
+        // In place, so the padding keeps the save's inode.
+        let pad = || {
+            let len = std::fs::metadata(&manifest).expect("manifest").len() as usize;
+            let mut file = std::fs::OpenOptions::new()
+                .append(true)
+                .open(&manifest)
+                .expect("manifest");
+            let comment = format!("#{}\n", " ".repeat(LEN - len - 2));
+            file.write_all(comment.as_bytes()).expect("padding");
+            file
+        };
+        let mut service = test_service();
+        let follower = ChainFollower::new(&dir);
+        let d1 = SimDate::new(2014, 8, 5);
+        service
+            .process_day(d1, test_day(d1, 3))
+            .expect("day processes");
+        service.save(&dir).expect("state saved");
+        let first = pad()
+            .metadata()
+            .expect("manifest")
+            .modified()
+            .expect("mtime");
+        assert!(follower.poll().expect("state readable"));
+
+        let d2 = d1.next();
+        service
+            .process_day(d2, test_day(d2, 4))
+            .expect("day processes");
+        service.save(&dir).expect("state saved");
+        pad().set_modified(first).expect("mtime");
+        let meta = std::fs::metadata(&manifest).expect("manifest");
+        assert_eq!(
+            (meta.modified().expect("mtime"), meta.len()),
+            (first, LEN as u64)
+        );
+
+        assert!(
+            follower.poll().expect("state readable"),
+            "the second save was missed"
+        );
+        assert_eq!(follower.current().0, 2);
+        assert_eq!(&*follower.current().1, &*service.signatures());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
     /// The wake sockets bound in `dir`.
     fn wake_sockets(dir: &Path) -> Vec<PathBuf> {
         std::fs::read_dir(dir)
@@ -863,50 +888,14 @@ mod tests {
         assert_eq!(std::fs::read(&regular).expect("survives"), b"keep");
         assert!(foreign.exists() && live.exists());
 
-        // Every reader of the directory ignores the sockets: the chain
-        // opens, compacts and loads as if they were not there.
-        ChainedSnapshot::open(&dir, STATE_CHAIN_PREFIX).expect("chain opens");
-        service.save_compacting(&dir, 0).expect("compacting save");
+        // Every reader of the directory ignores the sockets: the state
+        // reads, saves and loads as if they were not there.
+        crate::read_signatures(&dir).expect("state reads");
+        service.save(&dir).expect("state saved");
         let (loaded, _) = KizzleService::load(&dir, KizzleConfig::fast()).expect("loads");
         assert_eq!(&*loaded.signatures(), &*service.signatures());
         assert!(live.exists() && foreign.exists());
         handle.shutdown();
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn broken_delta_degrades_to_the_intact_prefix_with_a_note() {
-        let dir = chain_dir("damage");
-        let mut service = test_service();
-        let d1 = SimDate::new(2014, 8, 5);
-        service
-            .process_day(d1, test_day(d1, 3))
-            .expect("day processes");
-        service.save(&dir).expect("base saved");
-        let base_set = service.signatures().clone();
-
-        let d2 = SimDate::new(2014, 8, 6);
-        service
-            .process_day(d2, test_day(d2, 4))
-            .expect("day processes");
-        service.save(&dir).expect("delta saved");
-
-        // Damage the delta: the follower truncates to the base and says so.
-        let delta = dir.join("kizzle-state.delta-1.snap");
-        let bytes = std::fs::read(&delta).expect("delta bytes");
-        std::fs::write(&delta, &bytes[..bytes.len() / 2]).expect("truncate");
-
-        let follower = ChainFollower::new(&dir);
-        assert!(follower.poll().expect("base still readable"));
-        assert_eq!(&*follower.current().1, &base_set);
-        assert!(
-            follower
-                .notes()
-                .iter()
-                .any(|n| n.contains("delta chain broken")),
-            "notes: {:?}",
-            follower.notes()
-        );
         std::fs::remove_dir_all(&dir).ok();
     }
 }

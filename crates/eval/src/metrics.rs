@@ -119,10 +119,6 @@ pub struct DailyMetrics {
     /// Live samples held by the warm corpus engine after the day ran
     /// (today's batch plus the retained overlap window).
     pub live_corpus: usize,
-    /// Clusters found when the *entire retention window* is clustered as
-    /// one batch after the day ran (the multi-day eval mode); `None` when
-    /// window clustering was not requested.
-    pub window_clusters: Option<usize>,
 }
 
 impl DailyMetrics {
@@ -192,7 +188,6 @@ mod tests {
             clustering_seconds: 0.1,
             prototype_seconds: 0.02,
             live_corpus: 10,
-            window_clusters: None,
         };
         assert_eq!(metrics.signature_length(KitFamily::Nuclear), 123);
         assert_eq!(metrics.signature_length(KitFamily::Rig), 0);

@@ -20,16 +20,6 @@ pub struct EvalConfig {
     pub start: SimDate,
     /// Last day of the window (inclusive).
     pub end: SimDate,
-    /// After each day, also cluster the *entire retention window* as one
-    /// batch and record the cluster count ([`DailyMetrics::window_clusters`])
-    /// — the ROADMAP's multi-day eval mode, showing how much the day
-    /// boundary fragments slow-moving families.
-    pub window_cluster: bool,
-    /// Snapshot-chain compaction cadence for the persisting run modes:
-    /// the state chain accumulates up to this many delta files before a
-    /// save rewrites the full base. `0` writes a full snapshot every day
-    /// (the pre-chain behavior).
-    pub compact_every: usize,
 }
 
 impl EvalConfig {
@@ -46,8 +36,6 @@ impl EvalConfig {
             av: AvConfig::default(),
             start: SimDate::evaluation_start(),
             end: SimDate::evaluation_end(),
-            window_cluster: false,
-            compact_every: kizzle::DEFAULT_MAX_DELTAS,
         }
     }
 
@@ -65,8 +53,6 @@ impl EvalConfig {
             av: AvConfig::default(),
             start: SimDate::new(2014, 8, 10),
             end: SimDate::new(2014, 8, 16),
-            window_cluster: false,
-            compact_every: kizzle::DEFAULT_MAX_DELTAS,
         }
     }
 }
@@ -153,7 +139,7 @@ impl MonthlyEvaluation {
     /// executes: the service is **dropped after every day** and
     /// reconstructed for the next one from the state snapshot in
     /// `state_dir` ([`KizzleService::save`] / [`KizzleService::open`]).
-    /// With an intact snapshot chain the
+    /// With an intact state file the
     /// per-day results are byte-identical to [`MonthlyEvaluation::run`]
     /// (modulo wall-clock timings); a missing or damaged snapshot degrades
     /// to a cold rebuild for that day instead of failing the run.
@@ -195,8 +181,8 @@ impl MonthlyEvaluation {
                     .expect("evaluation config is valid"),
             };
             // A resumed snapshot can sit *ahead* of the day being replayed
-            // — e.g. a damaged chain truncated to a base that was saved
-            // after this date, now being re-run from the top. Sessions
+            // — e.g. the state an earlier run saved after this date, now
+            // being re-run from the top. Sessions
             // refuse time travel ([`KizzleError::Ingest`]), so replaying
             // the past means deciding explicitly to start from scratch.
             if service.last_processed_day().is_some_and(|last| last > date) {
@@ -210,7 +196,7 @@ impl MonthlyEvaluation {
             days.push(metrics);
             if let Some(dir) = state_dir {
                 service
-                    .save_compacting(dir, self.config.compact_every)
+                    .save(dir)
                     .expect("failed to write service state snapshot");
             }
             if restart {
@@ -308,11 +294,6 @@ impl MonthlyEvaluation {
             })
             .collect();
 
-        let window_clusters = self
-            .config
-            .window_cluster
-            .then(|| service.cluster_window().0.cluster_count());
-
         DailyMetrics {
             date,
             samples: samples.len(),
@@ -326,7 +307,6 @@ impl MonthlyEvaluation {
             clustering_seconds: report.clustering_stats.total_time().as_secs_f64(),
             prototype_seconds: report.clustering_stats.prototype_time.as_secs_f64(),
             live_corpus: service.engine().len(),
-            window_clusters,
         }
     }
 }
@@ -438,29 +418,6 @@ mod tests {
         assert_eq!(result.days.len(), 3);
         assert!(result.days.iter().all(|d| d.samples > 0));
         std::fs::remove_dir_all(&state_dir).ok();
-    }
-
-    #[test]
-    fn window_cluster_mode_reports_a_window_count() {
-        let mut config = three_day_config(5);
-        config.window_cluster = true;
-        let result = MonthlyEvaluation::new(config).run();
-        // Every day records a count. The window clusters *distinct*
-        // retained class-strings (the day view weights duplicates, the
-        // store dedups them), so the count can sit below the per-day one —
-        // but across a multi-day window some family must still clear
-        // min_points on distinct variants alone.
-        assert!(result.days.iter().all(|d| d.window_clusters.is_some()));
-        let peak = result
-            .days
-            .iter()
-            .filter_map(|d| d.window_clusters)
-            .max()
-            .expect("days present");
-        assert!(peak > 0, "no window clusters all window: {result:?}");
-        // Without the flag the column stays empty.
-        let result = MonthlyEvaluation::new(three_day_config(5)).run();
-        assert!(result.days.iter().all(|d| d.window_clusters.is_none()));
     }
 
     #[test]

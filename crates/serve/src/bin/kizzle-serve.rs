@@ -1,5 +1,5 @@
-//! The `kizzle-serve` daemon binary: tail a snapshot chain, serve scans
-//! over TCP until a client asks the fleet to drain.
+//! The `kizzle-serve` daemon binary: tail a compiler's state directory,
+//! serve scans over TCP until a client asks the fleet to drain.
 
 use kizzle_serve::{ServeConfig, Server};
 use std::io::Write;

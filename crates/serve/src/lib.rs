@@ -2,10 +2,10 @@
 //! signature sets.
 //!
 //! The compiler side of the pipeline (`kizzle`'s [`KizzleService`])
-//! grows a signature set day by day and persists it as a snapshot
-//! chain. This crate is the *other* process: a daemon whose worker
+//! grows a signature set day by day and persists it as one state file
+//! per save. This crate is the *other* process: a daemon whose worker
 //! threads each hold a [`Matcher`] over one shared
-//! [`ChainFollower`] tailing that chain directory, answering scan
+//! [`ChainFollower`] tailing that state directory, answering scan
 //! requests over a trivial length-prefixed TCP protocol
 //! ([`protocol`]), hot-swapping the set mid-traffic whenever the
 //! compiler publishes, and exposing its telemetry as Prometheus text
@@ -28,7 +28,7 @@
 //! let dir = std::env::temp_dir().join(format!("kizzle-serve-quickstart-{}", std::process::id()));
 //! let _ = std::fs::remove_dir_all(&dir);
 //!
-//! // Compiler process: grow one day, publish it as the chain's base.
+//! // Compiler process: grow one day, publish it into the state directory.
 //! let config = KizzleConfig::fast();
 //! let reference = ReferenceCorpus::seeded_from_models(SimDate::new(2014, 8, 1), &config);
 //! let mut service = KizzleService::new(config, reference)?;
@@ -37,7 +37,7 @@
 //! service.process_day(date, &day)?;
 //! service.save(&dir)?;
 //!
-//! // Serving process: a worker fleet tailing that chain.
+//! // Serving process: a worker fleet tailing that directory.
 //! let server = Server::start(&ServeConfig::new(&dir))?;
 //! let mut client = ScanClient::connect(&server.addr().to_string())?;
 //! for sample in &day {

@@ -49,9 +49,14 @@ pub const MAGIC: [u8; 8] = *b"KIZSNAP1";
 /// refused with [`SnapshotError::VersionSkew`] before a section is parsed.
 ///
 /// Version 3: the neighbor-index section no longer carries the index's
-/// symbol alphabet (its histograms use fixed buckets). No reader for
-/// version 2 is kept; such a chain is refused like any other version.
-pub const FORMAT_VERSION: u32 = 3;
+/// symbol alphabet (its histograms use fixed buckets).
+///
+/// Version 4: a state directory holds one container per save instead of a
+/// base→delta chain, and the signature section carries the publication
+/// count in front of the set. No reader for version 3 is kept: the base of
+/// an old chain read on its own is an *older* state than the chain
+/// described, so it is refused rather than loaded.
+pub const FORMAT_VERSION: u32 = 4;
 
 /// Accumulates named sections and serializes them into one container.
 #[derive(Debug, Default)]
@@ -158,8 +163,7 @@ pub struct Snapshot {
     complete: bool,
     /// Whether the whole-file trailer checksum verifies.
     file_crc_ok: OnceLock<bool>,
-    /// The stored trailer checksum (the file's last four bytes) — the
-    /// chain layer binds each delta to this value of its predecessor.
+    /// The stored trailer checksum (the file's last four bytes).
     trailer_crc: u32,
 }
 
@@ -241,22 +245,6 @@ impl Snapshot {
                 let body = &self.bytes[..self.bytes.len() - 4];
                 self.trailer_crc == crc32(body)
             })
-    }
-
-    /// The trailer checksum stored in the file (every parsed snapshot is
-    /// long enough to carry one). This is the
-    /// identity the delta chain binds to: a delta records its
-    /// predecessor's trailer and is rejected when they disagree.
-    #[must_use]
-    pub fn trailer_crc(&self) -> Option<u32> {
-        Some(self.trailer_crc)
-    }
-
-    /// True if a section of this name parsed structurally (its payload
-    /// may still fail its checksum — [`Snapshot::section`] decides that).
-    #[must_use]
-    pub fn has_section(&self, name: &str) -> bool {
-        self.sections.iter().any(|s| s.name == name)
     }
 
     /// Names of the sections that parsed structurally, in file order.

@@ -26,17 +26,15 @@
 //!   is what lets a loader fall back per-section (rebuild the index from
 //!   the store, the store from nothing) instead of panicking.
 //! * [`manifest`] — [`Manifest`]: a `key = value` sidecar describing the
-//!   snapshot (format version, config fingerprint, last day, size,
-//!   checksum) so operators can inspect state without a binary reader.
-//! * [`chain`] — [`ChainWriter`]/[`ChainedSnapshot`]: day-over-day
-//!   incremental persistence. A full *base* file plus deltas of only the
-//!   sections whose content fingerprint changed, recorded in the
-//!   manifest; readers overlay the chain latest-wins and truncate it at
-//!   the first broken delta (resume the base) instead of failing.
+//!   snapshot (format version, config fingerprint, last day, per-section
+//!   [`fingerprint`]s) so operators can inspect state, and readers can
+//!   tell which sections moved, without a binary reader.
 //!
-//! All files are written **atomically**: to a `.tmp` sibling first, synced,
-//! then renamed over the destination — a crash mid-write leaves the
-//! previous snapshot intact.
+//! A state directory holds one container and its manifest, each written
+//! **atomically** ([`write_atomic`]: a `.tmp` sibling first, synced, then
+//! renamed over the destination) — the container before the manifest, so
+//! a crash at any point leaves either the previous state or the new one,
+//! never a mixture.
 //!
 //! ## Example
 //!
@@ -59,34 +57,16 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod chain;
 pub mod codec;
 pub mod container;
 pub mod manifest;
 pub mod sections;
 
-pub use chain::{ChainSave, ChainWriter, ChainedSnapshot};
 pub use codec::{Decoder, Encoder};
 pub use container::{write_atomic, Snapshot, SnapshotBuilder, FORMAT_VERSION};
 pub use manifest::Manifest;
 
 use std::fmt;
-
-/// Anything a loader can pull named sections out of: a single parsed
-/// [`Snapshot`], or the latest-wins overlay of a base→delta
-/// [`ChainedSnapshot`]. Domain loaders are written against this trait so
-/// the same resume code serves both shapes.
-pub trait SectionSource {
-    /// The payload of a named section, checksum-verified — the same
-    /// contract as [`Snapshot::section`].
-    fn section(&self, name: &str) -> Result<&[u8], SnapshotError>;
-}
-
-impl SectionSource for Snapshot {
-    fn section(&self, name: &str) -> Result<&[u8], SnapshotError> {
-        Snapshot::section(self, name)
-    }
-}
 
 /// Everything that can go wrong while writing or reading a snapshot.
 ///
@@ -234,7 +214,7 @@ const fn crc32_tables() -> [[u32; 256]; 8] {
     tables
 }
 
-/// A section's `crc/len` content fingerprint, as the chain manifest records
+/// A section's `crc/len` content fingerprint, as the state manifest records
 /// it — readers compare one they computed against a recorded one as plain
 /// strings.
 #[must_use]

@@ -15,25 +15,14 @@
 
 /// Section holding fingerprint, day counter and signature counters.
 pub const META_SECTION: &str = "meta";
-/// Section holding the cumulative signature set.
+/// Section holding the publication count and the cumulative signature set.
 pub const SIGNATURES_SECTION: &str = "signatures";
 /// Section holding the reference corpus.
 pub const REFERENCE_SECTION: &str = "reference";
-/// Section holding the retained day views (for window clustering).
-pub const WINDOW_SECTION: &str = "window-views";
 /// Section holding the cluster corpus store (sample bytes + metadata).
 pub const STORE_SECTION: &str = "corpus-store";
 /// Section holding the neighbor index (caches, no sample bytes).
 pub const INDEX_SECTION: &str = "neighbor-index";
 
-/// Reserved section carried by every delta file: sequence number and the
-/// predecessor's trailer CRC. The double underscore keeps it out of the
-/// domain crates' namespace.
-pub const DELTA_META_SECTION: &str = "__delta-meta";
-
-/// Manifest key listing the chain files in order, space-separated.
-pub const CHAIN_KEY: &str = "chain";
-/// Manifest key recording the chain head's trailer CRC.
-pub const HEAD_CRC_KEY: &str = "head_crc";
 /// Manifest key prefix for per-section content fingerprints.
 pub const SECTION_KEY_PREFIX: &str = "section.";

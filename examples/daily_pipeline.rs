@@ -10,8 +10,7 @@
 //! `--restart-each-day` additionally **drops the service between days**
 //! and reloads it from the snapshot — the production cron deployment in
 //! miniature. Its report table is byte-identical to the long-lived run
-//! (CI diffs the two). `--window-cluster` adds the multi-day eval mode: a
-//! `window` column with the cluster count over the whole retention window.
+//! (CI diffs the two).
 //!
 //! `--metrics-out PATH` / `--trace-out PATH` switch on the
 //! `kizzle-telemetry` layer for the run and dump the metric registry
@@ -36,8 +35,6 @@ struct Args {
     seed: u64,
     state_dir: Option<PathBuf>,
     restart_each_day: bool,
-    window_cluster: bool,
-    compact_every: usize,
     metrics_out: Option<PathBuf>,
     trace_out: Option<PathBuf>,
 }
@@ -49,8 +46,6 @@ fn parse_args() -> Args {
         seed: 11,
         state_dir: None,
         restart_each_day: false,
-        window_cluster: false,
-        compact_every: kizzle::DEFAULT_MAX_DELTAS,
         metrics_out: None,
         trace_out: None,
     };
@@ -68,23 +63,15 @@ fn parse_args() -> Args {
             "--seed" => args.seed = parse(&value("--seed"), "--seed"),
             "--state-dir" => args.state_dir = Some(PathBuf::from(value("--state-dir"))),
             "--restart-each-day" => args.restart_each_day = true,
-            "--window-cluster" => args.window_cluster = true,
-            "--compact-every" => {
-                args.compact_every = parse(&value("--compact-every"), "--compact-every");
-            }
             "--metrics-out" => args.metrics_out = Some(PathBuf::from(value("--metrics-out"))),
             "--trace-out" => args.trace_out = Some(PathBuf::from(value("--trace-out"))),
             "--help" | "-h" => {
                 println!(
                     "usage: daily_pipeline [--days N] [--samples-per-day M] [--seed S]\n\
-                     \x20                     [--state-dir DIR [--restart-each-day] [--compact-every N]]\n\
-                     \x20                     [--window-cluster]\n\
+                     \x20                     [--state-dir DIR [--restart-each-day]]\n\
                      defaults: --days 7 --samples-per-day 150 --seed 11\n\
-                     --state-dir DIR       persist compiler state (snapshot chain + MANIFEST) after each day\n\
+                     --state-dir DIR       persist compiler state (state file + MANIFEST) after each day\n\
                      --restart-each-day    drop + reload the compiler between days (cron simulation)\n\
-                     --compact-every N     rewrite the full base once the chain holds N delta files\n\
-                     \x20                     (0 = full snapshot every day); default 6\n\
-                     --window-cluster      also cluster the whole retention window each day\n\
                      --metrics-out PATH    enable telemetry; write the metric registry in Prometheus\n\
                      \x20                     text exposition format to PATH after the run\n\
                      --trace-out PATH      enable telemetry; write the span/event trace as JSONL to\n\
@@ -128,8 +115,6 @@ fn main() {
     }
     let mut config = EvalConfig::quick(args.seed);
     config.stream.samples_per_day = args.samples_per_day;
-    config.window_cluster = args.window_cluster;
-    config.compact_every = args.compact_every;
     let mut end = config.start;
     for _ in 1..args.days {
         end = end.next();
@@ -157,16 +142,12 @@ fn main() {
         }
     };
 
-    let window_header = if args.window_cluster { "  window" } else { "" };
     println!(
-        "day      samples  clusters{window_header}  corpus  | Kizzle FP%  FN%   | AV FP%   FN%   | new signatures"
+        "day      samples  clusters  corpus  | Kizzle FP%  FN%   | AV FP%   FN%   | new signatures"
     );
     for day in &result.days {
-        let window_cell = day
-            .window_clusters
-            .map_or_else(String::new, |w| format!("  {w:6}"));
         println!(
-            "{:>6}  {:7}  {:8}{window_cell}  {:6}  | {:8.3}  {:5.1} | {:6.3}  {:5.1} | {}",
+            "{:>6}  {:7}  {:8}  {:6}  | {:8.3}  {:5.1} | {:6.3}  {:5.1} | {}",
             day.date.axis_label(),
             day.samples,
             day.clusters,
@@ -176,25 +157,6 @@ fn main() {
             day.av.fp_rate() * 100.0,
             day.av.fn_rate() * 100.0,
             day.new_signatures.join(" "),
-        );
-    }
-    if args.window_cluster {
-        let fragmented: Vec<String> = result
-            .days
-            .iter()
-            .filter_map(|d| d.window_clusters.map(|w| (d, w)))
-            .map(|(d, w)| {
-                format!(
-                    "{}: {} per-day vs {} window",
-                    d.date.axis_label(),
-                    d.clusters,
-                    w
-                )
-            })
-            .collect();
-        println!(
-            "\nwindow clustering (whole retention window as one batch): {}",
-            fragmented.join("; ")
         );
     }
 

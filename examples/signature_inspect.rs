@@ -3,8 +3,7 @@
 //! same-day packed variants, or, with `--snapshot DIR`, by loading the
 //! *deployed* set straight out of a compiler state directory (as written
 //! by `daily_pipeline --state-dir`) instead of recompiling anything. The
-//! chain's deltas are overlaid so the newest set answers; a file inside
-//! the directory is refused, since a delta alone holds an older set.
+//! directory is the argument: a file inside it is refused.
 //!
 //! ```bash
 //! cargo run --release -p kizzle-sim --example signature_inspect
