@@ -300,7 +300,9 @@ fn anchor_free_document(set: &SignatureSet, len: usize) -> String {
 /// benign kinds, uniform) at the paper's cap of 900;
 /// `lex_minified_page` lexes one whole minified page (1,935 tokens,
 /// nearly all one-byte punctuation), where the per-token cost of the
-/// dispatch loop is all there is.
+/// dispatch loop is all there is; `lex_kit_page` lexes one of the 10 kit
+/// pages whole, as a scan lexes a page that passes the anchor gate: most
+/// of its bytes are string bodies, where the block skip is all there is.
 fn bench_lex(c: &mut Criterion) {
     use kizzle_corpus::benign::{generate_benign, BenignKind};
     use kizzle_corpus::KitModel;
@@ -333,6 +335,7 @@ fn bench_lex(c: &mut Criterion) {
         })
         .collect();
     let minified = minified_pages();
+    let kits = &stock[..KITS.len()];
     let mut spans = Vec::new();
     let bytes: usize = stock.iter().map(String::len).sum();
     let tokens: usize = stock
@@ -346,6 +349,21 @@ fn bench_lex(c: &mut Criterion) {
     eprintln!(
         "jslex/lex_minified_page: {} bytes, {tokens} tokens a page",
         minified[0].len()
+    );
+    let bytes: usize = kits.iter().map(String::len).sum();
+    let tokens: usize = kits
+        .iter()
+        .map(|page| {
+            kizzle_js::lex_document(page, usize::MAX, &mut spans)
+                .0
+                .len()
+        })
+        .sum();
+    eprintln!(
+        "jslex/lex_kit_page: {} pages, {} bytes and {} tokens a page",
+        kits.len(),
+        bytes / kits.len(),
+        tokens / kits.len()
     );
 
     let mut g = group(c, "jslex");
@@ -361,6 +379,13 @@ fn bench_lex(c: &mut Criterion) {
         b.iter(|| {
             i = (i + 1) % minified.len();
             black_box(kizzle_js::lex_document(black_box(&minified[i]), usize::MAX, &mut spans).1)
+        })
+    });
+    g.bench_function("lex_kit_page", |b| {
+        let mut i = 0usize;
+        b.iter(|| {
+            i = (i + 1) % kits.len();
+            black_box(kizzle_js::lex_document(black_box(&kits[i]), usize::MAX, &mut spans).1)
         })
     });
     g.finish();

@@ -259,12 +259,13 @@ impl KizzleCompiler {
         let mut builder = SnapshotBuilder::new();
         let mut saved_signatures = None;
         for (name, payload) in self.encode_state_sections(signatures) {
-            let recorded = fingerprint(&payload);
+            builder.section(&name, payload);
+        }
+        for (name, recorded) in builder.fingerprints() {
             manifest.set(&format!("{SECTION_KEY_PREFIX}{name}"), &recorded);
             if name == SIGNATURES_SECTION {
                 saved_signatures = Some(recorded);
             }
-            builder.section(&name, payload);
         }
         let bytes = builder.to_bytes();
         std::fs::create_dir_all(state_dir)?;

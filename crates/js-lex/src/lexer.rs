@@ -8,8 +8,8 @@
 //! There is one lexer core, `Cursor::next_span`: a 256-entry byte-class
 //! table picks the token kind from the first byte, multi-character
 //! punctuation is chosen by that first byte, and string, regex and comment
-//! bodies are skipped eight bytes at a time. It produces [`Span`]s — a
-//! class and a byte range — and never copies or allocates per token.
+//! bodies are skipped 32 bytes at a time. It produces [`Span`]s — a class
+//! and a byte range — and never copies or allocates per token.
 //! `lex` drives it into a span buffer (every `tokenize*` entry point and
 //! the scan path); [`Lexer`] drives it one token at a time and is the only
 //! user that pays for diagnostics.
@@ -25,7 +25,7 @@
 //! returned a `Span` cost 2.3× (9.9 ns a minified token against 4.2; a
 //! bare run of `;`, about 9 against 3; 2 vCPUs at 2.1 GHz). The string,
 //! regex and block-comment scanners are the pure ones, and stay out of
-//! line on purpose: inlined, their eight-byte loops crowd the core's
+//! line on purpose: inlined, their block loops crowd the core's
 //! registers and it spills the cursor again. The
 //! `jslex/lex_minified_page` bench arm is gated on this.
 
@@ -140,8 +140,14 @@ fn is_word_byte(b: u8) -> bool {
 }
 
 /// Index of the first byte at or after `from` equal to one of `needles`,
-/// or `bytes.len()`. Eight bytes per step: XOR against a broadcast needle
-/// turns a match into a zero byte, and the classic
+/// or `bytes.len()`.
+///
+/// Two steps. Whole 32-byte blocks are passed over while none holds a
+/// needle, in vector compares that LLVM lowers from the loop on the
+/// x86-64 baseline (string literals are most of a kit page's bytes).
+/// Then eight bytes per step from the first block that hits, or from the
+/// last whole block: XOR against a broadcast needle turns a match into a
+/// zero byte, and the classic
 /// `(v - 0x01…) & !v & 0x80…` test finds zero bytes — exact for the lowest
 /// one, which on a little-endian load is the first.
 #[inline]
@@ -149,6 +155,20 @@ pub(crate) fn find_any<const N: usize>(bytes: &[u8], from: usize, needles: [u8; 
     const LOW: u64 = 0x0101_0101_0101_0101;
     const HIGH: u64 = 0x8080_8080_8080_8080;
     let mut pos = from.min(bytes.len());
+    let (blocks, _) = bytes[pos..].as_chunks::<32>();
+    for block in blocks {
+        // Each needle is a branch-free OR of byte equalities over the
+        // block (two SSE2 compares) behind a branch of its own: one OR over
+        // all the needles lets LLVM vectorize across the needles instead,
+        // shuffling every block byte into their lanes.
+        if needles
+            .iter()
+            .any(|&needle| block.iter().fold(false, |hit, &b| hit | (b == needle)))
+        {
+            break;
+        }
+        pos += 32;
+    }
     let (chunks, tail) = bytes[pos..].as_chunks::<8>();
     for &chunk in chunks {
         let word = u64::from_le_bytes(chunk);
@@ -362,7 +382,7 @@ fn number_end(bytes: &[u8], start: usize) -> usize {
     pos
 }
 
-// The body scanners: out of line, so their eight-byte loops do not take
+// The body scanners: out of line, so their block loops do not take
 // the core's registers (module doc).
 
 /// End of the block comment opening at `bytes[start]` (`/*`), or `None`
@@ -717,7 +737,10 @@ mod tests {
 
     #[test]
     fn find_any_agrees_with_a_byte_loop_at_every_alignment() {
-        let hay = b"0123456789abcdefghij\"klmnop\\qrstuvwxyz\nABCDEFGHIJKLMNOPQRSTUVWXYZ";
+        // 133 bytes: several whole 32-byte blocks from every start, each
+        // needle somewhere inside one of them.
+        let hay = b"0123456789abcdefghij\"klmnopqrstuvwxyz0123456789ABCDEFGHIJKLMNOPQRSTUV\\qrstuvwxyz\nABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz";
+        assert!(hay.len() >= 100);
         for from in 0..=hay.len() + 2 {
             for needles in [[b'"', b'\\', b'\n'], [b'Z', b'Z', b'Z'], [0xff, 0x80, 0x00]] {
                 let want = (from.min(hay.len())..hay.len())

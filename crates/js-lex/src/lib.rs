@@ -29,7 +29,7 @@
 //!
 //! There is one lexer core ([`lexer`]): a 256-entry byte-class table for
 //! dispatch, multi-character punctuation chosen by first byte, keywords by
-//! length, and string/regex/comment bodies skipped eight bytes at a time.
+//! length, and string/regex/comment bodies skipped 32 bytes at a time.
 //! It is one function that inlines whole into its two drivers — the span
 //! loop behind every `tokenize*` entry point and [`lex_document`], and
 //! [`Lexer`] — so the lexer's position never leaves a register between

@@ -162,11 +162,13 @@ proptest! {
     }
 }
 
-/// Long bodies put the eight-byte skips (strings, comments, regexes, the
-/// tag search) through every alignment and through their scalar tails.
+/// Long bodies put the block skips (strings, comments, regexes, the tag
+/// search) through every alignment and through their scalar tails: up to
+/// 72 bytes of padding, so each body crosses at least two 32-byte blocks
+/// and each needle lands at every offset within one.
 #[test]
 fn wide_skips_agree_with_the_seed_at_every_alignment() {
-    for pad in 0..20 {
+    for pad in 0..=72 {
         let pad = "x".repeat(pad);
         for body in [
             format!("a = \"{pad}\\\"{pad}\\é{pad}\" + '{pad}\n{pad}' + `{pad}\n{pad}\\`{pad}`;"),

@@ -28,6 +28,8 @@
 //! byte and cost more than lexing it. [`AnchorGate::build`] then builds no
 //! gate, and the scan lexes every document as it would without one.
 
+use std::ops::ControlFlow;
+
 /// Anchors this long or longer form the long tier. Also the widest window
 /// a block-shift table slides.
 pub(crate) const LONG_ANCHOR: usize = 32;
@@ -194,37 +196,66 @@ impl BlockShift {
 
     /// Does any of the tier's anchors occur in `text`?
     fn occurs_in(&self, text: &[u8]) -> bool {
-        match self.block {
-            3 => self.occurs_in_by::<3>(text),
-            2 => self.occurs_in_by::<2>(text),
-            _ => self.occurs_in_by::<1>(text),
-        }
+        let found = match self.block {
+            3 => self.search::<3>(text),
+            2 => self.search::<2>(text),
+            _ => self.search::<1>(text),
+        };
+        found.is_break()
     }
 
-    /// [`BlockShift::occurs_in`] with the block length `B` known.
-    fn occurs_in_by<const B: usize>(&self, text: &[u8]) -> bool {
-        let window = self.window;
-        // `end` is one past the window's last byte.
-        let mut end = window;
-        while end <= text.len() {
-            let block: &[u8; B] = text[end - B..end].try_into().expect("B bytes");
-            let shift = self.shift[slot(pack(block), self.shift_bits)];
-            if shift > 0 {
-                end += usize::from(shift);
-                continue;
-            }
-            let start = end - window;
-            let bucket = slot(window_hash(&text[start..end]), self.bucket_bits);
-            let candidates = self.starts[bucket] as usize..self.starts[bucket + 1] as usize;
-            if candidates.into_iter().any(|i| {
-                let anchor = &self.bytes[self.bounds[i] as usize..self.bounds[i + 1] as usize];
-                text[start..].starts_with(anchor)
-            }) {
-                return true;
-            }
-            end += 1;
+    /// The first window end of the second lane of [`BlockShift::search`]
+    /// over a `len`-byte text: the midpoint of the window ends
+    /// `window..=len`.
+    fn lane_split(&self, len: usize) -> usize {
+        (self.window + len).div_ceil(2)
+    }
+
+    /// [`BlockShift::occurs_in`] with the block length `B` known: `Break`
+    /// when an anchor occurs.
+    ///
+    /// Wu–Manber started at any window end at or past `window` finds every
+    /// anchor whose window ends there or later, since no shift passes an
+    /// anchor's window end. So the window ends are split at
+    /// [`BlockShift::lane_split`] into two lanes, each searched from its
+    /// own first end, and the lanes are stepped in turn: each step is a
+    /// chain of dependent loads (block, table, next block), and two chains
+    /// overlap where one would wait. Four lanes measured no better.
+    fn search<const B: usize>(&self, text: &[u8]) -> ControlFlow<()> {
+        let split = self.lane_split(text.len());
+        let (mut low, mut high) = (self.window, split.max(self.window));
+        while low < split && high <= text.len() {
+            low = self.step::<B>(text, low)?;
+            high = self.step::<B>(text, high)?;
         }
-        false
+        while low < split {
+            low = self.step::<B>(text, low)?;
+        }
+        while high <= text.len() {
+            high = self.step::<B>(text, high)?;
+        }
+        ControlFlow::Continue(())
+    }
+
+    /// The window end after `end` (one past the window's last byte), or
+    /// `Break` when an anchor starts at `end - window`.
+    #[inline(always)]
+    fn step<const B: usize>(&self, text: &[u8], end: usize) -> ControlFlow<(), usize> {
+        let block: &[u8; B] = text[end - B..end].try_into().expect("B bytes");
+        let shift = self.shift[slot(pack(block), self.shift_bits)];
+        if shift > 0 {
+            return ControlFlow::Continue(end + usize::from(shift));
+        }
+        let start = end - self.window;
+        let bucket = slot(window_hash(&text[start..end]), self.bucket_bits);
+        let candidates = self.starts[bucket] as usize..self.starts[bucket + 1] as usize;
+        if candidates.into_iter().any(|i| {
+            let anchor = &self.bytes[self.bounds[i] as usize..self.bounds[i + 1] as usize];
+            text[start..].starts_with(anchor)
+        }) {
+            return ControlFlow::Break(());
+        }
+        ControlFlow::Continue(end + 1)
     }
 }
 
@@ -329,9 +360,11 @@ mod tests {
     }
 
     /// A document over the anchors' alphabet plus a separator, with a
-    /// multi-byte character now and then.
+    /// multi-byte character now and then: up to 400 pieces, so documents
+    /// reach past four times the widest window and both lanes of a table
+    /// run many steps.
     fn doc_strategy() -> impl Strategy<Value = String> {
-        prop::collection::vec(0u32..9, 0..160).prop_map(|picks| {
+        prop::collection::vec(0u32..9, 0..400).prop_map(|picks| {
             picks
                 .into_iter()
                 .map(|p| ["a", "b", "c", "a", "b", "c", " ", "é", "ab"][p as usize])
@@ -352,6 +385,7 @@ mod tests {
             extra_long in 0usize..3,
             doc in doc_strategy(),
             planted in 0usize..64,
+            blank in 4 * LONG_ANCHOR..8 * LONG_ANCHOR,
         ) {
             let mut anchors = narrow_anchors(count, len);
             anchors.extend(narrow_anchors(extra_long, LONG_ANCHOR + 3).into_iter().map(|a| a.replace('a', "ab")));
@@ -366,6 +400,24 @@ mod tests {
             }
             let with = format!("{}{anchor}{}", &doc[..at], &doc[at..]);
             prop_assert!(gate.may_match(&with));
+            // The anchor alone in a blank document, its window ending at
+            // the lane split of its table and one position either side:
+            // the second lane must start exactly at the split.
+            let table = if anchor.len() >= LONG_ANCHOR {
+                gate.tables.last()
+            } else if gate.few.is_empty() {
+                gate.tables.first()
+            } else {
+                None
+            };
+            if let Some(table) = table {
+                let split = table.lane_split(blank + anchor.len());
+                for end in [split - 1, split, split + 1] {
+                    let before = end - table.window;
+                    let with = format!("{}{anchor}{}", " ".repeat(before), " ".repeat(blank - before));
+                    prop_assert!(gate.may_match(&with), "window end {} of split {}", end, split);
+                }
+            }
         }
     }
 }

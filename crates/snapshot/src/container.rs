@@ -29,7 +29,7 @@
 //!    `.tmp` sibling and a rename, so a crash mid-write leaves the
 //!    previous snapshot file untouched.
 
-use crate::{crc32, SnapshotError};
+use crate::{crc32, fingerprint_of, SnapshotError};
 use std::fs;
 use std::io::Write;
 use std::ops::Range;
@@ -61,7 +61,10 @@ pub const FORMAT_VERSION: u32 = 4;
 /// Accumulates named sections and serializes them into one container.
 #[derive(Debug, Default)]
 pub struct SnapshotBuilder {
-    sections: Vec<(String, Vec<u8>)>,
+    /// Name, payload and the payload's CRC-32, taken once when the section
+    /// is added: the file writes it and [`SnapshotBuilder::fingerprints`]
+    /// reports it.
+    sections: Vec<(String, Vec<u8>, u32)>,
 }
 
 impl SnapshotBuilder {
@@ -79,11 +82,21 @@ impl SnapshotBuilder {
     /// name exceeds `u16::MAX` bytes.
     pub fn section(&mut self, name: &str, payload: Vec<u8>) {
         assert!(
-            self.sections.iter().all(|(n, _)| n != name),
+            self.sections.iter().all(|(n, _, _)| n != name),
             "duplicate snapshot section {name:?}"
         );
         assert!(name.len() <= usize::from(u16::MAX), "section name too long");
-        self.sections.push((name.to_string(), payload));
+        let crc = crc32(&payload);
+        self.sections.push((name.to_string(), payload, crc));
+    }
+
+    /// Each section's name and its [`fingerprint`](crate::fingerprint), in
+    /// the order added, from the CRC the file stores: no second pass over
+    /// the payloads.
+    pub fn fingerprints(&self) -> impl Iterator<Item = (&str, String)> {
+        self.sections
+            .iter()
+            .map(|(name, payload, crc)| (name.as_str(), fingerprint_of(*crc, payload.len())))
     }
 
     /// Serialize the container to bytes.
@@ -97,7 +110,7 @@ impl SnapshotBuilder {
                 .expect("u32 sections")
                 .to_le_bytes(),
         );
-        for (name, payload) in &self.sections {
+        for (name, payload, crc) in &self.sections {
             out.extend_from_slice(
                 &u16::try_from(name.len())
                     .expect("checked in section()")
@@ -105,7 +118,7 @@ impl SnapshotBuilder {
             );
             out.extend_from_slice(name.as_bytes());
             out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-            out.extend_from_slice(&crc32(payload).to_le_bytes());
+            out.extend_from_slice(&crc.to_le_bytes());
             out.extend_from_slice(payload);
         }
         let file_crc = crc32(&out);
@@ -120,6 +133,15 @@ impl SnapshotBuilder {
 }
 
 /// Write bytes to `path` atomically via a `.tmp` sibling and a rename.
+///
+/// The `.tmp` file is synced before the rename, and the parent directory
+/// after it, so the rename itself is on disk before this returns. A state
+/// save writes its file and then its manifest through here; without the
+/// directory sync a power loss could keep the manifest's rename and lose
+/// the file's, leaving a manifest that describes a file the directory does
+/// not hold. No test observes the directory sync: only a lost page cache
+/// tells a synced rename from an unsynced one, and that takes a simulated
+/// file system under this call (ROADMAP item 4).
 pub fn write_atomic(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
     let mut tmp = path.as_os_str().to_owned();
     tmp.push(".tmp");
@@ -129,7 +151,12 @@ pub fn write_atomic(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
         file.write_all(bytes)?;
         file.sync_all()?;
     }
-    fs::rename(&tmp, path)
+    fs::rename(&tmp, path)?;
+    let dir = match path.parent() {
+        Some(dir) if !dir.as_os_str().is_empty() => dir,
+        _ => Path::new("."),
+    };
+    fs::File::open(dir)?.sync_all()
 }
 
 /// One parsed section: where its payload sits in the file, and the

@@ -32,9 +32,9 @@
 //!
 //! A state directory holds one container and its manifest, each written
 //! **atomically** ([`write_atomic`]: a `.tmp` sibling first, synced, then
-//! renamed over the destination) — the container before the manifest, so
-//! a crash at any point leaves either the previous state or the new one,
-//! never a mixture.
+//! renamed over the destination, then the directory synced) — the
+//! container before the manifest, so a crash at any point leaves either
+//! the previous state or the new one, never a mixture.
 //!
 //! ## Example
 //!
@@ -219,7 +219,12 @@ const fn crc32_tables() -> [[u32; 256]; 8] {
 /// strings.
 #[must_use]
 pub fn fingerprint(payload: &[u8]) -> String {
-    format!("{:#010x}/{}", crc32(payload), payload.len())
+    fingerprint_of(crc32(payload), payload.len())
+}
+
+/// [`fingerprint`] of a payload whose CRC-32 is already known.
+fn fingerprint_of(crc: u32, len: usize) -> String {
+    format!("{crc:#010x}/{len}")
 }
 
 #[cfg(test)]
