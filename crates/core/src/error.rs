@@ -40,7 +40,7 @@ pub enum KizzleError {
     /// error and panic instead.)
     Ingest(String),
     /// An operating-system I/O failure outside the snapshot container
-    /// (creating the state directory, writing the manifest sidecar).
+    /// (creating the state directory, writing the state file).
     Io(std::io::Error),
 }
 

@@ -145,9 +145,9 @@ pub(crate) struct KizzleCompiler {
     /// the state directory serves. Persisted beside the set, in its
     /// section.
     pub(crate) publications: u64,
-    /// Fingerprint of the set's encoding as the newest save wrote it —
-    /// what the next save compares against to decide whether it publishes.
-    pub(crate) saved_signatures: Option<String>,
+    /// The signature section as the newest save wrote it — what the next
+    /// save compares its own against to decide whether it publishes.
+    pub(crate) saved_signatures: Option<Vec<u8>>,
 }
 
 impl KizzleCompiler {

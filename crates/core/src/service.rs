@@ -213,7 +213,8 @@ impl KizzleService {
         Ok((KizzleService::from_compiler(compiler), report))
     }
 
-    /// Load persisted service state, refusing to start without it. Unlike
+    /// Load the service state saved in `state_dir`'s one state file,
+    /// refusing to start without it. Unlike
     /// [`KizzleService::open`] this propagates every load failure —
     /// [`KizzleError::ConfigFingerprint`] when the snapshot was written
     /// under a different configuration, [`KizzleError::Snapshot`] for
@@ -228,16 +229,15 @@ impl KizzleService {
         Ok((KizzleService::from_compiler(compiler), report))
     }
 
-    /// Persist the complete service state into `state_dir`: one container,
-    /// [`STATE_FILE`](crate::snapshot::STATE_FILE), then the
-    /// [`MANIFEST_FILE`](crate::snapshot::MANIFEST_FILE) sidecar, each
-    /// written atomically (tmp file, fsync, rename) in that order, so a
-    /// crash mid-save leaves the previous state or the new one loadable,
-    /// never a mixture. A save whose signature set differs from the
-    /// previous save's is a *publication*: it advances the count stored
-    /// beside the set, which every
-    /// [`ChainFollower`](crate::ChainFollower) of the directory serves as
-    /// its epoch.
+    /// Persist the complete service state into `state_dir` as one file,
+    /// [`STATE_FILE`](crate::snapshot::STATE_FILE), written atomically
+    /// (tmp file, fsync, rename). The rename commits the save, so a crash
+    /// mid-save leaves the previous state or the new one loadable, never a
+    /// mixture, and nothing else is written beside the file. A save whose
+    /// signature set differs from the previous save's is a *publication*:
+    /// it advances the count the file stores beside the set and its token
+    /// cap, and every [`ChainFollower`](crate::ChainFollower) of the
+    /// directory serves that count as its epoch.
     pub fn save(&self, state_dir: &Path) -> Result<(), KizzleError> {
         self.lock_compiler().save_state(state_dir)
     }

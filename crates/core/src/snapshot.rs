@@ -6,13 +6,11 @@
 //! [`SignatureSet`], the evolving reference corpus, the per-family
 //! signature counters — died with each run until this module existed.
 //! [`KizzleService::save`](crate::KizzleService::save) writes all of it as
-//! one [`kizzle_snapshot`] container, [`STATE_FILE`], then the
-//! [`MANIFEST_FILE`] sidecar describing it (with every section's content
-//! fingerprint, which lets a follower skip a save that left the
-//! signatures alone). Both are written atomically (tmp file, fsync,
-//! rename), the container first, so a crash at any point leaves the
-//! previous state or the new one — a reader never sees a mixture, and a
-//! leftover `.tmp` is never read.
+//! one [`kizzle_snapshot`] container, [`STATE_FILE`], written atomically
+//! (tmp file, fsync, rename, directory fsync). The rename is the save's
+//! commit point, so a crash at any point leaves the previous state or the
+//! new one — a reader never sees a mixture, and a leftover `.tmp` is
+//! never read.
 //! [`KizzleService::load`](crate::KizzleService::load) reads that one file
 //! and brings a fresh process back to exactly the state the previous run
 //! saved: restart-each-day runs are byte-identical to a long-lived warm
@@ -30,7 +28,7 @@
 //! | section          | contents                                              |
 //! |------------------|-------------------------------------------------------|
 //! | `meta`           | config fingerprint, last processed day, sig counters  |
-//! | `signatures`     | publication count, then the cumulative signature set  |
+//! | `signatures`     | publication count, token cap, then the signature set  |
 //! | `reference`      | the reference corpus with its absorbed evolution      |
 //! | `corpus-store`   | the engine's sample store (see `kizzle-cluster`)      |
 //! | `neighbor-index` | memoized neighborhoods (see `kizzle-cluster`)         |
@@ -38,9 +36,10 @@
 //! The publication count is the number of saves whose signature set
 //! differed from the previous save's — the epoch every
 //! [`ChainFollower`](crate::ChainFollower) of the directory serves. It
-//! sits in the same checksummed section as the set it counts, so one read
-//! of the file gives a follower both, and no save can pair a new set with
-//! an old count.
+//! sits in the same checksummed section as the set it counts, beside the
+//! token cap the set was compiled under, so one read of the file gives a
+//! follower all three, and no save can pair a new set with an old count
+//! or another configuration's cap.
 //!
 //! The scan pipeline (anchor automaton, candidate buckets, prefilters; see
 //! `kizzle_signature::matcher`) is not state: it is a pure function of the
@@ -54,7 +53,8 @@
 //! Loading **refuses** a snapshot whose config fingerprint disagrees with
 //! the loading configuration — clustering parameters shape every piece of
 //! persisted state, so mixing them would silently corrupt results — and a
-//! container stamped with any format version but [`FORMAT_VERSION`]
+//! container stamped with any format version but
+//! [`FORMAT_VERSION`](kizzle_snapshot::FORMAT_VERSION)
 //! (`SnapshotError::VersionSkew`, before a section is parsed; the base
 //! file of a version-3 chain is such a container, and an older state than
 //! its chain described). Within the file, damage degrades per section: a
@@ -74,18 +74,12 @@ use kizzle_cluster::CorpusEngine;
 pub use kizzle_cluster::ResumeReport;
 use kizzle_corpus::{KitFamily, SimDate};
 use kizzle_signature::SignatureSet;
-use kizzle_snapshot::sections::SECTION_KEY_PREFIX;
-use kizzle_snapshot::{
-    fingerprint, write_atomic, Decoder, Encoder, Manifest, Snapshot, SnapshotBuilder,
-    SnapshotError, FORMAT_VERSION,
-};
+use kizzle_snapshot::{write_atomic, Decoder, Encoder, Snapshot, SnapshotBuilder, SnapshotError};
 use std::collections::HashMap;
 use std::path::Path;
 
-/// Name of the binary state file inside a state directory.
+/// Name of the state file, the one file of a state directory.
 pub const STATE_FILE: &str = "kizzle-state.snap";
-/// Name of the human-readable manifest sidecar.
-pub const MANIFEST_FILE: &str = "MANIFEST";
 
 pub use kizzle_snapshot::sections::{META_SECTION, REFERENCE_SECTION, SIGNATURES_SECTION};
 
@@ -181,28 +175,31 @@ fn decode_meta(dec: &mut Decoder<'_>) -> Result<Meta, SnapshotError> {
     })
 }
 
-/// The signature section's payload: the publication count, then the set.
-fn encode_publication(count: u64, signatures: &SignatureSet) -> Vec<u8> {
+/// The signature section's payload: the publication count, the token cap,
+/// then the set.
+fn encode_publication(count: u64, token_cap: usize, signatures: &SignatureSet) -> Vec<u8> {
     let mut enc = Encoder::new();
     enc.varint(count);
+    enc.varint_usize(token_cap);
     // Insertion order, which the scan's first-match semantics depend on.
     signatures.encode_into(&mut enc);
     enc.into_bytes()
 }
 
-/// Decode the signature section of a state file: the publication count
-/// and the set, unsealed. This is the **single** reader of that section —
-/// [`KizzleService::load`](crate::KizzleService::load),
+/// Decode the signature section of a state file: the publication count,
+/// the token cap and the set, unsealed. This is the **single** reader of
+/// that section — [`KizzleService::load`](crate::KizzleService::load),
 /// [`read_signatures`] and the [`ChainFollower`](crate::ChainFollower)
 /// all route through it, so the layout has exactly one interpretation.
 pub(crate) fn decode_publication(
     snapshot: &Snapshot,
-) -> Result<(u64, SignatureSet), SnapshotError> {
+) -> Result<(u64, usize, SignatureSet), SnapshotError> {
     let mut dec = Decoder::new(snapshot.section(SIGNATURES_SECTION)?);
     let count = dec.varint()?;
+    let token_cap = dec.varint_usize()?;
     let signatures = SignatureSet::decode_from(&mut dec)?;
     dec.finish()?;
-    Ok((count, signatures))
+    Ok((count, token_cap, signatures))
 }
 
 impl KizzleCompiler {
@@ -210,12 +207,13 @@ impl KizzleCompiler {
     /// in it: the previous save's count while the set is unchanged, the
     /// next one when it moved.
     fn publication_section(&self) -> (u64, Vec<u8>) {
-        let unchanged = encode_publication(self.publications, &self.signatures);
-        if self.saved_signatures.as_deref() == Some(fingerprint(&unchanged).as_str()) {
+        let cap = self.config.token_cap;
+        let unchanged = encode_publication(self.publications, cap, &self.signatures);
+        if self.saved_signatures.as_deref() == Some(unchanged.as_slice()) {
             return (self.publications, unchanged);
         }
         let count = self.publications + 1;
-        (count, encode_publication(count, &self.signatures))
+        (count, encode_publication(count, cap, &self.signatures))
     }
 
     /// Serialize every compiler section, the signature section given. The
@@ -251,59 +249,39 @@ impl KizzleCompiler {
     }
 
     /// The body of [`KizzleService::save`](crate::KizzleService::save):
-    /// the state file, then the manifest describing it.
+    /// one atomic write of the state file, whose rename commits the save.
     pub(crate) fn save_state(&mut self, state_dir: &Path) -> Result<(), KizzleError> {
         let snapshot_span = kizzle_telemetry::span!("day.snapshot");
         let (publications, signatures) = self.publication_section();
-        let mut manifest = Manifest::new();
+        let saved_signatures = signatures.clone();
         let mut builder = SnapshotBuilder::new();
-        let mut saved_signatures = None;
         for (name, payload) in self.encode_state_sections(signatures) {
             builder.section(&name, payload);
-        }
-        for (name, recorded) in builder.fingerprints() {
-            manifest.set(&format!("{SECTION_KEY_PREFIX}{name}"), &recorded);
-            if name == SIGNATURES_SECTION {
-                saved_signatures = Some(recorded);
-            }
         }
         let bytes = builder.to_bytes();
         std::fs::create_dir_all(state_dir)?;
         write_atomic(&state_dir.join(STATE_FILE), &bytes)?;
-        // The file holds the new count now: the next save continues from it
-        // even if the manifest write below fails.
         self.publications = publications;
-        self.saved_signatures = saved_signatures;
-
-        manifest.set("snapshot_file", STATE_FILE);
-        manifest.set("snapshot_bytes", bytes.len());
-        manifest.set("format_version", FORMAT_VERSION);
-        manifest.set(
-            "config_fingerprint",
-            format!("{:#018x}", config_fingerprint(&self.config)),
-        );
-        manifest.set(
-            "last_day",
-            self.last_day
-                .map_or_else(|| "none".to_string(), |d| d.to_string()),
-        );
-        manifest.set("live_samples", self.engine.len());
-        // Serving-side followers scan with the compile-time cap.
-        manifest.set("token_cap", self.config.token_cap);
-        manifest.set("cached_neighborhoods", self.engine.index().cached_count());
-        manifest.set(SIGNATURES_SECTION, self.signatures.len());
-        manifest.write_atomic(&state_dir.join(MANIFEST_FILE))?;
+        self.saved_signatures = Some(saved_signatures);
         let snapshot_elapsed = snapshot_span.finish();
-        // The manifest is committed: followers on this host need not wait
-        // out their poll interval to read it.
+        // The save is committed: followers on this host need not wait out
+        // their poll interval to read it.
         crate::source::wake_followers(state_dir);
         if kizzle_telemetry::enabled() {
             kizzle_telemetry::counter("kizzle_snapshot_saves_total").incr();
             kizzle_telemetry::histogram("kizzle_snapshot_save_ns")
                 .observe_duration(snapshot_elapsed);
+            let last_day = self
+                .last_day
+                .map_or_else(|| "none".to_string(), |d| d.to_string());
             kizzle_telemetry::event(
                 "snapshot.save",
-                format!("wrote {STATE_FILE} ({} bytes)", bytes.len()),
+                format!(
+                    "wrote {STATE_FILE} ({} bytes): last day {last_day}, {} signatures, {} live samples",
+                    bytes.len(),
+                    self.signatures.len(),
+                    self.engine.len()
+                ),
             );
         }
         Ok(())
@@ -334,8 +312,8 @@ impl KizzleCompiler {
             });
         }
 
-        let (publications, signatures) = decode_publication(&snapshot)?;
-        let saved_signatures = Some(fingerprint(snapshot.section(SIGNATURES_SECTION)?));
+        let (publications, _, signatures) = decode_publication(&snapshot)?;
+        let saved_signatures = Some(snapshot.section(SIGNATURES_SECTION)?.to_vec());
 
         let mut dec = Decoder::new(snapshot.section(REFERENCE_SECTION)?);
         let reference = ReferenceCorpus::decode_from(&mut dec)?;
@@ -400,7 +378,7 @@ pub fn read_signatures(state_dir: &Path) -> Result<SignatureSet, KizzleError> {
         .into());
     }
     let snapshot = Snapshot::read(&state_dir.join(STATE_FILE))?;
-    Ok(decode_publication(&snapshot)?.1)
+    Ok(decode_publication(&snapshot)?.2)
 }
 
 #[cfg(test)]
@@ -410,7 +388,7 @@ mod tests {
     use crate::KizzleService;
     use kizzle_corpus::{GraywareStream, Sample, StreamConfig};
     use kizzle_signature::{CharClass, Element, Signature};
-    use kizzle_snapshot::{crc32, Manifest, Snapshot, SnapshotBuilder};
+    use kizzle_snapshot::{crc32, Snapshot, SnapshotBuilder, FORMAT_VERSION};
     use std::sync::atomic::{AtomicBool, Ordering};
     use std::sync::{Arc, Mutex};
 
@@ -543,52 +521,37 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// Every save rewrites the one state file and leaves nothing beside
+    /// it; the file is a complete container of the current format and
+    /// loads back to the state saved.
     #[test]
-    fn manifest_describes_the_saved_state() {
-        let dir = state_dir("manifest");
+    fn a_save_leaves_exactly_the_state_file_and_it_reads_back() {
+        let dir = state_dir("one-file");
         let mut service = fresh_service();
-        let d1 = SimDate::new(2014, 8, 5);
-        service.process_day(d1, test_day(d1, 3)).expect("day 1");
-        service.save(&dir).expect("state saved");
-        let manifest = Manifest::read(&dir.join(MANIFEST_FILE)).expect("manifest");
-        assert_eq!(manifest.get("snapshot_file"), Some(STATE_FILE));
-        assert_eq!(
-            manifest.get("config_fingerprint"),
-            Some(format!("{:#018x}", config_fingerprint(service.config())).as_str())
-        );
-        assert_eq!(manifest.get("last_day"), Some("8/5/14"));
-        assert_eq!(manifest.get("format_version"), Some("4"));
-        // A second day's save rewrites the one file, and the manifest
-        // describes *that* file: its size and every section's fingerprint.
-        let d2 = SimDate::new(2014, 8, 6);
-        service.process_day(d2, test_day(d2, 4)).expect("day 2");
-        service.save(&dir).expect("state saved");
-        let manifest = Manifest::read(&dir.join(MANIFEST_FILE)).expect("manifest");
-        let file = std::fs::read(dir.join(STATE_FILE)).expect("state file");
-        let bytes: usize = manifest
-            .get("snapshot_bytes")
-            .unwrap()
-            .parse()
-            .expect("numeric");
-        assert_eq!(bytes, file.len());
-        let snapshot = Snapshot::from_bytes(&file).expect("parses");
-        assert!(snapshot.is_complete());
-        for name in snapshot.section_names() {
+        for (day, seed) in [(5, 3), (6, 4)] {
+            let date = SimDate::new(2014, 8, day);
+            service
+                .process_day(date, test_day(date, seed))
+                .expect("day");
+            service.save(&dir).expect("state saved");
+            let names: Vec<_> = std::fs::read_dir(&dir)
+                .unwrap()
+                .map(|entry| entry.unwrap().file_name().into_string().unwrap())
+                .collect();
+            assert_eq!(names, [STATE_FILE]);
+            let file = std::fs::read(dir.join(STATE_FILE)).expect("state file");
+            assert_eq!(file[8..12], FORMAT_VERSION.to_le_bytes());
+            assert!(Snapshot::from_bytes(&file).expect("parses").is_complete());
+            let (loaded, report) =
+                KizzleService::load(&dir, KizzleConfig::fast()).expect("state loads");
+            assert!(report.notes.is_empty(), "notes: {:?}", report.notes);
+            assert_eq!(loaded.last_processed_day(), Some(date));
+            assert_eq!(&*loaded.signatures(), &*service.signatures());
             assert_eq!(
-                manifest.get(&format!("section.{name}")),
-                Some(kizzle_snapshot::fingerprint(snapshot.section(name).unwrap()).as_str()),
-                "{name}"
+                &read_signatures(&dir).expect("reads"),
+                &*service.signatures()
             );
         }
-        let mut names: Vec<_> = std::fs::read_dir(&dir)
-            .unwrap()
-            .map(|entry| entry.unwrap().file_name().into_string().unwrap())
-            .collect();
-        names.sort();
-        assert_eq!(names, [MANIFEST_FILE, STATE_FILE]);
-        // read_signatures reads the state directory.
-        let set = read_signatures(&dir).expect("signatures");
-        assert_eq!(&set, &*service.signatures());
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -606,14 +569,12 @@ mod tests {
                 .expect("day");
             service.save(&dir).expect("state saved");
         }
-        for file in [STATE_FILE, MANIFEST_FILE] {
-            let err = read_signatures(&dir.join(file)).expect_err("a file is refused");
-            let message = err.to_string();
-            assert!(
-                message.contains(&format!("pass its directory {}", dir.display())),
-                "{file}: {message}"
-            );
-        }
+        let err = read_signatures(&dir.join(STATE_FILE)).expect_err("a file is refused");
+        let message = err.to_string();
+        assert!(
+            message.contains(&format!("pass its directory {}", dir.display())),
+            "{message}"
+        );
         assert_eq!(
             &read_signatures(&dir).expect("the directory reads"),
             &*service.signatures()
@@ -653,8 +614,7 @@ mod tests {
             assert_eq!(served.0, 1);
             assert!(serving.notes().is_empty());
 
-            // The next save rewrites the file (and the manifest, so the
-            // follower re-reads) — stamped `version`.
+            // The next save rewrites the file — stamped `version`.
             service.process_day(d2, test_day(d2, 4)).expect("day 2");
             service.save(&dir).expect("state saved");
             assert!(service.signatures().len() > served.1.len());
@@ -687,7 +647,7 @@ mod tests {
 
             // (iii) Followers never swap to a set they could not decode: a
             // fresh one stays on the empty set at epoch 0, the serving one
-            // re-reads (the manifest moved) and stays on the epoch it had
+            // re-reads (the file moved) and stays on the epoch it had
             // — each with the condition in its notes.
             // Each refusal also counts in METRICS. Telemetry is switched on
             // process-wide for the loop and the counter only grows, so other
@@ -728,10 +688,9 @@ mod tests {
     static TELEMETRY: Mutex<()> = Mutex::new(());
 
     /// One save of a service, as a crash could find it on disk: the state
-    /// file and the manifest as bytes, and the state they hold.
+    /// file as bytes, and the state it holds.
     struct Saved {
         file: Vec<u8>,
-        manifest: Vec<u8>,
         signatures: SignatureSet,
         last_day: SimDate,
         live_samples: usize,
@@ -751,7 +710,6 @@ mod tests {
             let live_samples = service.engine().len();
             Saved {
                 file: std::fs::read(dir.join(STATE_FILE)).expect("state file"),
-                manifest: std::fs::read(dir.join(MANIFEST_FILE)).expect("manifest"),
                 signatures,
                 last_day: date,
                 live_samples,
@@ -769,44 +727,27 @@ mod tests {
         std::fs::remove_dir_all(dir).ok();
         std::fs::create_dir_all(dir).expect("state dir");
         write_atomic(&dir.join(STATE_FILE), &saved.file).expect("state file");
-        write_atomic(&dir.join(MANIFEST_FILE), &saved.manifest).expect("manifest");
     }
 
-    /// A save is two atomic renames, the state file's and then the
-    /// manifest's. Each directory a crash can leave — a stray `.tmp` of
-    /// the new file, the new file under the old manifest, both new — loads
-    /// exactly the old state or the new one, and every follower serves the
-    /// old set at epoch 1 or the new one at epoch 2, never one set under
-    /// the other's epoch.
+    /// A save is one atomic rename of the state file. Each directory a
+    /// crash can leave — a stray `.tmp` of the new file, or the new file —
+    /// loads exactly the old state or the new one, and every follower
+    /// serves the old set at epoch 1 or the new one at epoch 2, never one
+    /// set under the other's epoch.
     #[test]
     fn a_crash_anywhere_in_a_save_leaves_the_old_state_or_the_new() {
         let (old, new) = two_saves("crash-saves");
         let dir = state_dir("crash");
         let tmp = dir.join(format!("{STATE_FILE}.tmp"));
-        for crash in [
-            "before the file rename",
-            "before the manifest rename",
-            "after both",
-        ] {
+        for crash in ["before the rename", "after the rename"] {
             lay_out(&dir, &old);
             let serving = ChainFollower::new(&dir);
             assert!(serving.poll().expect("the old state reads"));
-            match crash {
-                "before the file rename" => {
-                    std::fs::write(&tmp, &new.file[..new.file.len() / 2]).expect("tmp");
-                }
-                "before the manifest rename" => {
-                    write_atomic(&dir.join(STATE_FILE), &new.file).expect("state file");
-                }
-                _ => {
-                    write_atomic(&dir.join(STATE_FILE), &new.file).expect("state file");
-                    write_atomic(&dir.join(MANIFEST_FILE), &new.manifest).expect("manifest");
-                }
-            }
-            // The directory holds the new state once its file is renamed in.
-            let (want, want_epoch) = if crash == "before the file rename" {
+            let (want, want_epoch) = if crash == "before the rename" {
+                std::fs::write(&tmp, &new.file[..new.file.len() / 2]).expect("tmp");
                 (&old, 1)
             } else {
+                write_atomic(&dir.join(STATE_FILE), &new.file).expect("state file");
                 (&new, 2)
             };
 
@@ -818,21 +759,16 @@ mod tests {
             assert_eq!(loaded.engine().len(), want.live_samples, "{crash}");
             assert_eq!(read_signatures(&dir).expect("reads"), want.signatures);
 
-            // A follower reading the directory cold serves what is there; the
-            // one that served the old state keeps it until the manifest
-            // moves. Either way the set and its epoch belong together.
+            // A follower reading the directory cold, and the one that
+            // served the old state at its next poll, both serve what is
+            // there: the set with its own epoch.
             let fresh = ChainFollower::new(&dir);
             assert!(fresh.poll().expect("a state reads"));
-            assert_eq!(fresh.current().0, want_epoch, "{crash}");
             serving.poll().expect("a state reads");
             for follower in [&fresh, &serving] {
                 let (epoch, set) = follower.current();
-                let pair = match epoch {
-                    1 => &old,
-                    2 => &new,
-                    other => panic!("{crash}: epoch {other} was never published"),
-                };
-                assert_eq!(*set, pair.signatures, "{crash}: epoch {epoch}");
+                assert_eq!(epoch, want_epoch, "{crash}");
+                assert_eq!(*set, want.signatures, "{crash}: epoch {epoch}");
                 assert!(
                     follower.notes().is_empty(),
                     "{crash}: {:?}",
@@ -872,7 +808,6 @@ mod tests {
         let mut damaged = new.file.clone();
         damaged[at] ^= 0x20;
         write_atomic(&dir.join(STATE_FILE), &damaged).expect("state file");
-        write_atomic(&dir.join(MANIFEST_FILE), &new.manifest).expect("manifest");
 
         let telemetry = TELEMETRY.lock().unwrap_or_else(|e| e.into_inner());
         kizzle_telemetry::set_enabled(true);
@@ -909,12 +844,10 @@ mod tests {
             ))
         ));
 
-        // A manifest one blank line longer than the last one the follower
+        // The intact file is another length than the last one the follower
         // read: its stamp moves whatever inode and clock tick it gets.
-        let mut manifest = new.manifest.clone();
-        manifest.push(b'\n');
+        assert_ne!(old.file.len(), new.file.len());
         write_atomic(&dir.join(STATE_FILE), &new.file).expect("state file");
-        write_atomic(&dir.join(MANIFEST_FILE), &manifest).expect("manifest");
         assert!(follower.poll().expect("the new state reads"));
         assert_eq!(follower.current().0, 2);
         assert_eq!(*follower.current().1, new.signatures);
@@ -929,8 +862,7 @@ mod tests {
     #[test]
     fn a_follower_racing_saves_serves_each_set_under_its_own_epoch() {
         const PUBLICATIONS: usize = 30;
-        // More pollers than cores: a saver preempted between its two
-        // renames holds the window open for the others.
+        // More pollers than cores, so polls straddle saves.
         const POLLERS: usize = 3;
         let dir = state_dir("race");
         // Row N-1 holds the set of publication N, pushed before that save.

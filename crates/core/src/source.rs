@@ -15,11 +15,11 @@
 //! * [`ChainFollower`] — tails a state directory written by
 //!   [`KizzleService::save`](crate::KizzleService::save)
 //!   on another thread, another process, or another machine's shared
-//!   filesystem. Each [`ChainFollower::poll`] stats the `MANIFEST`,
-//!   diffs the recorded signature-section fingerprint, and only when it
-//!   moved reads the state file, decodes the signature section, seals the
-//!   set (the scan pipeline is built from the signatures, never read from
-//!   disk), and swaps it in **exactly like the epoch swap** — scans in
+//!   filesystem. Each [`ChainFollower::poll`] stats the state file, and
+//!   only when it moved reads it and fingerprints its signature section;
+//!   only when that moved does it decode the section, seal the set (the
+//!   scan pipeline is built from the signatures, never read from disk),
+//!   and swap it in **exactly like the epoch swap** — scans in
 //!   flight keep the previous complete set; the next scan on each handle
 //!   picks up the new one atomically. A [`ChainFollower::follow`] thread
 //!   does not wait out a timer for that: every save wakes the follow
@@ -32,10 +32,9 @@
 
 use crate::config::KizzleConfig;
 use crate::error::KizzleError;
-use crate::snapshot::{decode_publication, MANIFEST_FILE, SIGNATURES_SECTION, STATE_FILE};
+use crate::snapshot::{decode_publication, SIGNATURES_SECTION, STATE_FILE};
 use kizzle_signature::SignatureSet;
-use kizzle_snapshot::sections::SECTION_KEY_PREFIX;
-use kizzle_snapshot::{fingerprint, Manifest, Snapshot, SnapshotError};
+use kizzle_snapshot::{fingerprint, Snapshot, SnapshotError};
 use std::io;
 use std::os::unix::fs::{FileTypeExt, MetadataExt};
 use std::os::unix::net::UnixDatagram;
@@ -144,12 +143,11 @@ impl SignatureSource for EpochSource {
 /// Bookkeeping one poll hands the next, under the poll mutex.
 #[derive(Debug, Default)]
 struct FollowState {
-    /// `(inode, mtime, len)` of the manifest at the last completed poll —
-    /// the cheapest "nothing happened" check. Each save renames a new file
-    /// over the manifest, so its inode differs from the previous save's
-    /// even when both saves fall in one tick of the filesystem clock with
-    /// one length.
-    manifest_stamp: Option<(u64, SystemTime, u64)>,
+    /// `(inode, mtime, len)` of the state file at the last completed poll
+    /// — the cheapest "nothing happened" check. Each save renames a new
+    /// file in, so its inode differs from the previous save's even when
+    /// both saves fall in one tick of the filesystem clock with one length.
+    file_stamp: Option<(u64, SystemTime, u64)>,
     /// Fingerprint of the signature section currently swapped in.
     sig_fingerprint: Option<String>,
     /// Bounded log of degradations observed while following.
@@ -183,24 +181,23 @@ impl FollowState {
 ///
 /// ## Freshness and consistency
 ///
-/// `poll` itself is a stat of the `MANIFEST`; what decides *when* it runs
+/// `poll` itself is a stat of the state file; what decides *when* it runs
 /// is the caller. A [`ChainFollower::follow`] thread binds a datagram
 /// socket in the state directory, and every
 /// [`KizzleService::save`](crate::KizzleService::save) on this host wakes
-/// it once the manifest is committed, so a save is served one decode and
+/// it once the file is renamed in, so a save is served one decode and
 /// seal later. The follow interval bounds staleness only where a save
 /// cannot wake the thread: a writer on another host of a shared
 /// filesystem, or a directory where the socket could not be bound.
-/// Consistency is absolute regardless: the state file and its manifest
-/// are each written atomically (tmp + rename), the manifest only after
-/// the file, and the epoch is the publication count stored in the file's
-/// signature section beside the set — so every poll reads a set and its
-/// epoch from one save, the previous one or the new one, never a mix. The
-/// in-memory swap is the same epoch-bump-under-write-lock the in-process
-/// [`EpochSource`] uses, so a scan never observes a torn set. A save that
-/// only touched non-signature sections (store/index churn on a day with
-/// no new signatures) is detected by the recorded section fingerprints
-/// and skipped without reading the state file, let alone decoding it.
+/// Consistency is absolute regardless: the state file is written
+/// atomically (tmp + rename), and the epoch and the token cap are stored
+/// in its signature section beside the set — so every poll reads a set,
+/// its epoch and its cap from one save, the previous one or the new one,
+/// never a mix. The in-memory swap is the same epoch-bump-under-write-lock
+/// the in-process [`EpochSource`] uses, so a scan never observes a torn
+/// set. A save that only touched non-signature sections (store/index churn
+/// on a day with no new signatures) leaves the signature section's
+/// fingerprint where it was, and is skipped without decoding it.
 ///
 /// Damage keeps the last-known-good set: a state file whose signature
 /// section is unreadable (damaged, truncated, another format version)
@@ -213,8 +210,8 @@ pub struct ChainFollower {
     dir: PathBuf,
     epoch_hint: AtomicU64,
     slot: RwLock<(u64, Arc<SignatureSet>)>,
-    /// Cap read from the manifest's `token_cap` key; until a manifest
-    /// says otherwise, the paper configuration's cap.
+    /// Cap stored beside the set being served; until a save is read, the
+    /// paper configuration's cap.
     token_cap: AtomicUsize,
     state: Mutex<FollowState>,
 }
@@ -251,8 +248,8 @@ impl ChainFollower {
     /// so a follower that polls less often than the compiler saves still
     /// counts every publication, and two followers of one directory agree
     /// on it), `Ok(false)` when the published signatures are unchanged
-    /// (three fast paths, cheapest first: manifest stat, recorded section
-    /// fingerprint, locally computed fingerprint of the file's section).
+    /// (two fast paths, cheapest first: a stat of the state file, then the
+    /// fingerprint of the signature section it holds).
     ///
     /// Concurrent polls serialize on an internal mutex; scans are never
     /// blocked by a poll except for the final pointer-swap instant.
@@ -284,53 +281,33 @@ impl ChainFollower {
         let mut state = self.state.lock().expect("chain follower poll lock");
         let loaded = self.epoch_hint.load(Ordering::Acquire) > 0;
 
-        // Fast path 1: the manifest file did not move since the last
-        // completed poll — no save happened.
-        let manifest_path = self.dir.join(MANIFEST_FILE);
-        let stamp = std::fs::metadata(&manifest_path)
+        // Fast path 1: the state file did not move since the last
+        // completed poll — no save happened. The stat comes before the
+        // read, so a save landing between them is read now and stat-ed
+        // again at the next poll, never missed.
+        let path = self.dir.join(STATE_FILE);
+        let stamp = std::fs::metadata(&path)
             .ok()
             .and_then(|meta| Some((meta.ino(), meta.modified().ok()?, meta.len())));
-        if loaded && stamp.is_some() && stamp == state.manifest_stamp {
+        if loaded && stamp.is_some() && stamp == state.file_stamp {
             return Ok(false);
         }
 
-        // Fast path 2: the manifest moved (or stat is unusable), but the
-        // signature fingerprint it records is the one already swapped in —
-        // the save only touched other sections.
-        let manifest = Manifest::read(&manifest_path).ok();
-        if loaded {
-            if let Some(manifest) = &manifest {
-                let sig = manifest
-                    .get(&format!("{SECTION_KEY_PREFIX}{SIGNATURES_SECTION}"))
-                    .map(str::to_string);
-                if sig.is_some() && sig == state.sig_fingerprint {
-                    state.manifest_stamp = stamp;
-                    return Ok(false);
-                }
-            }
-        }
-
-        // Full read: fingerprint the file's signature section ourselves
-        // (covers a missing manifest, and one that lags the file).
-        let snapshot = Snapshot::read(&self.dir.join(STATE_FILE)).map_err(KizzleError::Snapshot)?;
+        // Fast path 2: the file moved, but its signature section is the
+        // one already swapped in — the save only touched other sections.
+        let snapshot = Snapshot::read(&path).map_err(KizzleError::Snapshot)?;
         let sig_fingerprint = Some(fingerprint(
             snapshot
                 .section(SIGNATURES_SECTION)
                 .map_err(KizzleError::Snapshot)?,
         ));
         if loaded && sig_fingerprint == state.sig_fingerprint {
-            state.manifest_stamp = stamp;
+            state.file_stamp = stamp;
             return Ok(false);
         }
 
-        let (publications, set) = decode_publication(&snapshot).map_err(KizzleError::Snapshot)?;
-        if let Some(cap) = manifest
-            .as_ref()
-            .and_then(|m| m.get("token_cap"))
-            .and_then(|v| v.parse().ok())
-        {
-            self.token_cap.store(cap, Ordering::Relaxed);
-        }
+        let (publications, token_cap, set) =
+            decode_publication(&snapshot).map_err(KizzleError::Snapshot)?;
         // Seal before the swap, on this thread: no scan on any handle ever
         // pays the pipeline build.
         set.seal();
@@ -343,10 +320,11 @@ impl ChainFollower {
             // advances the epoch by one, which keeps it monotone.
             slot.0 = publications.max(slot.0 + 1);
             slot.1 = Arc::new(set);
+            self.token_cap.store(token_cap, Ordering::Relaxed);
             self.epoch_hint.store(slot.0, Ordering::Release);
         }
         state.sig_fingerprint = sig_fingerprint;
-        state.manifest_stamp = stamp;
+        state.file_stamp = stamp;
         if kizzle_telemetry::enabled() {
             kizzle_telemetry::counter("kizzle_chain_refreshes_total").incr();
             kizzle_telemetry::gauge("kizzle_signatures_live").set(signatures as u64);
@@ -484,7 +462,7 @@ fn bind_wake_socket(dir: &Path) -> io::Result<(UnixDatagram, UnixDatagram, PathB
 
 /// Wake every [`ChainFollower::follow`] thread bound in `dir`: one byte to
 /// each socket whose name starts with [`WAKE_PREFIX`]. Run after a save has
-/// committed its manifest, and best effort: a wake that is not delivered
+/// renamed its state file in, and best effort: a wake that is not delivered
 /// costs that follower at most its poll interval, never the save. A socket
 /// nobody is bound to any more (its follower died before removing it)
 /// refuses the byte and is removed; an entry that is not a socket is never
@@ -630,7 +608,7 @@ mod tests {
         assert_eq!(epoch, 1);
         assert_eq!(&*set, &*service.signatures());
         assert!(set.is_sealed(), "the follower seals before the swap");
-        // Token cap came from the manifest.
+        // The token cap came with the set.
         assert_eq!(follower.token_cap(), service.config().token_cap);
         // A second poll with no new save is a cheap no-op.
         assert!(!follower.poll().expect("chain readable"));
@@ -746,26 +724,62 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    /// Two saves inside one tick of the filesystem clock can leave
-    /// manifests of equal length and mtime (the two saves below are padded
-    /// to one length and stamped with one mtime). Every save renames a new
-    /// file over the manifest, so its inode still moves, and a follower
-    /// that saw the first save does not take the second for no save.
+    /// A follower scans with the cap the set was compiled under, read from
+    /// the state file alone: a directory holding nothing else still gives
+    /// a fast-config follower its cap of 500, not the paper's 900.
+    #[test]
+    fn the_token_cap_travels_with_the_set() {
+        let dir = chain_dir("cap");
+        let date = SimDate::new(2014, 8, 5);
+        let mut service = test_service();
+        service
+            .process_day(date, test_day(date, 3))
+            .expect("day processes");
+        service.save(&dir).expect("state saved");
+        for entry in std::fs::read_dir(&dir).expect("state dir lists") {
+            let path = entry.expect("entry").path();
+            if !path.ends_with(STATE_FILE) {
+                std::fs::remove_file(path).expect("removed");
+            }
+        }
+        let follower = ChainFollower::new(&dir);
+        assert_eq!(follower.token_cap(), KizzleConfig::paper().token_cap);
+        assert!(follower.poll().expect("state readable"));
+        assert_eq!(follower.token_cap(), 500);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Two saves inside one tick of the filesystem clock can leave state
+    /// files of equal length and mtime (the two saves below are padded to
+    /// one length with a section no reader asks for, in place, and stamped
+    /// with one mtime). Every save renames a new file in, so its inode
+    /// still moves, and a follower that saw the first save does not take
+    /// the second for no save.
     #[test]
     fn a_save_in_the_same_clock_tick_and_length_is_not_missed() {
-        use std::io::Write;
-        const LEN: usize = 4096;
+        const LEN: usize = 1 << 20;
         let dir = chain_dir("same-tick");
-        let manifest = dir.join(MANIFEST_FILE);
+        let path = dir.join(STATE_FILE);
         // In place, so the padding keeps the save's inode.
         let pad = || {
-            let len = std::fs::metadata(&manifest).expect("manifest").len() as usize;
+            let saved = Snapshot::read(&path).expect("state file");
+            let mut builder = kizzle_snapshot::SnapshotBuilder::new();
+            let mut len = 0;
+            for name in saved.section_names() {
+                let payload = saved.section(name).expect("intact");
+                len += 14 + name.len() + payload.len();
+                builder.section(name, payload.to_vec());
+            }
+            let padding = LEN - (16 + len + 4) - (14 + "padding".len());
+            builder.section("padding", vec![0; padding]);
+            let bytes = builder.to_bytes();
+            assert_eq!(bytes.len(), LEN);
             let mut file = std::fs::OpenOptions::new()
-                .append(true)
-                .open(&manifest)
-                .expect("manifest");
-            let comment = format!("#{}\n", " ".repeat(LEN - len - 2));
-            file.write_all(comment.as_bytes()).expect("padding");
+                .write(true)
+                .truncate(true)
+                .open(&path)
+                .expect("state file");
+            io::Write::write_all(&mut file, &bytes).expect("padding");
             file
         };
         let mut service = test_service();
@@ -777,7 +791,7 @@ mod tests {
         service.save(&dir).expect("state saved");
         let first = pad()
             .metadata()
-            .expect("manifest")
+            .expect("state file")
             .modified()
             .expect("mtime");
         assert!(follower.poll().expect("state readable"));
@@ -788,7 +802,7 @@ mod tests {
             .expect("day processes");
         service.save(&dir).expect("state saved");
         pad().set_modified(first).expect("mtime");
-        let meta = std::fs::metadata(&manifest).expect("manifest");
+        let meta = std::fs::metadata(&path).expect("state file");
         assert_eq!(
             (meta.modified().expect("mtime"), meta.len()),
             (first, LEN as u64)

@@ -216,11 +216,9 @@ impl Server {
         kizzle_telemetry::set_recorder(Box::new(SharedAggregator(Arc::clone(&aggregator))));
 
         let follower = Arc::new(ChainFollower::new(&config.chain_dir));
-        if let Err(err) = follower.poll() {
-            // A damaged chain at startup is not fatal: serve the empty
-            // set, keep polling, and surface the problem in STATUS notes.
-            let _ = err;
-        }
+        // A damaged chain at startup is not fatal: serve the empty
+        // set, keep polling, and surface the problem in STATUS notes.
+        let _ = follower.poll();
         let follow = follower.follow(config.poll_interval);
 
         let listener = TcpListener::bind(&config.addr)?;

@@ -29,7 +29,7 @@
 //!    `.tmp` sibling and a rename, so a crash mid-write leaves the
 //!    previous snapshot file untouched.
 
-use crate::{crc32, fingerprint_of, SnapshotError};
+use crate::{crc32, SnapshotError};
 use std::fs;
 use std::io::Write;
 use std::ops::Range;
@@ -56,15 +56,17 @@ pub const MAGIC: [u8; 8] = *b"KIZSNAP1";
 /// count in front of the set. No reader for version 3 is kept: the base of
 /// an old chain read on its own is an *older* state than the chain
 /// described, so it is refused rather than loaded.
-pub const FORMAT_VERSION: u32 = 4;
+///
+/// Version 5: the signature section carries the compiler's token cap
+/// between the publication count and the set, so a follower takes its
+/// epoch, set and cap from one checksummed section. No reader for version
+/// 4 is kept.
+pub const FORMAT_VERSION: u32 = 5;
 
 /// Accumulates named sections and serializes them into one container.
 #[derive(Debug, Default)]
 pub struct SnapshotBuilder {
-    /// Name, payload and the payload's CRC-32, taken once when the section
-    /// is added: the file writes it and [`SnapshotBuilder::fingerprints`]
-    /// reports it.
-    sections: Vec<(String, Vec<u8>, u32)>,
+    sections: Vec<(String, Vec<u8>)>,
 }
 
 impl SnapshotBuilder {
@@ -82,21 +84,11 @@ impl SnapshotBuilder {
     /// name exceeds `u16::MAX` bytes.
     pub fn section(&mut self, name: &str, payload: Vec<u8>) {
         assert!(
-            self.sections.iter().all(|(n, _, _)| n != name),
+            self.sections.iter().all(|(n, _)| n != name),
             "duplicate snapshot section {name:?}"
         );
         assert!(name.len() <= usize::from(u16::MAX), "section name too long");
-        let crc = crc32(&payload);
-        self.sections.push((name.to_string(), payload, crc));
-    }
-
-    /// Each section's name and its [`fingerprint`](crate::fingerprint), in
-    /// the order added, from the CRC the file stores: no second pass over
-    /// the payloads.
-    pub fn fingerprints(&self) -> impl Iterator<Item = (&str, String)> {
-        self.sections
-            .iter()
-            .map(|(name, payload, crc)| (name.as_str(), fingerprint_of(*crc, payload.len())))
+        self.sections.push((name.to_string(), payload));
     }
 
     /// Serialize the container to bytes.
@@ -110,7 +102,7 @@ impl SnapshotBuilder {
                 .expect("u32 sections")
                 .to_le_bytes(),
         );
-        for (name, payload, crc) in &self.sections {
+        for (name, payload) in &self.sections {
             out.extend_from_slice(
                 &u16::try_from(name.len())
                     .expect("checked in section()")
@@ -118,7 +110,7 @@ impl SnapshotBuilder {
             );
             out.extend_from_slice(name.as_bytes());
             out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-            out.extend_from_slice(&crc.to_le_bytes());
+            out.extend_from_slice(&crc32(payload).to_le_bytes());
             out.extend_from_slice(payload);
         }
         let file_crc = crc32(&out);
@@ -136,12 +128,11 @@ impl SnapshotBuilder {
 ///
 /// The `.tmp` file is synced before the rename, and the parent directory
 /// after it, so the rename itself is on disk before this returns. A state
-/// save writes its file and then its manifest through here; without the
-/// directory sync a power loss could keep the manifest's rename and lose
-/// the file's, leaving a manifest that describes a file the directory does
-/// not hold. No test observes the directory sync: only a lost page cache
-/// tells a synced rename from an unsynced one, and that takes a simulated
-/// file system under this call (ROADMAP item 4).
+/// save is one call of this, and the rename is its commit point: without
+/// the directory sync a save could return, wake its followers and then be
+/// undone by a power loss. No test observes the directory sync: only a
+/// lost page cache tells a synced rename from an unsynced one, and that
+/// takes a simulated file system under this call (ROADMAP item 4).
 pub fn write_atomic(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
     let mut tmp = path.as_os_str().to_owned();
     tmp.push(".tmp");
@@ -380,6 +371,24 @@ mod tests {
         assert!(matches!(
             Snapshot::from_bytes(&bytes),
             Err(SnapshotError::VersionSkew { found, .. }) if found != FORMAT_VERSION
+        ));
+    }
+
+    /// Version 4 is the layout before the token cap joined the signature
+    /// section; no reader for it is kept.
+    #[test]
+    fn a_version_4_header_is_refused() {
+        let mut bytes = demo_snapshot();
+        bytes[8..12].copy_from_slice(&4u32.to_le_bytes());
+        let body = bytes.len() - 4;
+        let crc = crc32(&bytes[..body]);
+        bytes[body..].copy_from_slice(&crc.to_le_bytes());
+        assert!(matches!(
+            Snapshot::from_bytes(&bytes),
+            Err(SnapshotError::VersionSkew {
+                found: 4,
+                expected: 5
+            })
         ));
     }
 

@@ -7,8 +7,7 @@
 //! the accumulated signature set — evaporates with the process, and the
 //! next run silently pays the full cold rebuild. This crate is the format
 //! layer that lets the warm state survive: a versioned, checksummed,
-//! self-describing binary container with atomic write semantics, plus a
-//! small human-readable manifest.
+//! self-describing binary container with atomic write semantics.
 //!
 //! The crate is deliberately *domain-free*: it knows nothing about stores,
 //! indexes or signatures. Domain crates (`kizzle-cluster`, `kizzle`)
@@ -25,16 +24,12 @@
 //!   recover every intact section of a partially corrupted file, which
 //!   is what lets a loader fall back per-section (rebuild the index from
 //!   the store, the store from nothing) instead of panicking.
-//! * [`manifest`] — [`Manifest`]: a `key = value` sidecar describing the
-//!   snapshot (format version, config fingerprint, last day, per-section
-//!   [`fingerprint`]s) so operators can inspect state, and readers can
-//!   tell which sections moved, without a binary reader.
 //!
-//! A state directory holds one container and its manifest, each written
-//! **atomically** ([`write_atomic`]: a `.tmp` sibling first, synced, then
-//! renamed over the destination, then the directory synced) — the
-//! container before the manifest, so a crash at any point leaves either
-//! the previous state or the new one, never a mixture.
+//! A state directory holds one container, written **atomically**
+//! ([`write_atomic`]: a `.tmp` sibling first, synced, then renamed over
+//! the destination, then the directory synced). The rename is a save's
+//! commit point, so a crash at any point leaves either the previous state
+//! or the new one, never a mixture.
 //!
 //! ## Example
 //!
@@ -59,12 +54,10 @@
 
 pub mod codec;
 pub mod container;
-pub mod manifest;
 pub mod sections;
 
 pub use codec::{Decoder, Encoder};
 pub use container::{write_atomic, Snapshot, SnapshotBuilder, FORMAT_VERSION};
-pub use manifest::Manifest;
 
 use std::fmt;
 
@@ -214,17 +207,12 @@ const fn crc32_tables() -> [[u32; 256]; 8] {
     tables
 }
 
-/// A section's `crc/len` content fingerprint, as the state manifest records
-/// it — readers compare one they computed against a recorded one as plain
-/// strings.
+/// A section's `crc/len` content fingerprint: a follower compares the one
+/// it computed on its last read with the next read's to tell whether a
+/// section moved.
 #[must_use]
 pub fn fingerprint(payload: &[u8]) -> String {
-    fingerprint_of(crc32(payload), payload.len())
-}
-
-/// [`fingerprint`] of a payload whose CRC-32 is already known.
-fn fingerprint_of(crc: u32, len: usize) -> String {
-    format!("{crc:#010x}/{len}")
+    format!("{:#010x}/{}", crc32(payload), payload.len())
 }
 
 #[cfg(test)]

@@ -1,4 +1,4 @@
-//! The single registry of snapshot section names and manifest keys.
+//! The single registry of snapshot section names.
 //!
 //! Every named slot in the on-disk format is declared here, once. Domain
 //! crates (`kizzle`, `kizzle-cluster`) re-export the constants they own
@@ -15,7 +15,8 @@
 
 /// Section holding fingerprint, day counter and signature counters.
 pub const META_SECTION: &str = "meta";
-/// Section holding the publication count and the cumulative signature set.
+/// Section holding the publication count, the token cap and the cumulative
+/// signature set.
 pub const SIGNATURES_SECTION: &str = "signatures";
 /// Section holding the reference corpus.
 pub const REFERENCE_SECTION: &str = "reference";
@@ -23,6 +24,3 @@ pub const REFERENCE_SECTION: &str = "reference";
 pub const STORE_SECTION: &str = "corpus-store";
 /// Section holding the neighbor index (caches, no sample bytes).
 pub const INDEX_SECTION: &str = "neighbor-index";
-
-/// Manifest key prefix for per-section content fingerprints.
-pub const SECTION_KEY_PREFIX: &str = "section.";

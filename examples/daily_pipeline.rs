@@ -70,7 +70,7 @@ fn parse_args() -> Args {
                     "usage: daily_pipeline [--days N] [--samples-per-day M] [--seed S]\n\
                      \x20                     [--state-dir DIR [--restart-each-day]]\n\
                      defaults: --days 7 --samples-per-day 150 --seed 11\n\
-                     --state-dir DIR       persist compiler state (state file + MANIFEST) after each day\n\
+                     --state-dir DIR       persist compiler state (one state file) after each day\n\
                      --restart-each-day    drop + reload the compiler between days (cron simulation)\n\
                      --metrics-out PATH    enable telemetry; write the metric registry in Prometheus\n\
                      \x20                     text exposition format to PATH after the run\n\
