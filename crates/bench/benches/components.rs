@@ -1,7 +1,7 @@
 //! Kernel micro-benchmarks, each gated in `thresholds.json`: the Myers
 //! distance kernel, the snapshot checksum, signature generation, the
 //! scan's stage-2 token profile, the anchor trie's skip-loop, the anchor
-//! gate over a large page, and the lexer.
+//! gate over a large page, the lexer, and the seal's label loop.
 //! Everything a whole day or a whole scan costs is the ledger's question
 //! (`examples/perf_ledger`), not criterion's.
 
@@ -391,6 +391,58 @@ fn bench_lex(c: &mut Criterion) {
     g.finish();
 }
 
+/// The seal's label loop, prototype by prototype: unpack, fingerprint
+/// once, compare with every family's reference and absorb a labelled
+/// probe. One iteration runs one seeded prototype page per page class —
+/// each kit family and each benign kind, 8/9/14 — against a reference
+/// seeded on 8/1 and absorbed with each kit's payload of 8/2–8/8. The
+/// reference keeps absorbing the same four kit probes, so after the
+/// first iteration it only grows in counts, not in hashes.
+fn bench_label(c: &mut Criterion) {
+    use kizzle_corpus::benign::{generate_benign, BenignKind};
+    use kizzle_corpus::KitModel;
+    use rand::SeedableRng;
+    use rand_chacha::ChaCha8Rng;
+
+    let config = KizzleConfig::paper();
+    let mut reference = ReferenceCorpus::seeded_from_models(SimDate::new(2014, 8, 1), &config);
+    for day in 2..=8 {
+        for family in KitFamily::ALL {
+            let payload = KitModel::new(family).reference_payload(SimDate::new(2014, 8, day));
+            reference.absorb(family, &payload);
+        }
+    }
+    let date = SimDate::new(2014, 8, 9);
+    let mut rng = ChaCha8Rng::seed_from_u64(9_009);
+    let mut pages: Vec<String> = KitFamily::ALL
+        .iter()
+        .map(|&family| KitModel::new(family).generate_sample(date, &mut rng))
+        .collect();
+    pages.extend(BenignKind::ALL.map(|kind| generate_benign(kind, &mut rng)));
+    let label_all = |reference: &mut ReferenceCorpus| {
+        let mut labelled = 0;
+        for page in &pages {
+            let (_, unpacked) = kizzle_unpack::unpack_or_passthrough(black_box(page));
+            let probe = reference.probe(&unpacked);
+            if let Some((family, _)) = reference.label_probe(&probe) {
+                reference.absorb_probe(family, &probe);
+                labelled += 1;
+            }
+        }
+        labelled
+    };
+    let labelled = label_all(&mut reference);
+    assert!(labelled >= KitFamily::ALL.len(), "every kit page labels");
+    eprintln!(
+        "components/label_prototypes: {} pages, {labelled} labelled",
+        pages.len()
+    );
+
+    let mut g = group(c, "components");
+    g.bench_function("label_prototypes", |b| b.iter(|| label_all(&mut reference)));
+    g.finish();
+}
+
 criterion_group!(
     components,
     bench_edit_distance,
@@ -398,6 +450,7 @@ criterion_group!(
     bench_signature_generation,
     bench_profile,
     bench_scan_punct,
-    bench_lex
+    bench_lex,
+    bench_label
 );
 criterion_main!(components);

@@ -7,11 +7,13 @@
 //!
 //! * `components` — the Myers distance kernel, the snapshot checksum,
 //!   signature generation, the scan's stage-2 token profile, the anchor
-//!   automaton's skip-loop and the lexer;
+//!   automaton's skip-loop, the lexer and the seal's label loop;
 //! * `signature_scan` — the staged scan at 500–50k signatures;
 //! * `telemetry_overhead` — scanning with telemetry on over off.
 //!
-//! `examples/scale_sweep` drives the neighbor index at scale. The paper's
+//! `examples/scale_sweep` drives the neighbor index at scale;
+//! `examples/scan_breakdown` and `examples/seal_breakdown` split an
+//! in-process scan and a seal into their steps. The paper's
 //! tables and figures are regenerated by `kizzle-eval`'s `experiments`
 //! binary. This library only holds the fixture helpers these share.
 

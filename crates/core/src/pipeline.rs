@@ -229,11 +229,14 @@ impl KizzleCompiler {
         // Per labelled cluster: its verdict, its family, and its picked
         // members' streams in `lexed`.
         let mut labelled: Vec<(usize, KitFamily, Range<usize>)> = Vec::new();
-        // The winnow phase (unpack → reference label → absorb) runs per
-        // cluster, so an RAII guard would spray hundreds of sub-ms spans;
-        // accumulate it across the loop and record one per-day span after.
+        // The winnow phase (unpack → fingerprint → reference overlap →
+        // absorb) runs per cluster, so an RAII guard would spray hundreds
+        // of sub-ms spans; accumulate it across the loop and record one
+        // per-day span after, its four steps as counters.
         let mut winnow_time = Duration::ZERO;
+        let mut label_steps = LabelSteps::default();
         let mut siggen_started = None;
+        let mut lex_wait = Duration::ZERO;
 
         // Lex jobs: (job number, day position). Whoever holds the queue
         // lock waits for the next job; the lock is released before lexing.
@@ -255,14 +258,22 @@ impl KizzleCompiler {
             let mut queued = 0;
             for cluster in &significant {
                 let winnow_started = tel.then(Instant::now);
+                label_steps.from = winnow_started;
                 let prototype_idx = cluster.prototype.unwrap_or_else(|| cluster.members[0]);
                 let (_, unpacked) =
                     kizzle_unpack::unpack_or_passthrough(samples.html(prototype_idx));
-                let labeled = self.reference.label(&unpacked);
+                label_steps.lap(LabelStep::Unpack);
+                // One fingerprint per prototype: labelled with it, and
+                // absorbed as it is.
+                let probe = self.reference.probe(&unpacked);
+                label_steps.lap(LabelStep::Fingerprint);
+                let labeled = self.reference.label_probe(&probe);
+                label_steps.lap(LabelStep::Overlap);
                 if let Some((family, _)) = labeled {
                     // Track the kit's evolution so tomorrow's variant still
                     // labels correctly.
-                    self.reference.absorb(family, &unpacked);
+                    self.reference.absorb_probe(family, &probe);
+                    label_steps.lap(LabelStep::Absorb);
                     let store = self.engine.store();
                     let usable: Vec<usize> = cluster
                         .members
@@ -301,6 +312,9 @@ impl KizzleCompiler {
                 }
             }
             lexed.sort_unstable_by_key(|&(job, _)| job);
+            if let Some(started) = siggen_started {
+                lex_wait = started.elapsed();
+            }
             lexed.into_iter().map(|(_, stream)| stream).collect()
         });
 
@@ -326,11 +340,13 @@ impl KizzleCompiler {
             }
         }
         if tel {
+            let siggen = siggen_started.map_or(Duration::ZERO, |started| started.elapsed());
             kizzle_telemetry::record_span("day.winnow", winnow_time);
-            kizzle_telemetry::record_span(
-                "day.siggen",
-                siggen_started.map_or(Duration::ZERO, |started| started.elapsed()),
-            );
+            kizzle_telemetry::record_span("day.siggen", siggen);
+            label_steps.record();
+            kizzle_telemetry::counter("kizzle_siggen_lex_wait_ns_total").add(nanos(lex_wait));
+            kizzle_telemetry::counter("kizzle_siggen_generate_ns_total")
+                .add(nanos(siggen.saturating_sub(lex_wait)));
             kizzle_telemetry::counter("kizzle_days_sealed_total").incr();
             kizzle_telemetry::counter("kizzle_signatures_emitted_total")
                 .add(new_signatures.len() as u64);
@@ -348,6 +364,47 @@ impl KizzleCompiler {
             pipeline: PipelineStats::default(),
         }
     }
+}
+
+/// The steps of labelling one cluster prototype, in loop order.
+#[derive(Clone, Copy)]
+enum LabelStep {
+    Unpack,
+    Fingerprint,
+    Overlap,
+    Absorb,
+}
+
+/// Time per [`LabelStep`] across a seal's label loop, each step measured
+/// from the end of the one before, the first from the prototype's start.
+/// The clock is read only while `from` is set (telemetry on).
+#[derive(Default)]
+struct LabelSteps {
+    from: Option<Instant>,
+    spent: [Duration; 4],
+}
+
+impl LabelSteps {
+    /// Charge the time since `from` to `step`.
+    fn lap(&mut self, step: LabelStep) {
+        if let Some(from) = self.from {
+            let now = Instant::now();
+            self.spent[step as usize] += now - from;
+            self.from = Some(now);
+        }
+    }
+
+    fn record(&self) {
+        let [unpack, fingerprint, overlap, absorb] = self.spent.map(nanos);
+        kizzle_telemetry::counter("kizzle_label_unpack_ns_total").add(unpack);
+        kizzle_telemetry::counter("kizzle_label_fingerprint_ns_total").add(fingerprint);
+        kizzle_telemetry::counter("kizzle_label_overlap_ns_total").add(overlap);
+        kizzle_telemetry::counter("kizzle_label_absorb_ns_total").add(absorb);
+    }
+}
+
+fn nanos(spent: Duration) -> u64 {
+    u64::try_from(spent.as_nanos()).unwrap_or(u64::MAX)
 }
 
 /// Map a signature label back to the kit family it names.

@@ -52,18 +52,22 @@ impl ReferenceCorpus {
     /// labeling threshold. Adding further samples for the same family merges
     /// their fingerprints and keeps the latest threshold.
     pub fn add_known_sample(&mut self, family: KitFamily, unpacked: &str, threshold: f64) {
+        let fingerprint = self.probe(unpacked);
+        self.add_fingerprint(family, &fingerprint, threshold);
+    }
+
+    fn add_fingerprint(&mut self, family: KitFamily, fingerprint: &Fingerprint, threshold: f64) {
         assert!(
             threshold > 0.0 && threshold <= 1.0,
             "threshold must be in (0, 1]"
         );
-        let fingerprint = Fingerprint::of_text(unpacked, &self.winnow);
         if let Some(entry) = self.entries.iter_mut().find(|e| e.family == family) {
-            entry.fingerprint.merge(&fingerprint);
+            entry.fingerprint.merge(fingerprint);
             entry.threshold = threshold;
         } else {
             self.entries.push(FamilyReference {
                 family,
-                fingerprint,
+                fingerprint: fingerprint.clone(),
                 threshold,
             });
         }
@@ -93,18 +97,33 @@ impl ReferenceCorpus {
     /// Overlap of an unpacked prototype with a specific family's reference.
     #[cfg(test)]
     fn overlap_with(&self, family: KitFamily, unpacked: &str) -> f64 {
-        let probe = Fingerprint::of_text(unpacked, &self.winnow);
+        let probe = self.probe(unpacked);
         self.entries
             .iter()
             .find(|e| e.family == family)
             .map_or(0.0, |e| probe.overlap(&e.fingerprint))
     }
 
+    /// Fingerprint an unpacked prototype with the corpus's winnowing
+    /// parameters: the probe [`ReferenceCorpus::label_probe`] and
+    /// [`ReferenceCorpus::absorb_probe`] take, so a prototype that is
+    /// labelled and then absorbed is fingerprinted once.
+    #[must_use]
+    pub fn probe(&self, unpacked: &str) -> Fingerprint {
+        Fingerprint::of_text(unpacked, &self.winnow)
+    }
+
     /// Label an unpacked cluster prototype: the best-matching family whose
     /// overlap exceeds its threshold, together with the overlap value.
     #[must_use]
     pub fn label(&self, unpacked: &str) -> Option<(KitFamily, f64)> {
-        let probe = Fingerprint::of_text(unpacked, &self.winnow);
+        self.label_probe(&self.probe(unpacked))
+    }
+
+    /// [`ReferenceCorpus::label`] for a prototype already fingerprinted
+    /// with [`ReferenceCorpus::probe`].
+    #[must_use]
+    pub fn label_probe(&self, probe: &Fingerprint) -> Option<(KitFamily, f64)> {
         let mut best: Option<(KitFamily, f64)> = None;
         for entry in &self.entries {
             let overlap = probe.overlap(&entry.fingerprint);
@@ -121,18 +140,26 @@ impl ReferenceCorpus {
     /// cluster has been labeled, so the corpus tracks kit evolution the way
     /// the paper's day-over-day similarity measurement does).
     pub fn absorb(&mut self, family: KitFamily, unpacked: &str) {
+        let probe = self.probe(unpacked);
+        self.absorb_probe(family, &probe);
+    }
+
+    /// [`ReferenceCorpus::absorb`] for a prototype already fingerprinted
+    /// with [`ReferenceCorpus::probe`].
+    pub fn absorb_probe(&mut self, family: KitFamily, probe: &Fingerprint) {
         let threshold = self
             .entries
             .iter()
             .find(|e| e.family == family)
             .map_or(0.6, |e| e.threshold);
-        self.add_known_sample(family, unpacked, threshold);
+        self.add_fingerprint(family, probe, threshold);
     }
 
     /// Serialize the corpus: winnow parameters, then per family (in entry
     /// order, which labeling iterates) its threshold and fingerprint
-    /// multiset. Fingerprint pairs are written hash-sorted so identical
-    /// corpora always produce identical bytes.
+    /// multiset. Fingerprint pairs are written in the hash order a
+    /// fingerprint keeps them in, so identical corpora always produce
+    /// identical bytes.
     pub(crate) fn encode_into(&self, enc: &mut Encoder) {
         enc.usize(self.winnow.k);
         enc.usize(self.winnow.window);
@@ -140,10 +167,8 @@ impl ReferenceCorpus {
         for entry in &self.entries {
             enc.u8(entry.family.code());
             enc.f64(entry.threshold);
-            let mut pairs: Vec<(u64, u32)> = entry.fingerprint.iter().collect();
-            pairs.sort_unstable();
-            enc.usize(pairs.len());
-            for (hash, count) in pairs {
+            enc.usize(entry.fingerprint.distinct());
+            for (hash, count) in entry.fingerprint.iter() {
                 enc.u64(hash);
                 enc.u32(count);
             }
@@ -270,6 +295,69 @@ mod tests {
         assert_eq!(c.overlap_with(KitFamily::Angler, "function f() {}"), 0.0);
         assert_eq!(c.label("function f() {}"), None);
     }
+
+    /// What a seal's label loop meets over a fortnight: each day, every
+    /// family's page and every benign kind's page, unpacked.
+    fn fortnight_of_prototypes() -> Vec<String> {
+        use kizzle_corpus::benign::{generate_benign, BenignKind};
+        use rand::SeedableRng;
+        let mut texts = Vec::new();
+        for day in 2..=15u32 {
+            let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(u64::from(day));
+            for family in KitFamily::ALL {
+                let page =
+                    KitModel::new(family).generate_sample(SimDate::new(2014, 8, day), &mut rng);
+                texts.push(kizzle_unpack::unpack_or_passthrough(&page).1);
+            }
+            for kind in BenignKind::ALL {
+                let page = generate_benign(kind, &mut rng);
+                texts.push(kizzle_unpack::unpack_or_passthrough(&page).1);
+            }
+        }
+        texts
+    }
+
+    fn encoded(corpus: &ReferenceCorpus) -> Vec<u8> {
+        let mut enc = Encoder::new();
+        corpus.encode_into(&mut enc);
+        enc.into_bytes()
+    }
+
+    #[test]
+    fn probe_once_equals_label_then_absorb_at_every_step() {
+        let (mut by_text, mut by_probe) = (corpus(), corpus());
+        let mut labelled = 0;
+        for text in fortnight_of_prototypes() {
+            let label = by_text.label(&text);
+            if let Some((family, _)) = label {
+                by_text.absorb(family, &text);
+                labelled += 1;
+            }
+            let probe = by_probe.probe(&text);
+            let probe_label = by_probe.label_probe(&probe);
+            if let Some((family, _)) = probe_label {
+                by_probe.absorb_probe(family, &probe);
+            }
+            assert_eq!(
+                label.map(|(f, o)| (f, o.to_bits())),
+                probe_label.map(|(f, o)| (f, o.to_bits()))
+            );
+            assert_eq!(encoded(&by_text), encoded(&by_probe));
+        }
+        assert!(labelled >= 4 * 14, "every kit page labels: {labelled}");
+        // The bytes the hash-map histogram wrote for the same sequence
+        // (its pairs sorted at encode time): the flat histogram changes no
+        // stored byte.
+        let bytes = encoded(&by_probe);
+        assert_eq!(
+            (bytes.len(), kizzle_snapshot::crc32(&bytes)),
+            FORTNIGHT_ENCODING
+        );
+    }
+
+    /// Length and CRC-32 of the fortnight corpus's encoding, as the
+    /// hash-map histogram produced it.
+    const FORTNIGHT_ENCODING: (usize, u32) = (60_680, 0xfe59_72cc);
 
     #[test]
     #[should_panic(expected = "threshold")]

@@ -5,7 +5,7 @@
 //! unpacker gathers the hex chunk literals in source order and performs the
 //! same decode statically.
 
-use crate::literals::string_literals;
+use crate::literals::{string_literals, StringLiteral};
 use crate::{Result, UnpackError};
 
 /// Minimum length for a literal to be considered a hex chunk (filters out
@@ -20,16 +20,29 @@ const MIN_CHUNK_LEN: usize = 8;
 /// and [`UnpackError::MalformedEncoding`] when the concatenated chunks are
 /// not valid hex-encoded text.
 pub fn unpack(js: &str) -> Result<String> {
-    let hex: String = string_literals(js)
-        .iter()
-        .filter(|lit| is_hex_chunk(&lit.value))
-        .map(|lit| lit.value.as_str())
-        .collect();
-    if hex.is_empty() {
+    decode(&string_literals(js))
+}
+
+/// [`unpack`] over a script's already-extracted string literals. Each
+/// chunk has an even length, so chunks decode one at a time into one
+/// buffer, with no concatenated hex text in between.
+pub(crate) fn decode(literals: &[StringLiteral<'_>]) -> Result<String> {
+    let mut bytes = Vec::new();
+    let mut chunks = 0usize;
+    for lit in literals.iter().filter(|lit| is_hex_chunk(lit.value)) {
+        chunks += 1;
+        bytes.extend(
+            lit.value
+                .as_bytes()
+                .chunks_exact(2)
+                .map(|pair| (nibble(pair[0]) << 4) | nibble(pair[1])),
+        );
+    }
+    if chunks == 0 {
         return Err(UnpackError::MissingComponent("Angler hex chunks"));
     }
-    decode_hex(&hex)
-        .ok_or_else(|| UnpackError::MalformedEncoding("Angler hex payload invalid".to_string()))
+    String::from_utf8(bytes)
+        .map_err(|_| UnpackError::MalformedEncoding("Angler hex payload invalid".to_string()))
 }
 
 fn is_hex_chunk(value: &str) -> bool {
@@ -40,16 +53,13 @@ fn is_hex_chunk(value: &str) -> bool {
             .all(|b| b.is_ascii_digit() || (b'a'..=b'f').contains(&b))
 }
 
-fn decode_hex(hex: &str) -> Option<String> {
-    if !hex.len().is_multiple_of(2) {
-        return None;
+/// The value of one lower-case hex digit ([`is_hex_chunk`] admits no other).
+fn nibble(digit: u8) -> u8 {
+    if digit.is_ascii_digit() {
+        digit - b'0'
+    } else {
+        digit - b'a' + 10
     }
-    let mut bytes = Vec::with_capacity(hex.len() / 2);
-    for pair in hex.as_bytes().chunks_exact(2) {
-        let s = std::str::from_utf8(pair).ok()?;
-        bytes.push(u8::from_str_radix(s, 16).ok()?);
-    }
-    String::from_utf8(bytes).ok()
 }
 
 #[cfg(test)]

@@ -20,7 +20,10 @@
 //! sample. [`unpack`] dispatches by family; [`try_unpack_any`] is the
 //! "which unpacker applies?" loop used when the family is unknown, and
 //! [`unpack_or_passthrough`] is what the labeling stage calls on a cluster
-//! prototype — benign prototypes simply pass through unmodified.
+//! prototype — benign prototypes simply pass through unmodified. Every
+//! entry point extracts a document's script text and lexes its string
+//! literals once; the family decoders read those borrowed literals and
+//! decode on bytes.
 //!
 //! ## Example
 //!
@@ -50,6 +53,7 @@ mod literals;
 pub use literals::{string_literals, StringLiteral};
 
 use kizzle_corpus::KitFamily;
+use std::borrow::Cow;
 use std::fmt;
 
 /// Why an unpacker failed on a document.
@@ -87,15 +91,42 @@ pub type Result<T> = std::result::Result<T, UnpackError>;
 /// unchanged when it is bare JavaScript).
 #[must_use]
 pub fn script_text(document: &str) -> String {
+    script_of(document).into_owned()
+}
+
+/// [`script_text`] without a copy when the text is the document itself
+/// or one script's body.
+fn script_of(document: &str) -> Cow<'_, str> {
     let scripts = kizzle_js::extract_scripts(document);
-    if scripts.is_empty() {
-        return document.to_string();
+    match scripts.as_slice() {
+        [] => Cow::Borrowed(document),
+        [only] => Cow::Borrowed(only.body),
+        _ => Cow::Owned(
+            scripts
+                .iter()
+                .map(|s| s.body)
+                .collect::<Vec<_>>()
+                .join("\n"),
+        ),
     }
-    scripts
-        .iter()
-        .map(|s| s.body)
-        .collect::<Vec<_>>()
-        .join("\n")
+}
+
+/// The order [`try_unpack_any`] tries the families in.
+const TRY_ORDER: [KitFamily; 4] = [
+    KitFamily::Nuclear,
+    KitFamily::Angler,
+    KitFamily::Rig,
+    KitFamily::SweetOrange,
+];
+
+/// Run one family's decoder over a script and its string literals.
+fn decode(family: KitFamily, js: &str, literals: &[StringLiteral<'_>]) -> Result<String> {
+    match family {
+        KitFamily::Rig => rig::decode(literals),
+        KitFamily::Nuclear => nuclear::decode(literals),
+        KitFamily::Angler => angler::decode(literals),
+        KitFamily::SweetOrange => sweet_orange::decode(js, literals),
+    }
 }
 
 /// Unpack a document with the unpacker for a specific kit family.
@@ -105,16 +136,11 @@ pub fn script_text(document: &str) -> String {
 /// Returns an [`UnpackError`] if the document does not contain that
 /// family's packer structure or the payload cannot be decoded.
 pub fn unpack(family: KitFamily, document: &str) -> Result<String> {
-    let js = script_text(document);
+    let js = script_of(document);
     if js.trim().is_empty() {
         return Err(UnpackError::NoScript);
     }
-    match family {
-        KitFamily::Rig => rig::unpack(&js),
-        KitFamily::Nuclear => nuclear::unpack(&js),
-        KitFamily::Angler => angler::unpack(&js),
-        KitFamily::SweetOrange => sweet_orange::unpack(&js),
-    }
+    decode(family, &js, &string_literals(&js))
 }
 
 /// Try every family's unpacker and return the first success.
@@ -122,32 +148,37 @@ pub fn unpack(family: KitFamily, document: &str) -> Result<String> {
 /// Unpackers are tried in a fixed order (Nuclear, Angler, RIG, Sweet
 /// Orange); the packer structures are distinct enough that at most one
 /// realistic decoder produces a plausible JavaScript payload, and the
-/// result is validated before being accepted.
+/// result is validated before being accepted. The script text and its
+/// string literals are extracted once and shared by every attempt.
 #[must_use]
 pub fn try_unpack_any(document: &str) -> Option<(KitFamily, String)> {
-    for family in [
-        KitFamily::Nuclear,
-        KitFamily::Angler,
-        KitFamily::Rig,
-        KitFamily::SweetOrange,
-    ] {
-        if let Ok(payload) = unpack(family, document) {
-            if looks_like_javascript(&payload) {
-                return Some((family, payload));
-            }
-        }
+    unpack_script(&script_of(document))
+}
+
+/// [`try_unpack_any`] over already-extracted script text.
+fn unpack_script(js: &str) -> Option<(KitFamily, String)> {
+    if js.trim().is_empty() {
+        return None;
     }
-    None
+    let literals = string_literals(js);
+    TRY_ORDER.into_iter().find_map(|family| {
+        decode(family, js, &literals)
+            .ok()
+            .filter(|payload| looks_like_javascript(payload))
+            .map(|payload| (family, payload))
+    })
 }
 
 /// Unpack a cluster prototype if any unpacker applies; otherwise return the
 /// document's script text unchanged (benign prototypes and already-unpacked
-/// code flow through the labeling stage as-is).
+/// code flow through the labeling stage as-is). The script text is
+/// extracted once, for the unpackers and the passthrough alike.
 #[must_use]
 pub fn unpack_or_passthrough(document: &str) -> (Option<KitFamily>, String) {
-    match try_unpack_any(document) {
+    let js = script_of(document);
+    match unpack_script(&js) {
         Some((family, payload)) => (Some(family), payload),
-        None => (None, script_text(document)),
+        None => (None, js.into_owned()),
     }
 }
 

@@ -9,7 +9,7 @@
 //! JavaScript — which is exactly how an analyst-maintained unpacker handles
 //! a packer revision.
 
-use crate::literals::string_literals;
+use crate::literals::{string_literals, StringLiteral};
 use crate::{looks_like_javascript, Result, UnpackError};
 
 /// Length of the shuffled key emitted by the packer: the printable ASCII
@@ -28,58 +28,73 @@ const MIN_PAYLOAD_LEN: usize = 64;
 /// payload cannot be found, and [`UnpackError::MalformedEncoding`] if
 /// neither index width produces a plausible payload.
 pub fn unpack(js: &str) -> Result<String> {
-    let literals = string_literals(js);
+    decode(&string_literals(js))
+}
 
+/// [`unpack`] over a script's already-extracted string literals.
+pub(crate) fn decode(literals: &[StringLiteral<'_>]) -> Result<String> {
+    // A key of 92 characters is 92 to 368 bytes long: only a literal in
+    // that range is counted character by character.
     let key = literals
         .iter()
-        .map(|lit| lit.value.as_str())
-        .find(|v| v.chars().count() == KEY_LEN && !v.chars().any(|c| c.is_ascii_whitespace()))
+        .map(|lit| lit.value)
+        .find(|v| {
+            (KEY_LEN..=4 * KEY_LEN).contains(&v.len())
+                && v.chars().count() == KEY_LEN
+                && !v.chars().any(|c| c.is_ascii_whitespace())
+        })
         .ok_or(UnpackError::MissingComponent("Nuclear cryptkey"))?;
 
     let payload = literals
         .iter()
-        .map(|lit| lit.value.as_str())
+        .map(|lit| lit.value)
         .filter(|v| v.len() >= MIN_PAYLOAD_LEN && v.bytes().all(|b| b.is_ascii_digit()))
         .max_by_key(|v| v.len())
         .ok_or(UnpackError::MissingComponent("Nuclear encoded payload"))?;
 
     let key_chars: Vec<char> = key.chars().collect();
-    let candidates: Vec<String> = [2usize, 3]
-        .iter()
-        .filter_map(|&width| decode(payload, &key_chars, width))
-        .collect();
-
-    candidates
-        .into_iter()
-        .max_by(|a, b| score(a).partial_cmp(&score(b)).expect("scores are finite"))
+    // Of the widths that decode, the better-scoring one; the later width
+    // on a tie.
+    let mut best: Option<(f64, String)> = None;
+    for width in [2usize, 3] {
+        if let Some(text) = decode_indexes(payload, &key_chars, width) {
+            let scored = score(&text);
+            if best.as_ref().is_none_or(|(top, _)| scored >= *top) {
+                best = Some((scored, text));
+            }
+        }
+    }
+    best.map(|(_, text)| text)
         .filter(|text| looks_like_javascript(text))
         .ok_or_else(|| {
             UnpackError::MalformedEncoding("Nuclear payload decoded to garbage".to_string())
         })
 }
 
-/// Decode the digit stream with the given index width. Returns `None` on
-/// structural errors (odd trailing digits, out-of-range indexes).
-fn decode(digits: &str, key: &[char], width: usize) -> Option<String> {
+/// The number spelled by `digits`, all of them ASCII digits.
+fn number(digits: &[u8]) -> usize {
+    digits
+        .iter()
+        .fold(0, |value, &d| value * 10 + usize::from(d - b'0'))
+}
+
+/// Decode the digit stream (ASCII digits only) with the given index width.
+/// Returns `None` on structural errors (odd trailing digits, out-of-range
+/// indexes).
+fn decode_indexes(digits: &str, key: &[char], width: usize) -> Option<String> {
     let bytes = digits.as_bytes();
     let mut out = String::with_capacity(digits.len() / width);
     let mut pos = 0;
     while pos < bytes.len() {
-        if pos + width > bytes.len() {
-            return None;
-        }
-        let idx: usize = digits[pos..pos + width].parse().ok()?;
+        let idx = number(bytes.get(pos..pos + width)?);
         pos += width;
         if idx < key.len() {
             out.push(key[idx]);
         } else if idx == key.len() {
             // Escape: the next three digits are the raw character code.
-            if pos + 3 > bytes.len() {
-                return None;
-            }
-            let code: u32 = digits[pos..pos + 3].parse().ok()?;
+            let code = bytes.get(pos..pos + 3)?;
             pos += 3;
-            out.push(char::from_u32(code)?);
+            out.push(char::from_u32(u32::try_from(number(code)).ok()?)?);
         } else {
             return None;
         }
@@ -164,7 +179,7 @@ mod tests {
     #[test]
     fn decode_rejects_truncated_input() {
         let key: Vec<char> = ('a'..='z').collect();
-        assert_eq!(decode("012", &key, 2), None, "odd trailing digit");
-        assert!(decode("0102", &key, 2).is_some());
+        assert_eq!(decode_indexes("012", &key, 2), None, "odd trailing digit");
+        assert!(decode_indexes("0102", &key, 2).is_some());
     }
 }

@@ -6,7 +6,7 @@
 //! statically re-performs that computation: find the delimiter, gather the
 //! encoded chunks, join, split and decode.
 
-use crate::literals::{decode_charcodes, is_digits_and, string_literals};
+use crate::literals::{decode_charcodes, string_literals, DigitsAnd, StringLiteral};
 use crate::{Result, UnpackError};
 
 /// Minimum length for a string literal to be considered an encoded payload
@@ -24,39 +24,42 @@ const MAX_DELIM_LEN: usize = 8;
 /// chunks are present, and [`UnpackError::MalformedEncoding`] if the chunks
 /// do not decode to character codes.
 pub fn unpack(js: &str) -> Result<String> {
-    let literals = string_literals(js);
+    decode(&string_literals(js))
+}
 
+/// [`unpack`] over a script's already-extracted string literals.
+pub(crate) fn decode(literals: &[StringLiteral<'_>]) -> Result<String> {
     // The delimiter is the first short, non-empty literal that precedes the
     // encoded chunks (RIG declares `var delim = "y6";` before the first
     // collect() call).
     let delimiter = literals
         .iter()
-        .find(|lit| {
-            !lit.value.is_empty()
-                && lit.value.len() <= MAX_DELIM_LEN
-                && !lit.value.chars().next().is_some_and(|c| c.is_ascii_digit())
+        .map(|lit| lit.value)
+        .find(|value| {
+            !value.is_empty()
+                && value.len() <= MAX_DELIM_LEN
+                && !value.as_bytes()[0].is_ascii_digit()
         })
-        .map(|lit| lit.value.clone())
         .ok_or(UnpackError::MissingComponent("RIG delimiter"))?;
 
     // Encoded chunks are the string arguments of the accumulator calls
     // (`collect("...")`): selected by call context rather than length so
     // that a short trailing chunk is never dropped.
-    let encoded: String = literals
-        .iter()
-        .filter(|lit| {
-            lit.previous.as_deref() == Some("(")
-                && is_digits_and(&lit.value, &delimiter)
-                && (lit.value.len() >= MIN_CHUNK_LEN
-                    || lit.value.chars().any(|c| c.is_ascii_digit()))
-        })
-        .map(|lit| lit.value.as_str())
-        .collect();
+    let alphabet = DigitsAnd::new(delimiter);
+    let mut encoded = Vec::new();
+    for lit in literals {
+        if lit.previous == Some("(")
+            && alphabet.matches(lit.value)
+            && (lit.value.len() >= MIN_CHUNK_LEN || lit.value.bytes().any(|b| b.is_ascii_digit()))
+        {
+            encoded.extend_from_slice(lit.value.as_bytes());
+        }
+    }
     if encoded.is_empty() {
         return Err(UnpackError::MissingComponent("RIG encoded chunks"));
     }
 
-    decode_charcodes(&encoded, &delimiter).ok_or_else(|| {
+    decode_charcodes(&encoded, delimiter.as_bytes()).ok_or_else(|| {
         UnpackError::MalformedEncoding(format!(
             "RIG chunks did not decode with delimiter {delimiter:?}"
         ))

@@ -8,7 +8,7 @@
 //! only needs the delimiter — taken from the `split("...")` call — and the
 //! pushed chunks.
 
-use crate::literals::{decode_charcodes, is_digits_and, string_literals, StringLiteral};
+use crate::literals::{decode_charcodes, string_literals, DigitsAnd, StringLiteral};
 use crate::{Result, UnpackError};
 
 /// Unpack a Sweet Orange-packed script.
@@ -19,26 +19,30 @@ use crate::{Result, UnpackError};
 /// missing, and [`UnpackError::MalformedEncoding`] if the chunks cannot be
 /// decoded as character codes.
 pub fn unpack(js: &str) -> Result<String> {
-    let literals = string_literals(js);
+    decode(js, &string_literals(js))
+}
 
-    let delimiter = find_split_delimiter(js, &literals)
+/// [`unpack`] over a script's already-extracted string literals.
+pub(crate) fn decode(js: &str, literals: &[StringLiteral<'_>]) -> Result<String> {
+    let delimiter = find_split_delimiter(js, literals)
         .ok_or(UnpackError::MissingComponent("Sweet Orange delimiter"))?;
 
-    let encoded: String = literals
-        .iter()
-        .filter(|lit| {
-            lit.previous.as_deref() == Some("(")
-                && lit.value != delimiter
-                && lit.value.chars().any(|c| c.is_ascii_digit())
-                && is_digits_and(&lit.value, &delimiter)
-        })
-        .map(|lit| lit.value.as_str())
-        .collect();
+    let alphabet = DigitsAnd::new(delimiter);
+    let mut encoded = Vec::new();
+    for lit in literals {
+        if lit.previous == Some("(")
+            && lit.value != delimiter
+            && lit.value.bytes().any(|b| b.is_ascii_digit())
+            && alphabet.matches(lit.value)
+        {
+            encoded.extend_from_slice(lit.value.as_bytes());
+        }
+    }
     if encoded.is_empty() {
         return Err(UnpackError::MissingComponent("Sweet Orange encoded chunks"));
     }
 
-    decode_charcodes(&encoded, &delimiter).ok_or_else(|| {
+    decode_charcodes(&encoded, delimiter.as_bytes()).ok_or_else(|| {
         UnpackError::MalformedEncoding(format!(
             "Sweet Orange chunks did not decode with delimiter {delimiter:?}"
         ))
@@ -46,20 +50,30 @@ pub fn unpack(js: &str) -> Result<String> {
 }
 
 /// The delimiter is the string literal passed to `.split("...")`.
-fn find_split_delimiter(js: &str, literals: &[StringLiteral]) -> Option<String> {
+fn find_split_delimiter<'a>(js: &str, literals: &[StringLiteral<'a>]) -> Option<&'a str> {
+    const CALL: &str = "split(\"";
+    // What follows each `split("` in the source, found once.
+    let calls: Vec<&str> = js
+        .match_indices(CALL)
+        .map(|(at, _)| &js[at + CALL.len()..])
+        .collect();
     // Token-context scan: a literal whose predecessor is `(` and which is
     // preceded in the source by `split` just before that parenthesis.
-    for lit in literals {
-        if lit.previous.as_deref() != Some("(") || lit.value.is_empty() || lit.value.len() > 8 {
-            continue;
-        }
-        // Cheap source-level confirmation that this call is `.split(`.
-        let needle = format!("split(\"{}\")", lit.value);
-        if js.contains(&needle) {
-            return Some(lit.value.clone());
-        }
-    }
-    None
+    literals
+        .iter()
+        .map(|lit| (lit.previous, lit.value))
+        .find(|&(previous, value)| {
+            previous == Some("(")
+                && !value.is_empty()
+                && value.len() <= 8
+                // Cheap source-level confirmation that this call is
+                // `.split("<value>")`.
+                && calls.iter().any(|call| {
+                    call.strip_prefix(value)
+                        .is_some_and(|after| after.starts_with("\")"))
+                })
+        })
+        .map(|(_, value)| value)
 }
 
 #[cfg(test)]

@@ -15,28 +15,52 @@
 //!    run through every unpacker.
 //! 3. **Deeply nested or unclosed `<script>` input up to 64 KB never
 //!    panics.**
+//! 4. **Every entry point answers as the per-family oracle does**
+//!    (`common`): the same payload, or the same error — over all the
+//!    inputs above, every family's page on every day of August, and
+//!    every benign kind.
 
+mod common;
+
+use kizzle_corpus::benign::{generate_benign, BenignKind};
 use kizzle_corpus::{KitFamily, KitModel, SimDate};
 use kizzle_unpack::{angler, nuclear, rig, sweet_orange, try_unpack_any, unpack_or_passthrough};
 use proptest::prelude::*;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
-/// Run every entry point over `text`; any panic fails the calling test.
+/// Run every entry point over `text` and hold each to the oracle; any
+/// panic fails the calling test.
 fn unpack_everything(text: &str) {
-    let (family, body) = unpack_or_passthrough(text);
+    let passthrough = unpack_or_passthrough(text);
+    assert_eq!(passthrough, common::unpack_or_passthrough(text));
+    let (family, body) = passthrough;
     if family.is_none() {
         assert_eq!(body, kizzle_unpack::script_text(text));
     }
+    assert_eq!(kizzle_unpack::script_text(text), common::script_text(text));
     let any = try_unpack_any(text);
+    assert_eq!(any, common::try_unpack_any(text));
     assert_eq!(any.as_ref().map(|(f, _)| *f), family);
     for family in KitFamily::ALL {
-        let _ = kizzle_unpack::unpack(family, text);
+        assert_eq!(
+            kizzle_unpack::unpack(family, text),
+            common::unpack(family, text),
+            "{family}"
+        );
     }
-    let _ = rig::unpack(text);
-    let _ = nuclear::unpack(text);
-    let _ = angler::unpack(text);
-    let _ = sweet_orange::unpack(text);
+    for (family, direct) in [
+        (KitFamily::Rig, rig::unpack(text)),
+        (KitFamily::Nuclear, nuclear::unpack(text)),
+        (KitFamily::Angler, angler::unpack(text)),
+        (KitFamily::SweetOrange, sweet_orange::unpack(text)),
+    ] {
+        assert_eq!(
+            direct,
+            common::family_unpack(family, text),
+            "{family} direct"
+        );
+    }
 }
 
 /// Fragments of the four packers' structure plus the characters their
@@ -167,6 +191,27 @@ proptest! {
             end -= 1;
         }
         unpack_everything(&page[..end]);
+    }
+}
+
+/// Every family's page on every day of August (both sides of each
+/// packer revision), each day at its own seed, and every benign kind at
+/// three seeds: the production path answers as the oracle does, and
+/// every kit page unpacks.
+#[test]
+fn generated_pages_equal_the_oracle() {
+    for (f, family) in KitFamily::ALL.into_iter().enumerate() {
+        for day in 1..=31 {
+            let page = kit_page(family, day, (f as u64) << 8 | u64::from(day));
+            unpack_everything(&page);
+            assert!(try_unpack_any(&page).is_some(), "{family} 8/{day}");
+        }
+    }
+    for kind in BenignKind::ALL {
+        for seed in 0..3 {
+            let mut rng = ChaCha8Rng::seed_from_u64(seed);
+            unpack_everything(&generate_benign(kind, &mut rng));
+        }
     }
 }
 

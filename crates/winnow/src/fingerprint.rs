@@ -1,7 +1,7 @@
 //! Winnowing fingerprint selection and histogram comparison.
 
-use crate::hash::rolling_hashes;
-use std::collections::HashMap;
+use crate::hash::{mix64, BASE};
+use std::cmp::Ordering;
 use std::fmt;
 
 /// Parameters of the winnowing algorithm.
@@ -50,9 +50,14 @@ impl Default for WinnowConfig {
 
 /// A document fingerprint: the multiset of winnowed k-gram hashes
 /// ("winnow histogram" in the paper's terminology).
+///
+/// Stored flat as `(hash, count)` pairs in strictly increasing hash order,
+/// so comparing two fingerprints is a merge of two sorted runs and no
+/// k-gram hash taken from a page is ever hashed again into a table.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Fingerprint {
-    counts: HashMap<u64, u32>,
+    /// Strictly increasing by hash.
+    pairs: Vec<(u64, u32)>,
     total: u64,
 }
 
@@ -62,25 +67,30 @@ impl Fingerprint {
     /// The text is normalized first: ASCII whitespace is removed and ASCII
     /// letters are lower-cased, mirroring the normalization AV scanners and
     /// the original winnowing paper apply so that formatting changes do not
-    /// perturb the fingerprint.
+    /// perturb the fingerprint. Normalizing, hashing and selecting are one
+    /// pass over the text's bytes.
     #[must_use]
     pub fn of_text(text: &str, config: &WinnowConfig) -> Self {
-        let normalized = normalize(text);
-        Self::of_normalized_bytes(&normalized, config)
+        let normalized = text
+            .bytes()
+            .filter(|b| !b.is_ascii_whitespace())
+            .map(|b| b.to_ascii_lowercase());
+        Self::from_picks(winnow_bytes(normalized, text.len(), config))
     }
 
-    /// Fingerprint already-normalized bytes (no whitespace stripping).
-    #[must_use]
-    pub fn of_normalized_bytes(bytes: &[u8], config: &WinnowConfig) -> Self {
-        let hashes = rolling_hashes(bytes, config.k);
-        let selected = winnow_select(&hashes, config.window);
-        let mut counts: HashMap<u64, u32> = HashMap::new();
-        for h in &selected {
-            *counts.entry(*h).or_insert(0) += 1;
+    /// The histogram of `picks`: sorted, then counted run by run.
+    fn from_picks(mut picks: Vec<u64>) -> Self {
+        picks.sort_unstable();
+        let mut pairs: Vec<(u64, u32)> = Vec::with_capacity(picks.len());
+        for hash in &picks {
+            match pairs.last_mut() {
+                Some((last, count)) if last == hash => *count += 1,
+                _ => pairs.push((*hash, 1)),
+            }
         }
         Fingerprint {
-            total: selected.len() as u64,
-            counts,
+            total: picks.len() as u64,
+            pairs,
         }
     }
 
@@ -99,22 +109,35 @@ impl Fingerprint {
     /// Number of *distinct* fingerprint hashes.
     #[must_use]
     pub fn distinct(&self) -> usize {
-        self.counts.len()
+        self.pairs.len()
     }
 
     /// Multiset intersection size with another fingerprint.
+    ///
+    /// Walks the fingerprint with fewer distinct hashes and gallops
+    /// through the other, so a small probe against a large family
+    /// reference costs about `small · log(large / small)` comparisons.
     #[must_use]
     pub fn intersection_size(&self, other: &Fingerprint) -> u64 {
-        let (small, large) = if self.counts.len() <= other.counts.len() {
-            (self, other)
+        let (small, large) = if self.pairs.len() <= other.pairs.len() {
+            (&self.pairs, &other.pairs)
         } else {
-            (other, self)
+            (&other.pairs, &self.pairs)
         };
-        small
-            .counts
-            .iter()
-            .map(|(h, c)| u64::from((*c).min(large.counts.get(h).copied().unwrap_or(0))))
-            .sum()
+        let mut rest = &large[..];
+        let mut shared = 0u64;
+        for &(hash, count) in small {
+            rest = &rest[gallop(rest, hash)..];
+            match rest.first() {
+                None => break,
+                Some(&(found, found_count)) if found == hash => {
+                    shared += u64::from(count.min(found_count));
+                    rest = &rest[1..];
+                }
+                Some(_) => {}
+            }
+        }
+        shared
     }
 
     /// Containment of `self` in `other`: the fraction of this document's
@@ -144,34 +167,81 @@ impl Fingerprint {
     }
 
     /// Merge another fingerprint into this one (used to build a family-level
-    /// reference histogram out of several known samples).
+    /// reference histogram out of several known samples): one linear merge
+    /// of the two sorted runs.
     pub fn merge(&mut self, other: &Fingerprint) {
-        for (h, c) in &other.counts {
-            *self.counts.entry(*h).or_insert(0) += c;
+        let (mine, theirs) = (&self.pairs, &other.pairs);
+        let mut merged = Vec::with_capacity(mine.len() + theirs.len());
+        let (mut i, mut j) = (0, 0);
+        while let (Some(&(a, count_a)), Some(&(b, count_b))) = (mine.get(i), theirs.get(j)) {
+            match a.cmp(&b) {
+                Ordering::Less => {
+                    merged.push((a, count_a));
+                    i += 1;
+                }
+                Ordering::Greater => {
+                    merged.push((b, count_b));
+                    j += 1;
+                }
+                Ordering::Equal => {
+                    merged.push((a, count_a.saturating_add(count_b)));
+                    i += 1;
+                    j += 1;
+                }
+            }
         }
+        merged.extend_from_slice(&mine[i..]);
+        merged.extend_from_slice(&theirs[j..]);
+        self.pairs = merged;
         self.total += other.total;
     }
 
-    /// Iterate over `(hash, count)` pairs.
+    /// Iterate over `(hash, count)` pairs in increasing hash order.
     pub fn iter(&self) -> impl Iterator<Item = (u64, u32)> + '_ {
-        self.counts.iter().map(|(h, c)| (*h, *c))
+        self.pairs.iter().copied()
     }
 
     /// Reassemble a fingerprint from `(hash, count)` pairs, as produced by
     /// [`Fingerprint::iter`] — the reconstruction half of persisting a
     /// reference corpus. Counts for a repeated hash accumulate; the total
     /// is the sum of counts, matching how fingerprints are built and
-    /// merged.
+    /// merged. A pair with count 0 still counts as a distinct hash. Counts
+    /// saturate at `u32::MAX` (here and in [`Fingerprint::merge`]), so a
+    /// damaged state file cannot make them overflow.
     #[must_use]
     pub fn from_counts<I: IntoIterator<Item = (u64, u32)>>(pairs: I) -> Self {
-        let mut counts: HashMap<u64, u32> = HashMap::new();
-        let mut total: u64 = 0;
-        for (hash, count) in pairs {
-            *counts.entry(hash).or_insert(0) += count;
-            total += u64::from(count);
+        let mut pairs: Vec<(u64, u32)> = pairs.into_iter().collect();
+        if !pairs.is_sorted_by(|a, b| a.0 < b.0) {
+            pairs.sort_unstable_by_key(|&(hash, _)| hash);
+            pairs.dedup_by(|later, kept| {
+                let repeated = later.0 == kept.0;
+                if repeated {
+                    kept.1 = kept.1.saturating_add(later.1);
+                }
+                repeated
+            });
         }
-        Fingerprint { counts, total }
+        let total = pairs.iter().map(|&(_, count)| u64::from(count)).sum();
+        Fingerprint { pairs, total }
     }
+}
+
+/// Index of the first pair in `pairs` whose hash is at least `hash`
+/// (`pairs.len()` when none is): exponential probing from the front, then
+/// a binary search inside the last doubled step.
+fn gallop(pairs: &[(u64, u32)], hash: u64) -> usize {
+    if pairs.first().is_none_or(|&(first, _)| first >= hash) {
+        return 0;
+    }
+    // Invariant: pairs[below].0 < hash.
+    let mut below = 0;
+    let mut step = 1;
+    while below + step < pairs.len() && pairs[below + step].0 < hash {
+        below += step;
+        step *= 2;
+    }
+    let end = (below + step).min(pairs.len());
+    below + 1 + pairs[below + 1..end].partition_point(|&(h, _)| h < hash)
 }
 
 impl fmt::Display for Fingerprint {
@@ -180,66 +250,115 @@ impl fmt::Display for Fingerprint {
             f,
             "Fingerprint({} marks, {} distinct)",
             self.total,
-            self.counts.len()
+            self.pairs.len()
         )
     }
 }
 
 impl FromIterator<u64> for Fingerprint {
     fn from_iter<I: IntoIterator<Item = u64>>(iter: I) -> Self {
-        let mut counts = HashMap::new();
-        let mut total = 0;
-        for h in iter {
-            *counts.entry(h).or_insert(0) += 1;
-            total += 1;
-        }
-        Fingerprint { counts, total }
+        Self::from_picks(iter.into_iter().collect())
     }
 }
 
-/// Normalize text for fingerprinting: drop ASCII whitespace, lower-case
-/// ASCII letters.
-#[must_use]
-pub fn normalize(text: &str) -> Vec<u8> {
-    text.bytes()
-        .filter(|b| !b.is_ascii_whitespace())
-        .map(|b| b.to_ascii_lowercase())
-        .collect()
+/// Rolling-hash every k-gram of `bytes` as
+/// [`rolling_hashes`](crate::rolling_hashes) does, the bytes normalized as
+/// they are read (`bytes` yields at most `most` of them, which bounds the
+/// allocation whatever `k` says), and winnow the hashes.
+fn winnow_bytes(bytes: impl Iterator<Item = u8>, most: usize, config: &WinnowConfig) -> Vec<u64> {
+    let k = config.k;
+    if most < k {
+        return Vec::new();
+    }
+    let mut hashes = Vec::with_capacity(most - k + 1);
+    // The last `k` bytes, so the outgoing one can be taken back out.
+    let mut ring = vec![0u8; k];
+    let mut at = 0;
+    let mut seen = 0usize;
+    // base^(k-1), which removes the outgoing byte.
+    let top = (1..k).fold(1u64, |top, _| top.wrapping_mul(BASE));
+    let mut h = 0u64;
+    for b in bytes {
+        if seen >= k {
+            h = h.wrapping_sub((u64::from(ring[at]) + 1).wrapping_mul(top));
+        }
+        h = h.wrapping_mul(BASE).wrapping_add(u64::from(b) + 1);
+        ring[at] = b;
+        at += 1;
+        if at == k {
+            at = 0;
+        }
+        seen += 1;
+        if seen >= k {
+            hashes.push(mix64(h));
+        }
+    }
+    winnow_select(&hashes, config.window)
 }
 
 /// The winnowing selection: minimum hash of every window of `window`
 /// consecutive hashes, taking the right-most minimum on ties, and recording
 /// each selected position only once (the standard "robust winnowing" of the
-/// original paper).
+/// original paper). A sequence no longer than one window selects its
+/// minimum once.
+///
+/// O(1) per hash whatever the input (van Herk / Gil-Werman block minima,
+/// no rescan of a window): the hashes are cut into blocks of `window`. A
+/// window starting at offset `r > 0` of a block is the block's tail from
+/// `r` plus the next block's head up to `r - 1`, so its minimum is the
+/// better of the block's suffix minimum at `r` (one backward pass per
+/// block, kept in a buffer of one window) and the next block's running
+/// prefix minimum. "Better" is the smaller hash, and on a tie the later
+/// position.
+///
+/// # Panics
+///
+/// Panics if `window` is zero.
 #[must_use]
 pub fn winnow_select(hashes: &[u64], window: usize) -> Vec<u64> {
     assert!(window > 0, "window must be positive");
-    if hashes.is_empty() {
-        return Vec::new();
+    let n = hashes.len();
+    if n <= window {
+        return hashes.iter().copied().min().into_iter().collect();
     }
-    if hashes.len() <= window {
-        // Degenerate document: a single window.
-        let min = hashes.iter().copied().min().unwrap_or(0);
-        return vec![min];
-    }
-    let mut selected = Vec::new();
-    let mut last_selected: Option<usize> = None;
-    for start in 0..=hashes.len() - window {
-        let slice = &hashes[start..start + window];
-        // Right-most minimum.
-        let mut min_idx = 0;
-        for (i, h) in slice.iter().enumerate() {
-            if *h <= slice[min_idx] {
-                min_idx = i;
+    let windows = n - window + 1;
+    // Every window writes its pick; a pick only counts (`picked` moves
+    // past it) when its position differs from the last one's.
+    let mut picks = vec![0u64; windows];
+    let mut picked = 0;
+    let mut last = usize::MAX;
+    let mut record = |(hash, position): (u64, usize)| {
+        picks[picked] = hash;
+        picked += usize::from(position != last);
+        last = position;
+    };
+    let mut suffix = vec![(0u64, 0usize); window];
+    for start in (0..windows).step_by(window) {
+        // Suffix minima of the block [start, start + window).
+        let block = &hashes[start..start + window];
+        let mut best = (block[window - 1], start + window - 1);
+        for (offset, &hash) in block.iter().enumerate().rev() {
+            if hash < best.0 {
+                best = (hash, start + offset);
             }
+            suffix[offset] = best;
         }
-        let global_idx = start + min_idx;
-        if last_selected != Some(global_idx) {
-            selected.push(hashes[global_idx]);
-            last_selected = Some(global_idx);
+        // The window that is the block itself.
+        record(suffix[0]);
+        // The window starting at offset r > 0 ends at offset r - 1 of the
+        // next block, whose prefix minimum grows with r.
+        let later = window.min(windows - start);
+        let head = &hashes[start + window..start + window + later - 1];
+        let mut prefix = (u64::MAX, 0);
+        for (at, (&hash, &tail)) in head.iter().zip(&suffix[1..later]).enumerate() {
+            if hash <= prefix.0 {
+                prefix = (hash, start + window + at);
+            }
+            record(if prefix.0 <= tail.0 { prefix } else { tail });
         }
     }
-    selected
+    picks.truncate(picked);
+    picks
 }
 
 #[cfg(test)]
@@ -399,6 +518,10 @@ mod tests {
 
     #[test]
     fn normalize_drops_whitespace_and_lowercases() {
-        assert_eq!(normalize("A b\tC\n"), b"abc".to_vec());
+        // With k = window = 1 every normalized byte is its own pick.
+        let cfg = WinnowConfig::new(1, 1);
+        let fp = Fingerprint::of_text("A b\tC\n", &cfg);
+        assert_eq!(fp, Fingerprint::of_text("abc", &cfg));
+        assert_eq!(fp.len(), 3);
     }
 }

@@ -7,7 +7,7 @@
 
 /// Base of the polynomial rolling hash. A largish odd constant; the exact
 /// value only needs to spread bytes well before the final mix.
-const BASE: u64 = 1_000_003;
+pub(crate) const BASE: u64 = 1_000_003;
 
 /// Finalizer: splitmix64, a cheap full-avalanche 64-bit mixer.
 #[inline]

@@ -16,6 +16,7 @@ use kizzle_corpus::{KitFamily, KitModel, SimDate};
 use kizzle_signature::{generate_signature, Element, Signature};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
+use std::io::{self, Write};
 
 fn literal_count(sig: &Signature) -> usize {
     sig.elements
@@ -24,22 +25,23 @@ fn literal_count(sig: &Signature) -> usize {
         .count()
 }
 
-fn describe(sig: &Signature) {
+fn describe(out: &mut impl Write, sig: &Signature) -> io::Result<()> {
     let literals = literal_count(sig);
-    println!(
+    writeln!(
+        out,
         "  window: {} tokens ({} literal, {} generalized), rendered {} chars",
         sig.len(),
         literals,
         sig.len() - literals,
         sig.rendered_len()
-    );
+    )?;
     let rendered = sig.render();
     let preview: String = rendered.chars().take(300).collect();
-    println!("  {preview}…");
+    writeln!(out, "  {preview}…")
 }
 
 /// Inspect the deployed signature set in a state directory.
-fn inspect_snapshot(path: &str) {
+fn inspect_snapshot(out: &mut impl Write, path: &str) -> io::Result<()> {
     let set = match kizzle::read_signatures(std::path::Path::new(path)) {
         Ok(set) => set,
         Err(err) => {
@@ -47,35 +49,26 @@ fn inspect_snapshot(path: &str) {
             std::process::exit(2);
         }
     };
-    println!(
+    writeln!(
+        out,
         "{} deployed signatures in {path} (labels: {})\n",
         set.len(),
         set.labels().join(", ")
-    );
+    )?;
     for labeled in set.iter() {
-        println!(
+        writeln!(
+            out,
             "=== [{}] {} (support {}) ===",
             labeled.label, labeled.signature.name, labeled.signature.support
-        );
-        describe(&labeled.signature);
-        println!();
+        )?;
+        describe(out, &labeled.signature)?;
+        writeln!(out)?;
     }
+    Ok(())
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    match args.as_slice() {
-        [] => {}
-        [flag, path] if flag == "--snapshot" => {
-            inspect_snapshot(path);
-            return;
-        }
-        _ => {
-            eprintln!("usage: signature_inspect [--snapshot DIR]");
-            std::process::exit(2);
-        }
-    }
-
+/// Generate one signature per kit from eight same-day variants.
+fn inspect_generated(out: &mut impl Write) -> io::Result<()> {
     let date = SimDate::new(2014, 8, 26); // Nuclear's UluN-delimiter era
     let config = KizzleConfig::paper();
 
@@ -98,12 +91,39 @@ fn main() {
             &config.signature,
         ) {
             Ok(sig) => {
-                println!("=== {family} ===");
-                describe(&sig);
+                writeln!(out, "=== {family} ===")?;
+                describe(out, &sig)?;
                 let matched = samples.iter().filter(|s| sig.matches_stream(s)).count();
-                println!("  matches {matched}/{} cluster members\n", samples.len());
+                writeln!(
+                    out,
+                    "  matches {matched}/{} cluster members\n",
+                    samples.len()
+                )?;
             }
-            Err(err) => println!("=== {family} ===\n  no signature: {err}\n"),
+            Err(err) => writeln!(out, "=== {family} ===\n  no signature: {err}\n")?,
+        }
+    }
+    Ok(())
+}
+
+fn main() {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let mut out = io::stdout().lock();
+    let written = match args.as_slice() {
+        [] => inspect_generated(&mut out),
+        [flag, path] if flag == "--snapshot" => inspect_snapshot(&mut out, path),
+        _ => {
+            eprintln!("usage: signature_inspect [--snapshot DIR]");
+            std::process::exit(2);
+        }
+    };
+    match written.and_then(|()| out.flush()) {
+        Ok(()) => {}
+        // A reader that stops early (`| head`) has everything it wanted.
+        Err(err) if err.kind() == io::ErrorKind::BrokenPipe => {}
+        Err(err) => {
+            eprintln!("signature_inspect: cannot write the report: {err}");
+            std::process::exit(1);
         }
     }
 }
