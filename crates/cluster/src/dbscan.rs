@@ -326,7 +326,7 @@ mod tests {
     /// DBSCAN over the neighbor index's eps-balls, as the engine runs it
     /// for a single partition.
     fn indexed(samples: &[Vec<u8>], params: &DbscanParams) -> DbscanResult {
-        let mut index = NeighborIndex::build(samples, params.eps);
+        let index = NeighborIndex::build(samples, params.eps);
         let neighborhoods: Vec<Vec<usize>> = (0..samples.len())
             .map(|i| {
                 let id = SampleId::new(u32::try_from(i).expect("small test"));

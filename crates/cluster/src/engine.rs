@@ -49,8 +49,8 @@ pub use kizzle_snapshot::sections::{INDEX_SECTION, STORE_SECTION};
 ///
 /// 1. store + index with every memoized neighborhood → warm, zero
 ///    recomputed queries;
-/// 2. store intact but index damaged → index rebuilt structurally from the
-///    store, neighborhoods recomputed lazily on demand;
+/// 2. store intact but index damaged → index rebuilt from the store,
+///    every neighborhood recomputed at load;
 /// 3. store damaged → empty engine, full cold rebuild.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ResumeReport {
@@ -62,8 +62,6 @@ pub struct ResumeReport {
     pub index_restored: bool,
     /// Live samples in the resumed engine.
     pub live_samples: usize,
-    /// Memoized neighborhoods carried over from the snapshot.
-    pub cached_neighborhoods: usize,
     /// Human-readable reasons for every fallback taken, empty on a clean
     /// resume.
     pub notes: Vec<String>,
@@ -256,13 +254,12 @@ impl CorpusEngine {
         let index = match index {
             Ok(index) => {
                 report.index_restored = true;
-                report.cached_neighborhoods = index.cached_count();
                 index
             }
             Err(err) => {
                 report.note(format!("index section lost, rebuilding from store: {err}"));
                 let mut rebuilt = NeighborIndex::new(config.dbscan.eps);
-                rebuilt.insert_batch_unmemoized(
+                rebuilt.insert_batch(
                     store
                         .live_ids()
                         .into_iter()
@@ -288,9 +285,9 @@ impl CorpusEngine {
     /// dense position `p` — through partition → per-partition DBSCAN →
     /// reduce, the last two reading the same day-restricted eps-balls,
     /// byte-identical to a fresh engine clustering the same dense sample
-    /// sequence in one batch. Memoized neighborhoods are
-    /// reused; only ids whose cache was churned away pay query cost. The
-    /// day is held as a multiset — its distinct class-strings (in
+    /// sequence in one batch. Every live id's neighborhood is memoized, so
+    /// the day reads its eps-balls and computes none; the ids that were
+    /// fresh today paid their queries at insert. The day is held as a multiset — its distinct class-strings (in
     /// first-position order) with multiplicities — so the map phase costs
     /// what the distinct content and its eps-balls cost, however many
     /// positions repeat it.
@@ -320,7 +317,6 @@ impl CorpusEngine {
                 u
             })
             .collect();
-        self.index.ensure_cached(&unique);
 
         // Day-restricted neighborhoods over the distinct ids: the
         // full-corpus eps-ball filtered to the view. Co-located duplicates
@@ -344,6 +340,8 @@ impl CorpusEngine {
         let (keys, data) = self.store.day_view(&unique);
 
         stats.index = self.index.take_stats();
+        // Each distinct id's ball was read from the memo.
+        stats.index.cache_hits += unique.len();
         if kizzle_telemetry::enabled() {
             use kizzle_telemetry::counter;
             let funnel = &stats.index;
@@ -564,8 +562,10 @@ mod tests {
             "report: {report:?}"
         );
         assert_eq!(report.live_samples, engine.len());
-        assert!(report.cached_neighborhoods > 0);
         assert!(report.notes.is_empty(), "notes: {:?}", report.notes);
+        for id in engine.store().live_ids() {
+            assert_eq!(resumed.index().neighbors(id), engine.index().neighbors(id));
+        }
 
         // Day 2 through the original and the resumed engine: identical ids,
         // identical clustering, and the resumed engine answers the
@@ -625,10 +625,9 @@ mod tests {
         let (mut resumed, report) = CorpusEngine::resume_from_sections(cfg(), &snapshot);
         assert!(report.store_restored);
         assert!(!report.index_restored);
-        assert_eq!(report.cached_neighborhoods, 0);
         assert_eq!(resumed.len(), engine.len());
-        // The rebuilt engine still clusters the day identically — it just
-        // pays the queries again.
+        // The rebuilt engine still clusters the day identically — it paid
+        // the queries again at load, and the next day's counters say so.
         let ids2 = resumed.add_batch(1, &day);
         assert_eq!(ids, ids2, "dedup must map onto the restored entries");
         let (got, stats) = resumed.cluster_day(&ids2);
@@ -637,10 +636,10 @@ mod tests {
     }
 
     #[test]
-    fn rebuilt_engine_saves_and_resumes_without_caches() {
-        // A degraded (rebuilt-from-store) engine has no memoized
-        // neighborhoods; saving and resuming that state must round-trip
-        // the cache-less entries faithfully.
+    fn rebuilt_engine_holds_every_ball_and_resaves_warm() {
+        // A degraded (rebuilt-from-store) engine computes every
+        // neighborhood at load, so it holds the original's balls before
+        // any day runs, and its own save resumes on the first rung.
         let day = family_day(3, 0);
         let mut engine = CorpusEngine::new(cfg());
         let ids = engine.add_batch(1, &day);
@@ -653,22 +652,22 @@ mod tests {
         builder.section(INDEX_SECTION, Vec::new()); // damaged: empty payload
         let snapshot = Snapshot::from_bytes(&builder.to_bytes()).expect("parses");
         let (rebuilt, report) = CorpusEngine::resume_from_sections(cfg(), &snapshot);
-        assert!(!report.index_restored);
+        assert!(report.store_restored && !report.index_restored);
+        for &id in &ids {
+            assert_eq!(rebuilt.index().neighbors(id), engine.index().neighbors(id));
+        }
 
         let (mut resumed, report) = CorpusEngine::resume_from_sections(cfg(), &saved(&rebuilt));
         assert!(
             report.store_restored && report.index_restored,
-            "cache-less index is still restorable: {report:?}"
+            "the rebuilt index resumes warm: {report:?}"
         );
-        assert_eq!(report.cached_neighborhoods, 0);
+        assert!(report.notes.is_empty(), "notes: {:?}", report.notes);
         let ids2 = resumed.add_batch(1, &day);
         assert_eq!(ids, ids2);
         let (got, stats) = resumed.cluster_day(&ids2);
         assert_eq!(want, got);
-        assert!(
-            stats.index.queries > 0,
-            "nothing was cached, so queries were paid"
-        );
+        assert_eq!(stats.index.queries, 0, "stats: {:?}", stats.index);
     }
 
     #[test]

@@ -42,7 +42,7 @@
 //! pivot of a group may itself lie outside the query's length window; the
 //! inequality does not care.
 //!
-//! An entry gets its pivot when its own eps-ball is first computed: the
+//! An entry gets its pivot when its eps-ball is computed at insert: the
 //! nearest pivot inside the ball (ties → lowest slot), or itself when the
 //! ball holds none. Balls are computed in waves of 64 entries, so a large
 //! batch sees the pivots of its own earlier waves; the entries of the wave
@@ -58,9 +58,12 @@
 //! neighborhoods are *maintained* rather than recomputed — inserting a
 //! sample computes its own eps-ball once and splices the new id into its
 //! neighbors' cached lists (the eps relation is symmetric), removing a
-//! sample prunes it from exactly those lists. Day *N+1* of a heavily
-//! overlapping corpus therefore pays query cost only for the churned
-//! fraction; everything else is a cache hit.
+//! sample prunes it from exactly those lists. Every live entry's eps-ball
+//! is memoized, always: an insert computes it, a remove prunes it and
+//! [`NeighborIndex::decode_from`] restores it, so a read
+//! ([`NeighborIndex::neighbors`]) never computes one. Day *N+1* of a
+//! heavily overlapping corpus therefore pays query cost only for the
+//! churned fraction; everything else is a cache hit.
 //!
 //! The accept decision reproduces
 //! [`normalized_edit_distance_bounded`](crate::distance::normalized_edit_distance_bounded)
@@ -81,9 +84,10 @@ use std::sync::Arc;
 /// pruning-efficiency numbers.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct IndexStats {
-    /// Number of eps-ball computations performed (cache misses).
+    /// Number of eps-ball computations performed, one per inserted entry.
     pub queries: usize,
-    /// Neighborhood reads served from the memoized cache.
+    /// Neighborhood reads served from the memoized cache: one per
+    /// distinct id of a clustered day.
     pub cache_hits: usize,
     /// Ordered candidate pairs that survived the length window.
     pub window_candidates: usize,
@@ -130,11 +134,11 @@ struct IndexEntry {
     data: Arc<[u8]>,
     hist: Histogram,
     /// Memoized eps-ball (ascending slot numbers), exact w.r.t. the current
-    /// live set whenever present — insert/remove maintain it in place.
-    cache: Option<Vec<u32>>,
+    /// live set — insert/remove maintain it in place.
+    cache: Vec<u32>,
     /// `(pivot slot, exact edit distance to that pivot)`; a pivot names
-    /// itself at distance 0. `None` until the entry's own eps-ball has been
-    /// computed — the wave in flight, unmemoized entries.
+    /// itself at distance 0. `None` only while the entry's insert wave is
+    /// in flight.
     pivot: Option<(u32, u32)>,
     /// For a pivot: the entries attached to it, in attachment order.
     members: Vec<u32>,
@@ -510,40 +514,37 @@ impl NeighborIndex {
         }
     }
 
-    /// Compute the eps-balls of one wave of live slots in parallel over the
-    /// full live set, memoize them, splice each slot into the memoized
-    /// lists of its neighbors (the eps relation is symmetric; a list that
-    /// already names the slot — a wave-mate's, or any list when the slot
-    /// was live all along — is left alone), and give every slot that has no
-    /// pivot one.
+    /// Compute the eps-balls of one wave of freshly inserted slots in
+    /// parallel over the full live set, memoize them, splice each slot into
+    /// the memoized lists of its neighbors (the eps relation is symmetric; a
+    /// wave-mate memoized earlier in the loop already names the slot, and
+    /// one memoized later replaces its list with its own ball), and give
+    /// every slot its pivot.
     fn memoize_wave(&mut self, wave: &[u32]) {
         let shared: &NeighborIndex = self;
         let computed: Vec<Ball> = wave.par_iter().map(|&slot| shared.eps_ball(slot)).collect();
         for (&slot, ball) in wave.iter().zip(computed) {
             self.session.merge(&ball.stats);
             for &other in &ball.neighbors {
-                if let Some(cache) = &mut self.entry_mut(other).cache {
-                    if let Err(pos) = cache.binary_search(&slot) {
-                        cache.insert(pos, slot);
-                    }
+                let cache = &mut self.entry_mut(other).cache;
+                if let Err(pos) = cache.binary_search(&slot) {
+                    cache.insert(pos, slot);
                 }
             }
-            if self.entry(slot).pivot.is_none() {
-                // Nearest pivot inside the ball, ties → lowest slot. Wave-mates
-                // that became pivots a moment ago count: they had no pivot
-                // when the ball was computed, so it compared them directly.
-                let nearest = ball
-                    .exact
-                    .iter()
-                    .filter(|&&(other, _)| self.is_pivot(other))
-                    .map(|&(other, d)| (d, other))
-                    .min();
-                match nearest {
-                    Some((d, pivot)) => self.attach(slot, pivot, d),
-                    None => self.entry_mut(slot).pivot = Some((slot, 0)),
-                }
+            // Nearest pivot inside the ball, ties → lowest slot. Wave-mates
+            // that became pivots a moment ago count: they had no pivot when
+            // the ball was computed, so it compared them directly.
+            let nearest = ball
+                .exact
+                .iter()
+                .filter(|&&(other, _)| self.is_pivot(other))
+                .map(|&(other, d)| (d, other))
+                .min();
+            match nearest {
+                Some((d, pivot)) => self.attach(slot, pivot, d),
+                None => self.entry_mut(slot).pivot = Some((slot, 0)),
             }
-            self.entry_mut(slot).cache = Some(ball.neighbors);
+            self.entry_mut(slot).cache = ball.neighbors;
         }
     }
 
@@ -585,7 +586,7 @@ impl NeighborIndex {
     }
 
     /// Structural inserts only: length set, histograms, slots. Returns the
-    /// inserted slots; caches are untouched.
+    /// inserted slots, whose eps-balls [`Self::memoize_wave`] computes.
     fn insert_structural(&mut self, items: Vec<(SampleId, Arc<[u8]>)>) -> Vec<u32> {
         let mut new_slots = Vec::with_capacity(items.len());
         for (id, data) in items {
@@ -602,7 +603,7 @@ impl NeighborIndex {
             self.entries[slot as usize] = Some(IndexEntry {
                 data,
                 hist,
-                cache: None,
+                cache: Vec::new(),
                 pivot: None,
                 members: Vec::new(),
             });
@@ -610,19 +611,6 @@ impl NeighborIndex {
             new_slots.push(slot);
         }
         new_slots
-    }
-
-    /// Insert a batch *without* computing neighborhoods — for an index
-    /// rebuilt from the corpus store after its own snapshot section was
-    /// lost, whose neighborhoods are then computed on demand. Only sound
-    /// while no neighborhood is memoized (maintained caches would silently
-    /// go stale), which is asserted.
-    pub(crate) fn insert_batch_unmemoized(&mut self, items: Vec<(SampleId, Arc<[u8]>)>) {
-        assert!(
-            self.entries.iter().flatten().all(|e| e.cache.is_none()),
-            "unmemoized insert into an index with memoized neighborhoods"
-        );
-        self.insert_structural(items);
     }
 
     /// Remove `id` from the index, pruning it from its neighbors' memoized
@@ -633,28 +621,19 @@ impl NeighborIndex {
         if !self.contains(id) {
             return false;
         }
+        let entry = self.entries[slot as usize].take().expect("checked live");
         // The eps relation is symmetric: the caches that mention `slot` are
         // exactly the caches of its own eps-ball.
-        let neighbors = match self.entry_mut(slot).cache.take() {
-            Some(cached) => cached,
-            None => {
-                let ball = self.eps_ball(slot);
-                self.session.merge(&ball.stats);
-                ball.neighbors
-            }
-        };
-        for other in neighbors {
-            if let Some(cache) = &mut self.entry_mut(other).cache {
-                if let Ok(pos) = cache.binary_search(&slot) {
-                    cache.remove(pos);
-                }
+        for &other in &entry.cache {
+            let cache = &mut self.entry_mut(other).cache;
+            if let Ok(pos) = cache.binary_search(&slot) {
+                cache.remove(pos);
             }
         }
-        let entry = self.entries[slot as usize].take().expect("checked live");
         self.by_len.remove(&(entry.data.len(), slot));
         self.live -= 1;
-        match entry.pivot {
-            Some((pivot, _)) if pivot != slot => {
+        match entry.pivot.expect("a live entry has a pivot") {
+            (pivot, _) if pivot != slot => {
                 let members = &mut self.entry_mut(pivot).members;
                 let pos = members
                     .iter()
@@ -662,74 +641,31 @@ impl NeighborIndex {
                     .expect("a pivot lists its members");
                 members.remove(pos);
             }
-            Some(_) => self.rehome(entry.members),
-            None => {}
+            _ => self.rehome(entry.members),
         }
         true
     }
 
-    /// The memoized eps-ball of `id`, computing and caching it on a miss.
+    /// The memoized eps-ball of `id`.
     ///
     /// # Panics
     ///
     /// Panics if `id` is not indexed.
     #[must_use]
-    pub fn neighbors(&mut self, id: SampleId) -> Vec<SampleId> {
-        self.ensure_cached(&[id]);
+    pub fn neighbors(&self, id: SampleId) -> Vec<SampleId> {
         self.cached_slots(id.raw())
             .iter()
             .map(|&slot| SampleId::new(slot))
             .collect()
     }
 
-    /// Make sure every listed id has a memoized neighborhood, computing the
-    /// missing ones in parallel. Cache hits and misses are tallied in the
-    /// session counters.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any id is not indexed.
-    pub fn ensure_cached(&mut self, ids: &[SampleId]) {
-        let mut missing: Vec<u32> = Vec::new();
-        for &id in ids {
-            assert!(self.contains(id), "SampleId {} is not indexed", id.raw());
-            if self.entry(id.raw()).cache.is_some() {
-                self.session.cache_hits += 1;
-            } else {
-                missing.push(id.raw());
-            }
-        }
-        if missing.is_empty() {
-            return;
-        }
-        missing.sort_unstable();
-        missing.dedup();
-        for wave in missing.chunks(WAVE) {
-            self.memoize_wave(wave);
-        }
-    }
-
-    /// Read-only view of a memoized neighborhood (must exist).
+    /// Read-only view of a memoized neighborhood.
     pub(crate) fn cached_slots(&self, slot: u32) -> &[u32] {
-        self.entry(slot)
-            .cache
-            .as_deref()
-            .expect("neighborhood was ensured")
-    }
-
-    /// Number of entries whose neighborhood is currently memoized.
-    #[must_use]
-    pub fn cached_count(&self) -> usize {
-        self.entries
-            .iter()
-            .flatten()
-            .filter(|e| e.cache.is_some())
-            .count()
+        &self.entry(slot).cache
     }
 
     /// The pivot `id` is attached to and its exact edit distance to it (a
-    /// pivot names itself at 0); `None` for an unindexed id or an entry
-    /// whose eps-ball has not been computed yet.
+    /// pivot names itself at 0); `None` for an unindexed id.
     #[must_use]
     pub fn pivot_of(&self, id: SampleId) -> Option<(SampleId, usize)> {
         let (pivot, dp) = self.entries.get(id.raw() as usize)?.as_ref()?.pivot?;
@@ -751,7 +687,7 @@ impl NeighborIndex {
     }
 
     /// Serialize the index state *except sample bytes*: `eps` and, per live
-    /// entry, its slot and memoized neighborhood (when present). Sample bytes are owned by the
+    /// entry, its slot and memoized neighborhood. Sample bytes are owned by the
     /// [`CorpusStore`](crate::store::CorpusStore) snapshot section and are
     /// re-linked at decode time, so an engine snapshot stores each sample
     /// once. Histograms and the pivot table are derived state and are not
@@ -775,13 +711,7 @@ impl NeighborIndex {
                 Some(p) => enc.varint(u64::from(slot - p) - 1),
             }
             prev_slot = Some(slot);
-            match &entry.cache {
-                None => enc.bool(false),
-                Some(cache) => {
-                    enc.bool(true);
-                    enc.gap_list(cache);
-                }
-            }
+            enc.gap_list(&entry.cache);
         }
     }
 
@@ -793,8 +723,7 @@ impl NeighborIndex {
     /// zero recomputed queries. The pivot table is rebuilt from them: in
     /// ascending slot order an entry attaches to the lowest neighbor that
     /// is already a pivot (one bounded kernel call for the distance, tallied
-    /// in the session counters but not as a query) or becomes one; entries
-    /// without a memoized neighborhood get theirs when it is computed.
+    /// in the session counters but not as a query) or becomes one.
     ///
     /// Structural impossibilities (unknown slots, caches naming dead
     /// entries or entries that are not neighbors) are rejected as
@@ -814,7 +743,7 @@ impl NeighborIndex {
         // Pass 1 — structural decode: slots come as ascending varint gaps
         // (duplicates are unrepresentable) and caches as gap lists (strict
         // ascension is structural there too).
-        type DecodedEntry = (u32, Arc<[u8]>, Option<Vec<u32>>);
+        type DecodedEntry = (u32, Arc<[u8]>, Vec<u32>);
         let live_count = dec.varint_usize()?;
         let mut decoded: Vec<DecodedEntry> = Vec::with_capacity(live_count.min(1 << 20));
         let mut prev_slot: Option<u32> = None;
@@ -829,12 +758,7 @@ impl NeighborIndex {
             prev_slot = Some(slot);
             let data =
                 lookup(SampleId::new(slot)).ok_or_else(|| corrupt("entry without sample bytes"))?;
-            let cache = if dec.bool()? {
-                Some(dec.gap_list()?)
-            } else {
-                None
-            };
-            decoded.push((slot, data, cache));
+            decoded.push((slot, data, dec.gap_list()?));
         }
 
         // Pass 2 — recompute every histogram, in parallel (the per-entry
@@ -844,35 +768,31 @@ impl NeighborIndex {
             .map(|(_, data, _)| histogram(data))
             .collect();
 
-        // Pass 3 — assemble live entries, then attach caches (they may
-        // reference entries decoded later, so validation runs once every
-        // entry exists).
-        for ((slot, data, _), hist) in decoded.iter().zip(hists) {
-            let slot = *slot as usize;
+        // Pass 3 — assemble live entries, then check the caches (they may
+        // reference entries decoded later): a cache may only name live
+        // entries, never the entry itself — anything else would poison
+        // DBSCAN.
+        for ((slot, data, cache), hist) in decoded.into_iter().zip(hists) {
+            let slot = slot as usize;
             if index.entries.len() <= slot {
                 index.entries.resize(slot + 1, None);
             }
             index.by_len.insert((data.len(), slot as u32));
             index.entries[slot] = Some(IndexEntry {
-                data: Arc::clone(data),
+                data,
                 hist,
-                cache: None,
+                cache,
                 pivot: None,
                 members: Vec::new(),
             });
             index.live += 1;
         }
-        // Caches may only name live entries, never the entry itself —
-        // anything else would poison DBSCAN.
-        for (slot, _, cache) in decoded {
-            let Some(cache) = cache else { continue };
-            if cache
-                .iter()
-                .any(|&n| n == slot || index.entries.get(n as usize).is_none_or(|e| e.is_none()))
-            {
+        let live = |n: u32| index.entries.get(n as usize).is_some_and(Option::is_some);
+        for (slot, entry) in index.entries.iter().enumerate() {
+            let Some(entry) = entry else { continue };
+            if entry.cache.iter().any(|&n| n as usize == slot || !live(n)) {
                 return Err(corrupt("cached neighborhood names a dead entry"));
             }
-            index.entry_mut(slot).cache = Some(cache);
         }
 
         // Pass 4 — rebuild the pivot table from the neighborhoods. Who
@@ -880,12 +800,10 @@ impl NeighborIndex {
         // independent and computed in parallel.
         let mut attachments: Vec<(u32, u32)> = Vec::new();
         for slot in 0..u32::try_from(index.entries.len()).expect("slots fit u32") {
-            let Some(cache) = index.entries[slot as usize]
-                .as_ref()
-                .and_then(|e| e.cache.as_ref())
-            else {
+            let Some(entry) = &index.entries[slot as usize] else {
                 continue;
             };
+            let cache = &entry.cache;
             // Only lower slots have been decided.
             let lower = &cache[..cache.partition_point(|&n| n < slot)];
             match lower.iter().find(|&&n| index.is_pivot(n)) {
@@ -920,7 +838,7 @@ mod tests {
     use super::*;
     use crate::distance::normalized_edit_distance_bounded;
 
-    fn ball(index: &mut NeighborIndex, i: u32) -> Vec<usize> {
+    fn ball(index: &NeighborIndex, i: u32) -> Vec<usize> {
         index
             .neighbors(SampleId::new(i))
             .into_iter()
@@ -966,10 +884,10 @@ mod tests {
     #[test]
     fn matches_brute_force_on_family_corpus() {
         let samples = family_corpus();
-        let mut index = NeighborIndex::build(&samples, 0.10);
+        let index = NeighborIndex::build(&samples, 0.10);
         for i in 0..samples.len() {
             assert_eq!(
-                ball(&mut index, i as u32),
+                ball(&index, i as u32),
                 brute_force_neighbors(&samples, 0.10, i),
                 "query {i}"
             );
@@ -984,7 +902,7 @@ mod tests {
         assert_eq!(stats.queries, samples.len());
         assert_eq!(stats.cache_hits, 0);
         // Reads after the build are pure cache hits.
-        let _ = ball(&mut index, 0);
+        let _ = ball(&index, 0);
         let stats = index.take_stats();
         assert_eq!(stats.queries, 0);
     }
@@ -996,11 +914,11 @@ mod tests {
         for (i, s) in samples.iter().enumerate() {
             incremental.insert(SampleId::new(i as u32), Arc::from(&s[..]));
         }
-        let mut batch = NeighborIndex::build(&samples, 0.10);
+        let batch = NeighborIndex::build(&samples, 0.10);
         for i in 0..samples.len() {
             assert_eq!(
-                ball(&mut incremental, i as u32),
-                ball(&mut batch, i as u32),
+                ball(&incremental, i as u32),
+                ball(&batch, i as u32),
                 "query {i}"
             );
         }
@@ -1021,7 +939,7 @@ mod tests {
                 .into_iter()
                 .map(|j| j + 1)
                 .collect();
-            assert_eq!(ball(&mut index, i as u32), expected, "query {i}");
+            assert_eq!(ball(&index, i as u32), expected, "query {i}");
         }
     }
 
@@ -1033,7 +951,7 @@ mod tests {
         index.insert(SampleId::new(2), Arc::from(&samples[2][..]));
         for i in 0..samples.len() {
             assert_eq!(
-                ball(&mut index, i as u32),
+                ball(&index, i as u32),
                 brute_force_neighbors(&samples, 0.10, i),
                 "query {i}"
             );
@@ -1071,19 +989,19 @@ mod tests {
     #[test]
     fn empty_strings_are_mutual_neighbors() {
         let samples: Vec<Vec<u8>> = vec![Vec::new(), Vec::new(), vec![1, 2, 3]];
-        let mut index = NeighborIndex::build(&samples, 0.10);
-        assert_eq!(ball(&mut index, 0), vec![1]);
-        assert_eq!(ball(&mut index, 1), vec![0]);
-        assert!(ball(&mut index, 2).is_empty());
+        let index = NeighborIndex::build(&samples, 0.10);
+        assert_eq!(ball(&index, 0), vec![1]);
+        assert_eq!(ball(&index, 1), vec![0]);
+        assert!(ball(&index, 2).is_empty());
     }
 
     #[test]
     fn eps_one_accepts_everything() {
         let samples: Vec<Vec<u8>> = vec![vec![1], vec![2, 2, 2], vec![3; 10]];
-        let mut index = NeighborIndex::build(&samples, 1.0);
+        let index = NeighborIndex::build(&samples, 1.0);
         for i in 0..samples.len() {
             assert_eq!(
-                ball(&mut index, i as u32),
+                ball(&index, i as u32),
                 brute_force_neighbors(&samples, 1.0, i),
                 "query {i}"
             );

@@ -29,7 +29,7 @@ pub fn cluster<S: AsRef<[u8]>>(
 /// single partition: every eps-ball from [`NeighborIndex`], labels from
 /// [`dbscan_with_neighborhoods`].
 pub fn indexed_dbscan<S: AsRef<[u8]> + Sync>(samples: &[S], params: &DbscanParams) -> DbscanResult {
-    let mut index = NeighborIndex::build(samples, params.eps);
+    let index = NeighborIndex::build(samples, params.eps);
     let neighborhoods: Vec<Vec<usize>> = (0..samples.len())
         .map(|i| {
             let id = SampleId::new(u32::try_from(i).expect("test corpus fits u32"));

@@ -98,7 +98,7 @@ proptest! {
     #[test]
     fn index_neighbors_match_brute_force(samples in clustered_corpus()) {
         for eps in [0.10f64, 0.25] {
-            let mut index = NeighborIndex::build(&samples, eps);
+            let index = NeighborIndex::build(&samples, eps);
             for i in 0..samples.len() {
                 let brute: Vec<usize> = (0..samples.len())
                     .filter(|&j| {

@@ -4,13 +4,13 @@
 //! shared pivot and the triangle inequality. Two contracts keep that
 //! honest, checked after **every** step of a random interleaving of
 //! batch inserts (one entry, under a wave, over a wave), removals (pivots,
-//! members, a group's last member), snapshot round trips and an unmemoized
-//! rebuild:
+//! members, a group's last member), snapshot round trips and a rebuild
+//! from the corpus store:
 //!
 //! 1. every live entry's eps-ball equals brute force over
 //!    `normalized_edit_distance_bounded ≤ eps`;
-//! 2. every entry with a computed ball is attached to a live pivot at
-//!    exactly the edit distance the index stored for it.
+//! 2. every live entry is attached to a live pivot at exactly the edit
+//!    distance the index stored for it.
 //!
 //! The generators build kit-like families *on* the decision edges: members
 //! at exactly `budget` and `budget + 1` edits from their pivot and from each
@@ -206,7 +206,7 @@ impl Model {
     }
 
     /// Both contracts, over every live entry.
-    fn check(&self, index: &mut NeighborIndex, step: &str) {
+    fn check(&self, index: &NeighborIndex, step: &str) {
         assert_eq!(index.len(), self.live.len(), "{step}");
         let mut pivots = 0;
         for ((id, data), ball) in self.live.iter().zip(&self.balls) {
@@ -319,7 +319,7 @@ proptest! {
         // single batch meet the pivots of the earlier ones.
         let first = 65 + rng.below(40);
         insert(&mut index, &mut model, pool.split_off(pool.len() - first));
-        model.check(&mut index, "first batch");
+        model.check(&index, "first batch");
 
         for (n, &op) in ops.iter().enumerate() {
             let arg = op as usize / 8;
@@ -356,14 +356,14 @@ proptest! {
                         let attached = index.pivot_of(SampleId::new(id)).expect("member").0;
                         if attached.raw() == pivot {
                             remove(&mut index, &mut model, id);
-                            model.check(&mut index, &step);
+                            model.check(&index, &step);
                         }
                     }
                     remove(&mut index, &mut model, pivot);
                 }
                 _ => index = round_trip(&index, &model),
             }
-            model.check(&mut index, &step);
+            model.check(&index, &step);
         }
     }
 
@@ -380,18 +380,20 @@ proptest! {
         let mut index = NeighborIndex::new(eps);
         let mut model = Model::new(eps);
         insert(&mut index, &mut model, byte_corpus(&mut rng, eps, 100));
-        model.check(&mut index, "batch");
+        model.check(&index, "batch");
         let mut restored = round_trip(&index, &model);
-        model.check(&mut restored, "round trip");
+        model.check(&restored, "round trip");
         insert(&mut restored, &mut model, byte_corpus(&mut rng, eps, 30));
-        model.check(&mut restored, "insert after the round trip");
+        model.check(&restored, "insert after the round trip");
     }
 
-    /// An index rebuilt from the store without neighborhoods (the resume
-    /// ladder's second rung) has no pivots at all; `ensure_cached` — through
-    /// `cluster_day` — computes the balls in waves and hands them out.
+    /// An index rebuilt from the store (the resume ladder's second rung)
+    /// computes every ball and the pivot table at load: both contracts hold
+    /// before any day is clustered. Its own save then resumes on the first
+    /// rung, clusters the day like the original engine with no query, and
+    /// serves an ordinary next day.
     #[test]
-    fn ensure_cached_after_an_unmemoized_rebuild_builds_the_pivot_table(
+    fn a_store_rebuilt_index_holds_every_ball_at_load(
         seed in any::<u64>(),
         eps_pick in any::<u8>(),
     ) {
@@ -400,7 +402,8 @@ proptest! {
         let cfg = DistributedConfig::new(2, DbscanParams::new(eps, 2));
         let day1 = corpus(&mut rng, eps, 90);
         let mut engine = CorpusEngine::new(cfg);
-        engine.add_batch(1, &day1);
+        let ids = engine.add_batch(1, &day1);
+        let (want, _) = engine.cluster_day(&ids);
 
         // A snapshot that lost its index section.
         let mut builder = SnapshotBuilder::new();
@@ -410,9 +413,8 @@ proptest! {
             }
         }
         let snapshot = Snapshot::from_bytes(&builder.to_bytes()).unwrap();
-        let (mut resumed, report) = CorpusEngine::resume_from_sections(cfg, &snapshot);
+        let (rebuilt, report) = CorpusEngine::resume_from_sections(cfg, &snapshot);
         prop_assert!(report.store_restored && !report.index_restored);
-        prop_assert_eq!(resumed.index().pivot_count(), 0);
 
         let check = |engine: &CorpusEngine, step: &str| {
             let mut model = Model::new(eps);
@@ -422,11 +424,21 @@ proptest! {
                 let minted = model.add(engine.store().get(id).expect("live").to_vec());
                 assert_eq!(minted, id.raw());
             }
-            model.check(&mut engine.index().clone(), step);
+            model.check(engine.index(), step);
         };
-        let ids = resumed.store().live_ids();
-        let _ = resumed.cluster_day(&ids);
-        check(&resumed, "after ensure_cached");
+        check(&rebuilt, "at load");
+
+        let mut builder = SnapshotBuilder::new();
+        for (name, payload) in rebuilt.encode_sections() {
+            builder.section(&name, payload);
+        }
+        let snapshot = Snapshot::from_bytes(&builder.to_bytes()).unwrap();
+        let (mut resumed, report) = CorpusEngine::resume_from_sections(cfg, &snapshot);
+        prop_assert!(report.store_restored && report.index_restored);
+        check(&resumed, "after the re-save");
+        let (got, stats) = resumed.cluster_day(&ids);
+        prop_assert_eq!(stats.index.queries, 0);
+        prop_assert_eq!(got, want);
 
         // The rebuilt table then serves an ordinary next day.
         let day2 = corpus(&mut rng, eps, 40);

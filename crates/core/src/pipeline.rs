@@ -145,9 +145,10 @@ pub(crate) struct KizzleCompiler {
     /// the state directory serves. Persisted beside the set, in its
     /// section.
     pub(crate) publications: u64,
-    /// The signature section as the newest save wrote it — what the next
-    /// save compares its own against to decide whether it publishes.
-    pub(crate) saved_signatures: Option<Vec<u8>>,
+    /// The next save publishes: a signature was added since the last
+    /// committed save, or the compiler was created fresh. Only a committed
+    /// save clears it.
+    pub(crate) publish_pending: bool,
 }
 
 impl KizzleCompiler {
@@ -162,7 +163,7 @@ impl KizzleCompiler {
             signature_counters: HashMap::new(),
             last_day: None,
             publications: 0,
-            saved_signatures: None,
+            publish_pending: true,
         }
     }
 
@@ -333,6 +334,7 @@ impl KizzleCompiler {
                 // Copy-on-write: the set only materializes a copy when a
                 // published epoch still shares it.
                 if Arc::make_mut(&mut self.signatures).add(family.name(), signature) {
+                    self.publish_pending = true;
                     *counter += 1;
                     verdicts[verdict].signature_name = Some(name.clone());
                     new_signatures.push(name);

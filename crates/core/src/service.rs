@@ -233,11 +233,13 @@ impl KizzleService {
     /// [`STATE_FILE`](crate::snapshot::STATE_FILE), written atomically
     /// (tmp file, fsync, rename). The rename commits the save, so a crash
     /// mid-save leaves the previous state or the new one loadable, never a
-    /// mixture, and nothing else is written beside the file. A save whose
-    /// signature set differs from the previous save's is a *publication*:
-    /// it advances the count the file stores beside the set and its token
-    /// cap, and every [`ChainFollower`](crate::ChainFollower) of the
-    /// directory serves that count as its epoch.
+    /// mixture, and nothing else is written beside the file. The first
+    /// save of a fresh service, and the first save to commit after a
+    /// signature was added, is a *publication*: it advances the count the
+    /// file stores beside the set and its token cap, and every
+    /// [`ChainFollower`](crate::ChainFollower) of the directory serves that
+    /// count as its epoch. A save that fails publishes nothing, so the
+    /// next one that commits does.
     pub fn save(&self, state_dir: &Path) -> Result<(), KizzleError> {
         self.lock_compiler().save_state(state_dir)
     }

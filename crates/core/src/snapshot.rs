@@ -33,8 +33,9 @@
 //! | `corpus-store`   | the engine's sample store (see `kizzle-cluster`)      |
 //! | `neighbor-index` | memoized neighborhoods (see `kizzle-cluster`)         |
 //!
-//! The publication count is the number of saves whose signature set
-//! differed from the previous save's — the epoch every
+//! The publication count is the number of saves that published: the
+//! first save of a fresh compiler, and every save after a signature was
+//! added — the epoch every
 //! [`ChainFollower`](crate::ChainFollower) of the directory serves. It
 //! sits in the same checksummed section as the set it counts, beside the
 //! token cap the set was compiled under, so one read of the file gives a
@@ -58,8 +59,9 @@
 //! (`SnapshotError::VersionSkew`, before a section is parsed; the base
 //! file of a version-3 chain is such a container, and an older state than
 //! its chain described). Within the file, damage degrades per section: a
-//! lost index rebuilds from the store, a lost store empties the engine
-//! (cold rebuild), while damage to `meta`/`signatures`/`reference` fails
+//! lost index is rebuilt from the store at load, every eps-ball computed
+//! again before the first day runs, a lost store empties the engine (cold
+//! rebuild), while damage to `meta`/`signatures`/`reference` fails
 //! the load as a whole — those cannot be reconstructed, and
 //! [`KizzleService::open`](crate::KizzleService::open) falls back to a
 //! fresh service exactly as if no snapshot existed. There is no older
@@ -186,15 +188,15 @@ fn encode_publication(count: u64, token_cap: usize, signatures: &SignatureSet) -
     enc.into_bytes()
 }
 
-/// Decode the signature section of a state file: the publication count,
-/// the token cap and the set, unsealed. This is the **single** reader of
-/// that section — [`KizzleService::load`](crate::KizzleService::load),
+/// Decode the signature section's payload: the publication count, the
+/// token cap and the set, unsealed. This is the **single** reader of that
+/// section — [`KizzleService::load`](crate::KizzleService::load),
 /// [`read_signatures`] and the [`ChainFollower`](crate::ChainFollower)
 /// all route through it, so the layout has exactly one interpretation.
 pub(crate) fn decode_publication(
-    snapshot: &Snapshot,
+    payload: &[u8],
 ) -> Result<(u64, usize, SignatureSet), SnapshotError> {
-    let mut dec = Decoder::new(snapshot.section(SIGNATURES_SECTION)?);
+    let mut dec = Decoder::new(payload);
     let count = dec.varint()?;
     let token_cap = dec.varint_usize()?;
     let signatures = SignatureSet::decode_from(&mut dec)?;
@@ -203,19 +205,6 @@ pub(crate) fn decode_publication(
 }
 
 impl KizzleCompiler {
-    /// The signature section this save writes, and the publication count
-    /// in it: the previous save's count while the set is unchanged, the
-    /// next one when it moved.
-    fn publication_section(&self) -> (u64, Vec<u8>) {
-        let cap = self.config.token_cap;
-        let unchanged = encode_publication(self.publications, cap, &self.signatures);
-        if self.saved_signatures.as_deref() == Some(unchanged.as_slice()) {
-            return (self.publications, unchanged);
-        }
-        let count = self.publications + 1;
-        (count, encode_publication(count, cap, &self.signatures))
-    }
-
     /// Serialize every compiler section, the signature section given. The
     /// payloads are independent, so they encode through the rayon pool — a
     /// multi-core save costs the slowest section, not the sum.
@@ -252,8 +241,9 @@ impl KizzleCompiler {
     /// one atomic write of the state file, whose rename commits the save.
     pub(crate) fn save_state(&mut self, state_dir: &Path) -> Result<(), KizzleError> {
         let snapshot_span = kizzle_telemetry::span!("day.snapshot");
-        let (publications, signatures) = self.publication_section();
-        let saved_signatures = signatures.clone();
+        // A publishing save takes the next count; any other keeps the last.
+        let publications = self.publications + u64::from(self.publish_pending);
+        let signatures = encode_publication(publications, self.config.token_cap, &self.signatures);
         let mut builder = SnapshotBuilder::new();
         for (name, payload) in self.encode_state_sections(signatures) {
             builder.section(&name, payload);
@@ -262,7 +252,7 @@ impl KizzleCompiler {
         std::fs::create_dir_all(state_dir)?;
         write_atomic(&state_dir.join(STATE_FILE), &bytes)?;
         self.publications = publications;
-        self.saved_signatures = Some(saved_signatures);
+        self.publish_pending = false;
         let snapshot_elapsed = snapshot_span.finish();
         // The save is committed: followers on this host need not wait out
         // their poll interval to read it.
@@ -312,8 +302,8 @@ impl KizzleCompiler {
             });
         }
 
-        let (publications, _, signatures) = decode_publication(&snapshot)?;
-        let saved_signatures = Some(snapshot.section(SIGNATURES_SECTION)?.to_vec());
+        let (publications, _, signatures) =
+            decode_publication(snapshot.section(SIGNATURES_SECTION)?)?;
 
         let mut dec = Decoder::new(snapshot.section(REFERENCE_SECTION)?);
         let reference = ReferenceCorpus::decode_from(&mut dec)?;
@@ -329,7 +319,7 @@ impl KizzleCompiler {
                 engine,
                 last_day: meta.last_day,
                 publications,
-                saved_signatures,
+                publish_pending: false,
             },
             report,
         ))
@@ -378,7 +368,7 @@ pub fn read_signatures(state_dir: &Path) -> Result<SignatureSet, KizzleError> {
         .into());
     }
     let snapshot = Snapshot::read(&state_dir.join(STATE_FILE))?;
-    Ok(decode_publication(&snapshot)?.2)
+    Ok(decode_publication(snapshot.section(SIGNATURES_SECTION)?)?.2)
 }
 
 #[cfg(test)]
@@ -780,6 +770,50 @@ mod tests {
             loaded.save(&dir).expect("state saved");
             assert!(!tmp.exists(), "{crash}");
         }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A save that fails commits nothing and publishes nothing: the next
+    /// save that commits publishes the set under the next count, so a
+    /// follower's epoch moves once however many saves failed before it. A
+    /// later save with no new signature publishes nothing either.
+    #[test]
+    fn a_failed_save_leaves_the_set_unpublished() {
+        let dir = state_dir("failed-save");
+        // A state directory under a regular file cannot be created.
+        let blocker = state_dir("failed-save-blocker");
+        std::fs::remove_file(&blocker).ok();
+        std::fs::write(&blocker, b"not a directory").expect("blocker file");
+        let unwritable = blocker.join("state");
+
+        let mut service = fresh_service();
+        let d1 = SimDate::new(2014, 8, 5);
+        service.process_day(d1, test_day(d1, 3)).expect("day 1");
+        service.save(&dir).expect("state saved");
+        let follower = ChainFollower::new(&dir);
+        assert!(follower.poll().expect("the first save reads"));
+        assert_eq!(follower.current().0, 1);
+
+        let d2 = SimDate::new(2014, 8, 6);
+        service.process_day(d2, test_day(d2, 4)).expect("day 2");
+        assert!(service.signatures().len() > follower.current().1.len());
+        for _ in 0..2 {
+            assert!(service.save(&unwritable).is_err());
+        }
+        assert!(!unwritable.exists());
+
+        service.save(&dir).expect("state saved");
+        assert!(follower.poll().expect("the good save reads"));
+        let (epoch, served) = follower.current();
+        assert_eq!(epoch, 2);
+        assert_eq!(*served, *service.signatures());
+
+        service.save(&dir).expect("state saved");
+        assert!(!follower.poll().expect("the unchanged save reads"));
+        assert_eq!(follower.current().0, 2);
+        let (_, report) = KizzleService::load(&dir, KizzleConfig::fast()).expect("state loads");
+        assert!(report.notes.is_empty(), "notes: {:?}", report.notes);
+        std::fs::remove_file(&blocker).ok();
         std::fs::remove_dir_all(&dir).ok();
     }
 

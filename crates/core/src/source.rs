@@ -16,12 +16,12 @@
 //!   [`KizzleService::save`](crate::KizzleService::save)
 //!   on another thread, another process, or another machine's shared
 //!   filesystem. Each [`ChainFollower::poll`] stats the state file, and
-//!   only when it moved reads it and fingerprints its signature section;
-//!   only when that moved does it decode the section, seal the set (the
-//!   scan pipeline is built from the signatures, never read from disk),
-//!   and swap it in **exactly like the epoch swap** — scans in
-//!   flight keep the previous complete set; the next scan on each handle
-//!   picks up the new one atomically. A [`ChainFollower::follow`] thread
+//!   only when it moved reads it and compares its signature section with
+//!   the one it holds; only when that moved does it decode the section,
+//!   seal the set (the scan pipeline is built from the signatures, never
+//!   read from disk), and swap it in **exactly like the epoch swap** —
+//!   scans in flight keep the previous complete set; the next scan on each
+//!   handle picks up the new one atomically. A [`ChainFollower::follow`] thread
 //!   does not wait out a timer for that: every save wakes the follow
 //!   threads bound in its directory.
 //!
@@ -34,7 +34,7 @@ use crate::config::KizzleConfig;
 use crate::error::KizzleError;
 use crate::snapshot::{decode_publication, SIGNATURES_SECTION, STATE_FILE};
 use kizzle_signature::SignatureSet;
-use kizzle_snapshot::{fingerprint, Snapshot, SnapshotError};
+use kizzle_snapshot::{Snapshot, SnapshotError};
 use std::io;
 use std::os::unix::fs::{FileTypeExt, MetadataExt};
 use std::os::unix::net::UnixDatagram;
@@ -148,8 +148,8 @@ struct FollowState {
     /// file in, so its inode differs from the previous save's even when
     /// both saves fall in one tick of the filesystem clock with one length.
     file_stamp: Option<(u64, SystemTime, u64)>,
-    /// Fingerprint of the signature section currently swapped in.
-    sig_fingerprint: Option<String>,
+    /// The signature section whose set is swapped in, byte for byte.
+    sig_section: Option<Vec<u8>>,
     /// Bounded log of degradations observed while following.
     notes: Vec<String>,
 }
@@ -196,8 +196,8 @@ impl FollowState {
 /// never a mix. The in-memory swap is the same epoch-bump-under-write-lock
 /// the in-process [`EpochSource`] uses, so a scan never observes a torn
 /// set. A save that only touched non-signature sections (store/index churn
-/// on a day with no new signatures) leaves the signature section's
-/// fingerprint where it was, and is skipped without decoding it.
+/// on a day with no new signatures) writes the signature section the
+/// follower already holds, and is skipped without decoding it.
 ///
 /// Damage keeps the last-known-good set: a state file whose signature
 /// section is unreadable (damaged, truncated, another format version)
@@ -248,8 +248,9 @@ impl ChainFollower {
     /// so a follower that polls less often than the compiler saves still
     /// counts every publication, and two followers of one directory agree
     /// on it), `Ok(false)` when the published signatures are unchanged
-    /// (two fast paths, cheapest first: a stat of the state file, then the
-    /// fingerprint of the signature section it holds).
+    /// (two fast paths, cheapest first: a stat of the state file, then a
+    /// comparison of its signature section with the one already swapped
+    /// in).
     ///
     /// Concurrent polls serialize on an internal mutex; scans are never
     /// blocked by a poll except for the final pointer-swap instant.
@@ -293,21 +294,20 @@ impl ChainFollower {
             return Ok(false);
         }
 
-        // Fast path 2: the file moved, but its signature section is the
-        // one already swapped in — the save only touched other sections.
+        // Fast path 2: the file moved, but its (checksum-verified) signature
+        // section is the one already swapped in — the save only touched
+        // other sections.
         let snapshot = Snapshot::read(&path).map_err(KizzleError::Snapshot)?;
-        let sig_fingerprint = Some(fingerprint(
-            snapshot
-                .section(SIGNATURES_SECTION)
-                .map_err(KizzleError::Snapshot)?,
-        ));
-        if loaded && sig_fingerprint == state.sig_fingerprint {
+        let section = snapshot
+            .section(SIGNATURES_SECTION)
+            .map_err(KizzleError::Snapshot)?;
+        if loaded && state.sig_section.as_deref() == Some(section) {
             state.file_stamp = stamp;
             return Ok(false);
         }
 
         let (publications, token_cap, set) =
-            decode_publication(&snapshot).map_err(KizzleError::Snapshot)?;
+            decode_publication(section).map_err(KizzleError::Snapshot)?;
         // Seal before the swap, on this thread: no scan on any handle ever
         // pays the pipeline build.
         set.seal();
@@ -323,7 +323,7 @@ impl ChainFollower {
             self.token_cap.store(token_cap, Ordering::Relaxed);
             self.epoch_hint.store(slot.0, Ordering::Release);
         }
-        state.sig_fingerprint = sig_fingerprint;
+        state.sig_section = Some(section.to_vec());
         state.file_stamp = stamp;
         if kizzle_telemetry::enabled() {
             kizzle_telemetry::counter("kizzle_chain_refreshes_total").incr();

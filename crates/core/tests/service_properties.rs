@@ -20,6 +20,7 @@
 //!    set once the publish lands.
 
 use kizzle::prelude::*;
+use kizzle_cluster::SampleId;
 use kizzle_corpus::{variation_prefix, GraywareStream, KitFamily, Sample, SimDate, StreamConfig};
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -65,6 +66,17 @@ fn routed(route: u8, chunk: &[Sample]) -> Batch {
     }
 }
 
+/// Every live sample's id and memoized eps-ball, in id order.
+fn balls(service: &KizzleService) -> Vec<(SampleId, Vec<SampleId>)> {
+    let engine = service.engine();
+    engine
+        .store()
+        .live_ids()
+        .into_iter()
+        .map(|id| (id, engine.index().neighbors(id)))
+        .collect()
+}
+
 /// Everything in a report that must be byte-identical between the two
 /// ingest shapes — only the wall-clock/work-counter stats are stripped.
 fn normalized(mut report: DayReport) -> DayReport {
@@ -105,10 +117,7 @@ proptest! {
             prop_assert_eq!(normalized(want), normalized(got), "day {}", d);
             prop_assert_eq!(&*single.signatures(), &*batched.signatures());
             prop_assert_eq!(single.engine().len(), batched.engine().len());
-            prop_assert_eq!(
-                single.engine().index().cached_count(),
-                batched.engine().index().cached_count()
-            );
+            prop_assert_eq!(balls(&single), balls(&batched));
             date = date.next();
         }
     }
@@ -168,10 +177,7 @@ proptest! {
 
         prop_assert_eq!(&*single.signatures(), &*piped.signatures());
         prop_assert_eq!(single.engine().len(), piped.engine().len());
-        prop_assert_eq!(
-            single.engine().index().cached_count(),
-            piped.engine().index().cached_count()
-        );
+        prop_assert_eq!(balls(&single), balls(&piped));
     }
 
     /// Groups really form, and still equal single-shot: the day's head

@@ -1,4 +1,4 @@
-//! `kizzle-serve`: a chain-tailing scan-serving fleet for Kizzle
+//! `kizzle-serve`: a state-file-tailing scan-serving fleet for Kizzle
 //! signature sets.
 //!
 //! The compiler side of the pipeline (`kizzle`'s [`KizzleService`])
@@ -17,7 +17,7 @@
 //!
 //! # Quickstart
 //!
-//! Compile a day, publish it into a chain directory, serve it, scan it
+//! Compile a day, save it into a state directory, serve it, scan it
 //! over the wire:
 //!
 //! ```

@@ -1,8 +1,8 @@
 //! The `kizzle-serve` daemon: a fleet of scan workers over one shared
 //! [`ChainFollower`].
 //!
-//! One compiler process writes the snapshot chain; this daemon tails it.
-//! A single [`ChainFollower`] follows the chain directory on a background
+//! One compiler process saves its state file; this daemon tails it.
+//! A single [`ChainFollower`] follows the state directory on a background
 //! thread, woken by each save on this host (and polling at
 //! [`ServeConfig::poll_interval`] for the saves that cannot wake it);
 //! every worker holds a [`Matcher`] over that shared follower,
@@ -54,13 +54,13 @@ const ACCEPT_BACKOFF: Duration = Duration::from_millis(5);
 pub struct ServeConfig {
     /// Address to bind (use port 0 to let the OS pick).
     pub addr: String,
-    /// Snapshot-chain directory the compiler saves into.
+    /// State directory the compiler saves into.
     pub chain_dir: PathBuf,
     /// Number of scan worker threads.
     pub workers: usize,
     /// Staleness bound for saves that cannot wake the follow thread: a
     /// save on this host wakes it at once, but a writer on another host
-    /// of a shared filesystem (or a chain directory where the wake socket
+    /// of a shared filesystem (or a state directory where the wake socket
     /// cannot be bound, `STATUS` `follow=poll`) is seen at the next poll.
     pub poll_interval: Duration,
 }
@@ -204,7 +204,7 @@ impl Server {
     /// Bind, spawn the follow thread, the acceptor, and the worker
     /// fleet; returns once the daemon is accepting connections.
     ///
-    /// The chain directory may be empty (the compiler has not saved
+    /// The state directory may be empty (the compiler has not saved
     /// yet): workers serve the empty epoch-0 set until the first save
     /// lands, then hot-swap.
     pub fn start(config: &ServeConfig) -> io::Result<ServerHandle> {
@@ -216,7 +216,7 @@ impl Server {
         kizzle_telemetry::set_recorder(Box::new(SharedAggregator(Arc::clone(&aggregator))));
 
         let follower = Arc::new(ChainFollower::new(&config.chain_dir));
-        // A damaged chain at startup is not fatal: serve the empty
+        // A damaged state file at startup is not fatal: serve the empty
         // set, keep polling, and surface the problem in STATUS notes.
         let _ = follower.poll();
         let follow = follower.follow(config.poll_interval);

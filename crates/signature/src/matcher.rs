@@ -48,7 +48,7 @@
 //! property-tested in `tests/signature_properties.rs`, gate included. The
 //! pipeline (gate, trie, buckets, filters) is a pure function of the
 //! signatures and [`SignatureSet::seal`] is the only way one is built: it
-//! is never serialized — a snapshot chain ships the members
+//! is never serialized — a state file ships the members
 //! ([`SignatureSet::encode_into`]) and every loader reseals. It is
 //! immutable once built, and [`SignatureSet::add`] invalidates it so a
 //! mutated set reseals.

@@ -61,7 +61,11 @@ pub const MAGIC: [u8; 8] = *b"KIZSNAP1";
 /// between the publication count and the set, so a follower takes its
 /// epoch, set and cap from one checksummed section. No reader for version
 /// 4 is kept.
-pub const FORMAT_VERSION: u32 = 5;
+///
+/// Version 6: every live entry of the neighbor-index section carries its
+/// memoized eps-ball, so the per-entry flag byte that said whether one
+/// followed is gone. No reader for version 5 is kept.
+pub const FORMAT_VERSION: u32 = 6;
 
 /// Accumulates named sections and serializes them into one container.
 #[derive(Debug, Default)]
@@ -374,20 +378,20 @@ mod tests {
         ));
     }
 
-    /// Version 4 is the layout before the token cap joined the signature
-    /// section; no reader for it is kept.
+    /// Version 5 is the layout whose index entries carried a flag byte in
+    /// front of an optional eps-ball; no reader for it is kept.
     #[test]
-    fn a_version_4_header_is_refused() {
+    fn a_version_5_header_is_refused() {
         let mut bytes = demo_snapshot();
-        bytes[8..12].copy_from_slice(&4u32.to_le_bytes());
+        bytes[8..12].copy_from_slice(&5u32.to_le_bytes());
         let body = bytes.len() - 4;
         let crc = crc32(&bytes[..body]);
         bytes[body..].copy_from_slice(&crc.to_le_bytes());
         assert!(matches!(
             Snapshot::from_bytes(&bytes),
             Err(SnapshotError::VersionSkew {
-                found: 4,
-                expected: 5
+                found: 5,
+                expected: 6
             })
         ));
     }

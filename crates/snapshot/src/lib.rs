@@ -207,14 +207,6 @@ const fn crc32_tables() -> [[u32; 256]; 8] {
     tables
 }
 
-/// A section's `crc/len` content fingerprint: a follower compares the one
-/// it computed on its last read with the next read's to tell whether a
-/// section moved.
-#[must_use]
-pub fn fingerprint(payload: &[u8]) -> String {
-    format!("{:#010x}/{}", crc32(payload), payload.len())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
